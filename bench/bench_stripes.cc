@@ -24,7 +24,6 @@
 
 namespace {
 
-constexpr std::uint16_t kNegotiationPort = 47101;
 constexpr std::uint16_t kDataPortBase = 47200;
 constexpr std::uint16_t kControlPortBase = 47300;
 constexpr std::int64_t kPacketBytes = 8 * 1024;
@@ -45,27 +44,24 @@ StripeRun run_once(int stripes, const fobs::core::TransferObject& object,
   run.stripes_requested = stripes;
   std::memset(scratch.data(), 0, scratch.size());
 
-  EngineOptions sender_options;
-  sender_options.workers = static_cast<std::size_t>(stripes);
-  sender_options.control_port_base = kControlPortBase;
-  sender_options.control_port_count = 64;
-  TransferEngine sender_engine(sender_options);
-  EngineOptions receiver_options;
-  receiver_options.workers = static_cast<std::size_t>(stripes);
-  TransferEngine receiver_engine(receiver_options);
+  EngineOptions engine_options;
+  engine_options.workers = static_cast<std::size_t>(stripes);
+  TransferEngine sender_engine(engine_options);
+  TransferEngine receiver_engine(engine_options);
 
   StripedSenderOptions send;
-  send.negotiation_port = kNegotiationPort;
-  send.max_stripes = stripes;
-  send.endpoint.packet_bytes = kPacketBytes;
+  send.flow.data_port = kDataPortBase;
+  send.flow.control_port = kControlPortBase;
+  send.flow.endpoint.packet_bytes = kPacketBytes;
+  send.stripes = stripes;
   StripedResult sender_result;
   std::thread sender([&] { sender_result = sender_engine.run_striped_sender(send, object.view()); });
 
   StripedReceiverOptions recv;
-  recv.negotiation_port = kNegotiationPort;
-  recv.data_port_base = kDataPortBase;
+  recv.flow.data_port = kDataPortBase;
+  recv.flow.control_port = kControlPortBase;
+  recv.flow.endpoint.packet_bytes = kPacketBytes;
   recv.stripes = stripes;
-  recv.endpoint.packet_bytes = kPacketBytes;
   const StripedResult receiver_result = receiver_engine.run_striped_receiver(recv, scratch);
   sender.join();
 

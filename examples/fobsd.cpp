@@ -5,23 +5,27 @@
 //   fobsd demo [--stripes N]                 # serve + 3 concurrent fetches
 //
 // Protocol: the client opens a TCP "catalog" connection to <port> and
-// sends one request line:  "<name> <client-udp-port>[ <stripes>]\n".
-// The server replies "<size> <control-port>\n" (size -1 = refused),
-// then pushes the file with a FOBS transfer: data to the client's UDP
-// port, the completion signal accepted on the per-session control
-// port. With --stripes N the fetch negotiates FOBSSTRP on that control
-// port and the object rides N parallel UDP flows (PSockets-style);
-// against a pre-striping server it degrades to one flow automatically.
+// sends one request line: "<name> <client-udp-port> <stripes>\n". The
+// server replies "<size> <packet-bytes> <first-control-port> <granted>\n"
+// ("-1" = refused), then pushes the file over `granted` parallel FOBS
+// flows (PSockets-style): flow i sends data to UDP port
+// client-udp-port + i and takes its completion signal on control port
+// first-control-port + i. One flow is just granted = 1. For serve,
+// --stripes N caps what the server grants; for fetch and demo it is the
+// count the client asks for.
 //
 // The heavy lifting lives in the library (fobs/posix/fileserver.h, on
 // top of the session engine in fobs/posix/engine.h): requests are
-// accepted concurrently, every transfer runs as its own engine session
-// with its own control port from [port+1, port+1+32), and a silent
-// catalog client times out instead of wedging the server.
+// accepted concurrently, every flow runs as its own engine session with
+// its own control port from [port+1, port+1+32), and a silent catalog
+// client times out instead of wedging the server. With FOBS_TRACE_DIR
+// set, every server-side flow writes fobsd_serve_<session>.jsonl.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,23 +160,23 @@ int run_demo(int stripes) {
 
 int main(int argc, char** argv) {
   // Split "--stripes N" out of the positional arguments.
-  int stripes = 1;
+  std::optional<int> stripes_flag;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--stripes" && i + 1 < argc) {
-      stripes = std::atoi(argv[++i]);
+      stripes_flag = std::max(1, std::atoi(argv[++i]));
       continue;
     }
     args.emplace_back(argv[i]);
   }
-  if (stripes < 1) stripes = 1;
+  const int stripes = stripes_flag.value_or(1);
   const std::string mode = args.empty() ? "demo" : args[0];
   if (mode == "demo") return run_demo(stripes);
   if (mode == "serve" && args.size() == 3) {
-    // For serve, --stripes caps what striped clients may negotiate
-    // (default: the library default when the flag is absent).
+    // For serve, --stripes caps the grant (the library default when the
+    // flag is absent).
     return run_server(args[1], static_cast<std::uint16_t>(std::atoi(args[2].c_str())),
-                      stripes > 1 ? stripes : fobs::posix::FileServerOptions{}.max_stripes);
+                      stripes_flag.value_or(fobs::posix::FileServerOptions{}.max_stripes));
   }
   if (mode == "fetch" && args.size() == 5) {
     return run_fetch(args[1], static_cast<std::uint16_t>(std::atoi(args[2].c_str())), args[3],

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 
 #include "common/crc32.h"
+#include "common/log.h"
 
 namespace fobs::posix {
 
@@ -95,5 +97,56 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
 }
 
 void remove_checkpoint(const std::string& path) { std::remove(path.c_str()); }
+
+namespace {
+
+/// The checkpoint at `range.path` when it describes `range`'s object.
+std::optional<Checkpoint> load_matching(const CheckpointRange& range) {
+  auto checkpoint = load_checkpoint(range.path);
+  if (!checkpoint) return std::nullopt;
+  if (checkpoint->object_bytes != range.object_bytes ||
+      checkpoint->packet_bytes != range.packet_bytes) {
+    FOBS_WARN("fobs.checkpoint",
+              "checkpoint at " << range.path << " does not match this transfer; ignoring");
+    return std::nullopt;
+  }
+  return checkpoint;
+}
+
+}  // namespace
+
+std::optional<std::vector<std::uint8_t>> load_checkpoint_range(const CheckpointRange& range) {
+  const auto checkpoint = load_matching(range);
+  if (!checkpoint) return std::nullopt;
+  const auto packets = static_cast<std::size_t>(checkpoint->packet_count());
+  fobs::util::Bitmap global(packets);
+  global.merge_range(0, packets, checkpoint->bitmap.data(), checkpoint->bitmap.size());
+  return global.extract_range(range.first, range.first + range.count);
+}
+
+bool fold_checkpoint_range(const CheckpointRange& range, const fobs::util::Bitmap& local) {
+  static std::mutex mu;
+  std::lock_guard lock(mu);
+  Checkpoint checkpoint;
+  checkpoint.object_bytes = range.object_bytes;
+  checkpoint.packet_bytes = range.packet_bytes;
+  const auto packets = static_cast<std::size_t>(checkpoint.packet_count());
+  fobs::util::Bitmap global(packets);
+  if (range.count < packets) {
+    // Other flows own the rest of the bitmap: keep their bits.
+    if (const auto existing = load_matching(range)) {
+      global.merge_range(0, packets, existing->bitmap.data(), existing->bitmap.size());
+    }
+  }
+  const auto packed = local.extract_range(0, range.count);
+  global.merge_range(range.first, range.count, packed.data(), packed.size());
+  if (global.all_set()) {
+    remove_checkpoint(range.path);
+    return true;
+  }
+  checkpoint.received_count = static_cast<std::int64_t>(global.count());
+  checkpoint.bitmap = global.extract_range(0, packets);
+  return save_checkpoint(range.path, checkpoint);
+}
 
 }  // namespace fobs::posix

@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +15,7 @@
 
 #include "common/thread_pool.h"
 #include "fobs/posix/port_allocator.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
@@ -139,9 +139,9 @@ struct TransferEngine::Impl {
   std::atomic<std::uint64_t> failed{0};
 
   // Acceptor state. The listener fd is only mutated while no acceptor
-  // thread runs; the stop flag and a close() wake the poll loop.
+  // thread runs; the stop flag wakes the poll loop.
   std::atomic<bool> acceptor_stop{false};
-  int acceptor_fd = -1;
+  fobs::net::Fd acceptor_fd;
   std::function<void(int, std::string)> acceptor_handler;
   std::thread acceptor_thread;
   // Handler tasks dispatched to the pool and not yet finished. They run
@@ -276,20 +276,9 @@ void TransferEngine::release_control_port_block(std::uint16_t first, std::size_t
 bool TransferEngine::start_acceptor(std::uint16_t port,
                                     std::function<void(int, std::string)> handler) {
   if (impl_->acceptor_thread.joinable() || !handler) return false;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = INADDR_ANY;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 16) != 0) {
-    ::close(fd);
-    return false;
-  }
-  impl_->acceptor_fd = fd;
+  fobs::net::Fd listener = fobs::net::listen_tcp(port, 16);
+  if (!listener.valid()) return false;
+  impl_->acceptor_fd = std::move(listener);
   impl_->acceptor_handler = std::move(handler);
   impl_->acceptor_stop.store(false);
   impl_->acceptor_thread = std::thread([this] { acceptor_loop(); });
@@ -298,12 +287,12 @@ bool TransferEngine::start_acceptor(std::uint16_t port,
 
 void TransferEngine::acceptor_loop() {
   while (!impl_->acceptor_stop.load(std::memory_order_relaxed)) {
-    pollfd pfd{impl_->acceptor_fd, POLLIN, 0};
+    pollfd pfd{impl_->acceptor_fd.get(), POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready <= 0) continue;
     sockaddr_in peer{};
     socklen_t peer_len = sizeof peer;
-    const int conn = ::accept(impl_->acceptor_fd, reinterpret_cast<sockaddr*>(&peer),
+    const int conn = ::accept(impl_->acceptor_fd.get(), reinterpret_cast<sockaddr*>(&peer),
                               &peer_len);
     if (conn < 0) continue;
     char host[64] = {0};
@@ -330,8 +319,7 @@ void TransferEngine::stop_acceptor() {
   if (!impl_->acceptor_thread.joinable()) return;
   impl_->acceptor_stop.store(true);
   impl_->acceptor_thread.join();
-  ::close(impl_->acceptor_fd);
-  impl_->acceptor_fd = -1;
+  impl_->acceptor_fd.reset();
   // Quiesce dispatched handlers before the caller may tear anything
   // down: a handler mid-flight still holds the engine (and whatever the
   // handler closure captured).

@@ -2,14 +2,20 @@
 //
 // A TransferEngine owns a worker pool, a registry of live sessions,
 // an allocator of per-session control ports, and (optionally) a TCP
-// acceptor for service front-ends. Each submitted transfer becomes a
-// *session*: it runs the blocking POSIX driver loop on a pool worker
+// acceptor for service front-ends. Each submitted transfer flow becomes
+// a *session*: it runs the blocking POSIX driver loop on a pool worker
 // with its own batched DatagramChannel for the data plane (tuned via
 // EndpointOptions::io — sendmmsg/recvmmsg batch sizes, socket buffers,
 // forced batched/fallback mode), its own control connection, its own
-// EventTracer (when requested), and the full PR-2 fault/checkpoint
-// machinery. The caller holds a TransferHandle and can wait(),
-// poll status(), or cancel() the session at any time.
+// EventTracer (when requested), and the fault-injection and checkpoint
+// machinery. The caller holds a TransferHandle and can wait(), poll
+// status(), or cancel() the session at any time.
+//
+// A striped transfer (fobs/stripe/striped_transfer.h) is N >= 1 such
+// sessions on consecutive ports, launched and aggregated by
+// run_striped_sender / run_striped_receiver / submit_striped_send; the
+// control-port block allocator gives a server the N consecutive
+// control ports it grants.
 //
 // The engine is what lets one process serve many transfers at once —
 // fobsd's serve loop, the file server (fobs/posix/fileserver.h), and
@@ -147,30 +153,28 @@ class TransferEngine {
   [[nodiscard]] std::size_t control_port_capacity() const;
 
   /// Leases `count` *contiguous* ports (returns the first) for striped
-  /// transfers, which address per-stripe ports as base-plus-index.
+  /// transfers, which address per-stripe ports as first-plus-index.
   /// nullopt when no contiguous run is free. Each port may be released
   /// individually (e.g. as a session's owned_control_port) or all at
   /// once via release_control_port_block.
   std::optional<std::uint16_t> allocate_control_port_block(std::size_t count);
   void release_control_port_block(std::uint16_t first, std::size_t count);
 
-  /// Striped transfers (see fobs/stripe/striped_transfer.h): negotiate
-  /// FOBSSTRP with the peer, run one session per stripe on this
-  /// engine's pool, and aggregate. Blocking — do not call from a pool
-  /// worker of this engine (the stripes need those workers); service
-  /// front-ends use submit_striped_send, whose negotiation runs inline
-  /// but whose aggregation completes via StripedSessionParams callbacks.
+  /// Striped transfers (see fobs/stripe/striped_transfer.h): run one
+  /// session per stripe on this engine's pool and aggregate. Blocking —
+  /// do not call from a pool worker of this engine (the stripes need
+  /// those workers); service front-ends use submit_striped_send, which
+  /// completes via StripedSessionParams callbacks.
   StripedResult run_striped_sender(const StripedSenderOptions& options,
                                    std::span<const std::uint8_t> object);
   StripedResult run_striped_receiver(const StripedReceiverOptions& options,
                                      std::span<std::uint8_t> buffer);
-  /// Negotiates inline, then launches the per-stripe sender sessions
-  /// without waiting for them. Returns the accepted stripe count
-  /// (0 = negotiation produced a clean single-flow fallback session);
-  /// nullopt when nothing was launched (`error` says why).
-  std::optional<int> submit_striped_send(const StripedSenderOptions& options,
-                                         std::span<const std::uint8_t> object,
-                                         StripedSessionParams params, std::string* error = nullptr);
+  /// Launches the per-stripe sender sessions without waiting for them.
+  /// False when nothing was launched (`error` says why: a stripe count
+  /// the object cannot carry, or a port block past 65535).
+  bool submit_striped_send(const StripedSenderOptions& options,
+                           std::span<const std::uint8_t> object, StripedSessionParams params,
+                           std::string* error = nullptr);
 
   /// Binds a TCP listener on `port` and dispatches every accepted
   /// connection to the worker pool as `handler(fd, peer_host)`. The

@@ -1,6 +1,5 @@
 #include "fobs/posix/fileserver.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -11,12 +10,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "common/log.h"
 #include "fobs/object.h"
+#include "fobs/posix/checkpoint.h"
 #include "fobs/stripe/striped_transfer.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
@@ -147,113 +147,90 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   const auto space = request.find(' ');
   const std::string name = request.substr(0, space);
   int client_port = 0;
-  int client_stripes = 1;  // optional third token: requested stripes
+  int requested = 0;
   if (space != std::string::npos) {
-    std::sscanf(request.c_str() + space + 1, "%d %d", &client_port, &client_stripes);
+    std::sscanf(request.c_str() + space + 1, "%d %d", &client_port, &requested);
   }
-  const bool striped = client_stripes > 1 && options_.max_stripes > 1;
+  requested = std::max(requested, 1);  // a missing or non-positive token means 1
 
+  auto refuse = [&] {
+    refused_.fetch_add(1, std::memory_order_relaxed);
+    send_line(fd, "-1\n");
+    ::close(fd);
+  };
   if (stopping_.load(std::memory_order_relaxed)) {
     // Shed the request instead of starting a session the shutdown
     // would immediately cancel.
-    refused_.fetch_add(1, std::memory_order_relaxed);
-    send_line(fd, "-1 0\n");
-    ::close(fd);
-    return;
+    return refuse();
   }
   auto mapped = name_is_safe(name)
                     ? fobs::core::TransferObject::map_file(options_.dir + "/" + name)
                     : std::nullopt;
-  if (!mapped || client_port <= 0 || client_port > 65535) {
-    refused_.fetch_add(1, std::memory_order_relaxed);
-    send_line(fd, "-1 0\n");
-    ::close(fd);
-    return;
+  if (!mapped || client_port <= 0 || client_port > 65535) return refuse();
+  // The grant: what the client asked for, clamped by our cap, the
+  // object's packet count (0 for an empty file, which is refused) and
+  // the client's UDP port space.
+  const fobs::core::TransferSpec spec{mapped->size(), options_.endpoint.packet_bytes};
+  int granted = std::min({requested, std::max(options_.max_stripes, 1),
+                          stripe::StripePlan::max_stripes(spec), 0x10000 - client_port});
+  if (granted < 1) return refuse();
+  // Lease the largest contiguous control-port block that fits.
+  std::optional<std::uint16_t> control_port;
+  for (; granted >= 1; --granted) {
+    control_port = engine_->allocate_control_port_block(static_cast<std::size_t>(granted));
+    if (control_port) break;
   }
-  const auto control_port = engine_->allocate_control_port();
   if (!control_port) {
     // Every control port is carrying a transfer: shed load instead of
     // queueing a session that could not listen anywhere.
-    refused_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::global().counter("fobs.fileserver.port_exhausted").inc();
-    send_line(fd, "-1 0\n");
-    ::close(fd);
-    return;
+    return refuse();
   }
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
-  send_line(fd,
-            std::to_string(object->size()) + " " + std::to_string(*control_port) + "\n");
-  ::close(fd);  // catalog exchange done; the transfer session takes over
+  send_line(fd, std::to_string(object->size()) + " " + std::to_string(spec.packet_bytes) + " " +
+                    std::to_string(*control_port) + " " + std::to_string(granted) + "\n");
+  ::close(fd);  // catalog exchange done; the transfer sessions take over
 
-  if (striped) {
-    // The replied control port becomes the FOBSSTRP negotiation port;
-    // per-stripe control ports come out of the same engine allocator.
-    StripedSenderOptions striped_options;
-    striped_options.negotiation_port = *control_port;
-    striped_options.negotiation_port_owned = true;
-    striped_options.max_stripes =
-        std::min(options_.max_stripes, std::min(client_stripes, stripe::kMaxStripes));
-    striped_options.endpoint = options_.endpoint;
-    StripedSessionParams striped_params;
-    striped_params.keepalive = object;
-    striped_params.on_complete = [this, name, peer_host,
-                                  client_port](const StripedResult& result) {
-      if (result.completed()) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!options_.quiet) {
-        std::printf("fobsd: %s -> %s:%d  %s (%d stripe%s%s, %.0f Mb/s)\n", name.c_str(),
-                    peer_host.c_str(), client_port, to_string(result.status),
-                    result.stripes, result.stripes == 1 ? "" : "s",
-                    result.fallback_single_flow ? ", fallback" : "", result.goodput_mbps);
+  StripedSenderOptions send_options;
+  send_options.flow.receiver_host = peer_host;
+  send_options.flow.data_port = static_cast<std::uint16_t>(client_port);
+  send_options.flow.control_port = *control_port;
+  send_options.flow.endpoint = options_.endpoint;
+  send_options.stripes = granted;
+  StripedSessionParams params;
+  params.keepalive = object;
+  params.owns_control_ports = true;
+  if (!options_.trace_dir.empty()) {
+    params.on_stripe_exit = [this](const TransferHandle& handle) {
+      if (handle.tracer() == nullptr) return;
+      const std::string path = options_.trace_dir + "/fobsd_serve_" +
+                               std::to_string(handle.id()) + ".jsonl";
+      if (!handle.tracer()->write_jsonl_file(path)) {
+        FOBS_WARN("fobs.fileserver", "failed writing trace " << path);
       }
     };
-    started_.fetch_add(1, std::memory_order_relaxed);
-    std::string striped_error;
-    if (!engine_->submit_striped_send(striped_options, object->view(),
-                                      std::move(striped_params), &striped_error)) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      if (!options_.quiet) {
-        std::printf("fobsd: %s -> %s:%d  striped launch failed: %s\n", name.c_str(),
-                    peer_host.c_str(), client_port, striped_error.c_str());
-      }
-    }
-    return;
   }
-
-  SenderOptions send_options;
-  send_options.receiver_host = peer_host;
-  send_options.data_port = static_cast<std::uint16_t>(client_port);
-  send_options.control_port = *control_port;
-  send_options.endpoint = options_.endpoint;
-
-  SessionParams params;
-  params.keepalive = object;
-  params.owned_control_port = *control_port;
-  params.on_exit = [this, name, peer_host, client_port](const TransferHandle& handle) {
-    const auto& result = handle.sender_result();
+  params.on_complete = [this, name, peer_host, client_port](const StripedResult& result) {
     if (result.completed()) {
       completed_.fetch_add(1, std::memory_order_relaxed);
     } else {
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
     if (!options_.quiet) {
-      std::printf("fobsd: %s -> %s:%d  %s (%.0f Mb/s, waste %.2f%%)\n", name.c_str(),
-                  peer_host.c_str(), client_port, to_string(result.status),
-                  result.goodput_mbps, 100.0 * result.waste);
-    }
-    if (!options_.trace_dir.empty() && handle.tracer() != nullptr) {
-      const std::string path = options_.trace_dir + "/fobsd_serve_" +
-                               std::to_string(handle.id()) + ".jsonl";
-      if (!handle.tracer()->write_jsonl_file(path)) {
-        FOBS_WARN("fobs.fileserver", "failed writing trace " << path);
-      }
+      std::printf("fobsd: %s -> %s:%d  %s (%d stripe%s, %.0f Mb/s)\n", name.c_str(),
+                  peer_host.c_str(), client_port, to_string(result.status), result.stripes,
+                  result.stripes == 1 ? "" : "s", result.goodput_mbps);
     }
   };
   started_.fetch_add(1, std::memory_order_relaxed);
-  engine_->submit_send(send_options, object->view(), std::move(params));
+  std::string error;
+  if (!engine_->submit_striped_send(send_options, object->view(), std::move(params), &error)) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    if (!options_.quiet) {
+      std::printf("fobsd: %s -> %s:%d  launch failed: %s\n", name.c_str(), peer_host.c_str(),
+                  client_port, error.c_str());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,10 +250,7 @@ FetchResult fetch_file(const FetchOptions& options) {
   // starting). Each attempt gets a fresh socket: POSIX leaves a socket
   // in an unspecified state after a failed connect(), so reusing it can
   // fail spuriously off-Linux.
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.catalog_port);
-  ::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr);
+  const sockaddr_in addr = fobs::net::make_addr(options.host, options.catalog_port);
   int conn = -1;
   int attempts = 0;
   for (;;) {
@@ -286,7 +260,7 @@ FetchResult fetch_file(const FetchOptions& options) {
       result.error = "socket failed";
       return result;
     }
-    if (::connect(conn, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) break;
+    if (::connect(conn, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) break;
     ::close(conn);
     if (++attempts > std::max(1, options.connect_attempts)) {
       result.status = TransferStatus::kPeerLost;
@@ -295,28 +269,39 @@ FetchResult fetch_file(const FetchOptions& options) {
     }
     ::usleep(20'000);
   }
-  const int stripes = std::min(std::max(options.stripes, 1), stripe::kMaxStripes);
-  std::string catalog_line = options.name + " " + std::to_string(options.data_port);
-  if (stripes > 1) catalog_line += " " + std::to_string(stripes);
-  send_line(conn, catalog_line + "\n");
+  // Every data port [data_port, data_port + stripes) must exist.
+  const int requested =
+      std::clamp(options.stripes, 1, std::min(stripe::kMaxStripes, 0x10000 - options.data_port));
+  send_line(conn, options.name + " " + std::to_string(options.data_port) + " " +
+                      std::to_string(requested) + "\n");
   std::string reply;
   const bool got_reply = recv_line(
       conn, Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms)),
       reply);
   ::close(conn);
   long long size = -1;
+  long long packet_bytes = 0;
   int control_port = 0;
-  if (got_reply) std::sscanf(reply.c_str(), "%lld %d", &size, &control_port);
-  if (size < 0 || control_port <= 0) {
+  int granted = 0;
+  if (got_reply) {
+    std::sscanf(reply.c_str(), "%lld %lld %d %d", &size, &packet_bytes, &control_port, &granted);
+  }
+  if (size < 0) {
     result.status = TransferStatus::kPeerLost;
     result.error = "server refused '" + options.name + "'";
+    return result;
+  }
+  if (size == 0 || packet_bytes <= 0 || control_port <= 0 || control_port > 65535 ||
+      granted < 1 || granted > requested) {
+    result.status = TransferStatus::kPeerLost;
+    result.error = "malformed catalog reply '" + reply + "'";
     return result;
   }
   result.bytes = size;
 
   // Crash resilience: the receive buffer IS the <out>.part file — a
   // writable shared mapping, so every validated packet lands in the
-  // page cache the moment it is written and the bitmap sidecar can
+  // page cache the moment it is written and the bitmap checkpoint can
   // never record packets whose bytes a hard crash (kill -9, OOM) threw
   // away. The bitmap may lag the data, which only costs resends.
   const std::string partial_path = options.out_path + ".part";
@@ -325,67 +310,49 @@ FetchResult fetch_file(const FetchOptions& options) {
   const bool resuming = options.resume && ::stat(partial_path.c_str(), &part_stat) == 0 &&
                         part_stat.st_size == static_cast<off_t>(size);
   if (!resuming) {
-    // No matching partial bytes: a leftover checkpoint (object-level or
-    // per-stripe sidecar) describes data we do not have, and restoring
-    // it would leave silent zero-filled holes in the fetched file.
-    remove_striped_checkpoints(checkpoint_path);
+    // No matching partial bytes: a leftover checkpoint describes data
+    // we do not have, and restoring it would leave silent zero-filled
+    // holes in the fetched file.
+    remove_checkpoint(checkpoint_path);
   } else if (!options.quiet) {
     std::printf("fobsd: found partial fetch %s, attempting resume\n", partial_path.c_str());
   }
   auto partial = fobs::core::TransferObject::map_file_rw(partial_path,
                                                          static_cast<std::int64_t>(size));
-  ReceiverOptions recv_options;
-  recv_options.sender_host = options.host;
-  recv_options.data_port = options.data_port;
-  recv_options.control_port = static_cast<std::uint16_t>(control_port);
-  recv_options.endpoint = options.endpoint;
+  StripedReceiverOptions recv_options;
+  recv_options.flow.sender_host = options.host;
+  recv_options.flow.data_port = options.data_port;
+  recv_options.flow.control_port = static_cast<std::uint16_t>(control_port);
+  recv_options.flow.endpoint = options.endpoint;
+  recv_options.flow.endpoint.packet_bytes = packet_bytes;
+  recv_options.stripes = granted;
   std::vector<std::uint8_t> fallback;
   std::span<std::uint8_t> buffer;
   if (partial) {
     // Checkpointing is only safe with the file-backed buffer.
-    recv_options.checkpoint_path = checkpoint_path;
+    recv_options.flow.checkpoint_path = checkpoint_path;
     buffer = partial->mutable_view();
   } else {
     if (!options.quiet) {
       std::printf("fobsd: cannot map %s; fetching without resume support\n",
                   partial_path.c_str());
     }
-    remove_striped_checkpoints(checkpoint_path);
+    remove_checkpoint(checkpoint_path);
     fallback.resize(static_cast<std::size_t>(size));
     buffer = fallback;
   }
-  if (stripes > 1) {
-    // Striped fetch: negotiate FOBSSTRP on the replied control port and
-    // run one receive session per stripe on a local engine, all writing
-    // the shared mapping at plan offsets.
-    StripedReceiverOptions striped;
-    striped.sender_host = options.host;
-    striped.negotiation_port = static_cast<std::uint16_t>(control_port);
-    striped.data_port_base = options.data_port;
-    striped.stripes = stripes;
-    striped.layout = options.layout;
-    if (partial) striped.checkpoint_base = checkpoint_path;
-    striped.endpoint = options.endpoint;
-    EngineOptions engine_options;
-    engine_options.workers = static_cast<std::size_t>(stripes);
-    TransferEngine engine(engine_options);
-    const StripedResult striped_result = engine.run_striped_receiver(striped, buffer);
-    result.status = striped_result.status;
-    result.error = striped_result.error;
-    result.packets_restored = striped_result.packets_restored;
-    result.goodput_mbps = striped_result.goodput_mbps;
-    result.stripes = striped_result.stripes;
-    result.fallback_single_flow = striped_result.fallback_single_flow;
-    if (!options.quiet && striped_result.fallback_single_flow) {
-      std::printf("fobsd: server declined striping; fetched over one flow\n");
-    }
-  } else {
-    const auto recv_result = receive_object(recv_options, buffer);
-    result.status = recv_result.status;
-    result.error = recv_result.error;
-    result.packets_restored = recv_result.packets_restored;
-    result.goodput_mbps = recv_result.goodput_mbps;
-    result.stripes = 1;
+  // One receive session per granted stripe on a local engine, all
+  // writing the shared buffer at plan offsets.
+  TransferEngine engine(EngineOptions{.workers = static_cast<std::size_t>(granted)});
+  const StripedResult received = engine.run_striped_receiver(recv_options, buffer);
+  result.status = received.status;
+  result.error = received.error;
+  result.packets_restored = received.packets_restored;
+  result.goodput_mbps = received.goodput_mbps;
+  result.stripes = received.stripes;
+  result.fallback_single_flow = requested > 1 && granted == 1;
+  if (!options.quiet && result.fallback_single_flow) {
+    std::printf("fobsd: server granted one flow\n");
   }
   if (partial) partial->sync();
   if (!result.completed()) {

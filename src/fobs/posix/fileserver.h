@@ -2,24 +2,26 @@
 // session engine — the library form of `fobsd`.
 //
 // Catalog protocol (one TCP connection per request):
-//   client -> "<name> <client-udp-port>[ <stripes>]\n"
-//   server -> "<size> <control-port>\n"     (size -1 = refused)
-// then the server pushes the file with a FOBS transfer: data to the
-// client's UDP port, the completion signal accepted on the per-session
-// control port, which is allocated from a range so many transfers can
-// run at once. A client that wants a striped transfer appends the
-// optional third token; the server then treats the replied control
-// port as a FOBSSTRP negotiation port (fobs/stripe/striped_transfer.h)
-// instead of a plain control port — pre-striping servers parse the
-// port with atoi and ignore the extra token, so a striped-capable
-// client degrades to one flow against them automatically. Catalog
-// sockets carry a receive timeout: a client that connects and sends
-// nothing stalls only its own pool worker for
+//   client -> "<name> <client-udp-port> <stripes>\n"
+//   server -> "<size> <packet-bytes> <first-control-port> <granted>\n"
+//             ("-1" alone = refused)
+// The catalog exchange is the only agreement between the two sides.
+// A missing or non-positive stripe token means 1. The server grants at
+// most the requested count, clamped by max_stripes, the object's packet
+// count, the UDP port space (client-udp-port + granted - 1 <= 65535)
+// and the largest contiguous block of free control ports it can lease.
+// Both sides then build the same contiguous StripePlan and run
+// `granted` ordinary FOBS sessions, stripe i pushing data to UDP port
+// client-udp-port + i with its completion connection on control port
+// first-control-port + i (fobs/stripe/striped_transfer.h). One flow is
+// simply granted = 1. Catalog sockets carry a receive timeout: a client
+// that connects and sends nothing stalls only its own pool worker for
 // `catalog_recv_timeout_ms`, never the accept loop.
 //
 // The fetch client is crash-resilient: it receives into a writable
-// mapping of `<out>.part` with a `<out>.ckpt` bitmap sidecar, resumes
-// from both when they match, and renames into place when complete.
+// mapping of `<out>.part` with one object-level `<out>.ckpt` bitmap
+// that every stripe shares, resumes from both when they match — at any
+// stripe count — and renames into place when complete.
 #pragma once
 
 #include <atomic>
@@ -44,13 +46,14 @@ struct FileServerOptions {
   /// Catalog-socket receive timeout — the serve loop can no longer be
   /// wedged by a silent client.
   int catalog_recv_timeout_ms = 5'000;
-  /// Per-session JSONL traces are written here when non-empty.
+  /// Per-session JSONL traces (one `fobsd_serve_<id>.jsonl` per
+  /// stripe session) are written here when non-empty.
   std::string trace_dir;
   /// Suppress per-request stdout lines (tests).
   bool quiet = false;
-  /// Most stripes the server grants one striped request (further
-  /// clamped by free control ports and the object's packet count).
-  /// 1 refuses striping: striped clients degrade to a single flow.
+  /// Most stripes the server grants one request (further clamped by
+  /// free control ports, the object's packet count and the client's
+  /// port space). 1 serves every client over a single flow.
   int max_stripes = 8;
   /// Applied to every transfer session (timeout, packet size, ...).
   EndpointOptions endpoint;
@@ -109,13 +112,11 @@ struct FetchOptions {
   /// Resume from `<out>.part` + `<out>.ckpt` when they match.
   bool resume = true;
   bool quiet = false;
-  /// Stripe count to request (> 1 enables FOBSSTRP negotiation; the
-  /// server may grant fewer). Data flows use ports
-  /// [data_port, data_port + stripes). Falls back to a single flow
-  /// against pre-striping servers.
+  /// Stripe count to request; the server may grant fewer. Data flows
+  /// use UDP ports [data_port, data_port + granted).
   int stripes = 1;
-  stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
-  /// Applied to the receive session(s).
+  /// Applied to the receive session(s); packet_bytes is taken from the
+  /// server's catalog reply.
   EndpointOptions endpoint;
 };
 
@@ -126,8 +127,8 @@ struct FetchResult {
   std::int64_t packets_restored = 0;  ///< resumed from a checkpoint
   double goodput_mbps = 0.0;
   std::uint64_t checksum = 0;  ///< FNV-1a of the fetched content
-  int stripes = 0;             ///< flows actually used (post-negotiation)
-  /// Striping was requested but the transfer ran as one plain flow.
+  int stripes = 0;             ///< flows actually used (granted by the server)
+  /// More than one stripe was requested but the server granted one.
   bool fallback_single_flow = false;
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }

@@ -9,7 +9,7 @@
 // sessions keep taking single ports.
 //
 // Thread-safe: every method takes an internal lock, so the engine's
-// session teardown, concurrent striped negotiations, and user calls can
+// session teardown, concurrent catalog grants, and user calls can
 // all hit it at once.
 #pragma once
 

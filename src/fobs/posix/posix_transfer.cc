@@ -1,7 +1,5 @@
 #include "fobs/posix/posix_transfer.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -21,6 +19,7 @@
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
 #include "net/datagram_channel.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
@@ -28,6 +27,11 @@ namespace fobs::posix {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using fobs::net::Fd;
+using fobs::net::make_addr;
+using fobs::net::mbps;
+using fobs::net::send_all;
+using fobs::net::set_nonblocking;
 
 /// Installs a "nanoseconds since `start`" clock on `tracer` and records
 /// the transfer_start event. No-op on a null tracer.
@@ -121,53 +125,6 @@ bool resolve_stripe(const stripe::StripeRef& ref, std::int64_t span_bytes,
   return true;
 }
 
-/// RAII file descriptor.
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Fd& operator=(Fd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-
-  [[nodiscard]] int get() const { return fd_; }
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  void reset() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
-  return addr;
-}
-
-double mbps(std::int64_t bytes, double seconds) {
-  if (seconds <= 0) return 0.0;
-  return static_cast<double>(bytes) * 8.0 / seconds / 1e6;
-}
-
 void put_u64be(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
 }
@@ -197,51 +154,6 @@ bool resolve_fault_plan(const std::string& from_options,
   }
   if (!plan->empty()) injector.emplace(*plan);
   return true;
-}
-
-/// Writes `len` bytes to a non-blocking stream socket, polling for
-/// writability, until done, failure, or `deadline`.
-bool send_all(int fd, const std::uint8_t* data, std::size_t len, Clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR)) {
-      if (Clock::now() >= deadline) return false;
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 10);
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Connects a fresh TCP socket to the control port, retrying with
-/// capped exponential backoff until `deadline` (or cancellation).
-/// Invalid Fd on failure.
-Fd connect_control(const std::string& host, std::uint16_t port, Clock::time_point deadline,
-                   const std::atomic<bool>* cancel) {
-  auto backoff = std::chrono::milliseconds(5);
-  constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
-  while (Clock::now() < deadline && !cancel_requested(cancel)) {
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid()) return {};
-    const sockaddr_in addr = make_addr(host, port);
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
-      set_nonblocking(fd.get());
-      return fd;
-    }
-    // A failed connect() leaves the socket in an unusable state on some
-    // platforms; start over with a fresh one after the backoff.
-    fd.reset();
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoff);
-  }
-  return {};
 }
 
 /// Wall-clock stall checker shared by both endpoints: `tick` forwards
@@ -384,17 +296,8 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
   const sockaddr_in peer = make_addr(options.receiver_host, options.data_port);
 
   // TCP listener for the control channel (completion + resume frames).
-  Fd listener(::socket(AF_INET, SOCK_STREAM, 0));
+  const Fd listener = fobs::net::listen_tcp(options.control_port, 1);
   if (!listener.valid()) {
-    result.error = "tcp socket failed";
-    return result;
-  }
-  const int one = 1;
-  ::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in listen_addr = make_addr("0.0.0.0", options.control_port);
-  if (::bind(listener.get(), reinterpret_cast<sockaddr*>(&listen_addr), sizeof listen_addr) !=
-          0 ||
-      ::listen(listener.get(), 1) != 0 || !set_nonblocking(listener.get())) {
     result.error = "tcp listen failed";
     return result;
   }
@@ -710,22 +613,23 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   core.set_tracer(tracer);
   result.status = TransferStatus::kRunning;
 
-  // Resume: pre-seed the bitmap from a compatible checkpoint. The data
-  // bytes themselves must already be in `buffer` (the caller persisted
-  // the partial object, e.g. via a file-backed buffer).
-  if (!options.checkpoint_path.empty()) {
-    if (const auto checkpoint = load_checkpoint(options.checkpoint_path)) {
-      if (checkpoint->object_bytes == spec.object_bytes &&
-          checkpoint->packet_bytes == spec.packet_bytes) {
-        const auto restored = core.restore(checkpoint->bitmap.data(),
-                                           checkpoint->bitmap.size(), spec.packet_count());
-        if (restored >= 0) {
-          result.packets_restored = restored;
-          metrics.counter("fobs.fault.resumes").inc();
-        }
-      } else {
-        FOBS_WARN("fobs.receiver", "checkpoint at " << options.checkpoint_path
-                                                    << " does not match this transfer; ignoring");
+  // Resume: pre-seed the bitmap from this flow's range of a compatible
+  // object-level checkpoint. The data bytes themselves must already be
+  // in `buffer` (the caller persisted the partial object, e.g. via a
+  // file-backed buffer).
+  const CheckpointRange checkpoint{
+      options.checkpoint_path,
+      stripe_plan != nullptr ? stripe_plan->spec().object_bytes : spec.object_bytes,
+      spec.packet_bytes,
+      static_cast<std::size_t>(stripe_plan != nullptr ? stripe_plan->first_packet(stripe_index)
+                                                      : 0),
+      static_cast<std::size_t>(spec.packet_count())};
+  if (!checkpoint.path.empty()) {
+    if (const auto packed = load_checkpoint_range(checkpoint)) {
+      const auto restored = core.restore(packed->data(), packed->size(), spec.packet_count());
+      if (restored >= 0) {
+        result.packets_restored = restored;
+        metrics.counter("fobs.fault.resumes").inc();
       }
     }
   }
@@ -745,7 +649,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
 
   // Control channel: connect with capped exponential backoff (the
   // sender may not be up yet, or we may be a restarted incarnation).
-  Fd control = connect_control(options.sender_host, options.control_port, deadline, cancel);
+  Fd control = fobs::net::connect_with_backoff(options.sender_host, options.control_port, deadline, cancel);
   if (!control.valid()) {
     if (cancel_requested(cancel)) {
       result.status = TransferStatus::kCancelled;
@@ -901,16 +805,13 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
                          static_cast<std::int64_t>(msg.ack_no),
                          static_cast<std::int64_t>(ack.size()));
         }
-        if (!options.checkpoint_path.empty() &&
+        // Once complete, only the fold after the loop may write: the
+        // file may already be gone because every other flow is done, and
+        // a second fold would bring it back holding this range alone.
+        if (!checkpoint.path.empty() && !core.complete() &&
             ++acks_since_checkpoint >= std::max(1, options.checkpoint_every_acks)) {
           acks_since_checkpoint = 0;
-          Checkpoint checkpoint;
-          checkpoint.object_bytes = spec.object_bytes;
-          checkpoint.packet_bytes = spec.packet_bytes;
-          checkpoint.received_count = static_cast<std::int64_t>(core.received().count());
-          checkpoint.bitmap = core.received().extract_range(
-              0, static_cast<std::size_t>(spec.packet_count()));
-          save_checkpoint(options.checkpoint_path, checkpoint);
+          fold_checkpoint_range(checkpoint, core.received());
         }
       }
     }
@@ -931,7 +832,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     bool delivered = control.valid() && send_all(control.get(), token, sizeof token,
                                                  token_deadline);
     for (int attempt = 0; !delivered && attempt < 3; ++attempt) {
-      control = connect_control(options.sender_host, options.control_port,
+      control = fobs::net::connect_with_backoff(options.sender_host, options.control_port,
                                 Clock::now() + std::chrono::seconds(1), cancel);
       if (!control.valid()) continue;
       ++result.reconnects;
@@ -947,7 +848,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
     }
     result.status = TransferStatus::kCompleted;
     result.error.clear();
-    if (!options.checkpoint_path.empty()) remove_checkpoint(options.checkpoint_path);
+    // Folding the full range removes the file once every flow is done.
+    if (!checkpoint.path.empty()) fold_checkpoint_range(checkpoint, core.received());
   }
   const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   result.elapsed_seconds = elapsed;

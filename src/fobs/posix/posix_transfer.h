@@ -44,10 +44,10 @@ struct SenderOptions {
   /// `endpoint.io.send_buffer_bytes`).
   EndpointOptions endpoint;
   /// When active, this session carries one stripe of a striped
-  /// transfer: sequence numbers (and ACKs, bitmaps, checkpoints) are
-  /// stripe-local, while `object` must still span the *whole* object —
-  /// payload bytes are gathered at plan-computed global offsets. Both
-  /// peers must agree on the plan (see fobs/stripe/negotiate.h).
+  /// transfer: sequence numbers (and ACKs and bitmaps) are stripe-local,
+  /// while `object` must still span the *whole* object — payload bytes
+  /// are gathered at plan-computed global offsets. Both peers must
+  /// build the same plan (see fobs/stripe/striped_transfer.h).
   stripe::StripeRef stripe;
 };
 
@@ -91,7 +91,8 @@ struct ReceiverOptions {
   /// typically a TransferObject::map_file_rw mapping, which keeps the
   /// bytes on disk even across a hard crash; restoring a checkpoint
   /// over a buffer that lacks those bytes silently corrupts the
-  /// object), and the file is removed after a completed transfer. A restarted
+  /// object), and the file is removed once every packet of the object is
+  /// set (with striping, once every stripe has folded its range in). A restarted
   /// receiver announces its restored bitmap to the sender over the
   /// control channel so already-received packets are not re-sent.
   std::string checkpoint_path;
@@ -102,9 +103,9 @@ struct ReceiverOptions {
   EndpointOptions endpoint;
   /// When active, this session receives one stripe into its plan-
   /// computed disjoint offsets of the whole-object `buffer` (which all
-  /// stripes share — zero merge copies). checkpoint_path then persists
-  /// the stripe-local bitmap; see fobs/stripe/striped_transfer.h for
-  /// the merge into an object-level checkpoint.
+  /// stripes share — zero merge copies). checkpoint_path then names the
+  /// object-level checkpoint all stripes share; this session restores
+  /// and folds in only its own range of it (fobs/posix/checkpoint.h).
   stripe::StripeRef stripe;
 };
 

@@ -4,16 +4,6 @@
 
 namespace fobs::stripe {
 
-const char* to_string(StripeLayout layout) {
-  switch (layout) {
-    case StripeLayout::kContiguous:
-      return "contiguous";
-    case StripeLayout::kRoundRobin:
-      return "round-robin";
-  }
-  return "unknown";
-}
-
 std::vector<std::int64_t> round_robin_split(std::int64_t total, int parts) {
   if (parts <= 0 || total < 0) return {};
   const std::int64_t each = total / parts;
@@ -23,7 +13,7 @@ std::vector<std::int64_t> round_robin_split(std::int64_t total, int parts) {
   return out;
 }
 
-bool StripePlan::make(core::TransferSpec spec, int stripes, StripeLayout layout, StripePlan* out,
+bool StripePlan::make(core::TransferSpec spec, int stripes, StripePlan* out,
                       std::string* error) {
   auto fail = [&](const char* why) {
     if (error != nullptr) *error = why;
@@ -32,23 +22,16 @@ bool StripePlan::make(core::TransferSpec spec, int stripes, StripeLayout layout,
   if (out == nullptr) return fail("null output plan");
   if (spec.object_bytes <= 0 || spec.packet_bytes <= 0) return fail("invalid transfer geometry");
   if (stripes < 1 || stripes > kMaxStripes) return fail("stripe count outside [1, kMaxStripes]");
-  if (layout != StripeLayout::kContiguous && layout != StripeLayout::kRoundRobin) {
-    return fail("unknown stripe layout");
-  }
   const std::int64_t packets = spec.packet_count();
   if (stripes > packets) return fail("more stripes than packets");
 
   out->spec_ = spec;
-  out->layout_ = layout;
   out->stripe_count_ = stripes;
-  out->prefix_.clear();
-  if (layout == StripeLayout::kContiguous) {
-    const auto counts = round_robin_split(packets, stripes);
-    out->prefix_.resize(static_cast<std::size_t>(stripes) + 1, 0);
-    for (int s = 0; s < stripes; ++s) {
-      out->prefix_[static_cast<std::size_t>(s) + 1] =
-          out->prefix_[static_cast<std::size_t>(s)] + counts[static_cast<std::size_t>(s)];
-    }
+  const auto counts = round_robin_split(packets, stripes);
+  out->prefix_.assign(static_cast<std::size_t>(stripes) + 1, 0);
+  for (int s = 0; s < stripes; ++s) {
+    out->prefix_[static_cast<std::size_t>(s) + 1] =
+        out->prefix_[static_cast<std::size_t>(s)] + counts[static_cast<std::size_t>(s)];
   }
   return true;
 }
@@ -61,43 +44,31 @@ int StripePlan::max_stripes(const core::TransferSpec& spec) {
 
 std::int64_t StripePlan::stripe_packets(int s) const {
   assert(s >= 0 && s < stripe_count_);
-  const std::int64_t packets = spec_.packet_count();
-  if (layout_ == StripeLayout::kContiguous) {
-    return prefix_[static_cast<std::size_t>(s) + 1] - prefix_[static_cast<std::size_t>(s)];
-  }
-  // Round robin: ceil((packets - s) / K).
-  return (packets - s + stripe_count_ - 1) / stripe_count_;
+  return prefix_[static_cast<std::size_t>(s) + 1] - prefix_[static_cast<std::size_t>(s)];
 }
 
 std::int64_t StripePlan::stripe_bytes(int s) const {
   assert(s >= 0 && s < stripe_count_);
   const std::int64_t packets = stripe_packets(s);
   // Every packet is full-sized except the object's final packet, which
-  // in both layouts is the last local packet of the stripe owning it.
-  const std::int64_t last_global = spec_.packet_count() - 1;
-  const auto [owner, local] = to_local(last_global);
-  (void)local;
-  if (owner != s) return packets * spec_.packet_bytes;
-  return (packets - 1) * spec_.packet_bytes + spec_.payload_bytes(last_global);
+  // is the last local packet of the last stripe.
+  if (s != stripe_count_ - 1) return packets * spec_.packet_bytes;
+  return (packets - 1) * spec_.packet_bytes + spec_.payload_bytes(spec_.packet_count() - 1);
 }
 
 core::PacketSeq StripePlan::to_global(int s, core::PacketSeq local) const {
   assert(s >= 0 && s < stripe_count_);
   assert(local >= 0 && local < stripe_packets(s));
-  if (layout_ == StripeLayout::kContiguous) return prefix_[static_cast<std::size_t>(s)] + local;
-  return local * stripe_count_ + s;
+  return prefix_[static_cast<std::size_t>(s)] + local;
 }
 
 std::pair<int, core::PacketSeq> StripePlan::to_local(core::PacketSeq global) const {
   assert(global >= 0 && global < spec_.packet_count());
-  if (layout_ == StripeLayout::kContiguous) {
-    // prefix_ is small (<= kMaxStripes + 1): a linear scan beats a
-    // binary search at these sizes and is branch-predictor friendly.
-    int s = 0;
-    while (prefix_[static_cast<std::size_t>(s) + 1] <= global) ++s;
-    return {s, global - prefix_[static_cast<std::size_t>(s)]};
-  }
-  return {static_cast<int>(global % stripe_count_), global / stripe_count_};
+  // prefix_ is small (<= kMaxStripes + 1): a linear scan beats a binary
+  // search at these sizes and is branch-predictor friendly.
+  int s = 0;
+  while (prefix_[static_cast<std::size_t>(s) + 1] <= global) ++s;
+  return {s, global - prefix_[static_cast<std::size_t>(s)]};
 }
 
 }  // namespace fobs::stripe

@@ -1,32 +1,25 @@
 // Sans-io stripe planning: partition an object's packet sequence space
-// into K disjoint stripes.
+// into K disjoint contiguous stripes.
 //
 // A StripePlan is pure bookkeeping shared by both transfer peers: given
-// the object geometry (TransferSpec), a stripe count, and a layout, it
-// maps every global packet sequence number to exactly one (stripe,
-// local-seq) pair and back. Each stripe then runs as an ordinary FOBS
-// sub-transfer over its *local* sequence space [0, stripe_packets(s)):
-// the sans-io cores, ACK streams, bitmaps, and checkpoints all operate
-// on local sequence numbers unchanged — only the byte offset into the
-// shared object is computed through the plan, so all stripes write into
-// one mmap'd buffer at disjoint offsets with zero merge copies.
+// the object geometry (TransferSpec) and a stripe count, it maps every
+// global packet sequence number to exactly one (stripe, local-seq) pair
+// and back. Stripe s owns one contiguous global range; per-stripe packet
+// counts are split evenly with the remainder spread over the first
+// stripes (round_robin_split), so stripe byte ranges are contiguous file
+// extents and stripe s's bits are one contiguous range of the object's
+// bitmap — which is what lets every stripe share one object-level
+// checkpoint. Each stripe runs as an ordinary FOBS sub-transfer over its
+// *local* sequence space [0, stripe_packets(s)): the sans-io cores, ACK
+// streams and bitmaps operate on local sequence numbers unchanged — only
+// the byte offset into the shared object is computed through the plan,
+// so all stripes write into one mmap'd buffer at disjoint offsets with
+// zero merge copies.
 //
-// Two layouts:
-//  - kContiguous: stripe s owns one contiguous global range. Per-stripe
-//    packet counts are split evenly with the remainder spread over the
-//    first stripes (round_robin_split), so stripe byte ranges are
-//    contiguous file extents — friendly to readahead and to resuming a
-//    striped transfer with a plain single-flow fetch.
-//  - kRoundRobin: stripe of global g is g % K, local seq is g / K —
-//    the classic PSockets-style interleave that keeps all flows busy
-//    until the very end of the object.
-//
-// In both layouts local sequence numbers increase with global sequence
-// numbers within a stripe, and the only short packet (the object's last
-// packet) is the last *local* packet of the stripe that owns it. A
-// stripe-local TransferSpec{stripe_bytes(s), packet_bytes} therefore
-// yields the correct per-packet payload sizes without any special
-// casing in the drivers.
+// Only the object's last packet can be short, and it is the last local
+// packet of the last stripe. A stripe-local TransferSpec{stripe_bytes(s),
+// packet_bytes} therefore yields the correct per-packet payload sizes
+// without any special casing in the drivers.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +32,8 @@
 
 namespace fobs::stripe {
 
-/// How global packet sequences are distributed over stripes.
-enum class StripeLayout : std::uint8_t {
-  kContiguous = 0,  ///< stripe s owns one contiguous global range
-  kRoundRobin = 1,  ///< stripe of global g is g % K
-};
-
-[[nodiscard]] const char* to_string(StripeLayout layout);
-
-/// Upper bound on stripes a peer may request or accept. Keeps the
-/// FOBSSTRP frame small and bounds per-transfer socket/session fan-out.
+/// Upper bound on stripes a peer may request or grant. Bounds the
+/// per-transfer socket and session fan-out.
 inline constexpr int kMaxStripes = 64;
 
 /// Splits `total` items into `parts` buckets as evenly as possible,
@@ -67,18 +52,21 @@ class StripePlan {
   /// [1, kMaxStripes], or more stripes than packets (an empty stripe
   /// would dead-lock its sub-transfer). Callers that want best-effort
   /// behaviour clamp with max_stripes() first.
-  [[nodiscard]] static bool make(core::TransferSpec spec, int stripes, StripeLayout layout,
-                                 StripePlan* out, std::string* error = nullptr);
+  [[nodiscard]] static bool make(core::TransferSpec spec, int stripes, StripePlan* out,
+                                 std::string* error = nullptr);
 
   /// Largest usable stripe count for this geometry:
   /// min(kMaxStripes, packet_count), and 0 for an empty object.
   [[nodiscard]] static int max_stripes(const core::TransferSpec& spec);
 
   [[nodiscard]] int stripe_count() const { return stripe_count_; }
-  [[nodiscard]] StripeLayout layout() const { return layout_; }
   /// Geometry of the whole object.
   [[nodiscard]] const core::TransferSpec& spec() const { return spec_; }
 
+  /// First global sequence owned by stripe `s`.
+  [[nodiscard]] std::int64_t first_packet(int s) const {
+    return prefix_[static_cast<std::size_t>(s)];
+  }
   /// Packets owned by stripe `s` (>= 1 for every stripe).
   [[nodiscard]] std::int64_t stripe_packets(int s) const;
   /// Data bytes owned by stripe `s`; sums to spec().object_bytes.
@@ -101,10 +89,9 @@ class StripePlan {
 
  private:
   core::TransferSpec spec_;
-  StripeLayout layout_ = StripeLayout::kContiguous;
   int stripe_count_ = 1;
-  /// kContiguous only: prefix[s] = first global seq of stripe s;
-  /// prefix[stripe_count_] = packet_count. Empty for kRoundRobin.
+  /// prefix_[s] = first global seq of stripe s;
+  /// prefix_[stripe_count_] = packet_count.
   std::vector<std::int64_t> prefix_;
 };
 

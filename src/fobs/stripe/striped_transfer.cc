@@ -1,135 +1,16 @@
 #include "fobs/stripe/striped_transfer.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
-#include <thread>
 
-#include "common/bitmap.h"
-#include "common/log.h"
+#include "fobs/posix/checkpoint.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// RAII file descriptor (local copy; the driver's one is file-private).
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Fd& operator=(Fd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-
-  [[nodiscard]] int get() const { return fd_; }
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  void reset() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
-  return addr;
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Blocking-with-deadline exact read on a non-blocking stream socket.
-bool read_exact(int fd, std::uint8_t* out, std::size_t len, Clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::recv(fd, out + off, len - off, 0);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) return false;  // peer closed mid-frame
-    if (errno != EWOULDBLOCK && errno != EAGAIN && errno != EINTR) return false;
-    if (Clock::now() >= deadline) return false;
-    pollfd pfd{fd, POLLIN, 0};
-    ::poll(&pfd, 1, 10);
-  }
-  return true;
-}
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t len, Clock::time_point deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR)) {
-      if (Clock::now() >= deadline) return false;
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 10);
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
-/// Connects to host:port with capped exponential backoff until
-/// `deadline` (the peer may not be listening yet). Invalid Fd on
-/// failure.
-Fd connect_with_backoff(const std::string& host, std::uint16_t port,
-                        Clock::time_point deadline) {
-  auto backoff = std::chrono::milliseconds(5);
-  constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
-  while (Clock::now() < deadline) {
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!fd.valid()) return {};
-    const sockaddr_in addr = make_addr(host, port);
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
-      set_nonblocking(fd.get());
-      return fd;
-    }
-    fd.reset();
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, kMaxBackoff);
-  }
-  return {};
-}
-
-double mbps(std::int64_t bytes, double seconds) {
-  if (seconds <= 0) return 0.0;
-  return static_cast<double>(bytes) * 8.0 / seconds / 1e6;
-}
 
 void sum_io(fobs::net::IoStats& into, const fobs::net::IoStats& add) {
   into.send_syscalls += add.send_syscalls;
@@ -190,7 +71,7 @@ void finalize_aggregate(StripedResult& result, std::int64_t object_bytes) {
   if (result.stripes_completed == result.stripes && result.stripes > 0) {
     result.status = TransferStatus::kCompleted;
     result.error.clear();
-    result.goodput_mbps = mbps(object_bytes, slowest);
+    result.goodput_mbps = fobs::net::mbps(object_bytes, slowest);
   } else {
     result.status = worst;
     result.error = worst_error;
@@ -204,20 +85,47 @@ void finalize_aggregate(StripedResult& result, std::int64_t object_bytes) {
   }
 }
 
-/// Per-stripe endpoint options: shared knobs plus the optional
-/// per-stripe fault-plan override.
-EndpointOptions stripe_endpoint(const EndpointOptions& base,
-                                const std::vector<std::string>& overrides, int index) {
-  EndpointOptions endpoint = base;
-  if (index >= 0 && static_cast<std::size_t>(index) < overrides.size() &&
-      !overrides[static_cast<std::size_t>(index)].empty()) {
-    endpoint.fault_plan = overrides[static_cast<std::size_t>(index)];
+/// Builds the plan both sides share, or fills `error`: the object must
+/// hold at least `stripes` packets and both port blocks must fit below
+/// 65536.
+std::shared_ptr<const stripe::StripePlan> make_plan(const fobs::core::TransferSpec& spec,
+                                                    int stripes, std::uint16_t data_port,
+                                                    std::uint16_t control_port,
+                                                    std::string& error) {
+  if (data_port == 0 || control_port == 0) {
+    error = "data_port and control_port must be non-zero";
+    return nullptr;
   }
-  return endpoint;
+  if (data_port + stripes - 1 > 0xFFFF || control_port + stripes - 1 > 0xFFFF) {
+    error = "stripe port block exceeds the port space";
+    return nullptr;
+  }
+  stripe::StripePlan plan;
+  if (!stripe::StripePlan::make(spec, stripes, &plan, &error)) {
+    error = "stripe plan rejected: " + error;
+    return nullptr;
+  }
+  return std::make_shared<const stripe::StripePlan>(std::move(plan));
 }
 
-/// Shared by the async sender path: collects per-stripe results as
-/// sessions finish and fires the caller's on_complete after the last.
+/// Stripe `index`'s copy of a flow template: ports offset by the index,
+/// the per-stripe fault-plan override, and the stripe reference.
+template <typename Options>
+Options stripe_flow(const Options& flow, const std::vector<std::string>& fault_plans,
+                    const std::shared_ptr<const stripe::StripePlan>& plan, int index) {
+  Options options = flow;
+  options.data_port = static_cast<std::uint16_t>(flow.data_port + index);
+  options.control_port = static_cast<std::uint16_t>(flow.control_port + index);
+  if (static_cast<std::size_t>(index) < fault_plans.size() &&
+      !fault_plans[static_cast<std::size_t>(index)].empty()) {
+    options.endpoint.fault_plan = fault_plans[static_cast<std::size_t>(index)];
+  }
+  options.stripe = {plan, index};
+  return options;
+}
+
+/// Collects per-stripe sender results as sessions finish and fires the
+/// caller's on_complete after the last.
 struct SendAggregation {
   std::mutex mu;
   int remaining = 0;
@@ -241,310 +149,55 @@ struct SendAggregation {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Checkpoint merge / split
-// ---------------------------------------------------------------------------
-
 std::string stripe_checkpoint_path(const std::string& base, int index) {
   return base + ".s" + std::to_string(index);
-}
-
-std::optional<Checkpoint> merge_striped_checkpoint(const std::string& base,
-                                                   const stripe::StripePlan& plan) {
-  const auto& spec = plan.spec();
-  const auto packets = static_cast<std::size_t>(spec.packet_count());
-  fobs::util::Bitmap global(packets);
-  bool any = false;
-  if (const auto object_level = load_checkpoint(base)) {
-    if (object_level->object_bytes == spec.object_bytes &&
-        object_level->packet_bytes == spec.packet_bytes) {
-      global.merge_range(0, packets, object_level->bitmap.data(), object_level->bitmap.size());
-      any = true;
-    }
-  }
-  for (int s = 0; s < plan.stripe_count(); ++s) {
-    const auto sidecar = load_checkpoint(stripe_checkpoint_path(base, s));
-    if (!sidecar) continue;
-    const auto local_spec = plan.stripe_spec(s);
-    if (sidecar->object_bytes != local_spec.object_bytes ||
-        sidecar->packet_bytes != local_spec.packet_bytes) {
-      continue;  // from a different plan: unusable, not an error
-    }
-    const auto local_packets = static_cast<std::size_t>(plan.stripe_packets(s));
-    fobs::util::Bitmap local(local_packets);
-    local.merge_range(0, local_packets, sidecar->bitmap.data(), sidecar->bitmap.size());
-    for (std::size_t j = 0; j < local_packets; ++j) {
-      if (local.test(j)) {
-        global.set(static_cast<std::size_t>(
-            plan.to_global(s, static_cast<fobs::core::PacketSeq>(j))));
-      }
-    }
-    any = true;
-  }
-  if (!any || global.none_set()) return std::nullopt;
-  Checkpoint merged;
-  merged.object_bytes = spec.object_bytes;
-  merged.packet_bytes = spec.packet_bytes;
-  merged.received_count = static_cast<std::int64_t>(global.count());
-  merged.bitmap = global.extract_range(0, packets);
-  if (!save_checkpoint(base, merged)) return std::nullopt;
-  return merged;
-}
-
-bool split_striped_checkpoint(const std::string& base, const stripe::StripePlan& plan) {
-  const auto& spec = plan.spec();
-  const auto object_level = load_checkpoint(base);
-  if (!object_level || object_level->object_bytes != spec.object_bytes ||
-      object_level->packet_bytes != spec.packet_bytes) {
-    return false;
-  }
-  const auto packets = static_cast<std::size_t>(spec.packet_count());
-  fobs::util::Bitmap global(packets);
-  global.merge_range(0, packets, object_level->bitmap.data(), object_level->bitmap.size());
-  for (int s = 0; s < plan.stripe_count(); ++s) {
-    const auto path = stripe_checkpoint_path(base, s);
-    const auto local_spec = plan.stripe_spec(s);
-    const auto local_packets = static_cast<std::size_t>(plan.stripe_packets(s));
-    fobs::util::Bitmap local(local_packets);
-    if (const auto existing = load_checkpoint(path)) {
-      if (existing->object_bytes == local_spec.object_bytes &&
-          existing->packet_bytes == local_spec.packet_bytes) {
-        local.merge_range(0, local_packets, existing->bitmap.data(), existing->bitmap.size());
-      }
-    }
-    for (std::size_t j = 0; j < local_packets; ++j) {
-      if (global.test(static_cast<std::size_t>(
-              plan.to_global(s, static_cast<fobs::core::PacketSeq>(j))))) {
-        local.set(j);
-      }
-    }
-    if (local.none_set()) continue;
-    Checkpoint sidecar;
-    sidecar.object_bytes = local_spec.object_bytes;
-    sidecar.packet_bytes = local_spec.packet_bytes;
-    sidecar.received_count = static_cast<std::int64_t>(local.count());
-    sidecar.bitmap = local.extract_range(0, local_packets);
-    save_checkpoint(path, sidecar);
-  }
-  remove_checkpoint(base);
-  return true;
-}
-
-void remove_striped_checkpoints(const std::string& base) {
-  remove_checkpoint(base);
-  for (int s = 0; s < stripe::kMaxStripes; ++s) {
-    remove_checkpoint(stripe_checkpoint_path(base, s));
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Sender orchestration
 // ---------------------------------------------------------------------------
 
-std::optional<int> TransferEngine::submit_striped_send(const StripedSenderOptions& options,
-                                                       std::span<const std::uint8_t> object,
-                                                       StripedSessionParams params,
-                                                       std::string* error) {
-  auto fail = [&](const std::string& why) -> std::optional<int> {
-    if (error != nullptr) *error = why;
-    if (options.negotiation_port_owned) release_control_port(options.negotiation_port);
-    telemetry::MetricsRegistry::global().counter("fobs.stripe.negotiation_failures").inc();
-    return std::nullopt;
-  };
+bool TransferEngine::submit_striped_send(const StripedSenderOptions& options,
+                                         std::span<const std::uint8_t> object,
+                                         StripedSessionParams params, std::string* error) {
   auto& metrics = telemetry::MetricsRegistry::global();
   metrics.counter("fobs.stripe.transfers").inc();
-  if (options.negotiation_port == 0) return fail("negotiation_port must be non-zero");
-  if (options.max_stripes < 1) return fail("max_stripes must be >= 1");
-  if (object.empty()) return fail("cannot send an empty object");
-  if (options.endpoint.packet_bytes <= 0) return fail("packet_bytes must be positive");
   const fobs::core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
-                                      options.endpoint.packet_bytes};
-
-  // Accept exactly one negotiation connection, with the endpoint's
-  // whole timeout as budget (the receiver connects right after its
-  // catalog exchange, so in practice this is milliseconds).
-  Fd listener(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!listener.valid()) return fail("tcp socket failed");
-  const int one = 1;
-  ::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in listen_addr = make_addr("0.0.0.0", options.negotiation_port);
-  if (::bind(listener.get(), reinterpret_cast<sockaddr*>(&listen_addr), sizeof listen_addr) !=
-          0 ||
-      ::listen(listener.get(), 1) != 0 || !set_nonblocking(listener.get())) {
-    return fail("negotiation listen failed");
-  }
-  const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  Fd conn;
-  std::string peer_host;
-  while (Clock::now() < deadline) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    const int fd = ::accept(listener.get(), reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (fd >= 0) {
-      conn = Fd(fd);
-      set_nonblocking(fd);
-      char host[64] = {0};
-      ::inet_ntop(AF_INET, &peer.sin_addr, host, sizeof host);
-      peer_host = host;
-      break;
-    }
-    pollfd pfd{listener.get(), POLLIN, 0};
-    ::poll(&pfd, 1, 10);
-  }
-  if (!conn.valid()) return fail("no negotiation connection before the deadline");
-
-  // Read the FOBSSTRP request: fixed part first (it carries the stripe
-  // count), then the port list + CRC trailer.
-  std::vector<std::uint8_t> frame(stripe::kStripeRequestFixedSize);
-  if (!read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
-    return fail("negotiation request truncated");
-  }
-  const int requested = (static_cast<int>(frame[11]) << 8) | frame[12];
-  if (requested < 1 || requested > stripe::kMaxStripes) {
-    return fail("negotiation request malformed");
-  }
-  frame.resize(stripe::stripe_request_size(requested));
-  if (!read_exact(conn.get(), frame.data() + stripe::kStripeRequestFixedSize,
-                  frame.size() - stripe::kStripeRequestFixedSize, deadline)) {
-    return fail("negotiation request truncated");
-  }
-  const auto request = stripe::decode_stripe_request(frame.data(), frame.size());
-  if (!request) return fail("negotiation request rejected (bad token/version/CRC)");
-
-  auto respond = [&](const stripe::StripeResponse& response) {
-    const auto encoded = stripe::encode_stripe_response(response);
-    return send_all(conn.get(), encoded.data(), encoded.size(), deadline);
-  };
-
-  if (request->object_bytes != spec.object_bytes ||
-      request->packet_bytes != spec.packet_bytes) {
-    // The peer expects a different object: refuse loudly. No fallback —
-    // a single flow would disagree about geometry just the same.
-    respond(stripe::StripeResponse{request->layout, {}});
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    return fail("peer geometry mismatch (object or packet size)");
-  }
-
-  // Clamp the stripe count: peer's ask, our cap, the object's packet
-  // count, and — when the engine's allocator is enabled — the largest
-  // contiguous control-port block we can lease.
-  int accepted = std::min({requested, options.max_stripes, stripe::StripePlan::max_stripes(spec)});
-  std::vector<std::uint16_t> control_ports;
-  bool ports_owned = false;  // leased from the engine allocator
-  if (control_port_capacity() > 0) {
-    // Allocator configured: lease the largest contiguous block that
-    // fits, shrinking the stripe count to what is actually free.
-    for (; accepted >= 1; --accepted) {
-      if (const auto first = allocate_control_port_block(static_cast<std::size_t>(accepted))) {
-        control_ports.resize(static_cast<std::size_t>(accepted));
-        for (int i = 0; i < accepted; ++i) {
-          control_ports[static_cast<std::size_t>(i)] = static_cast<std::uint16_t>(*first + i);
-        }
-        ports_owned = true;
-        break;
-      }
-    }
-  } else {
-    // No allocator configured: derive per-stripe control ports from the
-    // negotiation port (documented for CLI/standalone use).
-    const int room = 0xFFFF - options.negotiation_port;
-    accepted = std::min(accepted, room);
-    if (accepted >= 1) {
-      control_ports.resize(static_cast<std::size_t>(accepted));
-      for (int i = 0; i < accepted; ++i) {
-        control_ports[static_cast<std::size_t>(i)] =
-            static_cast<std::uint16_t>(options.negotiation_port + 1 + i);
-      }
-    }
-  }
-
-  if (control_ports.empty()) {
-    // Out of ports: refuse striping but keep the transfer alive — serve
-    // one plain flow on the negotiation port itself (the receiver falls
-    // back to exactly that pairing).
-    if (!respond(stripe::StripeResponse{request->layout, {}})) {
-      return fail("negotiation response failed");
-    }
-    conn.reset();
-    listener.reset();  // run_sender re-binds this port for its control listener
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    metrics.counter("fobs.stripe.fallbacks").inc();
-    auto agg = std::make_shared<SendAggregation>();
-    agg->remaining = 1;
-    agg->object_bytes = spec.object_bytes;
-    agg->result.is_sender = true;
-    agg->result.fallback_single_flow = true;
-    agg->result.stripes = 1;
-    agg->result.layout = request->layout;
-    agg->result.stripe_senders.resize(1);
-    agg->on_complete = std::move(params.on_complete);
-    SenderOptions single;
-    single.receiver_host = peer_host;
-    single.data_port = request->data_ports.front();
-    single.control_port = options.negotiation_port;
-    single.core = options.core;
-    single.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, 0);
-    SessionParams session_params;
-    session_params.keepalive = std::move(params.keepalive);
-    if (options.negotiation_port_owned) {
-      session_params.owned_control_port = options.negotiation_port;
-    }
-    session_params.on_exit = [agg](const TransferHandle& handle) {
-      agg->stripe_done(0, handle.sender_result());
-    };
-    submit_send(single, object, std::move(session_params));
-    return 0;
-  }
-
-  stripe::StripePlan plan_value;
+                                      options.flow.endpoint.packet_bytes};
   std::string plan_error;
-  if (!stripe::StripePlan::make(spec, accepted, request->layout, &plan_value, &plan_error)) {
-    if (ports_owned) {
-      release_control_port_block(control_ports.front(), control_ports.size());
+  const auto plan = make_plan(spec, options.stripes, options.flow.data_port,
+                              options.flow.control_port, plan_error);
+  if (!plan) {
+    if (error != nullptr) *error = plan_error;
+    if (params.owns_control_ports && options.stripes > 0) {
+      release_control_port_block(options.flow.control_port,
+                                 static_cast<std::size_t>(options.stripes));
     }
-    respond(stripe::StripeResponse{request->layout, {}});
-    return fail("stripe plan rejected: " + plan_error);
+    return false;
   }
-  if (!respond(stripe::StripeResponse{request->layout, control_ports})) {
-    if (ports_owned) {
-      release_control_port_block(control_ports.front(), control_ports.size());
-    }
-    return fail("negotiation response failed");
-  }
-  conn.reset();
-  listener.reset();
-  // Striping negotiated: the negotiation port has done its job.
-  if (options.negotiation_port_owned) release_control_port(options.negotiation_port);
-
-  auto plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
-  metrics.counter("fobs.stripe.sessions").inc(accepted);
+  const int stripes = options.stripes;
+  metrics.counter("fobs.stripe.sessions").inc(stripes);
   auto agg = std::make_shared<SendAggregation>();
-  agg->remaining = accepted;
+  agg->remaining = stripes;
   agg->object_bytes = spec.object_bytes;
   agg->result.is_sender = true;
-  agg->result.stripes = accepted;
-  agg->result.layout = request->layout;
-  agg->result.stripe_senders.resize(static_cast<std::size_t>(accepted));
+  agg->result.stripes = stripes;
+  agg->result.stripe_senders.resize(static_cast<std::size_t>(stripes));
   agg->on_complete = std::move(params.on_complete);
-  for (int i = 0; i < accepted; ++i) {
-    SenderOptions stripe_options;
-    stripe_options.receiver_host = peer_host;
-    stripe_options.data_port = request->data_ports[static_cast<std::size_t>(i)];
-    stripe_options.control_port = control_ports[static_cast<std::size_t>(i)];
-    stripe_options.core = options.core;
-    stripe_options.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
-    stripe_options.stripe = {plan, i};
+  for (int i = 0; i < stripes; ++i) {
+    const SenderOptions stripe_options =
+        stripe_flow(options.flow, options.stripe_fault_plans, plan, i);
     SessionParams session_params;
     session_params.keepalive = params.keepalive;  // shared across stripes
-    if (ports_owned) {
-      session_params.owned_control_port = control_ports[static_cast<std::size_t>(i)];
-    }
-    session_params.on_exit = [agg, i](const TransferHandle& handle) {
+    if (params.owns_control_ports) session_params.owned_control_port = stripe_options.control_port;
+    session_params.on_exit = [agg, i, on_stripe_exit = params.on_stripe_exit](
+                                 const TransferHandle& handle) {
+      if (on_stripe_exit) on_stripe_exit(handle);
       agg->stripe_done(i, handle.sender_result());
     };
     submit_send(stripe_options, object, std::move(session_params));
   }
-  return accepted;
+  return true;
 }
 
 StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& options,
@@ -566,7 +219,7 @@ StripedResult TransferEngine::run_striped_sender(const StripedSenderOptions& opt
   std::string error;
   if (!submit_striped_send(options, object, std::move(params), &error)) {
     result.is_sender = true;
-    result.status = TransferStatus::kPeerLost;
+    result.status = TransferStatus::kBadOptions;
     result.error = error;
     return result;
   }
@@ -586,151 +239,20 @@ StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions&
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
   metrics.counter("fobs.stripe.transfers").inc();
-  if (options.negotiation_port == 0 || options.data_port_base == 0) {
-    result.error = "negotiation_port and data_port_base must be non-zero";
-    return result;
-  }
-  if (options.endpoint.packet_bytes <= 0) {
-    result.error = "packet_bytes must be positive";
-    return result;
-  }
-  if (buffer.empty()) {
-    result.error = "cannot receive into an empty buffer";
-    return result;
-  }
   const fobs::core::TransferSpec spec{static_cast<std::int64_t>(buffer.size()),
-                                      options.endpoint.packet_bytes};
-  int requested = std::min({options.stripes, stripe::kMaxStripes,
-                            stripe::StripePlan::max_stripes(spec)});
-  if (requested < 1) {
-    result.error = "stripes must be >= 1";
-    return result;
-  }
-  if (options.data_port_base + requested - 1 > 0xFFFF) {
-    result.error = "data port block exceeds the port space";
-    return result;
-  }
-
-  auto run_single_flow_fallback = [&]() {
-    metrics.counter("fobs.stripe.fallbacks").inc();
-    result.fallback_single_flow = true;
-    result.stripes = 1;
-    result.layout = options.layout;
-    ReceiverOptions single;
-    single.sender_host = options.sender_host;
-    single.data_port = options.data_port_base;
-    single.control_port = options.negotiation_port;
-    single.core = options.core;
-    single.checkpoint_path = options.checkpoint_base;
-    single.checkpoint_every_acks = options.checkpoint_every_acks;
-    single.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, 0);
-    // A single-flow resume needs the object-level checkpoint; fold any
-    // striped sidecars from a previous attempt into it first.
-    if (!options.checkpoint_base.empty()) {
-      stripe::StripePlan prior;
-      if (stripe::StripePlan::make(spec, requested, options.layout, &prior)) {
-        merge_striped_checkpoint(options.checkpoint_base, prior);
-      }
-    }
-    auto handle = submit_receive(single, buffer);
-    handle.wait();
-    result.stripe_receivers = {handle.receiver_result()};
-    finalize_aggregate(result, spec.object_bytes);
-    result.resumable = !result.completed() && !options.checkpoint_base.empty();
-    return result;
-  };
-
-  // --- FOBSSTRP negotiation ----------------------------------------------
-  const auto deadline = Clock::now() + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  Fd conn = connect_with_backoff(options.sender_host, options.negotiation_port, deadline);
-  if (!conn.valid()) {
-    result.status = TransferStatus::kPeerLost;
-    result.error = "negotiation connect timeout";
-    return result;
-  }
-  stripe::StripeRequest request;
-  request.layout = options.layout;
-  request.object_bytes = spec.object_bytes;
-  request.packet_bytes = spec.packet_bytes;
-  request.data_ports.resize(static_cast<std::size_t>(requested));
-  for (int i = 0; i < requested; ++i) {
-    request.data_ports[static_cast<std::size_t>(i)] =
-        static_cast<std::uint16_t>(options.data_port_base + i);
-  }
-  const auto encoded = stripe::encode_stripe_request(request);
-  const bool sent = send_all(conn.get(), encoded.data(), encoded.size(), deadline);
-  std::vector<std::uint8_t> frame(stripe::kStripeResponseFixedSize);
-  // A legacy sender drops the connection on the unknown token: the read
-  // fails cleanly and we fall back to one plain flow.
-  if (!sent || !read_exact(conn.get(), frame.data(), frame.size(), deadline)) {
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (options.allow_single_flow_fallback) return run_single_flow_fallback();
-    result.status = TransferStatus::kPeerLost;
-    result.error = "peer rejected stripe negotiation";
-    return result;
-  }
-  const int accepted_count = (static_cast<int>(frame[11]) << 8) | frame[12];
-  std::optional<stripe::StripeResponse> response;
-  if (accepted_count >= 0 && accepted_count <= stripe::kMaxStripes) {
-    frame.resize(stripe::stripe_response_size(accepted_count));
-    if (read_exact(conn.get(), frame.data() + stripe::kStripeResponseFixedSize,
-                   frame.size() - stripe::kStripeResponseFixedSize, deadline)) {
-      response = stripe::decode_stripe_response(frame.data(), frame.size());
-    }
-  }
-  conn.reset();
-  if (!response || response->accepted() > requested) {
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (options.allow_single_flow_fallback) return run_single_flow_fallback();
-    result.status = TransferStatus::kPeerLost;
-    result.error = "stripe negotiation response malformed";
-    return result;
-  }
-  if (response->accepted() == 0) {
-    // Explicit refusal: the sender is now serving one plain flow on the
-    // negotiation port.
-    metrics.counter("fobs.stripe.negotiation_rejected").inc();
-    if (options.allow_single_flow_fallback) return run_single_flow_fallback();
-    result.status = TransferStatus::kPeerLost;
-    result.error = "peer refused stripe negotiation";
-    return result;
-  }
-
-  const int stripes = response->accepted();
-  stripe::StripePlan plan_value;
-  std::string plan_error;
-  if (!stripe::StripePlan::make(spec, stripes, response->layout, &plan_value, &plan_error)) {
-    result.error = "stripe plan rejected: " + plan_error;
-    return result;
-  }
-  auto plan = std::make_shared<const stripe::StripePlan>(std::move(plan_value));
+                                      options.flow.endpoint.packet_bytes};
+  const auto plan = make_plan(spec, options.stripes, options.flow.data_port,
+                              options.flow.control_port, result.error);
+  if (!plan) return result;
+  const int stripes = options.stripes;
   result.stripes = stripes;
-  result.layout = response->layout;
   metrics.counter("fobs.stripe.sessions").inc(stripes);
 
-  // A previous single-flow attempt (or a merge after a degraded striped
-  // one) may have left an object-level checkpoint: split it into
-  // per-stripe sidecars so every session resumes its own slice.
-  if (!options.checkpoint_base.empty()) {
-    split_striped_checkpoint(options.checkpoint_base, *plan);
-  }
-
-  // --- per-stripe sessions ----------------------------------------------
   std::vector<TransferHandle> handles;
   handles.reserve(static_cast<std::size_t>(stripes));
   for (int i = 0; i < stripes; ++i) {
-    ReceiverOptions stripe_options;
-    stripe_options.sender_host = options.sender_host;
-    stripe_options.data_port = static_cast<std::uint16_t>(options.data_port_base + i);
-    stripe_options.control_port = response->control_ports[static_cast<std::size_t>(i)];
-    stripe_options.core = options.core;
-    stripe_options.checkpoint_every_acks = options.checkpoint_every_acks;
-    if (!options.checkpoint_base.empty()) {
-      stripe_options.checkpoint_path = stripe_checkpoint_path(options.checkpoint_base, i);
-    }
-    stripe_options.endpoint = stripe_endpoint(options.endpoint, options.stripe_fault_plans, i);
-    stripe_options.stripe = {plan, i};
-    handles.push_back(submit_receive(stripe_options, buffer));
+    handles.push_back(
+        submit_receive(stripe_flow(options.flow, options.stripe_fault_plans, plan, i), buffer));
   }
   result.stripe_receivers.resize(static_cast<std::size_t>(stripes));
   for (int i = 0; i < stripes; ++i) {
@@ -740,33 +262,8 @@ StripedResult TransferEngine::run_striped_receiver(const StripedReceiverOptions&
   }
   finalize_aggregate(result, spec.object_bytes);
   if (result.packets_restored > 0) metrics.counter("fobs.stripe.resumes").inc();
-
-  // Checkpoint post-pass: completed stripes removed their sidecars, so
-  // after a partial failure rewrite them as full bitmaps — then merge
-  // everything into the object-level file so a *single-flow* retry can
-  // resume too (the per-stripe sidecars stay for a striped retry).
-  if (!options.checkpoint_base.empty()) {
-    if (result.completed()) {
-      remove_striped_checkpoints(options.checkpoint_base);
-    } else {
-      for (int i = 0; i < stripes; ++i) {
-        if (result.stripe_receivers[static_cast<std::size_t>(i)].status !=
-            TransferStatus::kCompleted) {
-          continue;
-        }
-        const auto local_packets = static_cast<std::size_t>(plan->stripe_packets(i));
-        fobs::util::Bitmap full(local_packets);
-        full.set_all();
-        Checkpoint sidecar;
-        sidecar.object_bytes = plan->stripe_bytes(i);
-        sidecar.packet_bytes = spec.packet_bytes;
-        sidecar.received_count = static_cast<std::int64_t>(local_packets);
-        sidecar.bitmap = full.extract_range(0, local_packets);
-        save_checkpoint(stripe_checkpoint_path(options.checkpoint_base, i), sidecar);
-      }
-      result.resumable = merge_striped_checkpoint(options.checkpoint_base, *plan).has_value();
-    }
-  }
+  result.resumable = !result.completed() && !options.flow.checkpoint_path.empty() &&
+                     load_checkpoint(options.flow.checkpoint_path).has_value();
   return result;
 }
 

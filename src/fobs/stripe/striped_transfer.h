@@ -1,103 +1,67 @@
-// Striped multi-flow FOBS: one object carried over N parallel UDP
-// flows (the PSockets idea applied to the FOBS wire protocol).
+// Multi-flow FOBS: one object carried over N >= 1 parallel UDP flows
+// (the PSockets idea applied to the FOBS wire protocol). Every real-
+// socket fetch takes this path; a single flow is the N = 1 case.
 //
-// A striped transfer is K ordinary FOBS sessions — each with its own
-// UDP socket, DatagramChannel, ACK stream, adaptive pacing state, and
-// stall budget — running concurrently on a TransferEngine's worker
-// pool, all addressing disjoint slices of ONE shared object buffer
-// through a StripePlan (fobs/stripe/plan.h). There is no merge step:
-// every stripe's receiver writes straight into the whole-object mapping
-// at plan-computed offsets.
+// A striped transfer is N ordinary FOBS sessions — each with its own
+// UDP socket, DatagramChannel, ACK stream, adaptive pacing state, TCP
+// control connection and stall budget — running concurrently on a
+// TransferEngine's worker pool, all addressing disjoint slices of ONE
+// shared object buffer through a contiguous StripePlan
+// (fobs/stripe/plan.h). There is no merge step: every stripe's receiver
+// writes straight into the whole-object mapping at plan-computed
+// offsets.
 //
-// Wire-level flow:
-//   1. The receiver connects to the sender's negotiation TCP port and
-//      sends a FOBSSTRP request (stripe count, layout, per-stripe UDP
-//      data ports). A pre-striping sender drops the connection on the
-//      unknown token — the receiver falls back to a plain single-flow
-//      transfer on (data_port_base, negotiation_port).
-//   2. The sender clamps the stripe count (its max_stripes, the
-//      object's packet count, available control ports), answers with a
-//      FOBSSTRP response (accepted count + per-stripe TCP control
-//      ports), and launches one sender session per stripe. An accepted
-//      count of zero refuses striping; the sender then serves a plain
-//      single-flow transfer on the negotiation port itself, so both
-//      sides degrade together.
-//   3. Each stripe runs the unchanged FOBS protocol in stripe-local
-//      sequence space: greedy UDP + selective-ACK bitmap + TCP
-//      completion token, with resume frames and checkpoints per stripe.
+// There is no stripe handshake on the wire. The two sides agree on
+// the object size, the packet size and the stripe count out of band
+// (fobsd: the catalog reply, see fobs/posix/fileserver.h), build the
+// same plan, and stripe i runs on (data_port + i, control_port + i)
+// with the unchanged FOBS protocol in stripe-local sequence space:
+// greedy UDP + selective-ACK bitmap + TCP completion token + resume
+// frames.
 //
-// Checkpointing: each stripe persists its local bitmap to
-// `<base>.s<i>`. merge_striped_checkpoint folds those into one
-// object-level checkpoint at `<base>` (single-flow compatible);
-// split_striped_checkpoint does the inverse so a striped attempt can
-// resume from a single-flow checkpoint. The orchestrator performs the
-// split on start and — after a partial failure — rewrites completed
-// stripes' sidecars and the merged object-level file, so a degraded
-// transfer is resumable by either a striped *or* a plain retry.
+// Checkpointing: every stripe of a transfer shares the one object-level
+// checkpoint at ReceiverOptions::checkpoint_path. Stripe s owns the
+// contiguous range of the object's bitmap that the plan gives it,
+// restores only that range and folds only that range back in
+// (fobs/posix/checkpoint.h). The file is removed once the whole bitmap
+// is set, so a partly failed transfer leaves exactly the delivered
+// stripes behind and a retry resumes at any stripe count.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/engine.h"
-#include "fobs/stripe/negotiate.h"
 #include "fobs/stripe/plan.h"
 
 namespace fobs::posix {
 
 struct StripedSenderOptions {
-  /// TCP port to accept the FOBSSTRP negotiation on (required). On a
-  /// refused negotiation the single-flow fallback sender listens here
-  /// too, so legacy-shaped clients keep working.
-  std::uint16_t negotiation_port = 0;
-  /// The negotiation port was taken from the engine's allocator: the
-  /// engine returns it as soon as it is no longer needed (right after
-  /// negotiation for a striped run, after the session for the
-  /// single-flow fallback, immediately on a failed launch). Service
-  /// front-ends use this instead of releasing from a completion
-  /// callback, which could race engine teardown.
-  bool negotiation_port_owned = false;
-  /// Upper bound on stripes this sender will accept (further clamped by
-  /// the object's packet count and available control ports).
-  int max_stripes = stripe::kMaxStripes;
-  fobs::core::SenderConfig core;
-  /// Applied to every stripe's session (packet size, stall budget, I/O
-  /// tuning). endpoint.fault_plan applies to all stripes unless
-  /// stripe_fault_plans overrides a specific one.
-  EndpointOptions endpoint;
+  /// Stripe 0's session. Stripe i sends to `flow.data_port + i` and
+  /// accepts its control connection on `flow.control_port + i`;
+  /// `flow.stripe` is filled in per stripe. endpoint.fault_plan applies
+  /// to every stripe unless stripe_fault_plans overrides it.
+  SenderOptions flow;
+  /// Stripes to run, in [1, StripePlan::max_stripes(object)]; the
+  /// receiver must run the same count.
+  int stripes = 1;
   /// When non-empty, per-stripe fault-plan overrides (index = stripe;
-  /// missing/empty entries keep endpoint.fault_plan). Lets tests kill
-  /// exactly one stripe's flow.
+  /// missing/empty entries keep flow.endpoint.fault_plan). Lets tests
+  /// kill exactly one stripe's flow.
   std::vector<std::string> stripe_fault_plans;
 };
 
 struct StripedReceiverOptions {
-  std::string sender_host = "127.0.0.1";
-  /// The sender's negotiation port (required).
-  std::uint16_t negotiation_port = 0;
-  /// First of `stripes` *contiguous* local UDP data ports (required);
-  /// stripe i binds data_port_base + i.
-  std::uint16_t data_port_base = 0;
-  /// Requested stripe count; the sender may accept fewer. 1 still
-  /// negotiates (a 1-stripe plan), so any K pairs with any peer.
+  /// Stripe 0's session. Stripe i binds UDP `flow.data_port + i` and
+  /// connects to `flow.control_port + i`. A non-empty
+  /// `flow.checkpoint_path` is the object-level checkpoint every stripe
+  /// shares; pair it with a file-backed buffer exactly as for a single
+  /// flow.
+  ReceiverOptions flow;
   int stripes = 1;
-  stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
-  fobs::core::ReceiverConfig core;
-  /// When non-empty, per-stripe checkpoints are kept at `<base>.s<i>`
-  /// (see merge/split below); pair it with a file-backed buffer exactly
-  /// as for single-flow checkpoints.
-  std::string checkpoint_base;
-  int checkpoint_every_acks = 16;
-  /// Fall back to a plain single-flow transfer when the peer rejects
-  /// (or predates) FOBSSTRP. When false such peers yield kPeerLost.
-  bool allow_single_flow_fallback = true;
-  EndpointOptions endpoint;
   std::vector<std::string> stripe_fault_plans;
 };
 
@@ -109,15 +73,10 @@ struct StripedResult {
   TransferStatus status = TransferStatus::kPending;
   std::string error;  ///< human-readable detail; empty on success
   bool is_sender = false;
-  /// The FOBSSTRP exchange degraded this transfer to one plain flow
-  /// (legacy peer or refused negotiation).
-  bool fallback_single_flow = false;
-  /// Stripes actually run (post-clamp; 1 in the fallback case).
-  int stripes = 0;
-  stripe::StripeLayout layout = stripe::StripeLayout::kContiguous;
+  int stripes = 0;  ///< stripes run
   int stripes_completed = 0;
-  /// Failed, but per-stripe checkpoints were (re)written so a retry —
-  /// striped or single-flow — resumes instead of restarting.
+  /// Failed, but the object-level checkpoint holds what was delivered,
+  /// so a retry at any stripe count resumes instead of restarting.
   bool resumable = false;
   double elapsed_seconds = 0.0;  ///< slowest stripe (wall clock)
   /// Whole-object goodput over the slowest stripe's elapsed time.
@@ -130,8 +89,7 @@ struct StripedResult {
   fobs::net::IoStats io;  ///< summed over stripes
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
-  /// Some stripes delivered, some failed — the degraded-but-resumable
-  /// state the checkpoint post-pass targets.
+  /// Some stripes delivered, some failed.
   [[nodiscard]] bool degraded() const { return !completed() && stripes_completed > 0; }
 };
 
@@ -140,26 +98,21 @@ struct StripedSessionParams {
   /// Kept alive until the last stripe session ends (typically the
   /// mmap'd TransferObject backing the object span).
   std::shared_ptr<void> keepalive;
+  /// The control ports [flow.control_port, + stripes) were leased from
+  /// this engine's allocator (allocate_control_port_block): each stripe
+  /// session returns its own port when it ends, and a failed launch
+  /// returns the whole block.
+  bool owns_control_ports = false;
+  /// Runs on each stripe's worker when that stripe's session ends, before
+  /// the aggregate is known (e.g. to write the session's trace).
+  std::function<void(const TransferHandle&)> on_stripe_exit;
   /// Runs on the final stripe's worker once the aggregate is known.
   std::function<void(const StripedResult&)> on_complete;
 };
 
-/// `<base>.s<index>` — where stripe `index` checkpoints its bitmap.
+/// `<base>.s<index>`: a per-stripe checkpoint name that no transfer
+/// writes (stripes share the object-level file at `<base>`); cleanup
+/// code may remove stray files at these paths.
 [[nodiscard]] std::string stripe_checkpoint_path(const std::string& base, int index);
-
-/// Folds every per-stripe sidecar of `plan` (and a matching object-
-/// level checkpoint already at `base`, if any) into one object-level
-/// checkpoint written atomically to `base`. Returns it, or nullopt when
-/// no compatible bits were found.
-std::optional<Checkpoint> merge_striped_checkpoint(const std::string& base,
-                                                   const stripe::StripePlan& plan);
-
-/// Splits an object-level checkpoint at `base` into per-stripe sidecars
-/// (OR-ing into any that already exist) and removes `base`. False when
-/// no compatible object-level checkpoint was present.
-bool split_striped_checkpoint(const std::string& base, const stripe::StripePlan& plan);
-
-/// Removes `base` and every `<base>.s<i>` for i < stripe::kMaxStripes.
-void remove_striped_checkpoints(const std::string& base);
 
 }  // namespace fobs::posix

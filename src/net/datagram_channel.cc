@@ -1,7 +1,6 @@
 #include "net/datagram_channel.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,16 +11,12 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::net {
 
 namespace {
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 bool retryable_errno(int err) {
   return err == EWOULDBLOCK || err == EAGAIN || err == ENOBUFS || err == EINTR;

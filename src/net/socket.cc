@@ -1,0 +1,94 @@
+#include "net/socket.h"
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <thread>
+
+namespace fobs::net {
+
+void Fd::reset() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
+sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
+  return addr;
+}
+
+bool set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+bool send_all(int fd, const std::uint8_t* data, std::size_t len,
+              std::chrono::steady_clock::time_point deadline) {
+  std::size_t off = 0;
+  while (off < len) {
+    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR)) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      pollfd pfd{fd, POLLOUT, 0};
+      ::poll(&pfd, 1, 10);
+      continue;
+    }
+    return false;
+  }
+  return true;
+}
+
+Fd connect_with_backoff(const std::string& host, std::uint16_t port,
+                        std::chrono::steady_clock::time_point deadline,
+                        const std::atomic<bool>* cancel) {
+  auto backoff = std::chrono::milliseconds(5);
+  constexpr auto kMaxBackoff = std::chrono::milliseconds(200);
+  const sockaddr_in addr = make_addr(host, port);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (cancel == nullptr || !cancel->load(std::memory_order_relaxed))) {
+    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    if (!fd.valid()) return {};
+    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) {
+      set_nonblocking(fd.get());
+      return fd;
+    }
+    // A failed connect() leaves the socket in an unusable state on some
+    // platforms; start over with a fresh one after the backoff.
+    fd.reset();
+    std::this_thread::sleep_for(backoff);
+    backoff = std::min(backoff * 2, kMaxBackoff);
+  }
+  return {};
+}
+
+Fd listen_tcp(std::uint16_t port, int backlog) {
+  Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  if (!fd.valid()) return {};
+  const int one = 1;
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  const sockaddr_in addr = make_addr("0.0.0.0", port);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd.get(), backlog) != 0 || !set_nonblocking(fd.get())) {
+    return {};
+  }
+  return fd;
+}
+
+double mbps(std::int64_t bytes, double seconds) {
+  if (seconds <= 0) return 0.0;
+  return static_cast<double>(bytes) * 8.0 / seconds / 1e6;
+}
+
+}  // namespace fobs::net

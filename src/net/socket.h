@@ -1,0 +1,68 @@
+// Small POSIX socket helpers shared by the real-socket FOBS drivers,
+// the striped orchestrator, the datagram channel, the session engine
+// and the file server: an RAII descriptor, IPv4 address construction,
+// non-blocking stream I/O with deadlines, and TCP connect/listen.
+#pragma once
+
+#include <netinet/in.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
+namespace fobs::net {
+
+/// RAII file descriptor (move-only; closes on destruction).
+class Fd {
+ public:
+  Fd() = default;
+  explicit Fd(int fd) : fd_(fd) {}
+  ~Fd() { reset(); }
+  Fd(Fd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Fd& operator=(Fd&& other) noexcept {
+    if (this != &other) {
+      reset();
+      fd_ = other.fd_;
+      other.fd_ = -1;
+    }
+    return *this;
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  [[nodiscard]] int get() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  void reset();
+
+ private:
+  int fd_ = -1;
+};
+
+/// IPv4 socket address for dotted-quad `host` and `port`.
+[[nodiscard]] sockaddr_in make_addr(const std::string& host, std::uint16_t port);
+
+bool set_nonblocking(int fd);
+
+/// Writes `len` bytes to a non-blocking stream socket, polling for
+/// writability, until done, a hard error, or `deadline`.
+bool send_all(int fd, const std::uint8_t* data, std::size_t len,
+              std::chrono::steady_clock::time_point deadline);
+
+/// Connects a fresh TCP socket to host:port, retrying with capped
+/// exponential backoff until `deadline` or until `cancel` (nullable) is
+/// set — the peer may not be listening yet. The connected socket is
+/// non-blocking. Invalid Fd on failure.
+[[nodiscard]] Fd connect_with_backoff(const std::string& host, std::uint16_t port,
+                                      std::chrono::steady_clock::time_point deadline,
+                                      const std::atomic<bool>* cancel = nullptr);
+
+/// Non-blocking TCP listener on 0.0.0.0:`port` (SO_REUSEADDR). Invalid
+/// Fd when the socket, bind or listen fails.
+[[nodiscard]] Fd listen_tcp(std::uint16_t port, int backlog);
+
+/// Goodput in megabits per second; 0 for a non-positive duration.
+[[nodiscard]] double mbps(std::int64_t bytes, double seconds);
+
+}  // namespace fobs::net

@@ -51,7 +51,7 @@ void TcpConnection::accept_syn(NodeId peer, PortId peer_port, const TcpSegment& 
   assert(state_ == TcpState::kClosed);
   peer_node_ = peer;
   peer_port_ = peer_port;
-  // Option negotiation: an option is on only when both sides offer it.
+  // SYN options: an option is on only when both sides offer it.
   use_window_scaling_ = config_.window_scaling && syn.wscale_offer >= 0;
   use_sack_ = config_.sack_enabled && syn.sack_permitted;
   state_ = TcpState::kSynReceived;

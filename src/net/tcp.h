@@ -6,7 +6,7 @@
 //  * retransmission timeout with Karn's rule and exponential backoff
 //  * delayed cumulative ACKs, dup-ACK counting
 //  * receiver window advertisement capped at 64 KiB unless both ends
-//    negotiate window scaling — the single biggest factor on the paper's
+//    offer window scaling — the single biggest factor on the paper's
 //    long-haul path (Table 1)
 //  * SACK blocks and SACK-assisted retransmission
 //
@@ -221,7 +221,7 @@ class TcpConnection final : public fobs::host::PortHandler {
   PortId peer_port_ = 0;
   TcpState state_ = TcpState::kClosed;
 
-  // --- negotiated options ---
+  // --- options both ends offered ---
   bool use_window_scaling_ = false;
   bool use_sack_ = false;
   int syn_retries_ = 0;

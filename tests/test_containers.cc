@@ -1,4 +1,4 @@
-// Unit tests for RingBuffer, TextTable, and ThreadPool.
+// Unit tests for TextTable and ThreadPool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,46 +6,11 @@
 #include <sstream>
 #include <string>
 
-#include "common/ring_buffer.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 
 namespace fobs::util {
 namespace {
-
-TEST(RingBuffer, PushPopFifoOrder) {
-  RingBuffer<int> rb(4);
-  EXPECT_TRUE(rb.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(rb.push(i));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.push(99));  // dropped
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(rb.pop(), i);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, WrapsAround) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.pop(), 1);
-  rb.push(3);
-  rb.push(4);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.front(), 2);
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-}
-
-TEST(RingBuffer, ClearResets) {
-  RingBuffer<std::string> rb(2);
-  rb.push("a");
-  rb.push("b");
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.push("c"));
-  EXPECT_EQ(rb.pop(), "c");
-}
 
 TEST(TextTable, AlignsColumns) {
   TextTable t({"name", "value"});

@@ -1,8 +1,9 @@
 // FileServer + fetch_file end-to-end over loopback: the acceptance
 // test for the concurrent fobsd redesign (three overlapping fetches
-// from distinct clients, all byte-identical) plus the catalog-timeout
+// from distinct clients, all byte-identical), the catalog-timeout
 // bugfix (a connected-but-silent client can no longer wedge the serve
-// loop) and the refusal paths.
+// loop), the catalog grant (stripe token, port-space clamp, the
+// server's packet size wins) and the refusal paths.
 //
 // Port block: 37100-37199 (test_engine owns 37000-37099).
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
+#include <dirent.h>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -192,6 +195,171 @@ TEST(FileServer, StopWithHandlerInFlightIsPromptAndSafe) {
   EXPECT_LT(stop_ms, 5'000) << "stop() should abort the blocked handler, not wait out "
                                "catalog_recv_timeout_ms";
   ::close(silent);
+}
+
+// ---------------------------------------------------------------------------
+// The catalog grant
+// ---------------------------------------------------------------------------
+
+struct CatalogReply {
+  long long size = -1;
+  long long packet_bytes = 0;
+  int control_port = 0;
+  int granted = 0;
+};
+
+/// Sends one raw catalog request line and parses the reply.
+CatalogReply raw_catalog(std::uint16_t port, const std::string& request) {
+  CatalogReply reply;
+  const int fd = connect_tcp(port);
+  if (fd < 0) return reply;
+  const std::string line = request + "\n";
+  if (::send(fd, line.data(), line.size(), MSG_NOSIGNAL) == static_cast<ssize_t>(line.size())) {
+    char buf[128] = {0};
+    std::size_t got = 0;
+    while (got + 1 < sizeof buf) {
+      const ssize_t n = ::recv(fd, buf + got, sizeof buf - 1 - got, 0);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+      if (buf[got - 1] == '\n') break;
+    }
+    std::sscanf(buf, "%lld %lld %d %d", &reply.size, &reply.packet_bytes, &reply.control_port,
+                &reply.granted);
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST(FileServer, CatalogGrantClampsToThePortSpaceAndDefaultsToOneStripe) {
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_grant";
+  const std::vector<std::int64_t> sizes = {256 * 1024};
+  stage_files(dir, sizes);
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 37120;
+  options.control_port_base = 37121;  // control ports 37121..37128
+  options.control_port_count = 8;
+  options.quiet = true;
+  options.endpoint.packet_bytes = 4096;
+  options.endpoint.timeout_ms = 1'000;  // nobody receives: let the sessions give up
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  // Data ports 65535..65538 do not exist: one stripe fits.
+  const auto edge = raw_catalog(options.catalog_port, "dataset0.bin 65535 4");
+  EXPECT_EQ(edge.size, sizes[0]);
+  EXPECT_EQ(edge.packet_bytes, 4096);
+  EXPECT_GE(edge.control_port, 37121);
+  EXPECT_LE(edge.control_port, 37128);
+  EXPECT_EQ(edge.granted, 1);
+
+  // A missing or non-positive stripe token means one stripe.
+  for (const char* request : {"dataset0.bin 37129", "dataset0.bin 37129 0",
+                              "dataset0.bin 37129 -3"}) {
+    const auto reply = raw_catalog(options.catalog_port, request);
+    EXPECT_EQ(reply.size, sizes[0]) << request;
+    EXPECT_EQ(reply.granted, 1) << request;
+  }
+  // A plain request is granted in full, on a contiguous control block.
+  const auto three = raw_catalog(options.catalog_port, "dataset0.bin 37129 3");
+  EXPECT_EQ(three.granted, 3);
+  EXPECT_GE(three.control_port, 37121);
+  EXPECT_LE(three.control_port + 2, 37128);
+  server.stop();  // the handlers have returned: every grant is counted
+  EXPECT_EQ(server.transfers_started(), 5u);
+}
+
+TEST(FileServer, ClientPacketSizeDiffersFromServerAndFetchCompletes) {
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_geometry";
+  const std::vector<std::int64_t> sizes = {300 * 1024 + 11};
+  const auto checksums = stage_files(dir, sizes);
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 37110;
+  options.control_port_base = 37111;
+  options.control_port_count = 4;
+  options.quiet = true;
+  options.endpoint.packet_bytes = 4096;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = options.catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = dir + "/fetched0.bin";
+  fetch.data_port = 37116;
+  fetch.quiet = true;
+  fetch.endpoint.packet_bytes = 1024;  // the server's 4096 wins
+  fetch.endpoint.timeout_ms = 30'000;
+  const auto result = posix::fetch_file(fetch);
+  ASSERT_TRUE(result.completed()) << result.error;
+  EXPECT_EQ(result.stripes, 1);
+  EXPECT_EQ(result.checksum, checksums[0]);
+  const auto fetched = core::TransferObject::map_file(fetch.out_path);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->checksum(), checksums[0]);
+  server.stop();
+}
+
+TEST(FileServer, EveryStripeSessionWritesItsOwnTrace) {
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_traces";
+  const std::string trace_dir = dir + "/traces";
+  stage_files(dir, {512 * 1024});
+  ::mkdir(trace_dir.c_str(), 0755);
+  auto list_traces = [&] {
+    std::vector<std::string> names;
+    if (DIR* d = ::opendir(trace_dir.c_str())) {
+      while (const dirent* entry = ::readdir(d)) {
+        const std::string name = entry->d_name;
+        if (name.rfind("fobsd_serve_", 0) == 0) names.push_back(name);
+      }
+      ::closedir(d);
+    }
+    return names;
+  };
+  for (const auto& stale : list_traces()) std::remove((trace_dir + "/" + stale).c_str());
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 37135;
+  options.control_port_base = 37136;  // control ports 37136..37139
+  options.control_port_count = 4;
+  options.trace_dir = trace_dir;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = options.catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = dir + "/fetched0.bin";
+  fetch.data_port = 37193;  // and 37194
+  fetch.stripes = 2;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 30'000;
+  const auto result = posix::fetch_file(fetch);
+  ASSERT_TRUE(result.completed()) << result.error;
+  EXPECT_EQ(result.stripes, 2);
+  // The server counts the transfer once both stripe sessions have read
+  // their completion token, i.e. after each wrote its trace.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.transfers_completed() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.transfers_completed(), 1u);
+  server.stop();
+
+  const auto traces = list_traces();
+  ASSERT_EQ(traces.size(), 2u);
+  for (const auto& name : traces) {
+    const auto trace = core::TransferObject::map_file(trace_dir + "/" + name);
+    ASSERT_TRUE(trace.has_value()) << name;
+    EXPECT_GT(trace->size(), 0) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,28 @@
 // Striped multi-flow FOBS: the acceptance suite for the striping
 // subsystem (fobs/stripe/).
 //
-//  - StripePlan: both layouts partition the packet space disjointly and
-//    completely, the shared round_robin_split rule, rejection edges.
-//  - FOBSSTRP codec: round-trips and garbage rejection.
+//  - StripePlan: the contiguous partition is disjoint and complete, the
+//    shared round_robin_split rule, rejection edges.
 //  - PortAllocator: contiguous block leases, exhaustion, fragmentation,
 //    multi-threaded contention, and the engine's block API.
-//  - Checkpoints: object-level <-> per-stripe sidecar merge/split.
+//  - Object-level checkpoint ranges: flows fold disjoint ranges into one
+//    file, also concurrently, and each restores only its own; a torn
+//    file is ignored.
 //  - Loopback transfers over real sockets: a 4-stripe >= 64 MiB
 //    transfer lands byte-identical (checksum-verified); killing one
 //    stripe's flow mid-transfer degrades but stays resumable, and the
-//    resume completes byte-identical; a striped fetch against a plain
-//    pre-striping sender falls back to one flow cleanly.
+//    resume completes byte-identical; an interrupted fetch resumes at a
+//    different stripe count (4 -> 1 and 1 -> 4) from the one checkpoint.
 //
 // Port block: 37300-37499 (test_engine owns 37000-37099, fileserver
 // 37100-37199, fault suites 38xxx/39xxx).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
@@ -36,7 +39,6 @@
 #include "fobs/posix/engine.h"
 #include "fobs/posix/fileserver.h"
 #include "fobs/posix/port_allocator.h"
-#include "fobs/stripe/negotiate.h"
 #include "fobs/stripe/plan.h"
 #include "fobs/stripe/striped_transfer.h"
 
@@ -44,7 +46,6 @@ namespace fobs {
 namespace {
 
 using core::TransferSpec;
-using stripe::StripeLayout;
 using stripe::StripePlan;
 
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
@@ -91,7 +92,7 @@ void expect_partition_is_disjoint_and_complete(const StripePlan& plan) {
   EXPECT_EQ(static_cast<std::int64_t>(seen.size()), packets);
 }
 
-TEST(StripePlan, PartitionsAreDisjointAndCompleteForBothLayouts) {
+TEST(StripePlan, PartitionsAreDisjointAndComplete) {
   // Geometries chosen to cover: even split, remainder packets, a short
   // last packet, stripes == packets, and a single packet.
   const std::vector<TransferSpec> specs = {
@@ -101,15 +102,20 @@ TEST(StripePlan, PartitionsAreDisjointAndCompleteForBothLayouts) {
       {1000, 1000},          // exactly one packet
   };
   for (const auto& spec : specs) {
-    for (const auto layout : {StripeLayout::kContiguous, StripeLayout::kRoundRobin}) {
-      const int max = StripePlan::max_stripes(spec);
-      for (int stripes : {1, 2, 3, 4, max}) {
-        if (stripes < 1 || stripes > max) continue;
-        StripePlan plan;
-        std::string error;
-        ASSERT_TRUE(StripePlan::make(spec, stripes, layout, &plan, &error))
-            << to_string(layout) << " x" << stripes << ": " << error;
-        expect_partition_is_disjoint_and_complete(plan);
+    const int max = StripePlan::max_stripes(spec);
+    for (int stripes : {1, 2, 3, 4, max}) {
+      if (stripes < 1 || stripes > max) continue;
+      StripePlan plan;
+      std::string error;
+      ASSERT_TRUE(StripePlan::make(spec, stripes, &plan, &error)) << "x" << stripes << ": "
+                                                                   << error;
+      expect_partition_is_disjoint_and_complete(plan);
+      // Contiguous: stripe s starts where stripe s-1 ends.
+      for (int s = 0; s < plan.stripe_count(); ++s) {
+        EXPECT_EQ(plan.first_packet(s), plan.to_global(s, 0));
+        if (s > 0) {
+          EXPECT_EQ(plan.first_packet(s), plan.first_packet(s - 1) + plan.stripe_packets(s - 1));
+        }
       }
     }
   }
@@ -117,25 +123,24 @@ TEST(StripePlan, PartitionsAreDisjointAndCompleteForBothLayouts) {
 
 TEST(StripePlan, ShortLastPacketIsTheLastLocalPacketOfItsStripe) {
   const TransferSpec spec{10 * 1024 + 7, 1024};  // 11 packets, last is 7 B
-  for (const auto layout : {StripeLayout::kContiguous, StripeLayout::kRoundRobin}) {
-    StripePlan plan;
-    ASSERT_TRUE(StripePlan::make(spec, 4, layout, &plan));
-    const auto [owner, local] = plan.to_local(spec.packet_count() - 1);
-    EXPECT_EQ(local, plan.stripe_packets(owner) - 1)
-        << to_string(layout) << ": short packet must be its stripe's last local packet";
-    EXPECT_EQ(plan.stripe_spec(owner).payload_bytes(local), 7);
-  }
+  StripePlan plan;
+  ASSERT_TRUE(StripePlan::make(spec, 4, &plan));
+  const auto [owner, local] = plan.to_local(spec.packet_count() - 1);
+  EXPECT_EQ(owner, 3);
+  EXPECT_EQ(local, plan.stripe_packets(owner) - 1)
+      << "short packet must be its stripe's last local packet";
+  EXPECT_EQ(plan.stripe_spec(owner).payload_bytes(local), 7);
 }
 
 TEST(StripePlan, RejectsUnsatisfiableRequests) {
   StripePlan plan;
   std::string error;
   // More stripes than packets: an empty stripe would dead-lock.
-  EXPECT_FALSE(StripePlan::make({4 * 1024, 1024}, 5, StripeLayout::kContiguous, &plan, &error));
+  EXPECT_FALSE(StripePlan::make({4 * 1024, 1024}, 5, &plan, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(StripePlan::make({4 * 1024, 1024}, 0, StripeLayout::kContiguous, &plan));
-  EXPECT_FALSE(StripePlan::make({0, 1024}, 1, StripeLayout::kContiguous, &plan));
-  EXPECT_FALSE(StripePlan::make({1024, 0}, 1, StripeLayout::kContiguous, &plan));
+  EXPECT_FALSE(StripePlan::make({4 * 1024, 1024}, 0, &plan));
+  EXPECT_FALSE(StripePlan::make({0, 1024}, 1, &plan));
+  EXPECT_FALSE(StripePlan::make({1024, 0}, 1, &plan));
   // max_stripes is the usable clamp.
   EXPECT_EQ(StripePlan::max_stripes({4 * 1024, 1024}), 4);
   EXPECT_EQ(StripePlan::max_stripes({1024 * 1024, 1024}), stripe::kMaxStripes);
@@ -152,72 +157,6 @@ TEST(StripePlan, RoundRobinSplitFrontLoadsTheRemainder) {
   const auto big = stripe::round_robin_split(40'000'000, 7);
   EXPECT_EQ(std::accumulate(big.begin(), big.end(), std::int64_t{0}), 40'000'000);
   EXPECT_LE(big.front() - big.back(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// FOBSSTRP codec
-// ---------------------------------------------------------------------------
-
-TEST(StripeNegotiate, RequestRoundTrips) {
-  stripe::StripeRequest request;
-  request.layout = StripeLayout::kRoundRobin;
-  request.object_bytes = 123'456'789;
-  request.packet_bytes = 8192;
-  request.data_ports = {40001, 40002, 40003};
-  const auto wire = stripe::encode_stripe_request(request);
-  EXPECT_EQ(wire.size(), stripe::stripe_request_size(3));
-  const auto decoded = stripe::decode_stripe_request(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->layout, request.layout);
-  EXPECT_EQ(decoded->object_bytes, request.object_bytes);
-  EXPECT_EQ(decoded->packet_bytes, request.packet_bytes);
-  EXPECT_EQ(decoded->data_ports, request.data_ports);
-}
-
-TEST(StripeNegotiate, ResponseRoundTripsIncludingRefusal) {
-  stripe::StripeResponse response;
-  response.layout = StripeLayout::kContiguous;
-  response.control_ports = {41001, 41002};
-  const auto wire = stripe::encode_stripe_response(response);
-  const auto decoded = stripe::decode_stripe_response(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->accepted(), 2);
-  EXPECT_EQ(decoded->control_ports, response.control_ports);
-
-  // Zero accepted stripes is the explicit "run single-flow" refusal.
-  const auto refusal_wire = stripe::encode_stripe_response({StripeLayout::kContiguous, {}});
-  const auto refusal = stripe::decode_stripe_response(refusal_wire.data(), refusal_wire.size());
-  ASSERT_TRUE(refusal.has_value());
-  EXPECT_EQ(refusal->accepted(), 0);
-}
-
-TEST(StripeNegotiate, RejectsGarbage) {
-  stripe::StripeRequest request;
-  request.object_bytes = 4096;
-  request.packet_bytes = 1024;
-  request.data_ports = {40001};
-  auto wire = stripe::encode_stripe_request(request);
-  // Bad token.
-  auto bad_token = wire;
-  bad_token[0] ^= 0xFF;
-  EXPECT_FALSE(stripe::decode_stripe_request(bad_token.data(), bad_token.size()).has_value());
-  // Bad version.
-  auto bad_version = wire;
-  bad_version[8] = 99;
-  EXPECT_FALSE(
-      stripe::decode_stripe_request(bad_version.data(), bad_version.size()).has_value());
-  // Flipped payload bit breaks the CRC seal.
-  auto bad_crc = wire;
-  bad_crc[15] ^= 0x01;
-  EXPECT_FALSE(stripe::decode_stripe_request(bad_crc.data(), bad_crc.size()).has_value());
-  // Truncated frame.
-  EXPECT_FALSE(stripe::decode_stripe_request(wire.data(), wire.size() - 1).has_value());
-  // A zero-stripe *request* is malformed (only responses may refuse).
-  stripe::StripeRequest empty;
-  empty.object_bytes = 4096;
-  empty.packet_bytes = 1024;
-  const auto empty_wire = stripe::encode_stripe_request(empty);
-  EXPECT_FALSE(stripe::decode_stripe_request(empty_wire.data(), empty_wire.size()).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -322,72 +261,148 @@ TEST(PortAllocator, EngineExposesBlockLeases) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped checkpoints
+// Object-level checkpoint ranges
 // ---------------------------------------------------------------------------
 
-TEST(StripedCheckpoint, SplitThenMergeRoundTripsTheBitmap) {
-  const std::string base = ::testing::TempDir() + "fobs_stripes_roundtrip.ckpt";
-  posix::remove_striped_checkpoints(base);
-  const TransferSpec spec{64 * 1024 + 321, 4096};
+TEST(CheckpointRange, FlowsFoldDisjointRangesIntoOneFile) {
+  const std::string path = ::testing::TempDir() + "fobs_stripes_ranges.ckpt";
+  posix::remove_checkpoint(path);
+  const TransferSpec spec{64 * 1024 + 321, 4096};  // 17 packets
   StripePlan plan;
-  ASSERT_TRUE(StripePlan::make(spec, 4, StripeLayout::kRoundRobin, &plan));
-  const auto packets = static_cast<std::size_t>(spec.packet_count());
+  ASSERT_TRUE(StripePlan::make(spec, 3, &plan));
+  auto range_of = [&](int s) {
+    return posix::CheckpointRange{path, spec.object_bytes, spec.packet_bytes,
+                                  static_cast<std::size_t>(plan.first_packet(s)),
+                                  static_cast<std::size_t>(plan.stripe_packets(s))};
+  };
 
-  // Object-level checkpoint with every third packet received.
-  util::Bitmap original(packets);
-  for (std::size_t i = 0; i < packets; i += 3) original.set(i);
-  posix::Checkpoint object_level;
-  object_level.object_bytes = spec.object_bytes;
-  object_level.packet_bytes = spec.packet_bytes;
-  object_level.received_count = static_cast<std::int64_t>(original.count());
-  object_level.bitmap = original.extract_range(0, packets);
-  ASSERT_TRUE(posix::save_checkpoint(base, object_level));
+  // Stripe 0 has every other local packet, stripe 2 its first one,
+  // stripe 1 nothing yet.
+  util::Bitmap stripe0(static_cast<std::size_t>(plan.stripe_packets(0)));
+  for (std::size_t i = 0; i < stripe0.size(); i += 2) stripe0.set(i);
+  util::Bitmap stripe2(static_cast<std::size_t>(plan.stripe_packets(2)));
+  stripe2.set(0);
+  ASSERT_TRUE(posix::fold_checkpoint_range(range_of(0), stripe0));
+  ASSERT_TRUE(posix::fold_checkpoint_range(range_of(2), stripe2));
 
-  // Split: base is consumed, per-stripe sidecars appear in stripe-local
-  // geometry.
-  ASSERT_TRUE(posix::split_striped_checkpoint(base, plan));
-  EXPECT_FALSE(posix::load_checkpoint(base).has_value());
-  std::int64_t sidecar_bits = 0;
+  // One object-level file holds both ranges.
+  const auto object_level = posix::load_checkpoint(path);
+  ASSERT_TRUE(object_level.has_value());
+  EXPECT_EQ(object_level->object_bytes, spec.object_bytes);
+  EXPECT_EQ(object_level->received_count,
+            static_cast<std::int64_t>(stripe0.count() + stripe2.count()));
+
+  // Each flow restores exactly its own range.
+  for (const auto& [s, expected] : {std::pair<int, const util::Bitmap*>{0, &stripe0},
+                                    std::pair<int, const util::Bitmap*>{2, &stripe2}}) {
+    const auto packed = posix::load_checkpoint_range(range_of(s));
+    ASSERT_TRUE(packed.has_value());
+    util::Bitmap restored(expected->size());
+    restored.merge_range(0, restored.size(), packed->data(), packed->size());
+    EXPECT_TRUE(restored == *expected) << "stripe " << s;
+  }
+  const auto empty = posix::load_checkpoint_range(range_of(1));
+  ASSERT_TRUE(empty.has_value());
+  util::Bitmap none(static_cast<std::size_t>(plan.stripe_packets(1)));
+  none.merge_range(0, none.size(), empty->data(), empty->size());
+  EXPECT_TRUE(none.none_set());
+
+  // A different geometry never matches.
+  auto foreign = range_of(0);
+  foreign.packet_bytes = 1024;
+  EXPECT_FALSE(posix::load_checkpoint_range(foreign).has_value());
+
+  // Once every range is full the file is removed.
   for (int s = 0; s < plan.stripe_count(); ++s) {
-    const auto sidecar = posix::load_checkpoint(posix::stripe_checkpoint_path(base, s));
-    if (!sidecar) continue;
-    EXPECT_EQ(sidecar->object_bytes, plan.stripe_bytes(s));
-    EXPECT_EQ(sidecar->packet_bytes, spec.packet_bytes);
-    sidecar_bits += sidecar->received_count;
+    util::Bitmap full(static_cast<std::size_t>(plan.stripe_packets(s)));
+    full.set_all();
+    ASSERT_TRUE(posix::fold_checkpoint_range(range_of(s), full));
   }
-  EXPECT_EQ(sidecar_bits, static_cast<std::int64_t>(original.count()));
-
-  // Merge: the object-level bitmap is recomposed exactly.
-  const auto merged = posix::merge_striped_checkpoint(base, plan);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->object_bytes, spec.object_bytes);
-  EXPECT_EQ(merged->received_count, static_cast<std::int64_t>(original.count()));
-  util::Bitmap recomposed(packets);
-  recomposed.merge_range(0, packets, merged->bitmap.data(), merged->bitmap.size());
-  for (std::size_t i = 0; i < packets; ++i) {
-    EXPECT_EQ(recomposed.test(i), original.test(i)) << "bit " << i;
-  }
-  posix::remove_striped_checkpoints(base);
+  EXPECT_FALSE(posix::load_checkpoint(path).has_value());
 }
 
-TEST(StripedCheckpoint, MergeIgnoresIncompatibleSidecars) {
-  const std::string base = ::testing::TempDir() + "fobs_stripes_incompat.ckpt";
-  posix::remove_striped_checkpoints(base);
-  const TransferSpec spec{16 * 1024, 1024};
+TEST(CheckpointRange, ConcurrentFoldsNeverLoseAnotherFlowsBits) {
+  const std::string path = ::testing::TempDir() + "fobs_stripes_concurrent.ckpt";
+  posix::remove_checkpoint(path);
+  const TransferSpec spec{8 * 61 * 1024 - 100, 1024};  // 488 packets
+  constexpr int kStripes = 8;
   StripePlan plan;
-  ASSERT_TRUE(StripePlan::make(spec, 2, StripeLayout::kContiguous, &plan));
-  // A sidecar from a different plan (wrong stripe geometry) is skipped
-  // rather than corrupting the merge.
-  posix::Checkpoint foreign;
-  foreign.object_bytes = 999;
-  foreign.packet_bytes = 128;
-  util::Bitmap bits(8);
-  bits.set_all();
-  foreign.received_count = 8;
-  foreign.bitmap = bits.extract_range(0, 8);
-  ASSERT_TRUE(posix::save_checkpoint(posix::stripe_checkpoint_path(base, 0), foreign));
-  EXPECT_FALSE(posix::merge_striped_checkpoint(base, plan).has_value());
-  posix::remove_striped_checkpoints(base);
+  ASSERT_TRUE(StripePlan::make(spec, kStripes, &plan));
+  auto range_of = [&](int s) {
+    return posix::CheckpointRange{path, spec.object_bytes, spec.packet_bytes,
+                                  static_cast<std::size_t>(plan.first_packet(s)),
+                                  static_cast<std::size_t>(plan.stripe_packets(s))};
+  };
+
+  // Every stripe sets its even local packets one at a time and folds
+  // after each, all at once: a fold that read-modify-wrote the file
+  // without the process-wide lock would drop some other stripe's bits.
+  std::vector<util::Bitmap> expected;
+  for (int s = 0; s < kStripes; ++s) {
+    expected.emplace_back(static_cast<std::size_t>(plan.stripe_packets(s)));
+  }
+  std::atomic<int> failed_folds{0};
+  std::vector<std::thread> flows;
+  for (int s = 0; s < kStripes; ++s) {
+    flows.emplace_back([&, s] {
+      util::Bitmap& local = expected[static_cast<std::size_t>(s)];
+      for (std::size_t i = 0; i < local.size(); i += 2) {
+        local.set(i);
+        if (!posix::fold_checkpoint_range(range_of(s), local)) ++failed_folds;
+      }
+    });
+  }
+  for (auto& flow : flows) flow.join();
+  EXPECT_EQ(failed_folds.load(), 0);
+
+  std::size_t total = 0;
+  for (int s = 0; s < kStripes; ++s) {
+    const auto packed = posix::load_checkpoint_range(range_of(s));
+    ASSERT_TRUE(packed.has_value()) << "stripe " << s;
+    util::Bitmap restored(static_cast<std::size_t>(plan.stripe_packets(s)));
+    restored.merge_range(0, restored.size(), packed->data(), packed->size());
+    EXPECT_TRUE(restored == expected[static_cast<std::size_t>(s)]) << "stripe " << s;
+    total += restored.count();
+  }
+  const auto object_level = posix::load_checkpoint(path);
+  ASSERT_TRUE(object_level.has_value());
+  EXPECT_EQ(object_level->received_count, static_cast<std::int64_t>(total));
+  posix::remove_checkpoint(path);
+}
+
+TEST(CheckpointRange, TornFileIsIgnoredAndReplacedByTheNextFold) {
+  const std::string path = ::testing::TempDir() + "fobs_stripes_torn.ckpt";
+  posix::remove_checkpoint(path);
+  const TransferSpec spec{10 * 4096, 4096};  // 10 packets
+  const posix::CheckpointRange lower{path, spec.object_bytes, spec.packet_bytes, 0, 5};
+  const posix::CheckpointRange upper{path, spec.object_bytes, spec.packet_bytes, 5, 5};
+
+  EXPECT_FALSE(posix::load_checkpoint_range(lower).has_value()) << "no file yet";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char garbage[] = "not a checkpoint, just some bytes of the right-ish length";
+    std::fwrite(garbage, 1, sizeof garbage, f);
+    std::fclose(f);
+  }
+  EXPECT_FALSE(posix::load_checkpoint_range(lower).has_value());
+  EXPECT_FALSE(posix::load_checkpoint_range(upper).has_value());
+
+  util::Bitmap local(5);
+  local.set(1);
+  local.set(4);
+  ASSERT_TRUE(posix::fold_checkpoint_range(upper, local));
+  const auto packed = posix::load_checkpoint_range(upper);
+  ASSERT_TRUE(packed.has_value());
+  util::Bitmap restored(5);
+  restored.merge_range(0, 5, packed->data(), packed->size());
+  EXPECT_TRUE(restored == local);
+  const auto other = posix::load_checkpoint_range(lower);
+  ASSERT_TRUE(other.has_value());
+  util::Bitmap none(5);
+  none.merge_range(0, 5, other->data(), other->size());
+  EXPECT_TRUE(none.none_set()) << "nothing of the torn file leaks into another range";
+  posix::remove_checkpoint(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,23 +436,21 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
   auto object = core::TransferObject::pattern(kObjectBytes, 0x57121FE5);
   std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
 
-  posix::EngineOptions sender_options;
-  sender_options.workers = 4;
-  sender_options.control_port_base = 37320;
-  sender_options.control_port_count = 8;
-  posix::TransferEngine sender_engine(sender_options);
-  posix::EngineOptions receiver_options;
-  receiver_options.workers = 4;
-  posix::TransferEngine receiver_engine(receiver_options);
+  posix::EngineOptions engine_options;
+  engine_options.workers = 4;
+  posix::TransferEngine sender_engine(engine_options);
+  posix::TransferEngine receiver_engine(engine_options);
 
   posix::StripedSenderOptions send;
-  send.negotiation_port = 37310;
-  send.endpoint.packet_bytes = kPacketBytes;
+  send.flow.data_port = 37312;
+  send.flow.control_port = 37320;
+  send.flow.endpoint.packet_bytes = kPacketBytes;
+  send.stripes = 4;
   posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37310;
-  recv.data_port_base = 37312;
+  recv.flow.data_port = 37312;
+  recv.flow.control_port = 37320;
+  recv.flow.endpoint.packet_bytes = kPacketBytes;
   recv.stripes = 4;
-  recv.endpoint.packet_bytes = kPacketBytes;
 
   const auto run =
       run_striped_loopback(sender_engine, receiver_engine, send, recv, object.view(), buffer);
@@ -445,7 +458,6 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
   ASSERT_TRUE(run.sender.completed()) << run.sender.error;
   EXPECT_EQ(run.receiver.stripes, 4);
   EXPECT_EQ(run.receiver.stripes_completed, 4);
-  EXPECT_FALSE(run.receiver.fallback_single_flow);
   EXPECT_EQ(run.sender.stripes, 4);
   // Byte-identical, checksum-verified.
   EXPECT_EQ(fnv1a(buffer.data(), buffer.size()),
@@ -454,37 +466,32 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
   EXPECT_GT(run.receiver.goodput_mbps, 0.0);
 }
 
-TEST(StripedTransfer, RoundRobinLayoutLandsByteIdentical) {
-  constexpr std::int64_t kObjectBytes = 4 * 1024 * 1024 + 999;  // short last packet
-  constexpr std::int64_t kPacketBytes = 4 * 1024;
-  auto object = core::TransferObject::pattern(kObjectBytes, 0x0BB1);
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
-
-  posix::EngineOptions sender_options;
-  sender_options.workers = 3;
-  sender_options.control_port_base = 37340;
-  sender_options.control_port_count = 8;
-  posix::TransferEngine sender_engine(sender_options);
-  posix::EngineOptions receiver_options;
-  receiver_options.workers = 3;
-  posix::TransferEngine receiver_engine(receiver_options);
+TEST(StripedTransfer, RejectsPortBlocksPastThePortSpace) {
+  auto object = core::TransferObject::pattern(64 * 1024, 0xB10C);
+  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(object.size()), 0);
+  posix::TransferEngine engine(posix::EngineOptions{.workers = 1});
+  posix::StripedReceiverOptions recv;
+  recv.flow.data_port = 65534;
+  recv.flow.control_port = 37330;
+  recv.flow.endpoint.packet_bytes = 4096;
+  recv.stripes = 4;
+  const auto result = engine.run_striped_receiver(recv, buffer);
+  EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
 
   posix::StripedSenderOptions send;
-  send.negotiation_port = 37330;
-  send.endpoint.packet_bytes = kPacketBytes;
-  posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37330;
-  recv.data_port_base = 37332;
-  recv.stripes = 3;
-  recv.layout = StripeLayout::kRoundRobin;
-  recv.endpoint.packet_bytes = kPacketBytes;
-
-  const auto run =
-      run_striped_loopback(sender_engine, receiver_engine, send, recv, object.view(), buffer);
-  ASSERT_TRUE(run.receiver.completed()) << run.receiver.error;
-  EXPECT_EQ(run.receiver.layout, StripeLayout::kRoundRobin);
-  EXPECT_EQ(run.receiver.stripes, 3);
-  EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
+  send.flow.data_port = 37330;
+  send.flow.control_port = 65535;
+  send.flow.endpoint.packet_bytes = 4096;
+  send.stripes = 2;
+  EXPECT_EQ(engine.run_striped_sender(send, object.view()).status,
+            posix::TransferStatus::kBadOptions);
+  // More stripes than the object has packets.
+  send.flow.control_port = 37331;
+  send.stripes = 17;
+  EXPECT_EQ(engine.run_striped_sender(send, object.view()).status,
+            posix::TransferStatus::kBadOptions);
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
 }
 
 TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
@@ -492,32 +499,30 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   constexpr std::int64_t kPacketBytes = 8 * 1024;
   auto object = core::TransferObject::pattern(kObjectBytes, 0xDEAD51);
   std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
-  const std::string checkpoint_base = ::testing::TempDir() + "fobs_stripes_kill.ckpt";
-  posix::remove_striped_checkpoints(checkpoint_base);
+  const std::string checkpoint_path = ::testing::TempDir() + "fobs_stripes_kill.ckpt";
+  posix::remove_checkpoint(checkpoint_path);
 
-  posix::EngineOptions sender_options;
-  sender_options.workers = 4;
-  sender_options.control_port_base = 37360;
-  sender_options.control_port_count = 8;
-  posix::EngineOptions receiver_options;
-  receiver_options.workers = 4;
+  posix::EngineOptions engine_options;
+  engine_options.workers = 4;
 
   // Attempt 1: stripe 1's data flow is blackholed from the first packet
   // — that stripe can never progress, the other three complete.
   {
-    posix::TransferEngine sender_engine(sender_options);
-    posix::TransferEngine receiver_engine(receiver_options);
+    posix::TransferEngine sender_engine(engine_options);
+    posix::TransferEngine receiver_engine(engine_options);
     posix::StripedSenderOptions send;
-    send.negotiation_port = 37350;
-    send.endpoint.packet_bytes = kPacketBytes;
-    send.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
+    send.flow.data_port = 37354;
+    send.flow.control_port = 37360;
+    send.flow.endpoint.packet_bytes = kPacketBytes;
+    send.flow.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
+    send.stripes = 4;
     posix::StripedReceiverOptions recv;
-    recv.negotiation_port = 37350;
-    recv.data_port_base = 37354;
+    recv.flow.data_port = 37354;
+    recv.flow.control_port = 37360;
+    recv.flow.checkpoint_path = checkpoint_path;
+    recv.flow.endpoint.packet_bytes = kPacketBytes;
+    recv.flow.endpoint.timeout_ms = 4'000;
     recv.stripes = 4;
-    recv.checkpoint_base = checkpoint_base;
-    recv.endpoint.packet_bytes = kPacketBytes;
-    recv.endpoint.timeout_ms = 4'000;
     recv.stripe_fault_plans = {"", "seed=7;data.blackhole=0+1000000", "", ""};
 
     const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
@@ -529,28 +534,34 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
     EXPECT_EQ(run.receiver.stripes_completed, 3);
     EXPECT_TRUE(run.receiver.resumable);
     EXPECT_NE(run.receiver.stripe_receivers[1].status, posix::TransferStatus::kCompleted);
-    // The merged object-level checkpoint exists, so even a plain
-    // single-flow retry could resume this transfer.
+    // The object-level checkpoint holds the three delivered stripes, so
+    // a retry at any stripe count can resume this transfer.
     StripePlan plan;
-    ASSERT_TRUE(StripePlan::make({kObjectBytes, kPacketBytes}, 4,
-                                 StripeLayout::kContiguous, &plan));
-    EXPECT_TRUE(posix::load_checkpoint(checkpoint_base).has_value());
+    ASSERT_TRUE(StripePlan::make({kObjectBytes, kPacketBytes}, 4, &plan));
+    const auto checkpoint = posix::load_checkpoint(checkpoint_path);
+    ASSERT_TRUE(checkpoint.has_value());
+    EXPECT_EQ(checkpoint->received_count,
+              plan.stripe_packets(0) + plan.stripe_packets(2) + plan.stripe_packets(3));
   }
 
-  // Attempt 2: same buffer, no faults — resumes from the sidecars and
-  // completes without refetching the three delivered stripes.
+  // Attempt 2: same buffer, no faults — resumes from the checkpoint and
+  // completes without refetching the three delivered stripes. Saving on
+  // every ACK includes the one the completing packet triggers.
   {
-    posix::TransferEngine sender_engine(sender_options);
-    posix::TransferEngine receiver_engine(receiver_options);
+    posix::TransferEngine sender_engine(engine_options);
+    posix::TransferEngine receiver_engine(engine_options);
     posix::StripedSenderOptions send;
-    send.negotiation_port = 37350;
-    send.endpoint.packet_bytes = kPacketBytes;
+    send.flow.data_port = 37354;
+    send.flow.control_port = 37360;
+    send.flow.endpoint.packet_bytes = kPacketBytes;
+    send.stripes = 4;
     posix::StripedReceiverOptions recv;
-    recv.negotiation_port = 37350;
-    recv.data_port_base = 37354;
+    recv.flow.data_port = 37354;
+    recv.flow.control_port = 37360;
+    recv.flow.checkpoint_path = checkpoint_path;
+    recv.flow.checkpoint_every_acks = 1;
+    recv.flow.endpoint.packet_bytes = kPacketBytes;
     recv.stripes = 4;
-    recv.checkpoint_base = checkpoint_base;
-    recv.endpoint.packet_bytes = kPacketBytes;
 
     const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
                                           object.view(), buffer);
@@ -561,42 +572,8 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
     EXPECT_EQ(fnv1a(buffer.data(), buffer.size()),
               fnv1a(object.view().data(), object.view().size()));
   }
-  posix::remove_striped_checkpoints(checkpoint_base);
-}
-
-TEST(StripedTransfer, FallsBackToOneFlowAgainstPlainSender) {
-  constexpr std::int64_t kObjectBytes = 1 * 1024 * 1024 + 77;
-  constexpr std::int64_t kPacketBytes = 4 * 1024;
-  auto object = core::TransferObject::pattern(kObjectBytes, 0xFA11);
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
-
-  // A pre-striping sender: a plain session that has never heard of
-  // FOBSSTRP. It drops the unknown token and keeps accepting, so the
-  // receiver's fallback single flow pairs with it cleanly.
-  posix::EngineOptions sender_options;
-  sender_options.workers = 1;
-  posix::TransferEngine sender_engine(sender_options);
-  posix::SenderOptions plain;
-  plain.data_port = 37390;
-  plain.control_port = 37391;
-  plain.endpoint.packet_bytes = kPacketBytes;
-  auto handle = sender_engine.submit_send(plain, object.view());
-
-  posix::EngineOptions receiver_options;
-  receiver_options.workers = 1;
-  posix::TransferEngine receiver_engine(receiver_options);
-  posix::StripedReceiverOptions recv;
-  recv.negotiation_port = 37391;  // the plain sender's control port
-  recv.data_port_base = 37390;
-  recv.stripes = 4;
-  recv.endpoint.packet_bytes = kPacketBytes;
-  const auto result = receiver_engine.run_striped_receiver(recv, buffer);
-
-  ASSERT_TRUE(result.completed()) << result.error;
-  EXPECT_TRUE(result.fallback_single_flow);
-  EXPECT_EQ(result.stripes, 1);
-  EXPECT_EQ(handle.wait(), posix::TransferStatus::kCompleted);
-  EXPECT_EQ(std::memcmp(buffer.data(), object.view().data(), buffer.size()), 0);
+  EXPECT_FALSE(posix::load_checkpoint(checkpoint_path).has_value())
+      << "a completed transfer leaves no checkpoint";
 }
 
 // ---------------------------------------------------------------------------
@@ -632,6 +609,9 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   EXPECT_EQ(result.stripes, 4);
   EXPECT_FALSE(result.fallback_single_flow);
   EXPECT_EQ(result.checksum, checksum);
+  // A completed fetch leaves neither the partial file nor a checkpoint.
+  EXPECT_NE(::access((fetch.out_path + ".part").c_str(), F_OK), 0);
+  EXPECT_NE(::access((fetch.out_path + ".ckpt").c_str(), F_OK), 0);
 
   // The same client against a server that refuses striping degrades to
   // one flow and still verifies.
@@ -649,6 +629,130 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   EXPECT_EQ(fallback.stripes, 1);
   EXPECT_EQ(fallback.checksum, checksum);
   plain_server.stop();
+}
+
+
+// ---------------------------------------------------------------------------
+// One checkpoint per fetch: resume at a different stripe count
+// ---------------------------------------------------------------------------
+
+constexpr std::int64_t kResumeObjectBytes = 4 * 1024 * 1024 + 123;
+constexpr std::int64_t kResumePacketBytes = 8 * 1024;
+
+bool file_exists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
+
+/// An interrupted fetch: the receive side runs exactly as fetch_file
+/// runs it — into a mapping of `<out>.part` with the object-level
+/// checkpoint at `<out>.ckpt` — over `fault_plans.size()` stripes, one
+/// fault plan per stripe, against a striped sender of `object`.
+posix::StripedResult interrupted_fetch(const core::TransferObject& object,
+                                       const std::string& out,
+                                       const std::vector<std::string>& fault_plans,
+                                       std::uint16_t data_port, std::uint16_t control_port) {
+  const int stripes = static_cast<int>(fault_plans.size());
+  auto partial = core::TransferObject::map_file_rw(out + ".part", object.size());
+  EXPECT_TRUE(partial.has_value());
+  if (!partial) return {};
+  posix::EngineOptions engine_options;
+  engine_options.workers = static_cast<std::size_t>(stripes);
+  posix::TransferEngine sender_engine(engine_options);
+  posix::TransferEngine receiver_engine(engine_options);
+  posix::StripedSenderOptions send;
+  send.flow.data_port = data_port;
+  send.flow.control_port = control_port;
+  send.flow.endpoint.packet_bytes = kResumePacketBytes;
+  send.flow.endpoint.timeout_ms = 3'000;
+  send.stripes = stripes;
+  posix::StripedReceiverOptions recv;
+  recv.flow.data_port = data_port;
+  recv.flow.control_port = control_port;
+  recv.flow.checkpoint_path = out + ".ckpt";
+  recv.flow.checkpoint_every_acks = 1;
+  recv.flow.endpoint.packet_bytes = kResumePacketBytes;
+  recv.flow.endpoint.timeout_ms = 3'000;
+  recv.stripes = stripes;
+  recv.stripe_fault_plans = fault_plans;
+  const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
+                                        object.view(), partial->mutable_view());
+  partial->sync();
+  return run.receiver;
+}
+
+/// Retries the fetch of `dir`/dataset.bin into `out` through a file
+/// server with `stripes` requested, and checks the resume: byte-
+/// identical, restored from the checkpoint, nothing left behind.
+void expect_resumed_fetch(const std::string& dir, const std::string& out, int stripes,
+                          std::uint16_t catalog_port, std::uint16_t data_port,
+                          std::uint64_t checksum) {
+  posix::FileServerOptions server_options;
+  server_options.dir = dir;
+  server_options.catalog_port = catalog_port;
+  server_options.control_port_count = 4;
+  server_options.quiet = true;
+  server_options.endpoint.packet_bytes = kResumePacketBytes;
+  server_options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(server_options);
+  ASSERT_TRUE(server.start());
+  posix::FetchOptions fetch;
+  fetch.catalog_port = catalog_port;
+  fetch.name = "dataset.bin";
+  fetch.out_path = out;
+  fetch.data_port = data_port;
+  fetch.stripes = stripes;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 30'000;
+  const auto result = posix::fetch_file(fetch);
+  ASSERT_TRUE(result.completed()) << result.error;
+  EXPECT_EQ(result.stripes, stripes);
+  EXPECT_GT(result.packets_restored, 0) << "the retry must resume from <out>.ckpt";
+  EXPECT_EQ(result.checksum, checksum);
+  const auto fetched = core::TransferObject::map_file(out);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->checksum(), checksum);
+  EXPECT_FALSE(file_exists(out + ".part"));
+  EXPECT_FALSE(file_exists(out + ".ckpt"));
+  server.stop();
+}
+
+TEST(StripedResume, FourStripeAttemptResumesAtOneStripe) {
+  const std::string dir = ::testing::TempDir() + "fobs_stripes_resume_4to1";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string out = dir + "/fetched.bin";
+  std::remove(out.c_str());
+  posix::remove_checkpoint(out + ".ckpt");
+  auto object = core::TransferObject::pattern(kResumeObjectBytes, 0x4701);
+  ASSERT_TRUE(object.write_to_file(dir + "/dataset.bin"));
+
+  const auto attempt = interrupted_fetch(
+      object, out, {"", "seed=7;data.blackhole=0+1000000", "", ""}, 37334, 37338);
+  EXPECT_FALSE(attempt.completed());
+  EXPECT_EQ(attempt.stripes_completed, 3);
+  ASSERT_TRUE(file_exists(out + ".part"));
+  ASSERT_TRUE(file_exists(out + ".ckpt"));
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_FALSE(file_exists(posix::stripe_checkpoint_path(out + ".ckpt", s)))
+        << "no per-stripe checkpoint files";
+  }
+
+  expect_resumed_fetch(dir, out, 1, 37342, 37347, object.checksum());
+}
+
+TEST(StripedResume, OneStripeAttemptResumesAtFourStripes) {
+  const std::string dir = ::testing::TempDir() + "fobs_stripes_resume_1to4";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string out = dir + "/fetched.bin";
+  std::remove(out.c_str());
+  posix::remove_checkpoint(out + ".ckpt");
+  auto object = core::TransferObject::pattern(kResumeObjectBytes, 0x1704);
+  ASSERT_TRUE(object.write_to_file(dir + "/dataset.bin"));
+
+  // The receiver dies after 300 of the object's 513 packets.
+  const auto attempt = interrupted_fetch(object, out, {"crash=300"}, 37380, 37381);
+  EXPECT_EQ(attempt.status, posix::TransferStatus::kCrashed);
+  ASSERT_TRUE(file_exists(out + ".part"));
+  ASSERT_TRUE(file_exists(out + ".ckpt"));
+
+  expect_resumed_fetch(dir, out, 4, 37382, 37387, object.checksum());
 }
 
 }  // namespace
