@@ -1,5 +1,5 @@
 // Striped multi-flow FOBS on real loopback sockets: one object carried
-// over N parallel UDP flows (fobs/stripe/striped_transfer.h), N in
+// over N parallel UDP flows (SenderOptions::stripes = N), N in
 // {1, 2, 4, 8}. Prints a table and writes the machine-readable result
 // to BENCH_stripes.json — per-count goodput, speedup over the 1-stripe
 // baseline, and a `single_flow_bound` marker when 4 stripes fail to
@@ -14,13 +14,11 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/table.h"
 #include "fobs/object.h"
 #include "fobs/posix/engine.h"
-#include "fobs/stripe/striped_transfer.h"
 
 namespace {
 
@@ -44,29 +42,26 @@ StripeRun run_once(int stripes, const fobs::core::TransferObject& object,
   run.stripes_requested = stripes;
   std::memset(scratch.data(), 0, scratch.size());
 
-  EngineOptions engine_options;
-  engine_options.workers = static_cast<std::size_t>(stripes);
-  TransferEngine sender_engine(engine_options);
-  TransferEngine receiver_engine(engine_options);
-
-  StripedSenderOptions send;
-  send.flow.data_port = kDataPortBase;
-  send.flow.control_port = kControlPortBase;
-  send.flow.endpoint.packet_bytes = kPacketBytes;
-  send.stripes = stripes;
-  StripedResult sender_result;
-  std::thread sender([&] { sender_result = sender_engine.run_striped_sender(send, object.view()); });
-
-  StripedReceiverOptions recv;
-  recv.flow.data_port = kDataPortBase;
-  recv.flow.control_port = kControlPortBase;
-  recv.flow.endpoint.packet_bytes = kPacketBytes;
+  // Both ends on one engine: a worker per flow on each side.
+  TransferEngine engine(EngineOptions{.workers = 2 * static_cast<std::size_t>(stripes)});
+  ReceiverOptions recv;
+  recv.data_port = kDataPortBase;
+  recv.control_port = kControlPortBase;
+  recv.endpoint.packet_bytes = kPacketBytes;
   recv.stripes = stripes;
-  const StripedResult receiver_result = receiver_engine.run_striped_receiver(recv, scratch);
-  sender.join();
+  const TransferHandle rx = engine.submit_receive(recv, scratch);
+  SenderOptions send;
+  send.data_port = kDataPortBase;
+  send.control_port = kControlPortBase;
+  send.endpoint.packet_bytes = kPacketBytes;
+  send.stripes = stripes;
+  const TransferHandle tx = engine.submit_send(send, object.view());
+  rx.wait();
+  tx.wait();
+  const TransferResult& receiver_result = rx.result();
 
   run.stripes_used = receiver_result.stripes;
-  run.completed = receiver_result.completed() && sender_result.completed();
+  run.completed = receiver_result.completed() && tx.result().completed();
   run.elapsed_s = receiver_result.elapsed_seconds;
   run.goodput_mbps = receiver_result.goodput_mbps;
   run.verified = run.completed &&

@@ -50,8 +50,8 @@ int run_demo() {
   auto tx = engine.submit_send(send_opts, std::span<const std::uint8_t>(object));
   rx.wait();
   tx.wait();
-  const auto& send_result = tx.sender_result();
-  const auto& recv_result = rx.receiver_result();
+  const auto& send_result = tx.result();
+  const auto& recv_result = rx.result();
 
   if (!send_result.completed() || !recv_result.completed()) {
     std::printf("FAILED: sender %s (%s), receiver %s (%s)\n",
@@ -60,11 +60,12 @@ int run_demo() {
     return 1;
   }
   const bool ok = sink == object;
+  const auto& flow = send_result.stripe_senders[0];
   std::printf("  goodput %.0f Mb/s, %lld packets sent for %lld needed (waste %.2f%%)\n",
-              send_result.goodput_mbps, static_cast<long long>(send_result.packets_sent),
-              static_cast<long long>(send_result.packets_needed), 100.0 * send_result.waste);
+              send_result.goodput_mbps, static_cast<long long>(flow.packets_sent),
+              static_cast<long long>(flow.packets_needed), 100.0 * flow.waste);
   // The batched I/O layer's win, straight from the result counters
-  // (force the classic path with FOBS_IO_MODE=fallback to compare).
+  // (set EndpointOptions::io.mode to IoMode::kFallback to compare).
   const auto& io = send_result.io;
   std::printf("  datagram I/O: %.1f datagrams/send-syscall, %lld MiB of payload "
               "copies avoided\n",
@@ -99,9 +100,10 @@ int main(int argc, char** argv) {
       std::printf("could not write %s\n", argv[4]);
       return 1;
     }
+    const auto& flow = result.stripe_receivers[0];
     std::printf("done: %.0f Mb/s, %lld packets (%lld duplicate)\n", result.goodput_mbps,
-                static_cast<long long>(result.packets_received),
-                static_cast<long long>(result.duplicates));
+                static_cast<long long>(flow.packets_received),
+                static_cast<long long>(flow.duplicates));
     return 0;
   }
 
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("done: %.0f Mb/s, waste %.2f%%, %.1f datagrams/send-syscall\n",
-                result.goodput_mbps, 100.0 * result.waste,
+                result.goodput_mbps, 100.0 * result.stripe_senders[0].waste,
                 result.io.send_syscalls > 0
                     ? static_cast<double>(result.io.datagrams_sent) /
                           static_cast<double>(result.io.send_syscalls)

@@ -15,11 +15,12 @@
 // count the client asks for.
 //
 // The heavy lifting lives in the library (fobs/posix/fileserver.h, on
-// top of the session engine in fobs/posix/engine.h): requests are
-// accepted concurrently, every flow runs as its own engine session with
-// its own control port from [port+1, port+1+32), and a silent catalog
-// client times out instead of wedging the server. With FOBS_TRACE_DIR
-// set, every server-side flow writes fobsd_serve_<session>.jsonl.
+// top of the transfer engine in fobs/posix/engine.h): requests are
+// accepted concurrently, every transfer runs its flows as engine
+// sessions with control ports from [port+1, port+1+32), and a silent
+// catalog client times out instead of wedging the server. With
+// FOBS_TRACE_DIR set, every server-side flow writes
+// fobsd_serve_<transfer>_<flow>.jsonl.
 #include <algorithm>
 #include <csignal>
 #include <cstdio>

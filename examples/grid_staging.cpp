@@ -53,11 +53,11 @@ bool stage_concurrently(const std::vector<std::uint8_t>& dataset) {
   for (std::size_t i = 0; i < legs.size(); ++i) {
     const auto& rx = handles[2 * i];
     const auto& tx = handles[2 * i + 1];
-    const bool verified = tx.sender_result().completed() &&
-                          rx.receiver_result().completed() && sinks[i] == dataset;
+    const bool verified = tx.result().completed() &&
+                          rx.result().completed() && sinks[i] == dataset;
     std::printf("   -> %s: sender %s, receiver %s, bytes %s (%.0f Mb/s)\n", legs[i].site,
                 to_string(tx.status()), to_string(rx.status()),
-                verified ? "verified" : "MISMATCH", tx.sender_result().goodput_mbps);
+                verified ? "verified" : "MISMATCH", tx.result().goodput_mbps);
     ok = ok && verified;
   }
   return ok;

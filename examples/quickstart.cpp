@@ -66,11 +66,10 @@ int main() {
 
   std::printf("\nFOBS over real loopback sockets (engine sessions)\n");
   std::printf("  sender:             %s, %.0f Mb/s\n", to_string(tx_status),
-              tx.sender_result().goodput_mbps);
+              tx.result().goodput_mbps);
   std::printf("  receiver:           %s, %lld packets\n", to_string(rx_status),
-              static_cast<long long>(rx.receiver_result().packets_received));
-  const bool ok = tx.sender_result().completed() && rx.receiver_result().completed() &&
-                  sink == object;
+              static_cast<long long>(rx.result().stripe_receivers[0].packets_received));
+  const bool ok = tx.result().completed() && rx.result().completed() && sink == object;
   std::printf("  bytes verified:     %s\n", ok ? "yes" : "NO");
   return ok ? 0 : 1;
 }

@@ -14,46 +14,194 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/port_allocator.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix {
 
+namespace {
+
+void sum_io(fobs::net::IoStats& into, const fobs::net::IoStats& add) {
+  into.send_syscalls += add.send_syscalls;
+  into.recv_syscalls += add.recv_syscalls;
+  into.datagrams_sent += add.datagrams_sent;
+  into.datagrams_received += add.datagrams_received;
+  into.send_would_block += add.send_would_block;
+  into.bytes_sent += add.bytes_sent;
+  into.bytes_received += add.bytes_received;
+  into.copy_bytes_avoided += add.copy_bytes_avoided;
+}
+
+/// Failure ordering for the aggregate status: configuration and socket
+/// errors are the most actionable, a quiet stall the least.
+int severity(TransferStatus status) {
+  switch (status) {
+    case TransferStatus::kBadOptions: return 7;
+    case TransferStatus::kSocketError: return 6;
+    case TransferStatus::kCrashed: return 5;
+    case TransferStatus::kCancelled: return 4;
+    case TransferStatus::kPeerLost: return 3;
+    case TransferStatus::kTimeout: return 2;
+    case TransferStatus::kStalled: return 1;
+    default: return 0;
+  }
+}
+
+/// Derives every aggregate field of `result` from its per-flow vectors
+/// (exactly one of which is populated). A failed flow's error is
+/// prefixed with its index when the transfer has more than one.
+void finalize_aggregate(TransferResult& result, std::int64_t object_bytes) {
+  double slowest = 0.0;
+  TransferStatus worst = TransferStatus::kCompleted;
+  std::string worst_error;
+  auto fold = [&](int index, TransferStatus status, const std::string& error, double elapsed,
+                  const fobs::net::IoStats& io) {
+    if (status == TransferStatus::kCompleted) {
+      ++result.stripes_completed;
+    } else if (severity(status) > severity(worst) || worst == TransferStatus::kCompleted) {
+      worst = status;
+      worst_error = error;
+      if (result.stripes > 1) worst_error = "stripe " + std::to_string(index) + ": " + error;
+    }
+    slowest = std::max(slowest, elapsed);
+    sum_io(result.io, io);
+  };
+  for (std::size_t i = 0; i < result.stripe_senders.size(); ++i) {
+    const auto& r = result.stripe_senders[i];
+    fold(static_cast<int>(i), r.status, r.error, r.elapsed_seconds, r.io);
+  }
+  for (std::size_t i = 0; i < result.stripe_receivers.size(); ++i) {
+    const auto& r = result.stripe_receivers[i];
+    fold(static_cast<int>(i), r.status, r.error, r.elapsed_seconds, r.io);
+    result.packets_restored += r.packets_restored;
+  }
+  result.elapsed_seconds = slowest;
+  if (result.stripes_completed == result.stripes && result.stripes > 0) {
+    result.status = TransferStatus::kCompleted;
+    result.error.clear();
+    result.goodput_mbps = fobs::net::mbps(object_bytes, slowest);
+  } else {
+    result.status = worst;
+    result.error = worst_error;
+    result.goodput_mbps = 0.0;
+  }
+  auto& metrics = telemetry::MetricsRegistry::global();
+  if (result.completed()) {
+    metrics.counter("fobs.stripe.completed").inc();
+  } else if (result.degraded()) {
+    metrics.counter("fobs.stripe.degraded").inc();
+  }
+  if (result.packets_restored > 0) metrics.counter("fobs.stripe.resumes").inc();
+}
+
+/// Validates one transfer's options against its object span and builds
+/// the plan both peers share; nullptr (with `error` set) when the
+/// options are rejected. Flow i uses ports data_port + i and
+/// control_port + i, so both blocks must fit below 65536.
+template <typename Options>
+std::shared_ptr<const stripe::StripePlan> make_plan(const Options& options,
+                                                    std::size_t span_bytes,
+                                                    const char* empty_span_error,
+                                                    std::string& error) {
+  error = "invalid options: ";
+  if (options.data_port == 0 || options.control_port == 0) {
+    error += "data_port and control_port must be non-zero";
+    return nullptr;
+  }
+  if (options.endpoint.packet_bytes <= 0) {
+    error += "packet_bytes must be positive";
+    return nullptr;
+  }
+  if (const std::string io_invalid = options.endpoint.io.validate(); !io_invalid.empty()) {
+    error += io_invalid;
+    return nullptr;
+  }
+  if (span_bytes == 0) {
+    error += empty_span_error;
+    return nullptr;
+  }
+  if (options.data_port + options.stripes - 1 > 0xFFFF ||
+      options.control_port + options.stripes - 1 > 0xFFFF) {
+    error += "stripe port block exceeds the port space";
+    return nullptr;
+  }
+  stripe::StripePlan plan;
+  std::string plan_error;
+  if (!stripe::StripePlan::make({static_cast<std::int64_t>(span_bytes),
+                                 options.endpoint.packet_bytes},
+                                options.stripes, &plan, &plan_error)) {
+    error += "stripe plan rejected: " + plan_error;
+    return nullptr;
+  }
+  error.clear();
+  return std::make_shared<const stripe::StripePlan>(std::move(plan));
+}
+
+/// Flow `flow`'s copy of a transfer's options: ports offset by the
+/// index, the per-flow fault-plan override, and the flow's tracer.
+template <typename Options>
+Options flow_options(const Options& options, int flow, fobs::telemetry::EventTracer* tracer) {
+  Options out = options;
+  out.data_port = static_cast<std::uint16_t>(options.data_port + flow);
+  out.control_port = static_cast<std::uint16_t>(options.control_port + flow);
+  const auto index = static_cast<std::size_t>(flow);
+  if (index < options.stripe_fault_plans.size() && !options.stripe_fault_plans[index].empty()) {
+    out.endpoint.fault_plan = options.stripe_fault_plans[index];
+  }
+  out.endpoint.tracer = tracer;
+  return out;
+}
+
+}  // namespace
+
 namespace detail {
 
-/// One engine session: submission inputs, lifecycle state, and the
-/// final result. Shared between the engine, the worker running it, and
-/// every TransferHandle pointing at it.
-struct Session {
+/// One engine transfer: submission inputs, lifecycle state, and the
+/// aggregate result its flows fold into. Shared between the engine,
+/// the workers running its flows, and every TransferHandle pointing at
+/// it.
+struct Transfer {
   std::uint64_t id = 0;
   bool is_sender = false;
+  /// Transfer-level options; flow_options() derives each flow's copy.
   SenderOptions send_options;
   ReceiverOptions recv_options;
   std::span<const std::uint8_t> object;
   std::span<std::uint8_t> buffer;
+  /// Null when the options were rejected (no flow ever ran).
+  std::shared_ptr<const stripe::StripePlan> plan;
   std::shared_ptr<void> keepalive;
-  std::uint16_t owned_control_port = 0;
+  bool owns_control_ports = false;
   std::function<void(const TransferHandle&)> on_exit;
-  /// Engine-owned tracer (EngineOptions::session_tracers) when the
-  /// submitted options carried none.
-  std::unique_ptr<fobs::telemetry::EventTracer> owned_tracer;
+  /// Engine-owned per-flow tracers (EngineOptions::session_tracers)
+  /// when the submitted options carried none.
+  std::vector<std::unique_ptr<fobs::telemetry::EventTracer>> owned_tracers;
 
-  /// Polled by the driver loop once per iteration.
+  /// Polled by every flow's driver loop once per iteration.
   std::atomic<bool> cancel{false};
 
   mutable std::mutex mu;
   mutable std::condition_variable cv;
   TransferStatus status = TransferStatus::kPending;  ///< guarded by mu
-  SenderResult sender_result;                        ///< guarded by mu until terminal
-  ReceiverResult receiver_result;                    ///< guarded by mu until terminal
+  int flows_running = 0;                             ///< guarded by mu
+  TransferResult result;                             ///< guarded by mu until terminal
 
-  void set_status(TransferStatus next) {
-    {
-      std::lock_guard lock(mu);
-      status = next;
-    }
-    cv.notify_all();
+  [[nodiscard]] int flows() const { return plan ? plan->stripe_count() : 0; }
+  [[nodiscard]] const EndpointOptions& endpoint() const {
+    return is_sender ? send_options.endpoint : recv_options.endpoint;
+  }
+  [[nodiscard]] std::uint16_t control_port() const {
+    return is_sender ? send_options.control_port : recv_options.control_port;
+  }
+  /// The requested flow count; flows() once the plan is built.
+  [[nodiscard]] int stripes() const {
+    return is_sender ? send_options.stripes : recv_options.stripes;
+  }
+  [[nodiscard]] fobs::telemetry::EventTracer* flow_tracer(int flow) const {
+    if (!owned_tracers.empty()) return owned_tracers[static_cast<std::size_t>(flow)].get();
+    return endpoint().tracer;
   }
 
   [[nodiscard]] TransferStatus current_status() const {
@@ -68,50 +216,39 @@ struct Session {
 // TransferHandle
 // ---------------------------------------------------------------------------
 
-std::uint64_t TransferHandle::id() const { return session_ ? session_->id : 0; }
+std::uint64_t TransferHandle::id() const { return transfer_ ? transfer_->id : 0; }
 
 TransferStatus TransferHandle::status() const {
-  return session_ ? session_->current_status() : TransferStatus::kPending;
+  return transfer_ ? transfer_->current_status() : TransferStatus::kPending;
 }
 
 TransferStatus TransferHandle::wait() const {
-  if (!session_) return TransferStatus::kPending;
-  std::unique_lock lock(session_->mu);
-  session_->cv.wait(lock, [&] { return is_terminal(session_->status); });
-  return session_->status;
+  if (!transfer_) return TransferStatus::kPending;
+  std::unique_lock lock(transfer_->mu);
+  transfer_->cv.wait(lock, [&] { return is_terminal(transfer_->status); });
+  return transfer_->status;
 }
 
 bool TransferHandle::wait_for(std::chrono::milliseconds timeout) const {
-  if (!session_) return false;
-  std::unique_lock lock(session_->mu);
-  return session_->cv.wait_for(lock, timeout, [&] { return is_terminal(session_->status); });
+  if (!transfer_) return false;
+  std::unique_lock lock(transfer_->mu);
+  return transfer_->cv.wait_for(lock, timeout, [&] { return is_terminal(transfer_->status); });
 }
 
 void TransferHandle::cancel() const {
-  if (session_) session_->cancel.store(true, std::memory_order_relaxed);
+  if (transfer_) transfer_->cancel.store(true, std::memory_order_relaxed);
 }
 
-const SenderResult& TransferHandle::sender_result() const {
-  static const SenderResult kNoSenderResult{};
-  if (!session_) return kNoSenderResult;
-  std::lock_guard lock(session_->mu);
-  return session_->sender_result;
+const TransferResult& TransferHandle::result() const {
+  static const TransferResult kNoResult{};
+  if (!transfer_) return kNoResult;
+  std::lock_guard lock(transfer_->mu);
+  return transfer_->result;
 }
 
-const ReceiverResult& TransferHandle::receiver_result() const {
-  static const ReceiverResult kNoReceiverResult{};
-  if (!session_) return kNoReceiverResult;
-  std::lock_guard lock(session_->mu);
-  return session_->receiver_result;
-}
-
-bool TransferHandle::is_sender() const { return session_ && session_->is_sender; }
-
-fobs::telemetry::EventTracer* TransferHandle::tracer() const {
-  if (!session_) return nullptr;
-  if (session_->owned_tracer) return session_->owned_tracer.get();
-  return session_->is_sender ? session_->send_options.endpoint.tracer
-                             : session_->recv_options.endpoint.tracer;
+fobs::telemetry::EventTracer* TransferHandle::tracer(int flow) const {
+  if (!transfer_ || flow < 0 || flow >= transfer_->flows()) return nullptr;
+  return transfer_->flow_tracer(flow);
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +268,7 @@ struct TransferEngine::Impl {
 
   mutable std::mutex mu;
   std::condition_variable idle_cv;
-  std::unordered_map<std::uint64_t, std::shared_ptr<detail::Session>> live;
+  std::unordered_map<std::uint64_t, std::shared_ptr<detail::Transfer>> live;
   std::uint64_t next_id = 1;
 
   std::atomic<std::uint64_t> submitted{0};
@@ -151,7 +288,7 @@ struct TransferEngine::Impl {
   std::condition_variable handlers_cv;
 
   // Declared last: destroyed first, so workers (which touch the fields
-  // above through run_session) finish before anything else goes away.
+  // above through run_flow) finish before anything else goes away.
   fobs::util::ThreadPool pool;
 };
 
@@ -162,104 +299,136 @@ TransferEngine::~TransferEngine() {
   stop_acceptor();
   cancel_all();
   wait_idle();
-  // impl_ destruction joins the pool; queued sessions (already flagged
+  // impl_ destruction joins the pool; queued flows (already flagged
   // cancelled) drain through their fast cancel path first.
-}
-
-TransferHandle TransferEngine::submit(std::shared_ptr<detail::Session> session,
-                                      SessionParams params) {
-  session->keepalive = std::move(params.keepalive);
-  session->owned_control_port = params.owned_control_port;
-  session->on_exit = std::move(params.on_exit);
-  {
-    std::lock_guard lock(impl_->mu);
-    session->id = impl_->next_id++;
-    impl_->live.emplace(session->id, session);
-  }
-  impl_->submitted.fetch_add(1, std::memory_order_relaxed);
-  telemetry::MetricsRegistry::global().counter("fobs.engine.sessions_submitted").inc();
-  TransferHandle handle(session);
-  impl_->pool.submit([this, session] { run_session(session); });
-  return handle;
 }
 
 TransferHandle TransferEngine::submit_send(const SenderOptions& options,
                                            std::span<const std::uint8_t> object,
                                            SessionParams params) {
-  auto session = std::make_shared<detail::Session>();
-  session->is_sender = true;
-  session->send_options = options;
-  session->object = object;
-  if (impl_->options.session_tracers && session->send_options.endpoint.tracer == nullptr) {
-    session->owned_tracer = std::make_unique<fobs::telemetry::EventTracer>();
-    session->send_options.endpoint.tracer = session->owned_tracer.get();
-  }
-  return submit(std::move(session), std::move(params));
+  auto transfer = std::make_shared<detail::Transfer>();
+  transfer->is_sender = true;
+  transfer->send_options = options;
+  transfer->object = object;
+  transfer->plan = make_plan(options, object.size(), "cannot send an empty object",
+                             transfer->result.error);
+  transfer->result.stripe_senders.resize(static_cast<std::size_t>(transfer->flows()));
+  return submit(std::move(transfer), std::move(params));
 }
 
 TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
                                               std::span<std::uint8_t> buffer,
                                               SessionParams params) {
-  auto session = std::make_shared<detail::Session>();
-  session->is_sender = false;
-  session->recv_options = options;
-  session->buffer = buffer;
-  if (impl_->options.session_tracers && session->recv_options.endpoint.tracer == nullptr) {
-    session->owned_tracer = std::make_unique<fobs::telemetry::EventTracer>();
-    session->recv_options.endpoint.tracer = session->owned_tracer.get();
-  }
-  return submit(std::move(session), std::move(params));
+  auto transfer = std::make_shared<detail::Transfer>();
+  transfer->recv_options = options;
+  transfer->buffer = buffer;
+  transfer->plan = make_plan(options, buffer.size(), "cannot receive into an empty buffer",
+                             transfer->result.error);
+  transfer->result.stripe_receivers.resize(static_cast<std::size_t>(transfer->flows()));
+  return submit(std::move(transfer), std::move(params));
 }
 
-void TransferEngine::run_session(const std::shared_ptr<detail::Session>& session) {
-  session->set_status(TransferStatus::kRunning);
-  TransferStatus final_status;
-  if (session->is_sender) {
-    auto result = detail::run_sender(session->send_options, session->object, &session->cancel);
-    final_status = result.status;
-    {
-      std::lock_guard lock(session->mu);
-      session->sender_result = std::move(result);
-      session->status = final_status;
-    }
-  } else {
-    auto result =
-        detail::run_receiver(session->recv_options, session->buffer, &session->cancel);
-    final_status = result.status;
-    {
-      std::lock_guard lock(session->mu);
-      session->receiver_result = std::move(result);
-      session->status = final_status;
-    }
-  }
-  session->cv.notify_all();
-  if (final_status == TransferStatus::kCompleted) {
-    impl_->completed.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    impl_->failed.fetch_add(1, std::memory_order_relaxed);
-  }
-  finish_session(session);
-  if (session->on_exit) session->on_exit(TransferHandle(session));
-  // The keepalive (e.g. an mmap'd file) is dropped with the session's
-  // last handle, not here: on_exit observers may still read the spans.
-}
-
-void TransferEngine::finish_session(const std::shared_ptr<detail::Session>& session) {
-  bool idle = false;
-  impl_->ports.release(session->owned_control_port);
+TransferHandle TransferEngine::submit(std::shared_ptr<detail::Transfer> transfer,
+                                      SessionParams params) {
+  auto& metrics = telemetry::MetricsRegistry::global();
+  metrics.counter("fobs.stripe.transfers").inc();
+  transfer->keepalive = std::move(params.keepalive);
+  transfer->owns_control_ports = params.owns_control_ports;
+  transfer->on_exit = std::move(params.on_exit);
+  transfer->result.is_sender = transfer->is_sender;
+  const int flows = transfer->flows();
+  transfer->result.stripes = flows;
   {
     std::lock_guard lock(impl_->mu);
-    impl_->live.erase(session->id);
+    transfer->id = impl_->next_id++;
+    if (flows > 0) impl_->live.emplace(transfer->id, transfer);
+  }
+  TransferHandle handle(transfer);
+  if (flows == 0) {
+    // Rejected options: terminal before any flow exists.
+    transfer->status = transfer->result.status = TransferStatus::kBadOptions;
+    if (transfer->owns_control_ports) {
+      const int leased = std::clamp(transfer->stripes(), 0, stripe::kMaxStripes);
+      impl_->ports.release_block(transfer->control_port(), static_cast<std::size_t>(leased));
+    }
+    impl_->failed.fetch_add(1, std::memory_order_relaxed);
+    if (transfer->on_exit) transfer->on_exit(handle);
+    return handle;
+  }
+  if (impl_->options.session_tracers && transfer->endpoint().tracer == nullptr) {
+    for (int i = 0; i < flows; ++i) {
+      transfer->owned_tracers.push_back(std::make_unique<fobs::telemetry::EventTracer>());
+    }
+  }
+  transfer->flows_running = flows;
+  metrics.counter("fobs.stripe.sessions").inc(flows);
+  for (int i = 0; i < flows; ++i) {
+    impl_->submitted.fetch_add(1, std::memory_order_relaxed);
+    metrics.counter("fobs.engine.sessions_submitted").inc();
+    impl_->pool.submit([this, transfer, i] { run_flow(transfer, i); });
+  }
+  return handle;
+}
+
+void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer, int flow) {
+  {
+    std::lock_guard lock(transfer->mu);
+    if (transfer->status == TransferStatus::kPending) {
+      transfer->status = TransferStatus::kRunning;
+    }
+  }
+  transfer->cv.notify_all();
+  auto* tracer = transfer->flow_tracer(flow);
+  const auto index = static_cast<std::size_t>(flow);
+  if (transfer->is_sender) {
+    auto result =
+        detail::run_sender(flow_options(transfer->send_options, flow, tracer), *transfer->plan,
+                           flow, transfer->object, &transfer->cancel);
+    std::lock_guard lock(transfer->mu);
+    transfer->result.stripe_senders[index] = std::move(result);
+  } else {
+    auto result = detail::run_receiver(flow_options(transfer->recv_options, flow, tracer),
+                                       *transfer->plan, flow, transfer->buffer,
+                                       &transfer->cancel);
+    std::lock_guard lock(transfer->mu);
+    transfer->result.stripe_receivers[index] = std::move(result);
+  }
+  if (transfer->owns_control_ports) {
+    impl_->ports.release(static_cast<std::uint16_t>(transfer->control_port() + flow));
+  }
+  bool last = false;
+  {
+    std::lock_guard lock(transfer->mu);
+    last = --transfer->flows_running == 0;
+  }
+  if (last) finish(transfer);
+}
+
+void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
+  bool completed = false;
+  {
+    std::lock_guard lock(transfer->mu);
+    auto& result = transfer->result;
+    finalize_aggregate(result, transfer->plan->spec().object_bytes);
+    const std::string& checkpoint = transfer->recv_options.checkpoint_path;
+    result.resumable = !transfer->is_sender && !result.completed() && !checkpoint.empty() &&
+                       load_checkpoint(checkpoint).has_value();
+    transfer->status = result.status;
+    completed = result.completed();
+  }
+  transfer->cv.notify_all();
+  (completed ? impl_->completed : impl_->failed).fetch_add(1, std::memory_order_relaxed);
+  bool idle = false;
+  {
+    std::lock_guard lock(impl_->mu);
+    impl_->live.erase(transfer->id);
     idle = impl_->live.empty();
   }
   if (idle) impl_->idle_cv.notify_all();
+  if (transfer->on_exit) transfer->on_exit(TransferHandle(transfer));
+  // The keepalive (e.g. an mmap'd file) is dropped with the transfer's
+  // last handle, not here: on_exit observers may still read the spans.
 }
-
-std::optional<std::uint16_t> TransferEngine::allocate_control_port() {
-  return impl_->ports.allocate();
-}
-
-void TransferEngine::release_control_port(std::uint16_t port) { impl_->ports.release(port); }
 
 std::size_t TransferEngine::free_control_ports() const { return impl_->ports.free_count(); }
 
@@ -351,8 +520,8 @@ std::uint64_t TransferEngine::sessions_failed() const {
 
 void TransferEngine::cancel_all() {
   std::lock_guard lock(impl_->mu);
-  for (auto& [id, session] : impl_->live) {
-    session->cancel.store(true, std::memory_order_relaxed);
+  for (auto& [id, transfer] : impl_->live) {
+    transfer->cancel.store(true, std::memory_order_relaxed);
   }
 }
 
@@ -362,23 +531,30 @@ void TransferEngine::wait_idle() {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking compatibility wrappers: exactly one session on a one-worker
-// engine, waited to completion. Semantics (and results) match the
-// pre-engine free functions.
+// Blocking calls: one transfer on a private engine with a worker per
+// flow, waited to completion.
 // ---------------------------------------------------------------------------
 
-SenderResult send_object(const SenderOptions& options, std::span<const std::uint8_t> object) {
-  TransferEngine engine(EngineOptions{.workers = 1});
-  auto handle = engine.submit_send(options, object);
-  handle.wait();
-  return handle.sender_result();
+namespace {
+
+std::size_t flow_workers(int stripes) {
+  return static_cast<std::size_t>(std::clamp(stripes, 1, stripe::kMaxStripes));
 }
 
-ReceiverResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer) {
-  TransferEngine engine(EngineOptions{.workers = 1});
+}  // namespace
+
+TransferResult send_object(const SenderOptions& options, std::span<const std::uint8_t> object) {
+  TransferEngine engine(EngineOptions{.workers = flow_workers(options.stripes)});
+  auto handle = engine.submit_send(options, object);
+  handle.wait();
+  return handle.result();
+}
+
+TransferResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer) {
+  TransferEngine engine(EngineOptions{.workers = flow_workers(options.stripes)});
   auto handle = engine.submit_receive(options, buffer);
   handle.wait();
-  return handle.receiver_result();
+  return handle.result();
 }
 
 }  // namespace fobs::posix

@@ -1,25 +1,21 @@
-// Concurrent multi-session FOBS transfer engine.
+// Concurrent multi-transfer FOBS engine.
 //
-// A TransferEngine owns a worker pool, a registry of live sessions,
-// an allocator of per-session control ports, and (optionally) a TCP
-// acceptor for service front-ends. Each submitted transfer flow becomes
-// a *session*: it runs the blocking POSIX driver loop on a pool worker
-// with its own batched DatagramChannel for the data plane (tuned via
-// EndpointOptions::io — sendmmsg/recvmmsg batch sizes, socket buffers,
-// forced batched/fallback mode), its own control connection, its own
-// EventTracer (when requested), and the fault-injection and checkpoint
-// machinery. The caller holds a TransferHandle and can wait(), poll
-// status(), or cancel() the session at any time.
-//
-// A striped transfer (fobs/stripe/striped_transfer.h) is N >= 1 such
-// sessions on consecutive ports, launched and aggregated by
-// run_striped_sender / run_striped_receiver / submit_striped_send; the
-// control-port block allocator gives a server the N consecutive
-// control ports it grants.
+// A TransferEngine owns a worker pool, a registry of live transfers,
+// an allocator of control ports, and (optionally) a TCP acceptor for
+// service front-ends. Each submitted transfer moves one object over
+// `stripes` >= 1 flows: the engine validates the options, builds the
+// transfer's StripePlan (fobs/stripe/plan.h) and runs one *flow
+// session* per stripe on a pool worker. A flow session is the blocking
+// POSIX driver loop with its own batched DatagramChannel for the data
+// plane (tuned via EndpointOptions::io), its own control connection on
+// control_port + i, its own EventTracer (when requested), and the
+// fault-injection and checkpoint machinery. The caller holds one
+// TransferHandle for the whole transfer and can wait(), poll status(),
+// cancel() every flow at once, and read the aggregate result().
 //
 // The engine is what lets one process serve many transfers at once —
 // fobsd's serve loop, the file server (fobs/posix/fileserver.h), and
-// any embedding that out-grows the blocking free functions.
+// the blocking send_object/receive_object (fobs/posix/posix_transfer.h).
 #pragma once
 
 #include <chrono>
@@ -36,89 +32,81 @@ namespace fobs::posix {
 
 class TransferEngine;
 
-// Striped-transfer types (fobs/stripe/striped_transfer.h). Forward
-// declared so plain engine users don't pull the striping layer in.
-struct StripedSenderOptions;
-struct StripedReceiverOptions;
-struct StripedResult;
-struct StripedSessionParams;
-
 namespace detail {
-struct Session;
+struct Transfer;
 }
 
-/// A caller's reference to one engine session. Cheap to copy (shared
-/// ownership of the session record); safe to use after the engine has
-/// finished the session, and — for status/results — after the engine
+/// A caller's reference to one engine transfer. Cheap to copy (shared
+/// ownership of the transfer record); safe to use after the engine has
+/// finished the transfer, and — for status/results — after the engine
 /// itself is gone.
 class TransferHandle {
  public:
   TransferHandle() = default;
 
-  [[nodiscard]] bool valid() const { return session_ != nullptr; }
-  /// Engine-unique session id (1-based, in submission order).
+  [[nodiscard]] bool valid() const { return transfer_ != nullptr; }
+  /// Engine-unique transfer id (1-based, in submission order).
   [[nodiscard]] std::uint64_t id() const;
   /// Current lifecycle state; terminal states never change again.
+  /// kRunning once any flow runs; terminal once every flow is.
   [[nodiscard]] TransferStatus status() const;
-  /// True once the session reached a terminal status.
+  /// True once the transfer reached a terminal status.
   [[nodiscard]] bool done() const { return is_terminal(status()); }
 
-  /// Blocks until the session is terminal; returns the final status.
+  /// Blocks until the transfer is terminal; returns the final status.
   TransferStatus wait() const;
-  /// Blocks up to `timeout`; true when the session finished in time.
+  /// Blocks up to `timeout`; true when the transfer finished in time.
   bool wait_for(std::chrono::milliseconds timeout) const;
 
-  /// Requests cancellation. The session's driver loop notices within
-  /// one poll interval and exits with TransferStatus::kCancelled. A
-  /// session that already finished is unaffected. Never blocks.
+  /// Requests cancellation of every flow. Each flow's driver loop
+  /// notices within one poll interval and exits with
+  /// TransferStatus::kCancelled; flows that already finished are
+  /// unaffected. Never blocks.
   void cancel() const;
 
-  /// Final results — meaningful once done(); sender_result() for
-  /// sessions submitted via submit_send, receiver_result() for
-  /// submit_receive. The reference stays valid while any handle to the
-  /// session exists.
-  [[nodiscard]] const SenderResult& sender_result() const;
-  [[nodiscard]] const ReceiverResult& receiver_result() const;
-  [[nodiscard]] bool is_sender() const;
+  /// The aggregate and per-flow results — meaningful once done(). The
+  /// reference stays valid while any handle to the transfer exists.
+  [[nodiscard]] const TransferResult& result() const;
 
-  /// The session's tracer: the caller-supplied one if the options had
-  /// one, else the engine-owned per-session tracer when the engine was
-  /// created with `session_tracers`, else nullptr.
-  [[nodiscard]] fobs::telemetry::EventTracer* tracer() const;
+  /// Flow `flow`'s tracer: the caller-supplied one if the options had
+  /// one (shared by every flow), else the engine-owned per-flow tracer
+  /// when the engine was created with `session_tracers`, else nullptr.
+  [[nodiscard]] fobs::telemetry::EventTracer* tracer(int flow = 0) const;
 
  private:
   friend class TransferEngine;
-  explicit TransferHandle(std::shared_ptr<detail::Session> session)
-      : session_(std::move(session)) {}
+  explicit TransferHandle(std::shared_ptr<detail::Transfer> transfer)
+      : transfer_(std::move(transfer)) {}
 
-  std::shared_ptr<detail::Session> session_;
+  std::shared_ptr<detail::Transfer> transfer_;
 };
 
 struct EngineOptions {
-  /// Worker threads = max concurrently running sessions. Further
-  /// submissions queue until a worker frees up. 0 = hardware
-  /// concurrency.
+  /// Worker threads = max concurrently running flow sessions. Further
+  /// flows queue until a worker frees up. 0 = hardware concurrency.
   std::size_t workers = 4;
-  /// Per-session control-port allocation range [base, base + count).
-  /// Zero count disables the allocator.
+  /// Control-port allocation range [base, base + count). Zero count
+  /// disables the allocator.
   std::uint16_t control_port_base = 0;
   std::uint16_t control_port_count = 0;
-  /// When true, every session whose options carry no tracer gets an
+  /// When true, every flow whose options carry no tracer gets an
   /// engine-owned EventTracer, reachable via TransferHandle::tracer().
   bool session_tracers = false;
 };
 
 /// Per-submission extras beyond the transfer options.
 struct SessionParams {
-  /// Kept alive until the session ends — typically the mmap'd
+  /// Kept alive until the transfer ends — typically the mmap'd
   /// TransferObject backing the spans handed to submit_*.
   std::shared_ptr<void> keepalive;
-  /// A control port previously taken from allocate_control_port();
-  /// returned to the allocator automatically when the session ends.
-  std::uint16_t owned_control_port = 0;
-  /// Runs on the session's worker right after the session turns
-  /// terminal (results are final, port already released). Keep it
-  /// short; it blocks that worker.
+  /// The control ports [control_port, control_port + stripes) were
+  /// leased from this engine (allocate_control_port_block): each flow
+  /// returns its own port when it ends, a rejected transfer the block.
+  bool owns_control_ports = false;
+  /// Runs once the transfer is terminal (results final, ports already
+  /// released): on the worker of the last flow to end, or inside
+  /// submit_* when the options were rejected. Keep it short; it blocks
+  /// that thread.
   std::function<void(const TransferHandle&)> on_exit;
 };
 
@@ -132,49 +120,29 @@ class TransferEngine {
   TransferEngine(const TransferEngine&) = delete;
   TransferEngine& operator=(const TransferEngine&) = delete;
 
-  /// Schedules one send/receive session. The object/buffer span (and
-  /// anything else the options reference, e.g. a tracer) must stay
-  /// valid until the session is terminal — use SessionParams::keepalive
-  /// for engine-managed lifetime. Invalid options are not rejected
-  /// here; the session turns kBadOptions immediately on its worker.
+  /// Schedules one send/receive transfer of `options.stripes` flows.
+  /// The object/buffer span (and anything else the options reference,
+  /// e.g. a tracer) must stay valid until the transfer is terminal —
+  /// use SessionParams::keepalive for engine-managed lifetime. Invalid
+  /// options (zero ports, a stripe count the object cannot carry, a port
+  /// block past 65535, bad I/O tuning) launch no flow: the returned
+  /// handle is already terminal with kBadOptions.
   TransferHandle submit_send(const SenderOptions& options,
                              std::span<const std::uint8_t> object, SessionParams params = {});
   TransferHandle submit_receive(const ReceiverOptions& options,
                                 std::span<std::uint8_t> buffer, SessionParams params = {});
 
-  /// Takes a free port from [control_port_base, base + count); nullopt
-  /// when the range is exhausted or the allocator is disabled. Pass it
-  /// back via release_control_port — or hand it to a session as
-  /// SessionParams::owned_control_port for automatic release.
-  std::optional<std::uint16_t> allocate_control_port();
-  void release_control_port(std::uint16_t port);
+  /// Leases `count` *contiguous* ports from [control_port_base,
+  /// base + count) and returns the first — transfers address per-flow
+  /// control ports as first-plus-index. nullopt when no contiguous run
+  /// is free or the allocator is disabled. Return the block with
+  /// release_control_port_block, or hand it to a transfer with
+  /// SessionParams::owns_control_ports.
+  std::optional<std::uint16_t> allocate_control_port_block(std::size_t count);
+  void release_control_port_block(std::uint16_t first, std::size_t count);
   [[nodiscard]] std::size_t free_control_ports() const;
   /// Configured (post-clamp) allocator range size; 0 = disabled.
   [[nodiscard]] std::size_t control_port_capacity() const;
-
-  /// Leases `count` *contiguous* ports (returns the first) for striped
-  /// transfers, which address per-stripe ports as first-plus-index.
-  /// nullopt when no contiguous run is free. Each port may be released
-  /// individually (e.g. as a session's owned_control_port) or all at
-  /// once via release_control_port_block.
-  std::optional<std::uint16_t> allocate_control_port_block(std::size_t count);
-  void release_control_port_block(std::uint16_t first, std::size_t count);
-
-  /// Striped transfers (see fobs/stripe/striped_transfer.h): run one
-  /// session per stripe on this engine's pool and aggregate. Blocking —
-  /// do not call from a pool worker of this engine (the stripes need
-  /// those workers); service front-ends use submit_striped_send, which
-  /// completes via StripedSessionParams callbacks.
-  StripedResult run_striped_sender(const StripedSenderOptions& options,
-                                   std::span<const std::uint8_t> object);
-  StripedResult run_striped_receiver(const StripedReceiverOptions& options,
-                                     std::span<std::uint8_t> buffer);
-  /// Launches the per-stripe sender sessions without waiting for them.
-  /// False when nothing was launched (`error` says why: a stripe count
-  /// the object cannot carry, or a port block past 65535).
-  bool submit_striped_send(const StripedSenderOptions& options,
-                           std::span<const std::uint8_t> object, StripedSessionParams params,
-                           std::string* error = nullptr);
 
   /// Binds a TCP listener on `port` and dispatches every accepted
   /// connection to the worker pool as `handler(fd, peer_host)`. The
@@ -189,22 +157,26 @@ class TransferEngine {
   void stop_acceptor();
   [[nodiscard]] bool acceptor_running() const;
 
-  /// Sessions submitted and not yet terminal (running or queued).
+  /// Transfers submitted and not yet terminal (running or queued).
   [[nodiscard]] std::size_t active_sessions() const;
+  /// Flow sessions launched: one per flow of every accepted transfer
+  /// (mirrors the fobs.engine.sessions_submitted counter).
   [[nodiscard]] std::uint64_t sessions_submitted() const;
-  [[nodiscard]] std::uint64_t sessions_completed() const;  ///< terminal with kCompleted
-  [[nodiscard]] std::uint64_t sessions_failed() const;     ///< terminal, not kCompleted
+  /// Transfers that turned terminal with kCompleted / with any other
+  /// status (rejected ones included).
+  [[nodiscard]] std::uint64_t sessions_completed() const;
+  [[nodiscard]] std::uint64_t sessions_failed() const;
 
-  /// Requests cancellation of every live session (non-blocking).
+  /// Requests cancellation of every live transfer (non-blocking).
   void cancel_all();
-  /// Blocks until no session is active. Submissions racing with this
+  /// Blocks until no transfer is active. Submissions racing with this
   /// call may keep it waiting; quiesce callers first.
   void wait_idle();
 
  private:
-  TransferHandle submit(std::shared_ptr<detail::Session> session, SessionParams params);
-  void run_session(const std::shared_ptr<detail::Session>& session);
-  void finish_session(const std::shared_ptr<detail::Session>& session);
+  TransferHandle submit(std::shared_ptr<detail::Transfer> transfer, SessionParams params);
+  void run_flow(const std::shared_ptr<detail::Transfer>& transfer, int flow);
+  void finish(const std::shared_ptr<detail::Transfer>& transfer);
   void acceptor_loop();
 
   struct Impl;

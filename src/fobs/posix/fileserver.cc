@@ -1,6 +1,5 @@
 #include "fobs/posix/fileserver.h"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -15,7 +14,7 @@
 #include "common/log.h"
 #include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
-#include "fobs/stripe/striped_transfer.h"
+#include "fobs/stripe/plan.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 
@@ -189,48 +188,43 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
   send_line(fd, std::to_string(object->size()) + " " + std::to_string(spec.packet_bytes) + " " +
                     std::to_string(*control_port) + " " + std::to_string(granted) + "\n");
-  ::close(fd);  // catalog exchange done; the transfer sessions take over
+  ::close(fd);  // catalog exchange done; the transfer takes over
 
-  StripedSenderOptions send_options;
-  send_options.flow.receiver_host = peer_host;
-  send_options.flow.data_port = static_cast<std::uint16_t>(client_port);
-  send_options.flow.control_port = *control_port;
-  send_options.flow.endpoint = options_.endpoint;
+  SenderOptions send_options;
+  send_options.receiver_host = peer_host;
+  send_options.data_port = static_cast<std::uint16_t>(client_port);
+  send_options.control_port = *control_port;
+  send_options.endpoint = options_.endpoint;
   send_options.stripes = granted;
-  StripedSessionParams params;
+  SessionParams params;
   params.keepalive = object;
   params.owns_control_ports = true;
-  if (!options_.trace_dir.empty()) {
-    params.on_stripe_exit = [this](const TransferHandle& handle) {
-      if (handle.tracer() == nullptr) return;
-      const std::string path = options_.trace_dir + "/fobsd_serve_" +
-                               std::to_string(handle.id()) + ".jsonl";
-      if (!handle.tracer()->write_jsonl_file(path)) {
-        FOBS_WARN("fobs.fileserver", "failed writing trace " << path);
+  params.on_exit = [this, name, peer_host, client_port](const TransferHandle& handle) {
+    const TransferResult& result = handle.result();
+    if (!options_.trace_dir.empty()) {
+      for (int flow = 0; flow < result.stripes; ++flow) {
+        const std::string path = options_.trace_dir + "/fobsd_serve_" +
+                                 std::to_string(handle.id()) + "_" + std::to_string(flow) +
+                                 ".jsonl";
+        if (handle.tracer(flow) != nullptr && !handle.tracer(flow)->write_jsonl_file(path)) {
+          FOBS_WARN("fobs.fileserver", "failed writing trace " << path);
+        }
       }
-    };
-  }
-  params.on_complete = [this, name, peer_host, client_port](const StripedResult& result) {
+    }
     if (result.completed()) {
       completed_.fetch_add(1, std::memory_order_relaxed);
     } else {
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
     if (!options_.quiet) {
-      std::printf("fobsd: %s -> %s:%d  %s (%d stripe%s, %.0f Mb/s)\n", name.c_str(),
+      std::printf("fobsd: %s -> %s:%d  %s (%d stripe%s, %.0f Mb/s)%s%s\n", name.c_str(),
                   peer_host.c_str(), client_port, to_string(result.status), result.stripes,
-                  result.stripes == 1 ? "" : "s", result.goodput_mbps);
+                  result.stripes == 1 ? "" : "s", result.goodput_mbps,
+                  result.error.empty() ? "" : ": ", result.error.c_str());
     }
   };
   started_.fetch_add(1, std::memory_order_relaxed);
-  std::string error;
-  if (!engine_->submit_striped_send(send_options, object->view(), std::move(params), &error)) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.quiet) {
-      std::printf("fobsd: %s -> %s:%d  launch failed: %s\n", name.c_str(), peer_host.c_str(),
-                  client_port, error.c_str());
-    }
-  }
+  engine_->submit_send(send_options, object->view(), std::move(params));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,39 +240,27 @@ FetchResult fetch_file(const FetchOptions& options) {
     return result;
   }
 
-  // Catalog exchange, retrying the connect (the server may still be
-  // starting). Each attempt gets a fresh socket: POSIX leaves a socket
-  // in an unspecified state after a failed connect(), so reusing it can
-  // fail spuriously off-Linux.
-  const sockaddr_in addr = fobs::net::make_addr(options.host, options.catalog_port);
-  int conn = -1;
-  int attempts = 0;
-  for (;;) {
-    conn = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (conn < 0) {
-      result.status = TransferStatus::kSocketError;
-      result.error = "socket failed";
-      return result;
-    }
-    if (::connect(conn, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0) break;
-    ::close(conn);
-    if (++attempts > std::max(1, options.connect_attempts)) {
-      result.status = TransferStatus::kPeerLost;
-      result.error = "catalog connect failed";
-      return result;
-    }
-    ::usleep(20'000);
+  // Catalog exchange. The connect retries with backoff (the server may
+  // still be starting) within the same budget as the reply.
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms));
+  const fobs::net::Fd conn =
+      fobs::net::connect_with_backoff(options.host, options.catalog_port, deadline);
+  if (!conn.valid()) {
+    result.status = TransferStatus::kPeerLost;
+    result.error = "catalog connect failed";
+    return result;
   }
   // Every data port [data_port, data_port + stripes) must exist.
   const int requested =
       std::clamp(options.stripes, 1, std::min(stripe::kMaxStripes, 0x10000 - options.data_port));
-  send_line(conn, options.name + " " + std::to_string(options.data_port) + " " +
-                      std::to_string(requested) + "\n");
+  const std::string request = options.name + " " + std::to_string(options.data_port) + " " +
+                              std::to_string(requested) + "\n";
   std::string reply;
-  const bool got_reply = recv_line(
-      conn, Clock::now() + std::chrono::milliseconds(std::max(1, options.endpoint.timeout_ms)),
-      reply);
-  ::close(conn);
+  const bool got_reply =
+      fobs::net::send_all(conn.get(), reinterpret_cast<const std::uint8_t*>(request.data()),
+                          request.size(), deadline) &&
+      recv_line(conn.get(), deadline, reply);
   long long size = -1;
   long long packet_bytes = 0;
   int control_port = 0;
@@ -319,18 +301,18 @@ FetchResult fetch_file(const FetchOptions& options) {
   }
   auto partial = fobs::core::TransferObject::map_file_rw(partial_path,
                                                          static_cast<std::int64_t>(size));
-  StripedReceiverOptions recv_options;
-  recv_options.flow.sender_host = options.host;
-  recv_options.flow.data_port = options.data_port;
-  recv_options.flow.control_port = static_cast<std::uint16_t>(control_port);
-  recv_options.flow.endpoint = options.endpoint;
-  recv_options.flow.endpoint.packet_bytes = packet_bytes;
+  ReceiverOptions recv_options;
+  recv_options.sender_host = options.host;
+  recv_options.data_port = options.data_port;
+  recv_options.control_port = static_cast<std::uint16_t>(control_port);
+  recv_options.endpoint = options.endpoint;
+  recv_options.endpoint.packet_bytes = packet_bytes;
   recv_options.stripes = granted;
   std::vector<std::uint8_t> fallback;
   std::span<std::uint8_t> buffer;
   if (partial) {
     // Checkpointing is only safe with the file-backed buffer.
-    recv_options.flow.checkpoint_path = checkpoint_path;
+    recv_options.checkpoint_path = checkpoint_path;
     buffer = partial->mutable_view();
   } else {
     if (!options.quiet) {
@@ -341,10 +323,9 @@ FetchResult fetch_file(const FetchOptions& options) {
     fallback.resize(static_cast<std::size_t>(size));
     buffer = fallback;
   }
-  // One receive session per granted stripe on a local engine, all
-  // writing the shared buffer at plan offsets.
-  TransferEngine engine(EngineOptions{.workers = static_cast<std::size_t>(granted)});
-  const StripedResult received = engine.run_striped_receiver(recv_options, buffer);
+  // One receive flow per granted stripe, all writing the shared buffer
+  // at plan offsets.
+  const TransferResult received = receive_object(recv_options, buffer);
   result.status = received.status;
   result.error = received.error;
   result.packets_restored = received.packets_restored;

@@ -1,5 +1,5 @@
 // A concurrent FOBS file server (and its fetch client) built on the
-// session engine — the library form of `fobsd`.
+// transfer engine — the library form of `fobsd`.
 //
 // Catalog protocol (one TCP connection per request):
 //   client -> "<name> <client-udp-port> <stripes>\n"
@@ -10,8 +10,8 @@
 // most the requested count, clamped by max_stripes, the object's packet
 // count, the UDP port space (client-udp-port + granted - 1 <= 65535)
 // and the largest contiguous block of free control ports it can lease.
-// Both sides then build the same contiguous StripePlan and run
-// `granted` ordinary FOBS sessions, stripe i pushing data to UDP port
+// Both sides then submit one engine transfer with stripes = granted:
+// the same contiguous StripePlan, flow i pushing data to UDP port
 // client-udp-port + i with its completion connection on control port
 // first-control-port + i (fobs/stripe/striped_transfer.h). One flow is
 // simply granted = 1. Catalog sockets carry a receive timeout: a client
@@ -36,7 +36,7 @@ namespace fobs::posix {
 struct FileServerOptions {
   std::string dir;                   ///< directory served (required)
   std::uint16_t catalog_port = 0;    ///< TCP catalog listener (required)
-  /// Per-session control ports come from [base, base + count);
+  /// Per-flow control ports come from [base, base + count);
   /// 0 base = catalog_port + 1.
   std::uint16_t control_port_base = 0;
   std::uint16_t control_port_count = 32;
@@ -46,8 +46,8 @@ struct FileServerOptions {
   /// Catalog-socket receive timeout — the serve loop can no longer be
   /// wedged by a silent client.
   int catalog_recv_timeout_ms = 5'000;
-  /// Per-session JSONL traces (one `fobsd_serve_<id>.jsonl` per
-  /// stripe session) are written here when non-empty.
+  /// Per-flow JSONL traces (`fobsd_serve_<transfer-id>_<flow>.jsonl`)
+  /// are written here when non-empty.
   std::string trace_dir;
   /// Suppress per-request stdout lines (tests).
   bool quiet = false;
@@ -55,7 +55,7 @@ struct FileServerOptions {
   /// free control ports, the object's packet count and the client's
   /// port space). 1 serves every client over a single flow.
   int max_stripes = 8;
-  /// Applied to every transfer session (timeout, packet size, ...).
+  /// Applied to every transfer (timeout, packet size, ...).
   EndpointOptions endpoint;
 };
 
@@ -107,16 +107,15 @@ struct FetchOptions {
   std::string name;                ///< file name in the server's directory
   std::string out_path;            ///< local destination path
   std::uint16_t data_port = 0;     ///< local UDP port for the data (required)
-  /// Catalog connect retry budget (the server may still be starting).
-  int connect_attempts = 100;
   /// Resume from `<out>.part` + `<out>.ckpt` when they match.
   bool resume = true;
   bool quiet = false;
   /// Stripe count to request; the server may grant fewer. Data flows
   /// use UDP ports [data_port, data_port + granted).
   int stripes = 1;
-  /// Applied to the receive session(s); packet_bytes is taken from the
-  /// server's catalog reply.
+  /// Applied to the receive transfer; packet_bytes is taken from the
+  /// server's catalog reply. timeout_ms also bounds the catalog connect
+  /// (retried while the server is still starting) and its reply.
   EndpointOptions endpoint;
 };
 

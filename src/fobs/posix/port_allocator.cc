@@ -16,19 +16,6 @@ PortAllocator::PortAllocator(std::uint16_t base, std::uint16_t count) : base_(ba
   free_ = size;
 }
 
-std::optional<std::uint16_t> PortAllocator::allocate() {
-  std::lock_guard lock(mu_);
-  if (free_ == 0) return std::nullopt;
-  for (std::size_t i = 0; i < in_use_.size(); ++i) {
-    if (!in_use_[i]) {
-      in_use_[i] = true;
-      --free_;
-      return static_cast<std::uint16_t>(base_ + i);
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<std::uint16_t> PortAllocator::allocate_block(std::size_t count) {
   if (count == 0) return std::nullopt;
   std::lock_guard lock(mu_);

@@ -1,16 +1,14 @@
-// Port allocator for per-session control ports and per-stripe port
-// blocks.
+// Port allocator for the control ports of engine transfers.
 //
 // Pure bookkeeping over a configured range [base, base + count) —
-// nothing binds here; callers bind whatever they are handed. Extracted
-// from TransferEngine so striped transfers can lease a *contiguous*
-// block of K ports in one shot (per-stripe control/data ports are
-// base-plus-index on the wire, so they must be adjacent) while plain
-// sessions keep taking single ports.
+// nothing binds here; callers bind whatever they are handed. A
+// transfer of N flows leases a *contiguous* block of N ports in one
+// shot (per-flow control ports are first-plus-index on the wire, so
+// they must be adjacent); one flow is a block of 1.
 //
 // Thread-safe: every method takes an internal lock, so the engine's
-// session teardown, concurrent catalog grants, and user calls can
-// all hit it at once.
+// flow teardown, concurrent catalog grants, and user calls can all hit
+// it at once.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +29,10 @@ class PortAllocator {
   PortAllocator(const PortAllocator&) = delete;
   PortAllocator& operator=(const PortAllocator&) = delete;
 
-  /// Lowest free port, or nullopt when exhausted/disabled.
-  std::optional<std::uint16_t> allocate();
   /// Lowest-based contiguous run of `count` free ports (first fit), or
-  /// nullopt when no such run exists. Release with release_block — or
-  /// port-by-port via release(); the block has no identity beyond its
-  /// members.
+  /// nullopt when no such run exists or the allocator is disabled.
+  /// Release with release_block — or port-by-port via release(); the
+  /// block has no identity beyond its members.
   std::optional<std::uint16_t> allocate_block(std::size_t count);
 
   /// Returns one port to the pool. Ports outside the configured range

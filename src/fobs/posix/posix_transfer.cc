@@ -102,26 +102,24 @@ bool cancel_requested(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
 
-/// Validates a striped session's StripeRef against the full-object span
-/// and swaps `spec` for the stripe-local geometry. The drivers then run
-/// completely unchanged in local sequence space; only payload offsets
-/// go through the plan. False (with `error` set) on any mismatch — a
-/// wrong plan silently corrupting offsets is the failure mode guarded
-/// against here.
-bool resolve_stripe(const stripe::StripeRef& ref, std::int64_t span_bytes,
-                    fobs::core::TransferSpec& spec, std::string& error) {
-  if (!ref.active()) return true;
-  const auto& plan = *ref.plan;
-  if (ref.index < 0 || ref.index >= plan.stripe_count()) {
+/// Checks that flow `flow` of `plan` describes the object span this
+/// flow carries and returns that flow's stripe-local geometry. The
+/// drivers then run unchanged in local sequence space; only payload
+/// offsets go through the plan. False (with `error` set) on any
+/// mismatch — a wrong plan silently corrupting offsets is the failure
+/// mode guarded against here.
+bool resolve_flow(const stripe::StripePlan& plan, int flow, std::int64_t span_bytes,
+                  std::int64_t packet_bytes, fobs::core::TransferSpec& spec,
+                  std::string& error) {
+  if (flow < 0 || flow >= plan.stripe_count()) {
     error = "invalid options: stripe index outside the plan";
     return false;
   }
-  if (plan.spec().object_bytes != span_bytes ||
-      plan.spec().packet_bytes != spec.packet_bytes) {
+  if (plan.spec().object_bytes != span_bytes || plan.spec().packet_bytes != packet_bytes) {
     error = "invalid options: stripe plan does not match this transfer's geometry";
     return false;
   }
-  spec = plan.stripe_spec(ref.index);
+  spec = plan.stripe_spec(flow);
   return true;
 }
 
@@ -247,35 +245,19 @@ namespace detail {
 // Sender
 // ---------------------------------------------------------------------------
 
-SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8_t> object,
-                        const std::atomic<bool>* cancel) {
+SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
+                        std::span<const std::uint8_t> object, const std::atomic<bool>* cancel) {
   SenderResult result;
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
   OutcomeScope outcome(metrics, "sender", result.status);
-  if (options.data_port == 0 || options.control_port == 0) {
-    result.error = "invalid options: data_port and control_port must be non-zero";
+  // Sequence numbers below are stripe-local; only the payload offset
+  // into the (whole-object) span goes through the plan.
+  fobs::core::TransferSpec spec;
+  if (!resolve_flow(plan, flow, static_cast<std::int64_t>(object.size()),
+                    options.endpoint.packet_bytes, spec, result.error)) {
     return result;
   }
-  if (options.endpoint.packet_bytes <= 0) {
-    result.error = "invalid options: packet_bytes must be positive";
-    return result;
-  }
-  if (const std::string io_invalid = options.endpoint.io.validate(); !io_invalid.empty()) {
-    result.error = "invalid options: " + io_invalid;
-    return result;
-  }
-  if (object.empty()) {
-    result.error = "invalid options: cannot send an empty object";
-    return result;
-  }
-  fobs::core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
-                                options.endpoint.packet_bytes};
-  if (!resolve_stripe(options.stripe, spec.object_bytes, spec, result.error)) return result;
-  // Striped sessions: sequence numbers below are stripe-local; only the
-  // payload offset into the (whole-object) span goes through the plan.
-  const stripe::StripePlan* stripe_plan = options.stripe.plan.get();
-  const int stripe_index = options.stripe.index;
   result.packets_needed = spec.packet_count();
 
   std::optional<fobs::net::FaultInjector> faults;
@@ -465,9 +447,7 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
       const auto seq = core.select_next();
       if (!seq) break;
       const std::int64_t len = spec.payload_bytes(*seq);
-      const std::uint8_t* payload =
-          object.data() + (stripe_plan != nullptr ? stripe_plan->global_offset(stripe_index, *seq)
-                                                  : spec.offset_of(*seq));
+      const std::uint8_t* payload = object.data() + plan.global_offset(flow, *seq);
       auto& header_buf = headers[static_cast<std::size_t>(selected)];
       encode_data_header(DataHeader{*seq, payload_crc(payload, static_cast<std::size_t>(len))},
                          header_buf.data());
@@ -558,33 +538,18 @@ SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8
 // Receiver
 // ---------------------------------------------------------------------------
 
-ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
+ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
+                            int flow, std::span<std::uint8_t> buffer,
                             const std::atomic<bool>* cancel) {
   ReceiverResult result;
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
   OutcomeScope outcome(metrics, "receiver", result.status);
-  if (options.data_port == 0 || options.control_port == 0) {
-    result.error = "invalid options: data_port and control_port must be non-zero";
+  fobs::core::TransferSpec spec;
+  if (!resolve_flow(plan, flow, static_cast<std::int64_t>(buffer.size()),
+                    options.endpoint.packet_bytes, spec, result.error)) {
     return result;
   }
-  if (options.endpoint.packet_bytes <= 0) {
-    result.error = "invalid options: packet_bytes must be positive";
-    return result;
-  }
-  if (const std::string io_invalid = options.endpoint.io.validate(); !io_invalid.empty()) {
-    result.error = "invalid options: " + io_invalid;
-    return result;
-  }
-  if (buffer.empty()) {
-    result.error = "invalid options: cannot receive into an empty buffer";
-    return result;
-  }
-  fobs::core::TransferSpec spec{static_cast<std::int64_t>(buffer.size()),
-                                options.endpoint.packet_bytes};
-  if (!resolve_stripe(options.stripe, spec.object_bytes, spec, result.error)) return result;
-  const stripe::StripePlan* stripe_plan = options.stripe.plan.get();
-  const int stripe_index = options.stripe.index;
 
   std::optional<fobs::net::FaultInjector> faults;
   if (!resolve_fault_plan(options.endpoint.fault_plan, faults, result.error)) return result;
@@ -617,13 +582,10 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
   // object-level checkpoint. The data bytes themselves must already be
   // in `buffer` (the caller persisted the partial object, e.g. via a
   // file-backed buffer).
-  const CheckpointRange checkpoint{
-      options.checkpoint_path,
-      stripe_plan != nullptr ? stripe_plan->spec().object_bytes : spec.object_bytes,
-      spec.packet_bytes,
-      static_cast<std::size_t>(stripe_plan != nullptr ? stripe_plan->first_packet(stripe_index)
-                                                      : 0),
-      static_cast<std::size_t>(spec.packet_count())};
+  const CheckpointRange checkpoint{options.checkpoint_path, plan.spec().object_bytes,
+                                   spec.packet_bytes,
+                                   static_cast<std::size_t>(plan.first_packet(flow)),
+                                   static_cast<std::size_t>(spec.packet_count())};
   if (!checkpoint.path.empty()) {
     if (const auto packed = load_checkpoint_range(checkpoint)) {
       const auto restored = core.restore(packed->data(), packed->size(), spec.packet_count());
@@ -768,10 +730,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8
 
       const auto outcome = core.on_data_packet(header->seq);
       if (outcome.newly_received) {
-        const std::int64_t at = stripe_plan != nullptr
-                                    ? stripe_plan->global_offset(stripe_index, header->seq)
-                                    : spec.offset_of(header->seq);
-        std::memcpy(buffer.data() + at, data + kDataHeaderSize, static_cast<std::size_t>(len));
+        std::memcpy(buffer.data() + plan.global_offset(flow, header->seq),
+                    data + kDataHeaderSize, static_cast<std::size_t>(len));
       }
       if (outcome.ack_due && sender_known) {
         auto msg = core.make_ack();

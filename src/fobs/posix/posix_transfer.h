@@ -8,13 +8,11 @@
 // needed); a TCP connection from receiver to sender delivers the
 // "all data received" signal.
 //
-// Two surfaces exist:
-//   * the session engine (fobs/posix/engine.h) — N concurrent
-//     transfers on a worker pool, each addressable through a
-//     TransferHandle (wait/status/cancel);
-//   * the blocking free functions below — thin wrappers over a
-//     one-session engine, kept for callers that want exactly one
-//     transfer and are happy to block for it.
+// One transfer moves one object over `stripes` >= 1 such flows (the
+// PSockets idea; one flow is the paper's FOBS). Every transfer runs on
+// the transfer engine (fobs/posix/engine.h), which returns one
+// TransferHandle per transfer; send_object/receive_object below are
+// the blocking form, each on a private engine sized to the flow count.
 //
 // Results carry a TransferStatus (see fobs/posix/options.h); `error`
 // is only the human-readable detail and `completed()` is derived from
@@ -25,6 +23,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "fobs/posix/options.h"
 #include "fobs/receiver_core.h"
@@ -43,12 +42,14 @@ struct SenderOptions {
   /// fault plan, tracer, datagram I/O tuning — SO_SNDBUF now lives at
   /// `endpoint.io.send_buffer_bytes`).
   EndpointOptions endpoint;
-  /// When active, this session carries one stripe of a striped
-  /// transfer: sequence numbers (and ACKs and bitmaps) are stripe-local,
-  /// while `object` must still span the *whole* object — payload bytes
-  /// are gathered at plan-computed global offsets. Both peers must
-  /// build the same plan (see fobs/stripe/striped_transfer.h).
-  stripe::StripeRef stripe;
+  /// Parallel flows, in [1, StripePlan::max_stripes(object)]; the
+  /// receiver must run the same count. Flow i sends to `data_port + i`
+  /// and accepts its control connection on `control_port + i`, carrying
+  /// the i-th contiguous stripe of the object (fobs/stripe/plan.h).
+  int stripes = 1;
+  /// Per-flow fault-plan overrides (index = flow; missing or empty
+  /// entries keep endpoint.fault_plan). Lets tests kill one flow.
+  std::vector<std::string> stripe_fault_plans;
 };
 
 struct SenderResult {
@@ -75,10 +76,6 @@ struct SenderResult {
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
 };
 
-/// Sends `object` to a receive_object() peer. Blocks until the
-/// completion signal arrives or the stall budget expires.
-SenderResult send_object(const SenderOptions& options, std::span<const std::uint8_t> object);
-
 struct ReceiverOptions {
   std::string sender_host = "127.0.0.1";
   std::uint16_t data_port = 0;     ///< local UDP port to bind (required)
@@ -92,7 +89,7 @@ struct ReceiverOptions {
   /// bytes on disk even across a hard crash; restoring a checkpoint
   /// over a buffer that lacks those bytes silently corrupts the
   /// object), and the file is removed once every packet of the object is
-  /// set (with striping, once every stripe has folded its range in). A restarted
+  /// set (every flow folds its own range into this one file). A restarted
   /// receiver announces its restored bitmap to the sender over the
   /// control channel so already-received packets are not re-sent.
   std::string checkpoint_path;
@@ -101,12 +98,11 @@ struct ReceiverOptions {
   /// overflow during ACK construction the paper's Figure 1 studies —
   /// now lives at `endpoint.io.recv_buffer_bytes`.
   EndpointOptions endpoint;
-  /// When active, this session receives one stripe into its plan-
-  /// computed disjoint offsets of the whole-object `buffer` (which all
-  /// stripes share — zero merge copies). checkpoint_path then names the
-  /// object-level checkpoint all stripes share; this session restores
-  /// and folds in only its own range of it (fobs/posix/checkpoint.h).
-  stripe::StripeRef stripe;
+  /// Parallel flows; must match the sender. Flow i binds UDP
+  /// `data_port + i`, connects to `control_port + i` and writes its
+  /// stripe straight into `buffer` at plan offsets (no merge copies).
+  int stripes = 1;
+  std::vector<std::string> stripe_fault_plans;
 };
 
 struct ReceiverResult {
@@ -128,18 +124,52 @@ struct ReceiverResult {
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
 };
 
+/// Aggregate of one transfer plus every per-flow result.
+struct TransferResult {
+  /// kCompleted iff every flow completed; otherwise the most severe
+  /// per-flow failure (options/socket errors over crash over cancel
+  /// over peer-lost over timeout over stall).
+  TransferStatus status = TransferStatus::kPending;
+  std::string error;  ///< human-readable detail; empty on success
+  bool is_sender = false;
+  int stripes = 0;  ///< flows run (0 when the options were rejected)
+  int stripes_completed = 0;
+  /// Failed, but the object-level checkpoint holds what was delivered,
+  /// so a retry at any flow count resumes instead of restarting.
+  bool resumable = false;
+  double elapsed_seconds = 0.0;  ///< slowest flow (wall clock)
+  /// Whole-object goodput over the slowest flow's elapsed time.
+  double goodput_mbps = 0.0;
+  std::int64_t packets_restored = 0;  ///< summed over flows (receiver)
+  /// Per-flow results, indexed by flow; senders fill stripe_senders,
+  /// receivers stripe_receivers.
+  std::vector<SenderResult> stripe_senders;
+  std::vector<ReceiverResult> stripe_receivers;
+  fobs::net::IoStats io;  ///< summed over flows
+
+  [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
+  /// Some flows delivered, some failed.
+  [[nodiscard]] bool degraded() const { return !completed() && stripes_completed > 0; }
+};
+
+/// Sends `object` to a receive_object() peer over `options.stripes`
+/// flows. Blocks until every flow has its completion signal or gave up.
+TransferResult send_object(const SenderOptions& options, std::span<const std::uint8_t> object);
 /// Receives an object of exactly `buffer.size()` bytes into `buffer`.
-ReceiverResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer);
+TransferResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer);
 
 namespace detail {
 
-/// The actual blocking transfer loops. `cancel` (nullable) is polled
-/// once per loop iteration; setting it makes the loop exit with
-/// TransferStatus::kCancelled. The engine runs these on its workers;
-/// the public free functions reach them through a one-session engine.
-SenderResult run_sender(const SenderOptions& options, std::span<const std::uint8_t> object,
-                        const std::atomic<bool>* cancel);
-ReceiverResult run_receiver(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
+/// The blocking per-flow loops: flow `flow` of `plan`, with `options`
+/// already resolved for that flow (ports, fault plan, tracer) and
+/// `object`/`buffer` spanning the whole object. `cancel` (nullable) is
+/// polled once per loop iteration; setting it makes the loop exit with
+/// TransferStatus::kCancelled. The engine runs these on its workers
+/// after validating the options and building the plan.
+SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
+                        std::span<const std::uint8_t> object, const std::atomic<bool>* cancel);
+ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
+                            int flow, std::span<std::uint8_t> buffer,
                             const std::atomic<bool>* cancel);
 
 }  // namespace detail

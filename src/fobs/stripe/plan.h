@@ -1,20 +1,22 @@
 // Sans-io stripe planning: partition an object's packet sequence space
-// into K disjoint contiguous stripes.
+// into K >= 1 disjoint contiguous stripes, one per flow of a transfer.
 //
 // A StripePlan is pure bookkeeping shared by both transfer peers: given
 // the object geometry (TransferSpec) and a stripe count, it maps every
 // global packet sequence number to exactly one (stripe, local-seq) pair
-// and back. Stripe s owns one contiguous global range; per-stripe packet
-// counts are split evenly with the remainder spread over the first
-// stripes (round_robin_split), so stripe byte ranges are contiguous file
-// extents and stripe s's bits are one contiguous range of the object's
-// bitmap — which is what lets every stripe share one object-level
-// checkpoint. Each stripe runs as an ordinary FOBS sub-transfer over its
-// *local* sequence space [0, stripe_packets(s)): the sans-io cores, ACK
-// streams and bitmaps operate on local sequence numbers unchanged — only
-// the byte offset into the shared object is computed through the plan,
-// so all stripes write into one mmap'd buffer at disjoint offsets with
-// zero merge copies.
+// and back. Every transfer has one, built by the engine at submit time;
+// a single flow is the one-stripe plan, whose local sequence space is
+// the object's. Stripe s owns one contiguous global range; per-stripe
+// packet counts are split evenly with the remainder spread over the
+// first stripes (round_robin_split), so stripe byte ranges are
+// contiguous file extents and stripe s's bits are one contiguous range
+// of the object's bitmap — which is what lets every flow share one
+// object-level checkpoint. Each flow runs as an ordinary FOBS transfer
+// over its *local* sequence space [0, stripe_packets(s)): the sans-io
+// cores, ACK streams and bitmaps operate on local sequence numbers
+// unchanged — only the byte offset into the shared object is computed
+// through the plan, so all flows write into one buffer at disjoint
+// offsets with zero merge copies.
 //
 // Only the object's last packet can be short, and it is the last local
 // packet of the last stripe. A stripe-local TransferSpec{stripe_bytes(s),
@@ -23,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,7 +83,7 @@ class StripePlan {
   /// Inverse of to_global: (stripe, local) owning global packet `g`.
   [[nodiscard]] std::pair<int, core::PacketSeq> to_local(core::PacketSeq global) const;
   /// Byte offset *within the whole object* of stripe `s`'s packet
-  /// `local` — the one place striped drivers diverge from single-flow.
+  /// `local` — where the drivers gather and place payload bytes.
   [[nodiscard]] std::int64_t global_offset(int s, core::PacketSeq local) const {
     return spec_.offset_of(to_global(s, local));
   }
@@ -93,15 +94,6 @@ class StripePlan {
   /// prefix_[s] = first global seq of stripe s;
   /// prefix_[stripe_count_] = packet_count.
   std::vector<std::int64_t> prefix_;
-};
-
-/// A sub-transfer's view of the plan: which stripe of which plan this
-/// session carries. Default-constructed (null plan) means "unstriped".
-struct StripeRef {
-  std::shared_ptr<const StripePlan> plan;
-  int index = 0;
-
-  [[nodiscard]] bool active() const { return plan != nullptr; }
 };
 
 }  // namespace fobs::stripe

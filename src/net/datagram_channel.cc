@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/log.h"
@@ -28,20 +27,6 @@ bool unsupported_errno(int err) { return err == ENOSYS || err == EOPNOTSUPP; }
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = std::string(what) + ": " + std::strerror(errno);
-}
-
-/// FOBS_IO_MODE resolves kAuto from the environment so existing
-/// binaries can be A/B'd without a recompile.
-IoMode resolve_mode(IoMode requested) {
-  if (requested != IoMode::kAuto) return requested;
-  if (const char* env = std::getenv("FOBS_IO_MODE")) {
-    if (std::strcmp(env, "fallback") == 0) return IoMode::kFallback;
-    if (std::strcmp(env, "batched") == 0) return IoMode::kBatched;
-    if (std::strcmp(env, "auto") != 0 && env[0] != '\0') {
-      FOBS_WARN("fobs.net.io", "unknown FOBS_IO_MODE '" << env << "'; using auto");
-    }
-  }
-  return IoMode::kAuto;
 }
 
 }  // namespace
@@ -105,11 +90,10 @@ DatagramChannel DatagramChannel::open(const IoOptions& io, std::size_t max_datag
     if (error != nullptr) *error = "max_datagram_bytes must be positive";
     return channel;
   }
-  const IoMode mode = resolve_mode(io.mode);
 #if defined(__linux__)
-  const bool batched = mode != IoMode::kFallback;
+  const bool batched = io.mode != IoMode::kFallback;
 #else
-  if (mode == IoMode::kBatched) {
+  if (io.mode == IoMode::kBatched) {
     if (error != nullptr) *error = "batched datagram I/O is not available on this platform";
     return channel;
   }
@@ -283,11 +267,6 @@ bool DatagramChannel::send_batch(std::span<const DatagramView> batch, const sock
     if (!send_fallback(batch[off], dest, error)) return false;
   }
   return true;
-}
-
-bool DatagramChannel::send_one(const DatagramView& datagram, const sockaddr_in& dest,
-                               std::string* error) {
-  return send_batch({&datagram, 1}, dest, error);
 }
 
 int DatagramChannel::recv_batch(std::span<RecvView> out, std::string* error) {

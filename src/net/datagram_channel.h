@@ -11,7 +11,7 @@
 //  * recv_batch() drains the socket with one recvmmsg() call into a
 //    pooled buffer ring owned by the channel.
 // When sendmmsg/recvmmsg are unavailable (non-Linux builds, ENOSYS at
-// runtime) — or when forced via IoOptions::mode / FOBS_IO_MODE — the
+// runtime) — or when forced via IoOptions::mode — the
 // channel degrades to the classic one-sendto/one-recvfrom-per-datagram
 // path with an assembly copy, byte-identical on the wire.
 //
@@ -42,7 +42,7 @@ namespace fobs::net {
 inline constexpr int kMaxBatchDatagrams = 64;
 
 enum class IoMode : std::uint8_t {
-  kAuto = 0,  ///< batched when the platform has it; FOBS_IO_MODE may override
+  kAuto = 0,  ///< batched when the platform has it
   kBatched,   ///< require sendmmsg/recvmmsg (open() fails where unavailable)
   kFallback,  ///< force the per-datagram sendto/recvfrom path
 };
@@ -133,7 +133,6 @@ class DatagramChannel {
   /// sent.
   bool send_batch(std::span<const DatagramView> batch, const sockaddr_in& dest,
                   std::string* error);
-  bool send_one(const DatagramView& datagram, const sockaddr_in& dest, std::string* error);
 
   /// Non-blocking drain: fills up to min(out.size(), recv_batch) views
   /// from one receive syscall. Returns the count, 0 when the socket has

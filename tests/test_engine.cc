@@ -1,9 +1,10 @@
-// TransferEngine: many concurrent FOBS sessions in one process. The
+// TransferEngine: many concurrent FOBS transfers in one process. The
 // heart of the suite is the isolation test — three simultaneous
 // transfers of different sizes (one under fault injection), all
-// byte-identical, with per-session traces and results that never bleed
-// into each other. Plus handle lifecycle (wait/status/cancel), the
-// control-port allocator, and engine counters.
+// byte-identical, with per-transfer traces and results that never bleed
+// into each other. Plus handle lifecycle (wait/status/cancel) for one
+// and four flows, rejected options, the control-port allocator, and
+// engine counters.
 //
 // Port block: 37000-37099 (keep clear of 36xxx = test_fobs_posix /
 // test_telemetry and 38xxx = test_fault_posix).
@@ -18,6 +19,7 @@
 
 #include "fobs/posix/engine.h"
 #include "fobs/sim_transfer.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace fobs {
@@ -62,9 +64,9 @@ TEST(EngineConcurrency, ThreeSimultaneousTransfersAreByteIdenticalAndIsolated) {
 
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     EXPECT_EQ(rx[i].wait(), posix::TransferStatus::kCompleted)
-        << "receiver " << i << ": " << rx[i].receiver_result().error;
+        << "receiver " << i << ": " << rx[i].result().error;
     EXPECT_EQ(tx[i].wait(), posix::TransferStatus::kCompleted)
-        << "sender " << i << ": " << tx[i].sender_result().error;
+        << "sender " << i << ": " << tx[i].result().error;
     EXPECT_EQ(sinks[i], objects[i]) << "pair " << i << " not byte-identical";
   }
   engine.wait_idle();
@@ -73,13 +75,13 @@ TEST(EngineConcurrency, ThreeSimultaneousTransfersAreByteIdenticalAndIsolated) {
   EXPECT_EQ(engine.sessions_failed(), 0u);
 
   // Result isolation: only the faulted pair saw corruption.
-  EXPECT_GT(rx[1].receiver_result().corrupt_packets_dropped, 0);
-  EXPECT_EQ(rx[0].receiver_result().corrupt_packets_dropped, 0);
-  EXPECT_EQ(rx[2].receiver_result().corrupt_packets_dropped, 0);
+  EXPECT_GT(rx[1].result().stripe_receivers[0].corrupt_packets_dropped, 0);
+  EXPECT_EQ(rx[0].result().stripe_receivers[0].corrupt_packets_dropped, 0);
+  EXPECT_EQ(rx[2].result().stripe_receivers[0].corrupt_packets_dropped, 0);
   // Per-pair packet counts reflect each pair's own object, not a shared
   // tally.
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(rx[i].receiver_result().packets_received, (sizes[i] + 1023) / 1024)
+    EXPECT_EQ(rx[i].result().stripe_receivers[0].packets_received, (sizes[i] + 1023) / 1024)
         << "pair " << i;
   }
 
@@ -121,15 +123,15 @@ TEST(EngineHandle, IdsAreUniqueAndStatusTurnsTerminal) {
   ASSERT_TRUE(rx.valid());
   ASSERT_TRUE(tx.valid());
   EXPECT_NE(rx.id(), tx.id());
-  EXPECT_FALSE(rx.is_sender());
-  EXPECT_TRUE(tx.is_sender());
+  EXPECT_FALSE(rx.result().is_sender);
+  EXPECT_TRUE(tx.result().is_sender);
 
   EXPECT_TRUE(rx.wait_for(std::chrono::milliseconds(30'000)));
   EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted);
   EXPECT_TRUE(rx.done());
   EXPECT_TRUE(tx.done());
-  EXPECT_TRUE(tx.sender_result().completed());
-  EXPECT_TRUE(rx.receiver_result().completed());
+  EXPECT_TRUE(tx.result().completed());
+  EXPECT_TRUE(rx.result().completed());
   EXPECT_EQ(sink, object);
   // Results outlive the engine through the handle.
   EXPECT_EQ(to_string(rx.status()), std::string("completed"));
@@ -158,7 +160,7 @@ TEST(EngineHandle, CancelStopsAWaitingSession) {
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_EQ(status, posix::TransferStatus::kCancelled);
-  EXPECT_FALSE(handle.receiver_result().completed());
+  EXPECT_FALSE(handle.result().completed());
   EXPECT_LT(elapsed, 10'000) << "cancel should not wait out the 30 s timeout";
 }
 
@@ -168,7 +170,7 @@ TEST(EngineHandle, BadOptionsSessionTurnsTerminalWithBadOptions) {
   auto handle = engine.submit_receive(posix::ReceiverOptions{},  // no ports
                                       std::span<std::uint8_t>(sink));
   EXPECT_EQ(handle.wait(), posix::TransferStatus::kBadOptions);
-  EXPECT_FALSE(handle.receiver_result().error.empty());
+  EXPECT_FALSE(handle.result().error.empty());
   engine.wait_idle();
   EXPECT_EQ(engine.sessions_failed(), 1u);
   EXPECT_EQ(engine.sessions_completed(), 0u);
@@ -185,9 +187,8 @@ TEST(EngineHandle, InvalidHandleAccessorsAreSafe) {
   EXPECT_FALSE(handle.wait_for(std::chrono::milliseconds(1)));
   EXPECT_EQ(handle.tracer(), nullptr);
   handle.cancel();  // no-op
-  EXPECT_FALSE(handle.sender_result().completed());
-  EXPECT_FALSE(handle.receiver_result().completed());
-  EXPECT_TRUE(handle.sender_result().error.empty());
+  EXPECT_FALSE(handle.result().completed());
+  EXPECT_TRUE(handle.result().error.empty());
 }
 
 TEST(EngineLifecycle, DestructorCancelsLiveSessions) {
@@ -214,6 +215,130 @@ TEST(EngineLifecycle, DestructorCancelsLiveSessions) {
 }
 
 // ---------------------------------------------------------------------------
+// One handle per transfer, for any flow count
+// ---------------------------------------------------------------------------
+
+TEST(EngineHandle, OneHandleWaitsOnAndReportsAFourFlowTransfer) {
+  constexpr std::int64_t kPacketBytes = 8 * 1024;
+  const auto object = core::make_pattern(2 * 1024 * 1024 + 77, 0x4F10);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  posix::ReceiverOptions ropt;
+  ropt.data_port = port_base(60);  // and 61..63
+  ropt.control_port = port_base(64);  // and 65..67
+  ropt.endpoint.packet_bytes = kPacketBytes;
+  ropt.endpoint.timeout_ms = 30'000;
+  ropt.stripes = 4;
+  posix::SenderOptions sopt;
+  sopt.data_port = ropt.data_port;
+  sopt.control_port = ropt.control_port;
+  sopt.endpoint.packet_bytes = kPacketBytes;
+  sopt.endpoint.timeout_ms = 30'000;
+  sopt.stripes = 4;
+
+  posix::TransferHandle rx;
+  posix::TransferHandle tx;
+  {
+    posix::TransferEngine engine({.workers = 8, .session_tracers = true});
+    rx = engine.submit_receive(ropt, std::span<std::uint8_t>(sink));
+    tx = engine.submit_send(sopt, std::span<const std::uint8_t>(object));
+    EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
+    EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
+    engine.wait_idle();
+    // Eight flow sessions, two transfers.
+    EXPECT_EQ(engine.sessions_submitted(), 8u);
+    EXPECT_EQ(engine.sessions_completed(), 2u);
+    EXPECT_EQ(engine.sessions_failed(), 0u);
+  }
+  // Results and per-flow tracers outlive the engine.
+  EXPECT_EQ(sink, object);
+  const auto& received = rx.result();
+  EXPECT_FALSE(received.is_sender);
+  EXPECT_EQ(received.stripes, 4);
+  EXPECT_EQ(received.stripes_completed, 4);
+  ASSERT_EQ(received.stripe_receivers.size(), 4u);
+  EXPECT_TRUE(received.stripe_senders.empty());
+  std::int64_t packets = 0;
+  for (const auto& flow : received.stripe_receivers) {
+    EXPECT_TRUE(flow.completed());
+    packets += flow.packets_received;
+  }
+  const auto object_bytes = static_cast<std::int64_t>(object.size());
+  EXPECT_EQ(packets, (object_bytes + kPacketBytes - 1) / kPacketBytes);
+  EXPECT_GT(received.goodput_mbps, 0.0);
+  EXPECT_EQ(tx.result().stripe_senders.size(), 4u);
+  for (int flow = 0; flow < 4; ++flow) {
+    ASSERT_NE(rx.tracer(flow), nullptr) << flow;
+    EXPECT_EQ(rx.tracer(flow)->count(telemetry::EventType::kTransferStart), 1) << flow;
+    if (flow > 0) {
+      EXPECT_NE(rx.tracer(flow), rx.tracer(flow - 1));
+    }
+  }
+  EXPECT_EQ(rx.tracer(4), nullptr);
+  EXPECT_EQ(rx.tracer(-1), nullptr);
+}
+
+TEST(EngineHandle, CancelEndsEveryFlowOfAFourFlowReceive) {
+  // No sender: every flow would wait out the 30-second timeout.
+  std::vector<std::uint8_t> sink(64 * 1024, 0);
+  posix::ReceiverOptions ropt;
+  ropt.data_port = port_base(70);  // and 71..73
+  ropt.control_port = port_base(74);  // and 75..77
+  ropt.endpoint.timeout_ms = 30'000;
+  ropt.stripes = 4;
+
+  posix::TransferEngine engine({.workers = 4});
+  auto handle = engine.submit_receive(ropt, std::span<std::uint8_t>(sink));
+  const auto start = std::chrono::steady_clock::now();
+  while (handle.status() == posix::TransferStatus::kPending &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  handle.cancel();
+  EXPECT_EQ(handle.wait(), posix::TransferStatus::kCancelled);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_LT(elapsed, 10'000) << "cancel should not wait out the 30 s timeout";
+  const auto& result = handle.result();
+  ASSERT_EQ(result.stripe_receivers.size(), 4u);
+  for (const auto& flow : result.stripe_receivers) {
+    EXPECT_EQ(flow.status, posix::TransferStatus::kCancelled);
+  }
+  EXPECT_EQ(result.stripes_completed, 0);
+}
+
+TEST(EngineHandle, FourFlowSubmitWithZeroPortsLaunchesNoFlow) {
+  std::vector<std::uint8_t> sink(64 * 1024, 0);
+  posix::ReceiverOptions ropt;  // no ports
+  ropt.stripes = 4;
+  auto& launched =
+      telemetry::MetricsRegistry::global().counter("fobs.engine.sessions_submitted");
+  const auto launched_before = launched.value();
+  int exits = 0;
+  posix::SessionParams params;
+  params.on_exit = [&exits](const posix::TransferHandle& handle) {
+    ++exits;
+    EXPECT_TRUE(handle.done());
+  };
+
+  posix::TransferEngine engine({.workers = 4});
+  auto handle = engine.submit_receive(ropt, std::span<std::uint8_t>(sink), std::move(params));
+  ASSERT_TRUE(handle.valid());
+  EXPECT_TRUE(handle.done()) << "rejected before any flow exists";
+  EXPECT_EQ(handle.wait(), posix::TransferStatus::kBadOptions);
+  const auto& error = handle.result().error;
+  EXPECT_NE(error.find("data_port"), std::string::npos) << error;
+  EXPECT_EQ(handle.result().stripes, 0);
+  EXPECT_TRUE(handle.result().stripe_receivers.empty());
+  EXPECT_EQ(handle.tracer(0), nullptr);
+  EXPECT_EQ(exits, 1);
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+  EXPECT_EQ(launched.value(), launched_before);
+  EXPECT_EQ(engine.active_sessions(), 0u);
+  EXPECT_EQ(engine.sessions_failed(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Control-port allocator
 // ---------------------------------------------------------------------------
 
@@ -222,9 +347,9 @@ TEST(EnginePorts, AllocateReleaseAndExhaust) {
       {.workers = 1, .control_port_base = port_base(40), .control_port_count = 3});
   EXPECT_EQ(engine.free_control_ports(), 3u);
 
-  const auto a = engine.allocate_control_port();
-  const auto b = engine.allocate_control_port();
-  const auto c = engine.allocate_control_port();
+  const auto a = engine.allocate_control_port_block(1);
+  const auto b = engine.allocate_control_port_block(1);
+  const auto c = engine.allocate_control_port_block(1);
   ASSERT_TRUE(a && b && c);
   EXPECT_EQ(engine.free_control_ports(), 0u);
   // Distinct ports, all inside the configured range.
@@ -236,11 +361,11 @@ TEST(EnginePorts, AllocateReleaseAndExhaust) {
     EXPECT_LT(port, port_base(43));
   }
   // Exhausted: the allocator sheds instead of inventing ports.
-  EXPECT_FALSE(engine.allocate_control_port().has_value());
+  EXPECT_FALSE(engine.allocate_control_port_block(1).has_value());
 
-  engine.release_control_port(*b);
+  engine.release_control_port_block(*b, 1);
   EXPECT_EQ(engine.free_control_ports(), 1u);
-  const auto again = engine.allocate_control_port();
+  const auto again = engine.allocate_control_port_block(1);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, *b);
 }
@@ -248,7 +373,7 @@ TEST(EnginePorts, AllocateReleaseAndExhaust) {
 TEST(EnginePorts, DisabledAllocatorAlwaysRefuses) {
   posix::TransferEngine engine({.workers = 1});
   EXPECT_EQ(engine.free_control_ports(), 0u);
-  EXPECT_FALSE(engine.allocate_control_port().has_value());
+  EXPECT_FALSE(engine.allocate_control_port_block(1).has_value());
 }
 
 TEST(EnginePorts, RangePastPortMaxIsClampedNotWrapped) {
@@ -259,35 +384,35 @@ TEST(EnginePorts, RangePastPortMaxIsClampedNotWrapped) {
       {.workers = 1, .control_port_base = 65'530, .control_port_count = 100});
   EXPECT_EQ(engine.free_control_ports(), 6u);
   for (int i = 0; i < 6; ++i) {
-    const auto port = engine.allocate_control_port();
+    const auto port = engine.allocate_control_port_block(1);
     ASSERT_TRUE(port.has_value());
     EXPECT_GE(*port, 65'530);
   }
-  EXPECT_FALSE(engine.allocate_control_port().has_value());
+  EXPECT_FALSE(engine.allocate_control_port_block(1).has_value());
 
   // Base 0 is not a usable listening port: the allocator stays disabled
   // rather than handing out ports 0..N-1.
   posix::TransferEngine zero_base(
       {.workers = 1, .control_port_base = 0, .control_port_count = 8});
   EXPECT_EQ(zero_base.free_control_ports(), 0u);
-  EXPECT_FALSE(zero_base.allocate_control_port().has_value());
+  EXPECT_FALSE(zero_base.allocate_control_port_block(1).has_value());
 }
 
 TEST(EnginePorts, OwnedPortIsReleasedWhenSessionEnds) {
   posix::TransferEngine engine(
       {.workers = 1, .control_port_base = port_base(44), .control_port_count = 1});
-  const auto port = engine.allocate_control_port();
+  const auto port = engine.allocate_control_port_block(1);
   ASSERT_TRUE(port.has_value());
   EXPECT_EQ(engine.free_control_ports(), 0u);
 
-  // The session fails instantly (bad options) — but its owned port must
-  // still flow back to the allocator.
+  // The transfer fails instantly (bad options: no data port) — but its
+  // owned port must still flow back to the allocator.
   std::vector<std::uint8_t> sink(1024, 0);
+  posix::ReceiverOptions ropt;
+  ropt.control_port = *port;
   posix::SessionParams params;
-  params.owned_control_port = *port;
-  auto handle =
-      engine.submit_receive(posix::ReceiverOptions{}, std::span<std::uint8_t>(sink),
-                            std::move(params));
+  params.owns_control_ports = true;
+  auto handle = engine.submit_receive(ropt, std::span<std::uint8_t>(sink), std::move(params));
   handle.wait();
   engine.wait_idle();
   EXPECT_EQ(engine.free_control_ports(), 1u);

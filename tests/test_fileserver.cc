@@ -3,7 +3,8 @@
 // from distinct clients, all byte-identical), the catalog-timeout
 // bugfix (a connected-but-silent client can no longer wedge the serve
 // loop), the catalog grant (stripe token, port-space clamp, the
-// server's packet size wins) and the refusal paths.
+// server's packet size wins), a client that starts before its server,
+// and the refusal paths.
 //
 // Port block: 37100-37199 (test_engine owns 37000-37099).
 #include <gtest/gtest.h>
@@ -360,6 +361,44 @@ TEST(FileServer, EveryStripeSessionWritesItsOwnTrace) {
     ASSERT_TRUE(trace.has_value()) << name;
     EXPECT_GT(trace->size(), 0) << name;
   }
+}
+
+TEST(FileServer, FetchStartedBeforeTheServerCompletesOnceItListens) {
+  // The catalog connect retries with backoff inside the fetch's
+  // timeout, so a client may start before the server.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_early";
+  const auto checksums = stage_files(dir, {256 * 1024 + 5});
+  const std::string out = dir + "/fetched0.bin";
+  std::remove(out.c_str());
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 37196;
+  options.control_port_base = 37197;  // control ports 37197..37198
+  options.control_port_count = 2;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+
+  posix::FetchOptions fetch;
+  fetch.catalog_port = options.catalog_port;
+  fetch.name = "dataset0.bin";
+  fetch.out_path = out;
+  fetch.data_port = 37199;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = 30'000;
+  posix::FetchResult result;
+  std::thread client([&] { result = posix::fetch_file(fetch); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const bool started = server.start();
+  client.join();
+  ASSERT_TRUE(started);
+  ASSERT_TRUE(result.completed()) << result.error;
+  EXPECT_EQ(result.checksum, checksums[0]);
+  const auto fetched = core::TransferObject::map_file(out);
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->checksum(), checksums[0]);
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ void run_loopback_transfer(std::int64_t object_bytes, std::int64_t packet_bytes,
   send_opts.endpoint.packet_bytes = packet_bytes;
   send_opts.endpoint.timeout_ms = 30'000;
 
-  posix::ReceiverResult recv_result;
+  posix::TransferResult recv_result;
   std::thread receiver_thread([&] {
     recv_result = posix::receive_object(recv_opts, std::span<std::uint8_t>(sink));
   });
@@ -95,9 +95,9 @@ void run_loopback_transfer(std::int64_t object_bytes, std::int64_t packet_bytes,
   ASSERT_TRUE(send_result.completed()) << send_result.error;
   ASSERT_TRUE(recv_result.completed()) << recv_result.error;
   EXPECT_EQ(sink, object);
-  EXPECT_EQ(recv_result.packets_received,
-            (object_bytes + packet_bytes - 1) / packet_bytes);
-  EXPECT_GE(send_result.packets_sent, recv_result.packets_received);
+  const auto packets_received = recv_result.stripe_receivers.at(0).packets_received;
+  EXPECT_EQ(packets_received, (object_bytes + packet_bytes - 1) / packet_bytes);
+  EXPECT_GE(send_result.stripe_senders.at(0).packets_sent, packets_received);
 }
 
 TEST(FobsPosixTransfer, SmallObjectLoopback) { run_loopback_transfer(256 * 1024, 1024, 16, 0); }

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -43,13 +42,6 @@ sockaddr_in loopback(std::uint16_t port) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   return addr;
 }
-
-/// RAII guard for the FOBS_IO_MODE environment override.
-class IoModeEnv {
- public:
-  explicit IoModeEnv(const char* value) { ::setenv("FOBS_IO_MODE", value, 1); }
-  ~IoModeEnv() { ::unsetenv("FOBS_IO_MODE"); }
-};
 
 // ---------------------------------------------------------------------------
 // IoOptions validation
@@ -126,14 +118,7 @@ TEST(IoChannel, ModeSwitchesSelectTheExpectedPath) {
   ASSERT_TRUE(batched.valid()) << error;
   EXPECT_TRUE(batched.batched());
 
-  // The environment override resolves kAuto without a recompile.
   io.mode = net::IoMode::kAuto;
-  {
-    IoModeEnv env("fallback");
-    auto forced = net::DatagramChannel::open(io, 2048, std::nullopt, &error);
-    ASSERT_TRUE(forced.valid()) << error;
-    EXPECT_FALSE(forced.batched());
-  }
   auto auto_mode = net::DatagramChannel::open(io, 2048, std::nullopt, &error);
   ASSERT_TRUE(auto_mode.valid()) << error;
   EXPECT_TRUE(auto_mode.batched());
@@ -271,8 +256,9 @@ TransferPair run_pair(const posix::SenderOptions& send_opts,
                       const posix::ReceiverOptions& recv_opts,
                       std::span<const std::uint8_t> object, std::span<std::uint8_t> sink) {
   TransferPair out;
-  std::thread receiver_thread([&] { out.receiver = posix::receive_object(recv_opts, sink); });
-  out.sender = posix::send_object(send_opts, object);
+  std::thread receiver_thread(
+      [&] { out.receiver = posix::receive_object(recv_opts, sink).stripe_receivers.at(0); });
+  out.sender = posix::send_object(send_opts, object).stripe_senders.at(0);
   receiver_thread.join();
   return out;
 }
@@ -327,18 +313,6 @@ TEST(IoTransfer, BatchedAndFallbackTransfersAreByteIdentical) {
   EXPECT_GE(batched.sender.io.copy_bytes_avoided,
             static_cast<std::int64_t>(object.size()));
 #endif
-}
-
-TEST(IoTransfer, EnvOverrideForcesFallbackForAutoMode) {
-  IoModeEnv env("fallback");
-  const auto object = core::make_pattern(64 * 1024, 0xE27);
-  std::vector<std::uint8_t> sink(object.size(), 0);
-  const auto pair = run_mode_pair(14, net::IoMode::kAuto, object, sink);
-  ASSERT_TRUE(pair.receiver.completed()) << pair.receiver.error;
-  ASSERT_TRUE(pair.sender.completed()) << pair.sender.error;
-  EXPECT_EQ(sink, object);
-  EXPECT_EQ(pair.sender.io.send_syscalls, pair.sender.io.datagrams_sent);
-  EXPECT_EQ(pair.sender.io.copy_bytes_avoided, 0);
 }
 
 TEST(IoTransfer, TransferSurvivesGarbageSprayedIntoBatches) {

@@ -9,7 +9,8 @@
 //    file, also concurrently, and each restores only its own; a torn
 //    file is ignored.
 //  - Loopback transfers over real sockets: a 4-stripe >= 64 MiB
-//    transfer lands byte-identical (checksum-verified); killing one
+//    send_object/receive_object pair lands byte-identical
+//    (checksum-verified); rejected options launch no flow; killing one
 //    stripe's flow mid-transfer degrades but stays resumable, and the
 //    resume completes byte-identical; an interrupted fetch resumes at a
 //    different stripe count (4 -> 1 and 1 -> 4) from the one checkpoint.
@@ -188,7 +189,7 @@ TEST(PortAllocator, BlockExhaustionAndFragmentation) {
   // allocation can.
   ports.release(40103);
   EXPECT_FALSE(ports.allocate_block(2).has_value());
-  const auto single = ports.allocate();
+  const auto single = ports.allocate_block(1);
   ASSERT_TRUE(single.has_value());
   EXPECT_EQ(*single, 40103);
   // Freeing two adjacent ports makes a 2-block fit again.
@@ -253,7 +254,7 @@ TEST(PortAllocator, EngineExposesBlockLeases) {
   EXPECT_EQ(engine.free_control_ports(), 4u);
   EXPECT_FALSE(engine.allocate_control_port_block(5).has_value());
   // Block ports may be released individually (sessions own one each).
-  engine.release_control_port(static_cast<std::uint16_t>(*block + 1));
+  engine.release_control_port_block(static_cast<std::uint16_t>(*block + 1), 1);
   EXPECT_EQ(engine.free_control_ports(), 5u);
   engine.release_control_port_block(*block, 4);  // re-release is ignored
   EXPECT_EQ(engine.control_port_capacity(), 8u);
@@ -410,22 +411,17 @@ TEST(CheckpointRange, TornFileIsIgnoredAndReplacedByTheNextFold) {
 // ---------------------------------------------------------------------------
 
 struct LoopbackRun {
-  posix::StripedResult sender;
-  posix::StripedResult receiver;
+  posix::TransferResult sender;
+  posix::TransferResult receiver;
 };
 
-/// Runs one striped sender/receiver pair over loopback; the sender on
-/// its own thread (run_striped_* must not run on an engine worker).
-LoopbackRun run_striped_loopback(posix::TransferEngine& sender_engine,
-                                 posix::TransferEngine& receiver_engine,
-                                 const posix::StripedSenderOptions& send,
-                                 const posix::StripedReceiverOptions& recv,
-                                 std::span<const std::uint8_t> object,
-                                 std::span<std::uint8_t> buffer) {
+/// Runs one blocking send_object/receive_object pair over loopback, the
+/// sender on its own thread.
+LoopbackRun run_loopback(const posix::SenderOptions& send, const posix::ReceiverOptions& recv,
+                         std::span<const std::uint8_t> object, std::span<std::uint8_t> buffer) {
   LoopbackRun run;
-  std::thread sender(
-      [&] { run.sender = sender_engine.run_striped_sender(send, object); });
-  run.receiver = receiver_engine.run_striped_receiver(recv, buffer);
+  std::thread sender([&] { run.sender = posix::send_object(send, object); });
+  run.receiver = posix::receive_object(recv, buffer);
   sender.join();
   return run;
 }
@@ -436,24 +432,18 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
   auto object = core::TransferObject::pattern(kObjectBytes, 0x57121FE5);
   std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
 
-  posix::EngineOptions engine_options;
-  engine_options.workers = 4;
-  posix::TransferEngine sender_engine(engine_options);
-  posix::TransferEngine receiver_engine(engine_options);
-
-  posix::StripedSenderOptions send;
-  send.flow.data_port = 37312;
-  send.flow.control_port = 37320;
-  send.flow.endpoint.packet_bytes = kPacketBytes;
+  posix::SenderOptions send;
+  send.data_port = 37312;
+  send.control_port = 37320;
+  send.endpoint.packet_bytes = kPacketBytes;
   send.stripes = 4;
-  posix::StripedReceiverOptions recv;
-  recv.flow.data_port = 37312;
-  recv.flow.control_port = 37320;
-  recv.flow.endpoint.packet_bytes = kPacketBytes;
+  posix::ReceiverOptions recv;
+  recv.data_port = 37312;
+  recv.control_port = 37320;
+  recv.endpoint.packet_bytes = kPacketBytes;
   recv.stripes = 4;
 
-  const auto run =
-      run_striped_loopback(sender_engine, receiver_engine, send, recv, object.view(), buffer);
+  const auto run = run_loopback(send, recv, object.view(), buffer);
   ASSERT_TRUE(run.receiver.completed()) << run.receiver.error;
   ASSERT_TRUE(run.sender.completed()) << run.sender.error;
   EXPECT_EQ(run.receiver.stripes, 4);
@@ -470,27 +460,24 @@ TEST(StripedTransfer, RejectsPortBlocksPastThePortSpace) {
   auto object = core::TransferObject::pattern(64 * 1024, 0xB10C);
   std::vector<std::uint8_t> buffer(static_cast<std::size_t>(object.size()), 0);
   posix::TransferEngine engine(posix::EngineOptions{.workers = 1});
-  posix::StripedReceiverOptions recv;
-  recv.flow.data_port = 65534;
-  recv.flow.control_port = 37330;
-  recv.flow.endpoint.packet_bytes = 4096;
+  posix::ReceiverOptions recv;
+  recv.data_port = 65534;
+  recv.control_port = 37330;
+  recv.endpoint.packet_bytes = 4096;
   recv.stripes = 4;
-  const auto result = engine.run_striped_receiver(recv, buffer);
-  EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
+  EXPECT_EQ(engine.submit_receive(recv, buffer).wait(), posix::TransferStatus::kBadOptions);
   EXPECT_EQ(engine.sessions_submitted(), 0u);
 
-  posix::StripedSenderOptions send;
-  send.flow.data_port = 37330;
-  send.flow.control_port = 65535;
-  send.flow.endpoint.packet_bytes = 4096;
+  posix::SenderOptions send;
+  send.data_port = 37330;
+  send.control_port = 65535;
+  send.endpoint.packet_bytes = 4096;
   send.stripes = 2;
-  EXPECT_EQ(engine.run_striped_sender(send, object.view()).status,
-            posix::TransferStatus::kBadOptions);
+  EXPECT_EQ(engine.submit_send(send, object.view()).wait(), posix::TransferStatus::kBadOptions);
   // More stripes than the object has packets.
-  send.flow.control_port = 37331;
+  send.control_port = 37331;
   send.stripes = 17;
-  EXPECT_EQ(engine.run_striped_sender(send, object.view()).status,
-            posix::TransferStatus::kBadOptions);
+  EXPECT_EQ(engine.submit_send(send, object.view()).wait(), posix::TransferStatus::kBadOptions);
   EXPECT_EQ(engine.sessions_submitted(), 0u);
 }
 
@@ -502,31 +489,25 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   const std::string checkpoint_path = ::testing::TempDir() + "fobs_stripes_kill.ckpt";
   posix::remove_checkpoint(checkpoint_path);
 
-  posix::EngineOptions engine_options;
-  engine_options.workers = 4;
-
   // Attempt 1: stripe 1's data flow is blackholed from the first packet
   // — that stripe can never progress, the other three complete.
   {
-    posix::TransferEngine sender_engine(engine_options);
-    posix::TransferEngine receiver_engine(engine_options);
-    posix::StripedSenderOptions send;
-    send.flow.data_port = 37354;
-    send.flow.control_port = 37360;
-    send.flow.endpoint.packet_bytes = kPacketBytes;
-    send.flow.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
+    posix::SenderOptions send;
+    send.data_port = 37354;
+    send.control_port = 37360;
+    send.endpoint.packet_bytes = kPacketBytes;
+    send.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
     send.stripes = 4;
-    posix::StripedReceiverOptions recv;
-    recv.flow.data_port = 37354;
-    recv.flow.control_port = 37360;
-    recv.flow.checkpoint_path = checkpoint_path;
-    recv.flow.endpoint.packet_bytes = kPacketBytes;
-    recv.flow.endpoint.timeout_ms = 4'000;
+    posix::ReceiverOptions recv;
+    recv.data_port = 37354;
+    recv.control_port = 37360;
+    recv.checkpoint_path = checkpoint_path;
+    recv.endpoint.packet_bytes = kPacketBytes;
+    recv.endpoint.timeout_ms = 4'000;
     recv.stripes = 4;
     recv.stripe_fault_plans = {"", "seed=7;data.blackhole=0+1000000", "", ""};
 
-    const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
-                                          object.view(), buffer);
+    const auto run = run_loopback(send, recv, object.view(), buffer);
     EXPECT_FALSE(run.receiver.completed());
     EXPECT_TRUE(run.receiver.degraded())
         << "expected some stripes delivered, got " << run.receiver.stripes_completed
@@ -548,23 +529,20 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   // completes without refetching the three delivered stripes. Saving on
   // every ACK includes the one the completing packet triggers.
   {
-    posix::TransferEngine sender_engine(engine_options);
-    posix::TransferEngine receiver_engine(engine_options);
-    posix::StripedSenderOptions send;
-    send.flow.data_port = 37354;
-    send.flow.control_port = 37360;
-    send.flow.endpoint.packet_bytes = kPacketBytes;
+    posix::SenderOptions send;
+    send.data_port = 37354;
+    send.control_port = 37360;
+    send.endpoint.packet_bytes = kPacketBytes;
     send.stripes = 4;
-    posix::StripedReceiverOptions recv;
-    recv.flow.data_port = 37354;
-    recv.flow.control_port = 37360;
-    recv.flow.checkpoint_path = checkpoint_path;
-    recv.flow.checkpoint_every_acks = 1;
-    recv.flow.endpoint.packet_bytes = kPacketBytes;
+    posix::ReceiverOptions recv;
+    recv.data_port = 37354;
+    recv.control_port = 37360;
+    recv.checkpoint_path = checkpoint_path;
+    recv.checkpoint_every_acks = 1;
+    recv.endpoint.packet_bytes = kPacketBytes;
     recv.stripes = 4;
 
-    const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
-                                          object.view(), buffer);
+    const auto run = run_loopback(send, recv, object.view(), buffer);
     ASSERT_TRUE(run.receiver.completed()) << run.receiver.error;
     EXPECT_GT(run.receiver.packets_restored, 0)
         << "the resume must restore the completed stripes from checkpoints";
@@ -645,7 +623,7 @@ bool file_exists(const std::string& path) { return ::access(path.c_str(), F_OK) 
 /// runs it — into a mapping of `<out>.part` with the object-level
 /// checkpoint at `<out>.ckpt` — over `fault_plans.size()` stripes, one
 /// fault plan per stripe, against a striped sender of `object`.
-posix::StripedResult interrupted_fetch(const core::TransferObject& object,
+posix::TransferResult interrupted_fetch(const core::TransferObject& object,
                                        const std::string& out,
                                        const std::vector<std::string>& fault_plans,
                                        std::uint16_t data_port, std::uint16_t control_port) {
@@ -653,27 +631,22 @@ posix::StripedResult interrupted_fetch(const core::TransferObject& object,
   auto partial = core::TransferObject::map_file_rw(out + ".part", object.size());
   EXPECT_TRUE(partial.has_value());
   if (!partial) return {};
-  posix::EngineOptions engine_options;
-  engine_options.workers = static_cast<std::size_t>(stripes);
-  posix::TransferEngine sender_engine(engine_options);
-  posix::TransferEngine receiver_engine(engine_options);
-  posix::StripedSenderOptions send;
-  send.flow.data_port = data_port;
-  send.flow.control_port = control_port;
-  send.flow.endpoint.packet_bytes = kResumePacketBytes;
-  send.flow.endpoint.timeout_ms = 3'000;
+  posix::SenderOptions send;
+  send.data_port = data_port;
+  send.control_port = control_port;
+  send.endpoint.packet_bytes = kResumePacketBytes;
+  send.endpoint.timeout_ms = 3'000;
   send.stripes = stripes;
-  posix::StripedReceiverOptions recv;
-  recv.flow.data_port = data_port;
-  recv.flow.control_port = control_port;
-  recv.flow.checkpoint_path = out + ".ckpt";
-  recv.flow.checkpoint_every_acks = 1;
-  recv.flow.endpoint.packet_bytes = kResumePacketBytes;
-  recv.flow.endpoint.timeout_ms = 3'000;
+  posix::ReceiverOptions recv;
+  recv.data_port = data_port;
+  recv.control_port = control_port;
+  recv.checkpoint_path = out + ".ckpt";
+  recv.checkpoint_every_acks = 1;
+  recv.endpoint.packet_bytes = kResumePacketBytes;
+  recv.endpoint.timeout_ms = 3'000;
   recv.stripes = stripes;
   recv.stripe_fault_plans = fault_plans;
-  const auto run = run_striped_loopback(sender_engine, receiver_engine, send, recv,
-                                        object.view(), partial->mutable_view());
+  const auto run = run_loopback(send, recv, object.view(), partial->mutable_view());
   partial->sync();
   return run.receiver;
 }

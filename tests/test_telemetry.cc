@@ -397,7 +397,7 @@ TEST(TraceSchema, PosixTransferEmitsValidJsonl) {
   send_opts.endpoint.timeout_ms = 30'000;
   send_opts.endpoint.tracer = &sender_trace;
 
-  posix::ReceiverResult recv_result;
+  posix::TransferResult recv_result;
   std::thread receiver_thread([&] {
     recv_result = posix::receive_object(recv_opts, std::span<std::uint8_t>(sink));
   });
@@ -416,7 +416,8 @@ TEST(TraceSchema, PosixTransferEmitsValidJsonl) {
   EXPECT_EQ(sender_trace.count(EventType::kCompletion), 1);
   EXPECT_EQ(receiver_trace.count(EventType::kCompletion), 1);
   EXPECT_EQ(sender_trace.count(EventType::kTimeout), 0);
-  EXPECT_EQ(receiver_trace.count(EventType::kPacketPlaced), recv_result.packets_received);
+  EXPECT_EQ(receiver_trace.count(EventType::kPacketPlaced),
+            recv_result.stripe_receivers.at(0).packets_received);
 }
 
 }  // namespace
