@@ -1,23 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot paths the simulator
-// and protocol cores hit millions of times per transfer, plus a
-// loopback comparison of the batched (sendmmsg/recvmmsg scatter-gather)
-// and fallback (sendto/recvfrom + assembly copy) datagram I/O paths.
-// The comparison always runs first and writes its machine-readable
-// result to BENCH_io.json (syscalls per packet and MB/s per mode).
+// and protocol cores hit millions of times per transfer. The datagram
+// channel's per-datagram cost is measured by perfbench's net.* metrics.
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <optional>
-#include <span>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "common/bitmap.h"
 #include "common/rng.h"
@@ -26,7 +12,6 @@
 #include "fobs/receiver_core.h"
 #include "fobs/selection.h"
 #include "fobs/sender_core.h"
-#include "net/datagram_channel.h"
 #include "net/seq_range_set.h"
 #include "sim/simulation.h"
 
@@ -155,158 +140,9 @@ void BM_SimulateWholeTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateWholeTransfer)->Arg(4)->Arg(40)->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// Datagram I/O layer: batched vs fallback over loopback
-// ---------------------------------------------------------------------------
-
-struct IoRunResult {
-  double seconds = 0.0;
-  double mb_per_s = 0.0;
-  fobs::net::IoStats tx;
-};
-
-/// Pumps `count` datagrams of `datagram_bytes` (header + gathered
-/// payload) over loopback in one mode, with a drain thread keeping the
-/// receive socket empty, and reports sender-side syscall counts and
-/// throughput.
-IoRunResult pump_loopback(fobs::net::IoMode mode, int count, std::size_t datagram_bytes) {
-  IoRunResult result;
-  fobs::net::IoOptions io;
-  io.mode = mode;
-  io.recv_buffer_bytes = 8 << 20;
-  std::string error;
-  auto rx = fobs::net::DatagramChannel::open(io, datagram_bytes, 0, &error);
-  auto tx = fobs::net::DatagramChannel::open(io, datagram_bytes, std::nullopt, &error);
-  if (!rx.valid() || !tx.valid()) {
-    std::fprintf(stderr, "io bench setup failed: %s\n", error.c_str());
-    return result;
-  }
-  sockaddr_in dest{};
-  dest.sin_family = AF_INET;
-  dest.sin_port = htons(rx.local_port());
-  ::inet_pton(AF_INET, "127.0.0.1", &dest.sin_addr);
-
-  std::atomic<bool> stop{false};
-  std::thread drain([&] {
-    std::vector<fobs::net::RecvView> views(static_cast<std::size_t>(io.recv_batch));
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (rx.recv_batch(views, nullptr) <= 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-  });
-
-  constexpr std::size_t kHeaderBytes = 20;
-  std::vector<std::uint8_t> header(kHeaderBytes, 0x5A);
-  std::vector<std::uint8_t> payload(datagram_bytes - kHeaderBytes, 0xA5);
-  const fobs::net::DatagramView view{std::span<const std::uint8_t>(header),
-                                     std::span<const std::uint8_t>(payload)};
-  std::vector<fobs::net::DatagramView> batch(static_cast<std::size_t>(io.send_batch), view);
-
-  const auto start = std::chrono::steady_clock::now();
-  int sent = 0;
-  while (sent < count) {
-    const int want = std::min(count - sent, io.send_batch);
-    if (!tx.send_batch(std::span(batch.data(), static_cast<std::size_t>(want)), dest,
-                       &error)) {
-      std::fprintf(stderr, "io bench send failed: %s\n", error.c_str());
-      break;
-    }
-    sent += want;
-  }
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  stop.store(true);
-  drain.join();
-  result.tx = tx.stats();
-  if (result.seconds > 0) {
-    result.mb_per_s = static_cast<double>(result.tx.bytes_sent) / result.seconds / 1e6;
-  }
-  return result;
-}
-
-void append_io_json(std::FILE* f, const char* key, const IoRunResult& r) {
-  const double per_packet =
-      r.tx.datagrams_sent > 0
-          ? static_cast<double>(r.tx.send_syscalls) / static_cast<double>(r.tx.datagrams_sent)
-          : 0.0;
-  std::fprintf(f,
-               "  \"%s\": {\"mb_per_s\": %.1f, \"send_syscalls\": %llu, "
-               "\"datagrams\": %llu, \"syscalls_per_packet\": %.4f, "
-               "\"copy_bytes_avoided\": %lld}",
-               key, r.mb_per_s, static_cast<unsigned long long>(r.tx.send_syscalls),
-               static_cast<unsigned long long>(r.tx.datagrams_sent), per_packet,
-               static_cast<long long>(r.tx.copy_bytes_avoided));
-}
-
-/// Runs the batched-vs-fallback comparison and writes BENCH_io.json.
-void write_io_comparison(const char* path) {
-  constexpr int kDatagrams = 20'000;
-  constexpr std::size_t kDatagramBytes = 8 * 1024;
-  const auto fallback = pump_loopback(fobs::net::IoMode::kFallback, kDatagrams, kDatagramBytes);
-#if defined(__linux__)
-  const auto batched = pump_loopback(fobs::net::IoMode::kBatched, kDatagrams, kDatagramBytes);
-#else
-  const auto batched = fallback;
-#endif
-  const double reduction =
-      batched.tx.send_syscalls > 0 && fallback.tx.datagrams_sent > 0 &&
-              batched.tx.datagrams_sent > 0
-          ? (static_cast<double>(fallback.tx.send_syscalls) /
-             static_cast<double>(fallback.tx.datagrams_sent)) /
-                (static_cast<double>(batched.tx.send_syscalls) /
-                 static_cast<double>(batched.tx.datagrams_sent))
-          : 0.0;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"datagram_bytes\": %zu,\n  \"datagrams\": %d,\n", kDatagramBytes,
-               kDatagrams);
-  append_io_json(f, "batched", batched);
-  std::fprintf(f, ",\n");
-  append_io_json(f, "fallback", fallback);
-  std::fprintf(f, ",\n  \"syscall_reduction\": %.1f\n}\n", reduction);
-  std::fclose(f);
-  std::printf("BENCH_io: batched %.0f MB/s (%.4f syscalls/pkt), fallback %.0f MB/s "
-              "(%.4f syscalls/pkt), %.1fx fewer syscalls -> %s\n",
-              batched.mb_per_s,
-              batched.tx.datagrams_sent > 0
-                  ? static_cast<double>(batched.tx.send_syscalls) /
-                        static_cast<double>(batched.tx.datagrams_sent)
-                  : 0.0,
-              fallback.mb_per_s,
-              fallback.tx.datagrams_sent > 0
-                  ? static_cast<double>(fallback.tx.send_syscalls) /
-                        static_cast<double>(fallback.tx.datagrams_sent)
-                  : 0.0,
-              reduction, path);
-}
-
-/// The same comparison as a google-benchmark case: arg 0 = batched,
-/// 1 = fallback; items processed = datagrams pushed.
-void BM_DatagramChannelSend(benchmark::State& state) {
-  const auto mode =
-      state.range(0) == 0 ? fobs::net::IoMode::kBatched : fobs::net::IoMode::kFallback;
-#if !defined(__linux__)
-  if (mode == fobs::net::IoMode::kBatched) {
-    state.SkipWithError("sendmmsg unavailable on this platform");
-    return;
-  }
-#endif
-  constexpr int kPerIteration = 2'000;
-  std::int64_t datagrams = 0;
-  for (auto _ : state) {
-    const auto run = pump_loopback(mode, kPerIteration, 8 * 1024);
-    datagrams += static_cast<std::int64_t>(run.tx.datagrams_sent);
-    benchmark::DoNotOptimize(run.mb_per_s);
-  }
-  state.SetItemsProcessed(datagrams);
-}
-BENCHMARK(BM_DatagramChannelSend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  write_io_comparison("BENCH_io.json");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -64,15 +64,12 @@ int run_demo() {
   std::printf("  goodput %.0f Mb/s, %lld packets sent for %lld needed (waste %.2f%%)\n",
               send_result.goodput_mbps, static_cast<long long>(flow.packets_sent),
               static_cast<long long>(flow.packets_needed), 100.0 * flow.waste);
-  // The batched I/O layer's win, straight from the result counters
-  // (set EndpointOptions::io.mode to IoMode::kFallback to compare).
+  // The batched I/O layer's win, straight from the result counters.
   const auto& io = send_result.io;
-  std::printf("  datagram I/O: %.1f datagrams/send-syscall, %lld MiB of payload "
-              "copies avoided\n",
+  std::printf("  datagram I/O: %.1f datagrams/send-syscall\n",
               io.send_syscalls > 0 ? static_cast<double>(io.datagrams_sent) /
                                          static_cast<double>(io.send_syscalls)
-                                   : 0.0,
-              static_cast<long long>(io.copy_bytes_avoided >> 20));
+                                   : 0.0);
   std::printf("  bytes verified: %s\n", ok ? "yes" : "NO");
   return ok ? 0 : 1;
 }

@@ -31,6 +31,11 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 constexpr std::size_t kAckFixedSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4;  // 48 bytes
 
+// Control-stream frame tokens (the first 8 bytes of every frame).
+constexpr std::uint64_t kCompletionToken = 0x464F4253444F4E45ull;  // "FOBSDONE"
+constexpr std::uint64_t kResumeToken = 0x464F425352534D45ull;      // "FOBSRSME"
+constexpr std::uint64_t kHelloToken = 0x464F425348454C4Full;       // "FOBSHELO"
+
 }  // namespace
 
 void encode_data_header(const DataHeader& header, std::uint8_t* out) {
@@ -135,6 +140,45 @@ std::optional<ResumeFrame> decode_resume(const std::uint8_t* data, std::size_t l
   const std::uint32_t crc = fobs::util::crc32(data + 8, kResumeFixedSize - 8 + bitmap_len);
   if (crc != get_u32(data + kResumeFixedSize + bitmap_len)) return std::nullopt;
   frame.bitmap.assign(data + kResumeFixedSize, data + kResumeFixedSize + bitmap_len);
+  return frame;
+}
+
+std::array<std::uint8_t, kHelloFrameSize> encode_hello(std::uint32_t epoch) {
+  std::array<std::uint8_t, kHelloFrameSize> out{};
+  put_u64(out.data(), kHelloToken);
+  put_u64(out.data() + 8, epoch);
+  return out;
+}
+
+std::array<std::uint8_t, kCompletionFrameSize> encode_completion() {
+  std::array<std::uint8_t, kCompletionFrameSize> out{};
+  put_u64(out.data(), kCompletionToken);
+  return out;
+}
+
+ControlFrame next_control_frame(const std::uint8_t* data, std::size_t len,
+                                std::int64_t packet_count) {
+  ControlFrame frame;
+  if (len < 8) return frame;
+  const std::uint64_t token = get_u64(data);
+  if (token == kCompletionToken) {
+    frame.kind = ControlFrameKind::kCompletion;
+    frame.consumed = kCompletionFrameSize;
+  } else if (token == kHelloToken) {
+    if (len < kHelloFrameSize) return frame;
+    frame.kind = ControlFrameKind::kHello;
+    frame.consumed = kHelloFrameSize;
+    frame.epoch = static_cast<std::uint32_t>(get_u64(data + 8));
+  } else if (token == kResumeToken) {
+    const std::size_t size = resume_frame_size(packet_count);
+    if (len < size) return frame;
+    frame.kind = ControlFrameKind::kResume;
+    frame.consumed = size;
+    frame.resume = decode_resume(data, size);
+    if (frame.resume && frame.resume->packet_count != packet_count) frame.resume.reset();
+  } else {
+    frame.kind = ControlFrameKind::kDesync;
+  }
   return frame;
 }
 

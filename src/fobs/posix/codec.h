@@ -8,9 +8,13 @@
 //               an 8-byte completion token, and an optional resume
 //               frame (receiver's full bitmap, CRC-sealed) sent by a
 //               restarted receiver so the sender skips packets the
-//               previous incarnation already stored.
+//               previous incarnation already stored. The receiver
+//               encodes these frames and the sender takes them off its
+//               buffered stream with next_control_frame(); no other
+//               module knows the control-stream format.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -23,14 +27,13 @@ namespace fobs::posix {
 inline constexpr std::uint32_t kMagic = 0x464F4253;  // "FOBS"
 inline constexpr std::uint8_t kTypeData = 1;
 inline constexpr std::uint8_t kTypeAck = 2;
-inline constexpr std::uint64_t kCompletionToken = 0x464F4253444F4E45ull;  // "FOBSDONE"
-inline constexpr std::uint64_t kResumeToken = 0x464F425352534D45ull;      // "FOBSRSME"
-inline constexpr std::uint64_t kHelloToken = 0x464F425348454C4Full;       // "FOBSHELO"
 
 /// Hello frame: token + u64 carrying the receiver's epoch in its low
 /// 32 bits. Sent first on every control connection; the sender applies
 /// only ACKs stamped with the announced epoch from then on.
 inline constexpr std::size_t kHelloFrameSize = 8 + 8;
+/// Completion frame: the token alone.
+inline constexpr std::size_t kCompletionFrameSize = 8;
 
 inline constexpr std::size_t kDataHeaderSize = 20;
 /// Fixed part of a resume frame: token, packet_count, received_count,
@@ -80,5 +83,34 @@ std::vector<std::uint8_t> encode_resume(std::int64_t packet_count,
 [[nodiscard]] std::size_t resume_frame_size(std::int64_t packet_count);
 /// Parses a complete resume frame; nullopt on bad token/CRC/shape.
 std::optional<ResumeFrame> decode_resume(const std::uint8_t* data, std::size_t len);
+
+/// Serializes the hello frame announcing the receiver's `epoch`.
+std::array<std::uint8_t, kHelloFrameSize> encode_hello(std::uint32_t epoch);
+/// Serializes the completion frame.
+std::array<std::uint8_t, kCompletionFrameSize> encode_completion();
+
+/// What sits at the head of a buffered control stream.
+enum class ControlFrameKind : std::uint8_t {
+  kNeedMore,    ///< empty, or a frame that has not fully arrived yet
+  kHello,       ///< `epoch` holds the receiver's incarnation epoch
+  kResume,      ///< `resume` holds the bitmap, or nullopt when the frame
+                ///< is for another packet count or fails its CRC (ignore it)
+  kCompletion,  ///< every packet arrived
+  kDesync,      ///< unknown token: the stream cannot be re-synchronised
+};
+
+struct ControlFrame {
+  ControlFrameKind kind = ControlFrameKind::kNeedMore;
+  std::size_t consumed = 0;  ///< bytes to drop from the head of the buffer
+  std::uint32_t epoch = 0;
+  std::optional<ResumeFrame> resume;
+};
+
+/// Sans-io control-stream parser: classifies the next frame of `data`
+/// for a flow of `packet_count` packets. A resume frame is read at the
+/// size that packet count implies, so a frame cannot make the caller
+/// buffer more than one bitmap's worth.
+[[nodiscard]] ControlFrame next_control_frame(const std::uint8_t* data, std::size_t len,
+                                              std::int64_t packet_count);
 
 }  // namespace fobs::posix

@@ -23,17 +23,6 @@ namespace fobs::posix {
 
 namespace {
 
-void sum_io(fobs::net::IoStats& into, const fobs::net::IoStats& add) {
-  into.send_syscalls += add.send_syscalls;
-  into.recv_syscalls += add.recv_syscalls;
-  into.datagrams_sent += add.datagrams_sent;
-  into.datagrams_received += add.datagrams_received;
-  into.send_would_block += add.send_would_block;
-  into.bytes_sent += add.bytes_sent;
-  into.bytes_received += add.bytes_received;
-  into.copy_bytes_avoided += add.copy_bytes_avoided;
-}
-
 /// Failure ordering for the aggregate status: configuration and socket
 /// errors are the most actionable, a quiet stall the least.
 int severity(TransferStatus status) {
@@ -66,7 +55,7 @@ void finalize_aggregate(TransferResult& result, std::int64_t object_bytes) {
       if (result.stripes > 1) worst_error = "stripe " + std::to_string(index) + ": " + error;
     }
     slowest = std::max(slowest, elapsed);
-    sum_io(result.io, io);
+    result.io += io;
   };
   for (std::size_t i = 0; i < result.stripe_senders.size(); ++i) {
     const auto& r = result.stripe_senders[i];
@@ -112,10 +101,6 @@ std::shared_ptr<const stripe::StripePlan> make_plan(const Options& options,
   }
   if (options.endpoint.packet_bytes <= 0) {
     error += "packet_bytes must be positive";
-    return nullptr;
-  }
-  if (const std::string io_invalid = options.endpoint.io.validate(); !io_invalid.empty()) {
-    error += io_invalid;
     return nullptr;
   }
   if (span_bytes == 0) {

@@ -6,8 +6,8 @@
 // `stripes` >= 1 flows: the engine validates the options, builds the
 // transfer's StripePlan (fobs/stripe/plan.h) and runs one *flow
 // session* per stripe on a pool worker. A flow session is the blocking
-// POSIX driver loop with its own batched DatagramChannel for the data
-// plane (tuned via EndpointOptions::io), its own control connection on
+// POSIX driver loop with its own sendmmsg/recvmmsg DatagramChannel for
+// the data plane, its own control connection on
 // control_port + i, its own EventTracer (when requested), and the
 // fault-injection and checkpoint machinery. The caller holds one
 // TransferHandle for the whole transfer and can wait(), poll status(),

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "net/datagram_channel.h"
 #include "telemetry/trace.h"
 
 namespace fobs::posix {
@@ -55,11 +54,6 @@ struct EndpointOptions {
   /// installs a steady clock (ns since transfer start) and records
   /// transfer_start, batch, ACK, completion, and timeout/error events.
   fobs::telemetry::EventTracer* tracer = nullptr;
-  /// Datagram I/O tuning: sendmmsg/recvmmsg batch sizes, the
-  /// batched-vs-fallback mode switch, and SO_SNDBUF/SO_RCVBUF sizing
-  /// (see net/datagram_channel.h). Validated before any socket is
-  /// touched; a bad value yields TransferStatus::kBadOptions.
-  fobs::net::IoOptions io;
 };
 
 }  // namespace fobs::posix

@@ -123,16 +123,6 @@ bool resolve_flow(const stripe::StripePlan& plan, int flow, std::int64_t span_by
   return true;
 }
 
-void put_u64be(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-}
-
-std::uint64_t get_u64be(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
 /// Resolves the fault plan for one endpoint: the options field wins,
 /// otherwise FOBS_FAULT_PLAN from the environment. Returns false (and
 /// sets `error`) on a malformed plan.
@@ -269,8 +259,7 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
   result.status = TransferStatus::kSocketError;
   std::string io_error;
   auto channel = fobs::net::DatagramChannel::open(
-      options.endpoint.io, static_cast<std::size_t>(kMaxDatagramBytes), std::nullopt,
-      &io_error);
+      {}, static_cast<std::size_t>(kMaxDatagramBytes), std::nullopt, &io_error);
   if (!channel.valid()) {
     result.error = io_error;
     return result;
@@ -292,8 +281,7 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
   std::vector<std::array<std::uint8_t, kDataHeaderSize>> headers;
   std::vector<fobs::net::DatagramView> views;
   std::vector<std::vector<std::uint8_t>> corrupt_payloads;
-  std::vector<fobs::net::RecvView> ack_views(
-      static_cast<std::size_t>(options.endpoint.io.recv_batch));
+  std::vector<fobs::net::RecvView> ack_views(fobs::net::IoOptions::recv_batch);
 
   Fd control;
   bool control_ever_connected = false;
@@ -371,35 +359,34 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
         control.reset();
         control_buf.clear();
       }
-      // Parse whole frames off the buffered stream.
-      while (control_buf.size() >= 8) {
-        const std::uint64_t token = get_u64be(control_buf.data());
-        if (token == kCompletionToken) {
-          core.on_completion_signal();
-          break;
-        }
-        if (token == kHelloToken) {
-          if (control_buf.size() < kHelloFrameSize) break;  // wait for the rest
-          acks.on_hello(static_cast<std::uint32_t>(get_u64be(control_buf.data() + 8)));
-          control_buf.erase(control_buf.begin(),
-                            control_buf.begin() + static_cast<std::ptrdiff_t>(kHelloFrameSize));
-          continue;
-        }
-        if (token != kResumeToken) {
-          // Desynced or garbage stream: drop the connection and let the
-          // receiver re-establish it cleanly.
-          control.reset();
-          control_buf.clear();
-          break;
-        }
-        const std::size_t frame_size = resume_frame_size(spec.packet_count());
-        if (control_buf.size() < frame_size) break;  // wait for the rest
-        const auto frame = decode_resume(control_buf.data(), frame_size);
+      // Take whole frames off the buffered stream until one is
+      // incomplete, the completion arrives, or the stream desyncs.
+      for (bool more = true; more;) {
+        auto frame = next_control_frame(control_buf.data(), control_buf.size(),
+                                        spec.packet_count());
         control_buf.erase(control_buf.begin(),
-                          control_buf.begin() + static_cast<std::ptrdiff_t>(frame_size));
-        if (frame && frame->packet_count == spec.packet_count()) {
-          core.on_resume(frame->bitmap.data(), frame->bitmap.size(), frame->packet_count);
-          metrics.counter("fobs.fault.resumes").inc();
+                          control_buf.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
+        switch (frame.kind) {
+          case ControlFrameKind::kNeedMore: more = false; break;
+          case ControlFrameKind::kHello: acks.on_hello(frame.epoch); break;
+          case ControlFrameKind::kResume:
+            if (frame.resume) {
+              core.on_resume(frame.resume->bitmap.data(), frame.resume->bitmap.size(),
+                             frame.resume->packet_count);
+              metrics.counter("fobs.fault.resumes").inc();
+            }
+            break;
+          case ControlFrameKind::kCompletion:
+            core.on_completion_signal();
+            more = false;
+            break;
+          case ControlFrameKind::kDesync:
+            // Garbage stream: drop the connection and let the receiver
+            // re-establish it cleanly.
+            control.reset();
+            control_buf.clear();
+            more = false;
+            break;
         }
       }
       if (core.completion_received()) break;
@@ -561,8 +548,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
   result.status = TransferStatus::kSocketError;
   std::string io_error;
   auto channel = fobs::net::DatagramChannel::open(
-      options.endpoint.io,
-      kDataHeaderSize + static_cast<std::size_t>(options.endpoint.packet_bytes),
+      {}, kDataHeaderSize + static_cast<std::size_t>(options.endpoint.packet_bytes),
       options.data_port, &io_error);
   if (!channel.valid()) {
     result.error = io_error;
@@ -605,9 +591,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
       std::chrono::steady_clock::now().time_since_epoch().count() ^
       (static_cast<std::uint64_t>(::getpid()) << 16));
   if (epoch == 0) epoch = 1;
-  std::uint8_t hello[kHelloFrameSize];
-  put_u64be(hello, kHelloToken);
-  put_u64be(hello + 8, epoch);
+  const auto hello = encode_hello(epoch);
 
   // Control channel: connect with capped exponential backoff (the
   // sender may not be up yet, or we may be a restarted incarnation).
@@ -623,7 +607,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
     end_trace(tracer, result.status);
     return result;
   }
-  if (!send_all(control.get(), hello, sizeof hello, deadline)) {
+  if (!send_all(control.get(), hello.data(), hello.size(), deadline)) {
     FOBS_WARN("fobs.receiver", "hello frame send failed; sender keeps its previous epoch");
   }
 
@@ -637,8 +621,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
     }
   }
 
-  std::vector<fobs::net::RecvView> rx_views(
-      static_cast<std::size_t>(options.endpoint.io.recv_batch));
+  std::vector<fobs::net::RecvView> rx_views(fobs::net::IoOptions::recv_batch);
   bool sender_known = false;
   sockaddr_in sender_addr{};  // learned from the first *valid* data packet
   // The stall budget measures the data-transfer phase only: a slow
@@ -680,8 +663,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
     for (int i = 0; i < n_rx && !core.complete(); ++i) {
       // The crash schedule fires mid-batch too: datagrams already
       // processed from this recvmmsg stay processed, the rest are lost
-      // with the incarnation — exactly what a kill -9 between two
-      // recvfrom calls used to look like.
+      // with the incarnation, as a kill -9 in the middle of a batch
+      // would leave them.
       if (faults && faults->crash_due()) {
         crashed = true;
         break;
@@ -750,8 +733,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
           }
         }
         if (copies > 0) {
-          // A duplicated ACK goes out as one two-view batch — one
-          // syscall where the per-packet path used two sendto calls.
+          // A duplicated ACK goes out as one two-view batch, so both
+          // copies leave in one sendmmsg call.
           const fobs::net::DatagramView ack_view{
               std::span<const std::uint8_t>(ack.data(), ack.size())};
           std::array<fobs::net::DatagramView, 2> ack_batch{ack_view, ack_view};
@@ -786,10 +769,9 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
   if (core.complete()) {
     // Deliver the completion token; if the control connection died in
     // the meantime, reconnect (with backoff) and retry a few times.
-    std::uint8_t token[8];
-    put_u64be(token, kCompletionToken);
+    const auto token = encode_completion();
     const auto token_deadline = Clock::now() + std::chrono::seconds(2);
-    bool delivered = control.valid() && send_all(control.get(), token, sizeof token,
+    bool delivered = control.valid() && send_all(control.get(), token.data(), token.size(),
                                                  token_deadline);
     for (int attempt = 0; !delivered && attempt < 3; ++attempt) {
       control = fobs::net::connect_with_backoff(options.sender_host, options.control_port,
@@ -801,9 +783,9 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
         tracer->record(telemetry::EventType::kReconnect, -1, result.reconnects);
       }
       // Hello first, as on every control connection.
-      delivered = send_all(control.get(), hello, sizeof hello,
+      delivered = send_all(control.get(), hello.data(), hello.size(),
                            Clock::now() + std::chrono::seconds(1)) &&
-                  send_all(control.get(), token, sizeof token,
+                  send_all(control.get(), token.data(), token.size(),
                            Clock::now() + std::chrono::seconds(1));
     }
     result.status = TransferStatus::kCompleted;

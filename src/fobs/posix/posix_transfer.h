@@ -29,6 +29,7 @@
 #include "fobs/receiver_core.h"
 #include "fobs/sender_core.h"
 #include "fobs/stripe/plan.h"
+#include "net/datagram_channel.h"
 #include "net/faults.h"
 
 namespace fobs::posix {
@@ -39,8 +40,8 @@ struct SenderOptions {
   std::uint16_t control_port = 0;  ///< sender's TCP listen port (required)
   fobs::core::SenderConfig core;
   /// Knobs shared with the receive side (packet size, stall budget,
-  /// fault plan, tracer, datagram I/O tuning — SO_SNDBUF now lives at
-  /// `endpoint.io.send_buffer_bytes`).
+  /// fault plan, tracer). SO_SNDBUF is the channel constant
+  /// `net::IoOptions::send_buffer_bytes`.
   EndpointOptions endpoint;
   /// Parallel flows, in [1, StripePlan::max_stripes(object)]; the
   /// receiver must run the same count. Flow i sends to `data_port + i`
@@ -96,7 +97,7 @@ struct ReceiverOptions {
   int checkpoint_every_acks = 16;
   /// Knobs shared with the send side. SO_RCVBUF — the buffer whose
   /// overflow during ACK construction the paper's Figure 1 studies —
-  /// now lives at `endpoint.io.recv_buffer_bytes`.
+  /// is the channel constant `net::IoOptions::recv_buffer_bytes`.
   EndpointOptions endpoint;
   /// Parallel flows; must match the sender. Flow i binds UDP
   /// `data_port + i`, connects to `control_port + i` and writes its

@@ -2,12 +2,16 @@
 // crash the decoders, valid encodings must survive random mutation
 // without being mis-parsed into out-of-range values, and random valid
 // messages must round-trip exactly — including field extremes and empty
-// bitmap fragments. Runs under the asan-ubsan preset (ctest label
-// "sanitize"), where any out-of-bounds read or UB aborts the test.
+// bitmap fragments — and the control-stream parser must take hello,
+// resume and completion frames off a stream that arrives in arbitrary
+// pieces, ignoring foreign resume frames and refusing garbage. Runs
+// under the asan-ubsan preset (ctest label "sanitize"), where any
+// out-of-bounds read or UB aborts the test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -161,6 +165,120 @@ TEST(CodecEdges, NegativeFragmentBitsAreRejected) {
 TEST(CodecEdges, ZeroLengthBufferRejectedWithoutReads) {
   EXPECT_FALSE(decode_data_header(nullptr, 0).has_value());
   EXPECT_FALSE(decode_ack(nullptr, 0).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Control stream: next_control_frame over a buffered TCP stream
+// ---------------------------------------------------------------------------
+
+void append(std::vector<std::uint8_t>& stream, const auto& frame) {
+  stream.insert(stream.end(), frame.begin(), frame.end());
+}
+
+// Takes every frame off the head of `buffer` the way the sender does,
+// stopping at the first need-more, completion or desync (returned last).
+std::vector<ControlFrame> drain(std::vector<std::uint8_t>& buffer, std::int64_t packet_count) {
+  std::vector<ControlFrame> frames;
+  while (true) {
+    auto frame = next_control_frame(buffer.data(), buffer.size(), packet_count);
+    buffer.erase(buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
+    const ControlFrameKind kind = frame.kind;
+    frames.push_back(std::move(frame));
+    if (kind != ControlFrameKind::kHello && kind != ControlFrameKind::kResume) return frames;
+  }
+}
+
+TEST(ControlStream, HelloResumeCompletionFedOneByteAtATime) {
+  constexpr std::int64_t kPackets = 20;
+  const std::vector<std::uint8_t> bitmap = {0xFF, 0x0F, 0x0A};
+  std::vector<std::uint8_t> stream;
+  append(stream, encode_hello(0xDEADBEEF));
+  append(stream, encode_resume(kPackets, 14, bitmap));
+  append(stream, encode_completion());
+
+  std::vector<std::uint8_t> buffer;
+  std::vector<ControlFrame> seen;
+  for (const std::uint8_t byte : stream) {
+    buffer.push_back(byte);
+    auto frames = drain(buffer, kPackets);
+    ASSERT_LE(frames.size(), 2u);  // one frame at most completes per byte
+    for (auto& frame : frames) {
+      if (frame.kind != ControlFrameKind::kNeedMore) seen.push_back(std::move(frame));
+    }
+  }
+  EXPECT_TRUE(buffer.empty());
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].kind, ControlFrameKind::kHello);
+  EXPECT_EQ(seen[0].epoch, 0xDEADBEEFu);
+  EXPECT_EQ(seen[1].kind, ControlFrameKind::kResume);
+  ASSERT_TRUE(seen[1].resume.has_value());
+  EXPECT_EQ(seen[1].resume->packet_count, kPackets);
+  EXPECT_EQ(seen[1].resume->received_count, 14);
+  EXPECT_EQ(seen[1].resume->bitmap, bitmap);
+  EXPECT_EQ(seen[2].kind, ControlFrameKind::kCompletion);
+}
+
+TEST(ControlStream, GarbageTokenIsDesync) {
+  std::vector<std::uint8_t> buffer;
+  append(buffer, encode_hello(7));
+  const std::string junk = "GARBAGE!";
+  buffer.insert(buffer.end(), junk.begin(), junk.end());
+  append(buffer, encode_completion());
+  const auto frames = drain(buffer, 20);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].kind, ControlFrameKind::kHello);
+  EXPECT_EQ(frames[0].epoch, 7u);
+  // The completion after the junk is never reached: a desynced stream
+  // cannot be trusted past the bad token.
+  EXPECT_EQ(frames[1].kind, ControlFrameKind::kDesync);
+  EXPECT_EQ(frames[1].consumed, 0u);
+}
+
+TEST(ControlStream, ResumeForAnotherPacketCountIsIgnored) {
+  // 17 and 20 packets both need a 3-byte bitmap, so the frame has the
+  // size a 20-packet flow expects but describes another transfer.
+  std::vector<std::uint8_t> buffer;
+  append(buffer, encode_resume(17, 5, {0x1F, 0x00, 0x00}));
+  append(buffer, encode_completion());
+  const auto frames = drain(buffer, 20);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].kind, ControlFrameKind::kResume);
+  EXPECT_EQ(frames[0].consumed, resume_frame_size(20));
+  EXPECT_FALSE(frames[0].resume.has_value());
+  EXPECT_EQ(frames[1].kind, ControlFrameKind::kCompletion);
+}
+
+TEST(ControlStream, CorruptResumeIsIgnoredAndTheStreamStaysAligned) {
+  auto resume = encode_resume(20, 13, {0xFF, 0x0F, 0xA0});
+  resume[kResumeFixedSize] ^= 0x01;  // a bitmap bit, caught by the CRC
+  std::vector<std::uint8_t> buffer;
+  append(buffer, resume);
+  append(buffer, encode_hello(99));
+  append(buffer, encode_completion());
+  const auto frames = drain(buffer, 20);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].kind, ControlFrameKind::kResume);
+  EXPECT_FALSE(frames[0].resume.has_value());
+  EXPECT_EQ(frames[1].kind, ControlFrameKind::kHello);
+  EXPECT_EQ(frames[1].epoch, 99u);
+  EXPECT_EQ(frames[2].kind, ControlFrameKind::kCompletion);
+}
+
+TEST(ControlStream, IncompleteFramesNeedMoreAndConsumeNothing) {
+  const auto hello = encode_hello(1);
+  const auto resume = encode_resume(20, 0, {0, 0, 0});
+  const auto completion = encode_completion();
+  const std::vector<std::vector<std::uint8_t>> partials = {
+      {},
+      {completion.begin(), completion.end() - 1},
+      {hello.begin(), hello.end() - 1},
+      {resume.begin(), resume.end() - 1},
+  };
+  for (const auto& partial : partials) {
+    const auto frame = next_control_frame(partial.data(), partial.size(), 20);
+    EXPECT_EQ(frame.kind, ControlFrameKind::kNeedMore) << partial.size() << " bytes";
+    EXPECT_EQ(frame.consumed, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz, ::testing::Values(1, 2, 3));
