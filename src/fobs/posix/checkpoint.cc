@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <mutex>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/log.h"
@@ -98,55 +98,44 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
 
 void remove_checkpoint(const std::string& path) { std::remove(path.c_str()); }
 
-namespace {
-
-/// The checkpoint at `range.path` when it describes `range`'s object.
-std::optional<Checkpoint> load_matching(const CheckpointRange& range) {
-  auto checkpoint = load_checkpoint(range.path);
-  if (!checkpoint) return std::nullopt;
-  if (checkpoint->object_bytes != range.object_bytes ||
-      checkpoint->packet_bytes != range.packet_bytes) {
+TransferCheckpoint::TransferCheckpoint(std::string path, std::int64_t object_bytes,
+                                       std::int64_t packet_bytes)
+    : path_(std::move(path)),
+      shape_{object_bytes, packet_bytes, 0, {}},
+      bitmap_(static_cast<std::size_t>(shape_.packet_count())) {
+  const auto checkpoint = load_checkpoint(path_);
+  if (!checkpoint) return;
+  if (checkpoint->object_bytes != object_bytes || checkpoint->packet_bytes != packet_bytes) {
     FOBS_WARN("fobs.checkpoint",
-              "checkpoint at " << range.path << " does not match this transfer; ignoring");
-    return std::nullopt;
+              "checkpoint at " << path_ << " does not match this transfer; ignoring");
+    return;
   }
-  return checkpoint;
+  bitmap_.merge_range(0, bitmap_.size(), checkpoint->bitmap.data(), checkpoint->bitmap.size());
+  loaded_ = on_disk_ = true;
 }
 
-}  // namespace
-
-std::optional<std::vector<std::uint8_t>> load_checkpoint_range(const CheckpointRange& range) {
-  const auto checkpoint = load_matching(range);
-  if (!checkpoint) return std::nullopt;
-  const auto packets = static_cast<std::size_t>(checkpoint->packet_count());
-  fobs::util::Bitmap global(packets);
-  global.merge_range(0, packets, checkpoint->bitmap.data(), checkpoint->bitmap.size());
-  return global.extract_range(range.first, range.first + range.count);
+std::optional<std::vector<std::uint8_t>> TransferCheckpoint::restored(std::size_t first,
+                                                                      std::size_t count) const {
+  if (!loaded_) return std::nullopt;
+  std::lock_guard lock(mu_);
+  return bitmap_.extract_range(first, first + count);
 }
 
-bool fold_checkpoint_range(const CheckpointRange& range, const fobs::util::Bitmap& local) {
-  static std::mutex mu;
-  std::lock_guard lock(mu);
-  Checkpoint checkpoint;
-  checkpoint.object_bytes = range.object_bytes;
-  checkpoint.packet_bytes = range.packet_bytes;
-  const auto packets = static_cast<std::size_t>(checkpoint.packet_count());
-  fobs::util::Bitmap global(packets);
-  if (range.count < packets) {
-    // Other flows own the rest of the bitmap: keep their bits.
-    if (const auto existing = load_matching(range)) {
-      global.merge_range(0, packets, existing->bitmap.data(), existing->bitmap.size());
-    }
-  }
-  const auto packed = local.extract_range(0, range.count);
-  global.merge_range(range.first, range.count, packed.data(), packed.size());
-  if (global.all_set()) {
-    remove_checkpoint(range.path);
-    return true;
-  }
-  checkpoint.received_count = static_cast<std::int64_t>(global.count());
-  checkpoint.bitmap = global.extract_range(0, packets);
-  return save_checkpoint(range.path, checkpoint);
+bool TransferCheckpoint::fold(std::size_t first, const fobs::util::Bitmap& local) {
+  const auto packed = local.extract_range(0, local.size());
+  std::lock_guard lock(mu_);
+  bitmap_.merge_range(first, local.size(), packed.data(), packed.size());
+  const Checkpoint checkpoint{shape_.object_bytes, shape_.packet_bytes,
+                             static_cast<std::int64_t>(bitmap_.count()),
+                             bitmap_.extract_range(0, bitmap_.size())};
+  if (!save_checkpoint(path_, checkpoint)) return false;
+  return on_disk_ = true;
+}
+
+void TransferCheckpoint::complete() {
+  std::lock_guard lock(mu_);
+  remove_checkpoint(path_);
+  on_disk_ = false;
 }
 
 }  // namespace fobs::posix

@@ -11,14 +11,16 @@
 // a CRC32 so a torn or foreign file is rejected instead of resuming
 // from garbage.
 //
-// A checkpoint always describes the whole object. The flows of one
-// transfer (see fobs/stripe/striped_transfer.h) each own a contiguous
-// range of its bitmap and share the one file, so a transfer resumes at
-// any flow count.
+// A checkpoint always describes the whole object, so a transfer resumes
+// at any flow count. Each transfer owns one TransferCheckpoint: its
+// flows restore and fold their contiguous ranges of the bitmap, and the
+// engine (fobs/posix/engine.h) removes the file once it completes.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,27 +50,34 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path);
 /// Removes a checkpoint file (used after a successful transfer).
 void remove_checkpoint(const std::string& path);
 
-/// One flow's range of an object-level checkpoint: global packets
-/// [first, first + count) of an object of `object_bytes` in
-/// `packet_bytes` packets. A single flow owns the whole object.
-struct CheckpointRange {
-  std::string path;
-  std::int64_t object_bytes = 0;
-  std::int64_t packet_bytes = 0;
-  std::size_t first = 0;
-  std::size_t count = 0;
+/// One transfer's checkpoint at `path`: the whole object's bitmap,
+/// loaded from the file once and kept in memory. Each flow restores its
+/// range from it and folds that range back in; the engine removes the
+/// file when the transfer completes. Calls are serialized per transfer.
+class TransferCheckpoint {
+ public:
+  /// Loads `path` if it holds a checkpoint of this geometry (a missing,
+  /// torn or foreign file leaves the bitmap empty).
+  TransferCheckpoint(std::string path, std::int64_t object_bytes, std::int64_t packet_bytes);
+
+  /// Bits [first, first + count), packed as Bitmap::extract_range does;
+  /// nullopt when no file was loaded.
+  std::optional<std::vector<std::uint8_t>> restored(std::size_t first, std::size_t count) const;
+  /// ORs `local` into bits [first, first + local.size()) and saves the
+  /// whole bitmap atomically. False on I/O failure.
+  bool fold(std::size_t first, const fobs::util::Bitmap& local);
+  /// The transfer completed: removes the file.
+  void complete();
+  /// True while the file holds this checkpoint (loaded or saved).
+  [[nodiscard]] bool on_disk() const { return on_disk_; }
+
+ private:
+  const std::string path_;
+  const Checkpoint shape_;  ///< the object geometry only
+  mutable std::mutex mu_;
+  fobs::util::Bitmap bitmap_;  ///< guarded by mu_
+  bool loaded_ = false;        ///< set once, by the constructor
+  std::atomic<bool> on_disk_{false};
 };
-
-/// The range's bits of the checkpoint at `range.path`, packed in
-/// Bitmap::extract_range format; nullopt when the file is missing,
-/// torn, or describes another object geometry.
-std::optional<std::vector<std::uint8_t>> load_checkpoint_range(const CheckpointRange& range);
-
-/// ORs `local` (the flow's bitmap, `range.count` bits) into its range
-/// of the checkpoint and writes the file back with every other range
-/// kept; removes the file instead once every packet of the object is
-/// set. Calls are serialized process-wide, so concurrent flows never
-/// lose each other's bits. False on I/O failure.
-bool fold_checkpoint_range(const CheckpointRange& range, const fobs::util::Bitmap& local);
 
 }  // namespace fobs::posix

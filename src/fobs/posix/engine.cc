@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/port_allocator.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -157,6 +156,8 @@ struct Transfer {
   std::span<std::uint8_t> buffer;
   /// Null when the options were rejected (no flow ever ran).
   std::shared_ptr<const stripe::StripePlan> plan;
+  /// The receiver's checkpoint (null without a path or a plan).
+  std::unique_ptr<TransferCheckpoint> checkpoint;
   std::shared_ptr<void> keepalive;
   bool owns_control_ports = false;
   std::function<void(const TransferHandle&)> on_exit;
@@ -309,6 +310,11 @@ TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
   transfer->buffer = buffer;
   transfer->plan = make_plan(options, buffer.size(), "cannot receive into an empty buffer",
                              transfer->result.error);
+  if (transfer->plan && !options.checkpoint_path.empty()) {
+    const auto& spec = transfer->plan->spec();
+    transfer->checkpoint = std::make_unique<TransferCheckpoint>(
+        options.checkpoint_path, spec.object_bytes, spec.packet_bytes);
+  }
   transfer->result.stripe_receivers.resize(static_cast<std::size_t>(transfer->flows()));
   return submit(std::move(transfer), std::move(params));
 }
@@ -374,7 +380,7 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
   } else {
     auto result = detail::run_receiver(flow_options(transfer->recv_options, flow, tracer),
                                        *transfer->plan, flow, transfer->buffer,
-                                       &transfer->cancel);
+                                       transfer->checkpoint.get(), &transfer->cancel);
     std::lock_guard lock(transfer->mu);
     transfer->result.stripe_receivers[index] = std::move(result);
   }
@@ -395,9 +401,10 @@ void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
     std::lock_guard lock(transfer->mu);
     auto& result = transfer->result;
     finalize_aggregate(result, transfer->plan->spec().object_bytes);
-    const std::string& checkpoint = transfer->recv_options.checkpoint_path;
-    result.resumable = !transfer->is_sender && !result.completed() && !checkpoint.empty() &&
-                       load_checkpoint(checkpoint).has_value();
+    // Every flow has ended: the one place a checkpoint is removed.
+    const auto& checkpoint = transfer->checkpoint;
+    if (checkpoint && result.completed()) checkpoint->complete();
+    result.resumable = checkpoint && checkpoint->on_disk();
     transfer->status = result.status;
     completed = result.completed();
   }

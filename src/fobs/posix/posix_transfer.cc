@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
 #include "net/datagram_channel.h"
 #include "net/socket.h"
@@ -527,7 +526,7 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
 
 ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
                             int flow, std::span<std::uint8_t> buffer,
-                            const std::atomic<bool>* cancel) {
+                            TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel) {
   ReceiverResult result;
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
@@ -564,21 +563,18 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
   core.set_tracer(tracer);
   result.status = TransferStatus::kRunning;
 
-  // Resume: pre-seed the bitmap from this flow's range of a compatible
-  // object-level checkpoint. The data bytes themselves must already be
+  // Resume: pre-seed the bitmap from this flow's range of the
+  // transfer's checkpoint. The data bytes themselves must already be
   // in `buffer` (the caller persisted the partial object, e.g. via a
   // file-backed buffer).
-  const CheckpointRange checkpoint{options.checkpoint_path, plan.spec().object_bytes,
-                                   spec.packet_bytes,
-                                   static_cast<std::size_t>(plan.first_packet(flow)),
-                                   static_cast<std::size_t>(spec.packet_count())};
-  if (!checkpoint.path.empty()) {
-    if (const auto packed = load_checkpoint_range(checkpoint)) {
-      const auto restored = core.restore(packed->data(), packed->size(), spec.packet_count());
-      if (restored >= 0) {
-        result.packets_restored = restored;
-        metrics.counter("fobs.fault.resumes").inc();
-      }
+  const auto first_packet = static_cast<std::size_t>(plan.first_packet(flow));
+  const auto flow_packets = static_cast<std::size_t>(spec.packet_count());
+  const auto packed = checkpoint ? checkpoint->restored(first_packet, flow_packets) : std::nullopt;
+  if (packed) {
+    const auto restored = core.restore(packed->data(), packed->size(), spec.packet_count());
+    if (restored >= 0) {
+      result.packets_restored = restored;
+      metrics.counter("fobs.fault.resumes").inc();
     }
   }
 
@@ -748,13 +744,10 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
                          static_cast<std::int64_t>(msg.ack_no),
                          static_cast<std::int64_t>(ack.size()));
         }
-        // Once complete, only the fold after the loop may write: the
-        // file may already be gone because every other flow is done, and
-        // a second fold would bring it back holding this range alone.
-        if (!checkpoint.path.empty() && !core.complete() &&
+        if (checkpoint != nullptr &&
             ++acks_since_checkpoint >= std::max(1, options.checkpoint_every_acks)) {
           acks_since_checkpoint = 0;
-          fold_checkpoint_range(checkpoint, core.received());
+          checkpoint->fold(first_packet, core.received());
         }
       }
     }
@@ -790,8 +783,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
     }
     result.status = TransferStatus::kCompleted;
     result.error.clear();
-    // Folding the full range removes the file once every flow is done.
-    if (!checkpoint.path.empty()) fold_checkpoint_range(checkpoint, core.received());
+    // The engine removes the file once every flow has completed.
+    if (checkpoint != nullptr) checkpoint->fold(first_packet, core.received());
   }
   const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   result.elapsed_seconds = elapsed;

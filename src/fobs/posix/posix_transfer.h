@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "fobs/posix/checkpoint.h"
 #include "fobs/posix/options.h"
 #include "fobs/receiver_core.h"
 #include "fobs/sender_core.h"
@@ -82,15 +83,14 @@ struct ReceiverOptions {
   std::uint16_t data_port = 0;     ///< local UDP port to bind (required)
   std::uint16_t control_port = 0;  ///< sender's TCP port (required)
   fobs::core::ReceiverConfig core;
-  /// When non-empty, the receiver's bitmap is persisted here every
-  /// `checkpoint_every_acks` acknowledgements, an existing compatible
-  /// checkpoint is loaded on start (the caller must supply the same
-  /// partially-filled buffer the previous incarnation wrote into —
+  /// When non-empty, the transfer's checkpoint (fobs/posix/checkpoint.h):
+  /// loaded once at submit, saved by each flow every
+  /// `checkpoint_every_acks` acknowledgements, and removed by the engine
+  /// once the transfer completes. The caller must supply the same
+  /// partially filled buffer the previous incarnation wrote into,
   /// typically a TransferObject::map_file_rw mapping, which keeps the
-  /// bytes on disk even across a hard crash; restoring a checkpoint
-  /// over a buffer that lacks those bytes silently corrupts the
-  /// object), and the file is removed once every packet of the object is
-  /// set (every flow folds its own range into this one file). A restarted
+  /// bytes on disk even across a hard crash (restoring a checkpoint over
+  /// a buffer that lacks them silently corrupts the object). A restarted
   /// receiver announces its restored bitmap to the sender over the
   /// control channel so already-received packets are not re-sent.
   std::string checkpoint_path;
@@ -165,13 +165,14 @@ namespace detail {
 /// already resolved for that flow (ports, fault plan, tracer) and
 /// `object`/`buffer` spanning the whole object. `cancel` (nullable) is
 /// polled once per loop iteration; setting it makes the loop exit with
-/// TransferStatus::kCancelled. The engine runs these on its workers
-/// after validating the options and building the plan.
+/// TransferStatus::kCancelled. `checkpoint` is the transfer's (null
+/// without one). The engine runs these on its workers after validating
+/// the options and building the plan.
 SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
                         std::span<const std::uint8_t> object, const std::atomic<bool>* cancel);
 ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
                             int flow, std::span<std::uint8_t> buffer,
-                            const std::atomic<bool>* cancel);
+                            TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel);
 
 }  // namespace detail
 

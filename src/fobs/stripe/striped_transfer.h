@@ -20,13 +20,13 @@
 // the unchanged FOBS protocol in stripe-local sequence space: greedy
 // UDP + selective-ACK bitmap + TCP completion token + resume frames.
 //
-// Checkpointing: every flow of a transfer shares the one object-level
-// checkpoint at ReceiverOptions::checkpoint_path. Flow s owns the
+// Checkpointing: a receive transfer owns one object-level checkpoint
+// (TransferCheckpoint, fobs/posix/checkpoint.h). Flow s owns the
 // contiguous range of the object's bitmap that the plan gives it,
-// restores only that range and folds only that range back in
-// (fobs/posix/checkpoint.h). The file is removed once the whole bitmap
-// is set, so a partly failed transfer leaves exactly the delivered
-// stripes behind and a retry resumes at any flow count.
+// restores only that range and folds only that range back in. The
+// engine removes the file once the transfer completes, so a partly
+// failed transfer leaves exactly the delivered stripes behind and a
+// retry resumes at any flow count.
 #pragma once
 
 #include <string>

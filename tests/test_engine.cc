@@ -6,8 +6,8 @@
 // and four flows, rejected options, the control-port allocator, and
 // engine counters.
 //
-// Port block: 37000-37099 (keep clear of 36xxx = test_fobs_posix /
-// test_telemetry and 38xxx = test_fault_posix).
+// Port block: 30000-30099 (keep clear of 29xxx = test_fobs_posix /
+// test_telemetry and 31xxx = test_fault_posix).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,7 +25,7 @@
 namespace fobs {
 namespace {
 
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(37000 + offset); }
+std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(30000 + offset); }
 
 // ---------------------------------------------------------------------------
 // Satellite: >= 3 simultaneous transfers, isolated per-session state

@@ -30,8 +30,8 @@ namespace fobs {
 namespace {
 
 // Distinct port bases per test to avoid rebind races (keep clear of
-// test_fobs_posix.cc's 36xxx block).
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(38000 + offset); }
+// test_fobs_posix.cc's 29xxx block).
+std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(31000 + offset); }
 
 // ---------------------------------------------------------------------------
 // Option validation (no sockets touched)

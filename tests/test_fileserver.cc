@@ -6,7 +6,7 @@
 // server's packet size wins), a client that starts before its server,
 // and the refusal paths.
 //
-// Port block: 37100-37199 (test_engine owns 37000-37099).
+// Port block: 30100-30199 (test_engine owns 30000-30099).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -69,7 +69,7 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37100;  // control ports 37101..37132
+  options.catalog_port = 30100;  // control ports 30101..30132
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
   posix::FileServer server(options);
@@ -85,7 +85,7 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
       fetch.catalog_port = options.catalog_port;
       fetch.name = "dataset" + std::to_string(i) + ".bin";
       fetch.out_path = dir + "/fetched" + std::to_string(i) + ".bin";
-      fetch.data_port = static_cast<std::uint16_t>(37150 + i);
+      fetch.data_port = static_cast<std::uint16_t>(30150 + i);
       fetch.quiet = true;
       fetch.endpoint.timeout_ms = 30'000;
       results[i] = posix::fetch_file(fetch);
@@ -123,7 +123,7 @@ TEST(FileServer, SilentCatalogClientTimesOutAndServiceContinues) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37160;
+  options.catalog_port = 30160;
   options.catalog_recv_timeout_ms = 500;
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
@@ -140,7 +140,7 @@ TEST(FileServer, SilentCatalogClientTimesOutAndServiceContinues) {
   fetch.catalog_port = options.catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched0.bin";
-  fetch.data_port = 37170;
+  fetch.data_port = 30170;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
   const auto result = posix::fetch_file(fetch);
@@ -170,7 +170,7 @@ TEST(FileServer, StopWithHandlerInFlightIsPromptAndSafe) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37140;
+  options.catalog_port = 30140;
   options.catalog_recv_timeout_ms = 10'000;
   options.quiet = true;
   posix::FileServer server(options);
@@ -238,8 +238,8 @@ TEST(FileServer, CatalogGrantClampsToThePortSpaceAndDefaultsToOneStripe) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37120;
-  options.control_port_base = 37121;  // control ports 37121..37128
+  options.catalog_port = 30120;
+  options.control_port_base = 30121;  // control ports 30121..30128
   options.control_port_count = 8;
   options.quiet = true;
   options.endpoint.packet_bytes = 4096;
@@ -251,22 +251,22 @@ TEST(FileServer, CatalogGrantClampsToThePortSpaceAndDefaultsToOneStripe) {
   const auto edge = raw_catalog(options.catalog_port, "dataset0.bin 65535 4");
   EXPECT_EQ(edge.size, sizes[0]);
   EXPECT_EQ(edge.packet_bytes, 4096);
-  EXPECT_GE(edge.control_port, 37121);
-  EXPECT_LE(edge.control_port, 37128);
+  EXPECT_GE(edge.control_port, 30121);
+  EXPECT_LE(edge.control_port, 30128);
   EXPECT_EQ(edge.granted, 1);
 
   // A missing or non-positive stripe token means one stripe.
-  for (const char* request : {"dataset0.bin 37129", "dataset0.bin 37129 0",
-                              "dataset0.bin 37129 -3"}) {
+  for (const char* request : {"dataset0.bin 30129", "dataset0.bin 30129 0",
+                              "dataset0.bin 30129 -3"}) {
     const auto reply = raw_catalog(options.catalog_port, request);
     EXPECT_EQ(reply.size, sizes[0]) << request;
     EXPECT_EQ(reply.granted, 1) << request;
   }
   // A plain request is granted in full, on a contiguous control block.
-  const auto three = raw_catalog(options.catalog_port, "dataset0.bin 37129 3");
+  const auto three = raw_catalog(options.catalog_port, "dataset0.bin 30129 3");
   EXPECT_EQ(three.granted, 3);
-  EXPECT_GE(three.control_port, 37121);
-  EXPECT_LE(three.control_port + 2, 37128);
+  EXPECT_GE(three.control_port, 30121);
+  EXPECT_LE(three.control_port + 2, 30128);
   server.stop();  // the handlers have returned: every grant is counted
   EXPECT_EQ(server.transfers_started(), 5u);
 }
@@ -278,8 +278,8 @@ TEST(FileServer, ClientPacketSizeDiffersFromServerAndFetchCompletes) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37110;
-  options.control_port_base = 37111;
+  options.catalog_port = 30110;
+  options.control_port_base = 30111;
   options.control_port_count = 4;
   options.quiet = true;
   options.endpoint.packet_bytes = 4096;
@@ -291,7 +291,7 @@ TEST(FileServer, ClientPacketSizeDiffersFromServerAndFetchCompletes) {
   fetch.catalog_port = options.catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched0.bin";
-  fetch.data_port = 37116;
+  fetch.data_port = 30116;
   fetch.quiet = true;
   fetch.endpoint.packet_bytes = 1024;  // the server's 4096 wins
   fetch.endpoint.timeout_ms = 30'000;
@@ -325,8 +325,8 @@ TEST(FileServer, EveryStripeSessionWritesItsOwnTrace) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37135;
-  options.control_port_base = 37136;  // control ports 37136..37139
+  options.catalog_port = 30135;
+  options.control_port_base = 30136;  // control ports 30136..30139
   options.control_port_count = 4;
   options.trace_dir = trace_dir;
   options.quiet = true;
@@ -338,7 +338,7 @@ TEST(FileServer, EveryStripeSessionWritesItsOwnTrace) {
   fetch.catalog_port = options.catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = dir + "/fetched0.bin";
-  fetch.data_port = 37193;  // and 37194
+  fetch.data_port = 30193;  // and 30194
   fetch.stripes = 2;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
@@ -373,8 +373,8 @@ TEST(FileServer, FetchStartedBeforeTheServerCompletesOnceItListens) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37196;
-  options.control_port_base = 37197;  // control ports 37197..37198
+  options.catalog_port = 30196;
+  options.control_port_base = 30197;  // control ports 30197..30198
   options.control_port_count = 2;
   options.quiet = true;
   options.endpoint.timeout_ms = 30'000;
@@ -384,7 +384,7 @@ TEST(FileServer, FetchStartedBeforeTheServerCompletesOnceItListens) {
   fetch.catalog_port = options.catalog_port;
   fetch.name = "dataset0.bin";
   fetch.out_path = out;
-  fetch.data_port = 37199;
+  fetch.data_port = 30199;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
   posix::FetchResult result;
@@ -411,7 +411,7 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
 
   posix::FileServerOptions options;
   options.dir = dir;
-  options.catalog_port = 37180;
+  options.catalog_port = 30180;
   options.quiet = true;
   posix::FileServer server(options);
   ASSERT_TRUE(server.start());
@@ -420,7 +420,7 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
   missing.catalog_port = options.catalog_port;
   missing.name = "no-such-file.bin";
   missing.out_path = dir + "/never.bin";
-  missing.data_port = 37185;
+  missing.data_port = 30185;
   missing.quiet = true;
   const auto refused = posix::fetch_file(missing);
   EXPECT_EQ(refused.status, posix::TransferStatus::kPeerLost);
@@ -438,7 +438,7 @@ TEST(FileServer, UnknownFileAndTraversalAreRefused) {
 
 TEST(FileServer, StartRejectsInvalidOptions) {
   posix::FileServerOptions no_dir_options;
-  no_dir_options.catalog_port = 37190;
+  no_dir_options.catalog_port = 30190;
   posix::FileServer no_dir(no_dir_options);
   EXPECT_FALSE(no_dir.start());
 

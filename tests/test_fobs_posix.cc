@@ -18,7 +18,7 @@ namespace fobs {
 namespace {
 
 // Distinct port bases per test to avoid rebind races.
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(36000 + offset); }
+std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(29000 + offset); }
 
 TEST(FobsPosixCodec, DataHeaderRoundTrip) {
   std::uint8_t buf[posix::kDataHeaderSize];

@@ -34,8 +34,8 @@ namespace fobs {
 namespace {
 
 // Distinct port bases per test to avoid rebind races (clear of the
-// 36xxx / 37xxx / 38xxx blocks used by the other POSIX suites).
-std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(39000 + offset); }
+// 29xxx / 30xxx / 31xxx blocks used by the other POSIX suites).
+std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(32000 + offset); }
 
 sockaddr_in loopback(std::uint16_t port) {
   sockaddr_in addr{};

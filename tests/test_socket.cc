@@ -3,7 +3,7 @@
 // stream writes with deadlines, TCP connect-with-backoff and listen,
 // and the goodput conversion.
 //
-// Port block: 37500-37519 (test_stripes owns 37300-37499).
+// Port block: 30500-30519 (test_stripes owns 30300-30499).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -73,9 +73,9 @@ TEST(Socket, FdClosesOnDestructionAndMoveTransfersOwnership) {
 }
 
 TEST(Socket, MakeAddrEncodesHostAndPortInNetworkOrder) {
-  const sockaddr_in addr = fobs::net::make_addr("127.0.0.1", 37500);
+  const sockaddr_in addr = fobs::net::make_addr("127.0.0.1", 30500);
   EXPECT_EQ(addr.sin_family, AF_INET);
-  EXPECT_EQ(ntohs(addr.sin_port), 37500);
+  EXPECT_EQ(ntohs(addr.sin_port), 30500);
   EXPECT_EQ(ntohl(addr.sin_addr.s_addr), INADDR_LOOPBACK);
 
   const sockaddr_in any = fobs::net::make_addr("0.0.0.0", 65535);
@@ -145,14 +145,14 @@ TEST(Socket, SendAllFailsWithoutSignalWhenThePeerIsGone) {
 }
 
 TEST(Socket, ListenTcpIsNonBlockingAndRefusesABusyPort) {
-  Fd listener = fobs::net::listen_tcp(37501, 4);
+  Fd listener = fobs::net::listen_tcp(30501, 4);
   ASSERT_TRUE(listener.valid());
   EXPECT_NE(::fcntl(listener.get(), F_GETFL, 0) & O_NONBLOCK, 0);
   // Nothing is queued yet: accept must not block.
   EXPECT_LT(::accept(listener.get(), nullptr, nullptr), 0);
   EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
 
-  EXPECT_FALSE(fobs::net::listen_tcp(37501, 4).valid()) << "port already has a listener";
+  EXPECT_FALSE(fobs::net::listen_tcp(30501, 4).valid()) << "port already has a listener";
 }
 
 TEST(Socket, ConnectWithBackoffWaitsForALateListener) {
@@ -160,10 +160,10 @@ TEST(Socket, ConnectWithBackoffWaitsForALateListener) {
   Fd listener;
   std::thread late([&] {
     std::this_thread::sleep_for(120ms);
-    listener = fobs::net::listen_tcp(37502, 4);
+    listener = fobs::net::listen_tcp(30502, 4);
     listening = true;
   });
-  Fd client = fobs::net::connect_with_backoff("127.0.0.1", 37502, Clock::now() + 10s);
+  Fd client = fobs::net::connect_with_backoff("127.0.0.1", 30502, Clock::now() + 10s);
   late.join();
   ASSERT_TRUE(listening.load());
   ASSERT_TRUE(listener.valid());
@@ -185,7 +185,7 @@ TEST(Socket, ConnectWithBackoffWaitsForALateListener) {
 
 TEST(Socket, ConnectWithBackoffGivesUpAtTheDeadline) {
   const auto start = Clock::now();
-  Fd client = fobs::net::connect_with_backoff("127.0.0.1", 37503, start + 200ms);
+  Fd client = fobs::net::connect_with_backoff("127.0.0.1", 30503, start + 200ms);
   const auto took = Clock::now() - start;
   EXPECT_FALSE(client.valid());
   EXPECT_GE(took, 200ms);
@@ -196,7 +196,7 @@ TEST(Socket, ConnectWithBackoffStopsWhenCancelled) {
   std::atomic<bool> cancel{true};
   const auto start = Clock::now();
   EXPECT_FALSE(
-      fobs::net::connect_with_backoff("127.0.0.1", 37504, start + 30s, &cancel).valid());
+      fobs::net::connect_with_backoff("127.0.0.1", 30504, start + 30s, &cancel).valid());
   EXPECT_LT(Clock::now() - start, 1s) << "a set flag stops before the first attempt";
 
   cancel = false;
@@ -206,7 +206,7 @@ TEST(Socket, ConnectWithBackoffStopsWhenCancelled) {
   });
   const auto mid = Clock::now();
   EXPECT_FALSE(
-      fobs::net::connect_with_backoff("127.0.0.1", 37504, mid + 30s, &cancel).valid());
+      fobs::net::connect_with_backoff("127.0.0.1", 30504, mid + 30s, &cancel).valid());
   canceller.join();
   EXPECT_LT(Clock::now() - mid, 5s) << "cancelling mid-backoff returns well before the deadline";
 }

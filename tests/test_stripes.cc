@@ -5,9 +5,10 @@
 //    shared round_robin_split rule, rejection edges.
 //  - PortAllocator: contiguous block leases, exhaustion, fragmentation,
 //    multi-threaded contention, and the engine's block API.
-//  - Object-level checkpoint ranges: flows fold disjoint ranges into one
+//  - One checkpoint per transfer: flows fold disjoint ranges into one
 //    file, also concurrently, and each restores only its own; a torn
-//    file is ignored.
+//    file is ignored; only the completion path removes the file, so a
+//    late fold cannot leave a stale one behind.
 //  - Loopback transfers over real sockets: a 4-stripe >= 64 MiB
 //    send_object/receive_object pair lands byte-identical
 //    (checksum-verified); rejected options launch no flow; killing one
@@ -15,8 +16,8 @@
 //    resume completes byte-identical; an interrupted fetch resumes at a
 //    different stripe count (4 -> 1 and 1 -> 4) from the one checkpoint.
 //
-// Port block: 37300-37499 (test_engine owns 37000-37099, fileserver
-// 37100-37199, fault suites 38xxx/39xxx).
+// Port block: 30300-30499 (test_engine owns 30000-30099, fileserver
+// 30100-30199, fault suites 31xxx/32xxx).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -244,13 +245,13 @@ TEST(PortAllocator, ConcurrentBlockLeasesNeverOverlap) {
 TEST(PortAllocator, EngineExposesBlockLeases) {
   posix::EngineOptions options;
   options.workers = 1;
-  options.control_port_base = 37460;
+  options.control_port_base = 30460;
   options.control_port_count = 8;
   posix::TransferEngine engine(options);
   EXPECT_EQ(engine.control_port_capacity(), 8u);
   const auto block = engine.allocate_control_port_block(4);
   ASSERT_TRUE(block.has_value());
-  EXPECT_EQ(*block, 37460);
+  EXPECT_EQ(*block, 30460);
   EXPECT_EQ(engine.free_control_ports(), 4u);
   EXPECT_FALSE(engine.allocate_control_port_block(5).has_value());
   // Block ports may be released individually (sessions own one each).
@@ -262,20 +263,29 @@ TEST(PortAllocator, EngineExposesBlockLeases) {
 }
 
 // ---------------------------------------------------------------------------
-// Object-level checkpoint ranges
+// One checkpoint per transfer
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointRange, FlowsFoldDisjointRangesIntoOneFile) {
+bool file_exists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
+
+/// Flow `s`'s range of `checkpoint` as a bitmap of the stripe's size.
+util::Bitmap restored_range(const posix::TransferCheckpoint& checkpoint, const StripePlan& plan,
+                            int s) {
+  util::Bitmap restored(static_cast<std::size_t>(plan.stripe_packets(s)));
+  const auto packed =
+      checkpoint.restored(static_cast<std::size_t>(plan.first_packet(s)), restored.size());
+  if (packed) restored.merge_range(0, restored.size(), packed->data(), packed->size());
+  return restored;
+}
+
+TEST(TransferCheckpoint, FlowsFoldDisjointRangesIntoOneFile) {
   const std::string path = ::testing::TempDir() + "fobs_stripes_ranges.ckpt";
   posix::remove_checkpoint(path);
   const TransferSpec spec{64 * 1024 + 321, 4096};  // 17 packets
   StripePlan plan;
   ASSERT_TRUE(StripePlan::make(spec, 3, &plan));
-  auto range_of = [&](int s) {
-    return posix::CheckpointRange{path, spec.object_bytes, spec.packet_bytes,
-                                  static_cast<std::size_t>(plan.first_packet(s)),
-                                  static_cast<std::size_t>(plan.stripe_packets(s))};
-  };
+  auto first_of = [&](int s) { return static_cast<std::size_t>(plan.first_packet(s)); };
+  posix::TransferCheckpoint checkpoint(path, spec.object_bytes, spec.packet_bytes);
 
   // Stripe 0 has every other local packet, stripe 2 its first one,
   // stripe 1 nothing yet.
@@ -283,8 +293,8 @@ TEST(CheckpointRange, FlowsFoldDisjointRangesIntoOneFile) {
   for (std::size_t i = 0; i < stripe0.size(); i += 2) stripe0.set(i);
   util::Bitmap stripe2(static_cast<std::size_t>(plan.stripe_packets(2)));
   stripe2.set(0);
-  ASSERT_TRUE(posix::fold_checkpoint_range(range_of(0), stripe0));
-  ASSERT_TRUE(posix::fold_checkpoint_range(range_of(2), stripe2));
+  ASSERT_TRUE(checkpoint.fold(first_of(0), stripe0));
+  ASSERT_TRUE(checkpoint.fold(first_of(2), stripe2));
 
   // One object-level file holds both ranges.
   const auto object_level = posix::load_checkpoint(path);
@@ -293,51 +303,45 @@ TEST(CheckpointRange, FlowsFoldDisjointRangesIntoOneFile) {
   EXPECT_EQ(object_level->received_count,
             static_cast<std::int64_t>(stripe0.count() + stripe2.count()));
 
-  // Each flow restores exactly its own range.
-  for (const auto& [s, expected] : {std::pair<int, const util::Bitmap*>{0, &stripe0},
-                                    std::pair<int, const util::Bitmap*>{2, &stripe2}}) {
-    const auto packed = posix::load_checkpoint_range(range_of(s));
-    ASSERT_TRUE(packed.has_value());
-    util::Bitmap restored(expected->size());
-    restored.merge_range(0, restored.size(), packed->data(), packed->size());
-    EXPECT_TRUE(restored == *expected) << "stripe " << s;
-  }
-  const auto empty = posix::load_checkpoint_range(range_of(1));
-  ASSERT_TRUE(empty.has_value());
-  util::Bitmap none(static_cast<std::size_t>(plan.stripe_packets(1)));
-  none.merge_range(0, none.size(), empty->data(), empty->size());
-  EXPECT_TRUE(none.none_set());
+  // The next attempt's flows each restore exactly their own range.
+  const posix::TransferCheckpoint reloaded(path, spec.object_bytes, spec.packet_bytes);
+  EXPECT_TRUE(reloaded.on_disk());
+  EXPECT_TRUE(restored_range(reloaded, plan, 0) == stripe0);
+  EXPECT_TRUE(restored_range(reloaded, plan, 2) == stripe2);
+  ASSERT_TRUE(reloaded.restored(first_of(1), 1).has_value());
+  EXPECT_TRUE(restored_range(reloaded, plan, 1).none_set());
 
   // A different geometry never matches.
-  auto foreign = range_of(0);
-  foreign.packet_bytes = 1024;
-  EXPECT_FALSE(posix::load_checkpoint_range(foreign).has_value());
+  const posix::TransferCheckpoint foreign(path, spec.object_bytes, 1024);
+  EXPECT_FALSE(foreign.restored(0, 1).has_value());
+  EXPECT_FALSE(foreign.on_disk());
 
-  // Once every range is full the file is removed.
+  // Full ranges do not remove the file; the completion path does.
   for (int s = 0; s < plan.stripe_count(); ++s) {
     util::Bitmap full(static_cast<std::size_t>(plan.stripe_packets(s)));
     full.set_all();
-    ASSERT_TRUE(posix::fold_checkpoint_range(range_of(s), full));
+    ASSERT_TRUE(checkpoint.fold(first_of(s), full));
   }
+  const auto full = posix::load_checkpoint(path);
+  ASSERT_TRUE(full.has_value()) << "a fold never removes the file";
+  EXPECT_EQ(full->received_count, spec.packet_count());
+  checkpoint.complete();
+  EXPECT_FALSE(checkpoint.on_disk());
   EXPECT_FALSE(posix::load_checkpoint(path).has_value());
 }
 
-TEST(CheckpointRange, ConcurrentFoldsNeverLoseAnotherFlowsBits) {
+TEST(TransferCheckpoint, ConcurrentFoldsNeverLoseAnotherFlowsBits) {
   const std::string path = ::testing::TempDir() + "fobs_stripes_concurrent.ckpt";
   posix::remove_checkpoint(path);
   const TransferSpec spec{8 * 61 * 1024 - 100, 1024};  // 488 packets
   constexpr int kStripes = 8;
   StripePlan plan;
   ASSERT_TRUE(StripePlan::make(spec, kStripes, &plan));
-  auto range_of = [&](int s) {
-    return posix::CheckpointRange{path, spec.object_bytes, spec.packet_bytes,
-                                  static_cast<std::size_t>(plan.first_packet(s)),
-                                  static_cast<std::size_t>(plan.stripe_packets(s))};
-  };
+  posix::TransferCheckpoint checkpoint(path, spec.object_bytes, spec.packet_bytes);
 
   // Every stripe sets its even local packets one at a time and folds
-  // after each, all at once: a fold that read-modify-wrote the file
-  // without the process-wide lock would drop some other stripe's bits.
+  // after each, all at once: a fold racing another would drop some
+  // other stripe's bits, or tear the file both save.
   std::vector<util::Bitmap> expected;
   for (int s = 0; s < kStripes; ++s) {
     expected.emplace_back(static_cast<std::size_t>(plan.stripe_packets(s)));
@@ -349,19 +353,21 @@ TEST(CheckpointRange, ConcurrentFoldsNeverLoseAnotherFlowsBits) {
       util::Bitmap& local = expected[static_cast<std::size_t>(s)];
       for (std::size_t i = 0; i < local.size(); i += 2) {
         local.set(i);
-        if (!posix::fold_checkpoint_range(range_of(s), local)) ++failed_folds;
+        if (!checkpoint.fold(static_cast<std::size_t>(plan.first_packet(s)), local)) {
+          ++failed_folds;
+        }
       }
     });
   }
   for (auto& flow : flows) flow.join();
   EXPECT_EQ(failed_folds.load(), 0);
 
+  const posix::TransferCheckpoint reloaded(path, spec.object_bytes, spec.packet_bytes);
   std::size_t total = 0;
   for (int s = 0; s < kStripes; ++s) {
-    const auto packed = posix::load_checkpoint_range(range_of(s));
-    ASSERT_TRUE(packed.has_value()) << "stripe " << s;
-    util::Bitmap restored(static_cast<std::size_t>(plan.stripe_packets(s)));
-    restored.merge_range(0, restored.size(), packed->data(), packed->size());
+    ASSERT_TRUE(reloaded.restored(static_cast<std::size_t>(plan.first_packet(s)), 1))
+        << "stripe " << s;
+    const auto restored = restored_range(reloaded, plan, s);
     EXPECT_TRUE(restored == expected[static_cast<std::size_t>(s)]) << "stripe " << s;
     total += restored.count();
   }
@@ -371,14 +377,15 @@ TEST(CheckpointRange, ConcurrentFoldsNeverLoseAnotherFlowsBits) {
   posix::remove_checkpoint(path);
 }
 
-TEST(CheckpointRange, TornFileIsIgnoredAndReplacedByTheNextFold) {
+TEST(TransferCheckpoint, TornFileIsIgnoredAndReplacedByTheNextFold) {
   const std::string path = ::testing::TempDir() + "fobs_stripes_torn.ckpt";
   posix::remove_checkpoint(path);
-  const TransferSpec spec{10 * 4096, 4096};  // 10 packets
-  const posix::CheckpointRange lower{path, spec.object_bytes, spec.packet_bytes, 0, 5};
-  const posix::CheckpointRange upper{path, spec.object_bytes, spec.packet_bytes, 5, 5};
+  const TransferSpec spec{10 * 4096, 4096};  // 10 packets: ranges [0, 5) and [5, 10)
 
-  EXPECT_FALSE(posix::load_checkpoint_range(lower).has_value()) << "no file yet";
+  EXPECT_FALSE(posix::TransferCheckpoint(path, spec.object_bytes, spec.packet_bytes)
+                   .restored(0, 5)
+                   .has_value())
+      << "no file yet";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -386,24 +393,68 @@ TEST(CheckpointRange, TornFileIsIgnoredAndReplacedByTheNextFold) {
     std::fwrite(garbage, 1, sizeof garbage, f);
     std::fclose(f);
   }
-  EXPECT_FALSE(posix::load_checkpoint_range(lower).has_value());
-  EXPECT_FALSE(posix::load_checkpoint_range(upper).has_value());
+  posix::TransferCheckpoint torn(path, spec.object_bytes, spec.packet_bytes);
+  EXPECT_FALSE(torn.restored(0, 5).has_value());
+  EXPECT_FALSE(torn.restored(5, 5).has_value());
+  EXPECT_FALSE(torn.on_disk());
 
   util::Bitmap local(5);
   local.set(1);
   local.set(4);
-  ASSERT_TRUE(posix::fold_checkpoint_range(upper, local));
-  const auto packed = posix::load_checkpoint_range(upper);
+  ASSERT_TRUE(torn.fold(5, local));
+  EXPECT_TRUE(torn.on_disk());
+  const posix::TransferCheckpoint reloaded(path, spec.object_bytes, spec.packet_bytes);
+  const auto packed = reloaded.restored(5, 5);
   ASSERT_TRUE(packed.has_value());
   util::Bitmap restored(5);
   restored.merge_range(0, 5, packed->data(), packed->size());
   EXPECT_TRUE(restored == local);
-  const auto other = posix::load_checkpoint_range(lower);
+  const auto other = reloaded.restored(0, 5);
   ASSERT_TRUE(other.has_value());
   util::Bitmap none(5);
   none.merge_range(0, 5, other->data(), other->size());
   EXPECT_TRUE(none.none_set()) << "nothing of the torn file leaks into another range";
   posix::remove_checkpoint(path);
+}
+
+// A flow restored complete can reach its final fold after every other
+// flow has filled the bitmap (e.g. while it waits in its control
+// connect). When folds removed the file once the bitmap was full, that
+// late fold re-created it holding the late flow's range alone, and a
+// completed transfer left a stale checkpoint behind.
+TEST(TransferCheckpoint, LateFoldOfARestoredFlowLeavesNoFileOnceComplete) {
+  const std::string path = ::testing::TempDir() + "fobs_stripes_late_fold.ckpt";
+  posix::remove_checkpoint(path);
+  const TransferSpec spec{1024 * 1024, 1024};  // 1024 packets, 256 per stripe
+  StripePlan plan;
+  ASSERT_TRUE(StripePlan::make(spec, 4, &plan));
+  auto fold_full = [&](posix::TransferCheckpoint& checkpoint, int s) {
+    util::Bitmap full(static_cast<std::size_t>(plan.stripe_packets(s)));
+    full.set_all();
+    return checkpoint.fold(static_cast<std::size_t>(plan.first_packet(s)), full);
+  };
+
+  // Attempt 1 delivered stripes 0, 2 and 3; stripe 1 died.
+  {
+    posix::TransferCheckpoint attempt1(path, spec.object_bytes, spec.packet_bytes);
+    for (int s : {0, 2, 3}) ASSERT_TRUE(fold_full(attempt1, s));
+  }
+
+  // Attempt 2 restores those three stripes complete.
+  posix::TransferCheckpoint attempt2(path, spec.object_bytes, spec.packet_bytes);
+  for (int s : {0, 2, 3}) EXPECT_TRUE(restored_range(attempt2, plan, s).all_set()) << s;
+  EXPECT_TRUE(restored_range(attempt2, plan, 1).none_set());
+
+  // Stripes 2, 3 and 1 fold full, then the restored stripe 0 folds late.
+  for (int s : {2, 3, 1, 0}) ASSERT_TRUE(fold_full(attempt2, s));
+  const auto before = posix::load_checkpoint(path);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->received_count, spec.packet_count());
+
+  attempt2.complete();
+  EXPECT_FALSE(file_exists(path)) << "a completed transfer leaves no checkpoint";
+  EXPECT_FALSE(posix::load_checkpoint(path).has_value());
+  EXPECT_FALSE(attempt2.on_disk());
 }
 
 // ---------------------------------------------------------------------------
@@ -433,13 +484,13 @@ TEST(StripedTransfer, FourStripes64MiBLandByteIdentical) {
   std::vector<std::uint8_t> buffer(static_cast<std::size_t>(kObjectBytes), 0);
 
   posix::SenderOptions send;
-  send.data_port = 37312;
-  send.control_port = 37320;
+  send.data_port = 30312;
+  send.control_port = 30320;
   send.endpoint.packet_bytes = kPacketBytes;
   send.stripes = 4;
   posix::ReceiverOptions recv;
-  recv.data_port = 37312;
-  recv.control_port = 37320;
+  recv.data_port = 30312;
+  recv.control_port = 30320;
   recv.endpoint.packet_bytes = kPacketBytes;
   recv.stripes = 4;
 
@@ -462,20 +513,20 @@ TEST(StripedTransfer, RejectsPortBlocksPastThePortSpace) {
   posix::TransferEngine engine(posix::EngineOptions{.workers = 1});
   posix::ReceiverOptions recv;
   recv.data_port = 65534;
-  recv.control_port = 37330;
+  recv.control_port = 30330;
   recv.endpoint.packet_bytes = 4096;
   recv.stripes = 4;
   EXPECT_EQ(engine.submit_receive(recv, buffer).wait(), posix::TransferStatus::kBadOptions);
   EXPECT_EQ(engine.sessions_submitted(), 0u);
 
   posix::SenderOptions send;
-  send.data_port = 37330;
+  send.data_port = 30330;
   send.control_port = 65535;
   send.endpoint.packet_bytes = 4096;
   send.stripes = 2;
   EXPECT_EQ(engine.submit_send(send, object.view()).wait(), posix::TransferStatus::kBadOptions);
   // More stripes than the object has packets.
-  send.control_port = 37331;
+  send.control_port = 30331;
   send.stripes = 17;
   EXPECT_EQ(engine.submit_send(send, object.view()).wait(), posix::TransferStatus::kBadOptions);
   EXPECT_EQ(engine.sessions_submitted(), 0u);
@@ -493,14 +544,14 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   // — that stripe can never progress, the other three complete.
   {
     posix::SenderOptions send;
-    send.data_port = 37354;
-    send.control_port = 37360;
+    send.data_port = 30354;
+    send.control_port = 30360;
     send.endpoint.packet_bytes = kPacketBytes;
     send.endpoint.timeout_ms = 4'000;  // give up on the dead stripe fast
     send.stripes = 4;
     posix::ReceiverOptions recv;
-    recv.data_port = 37354;
-    recv.control_port = 37360;
+    recv.data_port = 30354;
+    recv.control_port = 30360;
     recv.checkpoint_path = checkpoint_path;
     recv.endpoint.packet_bytes = kPacketBytes;
     recv.endpoint.timeout_ms = 4'000;
@@ -530,13 +581,13 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   // every ACK includes the one the completing packet triggers.
   {
     posix::SenderOptions send;
-    send.data_port = 37354;
-    send.control_port = 37360;
+    send.data_port = 30354;
+    send.control_port = 30360;
     send.endpoint.packet_bytes = kPacketBytes;
     send.stripes = 4;
     posix::ReceiverOptions recv;
-    recv.data_port = 37354;
-    recv.control_port = 37360;
+    recv.data_port = 30354;
+    recv.control_port = 30360;
     recv.checkpoint_path = checkpoint_path;
     recv.checkpoint_every_acks = 1;
     recv.endpoint.packet_bytes = kPacketBytes;
@@ -567,7 +618,7 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
 
   posix::FileServerOptions server_options;
   server_options.dir = dir;
-  server_options.catalog_port = 37400;  // control ports 37401..37432
+  server_options.catalog_port = 30400;  // control ports 30401..30432
   server_options.max_stripes = 8;
   server_options.quiet = true;
   server_options.endpoint.timeout_ms = 30'000;
@@ -578,7 +629,7 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   fetch.catalog_port = server_options.catalog_port;
   fetch.name = "dataset.bin";
   fetch.out_path = dir + "/fetched.bin";
-  fetch.data_port = 37440;
+  fetch.data_port = 30440;
   fetch.stripes = 4;
   fetch.quiet = true;
   fetch.endpoint.timeout_ms = 30'000;
@@ -595,12 +646,12 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   // one flow and still verifies.
   server.stop();
   server_options.max_stripes = 1;
-  server_options.catalog_port = 37470;
+  server_options.catalog_port = 30470;
   posix::FileServer plain_server(server_options);
   ASSERT_TRUE(plain_server.start());
   fetch.catalog_port = server_options.catalog_port;
   fetch.out_path = dir + "/fetched_plain.bin";
-  fetch.data_port = 37480;
+  fetch.data_port = 30480;
   const auto fallback = posix::fetch_file(fetch);
   ASSERT_TRUE(fallback.completed()) << fallback.error;
   EXPECT_TRUE(fallback.fallback_single_flow);
@@ -609,15 +660,12 @@ TEST(StripedTransfer, StripedFetchThroughFileServerIsByteIdentical) {
   plain_server.stop();
 }
 
-
 // ---------------------------------------------------------------------------
 // One checkpoint per fetch: resume at a different stripe count
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kResumeObjectBytes = 4 * 1024 * 1024 + 123;
 constexpr std::int64_t kResumePacketBytes = 8 * 1024;
-
-bool file_exists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
 
 /// An interrupted fetch: the receive side runs exactly as fetch_file
 /// runs it — into a mapping of `<out>.part` with the object-level
@@ -697,7 +745,7 @@ TEST(StripedResume, FourStripeAttemptResumesAtOneStripe) {
   ASSERT_TRUE(object.write_to_file(dir + "/dataset.bin"));
 
   const auto attempt = interrupted_fetch(
-      object, out, {"", "seed=7;data.blackhole=0+1000000", "", ""}, 37334, 37338);
+      object, out, {"", "seed=7;data.blackhole=0+1000000", "", ""}, 30334, 30338);
   EXPECT_FALSE(attempt.completed());
   EXPECT_EQ(attempt.stripes_completed, 3);
   ASSERT_TRUE(file_exists(out + ".part"));
@@ -707,7 +755,7 @@ TEST(StripedResume, FourStripeAttemptResumesAtOneStripe) {
         << "no per-stripe checkpoint files";
   }
 
-  expect_resumed_fetch(dir, out, 1, 37342, 37347, object.checksum());
+  expect_resumed_fetch(dir, out, 1, 30342, 30347, object.checksum());
 }
 
 TEST(StripedResume, OneStripeAttemptResumesAtFourStripes) {
@@ -720,12 +768,12 @@ TEST(StripedResume, OneStripeAttemptResumesAtFourStripes) {
   ASSERT_TRUE(object.write_to_file(dir + "/dataset.bin"));
 
   // The receiver dies after 300 of the object's 513 packets.
-  const auto attempt = interrupted_fetch(object, out, {"crash=300"}, 37380, 37381);
+  const auto attempt = interrupted_fetch(object, out, {"crash=300"}, 30380, 30381);
   EXPECT_EQ(attempt.status, posix::TransferStatus::kCrashed);
   ASSERT_TRUE(file_exists(out + ".part"));
   ASSERT_TRUE(file_exists(out + ".ckpt"));
 
-  expect_resumed_fetch(dir, out, 4, 37382, 37387, object.checksum());
+  expect_resumed_fetch(dir, out, 4, 30382, 30387, object.checksum());
 }
 
 }  // namespace

@@ -386,8 +386,8 @@ TEST(TraceSchema, PosixTransferEmitsValidJsonl) {
   EventTracer receiver_trace;
 
   posix::ReceiverOptions recv_opts;
-  recv_opts.data_port = 36050;
-  recv_opts.control_port = 36051;
+  recv_opts.data_port = 29050;
+  recv_opts.control_port = 29051;
   recv_opts.endpoint.timeout_ms = 30'000;
   recv_opts.endpoint.tracer = &receiver_trace;
 
