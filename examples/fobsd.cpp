@@ -17,8 +17,9 @@
 // The heavy lifting lives in the library (fobs/posix/fileserver.h, on
 // top of the transfer engine in fobs/posix/engine.h): requests are
 // accepted concurrently, every transfer runs its flows as engine
-// sessions with control ports from [port+1, port+1+32), and a silent
-// catalog client times out instead of wedging the server. With
+// sessions on control ports the server leases by binding them from
+// [port+1, port+1+32) (a port another socket holds is skipped), and a
+// silent catalog client times out instead of wedging the server. With
 // FOBS_TRACE_DIR set, every server-side flow writes
 // fobsd_serve_<transfer>_<flow>.jsonl.
 #include <algorithm>

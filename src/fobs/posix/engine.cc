@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "fobs/posix/port_allocator.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 
@@ -123,6 +122,29 @@ std::shared_ptr<const stripe::StripePlan> make_plan(const Options& options,
   return std::make_shared<const stripe::StripePlan>(std::move(plan));
 }
 
+/// One bound control listener per flow of a send, held before any flow
+/// launches: the `handed` ones, else the block [first, first + flows)
+/// bound here. Empty, with `result` status and error set, when the
+/// handed count is not the flow count or a port cannot be bound.
+std::vector<fobs::net::Fd> hold_control_ports(std::uint16_t first, int flows,
+                                              std::vector<fobs::net::Fd> handed,
+                                              TransferResult& result) {
+  if (!handed.empty()) {
+    if (handed.size() == static_cast<std::size_t>(flows)) return handed;
+    result.status = TransferStatus::kBadOptions;
+    result.error = "invalid options: " + std::to_string(handed.size()) +
+                   " control listeners handed for " + std::to_string(flows) + " flows";
+    return {};
+  }
+  auto block = fobs::net::listen_tcp_block(first, flows);
+  if (block.empty()) {
+    result.status = TransferStatus::kSocketError;
+    result.error = "cannot listen on control port " + std::to_string(first);
+    if (flows > 1) result.error += "-" + std::to_string(first + flows - 1);
+  }
+  return block;
+}
+
 /// Flow `flow`'s copy of a transfer's options: ports offset by the
 /// index, the per-flow fault-plan override, and the flow's tracer.
 template <typename Options>
@@ -159,7 +181,8 @@ struct Transfer {
   /// The receiver's checkpoint (null without a path or a plan).
   std::unique_ptr<TransferCheckpoint> checkpoint;
   std::shared_ptr<void> keepalive;
-  bool owns_control_ports = false;
+  /// Sender only: flow i's bound control listener until flow i takes it.
+  std::vector<fobs::net::Fd> control_listeners;
   std::function<void(const TransferHandle&)> on_exit;
   /// Engine-owned per-flow tracers (EngineOptions::session_tracers)
   /// when the submitted options carried none.
@@ -177,13 +200,6 @@ struct Transfer {
   [[nodiscard]] int flows() const { return plan ? plan->stripe_count() : 0; }
   [[nodiscard]] const EndpointOptions& endpoint() const {
     return is_sender ? send_options.endpoint : recv_options.endpoint;
-  }
-  [[nodiscard]] std::uint16_t control_port() const {
-    return is_sender ? send_options.control_port : recv_options.control_port;
-  }
-  /// The requested flow count; flows() once the plan is built.
-  [[nodiscard]] int stripes() const {
-    return is_sender ? send_options.stripes : recv_options.stripes;
   }
   [[nodiscard]] fobs::telemetry::EventTracer* flow_tracer(int flow) const {
     if (!owned_tracers.empty()) return owned_tracers[static_cast<std::size_t>(flow)].get();
@@ -244,13 +260,9 @@ fobs::telemetry::EventTracer* TransferHandle::tracer(int flow) const {
 struct TransferEngine::Impl {
   explicit Impl(EngineOptions opts)
       : options(opts),
-        ports(opts.control_port_base, opts.control_port_count),
         pool(opts.workers == 0 ? 0 : std::max<std::size_t>(1, opts.workers)) {}
 
   EngineOptions options;
-  /// Range clamping (wrap past 65535, base 0 = disabled) lives in the
-  /// allocator itself; internally synchronized, so no `mu` here.
-  PortAllocator ports;
 
   mutable std::mutex mu;
   std::condition_variable idle_cv;
@@ -298,6 +310,12 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   transfer->object = object;
   transfer->plan = make_plan(options, object.size(), "cannot send an empty object",
                              transfer->result.error);
+  if (transfer->plan) {
+    transfer->control_listeners =
+        hold_control_ports(options.control_port, transfer->flows(),
+                           std::move(params.control_listeners), transfer->result);
+    if (transfer->control_listeners.empty()) transfer->plan.reset();
+  }
   transfer->result.stripe_senders.resize(static_cast<std::size_t>(transfer->flows()));
   return submit(std::move(transfer), std::move(params));
 }
@@ -324,7 +342,6 @@ TransferHandle TransferEngine::submit(std::shared_ptr<detail::Transfer> transfer
   auto& metrics = telemetry::MetricsRegistry::global();
   metrics.counter("fobs.stripe.transfers").inc();
   transfer->keepalive = std::move(params.keepalive);
-  transfer->owns_control_ports = params.owns_control_ports;
   transfer->on_exit = std::move(params.on_exit);
   transfer->result.is_sender = transfer->is_sender;
   const int flows = transfer->flows();
@@ -336,12 +353,12 @@ TransferHandle TransferEngine::submit(std::shared_ptr<detail::Transfer> transfer
   }
   TransferHandle handle(transfer);
   if (flows == 0) {
-    // Rejected options: terminal before any flow exists.
-    transfer->status = transfer->result.status = TransferStatus::kBadOptions;
-    if (transfer->owns_control_ports) {
-      const int leased = std::clamp(transfer->stripes(), 0, stripe::kMaxStripes);
-      impl_->ports.release_block(transfer->control_port(), static_cast<std::size_t>(leased));
+    // Rejected (bad options, or a control port the send could not
+    // hold): terminal before any flow exists.
+    if (transfer->result.status == TransferStatus::kPending) {
+      transfer->result.status = TransferStatus::kBadOptions;
     }
+    transfer->status = transfer->result.status;
     impl_->failed.fetch_add(1, std::memory_order_relaxed);
     if (transfer->on_exit) transfer->on_exit(handle);
     return handle;
@@ -372,9 +389,11 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
   auto* tracer = transfer->flow_tracer(flow);
   const auto index = static_cast<std::size_t>(flow);
   if (transfer->is_sender) {
-    auto result =
-        detail::run_sender(flow_options(transfer->send_options, flow, tracer), *transfer->plan,
-                           flow, transfer->object, &transfer->cancel);
+    // The flow owns its listener: the control port closes when it ends.
+    auto result = detail::run_sender(flow_options(transfer->send_options, flow, tracer),
+                                     *transfer->plan, flow,
+                                     std::move(transfer->control_listeners[index]),
+                                     transfer->object, &transfer->cancel);
     std::lock_guard lock(transfer->mu);
     transfer->result.stripe_senders[index] = std::move(result);
   } else {
@@ -383,9 +402,6 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
                                        transfer->checkpoint.get(), &transfer->cancel);
     std::lock_guard lock(transfer->mu);
     transfer->result.stripe_receivers[index] = std::move(result);
-  }
-  if (transfer->owns_control_ports) {
-    impl_->ports.release(static_cast<std::uint16_t>(transfer->control_port() + flow));
   }
   bool last = false;
   {
@@ -420,18 +436,6 @@ void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
   if (transfer->on_exit) transfer->on_exit(TransferHandle(transfer));
   // The keepalive (e.g. an mmap'd file) is dropped with the transfer's
   // last handle, not here: on_exit observers may still read the spans.
-}
-
-std::size_t TransferEngine::free_control_ports() const { return impl_->ports.free_count(); }
-
-std::size_t TransferEngine::control_port_capacity() const { return impl_->ports.capacity(); }
-
-std::optional<std::uint16_t> TransferEngine::allocate_control_port_block(std::size_t count) {
-  return impl_->ports.allocate_block(count);
-}
-
-void TransferEngine::release_control_port_block(std::uint16_t first, std::size_t count) {
-  impl_->ports.release_block(first, count);
 }
 
 bool TransferEngine::start_acceptor(std::uint16_t port,

@@ -1,17 +1,23 @@
 // Concurrent multi-transfer FOBS engine.
 //
 // A TransferEngine owns a worker pool, a registry of live transfers,
-// an allocator of control ports, and (optionally) a TCP acceptor for
-// service front-ends. Each submitted transfer moves one object over
-// `stripes` >= 1 flows: the engine validates the options, builds the
-// transfer's StripePlan (fobs/stripe/plan.h) and runs one *flow
-// session* per stripe on a pool worker. A flow session is the blocking
-// POSIX driver loop with its own sendmmsg/recvmmsg DatagramChannel for
-// the data plane, its own control connection on
-// control_port + i, its own EventTracer (when requested), and the
-// fault-injection and checkpoint machinery. The caller holds one
-// TransferHandle for the whole transfer and can wait(), poll status(),
-// cancel() every flow at once, and read the aggregate result().
+// and (optionally) a TCP acceptor for service front-ends. Each
+// submitted transfer moves one object over `stripes` >= 1 flows: the
+// engine validates the options, builds the transfer's StripePlan
+// (fobs/stripe/plan.h) and runs one *flow session* per stripe on a
+// pool worker. A flow session is the blocking POSIX driver loop with
+// its own sendmmsg/recvmmsg DatagramChannel for the data plane, its own
+// control connection on control_port + i, its own EventTracer (when
+// requested), and the fault-injection and checkpoint machinery. The
+// caller holds one TransferHandle for the whole transfer and can
+// wait(), poll status(), cancel() every flow at once, and read the
+// aggregate result().
+//
+// A control port is leased by binding it: a send transfer holds one
+// bound listener per flow before any flow launches (handed over in
+// SessionParams, or bound by submit_send itself), and each flow closes
+// its own when it ends. The kernel's port table is the only record of
+// which ports are in use; no handle ever keeps a port bound.
 //
 // The engine is what lets one process serve many transfers at once —
 // fobsd's serve loop, the file server (fobs/posix/fileserver.h), and
@@ -22,11 +28,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "fobs/posix/posix_transfer.h"
+#include "net/socket.h"
 
 namespace fobs::posix {
 
@@ -85,10 +92,6 @@ struct EngineOptions {
   /// Worker threads = max concurrently running flow sessions. Further
   /// flows queue until a worker frees up. 0 = hardware concurrency.
   std::size_t workers = 4;
-  /// Control-port allocation range [base, base + count). Zero count
-  /// disables the allocator.
-  std::uint16_t control_port_base = 0;
-  std::uint16_t control_port_count = 0;
   /// When true, every flow whose options carry no tracer gets an
   /// engine-owned EventTracer, reachable via TransferHandle::tracer().
   bool session_tracers = false;
@@ -99,12 +102,13 @@ struct SessionParams {
   /// Kept alive until the transfer ends — typically the mmap'd
   /// TransferObject backing the spans handed to submit_*.
   std::shared_ptr<void> keepalive;
-  /// The control ports [control_port, control_port + stripes) were
-  /// leased from this engine (allocate_control_port_block): each flow
-  /// returns its own port when it ends, a rejected transfer the block.
-  bool owns_control_ports = false;
-  /// Runs once the transfer is terminal (results final, ports already
-  /// released): on the worker of the last flow to end, or inside
+  /// Send only: already-bound control listeners, listener i on
+  /// control_port + i (e.g. a file server's catalog grant). Each flow
+  /// takes its own and closes it when it ends. Empty = submit_send binds
+  /// the block itself.
+  std::vector<fobs::net::Fd> control_listeners;
+  /// Runs once the transfer is terminal (results final, control ports
+  /// already closed): on the worker of the last flow to end, or inside
   /// submit_* when the options were rejected. Keep it short; it blocks
   /// that thread.
   std::function<void(const TransferHandle&)> on_exit;
@@ -125,24 +129,14 @@ class TransferEngine {
   /// e.g. a tracer) must stay valid until the transfer is terminal —
   /// use SessionParams::keepalive for engine-managed lifetime. Invalid
   /// options (zero ports, a stripe count the object cannot carry, a port
-  /// block past 65535, bad I/O tuning) launch no flow: the returned
-  /// handle is already terminal with kBadOptions.
+  /// block past 65535, bad I/O tuning, a handed listener count other
+  /// than the flow count) launch no flow: the returned handle is already
+  /// terminal with kBadOptions. A send whose control port cannot be
+  /// bound launches none either and ends kSocketError naming the port.
   TransferHandle submit_send(const SenderOptions& options,
                              std::span<const std::uint8_t> object, SessionParams params = {});
   TransferHandle submit_receive(const ReceiverOptions& options,
                                 std::span<std::uint8_t> buffer, SessionParams params = {});
-
-  /// Leases `count` *contiguous* ports from [control_port_base,
-  /// base + count) and returns the first — transfers address per-flow
-  /// control ports as first-plus-index. nullopt when no contiguous run
-  /// is free or the allocator is disabled. Return the block with
-  /// release_control_port_block, or hand it to a transfer with
-  /// SessionParams::owns_control_ports.
-  std::optional<std::uint16_t> allocate_control_port_block(std::size_t count);
-  void release_control_port_block(std::uint16_t first, std::size_t count);
-  [[nodiscard]] std::size_t free_control_ports() const;
-  /// Configured (post-clamp) allocator range size; 0 = disabled.
-  [[nodiscard]] std::size_t control_port_capacity() const;
 
   /// Binds a TCP listener on `port` and dispatches every accepted
   /// connection to the worker pool as `handler(fd, peer_host)`. The

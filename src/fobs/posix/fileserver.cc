@@ -67,6 +67,22 @@ bool name_is_safe(const std::string& name) {
   return name.find("..") == std::string::npos;
 }
 
+/// Leases control ports by binding them: the largest contiguous block of
+/// at most `want` ports in [base, end) that binds, lowest port first, is
+/// returned bound with its first port in `first`. The kernel's port
+/// table is the only record of which ports are free, so concurrent
+/// catalog handlers need no lock: every bind race has one winner. Empty
+/// when not even one port binds.
+std::vector<fobs::net::Fd> lease_control_ports(int base, int end, int want, int& first) {
+  for (int count = want; count >= 1; --count) {
+    for (first = base; first + count <= end; ++first) {
+      auto block = fobs::net::listen_tcp_block(static_cast<std::uint16_t>(first), count);
+      if (!block.empty()) return block;
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -84,13 +100,11 @@ FileServer::~FileServer() { stop(); }
 bool FileServer::start() {
   if (engine_) return false;  // already started
   if (options_.dir.empty() || options_.catalog_port == 0 ||
-      options_.control_port_count == 0) {
+      options_.control_port_base == 0 || options_.control_port_count == 0) {
     return false;
   }
   EngineOptions engine_options;
   engine_options.workers = options_.workers;
-  engine_options.control_port_base = options_.control_port_base;
-  engine_options.control_port_count = options_.control_port_count;
   engine_options.session_tracers = !options_.trace_dir.empty();
   engine_ = std::make_unique<TransferEngine>(engine_options);
   if (!engine_->start_acceptor(options_.catalog_port, [this](int fd, std::string peer) {
@@ -173,32 +187,33 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   int granted = std::min({requested, std::max(options_.max_stripes, 1),
                           stripe::StripePlan::max_stripes(spec), 0x10000 - client_port});
   if (granted < 1) return refuse();
-  // Lease the largest contiguous control-port block that fits.
-  std::optional<std::uint16_t> control_port;
-  for (; granted >= 1; --granted) {
-    control_port = engine_->allocate_control_port_block(static_cast<std::size_t>(granted));
-    if (control_port) break;
-  }
-  if (!control_port) {
-    // Every control port is carrying a transfer: shed load instead of
-    // queueing a session that could not listen anywhere.
+  // The range never reaches past port 65535.
+  const int range_end =
+      std::min(options_.control_port_base + options_.control_port_count, 0x10000);
+  int control_port = 0;
+  auto listeners =
+      lease_control_ports(options_.control_port_base, range_end, granted, control_port);
+  if (listeners.empty()) {
+    // No control port binds: shed load instead of granting a transfer
+    // that could not listen anywhere.
     telemetry::MetricsRegistry::global().counter("fobs.fileserver.port_exhausted").inc();
     return refuse();
   }
+  granted = static_cast<int>(listeners.size());
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
   send_line(fd, std::to_string(object->size()) + " " + std::to_string(spec.packet_bytes) + " " +
-                    std::to_string(*control_port) + " " + std::to_string(granted) + "\n");
+                    std::to_string(control_port) + " " + std::to_string(granted) + "\n");
   ::close(fd);  // catalog exchange done; the transfer takes over
 
   SenderOptions send_options;
   send_options.receiver_host = peer_host;
   send_options.data_port = static_cast<std::uint16_t>(client_port);
-  send_options.control_port = *control_port;
+  send_options.control_port = static_cast<std::uint16_t>(control_port);
   send_options.endpoint = options_.endpoint;
   send_options.stripes = granted;
   SessionParams params;
   params.keepalive = object;
-  params.owns_control_ports = true;
+  params.control_listeners = std::move(listeners);
   params.on_exit = [this, name, peer_host, client_port](const TransferHandle& handle) {
     const TransferResult& result = handle.result();
     if (!options_.trace_dir.empty()) {
@@ -301,6 +316,11 @@ FetchResult fetch_file(const FetchOptions& options) {
   }
   auto partial = fobs::core::TransferObject::map_file_rw(partial_path,
                                                          static_cast<std::int64_t>(size));
+  if (!partial) {
+    result.status = TransferStatus::kSocketError;
+    result.error = "cannot map " + partial_path;
+    return result;
+  }
   ReceiverOptions recv_options;
   recv_options.sender_host = options.host;
   recv_options.data_port = options.data_port;
@@ -308,24 +328,10 @@ FetchResult fetch_file(const FetchOptions& options) {
   recv_options.endpoint = options.endpoint;
   recv_options.endpoint.packet_bytes = packet_bytes;
   recv_options.stripes = granted;
-  std::vector<std::uint8_t> fallback;
-  std::span<std::uint8_t> buffer;
-  if (partial) {
-    // Checkpointing is only safe with the file-backed buffer.
-    recv_options.checkpoint_path = checkpoint_path;
-    buffer = partial->mutable_view();
-  } else {
-    if (!options.quiet) {
-      std::printf("fobsd: cannot map %s; fetching without resume support\n",
-                  partial_path.c_str());
-    }
-    remove_checkpoint(checkpoint_path);
-    fallback.resize(static_cast<std::size_t>(size));
-    buffer = fallback;
-  }
-  // One receive flow per granted stripe, all writing the shared buffer
-  // at plan offsets.
-  const TransferResult received = receive_object(recv_options, buffer);
+  recv_options.checkpoint_path = checkpoint_path;
+  // One receive flow per granted stripe, all writing the mapping at
+  // plan offsets.
+  const TransferResult received = receive_object(recv_options, partial->mutable_view());
   result.status = received.status;
   result.error = received.error;
   result.packets_restored = received.packets_restored;
@@ -335,29 +341,19 @@ FetchResult fetch_file(const FetchOptions& options) {
   if (!options.quiet && result.fallback_single_flow) {
     std::printf("fobsd: server granted one flow\n");
   }
-  if (partial) partial->sync();
+  partial->sync();
   if (!result.completed()) {
-    if (partial && !options.quiet) {
+    if (!options.quiet) {
       std::printf("fobsd: kept partial bytes in %s for resume\n", partial_path.c_str());
     }
     return result;
   }
-  if (partial) {
-    result.checksum = partial->checksum();
-    partial.reset();  // unmap before renaming into place
-    if (std::rename(partial_path.c_str(), options.out_path.c_str()) != 0) {
-      result.status = TransferStatus::kSocketError;
-      result.error = "cannot move " + partial_path + " to " + options.out_path;
-      return result;
-    }
-  } else {
-    auto object = fobs::core::TransferObject::from_vector(std::move(fallback));
-    if (!object.write_to_file(options.out_path)) {
-      result.status = TransferStatus::kSocketError;
-      result.error = "cannot write " + options.out_path;
-      return result;
-    }
-    result.checksum = object.checksum();
+  result.checksum = partial->checksum();
+  partial.reset();  // unmap before renaming into place
+  if (std::rename(partial_path.c_str(), options.out_path.c_str()) != 0) {
+    result.status = TransferStatus::kSocketError;
+    result.error = "cannot move " + partial_path + " to " + options.out_path;
+    return result;
   }
   return result;
 }

@@ -9,8 +9,12 @@
 // A missing or non-positive stripe token means 1. The server grants at
 // most the requested count, clamped by max_stripes, the object's packet
 // count, the UDP port space (client-udp-port + granted - 1 <= 65535)
-// and the largest contiguous block of free control ports it can lease.
-// Both sides then submit one engine transfer with stripes = granted:
+// and the largest contiguous block of control ports it can lease. A
+// lease is a bound listener: the server binds the block before it
+// replies, hands the listeners to the send transfer, and each flow
+// closes its own when it ends, so a port another socket holds is
+// skipped, never granted. Both sides then submit one engine transfer
+// with stripes = granted:
 // the same contiguous StripePlan, flow i pushing data to UDP port
 // client-udp-port + i with its completion connection on control port
 // first-control-port + i (fobs/stripe/striped_transfer.h). One flow is
@@ -36,8 +40,8 @@ namespace fobs::posix {
 struct FileServerOptions {
   std::string dir;                   ///< directory served (required)
   std::uint16_t catalog_port = 0;    ///< TCP catalog listener (required)
-  /// Per-flow control ports come from [base, base + count);
-  /// 0 base = catalog_port + 1.
+  /// Per-flow control ports are leased by binding them from
+  /// [base, base + count), clipped at 65535; 0 base = catalog_port + 1.
   std::uint16_t control_port_base = 0;
   std::uint16_t control_port_count = 32;
   /// Worker threads: bounds concurrently running transfers (plus
@@ -52,8 +56,8 @@ struct FileServerOptions {
   /// Suppress per-request stdout lines (tests).
   bool quiet = false;
   /// Most stripes the server grants one request (further clamped by
-  /// free control ports, the object's packet count and the client's
-  /// port space). 1 serves every client over a single flow.
+  /// the control ports it can bind, the object's packet count and the
+  /// client's port space). 1 serves every client over a single flow.
   int max_stripes = 8;
   /// Applied to every transfer (timeout, packet size, ...).
   EndpointOptions endpoint;

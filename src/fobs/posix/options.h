@@ -41,12 +41,9 @@ enum class TransferStatus : std::uint8_t {
 struct EndpointOptions {
   std::int64_t packet_bytes = 1024;
   /// Progress-based give-up: the transfer is abandoned only after
-  /// `stall_intervals` consecutive intervals of `timeout_ms /
-  /// stall_intervals` each with zero protocol progress. A transfer that
-  /// never progresses still dies after ~`timeout_ms`; one that keeps
-  /// moving is never killed by the clock alone.
+  /// core::kStallIntervals consecutive intervals of `timeout_ms /
+  /// kStallIntervals` each with zero protocol progress (fobs/types.h).
   int timeout_ms = 60'000;
-  int stall_intervals = 8;
   /// Fault-injection plan (grammar in docs/ROBUSTNESS.md). Empty means
   /// "use the FOBS_FAULT_PLAN environment variable, if set".
   std::string fault_plan;

@@ -148,9 +148,9 @@ bool resolve_fault_plan(const std::string& from_options,
 /// consecutive-empty streak has reached the give-up limit.
 class StallClock {
  public:
-  StallClock(Clock::time_point start, int timeout_ms, int intervals)
-      : limit_(std::max(1, intervals)),
-        interval_(std::chrono::milliseconds(std::max(1, timeout_ms / std::max(1, intervals)))),
+  StallClock(Clock::time_point start, int timeout_ms)
+      : interval_(std::chrono::milliseconds(
+            std::max(1, timeout_ms / fobs::core::kStallIntervals))),
         next_check_(start + interval_) {}
 
   template <typename Core>
@@ -160,11 +160,10 @@ class StallClock {
       streak_ = core.on_stall_interval();
       next_check_ += interval_;
     }
-    return streak_ >= limit_;
+    return streak_ >= fobs::core::kStallIntervals;
   }
 
  private:
-  int limit_;
   Clock::duration interval_;
   Clock::time_point next_check_;
   int streak_ = 0;
@@ -235,7 +234,8 @@ namespace detail {
 // ---------------------------------------------------------------------------
 
 SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
-                        std::span<const std::uint8_t> object, const std::atomic<bool>* cancel) {
+                        Fd listener, std::span<const std::uint8_t> object,
+                        const std::atomic<bool>* cancel) {
   SenderResult result;
   result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
@@ -265,13 +265,6 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
   }
   const sockaddr_in peer = make_addr(options.receiver_host, options.data_port);
 
-  // TCP listener for the control channel (completion + resume frames).
-  const Fd listener = fobs::net::listen_tcp(options.control_port, 1);
-  if (!listener.valid()) {
-    result.error = "tcp listen failed";
-    return result;
-  }
-
   fobs::core::SenderCore core(spec, options.core);
   // Per-batch scatter-gather state. Headers live in `headers` so every
   // view's iovec stays valid for the whole send_batch call; payload
@@ -286,7 +279,7 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
   bool control_ever_connected = false;
   std::vector<std::uint8_t> control_buf;
   const auto start = Clock::now();
-  StallClock stall(start, options.endpoint.timeout_ms, options.endpoint.stall_intervals);
+  StallClock stall(start, options.endpoint.timeout_ms);
   fobs::telemetry::EventTracer* tracer = options.endpoint.tracer;
   // ACK-stream versioning: once a receiver announces its incarnation
   // epoch via a hello frame, only ACKs stamped with that epoch are
@@ -623,7 +616,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
   // The stall budget measures the data-transfer phase only: a slow
   // control connect must not be double-counted as empty stall intervals
   // the moment data starts flowing.
-  StallClock stall(Clock::now(), options.endpoint.timeout_ms, options.endpoint.stall_intervals);
+  StallClock stall(Clock::now(), options.endpoint.timeout_ms);
   int acks_since_checkpoint = 0;
   bool crashed = false;
 

@@ -165,11 +165,14 @@ namespace detail {
 /// already resolved for that flow (ports, fault plan, tracer) and
 /// `object`/`buffer` spanning the whole object. `cancel` (nullable) is
 /// polled once per loop iteration; setting it makes the loop exit with
-/// TransferStatus::kCancelled. `checkpoint` is the transfer's (null
-/// without one). The engine runs these on its workers after validating
-/// the options and building the plan.
+/// TransferStatus::kCancelled. `listener` is the flow's bound control
+/// listener (on options.control_port), closed when the flow returns.
+/// `checkpoint` is the transfer's (null without one). The engine runs
+/// these on its workers after validating the options, building the plan
+/// and, for a send, holding every flow's listener.
 SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
-                        std::span<const std::uint8_t> object, const std::atomic<bool>* cancel);
+                        fobs::net::Fd listener, std::span<const std::uint8_t> object,
+                        const std::atomic<bool>* cancel);
 ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
                             int flow, std::span<std::uint8_t> buffer,
                             TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel);

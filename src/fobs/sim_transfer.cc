@@ -65,10 +65,9 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
   // Stall detection: progress checks run inline between event steps (no
   // extra sim events, so clean-run schedules — and the golden packet
   // counts — are untouched). A transfer dies only after
-  // `stall_intervals` consecutive empty checks on the sender alongside
+  // kStallIntervals consecutive empty checks on the sender alongside
   // an empty-or-complete receiver; the flat deadline stays as backstop.
-  const int stall_limit = std::max(1, config.stall_intervals);
-  const Duration stall_interval = config.timeout / stall_limit;
+  const Duration stall_interval = config.timeout / kStallIntervals;
   TimePoint next_check = start + stall_interval;
   bool stalled = false;
   int sender_streak = 0;
@@ -82,8 +81,8 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
       receiver_streak = receiver.on_stall_interval();
       next_check = next_check + stall_interval;
     }
-    if (sender_streak >= stall_limit &&
-        (receiver_streak >= stall_limit || receiver.complete())) {
+    if (sender_streak >= kStallIntervals &&
+        (receiver_streak >= kStallIntervals || receiver.complete())) {
       stalled = true;
       break;
     }

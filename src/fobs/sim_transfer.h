@@ -33,12 +33,6 @@ struct SimTransferConfig {
   /// Fault schedule applied to this transfer (empty = clean run; the
   /// golden regressions rely on an empty plan changing nothing).
   fobs::net::FaultPlan fault_plan;
-  /// Stall detection: the run gives up once this many consecutive
-  /// progress checks pass with zero new packets on both sides. The
-  /// check interval is timeout / stall_intervals, so a transfer that
-  /// never progresses still dies at ~`timeout`, but one that keeps
-  /// moving is never killed by the flat deadline alone.
-  int stall_intervals = 8;
 };
 
 struct SimTransferResult {
@@ -59,7 +53,8 @@ struct SimTransferResult {
   /// sender); non-zero only when a fault plan injects corruption.
   std::int64_t corrupt_drops = 0;
   /// True when the run was terminated by stall detection (no progress
-  /// for `stall_intervals` consecutive checks) rather than completing.
+  /// for kStallIntervals consecutive checks of timeout / kStallIntervals
+  /// on both sides) rather than completing.
   bool stalled = false;
   bool data_verified = false;  ///< true when carry_data and bytes match
 

@@ -45,4 +45,11 @@ inline constexpr std::int64_t kDataHeaderBytes = 16;
 /// fragment descriptor).
 inline constexpr std::int64_t kAckHeaderBytes = 32;
 
+/// Progress-based give-up, shared by the simulated and real-socket
+/// drivers: a transfer's timeout is split into this many check
+/// intervals, and it is abandoned only after this many consecutive
+/// intervals with zero progress. One that never progresses still dies
+/// after ~timeout; one that keeps moving is never killed by the clock.
+inline constexpr int kStallIntervals = 8;
+
 }  // namespace fobs::core

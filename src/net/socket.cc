@@ -86,6 +86,18 @@ Fd listen_tcp(std::uint16_t port, int backlog) {
   return fd;
 }
 
+std::vector<Fd> listen_tcp_block(std::uint16_t first, int count) {
+  std::vector<Fd> block;
+  if (first == 0 || count < 1 || first + count - 1 > 0xFFFF) return block;
+  block.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    Fd listener = listen_tcp(static_cast<std::uint16_t>(first + i), 1);
+    if (!listener.valid()) return {};
+    block.push_back(std::move(listener));
+  }
+  return block;
+}
+
 double mbps(std::int64_t bytes, double seconds) {
   if (seconds <= 0) return 0.0;
   return static_cast<double>(bytes) * 8.0 / seconds / 1e6;

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace fobs::net {
 
@@ -61,6 +62,12 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t len,
 /// Non-blocking TCP listener on 0.0.0.0:`port` (SO_REUSEADDR). Invalid
 /// Fd when the socket, bind or listen fails.
 [[nodiscard]] Fd listen_tcp(std::uint16_t port, int backlog);
+
+/// listen_tcp(first + i, 1) for every port of the contiguous block
+/// [first, first + count), all or nothing: when any port cannot be
+/// bound, or the block starts at port 0 or reaches past 65535, every
+/// listener already bound is closed and the result is empty.
+[[nodiscard]] std::vector<Fd> listen_tcp_block(std::uint16_t first, int count);
 
 /// Goodput in megabits per second; 0 for a non-positive duration.
 [[nodiscard]] double mbps(std::int64_t bytes, double seconds);

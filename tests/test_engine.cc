@@ -3,8 +3,8 @@
 // transfers of different sizes (one under fault injection), all
 // byte-identical, with per-transfer traces and results that never bleed
 // into each other. Plus handle lifecycle (wait/status/cancel) for one
-// and four flows, rejected options, the control-port allocator, and
-// engine counters.
+// and four flows, rejected options, control ports leased by binding
+// them, and engine counters.
 //
 // Port block: 30000-30099 (keep clear of 29xxx = test_fobs_posix /
 // test_telemetry and 31xxx = test_fault_posix).
@@ -12,13 +12,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "fobs/posix/engine.h"
 #include "fobs/sim_transfer.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -339,83 +339,91 @@ TEST(EngineHandle, FourFlowSubmitWithZeroPortsLaunchesNoFlow) {
 }
 
 // ---------------------------------------------------------------------------
-// Control-port allocator
+// Control ports: a lease is a bound listener
 // ---------------------------------------------------------------------------
 
-TEST(EnginePorts, AllocateReleaseAndExhaust) {
-  posix::TransferEngine engine(
-      {.workers = 1, .control_port_base = port_base(40), .control_port_count = 3});
-  EXPECT_EQ(engine.free_control_ports(), 3u);
+TEST(EngineControlPorts, SendOnAHeldControlPortFailsNamingItAndLaunchesNoFlow) {
+  // Another socket holds the control port. The send cannot bind its
+  // listener, so it ends kSocketError naming the port before any flow
+  // launches, instead of a flow waiting out its whole timeout.
+  const fobs::net::Fd holder = fobs::net::listen_tcp(port_base(42), 4);
+  ASSERT_TRUE(holder.valid());
+  const auto object = core::make_pattern(64 * 1024, 0xB05);
+  posix::SenderOptions sopt;
+  sopt.data_port = port_base(45);
+  sopt.control_port = port_base(42);
+  sopt.endpoint.timeout_ms = 30'000;
+  auto& launched =
+      telemetry::MetricsRegistry::global().counter("fobs.engine.sessions_submitted");
+  const auto launched_before = launched.value();
 
-  const auto a = engine.allocate_control_port_block(1);
-  const auto b = engine.allocate_control_port_block(1);
-  const auto c = engine.allocate_control_port_block(1);
-  ASSERT_TRUE(a && b && c);
-  EXPECT_EQ(engine.free_control_ports(), 0u);
-  // Distinct ports, all inside the configured range.
-  EXPECT_NE(*a, *b);
-  EXPECT_NE(*b, *c);
-  EXPECT_NE(*a, *c);
-  for (const auto port : {*a, *b, *c}) {
-    EXPECT_GE(port, port_base(40));
-    EXPECT_LT(port, port_base(43));
-  }
-  // Exhausted: the allocator sheds instead of inventing ports.
-  EXPECT_FALSE(engine.allocate_control_port_block(1).has_value());
+  const auto blocking = posix::send_object(sopt, object);
+  EXPECT_EQ(blocking.status, posix::TransferStatus::kSocketError);
+  EXPECT_NE(blocking.error.find(std::to_string(port_base(42))), std::string::npos)
+      << blocking.error;
+  EXPECT_EQ(blocking.stripes, 0);
+  EXPECT_EQ(launched.value(), launched_before);
 
-  engine.release_control_port_block(*b, 1);
-  EXPECT_EQ(engine.free_control_ports(), 1u);
-  const auto again = engine.allocate_control_port_block(1);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, *b);
+  // Two flows on [41, 42]: 41 binds, 42 is held, so the block is
+  // released whole and the handle is terminal on return.
+  posix::TransferEngine engine({.workers = 2});
+  sopt.control_port = port_base(41);
+  sopt.stripes = 2;
+  auto handle = engine.submit_send(sopt, object);
+  EXPECT_TRUE(handle.done());
+  EXPECT_EQ(handle.wait(), posix::TransferStatus::kSocketError);
+  EXPECT_NE(handle.result().error.find(std::to_string(port_base(42))), std::string::npos)
+      << handle.result().error;
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+  EXPECT_EQ(engine.sessions_failed(), 1u);
+  EXPECT_EQ(launched.value(), launched_before);
+  EXPECT_TRUE(fobs::net::listen_tcp(port_base(41), 1).valid()) << "port 41 left bound";
 }
 
-TEST(EnginePorts, DisabledAllocatorAlwaysRefuses) {
-  posix::TransferEngine engine({.workers = 1});
-  EXPECT_EQ(engine.free_control_ports(), 0u);
-  EXPECT_FALSE(engine.allocate_control_port_block(1).has_value());
-}
-
-TEST(EnginePorts, RangePastPortMaxIsClampedNotWrapped) {
-  // base 65530 + count 100 would wrap uint16_t arithmetic and hand out
-  // low-numbered ports; the engine must clamp the range to the valid
-  // tail instead. (The allocator is pure bookkeeping — nothing binds.)
-  posix::TransferEngine engine(
-      {.workers = 1, .control_port_base = 65'530, .control_port_count = 100});
-  EXPECT_EQ(engine.free_control_ports(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    const auto port = engine.allocate_control_port_block(1);
-    ASSERT_TRUE(port.has_value());
-    EXPECT_GE(*port, 65'530);
-  }
-  EXPECT_FALSE(engine.allocate_control_port_block(1).has_value());
-
-  // Base 0 is not a usable listening port: the allocator stays disabled
-  // rather than handing out ports 0..N-1.
-  posix::TransferEngine zero_base(
-      {.workers = 1, .control_port_base = 0, .control_port_count = 8});
-  EXPECT_EQ(zero_base.free_control_ports(), 0u);
-  EXPECT_FALSE(zero_base.allocate_control_port_block(1).has_value());
-}
-
-TEST(EnginePorts, OwnedPortIsReleasedWhenSessionEnds) {
-  posix::TransferEngine engine(
-      {.workers = 1, .control_port_base = port_base(44), .control_port_count = 1});
-  const auto port = engine.allocate_control_port_block(1);
-  ASSERT_TRUE(port.has_value());
-  EXPECT_EQ(engine.free_control_ports(), 0u);
-
-  // The transfer fails instantly (bad options: no data port) — but its
-  // owned port must still flow back to the allocator.
-  std::vector<std::uint8_t> sink(1024, 0);
-  posix::ReceiverOptions ropt;
-  ropt.control_port = *port;
+TEST(EngineControlPorts, HandedListenerCountOtherThanTheFlowCountIsBadOptions) {
+  const auto object = core::make_pattern(64 * 1024, 0xB06);
+  posix::SenderOptions sopt;
+  sopt.data_port = port_base(45);
+  sopt.control_port = port_base(43);
+  sopt.stripes = 2;
   posix::SessionParams params;
-  params.owns_control_ports = true;
-  auto handle = engine.submit_receive(ropt, std::span<std::uint8_t>(sink), std::move(params));
-  handle.wait();
-  engine.wait_idle();
-  EXPECT_EQ(engine.free_control_ports(), 1u);
+  params.control_listeners = fobs::net::listen_tcp_block(port_base(43), 1);
+  ASSERT_EQ(params.control_listeners.size(), 1u);
+
+  posix::TransferEngine engine({.workers = 2});
+  auto handle = engine.submit_send(sopt, object, std::move(params));
+  EXPECT_EQ(handle.wait(), posix::TransferStatus::kBadOptions);
+  EXPECT_NE(handle.result().error.find("control listeners"), std::string::npos)
+      << handle.result().error;
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+  EXPECT_TRUE(fobs::net::listen_tcp(port_base(43), 1).valid())
+      << "a rejected transfer closes the listeners it was handed";
+}
+
+TEST(EngineControlPorts, FlowPortsBindAgainOnceTheTransferIsDoneWhileItsHandleIsHeld) {
+  const auto object = core::make_pattern(256 * 1024 + 3, 0xB07);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  posix::ReceiverOptions ropt;
+  ropt.data_port = port_base(46);     // and 47
+  ropt.control_port = port_base(48);  // and 49
+  ropt.stripes = 2;
+  ropt.endpoint.timeout_ms = 30'000;
+  posix::SenderOptions sopt;
+  sopt.data_port = ropt.data_port;
+  sopt.control_port = ropt.control_port;
+  sopt.stripes = 2;
+  sopt.endpoint.timeout_ms = 30'000;
+
+  posix::TransferEngine engine({.workers = 4});
+  auto rx = engine.submit_receive(ropt, std::span<std::uint8_t>(sink));
+  auto tx = engine.submit_send(sopt, std::span<const std::uint8_t>(object));
+  ASSERT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
+  ASSERT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
+  EXPECT_EQ(sink, object);
+  // Both handles are still held; neither keeps a control port bound.
+  for (int flow = 0; flow < 2; ++flow) {
+    EXPECT_TRUE(fobs::net::listen_tcp(port_base(48 + flow), 1).valid()) << "flow " << flow;
+  }
 }
 
 }  // namespace

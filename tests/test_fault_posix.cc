@@ -105,7 +105,7 @@ TEST(FaultPosixValidation, MalformedFaultPlanIsReportedNotIgnored) {
 
 TEST(FaultPosixStall, SenderGivesUpAfterEmptyIntervalsWithStallTrace) {
   // No receiver exists: zero progress. The sender must die through the
-  // stall budget — `stall_intervals` stall events, then the timeout —
+  // stall budget — kStallIntervals stall events, then the timeout —
   // in about timeout_ms, not hang.
   const auto object = core::make_pattern(64 * 1024, 0xBEEF);
   telemetry::EventTracer trace;
@@ -113,7 +113,6 @@ TEST(FaultPosixStall, SenderGivesUpAfterEmptyIntervalsWithStallTrace) {
   options.data_port = port_base(6);
   options.control_port = port_base(7);
   options.endpoint.timeout_ms = 1'000;
-  options.endpoint.stall_intervals = 4;
   options.endpoint.tracer = &trace;
 
   const auto start = std::chrono::steady_clock::now();
@@ -125,7 +124,7 @@ TEST(FaultPosixStall, SenderGivesUpAfterEmptyIntervalsWithStallTrace) {
   EXPECT_EQ(result.status, posix::TransferStatus::kTimeout);
   EXPECT_EQ(result.error, "timeout");
   EXPECT_LT(elapsed, options.endpoint.timeout_ms + 5'000);
-  EXPECT_EQ(trace.count(telemetry::EventType::kStall), options.endpoint.stall_intervals);
+  EXPECT_EQ(trace.count(telemetry::EventType::kStall), core::kStallIntervals);
   const auto events = trace.snapshot();
   ASSERT_GE(events.size(), 2u);
   EXPECT_EQ(events[events.size() - 2].type, telemetry::EventType::kStall);

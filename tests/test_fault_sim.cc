@@ -67,7 +67,7 @@ TEST(FaultSim, CorruptDropsAreDeterministicPerSeed) {
 
 TEST(FaultSim, BlackholedTransferGivesUpViaStallDetection) {
   // Every data packet vanishes: neither side ever progresses. The run
-  // must end through the stall budget — `stall_intervals` empty checks
+  // must end through the stall budget — kStallIntervals empty checks
   // on each side — with both traces ending stall -> timeout.
   Testbed bed(PathId::kShortHaul);
   telemetry::EventTracer sender_trace;
@@ -75,7 +75,6 @@ TEST(FaultSim, BlackholedTransferGivesUpViaStallDetection) {
   auto config = small_transfer(64);
   config.fault_plan = plan_of("data.blackhole=0+100000000");
   config.timeout = util::Duration::milliseconds(400);
-  config.stall_intervals = 4;
   config.sender_tracer = &sender_trace;
   config.receiver_tracer = &receiver_trace;
   const auto result = run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
@@ -83,8 +82,8 @@ TEST(FaultSim, BlackholedTransferGivesUpViaStallDetection) {
   EXPECT_TRUE(result.stalled);
   // The give-up is interval-counted, not wall-clock: exactly the stall
   // budget of empty checks fired on each side.
-  EXPECT_EQ(sender_trace.count(EventType::kStall), config.stall_intervals);
-  EXPECT_EQ(receiver_trace.count(EventType::kStall), config.stall_intervals);
+  EXPECT_EQ(sender_trace.count(EventType::kStall), core::kStallIntervals);
+  EXPECT_EQ(receiver_trace.count(EventType::kStall), core::kStallIntervals);
   for (const auto* trace : {&sender_trace, &receiver_trace}) {
     const auto events = trace->snapshot();
     ASSERT_GE(events.size(), 2u);
@@ -98,14 +97,16 @@ TEST(FaultSim, ReceiverCrashStallsTheSender) {
   // sender keeps retransmitting into silence and must eventually give
   // up through stall detection rather than hanging forever.
   Testbed bed(PathId::kShortHaul);
+  telemetry::EventTracer sender_trace;
   auto config = small_transfer(64);
   config.fault_plan = plan_of("crash=16");
   config.timeout = util::Duration::milliseconds(400);
-  config.stall_intervals = 4;
+  config.sender_tracer = &sender_trace;
   const auto result = run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
   EXPECT_FALSE(result.completed);
   EXPECT_TRUE(result.stalled);
   EXPECT_FALSE(result.data_verified);
+  EXPECT_EQ(sender_trace.count(EventType::kStall), core::kStallIntervals);
 }
 
 TEST(FaultSim, EmptyPlanMatchesCleanRunExactly) {

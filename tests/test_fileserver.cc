@@ -3,10 +3,13 @@
 // from distinct clients, all byte-identical), the catalog-timeout
 // bugfix (a connected-but-silent client can no longer wedge the serve
 // loop), the catalog grant (stripe token, port-space clamp, the
-// server's packet size wins), a client that starts before its server,
-// and the refusal paths.
+// server's packet size wins), control ports leased by binding them
+// (held ports skipped, exhaustion refused, ports freed with the
+// transfer, concurrent grants disjoint, the range clipped at 65535), a
+// client that starts before its server, and the refusal paths.
 //
-// Port block: 30100-30199 (test_engine owns 30000-30099).
+// Port block: 30100-30299 (test_engine owns 30000-30099), plus the
+// control ports 65534-65535 of the port-max test.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +28,8 @@
 
 #include "fobs/object.h"
 #include "fobs/posix/fileserver.h"
+#include "net/socket.h"
+#include "telemetry/metrics.h"
 
 namespace fobs {
 namespace {
@@ -56,6 +61,16 @@ int connect_tcp(std::uint16_t port) {
     return -1;
   }
   return fd;
+}
+
+/// Polls `done` every 5 ms for up to 10 s; its final value.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
 }
 
 // ---------------------------------------------------------------------------
@@ -107,6 +122,9 @@ TEST(FileServer, ThreeOverlappingFetchesAreByteIdentical) {
   }
   EXPECT_EQ(server.requests_handled(), sizes.size());
   EXPECT_EQ(server.transfers_started(), sizes.size());
+  // A fetch returns once its receiver has the object; the server counts
+  // the transfer when its sender flow has read the completion signal.
+  EXPECT_TRUE(wait_until([&] { return server.transfers_completed() == sizes.size(); }));
   EXPECT_EQ(server.transfers_completed(), sizes.size());
   EXPECT_EQ(server.transfers_failed(), 0u);
   server.stop();
@@ -398,6 +416,223 @@ TEST(FileServer, FetchStartedBeforeTheServerCompletesOnceItListens) {
   const auto fetched = core::TransferObject::map_file(out);
   ASSERT_TRUE(fetched.has_value());
   EXPECT_EQ(fetched->checksum(), checksums[0]);
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Control ports: a lease is a bound listener
+// ---------------------------------------------------------------------------
+
+/// A fetch of `name` from `server` into `out` on UDP `data_port`.
+posix::FetchResult fetch_one(const posix::FileServer& server, const std::string& name,
+                             const std::string& out, std::uint16_t data_port,
+                             int timeout_ms) {
+  posix::FetchOptions fetch;
+  fetch.catalog_port = server.options().catalog_port;
+  fetch.name = name;
+  fetch.out_path = out;
+  fetch.data_port = data_port;
+  fetch.quiet = true;
+  fetch.endpoint.timeout_ms = timeout_ms;
+  return posix::fetch_file(fetch);
+}
+
+TEST(FileServer, SkipsAControlPortAnotherSocketHolds) {
+  // Another socket listens on the first control port. Granting it would
+  // leave the server's flow unable to listen and the client connected
+  // to the other socket, waiting out its whole timeout; a grant is a
+  // bound listener, so the server skips the held port instead.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_held";
+  const auto checksums = stage_files(dir, {128 * 1024});
+  const net::Fd holder = net::listen_tcp(30201, 4);
+  ASSERT_TRUE(holder.valid());
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 30200;
+  options.control_port_base = 30201;  // control ports 30201..30202
+  options.control_port_count = 2;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 4'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  for (int i = 0; i < 2; ++i) {
+    const auto result = fetch_one(server, "dataset0.bin", dir + "/fetched0.bin", 30205, 4'000);
+    EXPECT_TRUE(result.completed()) << "fetch " << i << ": " << result.error;
+    EXPECT_EQ(result.checksum, checksums[0]) << "fetch " << i;
+    // 30202 is the only free control port: the next grant needs this
+    // transfer's flow to have ended.
+    EXPECT_TRUE(wait_until([&] { return server.transfers_completed() == i + 1u; }))
+        << "fetch " << i;
+  }
+  server.stop();
+  EXPECT_EQ(server.transfers_started(), 2u);
+  EXPECT_EQ(server.transfers_failed(), 0u);
+}
+
+TEST(FileServer, RefusesWhenNoControlPortCanBeBound) {
+  // Both control ports are held from outside the server: one by a
+  // listener, one as the local port of an outgoing connection (the
+  // kernel hands those out from its ephemeral range). Nothing can be
+  // leased, so the request is refused rather than granted a dead port.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_exhausted";
+  stage_files(dir, {64 * 1024});
+  const net::Fd listener = net::listen_tcp(30211, 4);
+  ASSERT_TRUE(listener.valid());
+  const net::Fd outgoing(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(outgoing.valid());
+  const sockaddr_in local = net::make_addr("127.0.0.1", 30212);
+  ASSERT_EQ(::bind(outgoing.get(), reinterpret_cast<const sockaddr*>(&local), sizeof local), 0);
+  const sockaddr_in peer = net::make_addr("127.0.0.1", 30211);
+  ASSERT_EQ(::connect(outgoing.get(), reinterpret_cast<const sockaddr*>(&peer), sizeof peer),
+            0);
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 30210;
+  options.control_port_base = 30211;  // control ports 30211..30212
+  options.control_port_count = 2;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 1'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  auto& exhausted =
+      telemetry::MetricsRegistry::global().counter("fobs.fileserver.port_exhausted");
+  const auto exhausted_before = exhausted.value();
+  const auto reply = raw_catalog(options.catalog_port, "dataset0.bin 30215 2");
+  EXPECT_EQ(reply.size, -1) << "granted control port " << reply.control_port;
+  EXPECT_EQ(exhausted.value(), exhausted_before + 1);
+  server.stop();
+  EXPECT_EQ(server.requests_refused(), 1u);
+  EXPECT_EQ(server.transfers_started(), 0u);
+}
+
+TEST(FileServer, ControlPortsAreFreedWhenTheTransferEnds) {
+  // A one-port range serves fetches one after another: each transfer's
+  // flow closes its listener when it ends.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_oneport";
+  const auto checksums = stage_files(dir, {96 * 1024, 160 * 1024 + 9});
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 30220;
+  options.control_port_base = 30221;
+  options.control_port_count = 1;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = "dataset" + std::to_string(i) + ".bin";
+    const auto result = fetch_one(server, name, dir + "/fetched" + std::to_string(i) + ".bin",
+                                  30225, 30'000);
+    EXPECT_TRUE(result.completed()) << name << ": " << result.error;
+    EXPECT_EQ(result.checksum, checksums[static_cast<std::size_t>(i)]) << name;
+    EXPECT_TRUE(wait_until([&] { return server.transfers_completed() == i + 1u; })) << name;
+  }
+  server.stop();
+  EXPECT_EQ(server.requests_refused(), 0u);
+}
+
+TEST(FileServer, ConcurrentGrantsGetDisjointBlocks) {
+  // Eight catalog requests race for two-port blocks. The kernel decides
+  // every bind race, so no two live grants share a port. Nobody
+  // receives, and the long timeout keeps every grant held until stop().
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_disjoint";
+  stage_files(dir, {64 * 1024});
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 30230;
+  options.control_port_base = 30231;  // control ports 30231..30254
+  options.control_port_count = 24;
+  options.workers = 32;  // 8 catalog handlers + up to 16 flows at once
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  std::vector<CatalogReply> replies(8);
+  std::vector<std::thread> clients;
+  for (auto& reply : replies) {
+    clients.emplace_back(
+        [&] { reply = raw_catalog(options.catalog_port, "dataset0.bin 30260 2"); });
+  }
+  for (auto& client : clients) client.join();
+
+  std::vector<int> owner(options.control_port_count, -1);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const auto& reply = replies[i];
+    ASSERT_EQ(reply.size, 64 * 1024) << "request " << i << " refused";
+    ASSERT_GE(reply.granted, 1) << "request " << i;
+    ASSERT_LE(reply.granted, 2) << "request " << i;
+    for (int port = reply.control_port; port < reply.control_port + reply.granted; ++port) {
+      ASSERT_GE(port, options.control_port_base) << "request " << i;
+      ASSERT_LT(port, options.control_port_base + options.control_port_count)
+          << "request " << i;
+      auto& holder = owner[static_cast<std::size_t>(port - options.control_port_base)];
+      EXPECT_EQ(holder, -1) << "port " << port << " granted to requests " << holder << " and "
+                            << i;
+      holder = static_cast<int>(i);
+    }
+  }
+  server.stop();
+  EXPECT_EQ(server.transfers_started(), replies.size());
+}
+
+TEST(FileServer, ControlRangePastPortMaxIsClampedNotWrapped) {
+  // base 65534 + count 100 would wrap uint16_t arithmetic into low
+  // ports; the scan stops at 65535 instead.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_portmax";
+  stage_files(dir, {64 * 1024});
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 30270;
+  options.control_port_base = 65'534;
+  options.control_port_count = 100;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 30'000;  // nobody receives: held until stop()
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  const auto tail = raw_catalog(options.catalog_port, "dataset0.bin 30275 4");
+  EXPECT_EQ(tail.size, 64 * 1024);
+  EXPECT_EQ(tail.control_port, 65'534);
+  EXPECT_EQ(tail.granted, 2);
+  // Both tail ports are held: refused, not granted a wrapped port.
+  const auto wrapped = raw_catalog(options.catalog_port, "dataset0.bin 30280 1");
+  EXPECT_EQ(wrapped.size, -1) << "granted control port " << wrapped.control_port;
+  server.stop();
+  EXPECT_EQ(server.transfers_started(), 1u);
+  EXPECT_EQ(server.requests_refused(), 1u);
+}
+
+TEST(FetchFile, UnmappablePartFailsNamingThePartFile) {
+  // The out path's directory does not exist, so neither `<out>.part`
+  // nor `<out>` can be written: the fetch fails up front, naming the
+  // part file, rather than receiving into memory it cannot keep.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_unmappable";
+  stage_files(dir, {64 * 1024});
+
+  posix::FileServerOptions options;
+  options.dir = dir;
+  options.catalog_port = 30285;
+  options.control_port_base = 30286;
+  options.control_port_count = 1;
+  options.quiet = true;
+  options.endpoint.timeout_ms = 1'000;
+  posix::FileServer server(options);
+  ASSERT_TRUE(server.start());
+
+  const auto result =
+      fetch_one(server, "dataset0.bin", dir + "/missing/fetched0.bin", 30290, 30'000);
+  EXPECT_FALSE(result.completed());
+  EXPECT_EQ(result.status, posix::TransferStatus::kSocketError);
+  EXPECT_NE(result.error.find("fetched0.bin.part"), std::string::npos) << result.error;
   server.stop();
 }
 

@@ -1,7 +1,7 @@
 // The shared POSIX socket helpers (net/socket.h) that every real-socket
 // driver builds on: Fd ownership, address construction, non-blocking
-// stream writes with deadlines, TCP connect-with-backoff and listen,
-// and the goodput conversion.
+// stream writes with deadlines, TCP connect-with-backoff, listen and
+// all-or-nothing block listen, and the goodput conversion.
 //
 // Port block: 30500-30519 (test_stripes owns 30300-30499).
 #include <gtest/gtest.h>
@@ -153,6 +153,28 @@ TEST(Socket, ListenTcpIsNonBlockingAndRefusesABusyPort) {
   EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
 
   EXPECT_FALSE(fobs::net::listen_tcp(30501, 4).valid()) << "port already has a listener";
+}
+
+TEST(Socket, ListenTcpBlockLeavesNothingBoundWhenOnePortIsBusy) {
+  Fd busy = fobs::net::listen_tcp(30512, 4);
+  ASSERT_TRUE(busy.valid());
+  EXPECT_TRUE(fobs::net::listen_tcp_block(30510, 4).empty()) << "30512 is held";
+  // All or nothing: 30510 and 30511 were bound, then closed again.
+  for (const std::uint16_t port : {30510, 30511, 30513}) {
+    EXPECT_TRUE(fobs::net::listen_tcp(port, 1).valid()) << port << " left bound";
+  }
+
+  busy.reset();
+  const auto block = fobs::net::listen_tcp_block(30510, 4);
+  ASSERT_EQ(block.size(), 4u);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    sockaddr_in addr{};
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::getsockname(block[i].get(), reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    EXPECT_EQ(ntohs(addr.sin_port), static_cast<int>(30510 + i)) << "listener i is on first + i";
+  }
+  EXPECT_TRUE(fobs::net::listen_tcp_block(65534, 3).empty()) << "past 65535 is not wrapped";
+  EXPECT_TRUE(fobs::net::listen_tcp_block(0, 1).empty()) << "port 0 is no fixed port";
 }
 
 TEST(Socket, ConnectWithBackoffWaitsForALateListener) {

@@ -3,8 +3,6 @@
 //
 //  - StripePlan: the contiguous partition is disjoint and complete, the
 //    shared round_robin_split rule, rejection edges.
-//  - PortAllocator: contiguous block leases, exhaustion, fragmentation,
-//    multi-threaded contention, and the engine's block API.
 //  - One checkpoint per transfer: flows fold disjoint ranges into one
 //    file, also concurrently, and each restores only its own; a torn
 //    file is ignored; only the completion path removes the file, so a
@@ -27,7 +25,6 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <numeric>
 #include <set>
 #include <span>
@@ -40,7 +37,6 @@
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/engine.h"
 #include "fobs/posix/fileserver.h"
-#include "fobs/posix/port_allocator.h"
 #include "fobs/stripe/plan.h"
 #include "fobs/stripe/striped_transfer.h"
 
@@ -159,107 +155,6 @@ TEST(StripePlan, RoundRobinSplitFrontLoadsTheRemainder) {
   const auto big = stripe::round_robin_split(40'000'000, 7);
   EXPECT_EQ(std::accumulate(big.begin(), big.end(), std::int64_t{0}), 40'000'000);
   EXPECT_LE(big.front() - big.back(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// PortAllocator block leases
-// ---------------------------------------------------------------------------
-
-TEST(PortAllocator, BlockLeaseIsContiguousAndFirstFit) {
-  posix::PortAllocator ports(40000, 16);
-  const auto a = ports.allocate_block(4);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 40000);
-  const auto b = ports.allocate_block(4);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*b, 40004);
-  EXPECT_EQ(ports.free_count(), 8u);
-  ports.release_block(*a, 4);
-  // First fit: the freed low block is reused.
-  const auto c = ports.allocate_block(3);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, 40000);
-}
-
-TEST(PortAllocator, BlockExhaustionAndFragmentation) {
-  posix::PortAllocator ports(40100, 8);
-  const auto a = ports.allocate_block(8);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_FALSE(ports.allocate_block(1).has_value());  // exhausted
-  // Free a single port in the middle: a 2-block cannot fit, a single
-  // allocation can.
-  ports.release(40103);
-  EXPECT_FALSE(ports.allocate_block(2).has_value());
-  const auto single = ports.allocate_block(1);
-  ASSERT_TRUE(single.has_value());
-  EXPECT_EQ(*single, 40103);
-  // Freeing two adjacent ports makes a 2-block fit again.
-  ports.release(40104);
-  ports.release(40105);
-  const auto pair = ports.allocate_block(2);
-  ASSERT_TRUE(pair.has_value());
-  EXPECT_EQ(*pair, 40104);
-  // Oversized and zero-sized requests never succeed.
-  EXPECT_FALSE(ports.allocate_block(9).has_value());
-  EXPECT_FALSE(ports.allocate_block(0).has_value());
-}
-
-TEST(PortAllocator, ConcurrentBlockLeasesNeverOverlap) {
-  posix::PortAllocator ports(41000, 64);
-  std::atomic<bool> overlap{false};
-  std::atomic<int> leases{0};
-  std::mutex mu;
-  std::set<std::uint16_t> in_use;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      const std::size_t want = 1 + static_cast<std::size_t>(t % 4);
-      for (int i = 0; i < 200; ++i) {
-        const auto first = ports.allocate_block(want);
-        if (!first) continue;
-        {
-          std::lock_guard lock(mu);
-          for (std::size_t j = 0; j < want; ++j) {
-            if (!in_use.insert(static_cast<std::uint16_t>(*first + j)).second) {
-              overlap.store(true);
-            }
-          }
-        }
-        leases.fetch_add(1);
-        {
-          std::lock_guard lock(mu);
-          for (std::size_t j = 0; j < want; ++j) {
-            in_use.erase(static_cast<std::uint16_t>(*first + j));
-          }
-        }
-        ports.release_block(*first, want);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_FALSE(overlap.load()) << "two threads held the same port at once";
-  EXPECT_GT(leases.load(), 0);
-  EXPECT_EQ(ports.free_count(), 64u);  // everything returned
-}
-
-TEST(PortAllocator, EngineExposesBlockLeases) {
-  posix::EngineOptions options;
-  options.workers = 1;
-  options.control_port_base = 30460;
-  options.control_port_count = 8;
-  posix::TransferEngine engine(options);
-  EXPECT_EQ(engine.control_port_capacity(), 8u);
-  const auto block = engine.allocate_control_port_block(4);
-  ASSERT_TRUE(block.has_value());
-  EXPECT_EQ(*block, 30460);
-  EXPECT_EQ(engine.free_control_ports(), 4u);
-  EXPECT_FALSE(engine.allocate_control_port_block(5).has_value());
-  // Block ports may be released individually (sessions own one each).
-  engine.release_control_port_block(static_cast<std::uint16_t>(*block + 1), 1);
-  EXPECT_EQ(engine.free_control_ports(), 5u);
-  engine.release_control_port_block(*block, 4);  // re-release is ignored
-  EXPECT_EQ(engine.control_port_capacity(), 8u);
-  EXPECT_EQ(engine.free_control_ports(), 8u);
 }
 
 // ---------------------------------------------------------------------------
