@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "fobs/stripe/plan.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 
@@ -83,45 +86,6 @@ void finalize_aggregate(TransferResult& result, std::int64_t object_bytes) {
   if (result.packets_restored > 0) metrics.counter("fobs.stripe.resumes").inc();
 }
 
-/// Validates one transfer's options against its object span and builds
-/// the plan both peers share; nullptr (with `error` set) when the
-/// options are rejected. Flow i uses ports data_port + i and
-/// control_port + i, so both blocks must fit below 65536.
-template <typename Options>
-std::shared_ptr<const stripe::StripePlan> make_plan(const Options& options,
-                                                    std::size_t span_bytes,
-                                                    const char* empty_span_error,
-                                                    std::string& error) {
-  error = "invalid options: ";
-  if (options.data_port == 0 || options.control_port == 0) {
-    error += "data_port and control_port must be non-zero";
-    return nullptr;
-  }
-  if (options.endpoint.packet_bytes <= 0) {
-    error += "packet_bytes must be positive";
-    return nullptr;
-  }
-  if (span_bytes == 0) {
-    error += empty_span_error;
-    return nullptr;
-  }
-  if (options.data_port + options.stripes - 1 > 0xFFFF ||
-      options.control_port + options.stripes - 1 > 0xFFFF) {
-    error += "stripe port block exceeds the port space";
-    return nullptr;
-  }
-  stripe::StripePlan plan;
-  std::string plan_error;
-  if (!stripe::StripePlan::make({static_cast<std::int64_t>(span_bytes),
-                                 options.endpoint.packet_bytes},
-                                options.stripes, &plan, &plan_error)) {
-    error += "stripe plan rejected: " + plan_error;
-    return nullptr;
-  }
-  error.clear();
-  return std::make_shared<const stripe::StripePlan>(std::move(plan));
-}
-
 /// One bound control listener per flow of a send, held before any flow
 /// launches: the `handed` ones, else the block [first, first + flows)
 /// bound here. Empty, with `result` status and error set, when the
@@ -145,19 +109,109 @@ std::vector<fobs::net::Fd> hold_control_ports(std::uint16_t first, int flows,
   return block;
 }
 
-/// Flow `flow`'s copy of a transfer's options: ports offset by the
-/// index, the per-flow fault-plan override, and the flow's tracer.
-template <typename Options>
-Options flow_options(const Options& options, int flow, fobs::telemetry::EventTracer* tracer) {
-  Options out = options;
-  out.data_port = static_cast<std::uint16_t>(options.data_port + flow);
-  out.control_port = static_cast<std::uint16_t>(options.control_port + flow);
-  const auto index = static_cast<std::size_t>(flow);
-  if (index < options.stripe_fault_plans.size() && !options.stripe_fault_plans[index].empty()) {
-    out.endpoint.fault_plan = options.stripe_fault_plans[index];
+/// Validates one transfer's options against its object span, builds the
+/// plan both peers share, and resolves every flow once, before any
+/// launches: flow i's ports (data_port + i, control_port + i, so both
+/// blocks must fit below 65536), its stripe's geometry and bytes, and
+/// its parsed fault plan (its stripe_fault_plans entry, else
+/// endpoint.fault_plan, else FOBS_FAULT_PLAN). Each flow starts with the
+/// caller's tracer. Empty, with `error` set, when the options are
+/// rejected.
+template <typename Options, typename Byte>
+std::vector<detail::Flow<Byte>> make_flows(const Options& options, std::span<Byte> bytes,
+                                           const char* empty_span_error, std::string& error) {
+  error = "invalid options: ";
+  if (options.data_port == 0 || options.control_port == 0) {
+    error += "data_port and control_port must be non-zero";
+    return {};
   }
-  out.endpoint.tracer = tracer;
-  return out;
+  if (options.endpoint.packet_bytes <= 0) {
+    error += "packet_bytes must be positive";
+    return {};
+  }
+  if (bytes.empty()) {
+    error += empty_span_error;
+    return {};
+  }
+  if (options.data_port + options.stripes - 1 > 0xFFFF ||
+      options.control_port + options.stripes - 1 > 0xFFFF) {
+    error += "stripe port block exceeds the port space";
+    return {};
+  }
+  stripe::StripePlan plan;
+  std::string plan_error;
+  if (!stripe::StripePlan::make({static_cast<std::int64_t>(bytes.size()),
+                                 options.endpoint.packet_bytes},
+                                options.stripes, &plan, &plan_error)) {
+    error += "stripe plan rejected: " + plan_error;
+    return {};
+  }
+  error.clear();
+  const char* env_plan = std::getenv("FOBS_FAULT_PLAN");
+  std::vector<detail::Flow<Byte>> flows(static_cast<std::size_t>(plan.stripe_count()));
+  for (int i = 0; i < plan.stripe_count(); ++i) {
+    const auto index = static_cast<std::size_t>(i);
+    auto& flow = flows[index];
+    flow.data_port = static_cast<std::uint16_t>(options.data_port + i);
+    flow.control_port = static_cast<std::uint16_t>(options.control_port + i);
+    flow.spec = plan.stripe_spec(i);
+    flow.first_packet = plan.first_packet(i);
+    flow.stripe = bytes.subspan(
+        static_cast<std::size_t>(plan.spec().offset_of(flow.first_packet)),
+        static_cast<std::size_t>(flow.spec.object_bytes));
+    flow.tracer = options.endpoint.tracer;
+    std::string fault_spec = options.endpoint.fault_plan;
+    if (index < options.stripe_fault_plans.size() && !options.stripe_fault_plans[index].empty()) {
+      fault_spec = options.stripe_fault_plans[index];
+    }
+    if (fault_spec.empty() && env_plan != nullptr) fault_spec = env_plan;
+    std::string parse_error;
+    auto fault_plan = fobs::net::FaultPlan::parse(fault_spec, &parse_error);
+    if (!fault_plan) {
+      error = "invalid fault plan: " + parse_error;
+      if (flows.size() > 1) error = "stripe " + std::to_string(i) + ": " + error;
+      return {};
+    }
+    if (!fault_plan->empty()) flow.fault_plan = std::move(*fault_plan);
+  }
+  return flows;
+}
+
+/// Installs a "nanoseconds since `start`" clock on `tracer` and records
+/// the transfer_start event.
+void begin_trace(fobs::telemetry::EventTracer& tracer,
+                 std::chrono::steady_clock::time_point start, std::int64_t packet_count) {
+  tracer.set_clock([start] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  });
+  tracer.record(telemetry::EventType::kTransferStart, -1, packet_count);
+}
+
+/// Books one flow's outcome: its `fobs.posix.<side>.*` counter and its
+/// terminal trace event — a timeout event for the give-up statuses, an
+/// error event for hard failures, none for completion or cancellation.
+void book_outcome(const char* side, fobs::telemetry::EventTracer* tracer,
+                  TransferStatus status) {
+  const char* outcome = "errors";
+  auto event = telemetry::EventType::kError;
+  switch (status) {
+    case TransferStatus::kCompleted: outcome = "completed"; break;
+    case TransferStatus::kCancelled: outcome = "cancelled"; break;
+    case TransferStatus::kTimeout:
+    case TransferStatus::kStalled:
+    case TransferStatus::kPeerLost:
+      outcome = "timeouts";
+      event = telemetry::EventType::kTimeout;
+      break;
+    default: break;
+  }
+  telemetry::MetricsRegistry::global()
+      .counter(std::string("fobs.posix.") + side + "." + outcome)
+      .inc();
+  const bool ended = status == TransferStatus::kCompleted || status == TransferStatus::kCancelled;
+  if (tracer != nullptr && !ended) tracer->record(event);
 }
 
 }  // namespace
@@ -171,14 +225,18 @@ namespace detail {
 struct Transfer {
   std::uint64_t id = 0;
   bool is_sender = false;
-  /// Transfer-level options; flow_options() derives each flow's copy.
+  /// The transfer's options, read by every flow; each flow's own ports,
+  /// stripe, fault plan and tracer are in its Flow.
   SenderOptions send_options;
   ReceiverOptions recv_options;
-  std::span<const std::uint8_t> object;
-  std::span<std::uint8_t> buffer;
-  /// Null when the options were rejected (no flow ever ran).
-  std::shared_ptr<const stripe::StripePlan> plan;
-  /// The receiver's checkpoint (null without a path or a plan).
+  /// Geometry of the whole object.
+  fobs::core::TransferSpec spec;
+  /// Every flow, resolved at submit: send_flows for a sender,
+  /// receive_flows for a receiver. Empty when the transfer was rejected
+  /// (no flow ever ran).
+  std::vector<SendFlow> send_flows;
+  std::vector<ReceiveFlow> receive_flows;
+  /// The receiver's checkpoint (null without a path, or when rejected).
   std::unique_ptr<TransferCheckpoint> checkpoint;
   std::shared_ptr<void> keepalive;
   /// Sender only: flow i's bound control listener until flow i takes it.
@@ -197,13 +255,15 @@ struct Transfer {
   int flows_running = 0;                             ///< guarded by mu
   TransferResult result;                             ///< guarded by mu until terminal
 
-  [[nodiscard]] int flows() const { return plan ? plan->stripe_count() : 0; }
+  [[nodiscard]] int flows() const {
+    return static_cast<int>(is_sender ? send_flows.size() : receive_flows.size());
+  }
   [[nodiscard]] const EndpointOptions& endpoint() const {
     return is_sender ? send_options.endpoint : recv_options.endpoint;
   }
   [[nodiscard]] fobs::telemetry::EventTracer* flow_tracer(int flow) const {
-    if (!owned_tracers.empty()) return owned_tracers[static_cast<std::size_t>(flow)].get();
-    return endpoint().tracer;
+    const auto index = static_cast<std::size_t>(flow);
+    return is_sender ? send_flows[index].tracer : receive_flows[index].tracer;
   }
 
   [[nodiscard]] TransferStatus current_status() const {
@@ -307,16 +367,15 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   auto transfer = std::make_shared<detail::Transfer>();
   transfer->is_sender = true;
   transfer->send_options = options;
-  transfer->object = object;
-  transfer->plan = make_plan(options, object.size(), "cannot send an empty object",
-                             transfer->result.error);
-  if (transfer->plan) {
-    transfer->control_listeners =
-        hold_control_ports(options.control_port, transfer->flows(),
-                           std::move(params.control_listeners), transfer->result);
-    if (transfer->control_listeners.empty()) transfer->plan.reset();
+  transfer->spec = {static_cast<std::int64_t>(object.size()), options.endpoint.packet_bytes};
+  auto& result = transfer->result;
+  transfer->send_flows = make_flows(options, object, "cannot send an empty object", result.error);
+  if (!transfer->send_flows.empty()) {
+    transfer->control_listeners = hold_control_ports(
+        options.control_port, transfer->flows(), std::move(params.control_listeners), result);
+    if (transfer->control_listeners.empty()) transfer->send_flows.clear();
   }
-  transfer->result.stripe_senders.resize(static_cast<std::size_t>(transfer->flows()));
+  result.stripe_senders.resize(static_cast<std::size_t>(transfer->flows()));
   return submit(std::move(transfer), std::move(params));
 }
 
@@ -325,15 +384,15 @@ TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
                                               SessionParams params) {
   auto transfer = std::make_shared<detail::Transfer>();
   transfer->recv_options = options;
-  transfer->buffer = buffer;
-  transfer->plan = make_plan(options, buffer.size(), "cannot receive into an empty buffer",
-                             transfer->result.error);
-  if (transfer->plan && !options.checkpoint_path.empty()) {
-    const auto& spec = transfer->plan->spec();
+  transfer->spec = {static_cast<std::int64_t>(buffer.size()), options.endpoint.packet_bytes};
+  auto& result = transfer->result;
+  transfer->receive_flows =
+      make_flows(options, buffer, "cannot receive into an empty buffer", result.error);
+  if (!transfer->receive_flows.empty() && !options.checkpoint_path.empty()) {
     transfer->checkpoint = std::make_unique<TransferCheckpoint>(
-        options.checkpoint_path, spec.object_bytes, spec.packet_bytes);
+        options.checkpoint_path, transfer->spec.object_bytes, transfer->spec.packet_bytes);
   }
-  transfer->result.stripe_receivers.resize(static_cast<std::size_t>(transfer->flows()));
+  result.stripe_receivers.resize(static_cast<std::size_t>(transfer->flows()));
   return submit(std::move(transfer), std::move(params));
 }
 
@@ -363,13 +422,27 @@ TransferHandle TransferEngine::submit(std::shared_ptr<detail::Transfer> transfer
     if (transfer->on_exit) transfer->on_exit(handle);
     return handle;
   }
-  if (impl_->options.session_tracers && transfer->endpoint().tracer == nullptr) {
-    for (int i = 0; i < flows; ++i) {
-      transfer->owned_tracers.push_back(std::make_unique<fobs::telemetry::EventTracer>());
+  // One clock and one transfer_start per distinct tracer: flows that
+  // share the caller's tracer write one timeline for the transfer.
+  const auto start = std::chrono::steady_clock::now();
+  if (auto* shared = transfer->endpoint().tracer) {
+    begin_trace(*shared, start, transfer->spec.packet_count());
+  } else if (impl_->options.session_tracers) {
+    auto own_tracers = [&](auto& flow_list) {
+      for (auto& flow : flow_list) {
+        flow.tracer = transfer->owned_tracers
+                          .emplace_back(std::make_unique<fobs::telemetry::EventTracer>())
+                          .get();
+        begin_trace(*flow.tracer, start, flow.spec.packet_count());
+      }
+    };
+    if (transfer->is_sender) {
+      own_tracers(transfer->send_flows);
+    } else {
+      own_tracers(transfer->receive_flows);
     }
   }
   transfer->flows_running = flows;
-  metrics.counter("fobs.stripe.sessions").inc(flows);
   for (int i = 0; i < flows; ++i) {
     impl_->submitted.fetch_add(1, std::memory_order_relaxed);
     metrics.counter("fobs.engine.sessions_submitted").inc();
@@ -386,23 +459,29 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
     }
   }
   transfer->cv.notify_all();
-  auto* tracer = transfer->flow_tracer(flow);
+  // The one place every flow's result passes: its terminal trace event
+  // and its fobs.posix.<side>.* counters are booked here.
+  auto& metrics = telemetry::MetricsRegistry::global();
+  const char* side = transfer->is_sender ? "sender" : "receiver";
+  metrics.counter(std::string("fobs.posix.") + side + ".transfers").inc();
   const auto index = static_cast<std::size_t>(flow);
+  TransferStatus status = TransferStatus::kPending;
   if (transfer->is_sender) {
     // The flow owns its listener: the control port closes when it ends.
-    auto result = detail::run_sender(flow_options(transfer->send_options, flow, tracer),
-                                     *transfer->plan, flow,
+    auto result = detail::run_sender(transfer->send_options, transfer->send_flows[index],
                                      std::move(transfer->control_listeners[index]),
-                                     transfer->object, &transfer->cancel);
+                                     &transfer->cancel);
+    status = result.status;
     std::lock_guard lock(transfer->mu);
     transfer->result.stripe_senders[index] = std::move(result);
   } else {
-    auto result = detail::run_receiver(flow_options(transfer->recv_options, flow, tracer),
-                                       *transfer->plan, flow, transfer->buffer,
+    auto result = detail::run_receiver(transfer->recv_options, transfer->receive_flows[index],
                                        transfer->checkpoint.get(), &transfer->cancel);
+    status = result.status;
     std::lock_guard lock(transfer->mu);
     transfer->result.stripe_receivers[index] = std::move(result);
   }
+  book_outcome(side, transfer->flow_tracer(flow), status);
   bool last = false;
   {
     std::lock_guard lock(transfer->mu);
@@ -416,7 +495,7 @@ void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
   {
     std::lock_guard lock(transfer->mu);
     auto& result = transfer->result;
-    finalize_aggregate(result, transfer->plan->spec().object_bytes);
+    finalize_aggregate(result, transfer->spec.object_bytes);
     // Every flow has ended: the one place a checkpoint is removed.
     const auto& checkpoint = transfer->checkpoint;
     if (checkpoint && result.completed()) checkpoint->complete();

@@ -2,10 +2,13 @@
 //
 // A TransferEngine owns a worker pool, a registry of live transfers,
 // and (optionally) a TCP acceptor for service front-ends. Each
-// submitted transfer moves one object over `stripes` >= 1 flows: the
-// engine validates the options, builds the transfer's StripePlan
-// (fobs/stripe/plan.h) and runs one *flow session* per stripe on a
-// pool worker. A flow session is the blocking POSIX driver loop with
+// submitted transfer moves one object over `stripes` >= 1 flows: at
+// submit the engine validates the options, builds the transfer's
+// StripePlan (fobs/stripe/plan.h) and resolves every flow once — its
+// ports, its stripe's bytes, its parsed fault plan and its tracer —
+// then runs one *flow session* per stripe on a pool worker and books
+// each flow's terminal trace event and outcome counters when it ends.
+// A flow session is the blocking POSIX driver loop with
 // its own sendmmsg/recvmmsg DatagramChannel for the data plane, its own
 // control connection on control_port + i, its own EventTracer (when
 // requested), and the fault-injection and checkpoint machinery. The
@@ -129,10 +132,11 @@ class TransferEngine {
   /// e.g. a tracer) must stay valid until the transfer is terminal —
   /// use SessionParams::keepalive for engine-managed lifetime. Invalid
   /// options (zero ports, a stripe count the object cannot carry, a port
-  /// block past 65535, bad I/O tuning, a handed listener count other
-  /// than the flow count) launch no flow: the returned handle is already
-  /// terminal with kBadOptions. A send whose control port cannot be
-  /// bound launches none either and ends kSocketError naming the port.
+  /// block past 65535, a malformed fault plan from any source, a handed
+  /// listener count other than the flow count) launch no flow and bind
+  /// no port: the returned handle is already terminal with kBadOptions.
+  /// A send whose control port cannot be bound launches none either and
+  /// ends kSocketError naming the port.
   TransferHandle submit_send(const SenderOptions& options,
                              std::span<const std::uint8_t> object, SessionParams params = {});
   TransferHandle submit_receive(const ReceiverOptions& options,

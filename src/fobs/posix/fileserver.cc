@@ -304,7 +304,7 @@ FetchResult fetch_file(const FetchOptions& options) {
   const std::string partial_path = options.out_path + ".part";
   const std::string checkpoint_path = options.out_path + ".ckpt";
   struct stat part_stat{};
-  const bool resuming = options.resume && ::stat(partial_path.c_str(), &part_stat) == 0 &&
+  const bool resuming = ::stat(partial_path.c_str(), &part_stat) == 0 &&
                         part_stat.st_size == static_cast<off_t>(size);
   if (!resuming) {
     // No matching partial bytes: a leftover checkpoint describes data

@@ -17,7 +17,7 @@
 // with stripes = granted:
 // the same contiguous StripePlan, flow i pushing data to UDP port
 // client-udp-port + i with its completion connection on control port
-// first-control-port + i (fobs/stripe/striped_transfer.h). One flow is
+// first-control-port + i (fobs/stripe/plan.h). One flow is
 // simply granted = 1. Catalog sockets carry a receive timeout: a client
 // that connects and sends nothing stalls only its own pool worker for
 // `catalog_recv_timeout_ms`, never the accept loop.
@@ -111,8 +111,6 @@ struct FetchOptions {
   std::string name;                ///< file name in the server's directory
   std::string out_path;            ///< local destination path
   std::uint16_t data_port = 0;     ///< local UDP port for the data (required)
-  /// Resume from `<out>.part` + `<out>.ckpt` when they match.
-  bool resume = true;
   bool quiet = false;
   /// Stripe count to request; the server may grant fewer. Data flows
   /// use UDP ports [data_port, data_port + granted).

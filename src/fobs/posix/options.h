@@ -45,11 +45,13 @@ struct EndpointOptions {
   /// kStallIntervals` each with zero protocol progress (fobs/types.h).
   int timeout_ms = 60'000;
   /// Fault-injection plan (grammar in docs/ROBUSTNESS.md). Empty means
-  /// "use the FOBS_FAULT_PLAN environment variable, if set".
+  /// "use the FOBS_FAULT_PLAN environment variable, if set". Parsed once
+  /// per flow at submit; a malformed plan rejects the transfer.
   std::string fault_plan;
-  /// Optional event tracer (must outlive the transfer). The driver
-  /// installs a steady clock (ns since transfer start) and records
-  /// transfer_start, batch, ACK, completion, and timeout/error events.
+  /// Optional event tracer (must outlive the transfer), shared by every
+  /// flow. The engine installs a steady clock (ns since submit) and
+  /// records transfer_start once per transfer; the flows record batch,
+  /// ACK, completion, and timeout/error events.
   fobs::telemetry::EventTracer* tracer = nullptr;
 };
 

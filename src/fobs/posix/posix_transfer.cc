@@ -9,7 +9,6 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -32,118 +31,11 @@ using fobs::net::mbps;
 using fobs::net::send_all;
 using fobs::net::set_nonblocking;
 
-/// Installs a "nanoseconds since `start`" clock on `tracer` and records
-/// the transfer_start event. No-op on a null tracer.
-void begin_trace(fobs::telemetry::EventTracer* tracer, Clock::time_point start,
-                 std::int64_t packet_count) {
-  if (tracer == nullptr) return;
-  tracer->set_clock([start] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
-  });
-  tracer->record(telemetry::EventType::kTransferStart, -1, packet_count);
-}
-
-/// Records the terminal trace event for a non-completed status: the
-/// give-up statuses map to a timeout event, hard failures to an error
-/// event, and completion/cancellation to none.
-void end_trace(fobs::telemetry::EventTracer* tracer, TransferStatus status) {
-  if (tracer == nullptr) return;
-  switch (status) {
-    case TransferStatus::kCompleted:
-    case TransferStatus::kCancelled:
-      return;
-    case TransferStatus::kTimeout:
-    case TransferStatus::kStalled:
-    case TransferStatus::kPeerLost:
-      tracer->record(telemetry::EventType::kTimeout);
-      return;
-    default:
-      tracer->record(telemetry::EventType::kError);
-      return;
-  }
-}
-
-/// Classifies a completed run into the per-outcome metrics counters.
-void count_outcome(telemetry::MetricsRegistry& metrics, const char* side,
-                   TransferStatus status) {
-  const std::string prefix = std::string("fobs.posix.") + side;
-  switch (status) {
-    case TransferStatus::kCompleted: metrics.counter(prefix + ".completed").inc(); break;
-    case TransferStatus::kTimeout:
-    case TransferStatus::kStalled:
-    case TransferStatus::kPeerLost:
-      metrics.counter(prefix + ".timeouts").inc();
-      break;
-    case TransferStatus::kCancelled: metrics.counter(prefix + ".cancelled").inc(); break;
-    default: metrics.counter(prefix + ".errors").inc(); break;
-  }
-}
-
-/// Scope guard that feeds the final status to count_outcome on every
-/// exit path — the early option/socket failures included, so the
-/// per-outcome counters always sum to the number of runs.
-class OutcomeScope {
- public:
-  OutcomeScope(telemetry::MetricsRegistry& metrics, const char* side,
-               const TransferStatus& status)
-      : metrics_(metrics), side_(side), status_(status) {}
-  ~OutcomeScope() { count_outcome(metrics_, side_, status_); }
-  OutcomeScope(const OutcomeScope&) = delete;
-  OutcomeScope& operator=(const OutcomeScope&) = delete;
-
- private:
-  telemetry::MetricsRegistry& metrics_;
-  const char* side_;
-  const TransferStatus& status_;
-};
-
 bool cancel_requested(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
 
-/// Checks that flow `flow` of `plan` describes the object span this
-/// flow carries and returns that flow's stripe-local geometry. The
-/// drivers then run unchanged in local sequence space; only payload
-/// offsets go through the plan. False (with `error` set) on any
-/// mismatch — a wrong plan silently corrupting offsets is the failure
-/// mode guarded against here.
-bool resolve_flow(const stripe::StripePlan& plan, int flow, std::int64_t span_bytes,
-                  std::int64_t packet_bytes, fobs::core::TransferSpec& spec,
-                  std::string& error) {
-  if (flow < 0 || flow >= plan.stripe_count()) {
-    error = "invalid options: stripe index outside the plan";
-    return false;
-  }
-  if (plan.spec().object_bytes != span_bytes || plan.spec().packet_bytes != packet_bytes) {
-    error = "invalid options: stripe plan does not match this transfer's geometry";
-    return false;
-  }
-  spec = plan.stripe_spec(flow);
-  return true;
-}
-
-/// Resolves the fault plan for one endpoint: the options field wins,
-/// otherwise FOBS_FAULT_PLAN from the environment. Returns false (and
-/// sets `error`) on a malformed plan.
-bool resolve_fault_plan(const std::string& from_options,
-                        std::optional<fobs::net::FaultInjector>& injector,
-                        std::string& error) {
-  std::string spec = from_options;
-  if (spec.empty()) {
-    if (const char* env = std::getenv("FOBS_FAULT_PLAN")) spec = env;
-  }
-  if (spec.empty()) return true;
-  std::string parse_error;
-  const auto plan = fobs::net::FaultPlan::parse(spec, &parse_error);
-  if (!plan) {
-    error = "invalid fault plan: " + parse_error;
-    return false;
-  }
-  if (!plan->empty()) injector.emplace(*plan);
-  return true;
-}
-
-/// Wall-clock stall checker shared by both endpoints: `tick` forwards
+/// Wall-clock stall checker shared by both endpoints: `expired` forwards
 /// to the core once per elapsed interval and reports whether the
 /// consecutive-empty streak has reached the give-up limit.
 class StallClock {
@@ -168,6 +60,27 @@ class StallClock {
   Clock::time_point next_check_;
   int streak_ = 0;
 };
+
+/// The give-up checks both loops run once per iteration: a cancel
+/// request, then an exhausted stall budget. Zero progress ever means the
+/// peer never showed up (a plain timeout); progress that then stopped
+/// for the whole budget is a stall, which callers may treat very
+/// differently. True, with `result`'s status and error set, when the
+/// loop must end.
+template <typename Core, typename Result>
+bool give_up(const std::atomic<bool>* cancel, StallClock& stall, Core& core, bool progressed,
+             Result& result) {
+  if (cancel_requested(cancel)) {
+    result.status = TransferStatus::kCancelled;
+    result.error = "cancelled";
+    return true;
+  }
+  if (!stall.expired(core)) return false;
+  result.status = progressed ? TransferStatus::kStalled : TransferStatus::kTimeout;
+  result.error = progressed ? "stalled: no progress for the whole stall budget" : "timeout";
+  telemetry::MetricsRegistry::global().counter("fobs.fault.stalls").inc();
+  return true;
+}
 
 /// Classification of one received ACK datagram.
 enum class AckClass : std::uint8_t {
@@ -233,37 +146,27 @@ namespace detail {
 // Sender
 // ---------------------------------------------------------------------------
 
-SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
-                        Fd listener, std::span<const std::uint8_t> object,
+SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd listener,
                         const std::atomic<bool>* cancel) {
   SenderResult result;
-  result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
-  OutcomeScope outcome(metrics, "sender", result.status);
-  // Sequence numbers below are stripe-local; only the payload offset
-  // into the (whole-object) span goes through the plan.
-  fobs::core::TransferSpec spec;
-  if (!resolve_flow(plan, flow, static_cast<std::int64_t>(object.size()),
-                    options.endpoint.packet_bytes, spec, result.error)) {
-    return result;
-  }
+  const fobs::core::TransferSpec& spec = flow.spec;
   result.packets_needed = spec.packet_count();
-
   std::optional<fobs::net::FaultInjector> faults;
-  if (!resolve_fault_plan(options.endpoint.fault_plan, faults, result.error)) return result;
+  if (flow.fault_plan) faults.emplace(*flow.fault_plan);
 
   // Datagram channel for data out / ACKs in. Left unbound — the kernel
   // assigns the source port on first send and the receiver replies to
   // it. Receive slots are sized for the largest ACK datagram.
-  result.status = TransferStatus::kSocketError;
   std::string io_error;
   auto channel = fobs::net::DatagramChannel::open(
       {}, static_cast<std::size_t>(kMaxDatagramBytes), std::nullopt, &io_error);
   if (!channel.valid()) {
+    result.status = TransferStatus::kSocketError;
     result.error = io_error;
     return result;
   }
-  const sockaddr_in peer = make_addr(options.receiver_host, options.data_port);
+  const sockaddr_in peer = make_addr(options.receiver_host, flow.data_port);
 
   fobs::core::SenderCore core(spec, options.core);
   // Per-batch scatter-gather state. Headers live in `headers` so every
@@ -280,7 +183,7 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
   std::vector<std::uint8_t> control_buf;
   const auto start = Clock::now();
   StallClock stall(start, options.endpoint.timeout_ms);
-  fobs::telemetry::EventTracer* tracer = options.endpoint.tracer;
+  fobs::telemetry::EventTracer* tracer = flow.tracer;
   // ACK-stream versioning: once a receiver announces its incarnation
   // epoch via a hello frame, only ACKs stamped with that epoch are
   // applied. After a reconnect the expected epoch is cleared, so late
@@ -288,25 +191,11 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
   // new receiver does not have.
   AckClassifier acks(result, metrics, tracer);
   core.set_tracer(tracer);
-  begin_trace(tracer, start, spec.packet_count());
-  metrics.counter("fobs.posix.sender.transfers").inc();
   result.status = TransferStatus::kRunning;
 
   while (!core.completion_received()) {
-    if (cancel_requested(cancel)) {
-      result.status = TransferStatus::kCancelled;
-      result.error = "cancelled";
-      break;
-    }
-    if (stall.expired(core)) {
-      // Zero progress ever means the peer never showed up (a plain
-      // timeout); progress that then stopped for the whole budget is a
-      // stall — callers may want to treat those very differently.
-      const bool progressed = control_ever_connected || core.stats().packets_acked > 0;
-      result.status = progressed ? TransferStatus::kStalled : TransferStatus::kTimeout;
-      result.error = progressed ? "stalled: no progress for the whole stall budget"
-                                : "timeout";
-      metrics.counter("fobs.fault.stalls").inc();
+    if (give_up(cancel, stall, core,
+                control_ever_connected || core.stats().packets_acked > 0, result)) {
       break;
     }
 
@@ -426,7 +315,7 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
       const auto seq = core.select_next();
       if (!seq) break;
       const std::int64_t len = spec.payload_bytes(*seq);
-      const std::uint8_t* payload = object.data() + plan.global_offset(flow, *seq);
+      const std::uint8_t* payload = flow.stripe.data() + spec.offset_of(*seq);
       auto& header_buf = headers[static_cast<std::size_t>(selected)];
       encode_data_header(DataHeader{*seq, payload_crc(payload, static_cast<std::size_t>(len))},
                          header_buf.data());
@@ -506,7 +395,6 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
                    {1, 10, 100, 1'000, 10'000, 60'000, 600'000})
         .observe(static_cast<std::int64_t>(elapsed * 1e3));
   }
-  end_trace(tracer, result.status);
   if (faults) metrics.counter("fobs.fault.injected").inc(faults->total_injected());
   metrics.counter("fobs.posix.sender.packets_sent").inc(result.packets_sent);
   result.io = channel.stats();
@@ -517,40 +405,30 @@ SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& 
 // Receiver
 // ---------------------------------------------------------------------------
 
-ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
-                            int flow, std::span<std::uint8_t> buffer,
+ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
                             TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel) {
   ReceiverResult result;
-  result.status = TransferStatus::kBadOptions;
   auto& metrics = telemetry::MetricsRegistry::global();
-  OutcomeScope outcome(metrics, "receiver", result.status);
-  fobs::core::TransferSpec spec;
-  if (!resolve_flow(plan, flow, static_cast<std::int64_t>(buffer.size()),
-                    options.endpoint.packet_bytes, spec, result.error)) {
-    return result;
-  }
-
+  const fobs::core::TransferSpec& spec = flow.spec;
   std::optional<fobs::net::FaultInjector> faults;
-  if (!resolve_fault_plan(options.endpoint.fault_plan, faults, result.error)) return result;
-  metrics.counter("fobs.posix.receiver.transfers").inc();
+  if (flow.fault_plan) faults.emplace(*flow.fault_plan);
 
   // Datagram channel bound at the data port. Receive slots are sized
   // for exactly one full data packet; anything larger is truncated by
   // the kernel and rejected as garbage below.
-  result.status = TransferStatus::kSocketError;
   std::string io_error;
   auto channel = fobs::net::DatagramChannel::open(
-      {}, kDataHeaderSize + static_cast<std::size_t>(options.endpoint.packet_bytes),
-      options.data_port, &io_error);
+      {}, kDataHeaderSize + static_cast<std::size_t>(spec.packet_bytes), flow.data_port,
+      &io_error);
   if (!channel.valid()) {
+    result.status = TransferStatus::kSocketError;
     result.error = io_error;
     return result;
   }
 
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  fobs::telemetry::EventTracer* tracer = options.endpoint.tracer;
-  begin_trace(tracer, start, spec.packet_count());
+  fobs::telemetry::EventTracer* tracer = flow.tracer;
 
   fobs::core::ReceiverCore core(spec, options.core);
   core.set_tracer(tracer);
@@ -558,9 +436,9 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
 
   // Resume: pre-seed the bitmap from this flow's range of the
   // transfer's checkpoint. The data bytes themselves must already be
-  // in `buffer` (the caller persisted the partial object, e.g. via a
+  // in `flow.stripe` (the caller persisted the partial object, e.g. via a
   // file-backed buffer).
-  const auto first_packet = static_cast<std::size_t>(plan.first_packet(flow));
+  const auto first_packet = static_cast<std::size_t>(flow.first_packet);
   const auto flow_packets = static_cast<std::size_t>(spec.packet_count());
   const auto packed = checkpoint ? checkpoint->restored(first_packet, flow_packets) : std::nullopt;
   if (packed) {
@@ -584,7 +462,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
 
   // Control channel: connect with capped exponential backoff (the
   // sender may not be up yet, or we may be a restarted incarnation).
-  Fd control = fobs::net::connect_with_backoff(options.sender_host, options.control_port, deadline, cancel);
+  Fd control =
+      fobs::net::connect_with_backoff(options.sender_host, flow.control_port, deadline, cancel);
   if (!control.valid()) {
     if (cancel_requested(cancel)) {
       result.status = TransferStatus::kCancelled;
@@ -593,7 +472,6 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
       result.status = TransferStatus::kPeerLost;
       result.error = "control connect timeout";
     }
-    end_trace(tracer, result.status);
     return result;
   }
   if (!send_all(control.get(), hello.data(), hello.size(), deadline)) {
@@ -621,19 +499,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
   bool crashed = false;
 
   while (!core.complete() && !crashed) {
-    if (cancel_requested(cancel)) {
-      result.status = TransferStatus::kCancelled;
-      result.error = "cancelled";
-      break;
-    }
-    if (stall.expired(core)) {
-      const bool progressed = core.stats().packets_received > 0;
-      result.status = progressed ? TransferStatus::kStalled : TransferStatus::kTimeout;
-      result.error = progressed ? "stalled: no progress for the whole stall budget"
-                                : "timeout";
-      metrics.counter("fobs.fault.stalls").inc();
-      break;
-    }
+    if (give_up(cancel, stall, core, core.stats().packets_received > 0, result)) break;
     if (faults && faults->crash_due()) {
       crashed = true;
       break;
@@ -702,8 +568,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
 
       const auto outcome = core.on_data_packet(header->seq);
       if (outcome.newly_received) {
-        std::memcpy(buffer.data() + plan.global_offset(flow, header->seq),
-                    data + kDataHeaderSize, static_cast<std::size_t>(len));
+        std::memcpy(flow.stripe.data() + spec.offset_of(header->seq), data + kDataHeaderSize,
+                    static_cast<std::size_t>(len));
       }
       if (outcome.ack_due && sender_known) {
         auto msg = core.make_ack();
@@ -760,8 +626,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
     bool delivered = control.valid() && send_all(control.get(), token.data(), token.size(),
                                                  token_deadline);
     for (int attempt = 0; !delivered && attempt < 3; ++attempt) {
-      control = fobs::net::connect_with_backoff(options.sender_host, options.control_port,
-                                Clock::now() + std::chrono::seconds(1), cancel);
+      control = fobs::net::connect_with_backoff(options.sender_host, flow.control_port,
+                                                Clock::now() + std::chrono::seconds(1), cancel);
       if (!control.valid()) continue;
       ++result.reconnects;
       metrics.counter("fobs.fault.reconnects").inc();
@@ -784,7 +650,6 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::Stripe
   result.packets_received = core.stats().packets_received;
   result.duplicates = core.stats().duplicates;
   if (result.completed()) result.goodput_mbps = mbps(spec.object_bytes, elapsed);
-  end_trace(tracer, result.status);
   if (faults) metrics.counter("fobs.fault.injected").inc(faults->total_injected());
   metrics.counter("fobs.posix.receiver.packets_received").inc(result.packets_received);
   metrics.counter("fobs.posix.receiver.duplicates").inc(result.duplicates);

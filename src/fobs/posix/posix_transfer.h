@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "fobs/posix/options.h"
 #include "fobs/receiver_core.h"
 #include "fobs/sender_core.h"
-#include "fobs/stripe/plan.h"
 #include "net/datagram_channel.h"
 #include "net/faults.h"
 
@@ -71,8 +71,7 @@ struct SenderResult {
   /// restarted receiver reconnecting).
   int reconnects = 0;
   /// Data-plane I/O counters for this transfer's datagram channel
-  /// (syscalls, datagrams, payload copy bytes avoided by the gather
-  /// path).
+  /// (send/receive syscalls and datagrams).
   fobs::net::IoStats io;
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
@@ -161,20 +160,41 @@ TransferResult receive_object(const ReceiverOptions& options, std::span<std::uin
 
 namespace detail {
 
-/// The blocking per-flow loops: flow `flow` of `plan`, with `options`
-/// already resolved for that flow (ports, fault plan, tracer) and
-/// `object`/`buffer` spanning the whole object. `cancel` (nullable) is
+/// One flow of a transfer, resolved once by the engine at submit: flow
+/// i of a transfer on (data_port + i, control_port + i) carrying stripe
+/// i of its StripePlan (fobs/stripe/plan.h). `Byte` is const for a send.
+template <typename Byte>
+struct Flow {
+  std::uint16_t data_port = 0;
+  std::uint16_t control_port = 0;
+  /// The stripe viewed as a standalone transfer: the loop runs in its
+  /// local sequence space [0, spec.packet_count()).
+  fobs::core::TransferSpec spec;
+  /// Object-wide sequence of the stripe's local packet 0; where the
+  /// stripe's range of the transfer's checkpoint bitmap starts.
+  std::int64_t first_packet = 0;
+  /// The stripe's bytes: local packet `seq` is at spec.offset_of(seq).
+  std::span<Byte> stripe;
+  /// Parsed fault plan; nullopt when the flow runs without faults.
+  std::optional<fobs::net::FaultPlan> fault_plan;
+  /// Null when untraced. Its clock and transfer_start are already set.
+  fobs::telemetry::EventTracer* tracer = nullptr;
+};
+using SendFlow = Flow<const std::uint8_t>;
+using ReceiveFlow = Flow<std::uint8_t>;
+
+/// The blocking per-flow FOBS loops, which the engine runs on its
+/// workers. `options` are the transfer's: the loops read the peer host,
+/// the core configuration, timeout_ms and the checkpoint cadence from
+/// them, and everything per-flow from `flow`. `cancel` (nullable) is
 /// polled once per loop iteration; setting it makes the loop exit with
 /// TransferStatus::kCancelled. `listener` is the flow's bound control
-/// listener (on options.control_port), closed when the flow returns.
-/// `checkpoint` is the transfer's (null without one). The engine runs
-/// these on its workers after validating the options, building the plan
-/// and, for a send, holding every flow's listener.
-SenderResult run_sender(const SenderOptions& options, const stripe::StripePlan& plan, int flow,
-                        fobs::net::Fd listener, std::span<const std::uint8_t> object,
-                        const std::atomic<bool>* cancel);
-ReceiverResult run_receiver(const ReceiverOptions& options, const stripe::StripePlan& plan,
-                            int flow, std::span<std::uint8_t> buffer,
+/// listener (on flow.control_port), closed when the flow returns.
+/// `checkpoint` is the transfer's (null without one). The engine books
+/// the flow's terminal trace event and outcome counters.
+SenderResult run_sender(const SenderOptions& options, const SendFlow& flow,
+                        fobs::net::Fd listener, const std::atomic<bool>* cancel);
+ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
                             TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel);
 
 }  // namespace detail

@@ -56,19 +56,4 @@ std::int64_t StripePlan::stripe_bytes(int s) const {
   return (packets - 1) * spec_.packet_bytes + spec_.payload_bytes(spec_.packet_count() - 1);
 }
 
-core::PacketSeq StripePlan::to_global(int s, core::PacketSeq local) const {
-  assert(s >= 0 && s < stripe_count_);
-  assert(local >= 0 && local < stripe_packets(s));
-  return prefix_[static_cast<std::size_t>(s)] + local;
-}
-
-std::pair<int, core::PacketSeq> StripePlan::to_local(core::PacketSeq global) const {
-  assert(global >= 0 && global < spec_.packet_count());
-  // prefix_ is small (<= kMaxStripes + 1): a linear scan beats a binary
-  // search at these sizes and is branch-predictor friendly.
-  int s = 0;
-  while (prefix_[static_cast<std::size_t>(s) + 1] <= global) ++s;
-  return {s, global - prefix_[static_cast<std::size_t>(s)]};
-}
-
 }  // namespace fobs::stripe

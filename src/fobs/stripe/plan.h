@@ -2,21 +2,20 @@
 // into K >= 1 disjoint contiguous stripes, one per flow of a transfer.
 //
 // A StripePlan is pure bookkeeping shared by both transfer peers: given
-// the object geometry (TransferSpec) and a stripe count, it maps every
-// global packet sequence number to exactly one (stripe, local-seq) pair
-// and back. Every transfer has one, built by the engine at submit time;
-// a single flow is the one-stripe plan, whose local sequence space is
-// the object's. Stripe s owns one contiguous global range; per-stripe
-// packet counts are split evenly with the remainder spread over the
-// first stripes (round_robin_split), so stripe byte ranges are
-// contiguous file extents and stripe s's bits are one contiguous range
-// of the object's bitmap — which is what lets every flow share one
-// object-level checkpoint. Each flow runs as an ordinary FOBS transfer
-// over its *local* sequence space [0, stripe_packets(s)): the sans-io
-// cores, ACK streams and bitmaps operate on local sequence numbers
-// unchanged — only the byte offset into the shared object is computed
-// through the plan, so all flows write into one buffer at disjoint
-// offsets with zero merge copies.
+// the object geometry (TransferSpec) and a stripe count, it gives every
+// stripe one contiguous range of the object's packet sequence space.
+// Every transfer has one, built by the engine at submit time; a single
+// flow is the one-stripe plan, whose local sequence space is the
+// object's. Per-stripe packet counts are split evenly with the
+// remainder spread over the first stripes (round_robin_split), so
+// stripe byte ranges are contiguous file extents and stripe s's bits
+// are one contiguous range of the object's bitmap — which is what lets
+// every flow share one object-level checkpoint. The engine hands flow s
+// its stripe as a standalone transfer: the geometry stripe_spec(s) and
+// the object bytes from offset_of(first_packet(s)) on. The sans-io
+// cores, ACK streams and bitmaps run on local sequence numbers
+// [0, stripe_packets(s)) unchanged, and all flows write into one buffer
+// at disjoint offsets with zero merge copies.
 //
 // Only the object's last packet can be short, and it is the last local
 // packet of the last stripe. A stripe-local TransferSpec{stripe_bytes(s),
@@ -26,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fobs/types.h"
@@ -76,16 +74,6 @@ class StripePlan {
   /// payload_bytes(local) matches the owning global packet exactly.
   [[nodiscard]] core::TransferSpec stripe_spec(int s) const {
     return {stripe_bytes(s), spec_.packet_bytes};
-  }
-
-  /// Global sequence carried by stripe `s`'s local packet `local`.
-  [[nodiscard]] core::PacketSeq to_global(int s, core::PacketSeq local) const;
-  /// Inverse of to_global: (stripe, local) owning global packet `g`.
-  [[nodiscard]] std::pair<int, core::PacketSeq> to_local(core::PacketSeq global) const;
-  /// Byte offset *within the whole object* of stripe `s`'s packet
-  /// `local` — where the drivers gather and place payload bytes.
-  [[nodiscard]] std::int64_t global_offset(int s, core::PacketSeq local) const {
-    return spec_.offset_of(to_global(s, local));
   }
 
  private:

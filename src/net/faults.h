@@ -6,9 +6,9 @@
 // peer-crash point. The same plan drives both transports:
 //  * the sim drivers consult a FaultInjector before every channel send
 //    and mark payloads corrupted / swallow them / send them twice;
-//  * the POSIX drivers parse a plan from an options field or the
-//    FOBS_FAULT_PLAN environment variable and interpose the identical
-//    schedule on real sockets.
+//  * the transfer engine parses a plan for each POSIX flow at submit,
+//    from an options field or the FOBS_FAULT_PLAN environment variable,
+//    and the flow loops interpose the identical schedule on real sockets.
 // Decisions are drawn from per-channel RNG streams keyed off the plan
 // seed, so a given (plan, channel, packet-index) always produces the
 // same action regardless of how sends interleave across channels —

@@ -4,16 +4,20 @@
 // byte-identical, with per-transfer traces and results that never bleed
 // into each other. Plus handle lifecycle (wait/status/cancel) for one
 // and four flows, rejected options, control ports leased by binding
-// them, and engine counters.
+// them, flows resolved once at submit (one timeline on a shared tracer,
+// a malformed per-flow fault plan rejected before any flow or port),
+// and engine counters.
 //
 // Port block: 30000-30099 (keep clear of 29xxx = test_fobs_posix /
 // test_telemetry and 31xxx = test_fault_posix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fobs/posix/engine.h"
@@ -423,6 +427,84 @@ TEST(EngineControlPorts, FlowPortsBindAgainOnceTheTransferIsDoneWhileItsHandleIs
   // Both handles are still held; neither keeps a control port bound.
   for (int flow = 0; flow < 2; ++flow) {
     EXPECT_TRUE(fobs::net::listen_tcp(port_base(48 + flow), 1).valid()) << "flow " << flow;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Flows are resolved once, at submit
+// ---------------------------------------------------------------------------
+
+TEST(EngineFlows, SharedTracerGetsOneClockAndOneTransferStart) {
+  // Every flow of each side shares the caller's tracer, as fetch_file's
+  // do. The engine installs its clock and records transfer_start once
+  // per transfer, so the shared tracer holds one timeline.
+  const auto object = core::make_pattern(1024 * 1024 + 5, 0xC01);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  telemetry::EventTracer rx_trace;
+  telemetry::EventTracer tx_trace;
+  posix::ReceiverOptions ropt;
+  ropt.data_port = port_base(80);     // and 81..83
+  ropt.control_port = port_base(84);  // and 85..87
+  ropt.stripes = 4;
+  ropt.endpoint.timeout_ms = 30'000;
+  ropt.endpoint.tracer = &rx_trace;
+  posix::SenderOptions sopt;
+  sopt.data_port = ropt.data_port;
+  sopt.control_port = ropt.control_port;
+  sopt.stripes = 4;
+  sopt.endpoint.timeout_ms = 30'000;
+  sopt.endpoint.tracer = &tx_trace;
+
+  posix::TransferEngine engine({.workers = 8});
+  auto rx = engine.submit_receive(ropt, std::span<std::uint8_t>(sink));
+  auto tx = engine.submit_send(sopt, std::span<const std::uint8_t>(object));
+  ASSERT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
+  ASSERT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
+  EXPECT_EQ(sink, object);
+
+  const std::int64_t packets = (static_cast<std::int64_t>(object.size()) + 1023) / 1024;
+  const std::pair<const posix::TransferHandle*, const telemetry::EventTracer*> sides[] = {
+      {&rx, &rx_trace}, {&tx, &tx_trace}};
+  for (const auto& [handle, trace] : sides) {
+    for (int flow = 0; flow < 4; ++flow) EXPECT_EQ(handle->tracer(flow), trace) << flow;
+    EXPECT_EQ(trace->count(telemetry::EventType::kTransferStart), 1);
+    const auto events = trace->snapshot();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().type, telemetry::EventType::kTransferStart);
+    EXPECT_EQ(events.front().value, packets) << "transfer_start carries the object's packets";
+    const auto backwards = std::adjacent_find(
+        events.begin(), events.end(),
+        [](const telemetry::Event& a, const telemetry::Event& b) { return b.t_ns < a.t_ns; });
+    EXPECT_EQ(backwards, events.end())
+        << "timestamp goes backwards at event " << (backwards - events.begin());
+  }
+}
+
+TEST(EngineFlows, MalformedPerFlowFaultPlanLaunchesNoFlowAndBindsNoPort) {
+  const auto object = core::make_pattern(64 * 1024, 0xC02);
+  posix::SenderOptions sopt;
+  sopt.data_port = port_base(90);     // and 91
+  sopt.control_port = port_base(88);  // and 89
+  sopt.stripes = 2;
+  sopt.endpoint.timeout_ms = 30'000;
+  sopt.stripe_fault_plans = {"", "data.corrupt=2.0"};
+  auto& launched =
+      telemetry::MetricsRegistry::global().counter("fobs.engine.sessions_submitted");
+  const auto launched_before = launched.value();
+
+  posix::TransferEngine engine({.workers = 2});
+  auto handle = engine.submit_send(sopt, object);
+  EXPECT_TRUE(handle.done()) << "rejected at submit, before any flow exists";
+  EXPECT_EQ(handle.status(), posix::TransferStatus::kBadOptions);
+  const auto& error = handle.result().error;
+  EXPECT_NE(error.find("invalid fault plan"), std::string::npos) << error;
+  EXPECT_NE(error.find("stripe 1"), std::string::npos) << error;
+  EXPECT_EQ(handle.result().stripes, 0);
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+  EXPECT_EQ(launched.value(), launched_before);
+  for (int flow = 0; flow < 2; ++flow) {
+    EXPECT_TRUE(fobs::net::listen_tcp(port_base(88 + flow), 1).valid())
+        << "control port of flow " << flow << " was bound";
   }
 }
 

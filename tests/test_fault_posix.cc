@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
+#include "fobs/posix/engine.h"
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
 #include "telemetry/metrics.h"
@@ -97,6 +99,51 @@ TEST(FaultPosixValidation, MalformedFaultPlanIsReportedNotIgnored) {
   EXPECT_EQ(result.status, posix::TransferStatus::kBadOptions);
   EXPECT_FALSE(result.completed());
   EXPECT_NE(result.error.find("invalid fault plan"), std::string::npos) << result.error;
+}
+
+/// Sets an environment variable for one scope and unsets it on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) { ::setenv(name, value, 1); }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+TEST(FaultPosixValidation, MalformedEnvFaultPlanIsRejectedAtSubmit) {
+  const ScopedEnv env("FOBS_FAULT_PLAN", "data.corrupt=2.0");
+  const std::vector<std::uint8_t> object(1024, 0xAA);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+
+  posix::TransferEngine engine({.workers = 2});
+  posix::SenderOptions send_opts;
+  send_opts.data_port = port_base(40);
+  send_opts.control_port = port_base(41);
+  auto tx = engine.submit_send(send_opts, object);
+  EXPECT_TRUE(tx.done()) << "rejected at submit, before any flow exists";
+  EXPECT_EQ(tx.status(), posix::TransferStatus::kBadOptions);
+  EXPECT_NE(tx.result().error.find("invalid fault plan"), std::string::npos)
+      << tx.result().error;
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = port_base(40);
+  recv_opts.control_port = port_base(41);
+  auto rx = engine.submit_receive(recv_opts, sink);
+  EXPECT_TRUE(rx.done());
+  EXPECT_EQ(rx.status(), posix::TransferStatus::kBadOptions);
+  EXPECT_NE(rx.result().error.find("invalid fault plan"), std::string::npos)
+      << rx.result().error;
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+
+  // A plan in the options takes precedence: the environment is not read.
+  recv_opts.endpoint.fault_plan = "seed=3";
+  recv_opts.endpoint.timeout_ms = 30'000;
+  auto launched = engine.submit_receive(recv_opts, sink);
+  EXPECT_EQ(engine.sessions_submitted(), 1u);
+  launched.cancel();
+  EXPECT_EQ(launched.wait(), posix::TransferStatus::kCancelled) << launched.result().error;
 }
 
 // ---------------------------------------------------------------------------

@@ -67,21 +67,20 @@ void expect_partition_is_disjoint_and_complete(const StripePlan& plan) {
   std::set<std::int64_t> seen;
   for (int s = 0; s < plan.stripe_count(); ++s) {
     EXPECT_GE(plan.stripe_packets(s), 1) << "stripe " << s << " is empty";
+    EXPECT_EQ(plan.stripe_spec(s).packet_count(), plan.stripe_packets(s)) << "stripe " << s;
     total_packets += plan.stripe_packets(s);
     total_bytes += plan.stripe_bytes(s);
     for (std::int64_t local = 0; local < plan.stripe_packets(s); ++local) {
-      const auto global = plan.to_global(s, local);
+      const auto global = plan.first_packet(s) + local;
       EXPECT_GE(global, 0);
       EXPECT_LT(global, packets);
       EXPECT_TRUE(seen.insert(global).second) << "global " << global << " owned twice";
-      // to_local is the exact inverse.
-      const auto [back_s, back_local] = plan.to_local(global);
-      EXPECT_EQ(back_s, s);
-      EXPECT_EQ(back_local, local);
-      // The plan's offset matches the whole-object offset of the
-      // global packet, and the stripe-local spec's payload size
-      // matches the global packet's payload size.
-      EXPECT_EQ(plan.global_offset(s, local), spec.offset_of(global));
+      // The stripe viewed as a standalone transfer places local packet
+      // `local` at the same byte offset, relative to the stripe's first
+      // byte, as the whole object places the global packet, with the
+      // same payload size.
+      EXPECT_EQ(spec.offset_of(plan.first_packet(s)) + plan.stripe_spec(s).offset_of(local),
+                spec.offset_of(global));
       EXPECT_EQ(plan.stripe_spec(s).payload_bytes(local), spec.payload_bytes(global));
     }
   }
@@ -108,11 +107,19 @@ TEST(StripePlan, PartitionsAreDisjointAndComplete) {
       ASSERT_TRUE(StripePlan::make(spec, stripes, &plan, &error)) << "x" << stripes << ": "
                                                                    << error;
       expect_partition_is_disjoint_and_complete(plan);
-      // Contiguous: stripe s starts where stripe s-1 ends.
+      // Contiguous: the stripes tile [0, packet_count) in order, and
+      // stripe s's bytes end where stripe s+1's begin.
+      EXPECT_EQ(plan.first_packet(0), 0);
       for (int s = 0; s < plan.stripe_count(); ++s) {
-        EXPECT_EQ(plan.first_packet(s), plan.to_global(s, 0));
-        if (s > 0) {
-          EXPECT_EQ(plan.first_packet(s), plan.first_packet(s - 1) + plan.stripe_packets(s - 1));
+        const auto end = plan.first_packet(s) + plan.stripe_packets(s);
+        if (s + 1 < plan.stripe_count()) {
+          EXPECT_EQ(plan.first_packet(s + 1), end);
+          EXPECT_EQ(spec.offset_of(plan.first_packet(s)) + plan.stripe_bytes(s),
+                    spec.offset_of(plan.first_packet(s + 1)));
+        } else {
+          EXPECT_EQ(end, spec.packet_count());
+          EXPECT_EQ(spec.offset_of(plan.first_packet(s)) + plan.stripe_bytes(s),
+                    spec.object_bytes);
         }
       }
     }
@@ -123,11 +130,16 @@ TEST(StripePlan, ShortLastPacketIsTheLastLocalPacketOfItsStripe) {
   const TransferSpec spec{10 * 1024 + 7, 1024};  // 11 packets, last is 7 B
   StripePlan plan;
   ASSERT_TRUE(StripePlan::make(spec, 4, &plan));
-  const auto [owner, local] = plan.to_local(spec.packet_count() - 1);
+  const int owner = plan.stripe_count() - 1;
   EXPECT_EQ(owner, 3);
-  EXPECT_EQ(local, plan.stripe_packets(owner) - 1)
-      << "short packet must be its stripe's last local packet";
+  const auto local = plan.stripe_packets(owner) - 1;
+  EXPECT_EQ(plan.first_packet(owner) + local, spec.packet_count() - 1)
+      << "short packet must be the last stripe's last local packet";
   EXPECT_EQ(plan.stripe_spec(owner).payload_bytes(local), 7);
+  for (int s = 0; s < owner; ++s) {
+    EXPECT_EQ(plan.stripe_bytes(s), plan.stripe_packets(s) * spec.packet_bytes)
+        << "stripe " << s << " holds only full packets";
+  }
 }
 
 TEST(StripePlan, RejectsUnsatisfiableRequests) {
