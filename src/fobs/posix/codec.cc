@@ -1,6 +1,7 @@
 #include "fobs/posix/codec.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/crc32.h"
 
@@ -31,10 +32,11 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 constexpr std::size_t kAckFixedSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4;  // 48 bytes
 
-// Control-stream frame tokens (the first 8 bytes of every frame).
-constexpr std::uint64_t kCompletionToken = 0x464F4253444F4E45ull;  // "FOBSDONE"
-constexpr std::uint64_t kResumeToken = 0x464F425352534D45ull;      // "FOBSRSME"
-constexpr std::uint64_t kHelloToken = 0x464F425348454C4Full;       // "FOBSHELO"
+// Receiver-state frame: token, epoch, packet_count, received_count,
+// bitmap length; the bitmap and a CRC32 trailer follow.
+constexpr std::uint64_t kStateToken = 0x464F425353544154ull;  // "FOBSSTAT"
+constexpr std::size_t kStateFixedSize = 8 + 4 + 8 + 8 + 4;
+constexpr std::size_t kStateTrailerSize = 4;
 
 }  // namespace
 
@@ -98,61 +100,21 @@ std::optional<fobs::core::AckMessage> decode_ack(const std::uint8_t* data, std::
   return ack;
 }
 
-std::vector<std::uint8_t> encode_resume(std::int64_t packet_count,
-                                        std::int64_t received_count,
-                                        const std::vector<std::uint8_t>& bitmap) {
-  std::vector<std::uint8_t> out(kResumeFixedSize + bitmap.size() + kResumeTrailerSize);
-  put_u64(out.data(), kResumeToken);
-  put_u64(out.data() + 8, static_cast<std::uint64_t>(packet_count));
-  put_u64(out.data() + 16, static_cast<std::uint64_t>(received_count));
-  put_u32(out.data() + 24, static_cast<std::uint32_t>(bitmap.size()));
-  if (!bitmap.empty()) {
-    std::memcpy(out.data() + kResumeFixedSize, bitmap.data(), bitmap.size());
+std::vector<std::uint8_t> encode_state(const ReceiverState& state) {
+  const std::size_t bitmap_len = state.bitmap.size();
+  std::vector<std::uint8_t> out(kStateFixedSize + bitmap_len + kStateTrailerSize);
+  put_u64(out.data(), kStateToken);
+  put_u32(out.data() + 8, state.epoch);
+  put_u64(out.data() + 12, static_cast<std::uint64_t>(state.packet_count));
+  put_u64(out.data() + 20, static_cast<std::uint64_t>(state.received_count));
+  put_u32(out.data() + 28, static_cast<std::uint32_t>(bitmap_len));
+  if (bitmap_len > 0) {
+    std::memcpy(out.data() + kStateFixedSize, state.bitmap.data(), bitmap_len);
   }
   // Seal everything after the token so a desynced stream cannot smuggle
-  // a plausible-looking bitmap through.
-  const std::uint32_t crc =
-      fobs::util::crc32(out.data() + 8, kResumeFixedSize - 8 + bitmap.size());
-  put_u32(out.data() + kResumeFixedSize + bitmap.size(), crc);
-  return out;
-}
-
-std::size_t resume_frame_size(std::int64_t packet_count) {
-  const auto bitmap_bytes = static_cast<std::size_t>((packet_count + 7) / 8);
-  return kResumeFixedSize + bitmap_bytes + kResumeTrailerSize;
-}
-
-std::optional<ResumeFrame> decode_resume(const std::uint8_t* data, std::size_t len) {
-  if (len < kResumeFixedSize + kResumeTrailerSize) return std::nullopt;
-  if (get_u64(data) != kResumeToken) return std::nullopt;
-  ResumeFrame frame;
-  frame.packet_count = static_cast<std::int64_t>(get_u64(data + 8));
-  frame.received_count = static_cast<std::int64_t>(get_u64(data + 16));
-  const std::size_t bitmap_len = get_u32(data + 24);
-  if (frame.packet_count < 0 || frame.received_count < 0) return std::nullopt;
-  // The bitmap length field is 32-bit, so any packet count its 8x can't
-  // express is malformed (also avoids overflow in the division below).
-  if (frame.packet_count > static_cast<std::int64_t>(0xFFFFFFFFull) * 8) return std::nullopt;
-  if (bitmap_len != static_cast<std::size_t>((frame.packet_count + 7) / 8)) {
-    return std::nullopt;
-  }
-  if (len < kResumeFixedSize + bitmap_len + kResumeTrailerSize) return std::nullopt;
-  const std::uint32_t crc = fobs::util::crc32(data + 8, kResumeFixedSize - 8 + bitmap_len);
-  if (crc != get_u32(data + kResumeFixedSize + bitmap_len)) return std::nullopt;
-  frame.bitmap.assign(data + kResumeFixedSize, data + kResumeFixedSize + bitmap_len);
-  return frame;
-}
-
-std::array<std::uint8_t, kHelloFrameSize> encode_hello(std::uint32_t epoch) {
-  std::array<std::uint8_t, kHelloFrameSize> out{};
-  put_u64(out.data(), kHelloToken);
-  put_u64(out.data() + 8, epoch);
-  return out;
-}
-
-std::array<std::uint8_t, kCompletionFrameSize> encode_completion() {
-  std::array<std::uint8_t, kCompletionFrameSize> out{};
-  put_u64(out.data(), kCompletionToken);
+  // a plausible-looking epoch, bitmap or completion through.
+  put_u32(out.data() + kStateFixedSize + bitmap_len,
+          fobs::util::crc32(out.data() + 8, kStateFixedSize - 8 + bitmap_len));
   return out;
 }
 
@@ -160,25 +122,35 @@ ControlFrame next_control_frame(const std::uint8_t* data, std::size_t len,
                                 std::int64_t packet_count) {
   ControlFrame frame;
   if (len < 8) return frame;
-  const std::uint64_t token = get_u64(data);
-  if (token == kCompletionToken) {
-    frame.kind = ControlFrameKind::kCompletion;
-    frame.consumed = kCompletionFrameSize;
-  } else if (token == kHelloToken) {
-    if (len < kHelloFrameSize) return frame;
-    frame.kind = ControlFrameKind::kHello;
-    frame.consumed = kHelloFrameSize;
-    frame.epoch = static_cast<std::uint32_t>(get_u64(data + 8));
-  } else if (token == kResumeToken) {
-    const std::size_t size = resume_frame_size(packet_count);
-    if (len < size) return frame;
-    frame.kind = ControlFrameKind::kResume;
-    frame.consumed = size;
-    frame.resume = decode_resume(data, size);
-    if (frame.resume && frame.resume->packet_count != packet_count) frame.resume.reset();
-  } else {
+  if (get_u64(data) != kStateToken) {
     frame.kind = ControlFrameKind::kDesync;
+    return frame;
   }
+  if (len < kStateFixedSize) return frame;
+  const std::size_t bitmap_len = get_u32(data + 28);
+  const auto flow_bitmap_len = static_cast<std::size_t>((packet_count + 7) / 8);
+  if (bitmap_len != 0 && bitmap_len != flow_bitmap_len) {
+    frame.kind = ControlFrameKind::kDesync;
+    return frame;
+  }
+  const std::size_t size = kStateFixedSize + bitmap_len + kStateTrailerSize;
+  if (len < size) return frame;
+  frame.kind = ControlFrameKind::kState;
+  frame.consumed = size;
+
+  ReceiverState state;
+  state.epoch = get_u32(data + 8);
+  state.packet_count = static_cast<std::int64_t>(get_u64(data + 12));
+  state.received_count = static_cast<std::int64_t>(get_u64(data + 20));
+  const bool partial = state.received_count > 0 && state.received_count < packet_count;
+  const bool valid =
+      fobs::util::crc32(data + 8, kStateFixedSize - 8 + bitmap_len) ==
+          get_u32(data + kStateFixedSize + bitmap_len) &&
+      state.epoch != 0 && state.packet_count == packet_count && state.received_count >= 0 &&
+      state.received_count <= packet_count && (bitmap_len != 0) == partial;
+  if (!valid) return frame;
+  state.bitmap.assign(data + kStateFixedSize, data + kStateFixedSize + bitmap_len);
+  frame.state = std::move(state);
   return frame;
 }
 

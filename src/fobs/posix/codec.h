@@ -4,17 +4,19 @@
 //               + payload.
 // ACK packet:   fixed header (including the receiver's incarnation
 //               epoch) + packed bitmap fragment.
-// Control stream (TCP): a hello frame announcing the receiver's epoch,
-//               an 8-byte completion token, and an optional resume
-//               frame (receiver's full bitmap, CRC-sealed) sent by a
-//               restarted receiver so the sender skips packets the
-//               previous incarnation already stored. The receiver
-//               encodes these frames and the sender takes them off its
-//               buffered stream with next_control_frame(); no other
-//               module knows the control-stream format.
+// Control stream (TCP): one frame type, the receiver-state frame: the
+//               receiver's epoch, the flow's packet count, how many
+//               packets it holds and, when it holds some but not all,
+//               its full bitmap, CRC-sealed. The first frame on every
+//               connection announces the epoch (and, from a restored
+//               receiver, the bitmap so the sender skips what it
+//               already stored); a frame holding every packet is the
+//               completion signal. The receiver encodes it with
+//               encode_state() and the sender takes it off its buffered
+//               stream with next_control_frame(); no other module knows
+//               the control-stream format.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -28,18 +30,7 @@ inline constexpr std::uint32_t kMagic = 0x464F4253;  // "FOBS"
 inline constexpr std::uint8_t kTypeData = 1;
 inline constexpr std::uint8_t kTypeAck = 2;
 
-/// Hello frame: token + u64 carrying the receiver's epoch in its low
-/// 32 bits. Sent first on every control connection; the sender applies
-/// only ACKs stamped with the announced epoch from then on.
-inline constexpr std::size_t kHelloFrameSize = 8 + 8;
-/// Completion frame: the token alone.
-inline constexpr std::size_t kCompletionFrameSize = 8;
-
 inline constexpr std::size_t kDataHeaderSize = 20;
-/// Fixed part of a resume frame: token, packet_count, received_count,
-/// bitmap byte length. A CRC32 trailer follows the bitmap.
-inline constexpr std::size_t kResumeFixedSize = 8 + 8 + 8 + 4;
-inline constexpr std::size_t kResumeTrailerSize = 4;
 
 /// Largest UDP datagram payload; bounds every length field an ACK can
 /// legitimately declare (a hostile value past this is rejected before
@@ -68,48 +59,42 @@ std::vector<std::uint8_t> encode_ack(const fobs::core::AckMessage& ack);
 /// sizes exceed what a datagram could physically carry.
 std::optional<fobs::core::AckMessage> decode_ack(const std::uint8_t* data, std::size_t len);
 
-/// A resume frame decoded from the control stream.
-struct ResumeFrame {
+/// What one receiver incarnation holds, as a receiver-state frame
+/// carries it.
+struct ReceiverState {
+  std::uint32_t epoch = 0;  ///< the incarnation's nonzero epoch
   std::int64_t packet_count = 0;
   std::int64_t received_count = 0;
-  std::vector<std::uint8_t> bitmap;  ///< packed, Bitmap::extract_range format
+  /// Packed (Bitmap::extract_range format), (packet_count + 7) / 8
+  /// bytes; present iff 0 < received_count < packet_count.
+  std::vector<std::uint8_t> bitmap;
+  friend bool operator==(const ReceiverState&, const ReceiverState&) = default;
 };
 
-/// Serializes a resume frame (token + counts + bitmap + CRC32 trailer).
-std::vector<std::uint8_t> encode_resume(std::int64_t packet_count,
-                                        std::int64_t received_count,
-                                        const std::vector<std::uint8_t>& bitmap);
-/// Total frame size implied by a packet count (for stream reassembly).
-[[nodiscard]] std::size_t resume_frame_size(std::int64_t packet_count);
-/// Parses a complete resume frame; nullopt on bad token/CRC/shape.
-std::optional<ResumeFrame> decode_resume(const std::uint8_t* data, std::size_t len);
-
-/// Serializes the hello frame announcing the receiver's `epoch`.
-std::array<std::uint8_t, kHelloFrameSize> encode_hello(std::uint32_t epoch);
-/// Serializes the completion frame.
-std::array<std::uint8_t, kCompletionFrameSize> encode_completion();
+/// Serializes a receiver-state frame (fixed part + bitmap + CRC32 over
+/// everything after the token).
+std::vector<std::uint8_t> encode_state(const ReceiverState& state);
 
 /// What sits at the head of a buffered control stream.
 enum class ControlFrameKind : std::uint8_t {
-  kNeedMore,    ///< empty, or a frame that has not fully arrived yet
-  kHello,       ///< `epoch` holds the receiver's incarnation epoch
-  kResume,      ///< `resume` holds the bitmap, or nullopt when the frame
-                ///< is for another packet count or fails its CRC (ignore it)
-  kCompletion,  ///< every packet arrived
-  kDesync,      ///< unknown token: the stream cannot be re-synchronised
+  kNeedMore,  ///< empty, or a frame that has not fully arrived yet
+  kState,     ///< a receiver-state frame: `state` holds it, or nullopt when
+              ///< it fails its CRC, is for another packet count or is
+              ///< inconsistent (ignore it as a whole)
+  kDesync,    ///< unknown token or a bitmap length no frame for this flow
+              ///< can have: the stream cannot be re-synchronised
 };
 
 struct ControlFrame {
   ControlFrameKind kind = ControlFrameKind::kNeedMore;
   std::size_t consumed = 0;  ///< bytes to drop from the head of the buffer
-  std::uint32_t epoch = 0;
-  std::optional<ResumeFrame> resume;
+  std::optional<ReceiverState> state;
 };
 
 /// Sans-io control-stream parser: classifies the next frame of `data`
-/// for a flow of `packet_count` packets. A resume frame is read at the
-/// size that packet count implies, so a frame cannot make the caller
-/// buffer more than one bitmap's worth.
+/// for a flow of `packet_count` packets. A bitmap length other than 0
+/// or that packet count's bitmap size is a desync, so a frame cannot
+/// make the caller buffer more than one bitmap's worth.
 [[nodiscard]] ControlFrame next_control_frame(const std::uint8_t* data, std::size_t len,
                                               std::int64_t packet_count);
 

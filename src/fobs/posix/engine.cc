@@ -167,6 +167,12 @@ std::vector<detail::Flow<Byte>> make_flows(const Options& options, std::span<Byt
     if (fault_spec.empty() && env_plan != nullptr) fault_spec = env_plan;
     std::string parse_error;
     auto fault_plan = fobs::net::FaultPlan::parse(fault_spec, &parse_error);
+    if (fault_plan && !fault_plan->control.empty()) {
+      // The control stream is a TCP byte stream the flow loops never
+      // perturb; a plan that asks for it would run clean.
+      fault_plan.reset();
+      parse_error = "control.* faults apply only in the simulator";
+    }
     if (!fault_plan) {
       error = "invalid fault plan: " + parse_error;
       if (flows.size() > 1) error = "stripe " + std::to_string(i) + ": " + error;

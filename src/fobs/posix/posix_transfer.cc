@@ -98,16 +98,16 @@ class AckClassifier {
                 fobs::telemetry::EventTracer* tracer)
       : result_(result), metrics_(metrics), tracer_(tracer) {}
 
-  /// A hello frame announced the receiver's incarnation epoch; from now
-  /// on only ACKs stamped with it are applied.
+  /// A receiver-state frame announced the receiver's incarnation epoch;
+  /// from now on only ACKs stamped with it are applied.
   void on_hello(std::uint32_t epoch) {
     epoch_ = epoch;
     filtering_ = true;
   }
 
   /// The control channel reconnected: the dead incarnation's in-flight
-  /// ACKs are poison, so reject everything until the new hello arrives
-  /// (receivers always pick nonzero epochs).
+  /// ACKs are poison, so reject everything until the new incarnation's
+  /// state frame arrives (receivers always pick nonzero epochs).
   void on_peer_reconnect() { epoch_ = 0; }
 
   AckClass classify(const std::uint8_t* data, std::size_t len,
@@ -185,7 +185,7 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
   StallClock stall(start, options.endpoint.timeout_ms);
   fobs::telemetry::EventTracer* tracer = flow.tracer;
   // ACK-stream versioning: once a receiver announces its incarnation
-  // epoch via a hello frame, only ACKs stamped with that epoch are
+  // epoch in a state frame, only ACKs stamped with that epoch are
   // applied. After a reconnect the expected epoch is cleared, so late
   // datagrams from the dead incarnation can never re-mark packets the
   // new receiver does not have.
@@ -200,9 +200,9 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
     }
 
     // Accept / read the control channel. A restarted receiver shows up
-    // as EOF on the old connection followed by a fresh accept; its
-    // resume frame (full bitmap) then pre-acks everything the previous
-    // incarnation stored.
+    // as EOF on the old connection followed by a fresh accept; the
+    // bitmap in its first state frame then pre-acks everything the
+    // previous incarnation stored.
     if (!control.valid()) {
       const int fd = ::accept(listener.get(), nullptr, nullptr);
       if (fd >= 0) {
@@ -216,7 +216,7 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
           }
           // The peer's state is unknown (possibly a from-scratch
           // restart): drop the ACK view so everything is resent unless
-          // the resume frame that may follow restores it.
+          // the state frame that follows carries a bitmap restoring it.
           core.on_peer_restart();
           // Discard ACKs queued by the previous incarnation — applying
           // one after the reset would re-mark packets the new receiver
@@ -249,17 +249,20 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
                           control_buf.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
         switch (frame.kind) {
           case ControlFrameKind::kNeedMore: more = false; break;
-          case ControlFrameKind::kHello: acks.on_hello(frame.epoch); break;
-          case ControlFrameKind::kResume:
-            if (frame.resume) {
-              core.on_resume(frame.resume->bitmap.data(), frame.resume->bitmap.size(),
-                             frame.resume->packet_count);
+          case ControlFrameKind::kState:
+            // A frame that is not this flow's, or fails its CRC, is
+            // ignored as a whole: no epoch, bitmap or completion from it.
+            if (!frame.state) break;
+            acks.on_hello(frame.state->epoch);
+            if (!frame.state->bitmap.empty()) {
+              core.on_resume(frame.state->bitmap.data(), frame.state->bitmap.size(),
+                             frame.state->packet_count);
               metrics.counter("fobs.fault.resumes").inc();
             }
-            break;
-          case ControlFrameKind::kCompletion:
-            core.on_completion_signal();
-            more = false;
+            if (frame.state->received_count == spec.packet_count()) {
+              core.on_completion_signal();
+              more = false;
+            }
             break;
           case ControlFrameKind::kDesync:
             // Garbage stream: drop the connection and let the receiver
@@ -288,7 +291,7 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
 
     if (core.all_acked()) {
       // Nothing useful to send; sleep on the actual fds (fresher ACKs
-      // on the data socket, the completion token on the control side)
+      // on the data socket, the completion signal on the control side)
       // instead of napping a fixed interval, so completion latency does
       // not quantize to a nap period. Bounded at 10 ms so the
       // cancel/stall checks keep running.
@@ -458,7 +461,20 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
       std::chrono::steady_clock::now().time_since_epoch().count() ^
       (static_cast<std::uint64_t>(::getpid()) << 16));
   if (epoch == 0) epoch = 1;
-  const auto hello = encode_hello(epoch);
+
+  // The receiver's one control message: what this incarnation holds.
+  // Sent first on every control connection (the sender learns the epoch
+  // from it and, after a restore, skips the packets its bitmap marks),
+  // and again once every packet is in, as the completion signal.
+  const auto send_state = [&](const Fd& fd, Clock::time_point deadline_at) {
+    ReceiverState state{epoch, spec.packet_count(),
+                        static_cast<std::int64_t>(core.received().count()), {}};
+    if (state.received_count > 0 && !core.complete()) {
+      state.bitmap = core.received().extract_range(0, flow_packets);
+    }
+    const auto frame = encode_state(state);
+    return send_all(fd.get(), frame.data(), frame.size(), deadline_at);
+  };
 
   // Control channel: connect with capped exponential backoff (the
   // sender may not be up yet, or we may be a restarted incarnation).
@@ -474,18 +490,9 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
     }
     return result;
   }
-  if (!send_all(control.get(), hello.data(), hello.size(), deadline)) {
-    FOBS_WARN("fobs.receiver", "hello frame send failed; sender keeps its previous epoch");
-  }
-
-  // Announce a restored bitmap so the sender skips what we already have.
-  if (result.packets_restored > 0 || core.complete()) {
-    const auto bitmap = core.received().extract_range(
-        0, static_cast<std::size_t>(spec.packet_count()));
-    const auto frame = encode_resume(spec.packet_count(), result.packets_restored, bitmap);
-    if (!send_all(control.get(), frame.data(), frame.size(), deadline)) {
-      FOBS_WARN("fobs.receiver", "resume frame send failed; sender will re-send everything");
-    }
+  if (!send_state(control, deadline)) {
+    FOBS_WARN("fobs.receiver", "state frame send failed; sender keeps its previous epoch "
+                               "and re-sends everything");
   }
 
   std::vector<fobs::net::RecvView> rx_views(fobs::net::IoOptions::recv_batch);
@@ -619,12 +626,11 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
   }
 
   if (core.complete()) {
-    // Deliver the completion token; if the control connection died in
-    // the meantime, reconnect (with backoff) and retry a few times.
-    const auto token = encode_completion();
-    const auto token_deadline = Clock::now() + std::chrono::seconds(2);
-    bool delivered = control.valid() && send_all(control.get(), token.data(), token.size(),
-                                                 token_deadline);
+    // Deliver the completion signal (a state frame holding every
+    // packet); if the control connection died in the meantime,
+    // reconnect (with backoff) and retry a few times.
+    bool delivered =
+        control.valid() && send_state(control, Clock::now() + std::chrono::seconds(2));
     for (int attempt = 0; !delivered && attempt < 3; ++attempt) {
       control = fobs::net::connect_with_backoff(options.sender_host, flow.control_port,
                                                 Clock::now() + std::chrono::seconds(1), cancel);
@@ -634,11 +640,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
       if (tracer != nullptr) {
         tracer->record(telemetry::EventType::kReconnect, -1, result.reconnects);
       }
-      // Hello first, as on every control connection.
-      delivered = send_all(control.get(), hello.data(), hello.size(),
-                           Clock::now() + std::chrono::seconds(1)) &&
-                  send_all(control.get(), token.data(), token.size(),
-                           Clock::now() + std::chrono::seconds(1));
+      delivered = send_state(control, Clock::now() + std::chrono::seconds(1));
     }
     result.status = TransferStatus::kCompleted;
     result.error.clear();

@@ -9,13 +9,6 @@
 
 namespace fobs::core {
 
-namespace {
-fobs::net::TcpConfig control_channel_config() {
-  // The control channel moves a handful of bytes; defaults are fine.
-  return fobs::net::TcpConfig{};
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // SimSender
 // ---------------------------------------------------------------------------
@@ -31,7 +24,7 @@ SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
       data_out_(host),
       ack_in_(host, static_cast<PortId>(port_base + kAckPortOffset)),
       completion_listener_(host, static_cast<PortId>(port_base + kCompletionPortOffset),
-                           control_channel_config(),
+                           fobs::net::TcpConfig{},
                            [this](std::unique_ptr<fobs::net::TcpConnection> conn) {
                              control_conn_ = std::move(conn);
                              control_conn_->set_on_message(
@@ -119,11 +112,7 @@ void SimSender::step() {
       if (sent_in_batch > 0 && core_.tracer() != nullptr) {
         core_.tracer()->record(telemetry::EventType::kBatchSent, -1, sent_in_batch);
       }
-      if (busy > Duration::zero()) {
-        // Model the CPU time of this iteration before the wait ends.
-        return;  // resume comes from the writability callback
-      }
-      return;
+      return;  // resume comes from the writability callback
     }
     const auto seq = core_.select_next();
     if (!seq) break;
@@ -195,7 +184,7 @@ void SimSender::enter_fallback() {
   }
   auto& sim = host_.network().sim();
   if (tcp_data_ == nullptr) {
-    tcp_data_ = std::make_unique<fobs::net::TcpConnection>(host_, control_channel_config());
+    tcp_data_ = std::make_unique<fobs::net::TcpConnection>(host_, fobs::net::TcpConfig{});
     tcp_data_->connect(receiver_node_,
                        static_cast<PortId>(port_base_ + kTcpDataPortOffset));
   }
@@ -289,9 +278,9 @@ SimReceiver::SimReceiver(Host& host, TransferSpec spec, ReceiverConfig config,
       port_base_(port_base),
       data_in_(host, static_cast<PortId>(port_base + kDataPortOffset), socket_buffer_bytes),
       ack_out_(host),
-      control_conn_(host, control_channel_config()),
+      control_conn_(host, fobs::net::TcpConfig{}),
       fallback_listener_(host, static_cast<PortId>(port_base + kTcpDataPortOffset),
-                         control_channel_config(),
+                         fobs::net::TcpConfig{},
                          [this](std::unique_ptr<fobs::net::TcpConnection> conn) {
                            fallback_conn_ = std::move(conn);
                            fallback_conn_->set_on_message(

@@ -18,7 +18,7 @@
 // (fobsd: the catalog reply, see fobs/posix/fileserver.h), build the
 // same plan, and flow i runs on (data_port + i, control_port + i) with
 // the unchanged FOBS protocol in stripe-local sequence space: greedy
-// UDP + selective-ACK bitmap + TCP completion token + resume frames.
+// UDP + selective-ACK bitmap + TCP receiver-state frames.
 //
 // Checkpointing: a receive transfer owns one object-level checkpoint
 // (TransferCheckpoint, fobs/posix/checkpoint.h). Flow s owns the

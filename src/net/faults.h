@@ -8,7 +8,9 @@
 //    and mark payloads corrupted / swallow them / send them twice;
 //  * the transfer engine parses a plan for each POSIX flow at submit,
 //    from an options field or the FOBS_FAULT_PLAN environment variable,
-//    and the flow loops interpose the identical schedule on real sockets.
+//    and the flow loops interpose the identical data/ack/crash schedule
+//    on real sockets. Nothing perturbs the POSIX control stream, so the
+//    engine rejects a plan with a control.* schedule at submit.
 // Decisions are drawn from per-channel RNG streams keyed off the plan
 // seed, so a given (plan, channel, packet-index) always produces the
 // same action regardless of how sends interleave across channels —

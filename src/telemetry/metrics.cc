@@ -5,10 +5,6 @@
 
 namespace fobs::telemetry {
 
-namespace detail {
-std::atomic<bool> g_metrics_enabled{true};
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -25,7 +21,6 @@ Histogram::Histogram(std::vector<std::int64_t> upper_bounds)
 }
 
 void Histogram::observe(std::int64_t v) noexcept {
-  if (!metrics_enabled()) return;
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto index = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[index].fetch_add(1, std::memory_order_relaxed);

@@ -7,10 +7,7 @@
 //
 // Registration (name -> instrument) takes a mutex; the returned
 // references are stable for the registry's lifetime, so callers look an
-// instrument up once and then update it wait-free. A process-wide
-// on/off switch (`set_enabled`) turns every update into a single
-// relaxed load + branch, which is the "zero cost when disabled"
-// guarantee the hot paths rely on.
+// instrument up once and then update it wait-free.
 #pragma once
 
 #include <atomic>
@@ -26,19 +23,9 @@
 
 namespace fobs::telemetry {
 
-namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
-}  // namespace detail
-
-/// Process-wide switch; metric updates become no-ops when false.
-inline bool metrics_enabled() noexcept {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
 class Counter {
  public:
   void inc(std::int64_t delta = 1) noexcept {
-    if (!metrics_enabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -53,11 +40,9 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-    if (!metrics_enabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t delta) noexcept {
-    if (!metrics_enabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -142,11 +127,6 @@ class MetricsRegistry {
   [[nodiscard]] std::size_t size() const;
   /// Zeroes every instrument (names and bounds are kept).
   void reset();
-
-  static void set_enabled(bool enabled) noexcept {
-    detail::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-  }
-  static bool enabled() noexcept { return metrics_enabled(); }
 
  private:
   struct Entry {

@@ -2,9 +2,9 @@
 // crash the decoders, valid encodings must survive random mutation
 // without being mis-parsed into out-of-range values, and random valid
 // messages must round-trip exactly — including field extremes and empty
-// bitmap fragments — and the control-stream parser must take hello,
-// resume and completion frames off a stream that arrives in arbitrary
-// pieces, ignoring foreign resume frames and refusing garbage. Runs
+// bitmap fragments — and the control-stream parser must take
+// receiver-state frames off a stream that arrives in arbitrary pieces,
+// ignoring foreign or damaged frames as a whole and refusing garbage. Runs
 // under the asan-ubsan preset (ctest label "sanitize"), where any
 // out-of-bounds read or UB aborts the test.
 #include <gtest/gtest.h>
@@ -58,6 +58,7 @@ TEST_P(CodecFuzz, RandomBytesNeverCrashDecoders) {
     // or read out of bounds (ASAN-visible if it did).
     (void)decode_data_header(junk.data(), junk.size());
     (void)decode_ack(junk.data(), junk.size());
+    (void)next_control_frame(junk.data(), junk.size(), rng.uniform_int(1, 4096));
   }
 }
 
@@ -171,30 +172,50 @@ TEST(CodecEdges, ZeroLengthBufferRejectedWithoutReads) {
 // Control stream: next_control_frame over a buffered TCP stream
 // ---------------------------------------------------------------------------
 
-void append(std::vector<std::uint8_t>& stream, const auto& frame) {
+void append(std::vector<std::uint8_t>& stream, const std::vector<std::uint8_t>& frame) {
   stream.insert(stream.end(), frame.begin(), frame.end());
 }
 
+constexpr std::int64_t kPackets = 20;  // a 3-byte bitmap
+const std::vector<std::uint8_t> kBitmap = {0xFF, 0x0F, 0x0A};
+constexpr std::size_t kFirstBitmapByte = 32;  // fixed part: 8+4+8+8+4
+
+ReceiverState fresh(std::uint32_t epoch) { return {epoch, kPackets, 0, {}}; }
+ReceiverState partial(std::uint32_t epoch) { return {epoch, kPackets, 14, kBitmap}; }
+ReceiverState full(std::uint32_t epoch) { return {epoch, kPackets, kPackets, {}}; }
+
 // Takes every frame off the head of `buffer` the way the sender does,
-// stopping at the first need-more, completion or desync (returned last).
+// stopping at the first need-more, desync or accepted completion
+// (returned last).
 std::vector<ControlFrame> drain(std::vector<std::uint8_t>& buffer, std::int64_t packet_count) {
   std::vector<ControlFrame> frames;
   while (true) {
     auto frame = next_control_frame(buffer.data(), buffer.size(), packet_count);
     buffer.erase(buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
-    const ControlFrameKind kind = frame.kind;
+    const bool more = frame.kind == ControlFrameKind::kState &&
+                      !(frame.state && frame.state->received_count == packet_count);
     frames.push_back(std::move(frame));
-    if (kind != ControlFrameKind::kHello && kind != ControlFrameKind::kResume) return frames;
+    if (!more) return frames;
   }
 }
 
-TEST(ControlStream, HelloResumeCompletionFedOneByteAtATime) {
-  constexpr std::int64_t kPackets = 20;
-  const std::vector<std::uint8_t> bitmap = {0xFF, 0x0F, 0x0A};
+TEST(ControlStream, StateRoundTripsInEveryShape) {
+  for (const auto& state : {fresh(1), partial(0xDEADBEEF), full(7)}) {
+    const auto wire = encode_state(state);
+    EXPECT_EQ(wire.size(), kFirstBitmapByte + state.bitmap.size() + 4);
+    const auto frame = next_control_frame(wire.data(), wire.size(), kPackets);
+    EXPECT_EQ(frame.kind, ControlFrameKind::kState);
+    EXPECT_EQ(frame.consumed, wire.size());
+    ASSERT_TRUE(frame.state.has_value());
+    EXPECT_EQ(*frame.state, state);
+  }
+}
+
+TEST(ControlStream, FreshPartialAndCompletionFedOneByteAtATime) {
   std::vector<std::uint8_t> stream;
-  append(stream, encode_hello(0xDEADBEEF));
-  append(stream, encode_resume(kPackets, 14, bitmap));
-  append(stream, encode_completion());
+  append(stream, encode_state(fresh(0xDEADBEEF)));
+  append(stream, encode_state(partial(0xDEADBEEF)));
+  append(stream, encode_state(full(0xDEADBEEF)));
 
   std::vector<std::uint8_t> buffer;
   std::vector<ControlFrame> seen;
@@ -208,75 +229,141 @@ TEST(ControlStream, HelloResumeCompletionFedOneByteAtATime) {
   }
   EXPECT_TRUE(buffer.empty());
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].kind, ControlFrameKind::kHello);
-  EXPECT_EQ(seen[0].epoch, 0xDEADBEEFu);
-  EXPECT_EQ(seen[1].kind, ControlFrameKind::kResume);
-  ASSERT_TRUE(seen[1].resume.has_value());
-  EXPECT_EQ(seen[1].resume->packet_count, kPackets);
-  EXPECT_EQ(seen[1].resume->received_count, 14);
-  EXPECT_EQ(seen[1].resume->bitmap, bitmap);
-  EXPECT_EQ(seen[2].kind, ControlFrameKind::kCompletion);
+  for (const auto& frame : seen) {
+    EXPECT_EQ(frame.kind, ControlFrameKind::kState);
+    ASSERT_TRUE(frame.state.has_value());
+  }
+  EXPECT_EQ(*seen[0].state, fresh(0xDEADBEEF));
+  EXPECT_EQ(*seen[1].state, partial(0xDEADBEEF));
+  EXPECT_EQ(*seen[2].state, full(0xDEADBEEF));
 }
 
 TEST(ControlStream, GarbageTokenIsDesync) {
   std::vector<std::uint8_t> buffer;
-  append(buffer, encode_hello(7));
+  append(buffer, encode_state(fresh(7)));
   const std::string junk = "GARBAGE!";
   buffer.insert(buffer.end(), junk.begin(), junk.end());
-  append(buffer, encode_completion());
-  const auto frames = drain(buffer, 20);
+  append(buffer, encode_state(full(7)));
+  const auto frames = drain(buffer, kPackets);
   ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].kind, ControlFrameKind::kHello);
-  EXPECT_EQ(frames[0].epoch, 7u);
+  EXPECT_EQ(frames[0].kind, ControlFrameKind::kState);
+  ASSERT_TRUE(frames[0].state.has_value());
+  EXPECT_EQ(frames[0].state->epoch, 7u);
   // The completion after the junk is never reached: a desynced stream
   // cannot be trusted past the bad token.
   EXPECT_EQ(frames[1].kind, ControlFrameKind::kDesync);
   EXPECT_EQ(frames[1].consumed, 0u);
+
+  auto bad_token = encode_state(partial(7));
+  bad_token[0] = 'X';
+  const auto frame = next_control_frame(bad_token.data(), bad_token.size(), kPackets);
+  EXPECT_EQ(frame.kind, ControlFrameKind::kDesync);
+  EXPECT_EQ(frame.consumed, 0u);
 }
 
-TEST(ControlStream, ResumeForAnotherPacketCountIsIgnored) {
-  // 17 and 20 packets both need a 3-byte bitmap, so the frame has the
-  // size a 20-packet flow expects but describes another transfer.
+TEST(ControlStream, FramesForAnotherPacketCountAreIgnored) {
+  // 17 and 20 packets both need a 3-byte bitmap, so these frames have
+  // the size a 20-packet flow expects but describe another transfer:
+  // neither the bitmap nor the completion may reach the sender.
   std::vector<std::uint8_t> buffer;
-  append(buffer, encode_resume(17, 5, {0x1F, 0x00, 0x00}));
-  append(buffer, encode_completion());
-  const auto frames = drain(buffer, 20);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].kind, ControlFrameKind::kResume);
-  EXPECT_EQ(frames[0].consumed, resume_frame_size(20));
-  EXPECT_FALSE(frames[0].resume.has_value());
-  EXPECT_EQ(frames[1].kind, ControlFrameKind::kCompletion);
-}
-
-TEST(ControlStream, CorruptResumeIsIgnoredAndTheStreamStaysAligned) {
-  auto resume = encode_resume(20, 13, {0xFF, 0x0F, 0xA0});
-  resume[kResumeFixedSize] ^= 0x01;  // a bitmap bit, caught by the CRC
-  std::vector<std::uint8_t> buffer;
-  append(buffer, resume);
-  append(buffer, encode_hello(99));
-  append(buffer, encode_completion());
-  const auto frames = drain(buffer, 20);
+  append(buffer, encode_state({5, 17, 5, {0x1F, 0x00, 0x00}}));
+  append(buffer, encode_state({5, 17, 17, {}}));
+  append(buffer, encode_state(full(9)));
+  const auto frames = drain(buffer, kPackets);
   ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].kind, ControlFrameKind::kResume);
-  EXPECT_FALSE(frames[0].resume.has_value());
-  EXPECT_EQ(frames[1].kind, ControlFrameKind::kHello);
-  EXPECT_EQ(frames[1].epoch, 99u);
-  EXPECT_EQ(frames[2].kind, ControlFrameKind::kCompletion);
+  EXPECT_EQ(frames[0].kind, ControlFrameKind::kState);
+  EXPECT_EQ(frames[0].consumed, encode_state(partial(5)).size());
+  EXPECT_FALSE(frames[0].state.has_value());
+  EXPECT_EQ(frames[1].kind, ControlFrameKind::kState);
+  EXPECT_EQ(frames[1].consumed, encode_state(full(5)).size());
+  EXPECT_FALSE(frames[1].state.has_value()) << "a foreign completion must be ignored";
+  EXPECT_EQ(frames[2].kind, ControlFrameKind::kState);
+  ASSERT_TRUE(frames[2].state.has_value());
+  EXPECT_EQ(*frames[2].state, full(9));
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(ControlStream, CorruptedFrameIsIgnoredAsAWhole) {
+  const auto wire = encode_state(partial(0x01020304));
+  // One byte in each field after the token: epoch, packet_count,
+  // received_count, the bitmap and the CRC itself.
+  for (const std::size_t pos : {std::size_t{9}, std::size_t{15}, std::size_t{25},
+                                kFirstBitmapByte, wire.size() - 1}) {
+    auto copy = wire;
+    copy[pos] ^= 0x40;
+    const auto frame = next_control_frame(copy.data(), copy.size(), kPackets);
+    EXPECT_EQ(frame.kind, ControlFrameKind::kState) << "flipped byte " << pos;
+    EXPECT_EQ(frame.consumed, wire.size()) << "flipped byte " << pos;
+    EXPECT_FALSE(frame.state.has_value()) << "flipped byte " << pos;
+  }
+  // Truncation consumes nothing and waits for the rest.
+  const auto truncated = next_control_frame(wire.data(), wire.size() - 1, kPackets);
+  EXPECT_EQ(truncated.kind, ControlFrameKind::kNeedMore);
+  EXPECT_EQ(truncated.consumed, 0u);
+}
+
+TEST(ControlStream, CorruptFrameIsIgnoredAndTheStreamStaysAligned) {
+  auto corrupt = encode_state(partial(13));
+  corrupt[kFirstBitmapByte] ^= 0x01;  // a bitmap bit, caught by the CRC
+  std::vector<std::uint8_t> buffer;
+  append(buffer, corrupt);
+  append(buffer, encode_state(fresh(99)));
+  append(buffer, encode_state(full(99)));
+  const auto frames = drain(buffer, kPackets);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].kind, ControlFrameKind::kState);
+  EXPECT_FALSE(frames[0].state.has_value());
+  EXPECT_EQ(frames[1].kind, ControlFrameKind::kState);
+  ASSERT_TRUE(frames[1].state.has_value());
+  EXPECT_EQ(frames[1].state->epoch, 99u);
+  EXPECT_EQ(frames[2].kind, ControlFrameKind::kState);
+  ASSERT_TRUE(frames[2].state.has_value());
+  EXPECT_EQ(frames[2].state->received_count, kPackets);
+}
+
+TEST(ControlStream, BitmapLengthOfAnotherFlowIsDesync) {
+  // 100 packets need 13 bitmap bytes; claim 100 but attach 3. The frame
+  // cannot be sized, so the stream is lost.
+  const auto wire = encode_state({1, 100, 13, kBitmap});
+  const auto frame = next_control_frame(wire.data(), wire.size(), 100);
+  EXPECT_EQ(frame.kind, ControlFrameKind::kDesync);
+  EXPECT_EQ(frame.consumed, 0u);
+}
+
+TEST(ControlStream, InconsistentStatesAreIgnored) {
+  // Sealed and sized for this flow, but not a state a receiver sends.
+  const std::vector<ReceiverState> inconsistent = {
+      {0, kPackets, 14, kBitmap},                  // epoch zero
+      {1, kPackets, 14, {}},                       // partial without a bitmap
+      {1, kPackets, 0, kBitmap},                   // bitmap with nothing held
+      {1, kPackets, kPackets, kBitmap},            // bitmap with everything held
+      {1, kPackets, kPackets + 1, {}},             // more than the flow has
+      {1, kPackets, -1, {}},                       // negative count
+  };
+  for (const auto& state : inconsistent) {
+    const auto wire = encode_state(state);
+    const auto frame = next_control_frame(wire.data(), wire.size(), kPackets);
+    EXPECT_EQ(frame.kind, ControlFrameKind::kState) << state.received_count;
+    EXPECT_EQ(frame.consumed, wire.size()) << state.received_count;
+    EXPECT_FALSE(frame.state.has_value()) << state.received_count;
+  }
 }
 
 TEST(ControlStream, IncompleteFramesNeedMoreAndConsumeNothing) {
-  const auto hello = encode_hello(1);
-  const auto resume = encode_resume(20, 0, {0, 0, 0});
-  const auto completion = encode_completion();
+  const auto fresh_wire = encode_state(fresh(1));
+  const auto partial_wire = encode_state(partial(1));
+  const auto full_wire = encode_state(full(1));
   const std::vector<std::vector<std::uint8_t>> partials = {
       {},
-      {completion.begin(), completion.end() - 1},
-      {hello.begin(), hello.end() - 1},
-      {resume.begin(), resume.end() - 1},
+      {fresh_wire.begin(), fresh_wire.begin() + 7},                // token cut
+      {partial_wire.begin(), partial_wire.begin() + 31},           // length cut
+      {fresh_wire.begin(), fresh_wire.end() - 1},
+      {partial_wire.begin(), partial_wire.end() - 1},
+      {full_wire.begin(), full_wire.end() - 1},
   };
-  for (const auto& partial : partials) {
-    const auto frame = next_control_frame(partial.data(), partial.size(), 20);
-    EXPECT_EQ(frame.kind, ControlFrameKind::kNeedMore) << partial.size() << " bytes";
+  for (const auto& cut : partials) {
+    const auto frame = next_control_frame(cut.data(), cut.size(), kPackets);
+    EXPECT_EQ(frame.kind, ControlFrameKind::kNeedMore) << cut.size() << " bytes";
     EXPECT_EQ(frame.consumed, 0u);
   }
 }

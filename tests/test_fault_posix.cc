@@ -25,6 +25,7 @@
 #include "fobs/posix/engine.h"
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
+#include "net/socket.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -146,6 +147,36 @@ TEST(FaultPosixValidation, MalformedEnvFaultPlanIsRejectedAtSubmit) {
   EXPECT_EQ(launched.wait(), posix::TransferStatus::kCancelled) << launched.result().error;
 }
 
+TEST(FaultPosixValidation, ControlFaultsAreRejectedAtSubmit) {
+  // No POSIX flow loop perturbs the TCP control stream, so a plan asking
+  // for control faults would run clean; it is refused instead.
+  const std::vector<std::uint8_t> object(1024, 0xAA);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  posix::TransferEngine engine({.workers = 2});
+  posix::SenderOptions send_opts;
+  send_opts.data_port = port_base(42);
+  send_opts.control_port = port_base(43);
+  send_opts.endpoint.fault_plan = "seed=1;control.drop=1";
+  auto tx = engine.submit_send(send_opts, object);
+  EXPECT_TRUE(tx.done()) << "rejected at submit, before any flow exists";
+  EXPECT_EQ(tx.status(), posix::TransferStatus::kBadOptions);
+  EXPECT_NE(tx.result().error.find(
+                "invalid fault plan: control.* faults apply only in the simulator"),
+            std::string::npos)
+      << tx.result().error;
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = port_base(42);
+  recv_opts.control_port = port_base(43);
+  recv_opts.endpoint.fault_plan = "control.blackhole=0+4";
+  auto rx = engine.submit_receive(recv_opts, sink);
+  EXPECT_TRUE(rx.done());
+  EXPECT_EQ(rx.status(), posix::TransferStatus::kBadOptions);
+  EXPECT_NE(rx.result().error.find("control.* faults apply only in the simulator"),
+            std::string::npos)
+      << rx.result().error;
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Stall-based give-up
 // ---------------------------------------------------------------------------
@@ -217,7 +248,7 @@ TEST(FaultPosixGarbage, TransferSurvivesGarbageDatagramsAndCorruptAcks) {
   recv_opts.endpoint.timeout_ms = 30'000;
   // Most outgoing ACKs are corrupted in flight: the sender's decoder
   // must reject and count them while the transfer still completes off
-  // the clean minority plus the completion token.
+  // the clean minority plus the completion signal.
   recv_opts.endpoint.fault_plan = "seed=3;ack.corrupt=0.9";
 
   posix::SenderOptions send_opts;
@@ -289,6 +320,51 @@ TEST(FaultPosixGarbage, CorruptedDataPacketsAreRejectedAndResent) {
   EXPECT_EQ(sink, object);
   EXPECT_GT(pair.receiver.corrupt_packets_dropped, 0);
   EXPECT_GT(pair.sender.packets_sent, pair.sender.packets_needed);
+}
+
+// ---------------------------------------------------------------------------
+// Control stream: only this flow's receiver can end a send
+// ---------------------------------------------------------------------------
+
+TEST(FaultPosixControl, ForeignCompletionDoesNotEndASend) {
+  const auto object = core::make_pattern(256 * 1024, 0xF0E1);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+
+  posix::SenderOptions send_opts;
+  send_opts.data_port = port_base(50);
+  send_opts.control_port = port_base(51);
+  send_opts.endpoint.timeout_ms = 30'000;
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = send_opts.data_port;
+  recv_opts.control_port = send_opts.control_port;
+  recv_opts.endpoint.timeout_ms = 30'000;
+
+  posix::TransferEngine engine({.workers = 2});
+  auto tx = engine.submit_send(send_opts, object);
+  ASSERT_FALSE(tx.done()) << tx.result().error;
+
+  // A raw client claims completion of a transfer one packet longer, with
+  // a good CRC, and hangs up.
+  const core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
+                                send_opts.endpoint.packet_bytes};
+  const std::int64_t foreign = spec.packet_count() + 1;
+  const auto frame = posix::encode_state({0x5EED, foreign, foreign, {}});
+  {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    const net::Fd client =
+        net::connect_with_backoff("127.0.0.1", send_opts.control_port, deadline);
+    ASSERT_TRUE(client.valid());
+    ASSERT_TRUE(net::send_all(client.get(), frame.data(), frame.size(), deadline));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(tx.done()) << "a foreign completion ended the send: "
+                          << posix::to_string(tx.status());
+
+  // The real receiver still gets the whole object.
+  const auto rx = posix::receive_object(recv_opts, sink);
+  ASSERT_TRUE(rx.completed()) << rx.error;
+  EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
+  EXPECT_EQ(sink, object);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,10 +445,10 @@ TEST(FaultPosixResume, RestartedReceiverResumesFromCheckpoint) {
   EXPECT_EQ(scratch.receiver.packets_restored, 0);
 
   // The resume handshake ran end to end: the second incarnation
-  // restored its checkpoint and the sender applied its resume frame,
-  // each counted once. (Comparing packets_sent with the scratch run
-  // instead depends on how many packets the sender pushes while the
-  // receiver restarts, which is timing.)
+  // restored its checkpoint and the sender applied the bitmap in its
+  // state frame, each counted once. (Comparing packets_sent with the
+  // scratch run instead depends on how many packets the sender pushes
+  // while the receiver restarts, which is timing.)
   EXPECT_GE(resumes_during, 2);
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the robustness building blocks: the fault-plan
-// grammar and injector, the CRC32 helper, the resume-frame codec, and
+// grammar and injector, the CRC32 helper, ACK decode hardening, and
 // the checkpoint sidecar format.
 #include <gtest/gtest.h>
 
@@ -191,44 +191,6 @@ TEST(FaultInjector, CleanPlanNeverInjects) {
     EXPECT_EQ(injector.next(FaultChannel::kData), FaultAction::kPass);
   }
   EXPECT_EQ(injector.total_injected(), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Resume frame codec
-// ---------------------------------------------------------------------------
-
-TEST(ResumeCodec, RoundTrip) {
-  const std::vector<std::uint8_t> bitmap = {0xFF, 0x0F, 0xA0};
-  const auto wire = posix::encode_resume(20, 13, bitmap);
-  EXPECT_EQ(wire.size(), posix::resume_frame_size(20));
-  const auto frame = posix::decode_resume(wire.data(), wire.size());
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->packet_count, 20);
-  EXPECT_EQ(frame->received_count, 13);
-  EXPECT_EQ(frame->bitmap, bitmap);
-}
-
-TEST(ResumeCodec, RejectsCorruptedFrame) {
-  const std::vector<std::uint8_t> bitmap = {0xFF, 0x0F, 0xA0};
-  auto wire = posix::encode_resume(20, 13, bitmap);
-  for (const std::size_t pos : {std::size_t{9}, std::size_t{25}, wire.size() - 1}) {
-    auto copy = wire;
-    copy[pos] ^= 0x40;
-    EXPECT_FALSE(posix::decode_resume(copy.data(), copy.size()).has_value())
-        << "flipped byte " << pos;
-  }
-  // Truncation and a wrong token are rejected too.
-  EXPECT_FALSE(posix::decode_resume(wire.data(), wire.size() - 1).has_value());
-  auto bad_token = wire;
-  bad_token[0] = 'X';
-  EXPECT_FALSE(posix::decode_resume(bad_token.data(), bad_token.size()).has_value());
-}
-
-TEST(ResumeCodec, RejectsInconsistentBitmapLength) {
-  // 100 packets need 13 bitmap bytes; claim 100 but attach 3.
-  const std::vector<std::uint8_t> bitmap = {0xFF, 0x0F, 0xA0};
-  const auto wire = posix::encode_resume(100, 13, bitmap);
-  EXPECT_FALSE(posix::decode_resume(wire.data(), wire.size()).has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ TEST(FileServer, EveryStripeSessionWritesItsOwnTrace) {
   ASSERT_TRUE(result.completed()) << result.error;
   EXPECT_EQ(result.stripes, 2);
   // The server counts the transfer once both stripe sessions have read
-  // their completion token, i.e. after each wrote its trace.
+  // their completion signal, i.e. after each wrote its trace.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.transfers_completed() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

@@ -205,21 +205,6 @@ TEST(Metrics, HistogramBoundariesAreInclusive) {
   EXPECT_EQ(h.bucket(2), 1);
 }
 
-TEST(Metrics, DisabledMeansNoOp) {
-  MetricsRegistry registry;
-  auto& c = registry.counter("c");
-  MetricsRegistry::set_enabled(false);
-  c.inc(100);
-  registry.gauge("g").set(5);
-  registry.histogram("h", {1}).observe(7);
-  MetricsRegistry::set_enabled(true);
-  EXPECT_EQ(c.value(), 0);
-  EXPECT_EQ(registry.gauge("g").value(), 0);
-  EXPECT_EQ(registry.histogram("h", {1}).count(), 0);
-  c.inc();
-  EXPECT_EQ(c.value(), 1);
-}
-
 TEST(Metrics, SnapshotAndJsonlCoverEveryInstrument) {
   MetricsRegistry registry;
   registry.counter("a").inc(3);
