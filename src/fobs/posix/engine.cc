@@ -168,7 +168,7 @@ std::vector<detail::Flow<Byte>> make_flows(const Options& options, std::span<Byt
     std::string parse_error;
     auto fault_plan = fobs::net::FaultPlan::parse(fault_spec, &parse_error);
     if (fault_plan && !fault_plan->control.empty()) {
-      // The control stream is a TCP byte stream the flow loops never
+      // The control stream is a TCP byte stream the flow sessions never
       // perturb; a plan that asks for it would run clean.
       fault_plan.reset();
       parse_error = "control.* faults apply only in the simulator";

@@ -8,10 +8,10 @@
 // ports, its stripe's bytes, its parsed fault plan and its tracer —
 // then runs one *flow session* per stripe on a pool worker and books
 // each flow's terminal trace event and outcome counters when it ends.
-// A flow session is the blocking POSIX driver loop with
-// its own sendmmsg/recvmmsg DatagramChannel for the data plane, its own
-// control connection on control_port + i, its own EventTracer (when
-// requested), and the fault-injection and checkpoint machinery. The
+// A flow session is a blocking socket pump around a sans-io flow
+// session (fobs/posix/session.h, which holds the fault and checkpoint
+// machinery), with its own sendmmsg/recvmmsg DatagramChannel, control
+// connection on control_port + i and EventTracer (when requested). The
 // caller holds one TransferHandle for the whole transfer and can
 // wait(), poll status(), cancel() every flow at once, and read the
 // aggregate result().

@@ -183,10 +183,10 @@ struct Flow {
 using SendFlow = Flow<const std::uint8_t>;
 using ReceiveFlow = Flow<std::uint8_t>;
 
-/// The blocking per-flow FOBS loops, which the engine runs on its
-/// workers. `options` are the transfer's: the loops read the peer host,
-/// the core configuration, timeout_ms and the checkpoint cadence from
-/// them, and everything per-flow from `flow`. `cancel` (nullable) is
+/// The blocking per-flow socket pumps around the flow sessions
+/// (fobs/posix/session.h), which the engine runs on its workers.
+/// `options` are the transfer's (peer host, core configuration, timeout,
+/// checkpoint cadence); everything per-flow is in `flow`. `cancel` (nullable) is
 /// polled once per loop iteration; setting it makes the loop exit with
 /// TransferStatus::kCancelled. `listener` is the flow's bound control
 /// listener (on flow.control_port), closed when the flow returns.

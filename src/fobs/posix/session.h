@@ -1,0 +1,172 @@
+// Sans-io FOBS flow sessions: every decision one POSIX flow adds to its
+// core (header and CRC, fault injection, state frames, the ACK epoch
+// filter, reconnects, the stall give-up, placement, checkpoint folds,
+// counters and traces), with no socket, syscall or clock read. Inputs
+// are what the pump saw and the time; outputs are what it does next.
+// posix_transfer.cc pumps them over sockets; tests/test_sessions.cc
+// over in-memory queues on a virtual clock.
+#pragma once
+
+#include <array>
+#include <chrono>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "fobs/posix/codec.h"
+#include "fobs/posix/posix_transfer.h"
+
+namespace fobs::posix::detail {
+
+using SessionTime = std::chrono::steady_clock::time_point;
+
+/// The terminal status, stall budget and fault injector of one flow.
+class FlowSession {
+ public:
+  /// The pump's socket failed: the flow ends with kSocketError.
+  void on_socket_error(std::string error) {
+    end(TransferStatus::kSocketError, std::move(error));
+  }
+
+ protected:
+  FlowSession(int timeout_ms, const std::optional<fobs::net::FaultPlan>& plan,
+              fobs::telemetry::EventTracer* tracer, SessionTime start);
+
+  void restart_budget(SessionTime now) { next_check_ = now + interval_; }
+  /// Cancel check, then `core.on_stall_interval()` per elapsed interval:
+  /// a full budget of empty ones is a stall (a timeout when the flow
+  /// never progressed). True, with the status set, when it must end.
+  template <typename Core>
+  bool budget_spent(SessionTime now, bool cancelled, Core& core, bool progressed);
+  /// Counts one survived fault: result field, fobs.fault.* counter, trace.
+  template <typename Count>
+  void count_fault(Count& count, const char* metric, fobs::telemetry::EventType event,
+                   std::int64_t seq = -1);
+  void end(TransferStatus status, std::string error) {
+    status_ = status;
+    error_ = std::move(error);
+  }
+  /// Fills `result`'s status, timing and goodput; books injected faults.
+  template <typename Result>
+  void close(Result& result, SessionTime now, bool completed, std::int64_t object_bytes) const;
+  [[nodiscard]] bool ended() const { return status_ != TransferStatus::kRunning; }
+  [[nodiscard]] bool crash_due() const { return faults_ && faults_->crash_due(); }
+  /// Ends the flow as kCrashed once the crash schedule is due.
+  bool crash_now() {
+    if (!crash_due()) return false;
+    end(TransferStatus::kCrashed, "injected crash");
+    return true;
+  }
+  [[nodiscard]] fobs::net::FaultDecision decide(fobs::net::FaultChannel channel) {
+    return faults_ ? faults_->decide(channel) : fobs::net::FaultDecision{};
+  }
+
+  fobs::telemetry::EventTracer* const tracer_;
+
+ private:
+  const SessionTime start_;
+  const std::chrono::steady_clock::duration interval_;
+  SessionTime next_check_;
+  int streak_ = 0;
+  TransferStatus status_ = TransferStatus::kRunning;
+  std::string error_;
+  std::optional<fobs::net::FaultInjector> faults_;
+};
+
+/// One sending flow. Per loop iteration the pump calls tick, accepts or
+/// reads the control connection, hands in every queued ACK, and then
+/// either waits (idle) or sends next_batch() and calls on_batch_sent.
+class SenderSession : public FlowSession {
+ public:
+  SenderSession(const SenderOptions& options, const SendFlow& flow, SessionTime start);
+
+  /// Cancel and stall checks. True when the flow must end.
+  bool tick(SessionTime now, bool cancelled);
+  /// A control connection was accepted (after the last one closed). True
+  /// when it is a reconnect: the ACK view is reset and the pump discards
+  /// the ACKs already queued.
+  [[nodiscard]] bool on_control_connected();
+  /// Control-stream bytes. True when the stream desynced: the pump drops
+  /// the connection and the receiver re-establishes it.
+  [[nodiscard]] bool on_control_bytes(std::span<const std::uint8_t> bytes);
+  /// One data-socket datagram; after completion it is only counted.
+  void on_ack_datagram(std::span<const std::uint8_t> bytes);
+  /// Every packet is acked in the local view: nothing to send.
+  [[nodiscard]] bool idle() const { return core_.all_acked(); }
+  /// One FOBS batch as header + payload views, fault schedule applied.
+  /// Valid until the next call.
+  std::span<const fobs::net::DatagramView> next_batch();
+  /// The batch was sent: traced; a crash due while selecting ends the flow.
+  void on_batch_sent();
+  /// The adaptive extension's pause after a batch (zero when off).
+  [[nodiscard]] std::chrono::nanoseconds pacing_gap() const {
+    return std::chrono::nanoseconds(core_.pacing_gap().ns());
+  }
+  [[nodiscard]] bool completed() const { return core_.completion_received(); }
+  [[nodiscard]] bool done() const { return completed() || ended(); }
+  /// The result, without the pump's I/O counters.
+  SenderResult finish(SessionTime now);
+
+ private:
+  fobs::core::SenderCore core_;
+  std::span<const std::uint8_t> stripe_;
+  SenderResult result_;
+  bool control_ever_connected_ = false;
+  std::vector<std::uint8_t> control_buf_;
+  /// Empty until a state frame names the receiver's epoch; then only its
+  /// ACKs apply. A reconnect sets 0 (no receiver's) until the next frame.
+  std::optional<std::uint32_t> epoch_;
+  std::vector<std::array<std::uint8_t, kDataHeaderSize>> headers_;
+  std::vector<fobs::net::DatagramView> views_;
+  std::vector<std::vector<std::uint8_t>> corrupt_payloads_;
+  int selected_ = 0;
+  bool crash_pending_ = false;
+};
+
+/// One receiving flow. The pump writes state_frame() on every control
+/// connection, hands in every datagram (sending the ACK views returned
+/// back to its source), and once completed() writes state_frame() again.
+class ReceiverSession : public FlowSession {
+ public:
+  /// Restores the flow's range of `checkpoint` (nullable). `epoch` is
+  /// this incarnation's nonzero epoch, stamped on every ACK and frame.
+  ReceiverSession(const ReceiverOptions& options, const ReceiveFlow& flow,
+                  TransferCheckpoint* checkpoint, std::uint32_t epoch, SessionTime start);
+
+  /// The first control connect failed: ends the flow.
+  void on_connect_failed(bool cancelled);
+  /// A control connection is up: the first starts the stall budget, a
+  /// later one counts as a reconnect.
+  void on_control_connected(SessionTime now);
+  /// What this incarnation holds; all packets is the completion signal.
+  [[nodiscard]] std::vector<std::uint8_t> state_frame() const;
+  /// Cancel, stall and crash checks. True when the flow must end.
+  bool tick(SessionTime now, bool cancelled);
+  /// One data-socket datagram. Only a valid one is placed and may yield
+  /// 0-2 ACK copies, valid until the next call.
+  std::span<const fobs::net::DatagramView> on_datagram(std::span<const std::uint8_t> bytes);
+  /// Every packet is in, and the flow did not end first (a restored
+  /// flow whose control connect failed ends kPeerLost).
+  [[nodiscard]] bool completed() const { return core_.complete() && !ended(); }
+  [[nodiscard]] bool done() const { return core_.complete() || ended(); }
+  /// The result, without I/O counters; a completed flow folds its range.
+  ReceiverResult finish(SessionTime now);
+
+ private:
+  fobs::core::ReceiverCore core_;
+  std::span<std::uint8_t> stripe_;
+  std::size_t first_packet_;
+  TransferCheckpoint* const checkpoint_;
+  const std::uint32_t epoch_;
+  const int checkpoint_every_acks_;
+  ReceiverResult result_;
+  bool control_ever_connected_ = false;
+  int acks_since_checkpoint_ = 0;
+  std::vector<std::uint8_t> ack_;
+  std::array<fobs::net::DatagramView, 2> ack_views_;
+};
+
+}  // namespace fobs::posix::detail

@@ -9,6 +9,8 @@
 
 namespace fobs::core {
 
+using fobs::net::FaultDecision;
+
 // ---------------------------------------------------------------------------
 // SimSender
 // ---------------------------------------------------------------------------
@@ -73,15 +75,7 @@ void SimSender::step() {
     const auto* payload = std::any_cast<AckPacketPayload>(&pkt->payload);
     if (payload != nullptr && payload->ack != nullptr) {
       busy += host_.cpu().recv_cost(fobs::util::DataSize::bytes(payload->ack->wire_bytes()));
-      if (payload->corrupted) {
-        ++corrupt_acks_dropped_;
-        telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-        if (auto* tracer = core_.tracer()) {
-          tracer->record(telemetry::EventType::kCorruptDrop, -1, corrupt_acks_dropped_);
-        }
-      } else {
-        core_.on_ack(*payload->ack);
-      }
+      take_ack(*payload);
     }
   }
 
@@ -124,16 +118,10 @@ void SimSender::step() {
     // The injector models in-flight damage: a dropped packet is sent by
     // the core's accounting but never reaches the wire, a corrupted one
     // arrives with a failing checksum, a duplicated one arrives twice.
-    int copies = 1;
-    if (faults_ != nullptr) {
-      switch (faults_->next(fobs::net::FaultChannel::kData)) {
-        case fobs::net::FaultAction::kDrop: copies = 0; break;
-        case fobs::net::FaultAction::kCorrupt: payload.corrupted = true; break;
-        case fobs::net::FaultAction::kDuplicate: copies = 2; break;
-        case fobs::net::FaultAction::kPass: break;
-      }
-    }
-    for (int copy = 0; copy < copies; ++copy) {
+    const auto fate =
+        faults_ != nullptr ? faults_->decide(fobs::net::FaultChannel::kData) : FaultDecision{};
+    payload.corrupted = fate.corrupt;
+    for (int copy = 0; copy < fate.copies; ++copy) {
       const bool ok =
           data_out_.send_to(receiver_node_, static_cast<PortId>(port_base_ + kDataPortOffset),
                             len + kDataHeaderBytes, payload);
@@ -232,17 +220,22 @@ void SimSender::pump_tcp() {
   }
   // Fold in any FOBS acknowledgements that arrived meanwhile.
   while (auto pkt = ack_in_.try_recv()) {
-    if (const auto* ack = std::any_cast<AckPacketPayload>(&pkt->payload)) {
-      if (ack->ack == nullptr) continue;
-      if (ack->corrupted) {
-        ++corrupt_acks_dropped_;
-        telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-        continue;
-      }
-      core_.on_ack(*ack->ack);
-    }
+    const auto* ack = std::any_cast<AckPacketPayload>(&pkt->payload);
+    if (ack != nullptr && ack->ack != nullptr) take_ack(*ack);
   }
   host_.network().sim().schedule_in(Duration::milliseconds(2), [this] { pump_tcp(); });
+}
+
+void SimSender::take_ack(const AckPacketPayload& ack) {
+  if (!ack.corrupted) {
+    core_.on_ack(*ack.ack);
+    return;
+  }
+  ++corrupt_acks_dropped_;
+  telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
+  if (auto* tracer = core_.tracer()) {
+    tracer->record(telemetry::EventType::kCorruptDrop, -1, corrupt_acks_dropped_);
+  }
 }
 
 void SimSender::probe_tick() {
@@ -333,17 +326,11 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
     auto ack = std::make_shared<const AckMessage>(core_.make_ack());
     const std::int64_t bytes = ack->wire_bytes();
     AckPacketPayload ack_payload{std::move(ack)};
-    int copies = 1;
-    if (faults_ != nullptr) {
-      switch (faults_->next(fobs::net::FaultChannel::kAck)) {
-        case fobs::net::FaultAction::kDrop: copies = 0; break;
-        case fobs::net::FaultAction::kCorrupt: ack_payload.corrupted = true; break;
-        case fobs::net::FaultAction::kDuplicate: copies = 2; break;
-        case fobs::net::FaultAction::kPass: break;
-      }
-    }
-    bool wire_ok = copies == 0;  // an injector-eaten ACK still "sent" fine
-    for (int copy = 0; copy < copies; ++copy) {
+    const auto fate =
+        faults_ != nullptr ? faults_->decide(fobs::net::FaultChannel::kAck) : FaultDecision{};
+    ack_payload.corrupted = fate.corrupt;
+    bool wire_ok = fate.copies == 0;  // an injector-eaten ACK still "sent" fine
+    for (int copy = 0; copy < fate.copies; ++copy) {
       if (ack_out_.send_to(sender_node_, static_cast<PortId>(port_base_ + kAckPortOffset),
                            bytes, ack_payload)) {
         wire_ok = true;
@@ -371,15 +358,10 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
   if (result.just_completed) {
     completed_at_ = sim.now();
     CompletionSignal signal{core_.stats().packets_received};
-    bool deliver = true;
-    if (faults_ != nullptr) {
-      switch (faults_->next(fobs::net::FaultChannel::kControl)) {
-        case fobs::net::FaultAction::kDrop: deliver = false; break;
-        case fobs::net::FaultAction::kCorrupt: signal.corrupted = true; break;
-        default: break;
-      }
-    }
-    if (deliver) control_conn_.send_message(kCompletionSignalBytes, signal);
+    const auto fate = faults_ != nullptr ? faults_->decide(fobs::net::FaultChannel::kControl)
+                                         : FaultDecision{};
+    signal.corrupted = fate.corrupt;
+    if (fate.copies > 0) control_conn_.send_message(kCompletionSignalBytes, signal);
     FOBS_DEBUG("fobs.receiver", "object complete at " << completed_at_.seconds() << "s");
   }
   return busy;

@@ -96,6 +96,8 @@ class SimSender {
   void exit_fallback();
   void pump_tcp();
   void probe_tick();
+  /// Folds one ACK into the core, or counts and traces a corrupt one.
+  void take_ack(const AckPacketPayload& ack);
 
   Host& host_;
   TransferSpec spec_;

@@ -190,6 +190,16 @@ FaultAction FaultInjector::next(FaultChannel channel) {
   return FaultAction::kPass;
 }
 
+FaultDecision FaultInjector::decide(FaultChannel channel) {
+  switch (next(channel)) {
+    case FaultAction::kDrop: return {0, false};
+    case FaultAction::kCorrupt: return {1, true};
+    case FaultAction::kDuplicate: return {2, false};
+    case FaultAction::kPass: break;
+  }
+  return {};
+}
+
 std::int64_t FaultInjector::total_injected() const {
   std::int64_t total = 0;
   for (const auto& stats : stats_) {

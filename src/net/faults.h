@@ -8,8 +8,8 @@
 //    and mark payloads corrupted / swallow them / send them twice;
 //  * the transfer engine parses a plan for each POSIX flow at submit,
 //    from an options field or the FOBS_FAULT_PLAN environment variable,
-//    and the flow loops interpose the identical data/ack/crash schedule
-//    on real sockets. Nothing perturbs the POSIX control stream, so the
+//    and the flow sessions apply the identical data/ack/crash schedule
+//    to real sockets. Nothing perturbs the POSIX control stream, so the
 //    engine rejects a plan with a control.* schedule at submit.
 // Decisions are drawn from per-channel RNG streams keyed off the plan
 // seed, so a given (plan, channel, packet-index) always produces the
@@ -43,6 +43,14 @@ inline constexpr std::size_t kFaultChannelCount = 3;
 
 /// What the injector decided for one packet on one channel.
 enum class FaultAction : std::uint8_t { kPass, kDrop, kCorrupt, kDuplicate };
+
+/// What an endpoint does with that packet: puts `copies` (0, 1 or 2)
+/// of it on the wire, damaged when `corrupt`. A receiving endpoint
+/// treats no copies as "never arrived" and takes a duplicate once.
+struct FaultDecision {
+  int copies = 1;
+  bool corrupt = false;
+};
 
 /// Per-channel fault schedule. Probabilities are per packet and
 /// mutually exclusive (corrupt is checked first, then drop, then dup).
@@ -110,6 +118,8 @@ class FaultInjector {
   /// Decides the fate of the next packet on `channel` and advances that
   /// channel's schedule.
   FaultAction next(FaultChannel channel);
+  /// next(channel) as the endpoint's decision.
+  FaultDecision decide(FaultChannel channel);
 
   /// True once the data-channel packet counter has reached the plan's
   /// crash point (the caller abandons the transfer when it sees this).

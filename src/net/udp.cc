@@ -17,31 +17,22 @@ UdpEndpoint::~UdpEndpoint() { host_.unbind(port_); }
 
 bool UdpEndpoint::send_to(NodeId dst, PortId dst_port, std::int64_t payload_bytes,
                           std::any payload) {
-  SimDatagram datagram{dst, dst_port, payload_bytes, std::move(payload)};
-  return send_batch({&datagram, 1}) == 1;
-}
-
-std::size_t UdpEndpoint::send_batch(std::span<SimDatagram> batch) {
-  std::size_t sent = 0;
-  for (SimDatagram& datagram : batch) {
-    assert(datagram.payload_bytes >= 0);
-    const std::int64_t wire = datagram.payload_bytes + fobs::sim::kUdpIpOverheadBytes;
-    if (!host_.can_send(wire)) {
-      ++stats_.send_would_block;
-      break;
-    }
-    Packet pkt;
-    pkt.dst = datagram.dst;
-    pkt.dst_port = datagram.dst_port;
-    pkt.src_port = port_;
-    pkt.size_bytes = wire;
-    pkt.payload = std::move(datagram.payload);
-    host_.send(std::move(pkt));
-    ++stats_.datagrams_sent;
-    stats_.bytes_sent += datagram.payload_bytes;
-    ++sent;
+  assert(payload_bytes >= 0);
+  const std::int64_t wire = payload_bytes + fobs::sim::kUdpIpOverheadBytes;
+  if (!host_.can_send(wire)) {
+    ++stats_.send_would_block;
+    return false;
   }
-  return sent;
+  Packet pkt;
+  pkt.dst = dst;
+  pkt.dst_port = dst_port;
+  pkt.src_port = port_;
+  pkt.size_bytes = wire;
+  pkt.payload = std::move(payload);
+  host_.send(std::move(pkt));
+  ++stats_.datagrams_sent;
+  stats_.bytes_sent += payload_bytes;
+  return true;
 }
 
 bool UdpEndpoint::writable(std::int64_t payload_bytes) const {
@@ -49,20 +40,11 @@ bool UdpEndpoint::writable(std::int64_t payload_bytes) const {
 }
 
 std::optional<Packet> UdpEndpoint::try_recv() {
-  Packet pkt;
-  if (recv_batch({&pkt, 1}) == 0) return std::nullopt;
+  if (rx_queue_.empty()) return std::nullopt;
+  Packet pkt = std::move(rx_queue_.front());
+  rx_queue_.pop_front();
+  rx_bytes_ -= pkt.size_bytes;
   return pkt;
-}
-
-std::size_t UdpEndpoint::recv_batch(std::span<Packet> out) {
-  std::size_t n = 0;
-  while (n < out.size() && !rx_queue_.empty()) {
-    out[n] = std::move(rx_queue_.front());
-    rx_queue_.pop_front();
-    rx_bytes_ -= out[n].size_bytes;
-    ++n;
-  }
-  return n;
 }
 
 void UdpEndpoint::handle_packet(Packet packet) {

@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <span>
 
 #include "host/host.h"
 #include "sim/packet.h"
@@ -27,16 +26,6 @@ using fobs::host::Host;
 using fobs::sim::NodeId;
 using fobs::sim::Packet;
 using fobs::sim::PortId;
-
-/// One outgoing datagram for UdpEndpoint::send_batch — the sim-side
-/// analogue of the POSIX channel's DatagramView (the sim carries opaque
-/// payload handles, not scatter-gather byte spans).
-struct SimDatagram {
-  NodeId dst = 0;
-  PortId dst_port = 0;
-  std::int64_t payload_bytes = 0;
-  std::any payload;
-};
 
 struct UdpStats {
   std::uint64_t datagrams_sent = 0;
@@ -61,30 +50,16 @@ class UdpEndpoint final : public fobs::host::PortHandler {
   [[nodiscard]] Host& host() { return host_; }
 
   /// Sends one datagram of `payload_bytes` application bytes (wire size
-  /// adds UDP/IP overhead). Returns false — like EWOULDBLOCK — when the
-  /// send buffer (NIC queue) cannot take the datagram. Thin wrapper
-  /// over send_batch().
+  /// adds UDP/IP overhead). Returns false — like EWOULDBLOCK, counted
+  /// as one would-block — when the send buffer (NIC queue) cannot take
+  /// the datagram.
   bool send_to(NodeId dst, PortId dst_port, std::int64_t payload_bytes, std::any payload);
-
-  /// Batch send, matching the POSIX DatagramChannel surface so cores
-  /// and drivers are written against one shape: sends datagrams in
-  /// order until the NIC queue refuses one, and returns how many went
-  /// out. Sent entries have their payloads moved from; the first
-  /// refused entry (counted as one would-block) and everything after it
-  /// are left intact for a retry.
-  std::size_t send_batch(std::span<SimDatagram> batch);
 
   /// True when `send_to` for a datagram of this size would succeed.
   [[nodiscard]] bool writable(std::int64_t payload_bytes) const;
 
-  /// Non-blocking receive; returns the oldest buffered datagram. Thin
-  /// wrapper over recv_batch().
+  /// Non-blocking receive; returns the oldest buffered datagram.
   std::optional<Packet> try_recv();
-
-  /// Batch drain, matching the POSIX DatagramChannel surface: moves up
-  /// to out.size() buffered datagrams (oldest first) into `out` and
-  /// returns the count; 0 means the buffer is empty.
-  std::size_t recv_batch(std::span<Packet> out);
   [[nodiscard]] bool has_data() const { return !rx_queue_.empty(); }
   [[nodiscard]] std::size_t buffered_datagrams() const { return rx_queue_.size(); }
   [[nodiscard]] std::int64_t buffered_bytes() const { return rx_bytes_; }

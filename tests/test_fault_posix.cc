@@ -7,10 +7,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -365,6 +367,140 @@ TEST(FaultPosixControl, ForeignCompletionDoesNotEndASend) {
   ASSERT_TRUE(rx.completed()) << rx.error;
   EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
   EXPECT_EQ(sink, object);
+}
+
+/// A TCP relay in front of a sender's control port. It forwards the
+/// first connection's first receiver-state frame and then closes both
+/// ends of that connection, as a middlebox reset would; every later
+/// connection is relayed both ways until either end closes.
+class DroppingRelay {
+ public:
+  DroppingRelay(std::uint16_t listen_port, std::uint16_t sender_port,
+                std::int64_t packet_count)
+      : listener_(net::listen_tcp(listen_port, 4)),
+        thread_([this, sender_port, packet_count] { run(sender_port, packet_count); }) {}
+  ~DroppingRelay() {
+    stop_ = true;
+    thread_.join();
+  }
+
+  [[nodiscard]] bool listening() const { return listener_.valid(); }
+  /// True once the first connection was forwarded its frame and closed.
+  [[nodiscard]] bool wait_first_dropped(std::chrono::milliseconds timeout) const {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (!first_dropped_ && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return first_dropped_;
+  }
+
+ private:
+  /// Waits for `fd` to become readable; false once the relay stops.
+  bool wait_readable(int fd) const {
+    while (!stop_) {
+      pollfd pfd{fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) > 0) return true;
+    }
+    return false;
+  }
+
+  void run(std::uint16_t sender_port, std::int64_t packet_count) {
+    if (!listener_.valid()) return;
+    for (int accepted = 0; wait_readable(listener_.get());) {
+      net::Fd down(::accept(listener_.get(), nullptr, nullptr));
+      if (!down.valid()) continue;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      const net::Fd up = net::connect_with_backoff("127.0.0.1", sender_port, deadline);
+      if (!up.valid()) return;
+      if (accepted++ == 0) {
+        forward_first_frame(down, up, packet_count, deadline);
+        first_dropped_ = true;
+      } else {
+        relay(down, up);
+      }
+    }
+  }
+
+  void forward_first_frame(const net::Fd& down, const net::Fd& up, std::int64_t packet_count,
+                           std::chrono::steady_clock::time_point deadline) const {
+    std::vector<std::uint8_t> buffer;
+    while (wait_readable(down.get())) {
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::recv(down.get(), chunk, sizeof chunk, 0);
+      if (n <= 0) return;
+      buffer.insert(buffer.end(), chunk, chunk + n);
+      const auto frame = posix::next_control_frame(buffer.data(), buffer.size(), packet_count);
+      if (frame.kind == posix::ControlFrameKind::kNeedMore) continue;
+      net::send_all(up.get(), buffer.data(), frame.consumed, deadline);
+      return;
+    }
+  }
+
+  void relay(const net::Fd& down, const net::Fd& up) const {
+    const int fds[2] = {down.get(), up.get()};
+    while (!stop_) {
+      pollfd pfds[2] = {{fds[0], POLLIN, 0}, {fds[1], POLLIN, 0}};
+      if (::poll(pfds, 2, 20) <= 0) continue;
+      for (int i = 0; i < 2; ++i) {
+        if (pfds[i].revents == 0) continue;
+        std::uint8_t chunk[4096];
+        const ssize_t n = ::recv(fds[i], chunk, sizeof chunk, MSG_DONTWAIT);
+        if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) return;
+        if (n > 0) {
+          net::send_all(fds[1 - i], chunk, static_cast<std::size_t>(n),
+                        std::chrono::steady_clock::now() + std::chrono::seconds(1));
+        }
+      }
+    }
+  }
+
+  net::Fd listener_;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> first_dropped_{false};
+  std::thread thread_;
+};
+
+TEST(FaultPosixControl, ReceiverReconnectsWhenTheSenderDropsItsControlConnection) {
+  const auto object = core::make_pattern(256 * 1024, 0xD20B);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  constexpr int kStallBudgetMs = 3'000;
+
+  posix::SenderOptions send_opts;
+  send_opts.data_port = port_base(52);
+  send_opts.control_port = port_base(53);
+  send_opts.endpoint.timeout_ms = kStallBudgetMs;
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = send_opts.data_port;
+  recv_opts.control_port = port_base(54);  // the relay
+  recv_opts.endpoint.timeout_ms = kStallBudgetMs;
+
+  // The sender's control port is bound before the send starts, so the
+  // relay's connections wait in its backlog meanwhile.
+  std::vector<net::Fd> listeners;
+  listeners.push_back(net::listen_tcp(send_opts.control_port, 4));
+  ASSERT_TRUE(listeners[0].valid());
+  const core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
+                                send_opts.endpoint.packet_bytes};
+  DroppingRelay relay(recv_opts.control_port, send_opts.control_port, spec.packet_count());
+  ASSERT_TRUE(relay.listening());
+
+  posix::TransferEngine engine({.workers = 2});
+  auto rx = engine.submit_receive(recv_opts, sink);
+  // The first connection is gone before any data flows, so only a
+  // receiver that watches its control connection can deliver completion.
+  ASSERT_TRUE(relay.wait_first_dropped(std::chrono::seconds(5)));
+  posix::SessionParams params;
+  params.control_listeners = std::move(listeners);
+  auto tx = engine.submit_send(send_opts, object, std::move(params));
+
+  EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
+  EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
+  EXPECT_EQ(sink, object);
+  const auto& sender = tx.result().stripe_senders.at(0);
+  const auto& receiver = rx.result().stripe_receivers.at(0);
+  EXPECT_LT(sender.elapsed_seconds, kStallBudgetMs / 1e3 / 2);
+  EXPECT_GE(receiver.reconnects, 1);
+  EXPECT_GE(sender.reconnects, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 #include "exp/testbeds.h"
 #include "fobs/sim_driver.h"
+#include "net/faults.h"
 #include "sim/cross_traffic.h"
+#include "telemetry/trace.h"
 
 namespace fobs {
 namespace {
@@ -16,10 +18,13 @@ struct FallbackRun {
   std::int64_t via_tcp = 0;
   bool receiver_complete = false;
   double waste = 0.0;
+  std::int64_t corrupt_acks_dropped = 0;
+  std::int64_t corrupt_drops_traced = 0;
 };
 
 FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
-                              util::Duration episode_end = util::Duration::zero()) {
+                              util::Duration episode_end = util::Duration::zero(),
+                              const std::string& fault_plan = "") {
   auto spec = exp::spec_for(exp::PathId::kGigabitContended);
   spec.cross_sources = 8;
   spec.cross_peak = util::DataRate::megabits_per_second(150);
@@ -50,6 +55,14 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
   core::SimSender sender(bed.src(), transfer, sender_config, nullptr, bed.dst().id());
   core::SimReceiver receiver(bed.dst(), transfer, receiver_config, nullptr, bed.src().id(),
                              64 * 1024);
+  // The plan's ack.* schedule runs at the receiver; the sender's tracer
+  // sees the corrupt ACKs it drops on the UDP and the fallback path.
+  net::FaultInjector faults(*net::FaultPlan::parse(fault_plan));
+  telemetry::EventTracer tracer;
+  if (!fault_plan.empty()) {
+    receiver.set_fault_injector(&faults);
+    sender.set_tracer(&tracer);
+  }
   FallbackRun run;
   sender.set_on_finished([&run] { run.done = true; });
   receiver.start();
@@ -60,6 +73,8 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
   run.via_tcp = sender.packets_sent_via_tcp();
   run.receiver_complete = receiver.complete();
   run.waste = sender.core().waste();
+  run.corrupt_acks_dropped = sender.corrupt_acks_dropped();
+  run.corrupt_drops_traced = tracer.count(telemetry::EventType::kCorruptDrop);
   return run;
 }
 
@@ -84,6 +99,15 @@ TEST(FobsTcpFallback, TransientEpisodeStillCompletesExactly) {
   EXPECT_TRUE(run.done);
   EXPECT_TRUE(run.receiver_complete);
   EXPECT_GE(run.waste, 0.0);
+}
+
+TEST(FobsTcpFallback, CorruptAcksAreTracedOnTheUdpAndTheFallbackPath) {
+  const auto run = run_with_overload(/*tcp_fallback=*/true, /*extra_sources=*/6,
+                                     util::Duration::zero(), "seed=9;ack.corrupt=0.05");
+  EXPECT_TRUE(run.done);
+  EXPECT_GE(run.episodes, 1);
+  EXPECT_GT(run.corrupt_acks_dropped, 0);
+  EXPECT_EQ(run.corrupt_drops_traced, run.corrupt_acks_dropped);
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <any>
-#include <span>
-#include <vector>
 
 #include "host/host.h"
 #include "net/udp.h"
@@ -20,7 +18,6 @@ using host::HostConfig;
 using net::UdpEndpoint;
 using sim::LinkConfig;
 using sim::Network;
-using sim::Packet;
 using sim::Simulation;
 using util::DataRate;
 using util::DataSize;
@@ -132,49 +129,44 @@ TEST(Udp, SendWouldBlockWhenNicFull) {
   EXPECT_TRUE(sender.writable(1400));
 }
 
-TEST(Udp, BatchSendAndBatchRecvMirrorTheSingleCalls) {
+TEST(Udp, SendToAndTryRecvKeepFifoOrderAndByteCounts) {
   TwoHosts world;
   UdpEndpoint sender(*world.a);
   UdpEndpoint receiver(*world.b, 5000);
-  std::vector<net::SimDatagram> batch;
   for (int i = 0; i < 8; ++i) {
-    batch.push_back({world.b->id(), 5000, 500, std::any{i}});
+    EXPECT_TRUE(sender.send_to(world.b->id(), 5000, 500, std::any{i}));
   }
-  EXPECT_EQ(sender.send_batch(batch), 8u);
   EXPECT_EQ(sender.stats().datagrams_sent, 8u);
   world.sim.run();
 
-  // recv_batch drains oldest-first into the spans it is given, exactly
-  // like repeated try_recv calls would.
-  std::vector<Packet> out(5);
-  ASSERT_EQ(receiver.recv_batch(out), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(std::any_cast<int>(out[i].payload), i);
+  // try_recv drains oldest-first.
+  for (int i = 0; i < 5; ++i) {
+    auto pkt = receiver.try_recv();
+    ASSERT_TRUE(pkt.has_value());
+    EXPECT_EQ(std::any_cast<int>(pkt->payload), i);
+  }
   EXPECT_EQ(receiver.buffered_datagrams(), 3u);
-  auto rest = receiver.try_recv();
-  ASSERT_TRUE(rest.has_value());
-  EXPECT_EQ(std::any_cast<int>(rest->payload), 5);
-  ASSERT_EQ(receiver.recv_batch(out), 2u);
-  EXPECT_EQ(std::any_cast<int>(out[1].payload), 7);
-  EXPECT_EQ(receiver.recv_batch(out), 0u);
+  for (int i = 5; i < 8; ++i) {
+    auto pkt = receiver.try_recv();
+    ASSERT_TRUE(pkt.has_value());
+    EXPECT_EQ(std::any_cast<int>(pkt->payload), i);
+  }
+  EXPECT_FALSE(receiver.try_recv().has_value());
   EXPECT_EQ(receiver.stats().bytes_received, 8 * 500);
 }
 
-TEST(Udp, BatchSendStopsAtFirstRefusalLeavingTheRestIntact) {
+TEST(Udp, SendToRefusalCountsOneWouldBlockAndTheSameSendLaterSucceeds) {
   TwoHosts world(DataRate::megabits_per_second(1), /*queue=*/4096);
   UdpEndpoint sender(*world.a);
   UdpEndpoint receiver(*world.b, 5000);
-  std::vector<net::SimDatagram> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back({world.b->id(), 5000, 1400, std::any{i}});
-  }
-  const std::size_t sent = sender.send_batch(batch);
-  ASSERT_GT(sent, 0u);
-  ASSERT_LT(sent, batch.size());
+  int sent = 0;
+  while (sent < 64 && sender.send_to(world.b->id(), 5000, 1400, std::any{sent})) ++sent;
+  ASSERT_GT(sent, 0);
+  ASSERT_LT(sent, 64);
   EXPECT_EQ(sender.stats().send_would_block, 1u);
-  // The refused tail is untouched and can be retried verbatim.
-  EXPECT_EQ(std::any_cast<int>(batch[sent].payload), static_cast<int>(sent));
+  // The refused datagram goes out once the queue drains.
   world.sim.run();
-  EXPECT_GT(sender.send_batch(std::span(batch).subspan(sent)), 0u);
+  EXPECT_TRUE(sender.send_to(world.b->id(), 5000, 1400, std::any{sent}));
 }
 
 TEST(Udp, WritabilityNotificationFires) {

@@ -1,0 +1,446 @@
+// Property test of the sans-io flow sessions (fobs/posix/session.h).
+//
+// Each seeded case runs the real SenderSession/ReceiverSession pairs of
+// one transfer over in-memory datagram wires and control streams on a
+// virtual clock: no sockets, ports, threads or sleeps. The harness below
+// plays the pumps of posix_transfer.cc step for step. A case draws:
+//  * a stripe count of 1-4, with the flows built from a StripePlan the
+//    way the engine builds them;
+//  * data.* and ack.* drop, dup, corrupt and blackhole schedules for
+//    both ends of every flow, and sometimes one dead data link;
+//  * datagram reordering (each datagram has its own latency);
+//  * up to two control-connection drops (both ends see EOF);
+//  * up to two receiver crashes, each at a random packet count of one
+//    flow. A crash kills every receiver flow at once, as a killed
+//    process would: the stripe bytes already written stay (a file-backed
+//    mapping keeps them), the flows restart with a new epoch from the
+//    transfer's checkpoint file, and datagrams still in flight, ACKs
+//    stamped with the dead epoch included, are delivered late.
+//
+// Properties:
+//  * a sender flow completes only when its stripe is byte-identical;
+//  * at every crash and at the end, each packet the checkpoint marks
+//    holds the source's bytes;
+//  * a case whose data links all pass some data completes, byte-identical
+//    to the source; a case with a dead link ends non-completed.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "fobs/posix/checkpoint.h"
+#include "fobs/posix/session.h"
+#include "fobs/sim_transfer.h"
+#include "fobs/stripe/plan.h"
+
+namespace fobs {
+namespace {
+
+using posix::TransferStatus;
+using posix::detail::ReceiverSession;
+using posix::detail::SenderSession;
+using posix::detail::SessionTime;
+using Bytes = std::vector<std::uint8_t>;
+
+constexpr int kCases = 1000;
+constexpr std::uint64_t kFirstSeed = 0x5E55;
+/// Stall budget of every flow, in virtual time (8 intervals of 50 ms).
+constexpr int kTimeoutMs = 400;
+constexpr auto kStep = std::chrono::milliseconds(1);
+/// No case may run longer than this many steps of virtual time.
+constexpr int kMaxSteps = 60'000;
+
+/// One direction of a flow's datagram path. Each datagram arrives after
+/// its own latency, so a later one can overtake an earlier one.
+class Wire {
+ public:
+  void send(SessionTime arrival, Bytes bytes) { in_flight_.emplace(arrival, std::move(bytes)); }
+  /// Takes up to `max` datagrams that have arrived by `now`, oldest
+  /// arrival first.
+  std::vector<Bytes> arrived(SessionTime now, std::size_t max = 32) {
+    std::vector<Bytes> out;
+    while (!in_flight_.empty() && out.size() < max && in_flight_.begin()->first <= now) {
+      out.push_back(std::move(in_flight_.begin()->second));
+      in_flight_.erase(in_flight_.begin());
+    }
+    return out;
+  }
+
+ private:
+  std::multimap<SessionTime, Bytes> in_flight_;
+};
+
+/// A control connection: the receiver writes, the sender reads.
+struct Connection {
+  Bytes unread;
+  bool receiver_closed = false;  ///< the sender reads EOF once `unread` is empty
+  bool sender_closed = false;    ///< the receiver's next check sees EOF
+};
+
+/// One flow's network: its two datagram wires, the connections waiting
+/// in the sender's listen backlog, and each end's current connection.
+struct Link {
+  Wire data;
+  Wire acks;
+  std::deque<std::shared_ptr<Connection>> backlog;
+  std::shared_ptr<Connection> sender_side;
+  std::shared_ptr<Connection> receiver_side;
+};
+
+net::ChannelFaults draw_faults(util::Rng& rng, double max_prob) {
+  net::ChannelFaults faults;
+  if (rng.bernoulli(0.5)) faults.drop = rng.uniform(0.0, max_prob);
+  if (rng.bernoulli(0.4)) faults.duplicate = rng.uniform(0.0, max_prob);
+  if (rng.bernoulli(0.4)) faults.corrupt = rng.uniform(0.0, max_prob);
+  if (rng.bernoulli(0.3)) {
+    faults.blackhole_start = rng.uniform_int(0, 40);
+    faults.blackhole_count = rng.uniform_int(1, 40);
+  }
+  return faults;
+}
+
+Bytes datagram_bytes(const net::DatagramView& view) {
+  Bytes out(view.header.begin(), view.header.end());
+  out.insert(out.end(), view.payload.begin(), view.payload.end());
+  return out;
+}
+
+class CaseRun {
+ public:
+  CaseRun(std::uint64_t seed, std::string checkpoint_path)
+      : rng_(seed), checkpoint_path_(std::move(checkpoint_path)) {
+    const std::int64_t packet_bytes = std::int64_t{16} << rng_.uniform_int(0, 4);
+    const std::int64_t object_bytes = rng_.uniform_int(1, 96 * packet_bytes);
+    source_ = core::make_pattern(object_bytes, seed);
+    sink_.assign(source_.size(), 0);
+    const core::TransferSpec spec{object_bytes, packet_bytes};
+    const int stripes = static_cast<int>(
+        std::min<std::int64_t>(rng_.uniform_int(1, 4), stripe::StripePlan::max_stripes(spec)));
+    EXPECT_TRUE(stripe::StripePlan::make(spec, stripes, &plan_));
+
+    send_options_.core.batch_size = static_cast<int>(rng_.uniform_int(1, 4));
+    send_options_.endpoint.timeout_ms = kTimeoutMs;
+    recv_options_.core.ack_frequency = rng_.uniform_int(2, 16);
+    recv_options_.endpoint.timeout_ms = kTimeoutMs;
+    recv_options_.checkpoint_every_acks = static_cast<int>(rng_.uniform_int(1, 4));
+    const std::int64_t reorder_us[] = {0, 200, 3000, 20000};
+    reorder_us_ = reorder_us[rng_.uniform_int(0, 3)];
+    crashes_left_ = static_cast<int>(rng_.uniform_int(0, 2));
+    drops_left_ = static_cast<int>(rng_.uniform_int(0, 2));
+    next_drop_at_ = rng_.uniform_int(0, 2 * spec.packet_count());
+    const int dead_flow = rng_.bernoulli(0.05) ? pick_flow() : -1;
+    dead_link_ = dead_flow >= 0;
+
+    for (int i = 0; i < plan_.stripe_count(); ++i) {
+      posix::detail::SendFlow send;
+      posix::detail::ReceiveFlow receive;
+      send.spec = receive.spec = plan_.stripe_spec(i);
+      send.first_packet = receive.first_packet = plan_.first_packet(i);
+      const auto offset = static_cast<std::size_t>(plan_.spec().offset_of(send.first_packet));
+      const auto size = static_cast<std::size_t>(send.spec.object_bytes);
+      send.stripe = std::span<const std::uint8_t>(source_).subspan(offset, size);
+      receive.stripe = std::span<std::uint8_t>(sink_).subspan(offset, size);
+      net::FaultPlan faults;
+      faults.seed = rng_.next();
+      faults.data = draw_faults(rng_, 0.3);
+      if (i == dead_flow) faults.data.drop = 1.0;
+      send.fault_plan = faults;
+      send_flows_.push_back(send);
+      receive_flows_.push_back(receive);
+    }
+    links_.resize(send_flows_.size());
+    sender_results_.resize(send_flows_.size());
+    for (const auto& flow : send_flows_) {
+      senders_.push_back(std::make_unique<SenderSession>(send_options_, flow, now_));
+    }
+    posix::remove_checkpoint(checkpoint_path_);
+    start_receivers();
+  }
+
+  ~CaseRun() { posix::remove_checkpoint(checkpoint_path_); }
+
+  void run() {
+    for (int step = 0; step < kMaxSteps; ++step) {
+      for (std::size_t f = 0; f < senders_.size(); ++f) {
+        sender_step(f);
+        receiver_step(f);
+      }
+      if (crashed_) {
+        crashed_ = false;
+        ++crashes_;
+        check_checkpoint("at a receiver crash");
+        for (auto& link : links_) close_receiver_side(link);
+        start_receivers();
+      }
+      maybe_drop_control();
+      if (finished()) {
+        check_outcome();
+        return;
+      }
+      now_ += kStep;
+    }
+    ADD_FAILURE() << "case did not end within " << kMaxSteps << " steps";
+  }
+
+  [[nodiscard]] bool completed() const {
+    for (const auto& result : sender_results_) {
+      if (!result || !result->completed()) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] int crashes() const { return crashes_; }
+  [[nodiscard]] std::int64_t restored() const { return restored_; }
+  [[nodiscard]] std::int64_t stale_acks() const { return stale_acks_; }
+
+ private:
+  int pick_flow() { return static_cast<int>(rng_.uniform_int(0, plan_.stripe_count() - 1)); }
+
+  SessionTime arrival() {
+    return now_ + std::chrono::microseconds(100 + rng_.uniform_int(0, reorder_us_));
+  }
+
+  /// One iteration of run_sender's loop for flow `f`.
+  void sender_step(std::size_t f) {
+    if (sender_results_[f]) return;
+    SenderSession& session = *senders_[f];
+    Link& link = links_[f];
+    if (!session.tick(now_, false)) {
+      if (!link.sender_side) {
+        if (!link.backlog.empty()) {
+          link.sender_side = link.backlog.front();
+          link.backlog.pop_front();
+          // A reconnect discards every ACK already queued on the socket.
+          if (session.on_control_connected()) link.acks.arrived(now_, SIZE_MAX);
+        }
+      } else {
+        Connection& connection = *link.sender_side;
+        Bytes bytes;
+        bytes.swap(connection.unread);
+        const bool eof = bytes.empty() && connection.receiver_closed;
+        if (eof || session.on_control_bytes(bytes)) {
+          connection.sender_closed = true;
+          link.sender_side.reset();
+        }
+      }
+      if (!session.done()) {
+        for (const auto& ack : link.acks.arrived(now_)) session.on_ack_datagram(ack);
+        if (!session.idle()) {
+          for (const auto& view : session.next_batch()) {
+            link.data.send(arrival(), datagram_bytes(view));
+          }
+          session.on_batch_sent();
+        }
+      }
+    }
+    if (!session.done()) return;
+    if (session.completed()) {
+      for (const auto& ack : link.acks.arrived(now_, SIZE_MAX)) session.on_ack_datagram(ack);
+    }
+    sender_results_[f] = session.finish(now_);
+    stale_acks_ += sender_results_[f]->stale_acks_dropped;
+    const auto& flow = send_flows_[f];
+    if (sender_results_[f]->completed()) {
+      EXPECT_TRUE(std::equal(flow.stripe.begin(), flow.stripe.end(),
+                             receive_flows_[f].stripe.begin()))
+          << "flow " << f << " completed without its bytes";
+    }
+  }
+
+  /// One iteration of run_receiver's loop for flow `f`, and its
+  /// completion delivery once the flow is done.
+  void receiver_step(std::size_t f) {
+    if (!receivers_[f]) return;
+    ReceiverSession& session = *receivers_[f];
+    Link& link = links_[f];
+    if (!session.done() && !session.tick(now_, false)) {
+      const auto datagrams = link.data.arrived(now_);
+      if (datagrams.empty() && link.receiver_side && link.receiver_side->sender_closed) {
+        connect(f);
+      }
+      for (const auto& datagram : datagrams) {
+        if (session.done()) break;
+        ++delivered_;
+        for (const auto& view : session.on_datagram(datagram)) {
+          link.acks.send(arrival(), datagram_bytes(view));
+        }
+      }
+    }
+    if (!session.done()) return;
+    if (session.completed()) {
+      auto& connection = link.receiver_side;
+      if (connection && connection->sender_closed) close_receiver_side(link);
+      bool delivered = connection != nullptr;
+      if (delivered) append_state(f);
+      for (int attempt = 0; !delivered && attempt < 3; ++attempt) delivered = connect(f);
+    }
+    const auto result = session.finish(now_);
+    receivers_[f].reset();
+    restored_ += result.packets_restored;
+    if (result.status == TransferStatus::kCrashed) crashed_ = true;
+  }
+
+  /// The receiver pump's (re)connect: the old connection closes, and a
+  /// new one gets the state frame, unless the sender flow has ended and
+  /// its listener with it.
+  bool connect(std::size_t f) {
+    Link& link = links_[f];
+    close_receiver_side(link);
+    if (sender_results_[f]) return false;
+    link.receiver_side = std::make_shared<Connection>();
+    link.backlog.push_back(link.receiver_side);
+    receivers_[f]->on_control_connected(now_);
+    append_state(f);
+    return true;
+  }
+
+  void append_state(std::size_t f) {
+    const auto frame = receivers_[f]->state_frame();
+    auto& unread = links_[f].receiver_side->unread;
+    unread.insert(unread.end(), frame.begin(), frame.end());
+  }
+
+  static void close_receiver_side(Link& link) {
+    if (link.receiver_side) link.receiver_side->receiver_closed = true;
+    link.receiver_side.reset();
+  }
+
+  /// A new receiver incarnation: every flow restarts from the checkpoint
+  /// file with a fresh epoch, and one flow may carry the next crash.
+  void start_receivers() {
+    checkpoint_ = std::make_unique<posix::TransferCheckpoint>(
+        checkpoint_path_, plan_.spec().object_bytes, plan_.spec().packet_bytes);
+    ++epoch_;
+    const int crash_flow = crashes_left_ > 0 ? pick_flow() : -1;
+    if (crash_flow >= 0) --crashes_left_;
+    receivers_.clear();
+    for (std::size_t f = 0; f < receive_flows_.size(); ++f) {
+      auto& flow = receive_flows_[f];
+      net::FaultPlan faults;
+      faults.seed = rng_.next();
+      faults.data = draw_faults(rng_, 0.1);
+      faults.ack = draw_faults(rng_, 0.3);
+      if (static_cast<int>(f) == crash_flow) {
+        faults.crash_at_packet = rng_.uniform_int(0, 2 * flow.spec.packet_count());
+      }
+      flow.fault_plan = faults;
+      receivers_.push_back(std::make_unique<ReceiverSession>(recv_options_, flow,
+                                                             checkpoint_.get(), epoch_, now_));
+      if (!connect(f)) receivers_[f]->on_connect_failed(false);
+    }
+  }
+
+  /// A middlebox resets one live control connection after a random
+  /// number of delivered packets: both ends see EOF.
+  void maybe_drop_control() {
+    if (drops_left_ == 0 || delivered_ < next_drop_at_) return;
+    const auto f = static_cast<std::size_t>(pick_flow());
+    Link& link = links_[f];
+    if (!link.sender_side || !receivers_[f] || receivers_[f]->done()) return;
+    link.sender_side->receiver_closed = link.sender_side->sender_closed = true;
+    --drops_left_;
+    next_drop_at_ = delivered_ + rng_.uniform_int(1, 64);
+  }
+
+  [[nodiscard]] bool finished() const {
+    for (const auto& result : sender_results_) {
+      if (!result) return false;
+    }
+    for (const auto& receiver : receivers_) {
+      if (receiver) return false;
+    }
+    return true;
+  }
+
+  /// Every packet the checkpoint file marks holds the source's bytes.
+  void check_checkpoint(const char* when) {
+    const auto saved = posix::load_checkpoint(checkpoint_path_);
+    if (!saved) return;
+    const auto& spec = plan_.spec();
+    ASSERT_EQ(saved->packet_count(), spec.packet_count());
+    util::Bitmap marks(static_cast<std::size_t>(spec.packet_count()));
+    marks.merge_range(0, marks.size(), saved->bitmap.data(), saved->bitmap.size());
+    for (std::int64_t seq = 0; seq < spec.packet_count(); ++seq) {
+      if (!marks.test(static_cast<std::size_t>(seq))) continue;
+      const auto offset = spec.offset_of(seq);
+      const auto end = offset + spec.payload_bytes(seq);
+      ASSERT_TRUE(std::equal(source_.begin() + offset, source_.begin() + end,
+                             sink_.begin() + offset))
+          << "checkpoint marks packet " << seq << " without its bytes, " << when;
+    }
+  }
+
+  void check_outcome() {
+    check_checkpoint("at the end");
+    if (dead_link_) {
+      EXPECT_FALSE(completed()) << "a transfer with a dead data link completed";
+      return;
+    }
+    ASSERT_TRUE(completed()) << "a transfer whose links all pass data did not complete";
+    EXPECT_EQ(sink_, source_);
+  }
+
+  util::Rng rng_;
+  const std::string checkpoint_path_;
+  Bytes source_;
+  Bytes sink_;
+  stripe::StripePlan plan_;
+  posix::SenderOptions send_options_;
+  posix::ReceiverOptions recv_options_;
+  std::int64_t reorder_us_ = 0;
+  bool dead_link_ = false;
+  std::vector<posix::detail::SendFlow> send_flows_;
+  std::vector<posix::detail::ReceiveFlow> receive_flows_;
+  std::vector<Link> links_;
+  std::vector<std::unique_ptr<SenderSession>> senders_;
+  std::vector<std::optional<posix::SenderResult>> sender_results_;
+  std::unique_ptr<posix::TransferCheckpoint> checkpoint_;
+  std::vector<std::unique_ptr<ReceiverSession>> receivers_;
+  std::uint32_t epoch_ = 0;
+  SessionTime now_{};
+  int crashes_left_ = 0;
+  int crashes_ = 0;
+  bool crashed_ = false;
+  int drops_left_ = 0;
+  std::int64_t delivered_ = 0;
+  std::int64_t next_drop_at_ = 0;
+  std::int64_t restored_ = 0;
+  std::int64_t stale_acks_ = 0;
+};
+
+TEST(SessionProperty, SeededCrashResumeCasesEndByteIdenticalOrWithAnHonestCheckpoint) {
+  const std::string path =
+      ::testing::TempDir() + "fobs_sessions_" + std::to_string(::getpid()) + ".ckpt";
+  int completed = 0;
+  int crashes = 0;
+  std::int64_t restored = 0;
+  std::int64_t stale_acks = 0;
+  for (int i = 0; i < kCases && !::testing::Test::HasFailure(); ++i) {
+    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(i);
+    SCOPED_TRACE("case seed " + std::to_string(seed));
+    CaseRun run(seed, path);
+    run.run();
+    completed += run.completed() ? 1 : 0;
+    crashes += run.crashes();
+    restored += run.restored();
+    stale_acks += run.stale_acks();
+  }
+  // The schedules reach the paths under test: crashes that restore
+  // from a checkpoint, and ACKs from a dead epoch that the sender drops.
+  EXPECT_GT(completed, kCases / 2);
+  EXPECT_GT(crashes, kCases / 4);
+  EXPECT_GT(restored, 0);
+  EXPECT_GT(stale_acks, 0);
+}
+
+}  // namespace
+}  // namespace fobs
