@@ -1,9 +1,11 @@
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
+// CRC-32C (Castagnoli, reflected, polynomial 0x82F63B78).
 //
-// Used as the per-packet payload checksum on the POSIX wire format and
-// as the integrity seal on resume checkpoints — cheap enough for the
-// hot receive path (table-driven, byte at a time) and strong enough to
-// reject the random corruption the fault-injection harness produces.
+// The one integrity check in the program: it seals every POSIX data
+// packet (header and payload), every receiver-state frame, every resume
+// checkpoint and the fetched object's checksum. On x86-64 CPUs with
+// SSE4.2 it runs the `crc32` instruction over 8-byte words; everywhere
+// else it runs slicing-by-8 over constexpr tables. The path is chosen
+// once, from the CPU, and both give the same value for the same bytes.
 #pragma once
 
 #include <cstddef>
@@ -11,9 +13,14 @@
 
 namespace fobs::util {
 
-/// CRC of `len` bytes starting from `seed` (pass the previous return
-/// value to checksum discontiguous regions as one stream).
+/// CRC-32C of `len` bytes starting from `seed` (pass the previous
+/// return value to checksum discontiguous regions as one stream).
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                                   std::uint32_t seed = 0);
+
+/// The portable slicing-by-8 path crc32() takes on CPUs without SSE4.2;
+/// same contract. Exposed so tests and benchmarks can run it anywhere.
+[[nodiscard]] std::uint32_t crc32_portable(const std::uint8_t* data, std::size_t len,
+                                           std::uint32_t seed = 0);
 
 }  // namespace fobs::util

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace fobs::core {
@@ -131,12 +132,7 @@ bool TransferObject::sync() {
 }
 
 std::uint64_t TransferObject::checksum() const {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (std::int64_t i = 0; i < size_; ++i) {
-    hash ^= data_[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+  return fobs::util::crc32(data_, static_cast<std::size_t>(size_));
 }
 
 bool TransferObject::write_to_file(const std::string& path) const {

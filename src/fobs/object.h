@@ -56,7 +56,7 @@ class TransferObject {
   /// non-mapped objects (nothing to flush) and on success.
   bool sync();
 
-  /// FNV-1a 64-bit content checksum (integrity spot check).
+  /// CRC-32C of the content (util::crc32), widened (integrity spot check).
   [[nodiscard]] std::uint64_t checksum() const;
 
   /// Writes the content to `path`; false on I/O error.

@@ -8,7 +8,7 @@
 //
 // The file is written atomically (temp file + rename) so a crash
 // mid-checkpoint leaves the previous checkpoint intact, and sealed with
-// a CRC32 so a torn or foreign file is rejected instead of resuming
+// a CRC-32C so a torn or foreign file is rejected instead of resuming
 // from garbage.
 //
 // A checkpoint always describes the whole object, so a transfer resumes

@@ -33,7 +33,7 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 constexpr std::size_t kAckFixedSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4;  // 48 bytes
 
 // Receiver-state frame: token, epoch, packet_count, received_count,
-// bitmap length; the bitmap and a CRC32 trailer follow.
+// bitmap length; the bitmap and a CRC-32C trailer follow.
 constexpr std::uint64_t kStateToken = 0x464F425353544154ull;  // "FOBSSTAT"
 constexpr std::size_t kStateFixedSize = 8 + 4 + 8 + 8 + 4;
 constexpr std::size_t kStateTrailerSize = 4;
@@ -45,7 +45,7 @@ void encode_data_header(const DataHeader& header, std::uint8_t* out) {
   out[4] = kTypeData;
   out[5] = out[6] = out[7] = 0;
   put_u64(out + 8, static_cast<std::uint64_t>(header.seq));
-  put_u32(out + 16, header.payload_crc);
+  put_u32(out + kDataSealedHeaderBytes, header.crc);
 }
 
 std::optional<DataHeader> decode_data_header(const std::uint8_t* data, std::size_t len) {
@@ -53,12 +53,17 @@ std::optional<DataHeader> decode_data_header(const std::uint8_t* data, std::size
   if (get_u32(data) != kMagic || data[4] != kTypeData) return std::nullopt;
   DataHeader header;
   header.seq = static_cast<fobs::core::PacketSeq>(get_u64(data + 8));
-  header.payload_crc = get_u32(data + 16);
+  header.crc = get_u32(data + kDataSealedHeaderBytes);
   return header;
 }
 
-std::uint32_t payload_crc(const std::uint8_t* payload, std::size_t len) {
-  return fobs::util::crc32(payload, len);
+std::uint32_t packet_crc(const std::uint8_t* header, const std::uint8_t* payload,
+                         std::size_t len) {
+  return fobs::util::crc32(payload, len, fobs::util::crc32(header, kDataSealedHeaderBytes));
+}
+
+void seal_data_header(std::uint8_t* header, const std::uint8_t* payload, std::size_t len) {
+  put_u32(header + kDataSealedHeaderBytes, packet_crc(header, payload, len));
 }
 
 std::vector<std::uint8_t> encode_ack(const fobs::core::AckMessage& ack) {

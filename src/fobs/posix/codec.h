@@ -1,7 +1,9 @@
 // Binary wire codec for real-socket FOBS (network byte order).
 //
-// Data packet:  20-byte header (magic, type, flags, seq, payload CRC32)
-//               + payload.
+// Data packet:  20-byte header (magic, type, flags, seq, CRC-32C) +
+//               payload. The CRC seals header bytes [0, 16) and then
+//               the payload, so a damaged seq fails it like a damaged
+//               payload byte.
 // ACK packet:   fixed header (including the receiver's incarnation
 //               epoch) + packed bitmap fragment.
 // Control stream (TCP): one frame type, the receiver-state frame: the
@@ -38,20 +40,29 @@ inline constexpr std::size_t kDataHeaderSize = 20;
 inline constexpr std::int64_t kMaxDatagramBytes = 64 * 1024;
 inline constexpr std::int64_t kMaxAckFragmentBits = kMaxDatagramBytes * 8;
 
+/// Leading data-header bytes the packet CRC covers: magic, type, flags
+/// and seq, everything before the CRC field itself.
+inline constexpr std::size_t kDataSealedHeaderBytes = 16;
+
 struct DataHeader {
   fobs::core::PacketSeq seq = 0;
-  /// CRC32 (IEEE) over the payload bytes that follow the header.
-  std::uint32_t payload_crc = 0;
+  /// CRC-32C over header bytes [0, kDataSealedHeaderBytes) and then the
+  /// payload that follows the header (see packet_crc()).
+  std::uint32_t crc = 0;
 };
 
 /// Writes the data-packet header into `out` (size >= kDataHeaderSize).
 void encode_data_header(const DataHeader& header, std::uint8_t* out);
 /// Parses a data-packet header; nullopt when magic/type mismatch. The
-/// caller checks `payload_crc` against the payload (see payload_crc()).
+/// caller checks `crc` against packet_crc() over the bytes it received.
 std::optional<DataHeader> decode_data_header(const std::uint8_t* data, std::size_t len);
 
-/// CRC32 of a data packet's payload bytes.
-[[nodiscard]] std::uint32_t payload_crc(const std::uint8_t* payload, std::size_t len);
+/// The packet seal: CRC-32C over the first kDataSealedHeaderBytes of the
+/// encoded `header`, then `len` payload bytes.
+[[nodiscard]] std::uint32_t packet_crc(const std::uint8_t* header, const std::uint8_t* payload,
+                                       std::size_t len);
+/// Stores packet_crc() in the CRC field of an encoded `header`.
+void seal_data_header(std::uint8_t* header, const std::uint8_t* payload, std::size_t len);
 
 /// Serializes an AckMessage into a datagram payload.
 std::vector<std::uint8_t> encode_ack(const fobs::core::AckMessage& ack);
@@ -71,7 +82,7 @@ struct ReceiverState {
   friend bool operator==(const ReceiverState&, const ReceiverState&) = default;
 };
 
-/// Serializes a receiver-state frame (fixed part + bitmap + CRC32 over
+/// Serializes a receiver-state frame (fixed part + bitmap + CRC-32C over
 /// everything after the token).
 std::vector<std::uint8_t> encode_state(const ReceiverState& state);
 

@@ -127,7 +127,7 @@ struct FetchResult {
   std::int64_t bytes = 0;
   std::int64_t packets_restored = 0;  ///< resumed from a checkpoint
   double goodput_mbps = 0.0;
-  std::uint64_t checksum = 0;  ///< FNV-1a of the fetched content
+  std::uint64_t checksum = 0;  ///< CRC-32C of the fetched content
   int stripes = 0;             ///< flows actually used (granted by the server)
   /// More than one stripe was requested but the server granted one.
   bool fallback_single_flow = false;

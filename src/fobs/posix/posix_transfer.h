@@ -112,7 +112,7 @@ struct ReceiverResult {
   std::int64_t packets_received = 0;
   std::int64_t duplicates = 0;
   double goodput_mbps = 0.0;
-  /// Data packets rejected because their payload CRC32 failed.
+  /// Data packets rejected because their packet CRC-32C failed.
   std::int64_t corrupt_packets_dropped = 0;
   /// Packets pre-seeded from a checkpoint instead of the network.
   std::int64_t packets_restored = 0;

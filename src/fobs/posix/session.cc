@@ -142,7 +142,8 @@ std::span<const fobs::net::DatagramView> SenderSession::next_batch() {
     const auto len = static_cast<std::size_t>(spec.payload_bytes(*seq));
     const std::uint8_t* payload = stripe_.data() + spec.offset_of(*seq);
     auto& header = headers_[static_cast<std::size_t>(selected_++)];
-    encode_data_header(DataHeader{*seq, payload_crc(payload, len)}, header.data());
+    encode_data_header(DataHeader{*seq}, header.data());
+    seal_data_header(header.data(), payload, len);
     const auto fate = decide(FaultChannel::kData);
     if (fate.corrupt) {
       // Flip a byte of a private copy after the CRC was computed, so the
@@ -247,8 +248,9 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
   if (bytes.size() < kDataHeaderSize + len) return {};  // truncated
   const std::uint8_t* payload = bytes.data() + kDataHeaderSize;
   // A CRC failure never touches the stripe; the sender resends it. The
-  // receiver's data schedule models damage the CRC missed, per datagram.
-  const bool crc_ok = payload_crc(payload, len) == header->payload_crc;
+  // CRC covers the seq too, so a damaged seq cannot misplace good bytes.
+  // The receiver's data schedule models damage the CRC missed, per datagram.
+  const bool crc_ok = packet_crc(bytes.data(), payload, len) == header->crc;
   const auto fate = crc_ok ? decide(FaultChannel::kData) : fobs::net::FaultDecision{};
   if (fate.copies == 0) return {};
   if (!crc_ok || fate.corrupt) {

@@ -11,8 +11,8 @@ namespace fobs::core {
 
 /// One FOBS data packet. `data` points into the sender's object buffer
 /// (which outlives the simulation); a null pointer means a size-only run
-/// with no payload verification. `corrupted` models a payload whose
-/// CRC32 check fails at the receiver (the fault injector sets it; the
+/// with no payload verification. `corrupted` models a packet whose
+/// CRC-32C check fails at the receiver (the fault injector sets it; the
 /// real-socket codec carries an actual checksum) — the receiver must
 /// reject the packet instead of writing it into the object.
 struct DataPacketPayload {

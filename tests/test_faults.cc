@@ -1,5 +1,5 @@
 // Unit tests for the robustness building blocks: the fault-plan
-// grammar and injector, the CRC32 helper, ACK decode hardening, and
+// grammar and injector, the CRC-32C helper, ACK decode hardening, and
 // the checkpoint sidecar format.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
 #include "net/faults.h"
@@ -22,16 +23,65 @@ using net::FaultInjector;
 using net::FaultPlan;
 
 // ---------------------------------------------------------------------------
-// CRC32
+// CRC-32C
 // ---------------------------------------------------------------------------
 
+// Bit at a time, straight from the polynomial: the reference both
+// table/instruction paths must agree with.
+std::uint32_t crc32c_bitwise(const std::uint8_t* data, std::size_t len, std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) != 0 ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
 TEST(Crc32, MatchesKnownVectors) {
-  // The standard IEEE 802.3 check value.
+  // The standard CRC-32C check value, then RFC 3720 appendix B.4.
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(util::crc32(check, sizeof check), 0xCBF43926u);
-  EXPECT_EQ(util::crc32(nullptr, 0), 0u);
-  const std::uint8_t zero[4] = {0, 0, 0, 0};
-  EXPECT_EQ(util::crc32(zero, 4), 0x2144DF1Cu);
+  std::uint8_t zeros[32] = {};
+  std::uint8_t ones[32];
+  std::uint8_t ascending[32];
+  std::uint8_t descending[32];
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    ones[i] = 0xFF;
+    ascending[i] = i;
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  for (const auto crc : {util::crc32, util::crc32_portable}) {
+    EXPECT_EQ(crc(check, sizeof check, 0), 0xE3069283u);
+    EXPECT_EQ(crc(nullptr, 0, 0), 0u);
+    EXPECT_EQ(crc(zeros, 4, 0), 0x48674BC7u);
+    EXPECT_EQ(crc(zeros, 32, 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, 32, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, 32, 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(descending, 32, 0), 0x113FDB5Cu);
+  }
+}
+
+TEST(Crc32, BothPathsMatchBitwiseReferenceOnRandomSplits) {
+  util::Rng rng(0xC5C32);
+  std::vector<std::uint8_t> buffer(9000 + 8);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t offset = rng.next() % 8;  // every word alignment
+    const std::size_t len = rng.next() % 9001;
+    const std::uint8_t* data = buffer.data() + offset;
+    const std::uint32_t seed = round % 3 == 0 ? 0u : static_cast<std::uint32_t>(rng.next());
+    const auto expected = crc32c_bitwise(data, len, seed);
+    for (const auto crc : {util::crc32, util::crc32_portable}) {
+      ASSERT_EQ(crc(data, len, seed), expected) << "offset " << offset << " len " << len;
+      // The same stream fed in up to three pieces, split at random.
+      const std::size_t a = len == 0 ? 0 : rng.next() % (len + 1);
+      const std::size_t b = a + (len == a ? 0 : rng.next() % (len - a + 1));
+      std::uint32_t chained = crc(data, a, seed);
+      chained = crc(data + a, b - a, chained);
+      chained = crc(data + b, len - b, chained);
+      ASSERT_EQ(chained, expected) << "offset " << offset << " len " << len << " split " << a
+                                   << "/" << b;
+    }
+  }
 }
 
 TEST(Crc32, SeedChainsIncrementalComputation) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/crc32.h"
 #include "fobs/object.h"
 
 namespace fobs::core {
@@ -119,6 +120,21 @@ TEST(TransferObject, MapFileRwCreatesAndResizes) {
   EXPECT_EQ(resized->view()[0], 0xAA);
   EXPECT_EQ(resized->view()[199], 0);
   EXPECT_FALSE(TransferObject::map_file_rw(path, 0).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(TransferObject, ChecksumIsCrc32cOfTheBytes) {
+  // An odd size ends the mapping mid-word, so the last load is the tail.
+  const std::string path = temp_path("crc");
+  auto original = TransferObject::pattern(100'003, 17);
+  ASSERT_TRUE(original.write_to_file(path));
+  auto mapped = TransferObject::map_file(path);
+  ASSERT_TRUE(mapped.has_value());
+  for (const TransferObject* object : {&original, &*mapped}) {
+    const auto bytes = object->view();
+    EXPECT_EQ(object->checksum(), std::uint64_t{util::crc32(bytes.data(), bytes.size())});
+  }
+  EXPECT_EQ(TransferObject::allocate(0).checksum(), 0u);
   std::remove(path.c_str());
 }
 

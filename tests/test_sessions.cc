@@ -417,6 +417,43 @@ class CaseRun {
   std::int64_t stale_acks_ = 0;
 };
 
+// The packet CRC seals the header too: a datagram whose seq was damaged
+// in flight (here to another valid seq) is a corrupt drop, not good
+// bytes placed at the wrong offset.
+TEST(SessionHeaderSeal, FlippedSeqBitIsDroppedAsCorruptAndLeavesTheStripeUntouched) {
+  const core::TransferSpec spec{8 * 64, 64};
+  const Bytes source = core::make_pattern(spec.object_bytes, 7);
+  Bytes sink(source.size(), 0);
+  posix::detail::SendFlow send;
+  send.spec = spec;
+  send.stripe = source;
+  posix::detail::ReceiveFlow receive;
+  receive.spec = spec;
+  receive.stripe = sink;
+  posix::SenderOptions send_options;
+  send_options.core.batch_size = 1;
+  const SessionTime start{};
+  SenderSession sender(send_options, send, start);
+  ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, 1, start);
+
+  const auto batch = sender.next_batch();
+  ASSERT_EQ(batch.size(), 1u);
+  Bytes datagram = datagram_bytes(batch[0]);
+  const auto sent = posix::decode_data_header(datagram.data(), datagram.size());
+  ASSERT_TRUE(sent.has_value());
+  datagram[posix::kDataSealedHeaderBytes - 1] ^= 0x01;  // the seq's lowest bit
+  const auto damaged = posix::decode_data_header(datagram.data(), datagram.size());
+  ASSERT_TRUE(damaged.has_value());
+  ASSERT_NE(damaged->seq, sent->seq);
+  ASSERT_LT(damaged->seq, spec.packet_count());
+
+  EXPECT_TRUE(receiver.on_datagram(datagram).empty());
+  EXPECT_EQ(sink, Bytes(source.size(), 0));
+  const auto result = receiver.finish(start);
+  EXPECT_EQ(result.corrupt_packets_dropped, 1);
+  EXPECT_EQ(result.packets_received, 0);
+}
+
 TEST(SessionProperty, SeededCrashResumeCasesEndByteIdenticalOrWithAnHonestCheckpoint) {
   const std::string path =
       ::testing::TempDir() + "fobs_sessions_" + std::to_string(::getpid()) + ".ckpt";
