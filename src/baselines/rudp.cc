@@ -25,6 +25,9 @@ using fobs::util::TimePoint;
 
 constexpr PortId kRudpDataPort = 6001;
 constexpr PortId kRudpControlPort = 6002;
+/// Receiver's UDP socket buffer, and the give-up time of a run.
+constexpr std::int64_t kReceiverSocketBufferBytes = 256 * 1024;
+constexpr Duration kTimeout = Duration::seconds(600);
 
 struct PassDone {
   int pass = 0;
@@ -43,7 +46,7 @@ class RudpReceiver {
         config_(config),
         sender_(sender),
         received_(static_cast<std::size_t>(config.spec.packet_count())),
-        data_in_(host, kRudpDataPort, config.receiver_socket_buffer_bytes),
+        data_in_(host, kRudpDataPort, kReceiverSocketBufferBytes),
         listener_(host, kRudpControlPort, fobs::net::TcpConfig{},
                   [this](std::unique_ptr<TcpConnection> conn) {
                     control_ = std::move(conn);
@@ -183,10 +186,6 @@ class RudpSender {
     if (index_ >= missing_.size()) {
       ++pass_;
       awaiting_nak_ = true;
-      if (config_.tracer != nullptr) {
-        config_.tracer->record(fobs::telemetry::EventType::kBatchSent, pass_,
-                               static_cast<std::int64_t>(index_));
-      }
       control_.send_message(16, PassDone{pass_});
       return;
     }
@@ -227,12 +226,7 @@ RudpResult run_rudp_transfer(fobs::sim::Network& network, Host& src, Host& dst,
                              const RudpConfig& config) {
   auto& sim = network.sim();
   const auto start = sim.now();
-  const auto deadline = start + config.timeout;
-  if (config.tracer != nullptr) {
-    config.tracer->set_clock([&sim] { return sim.now().ns(); });
-    config.tracer->record(fobs::telemetry::EventType::kTransferStart, -1,
-                          config.spec.packet_count());
-  }
+  const auto deadline = start + kTimeout;
 
   RudpReceiver receiver(dst, config, src.id());
   RudpSender sender(src, config, dst.id());
@@ -240,12 +234,6 @@ RudpResult run_rudp_transfer(fobs::sim::Network& network, Host& src, Host& dst,
   sender.start();
 
   while (!sender.done() && sim.now() < deadline && sim.step()) {
-  }
-
-  if (config.tracer != nullptr) {
-    config.tracer->record(sender.done() ? fobs::telemetry::EventType::kCompletion
-                                        : fobs::telemetry::EventType::kTimeout,
-                          -1, sender.packets_sent());
   }
 
   RudpResult result;

@@ -14,7 +14,6 @@
 #include "fobs/types.h"
 #include "host/host.h"
 #include "sim/node.h"
-#include "telemetry/trace.h"
 
 namespace fobs::baselines {
 
@@ -26,11 +25,6 @@ struct RudpConfig {
   fobs::core::TransferSpec spec;
   /// Blast pacing rate; zero means "as fast as the NIC accepts".
   DataRate send_rate = DataRate::zero();
-  std::int64_t receiver_socket_buffer_bytes = 256 * 1024;
-  Duration timeout = Duration::seconds(600);
-  /// Optional event tracer (must outlive the run): transfer_start, one
-  /// batch_sent per blast pass, completion or timeout.
-  fobs::telemetry::EventTracer* tracer = nullptr;
 };
 
 struct RudpResult {

@@ -26,6 +26,16 @@ using fobs::util::TimePoint;
 
 constexpr PortId kSabulDataPort = 6101;
 constexpr PortId kSabulControlPort = 6102;
+/// Receiver's UDP socket buffer, and the give-up time of a run.
+constexpr std::int64_t kReceiverSocketBufferBytes = 256 * 1024;
+constexpr Duration kTimeout = Duration::seconds(600);
+/// Receiver report period (SABUL's SYN interval).
+constexpr Duration kReportInterval = Duration::milliseconds(20);
+/// Multiplicative slow-down on a lossy report / speed-up on a clean one.
+constexpr double kBackoffFactor = 1.125;
+constexpr double kSpeedupFactor = 0.975;
+/// Ceiling of the rate-increase rule, as a multiple of initial_rate.
+constexpr double kMaxRateFactor = 1.25;
 
 struct SabulReport {
   std::uint64_t report_no = 0;
@@ -41,7 +51,7 @@ class SabulReceiver {
         config_(config),
         sender_(sender),
         received_(static_cast<std::size_t>(config.spec.packet_count())),
-        data_in_(host, kSabulDataPort, config.receiver_socket_buffer_bytes),
+        data_in_(host, kSabulDataPort, kReceiverSocketBufferBytes),
         listener_(host, kSabulControlPort, fobs::net::TcpConfig{},
                   [this](std::unique_ptr<TcpConnection> conn) { control_ = std::move(conn); }) {}
 
@@ -58,7 +68,7 @@ class SabulReceiver {
   fobs::sim::Simulation& sim() { return host_.network().sim(); }
 
   void arm_report_timer() {
-    sim().schedule_in(config_.report_interval, [this] {
+    sim().schedule_in(kReportInterval, [this] {
       if (!sent_complete_) {
         send_report();
         arm_report_timer();
@@ -80,11 +90,11 @@ class SabulReceiver {
     // behaviour). Never fires before the first packet, and never
     // invents holes above what was actually observed.
     if (losses->empty() && !report.complete && highest_seen_ >= 0 &&
-        sim().now() - last_data_ >= config_.report_interval) {
+        sim().now() - last_data_ >= kReportInterval) {
       // After a longer silence even the packets *above* highest_seen
       // must be presumed lost (an entirely-lost tail produces no gap to
       // detect), so widen the scan to the whole object.
-      const bool long_quiet = sim().now() - last_data_ >= config_.report_interval * 3;
+      const bool long_quiet = sim().now() - last_data_ >= kReportInterval * 3;
       const PacketSeq scan_limit = long_quiet ? config_.spec.packet_count() - 1 : highest_seen_;
       std::size_t probe = 0;
       while (auto hole = received_.first_clear(probe)) {
@@ -154,8 +164,7 @@ class SabulSender {
         control_(host, fobs::net::TcpConfig{}) {
     const std::int64_t wire = config.spec.packet_bytes + fobs::core::kDataHeaderBytes +
                               fobs::sim::kUdpIpOverheadBytes;
-    const DataRate ceiling =
-        config.max_rate.is_zero() ? config.initial_rate * 1.25 : config.max_rate;
+    const DataRate ceiling = config.initial_rate * kMaxRateFactor;
     min_gap_ = fobs::util::transmission_time(DataSize::bytes(wire), ceiling);
     gap_ = fobs::util::transmission_time(DataSize::bytes(wire), config.initial_rate);
   }
@@ -190,18 +199,13 @@ class SabulSender {
     }
     if (report->losses != nullptr && !report->losses->empty()) {
       ++lossy_reports_;
-      if (config_.tracer != nullptr) {
-        config_.tracer->record(fobs::telemetry::EventType::kAckProcessed,
-                               static_cast<std::int64_t>(lossy_reports_),
-                               static_cast<std::int64_t>(report->losses->size()));
-      }
       for (PacketSeq s : *report->losses) {
         if (queued_rtx_.insert(s).second) rtx_queue_.push_back(s);
       }
       // Loss means congestion to SABUL: slow down.
-      gap_ = gap_ * config_.backoff_factor;
+      gap_ = gap_ * kBackoffFactor;
     } else {
-      gap_ = std::max(min_gap_, gap_ * config_.speedup_factor);
+      gap_ = std::max(min_gap_, gap_ * kSpeedupFactor);
     }
     if (idle_) {
       idle_ = false;
@@ -263,12 +267,7 @@ SabulResult run_sabul_transfer(fobs::sim::Network& network, Host& src, Host& dst
                                const SabulConfig& config) {
   auto& sim = network.sim();
   const auto start = sim.now();
-  const auto deadline = start + config.timeout;
-  if (config.tracer != nullptr) {
-    config.tracer->set_clock([&sim] { return sim.now().ns(); });
-    config.tracer->record(fobs::telemetry::EventType::kTransferStart, -1,
-                          config.spec.packet_count());
-  }
+  const auto deadline = start + kTimeout;
 
   SabulReceiver receiver(dst, config, src.id());
   SabulSender sender(src, config, dst.id());
@@ -276,12 +275,6 @@ SabulResult run_sabul_transfer(fobs::sim::Network& network, Host& src, Host& dst
   sender.start();
 
   while (!sender.done() && sim.now() < deadline && sim.step()) {
-  }
-
-  if (config.tracer != nullptr) {
-    config.tracer->record(sender.done() ? fobs::telemetry::EventType::kCompletion
-                                        : fobs::telemetry::EventType::kTimeout,
-                          -1, sender.packets_sent());
   }
 
   SabulResult result;

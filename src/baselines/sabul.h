@@ -13,7 +13,6 @@
 #include "fobs/types.h"
 #include "host/host.h"
 #include "sim/node.h"
-#include "telemetry/trace.h"
 
 namespace fobs::baselines {
 
@@ -26,18 +25,6 @@ struct SabulConfig {
   /// Initial pacing rate (the user's estimate of the available
   /// bandwidth, as in SABUL's configuration).
   DataRate initial_rate = DataRate::megabits_per_second(95);
-  /// Ceiling for the rate-increase rule; zero means 1.25x initial_rate.
-  DataRate max_rate = DataRate::zero();
-  /// Receiver report period (SABUL's SYN interval).
-  Duration report_interval = Duration::milliseconds(20);
-  /// Multiplicative slow-down on a lossy report / speed-up on a clean one.
-  double backoff_factor = 1.125;
-  double speedup_factor = 0.975;
-  std::int64_t receiver_socket_buffer_bytes = 256 * 1024;
-  Duration timeout = Duration::seconds(600);
-  /// Optional event tracer (must outlive the run): transfer_start, one
-  /// ack_processed per lossy receiver report, completion or timeout.
-  fobs::telemetry::EventTracer* tracer = nullptr;
 };
 
 struct SabulResult {

@@ -144,11 +144,10 @@ Testbed::Testbed(const TestbedSpec& spec, std::uint64_t seed) : spec_(spec) {
   };
 
   // Forward path: src -> r1 -> r2 -> dst.
-  auto& l_src = make_link("src-nic", spec.src_nic, spec.src_nic_delay, spec.nic_queue_bytes);
+  auto& l_src = make_link("src-nic", spec.src_nic, kSrcNicDelay, kNicQueueBytes);
   auto& l_fwd =
       make_link("backbone-fwd", spec.backbone, spec.backbone_delay, spec.backbone_queue_bytes);
-  auto& l_in = make_link("dst-ingress", spec.dst_ingress, spec.dst_ingress_delay,
-                         spec.nic_queue_bytes);
+  auto& l_in = make_link("dst-ingress", kDstIngress, kDstIngressDelay, kNicQueueBytes);
   l_src.set_sink(&r1);
   l_fwd.set_sink(&r2);
   l_in.set_sink(dst_);
@@ -157,11 +156,10 @@ Testbed::Testbed(const TestbedSpec& spec, std::uint64_t seed) : spec_(spec) {
   }
 
   // Reverse path: dst -> r2 -> r1 -> src (ACKs and TCP control/acks).
-  auto& l_dst = make_link("dst-nic", spec.dst_ingress, spec.dst_ingress_delay,
-                          spec.nic_queue_bytes);
+  auto& l_dst = make_link("dst-nic", kDstIngress, kDstIngressDelay, kNicQueueBytes);
   auto& l_rev =
       make_link("backbone-rev", spec.backbone, spec.backbone_delay, spec.backbone_queue_bytes);
-  auto& l_out = make_link("src-ingress", spec.src_nic, spec.src_nic_delay, spec.nic_queue_bytes);
+  auto& l_out = make_link("src-ingress", spec.src_nic, kSrcNicDelay, kNicQueueBytes);
   l_dst.set_sink(&r2);
   l_rev.set_sink(&r1);
   l_out.set_sink(src_);
@@ -186,7 +184,7 @@ Testbed::Testbed(const TestbedSpec& spec, std::uint64_t seed) : spec_(spec) {
   for (int i = 0; i < spec.cross_sources; ++i) {
     auto src_node = net.next_node_id();  // phantom source id
     auto source = std::make_unique<fobs::sim::OnOffSource>(
-        sim_, l_fwd, src_node, blackhole.id(), spec.cross_packet_bytes, spec.cross_peak,
+        sim_, l_fwd, src_node, blackhole.id(), kCrossPacketBytes, spec.cross_peak,
         spec.cross_mean_on, spec.cross_mean_off, rng.fork());
     source->start();
     cross_.push_back(std::move(source));

@@ -33,17 +33,23 @@ enum class PathId { kShortHaul, kLongHaul, kGigabitOc12, kGigabitContended };
 
 [[nodiscard]] const char* to_string(PathId id);
 
+/// The access links every testbed shares (no path varies them): the
+/// source NIC's delay, the destination's ingress rate and delay, and
+/// the queue of each of those four NIC links.
+inline constexpr Duration kSrcNicDelay = Duration::microseconds(500);
+inline constexpr DataRate kDstIngress = DataRate::gigabits_per_second(1);
+inline constexpr Duration kDstIngressDelay = Duration::microseconds(500);
+inline constexpr std::int64_t kNicQueueBytes = 256 * 1024;
+/// Packet size of the backbone cross traffic.
+inline constexpr std::int64_t kCrossPacketBytes = 1000;
+
 /// Raw parameters of a testbed; edit to explore what-if scenarios.
 struct TestbedSpec {
   std::string name;
   // Forward direction (data).
   DataRate src_nic = DataRate::megabits_per_second(100);
   DataRate backbone = DataRate::megabits_per_second(622);
-  DataRate dst_ingress = DataRate::gigabits_per_second(1);
-  Duration src_nic_delay = Duration::microseconds(500);
   Duration backbone_delay = Duration::milliseconds(12);
-  Duration dst_ingress_delay = Duration::microseconds(500);
-  std::int64_t nic_queue_bytes = 256 * 1024;
   std::int64_t backbone_queue_bytes = 1024 * 1024;
   double fwd_loss = 0.0;  ///< per-fragment random loss on the backbone
   double rev_loss = 0.0;
@@ -55,12 +61,11 @@ struct TestbedSpec {
   DataRate cross_peak = DataRate::megabits_per_second(200);
   Duration cross_mean_on = Duration::milliseconds(50);
   Duration cross_mean_off = Duration::milliseconds(150);
-  std::int64_t cross_packet_bytes = 1000;
   /// The denominator for "percentage of maximum available bandwidth".
   DataRate max_bandwidth = DataRate::megabits_per_second(100);
 
   [[nodiscard]] Duration one_way_delay() const {
-    return src_nic_delay + backbone_delay + dst_ingress_delay;
+    return kSrcNicDelay + backbone_delay + kDstIngressDelay;
   }
   [[nodiscard]] Duration rtt() const { return one_way_delay() * 2; }
 };

@@ -12,23 +12,23 @@ void GreedinessController::on_ack(std::int64_t sent_since_last, std::int64_t new
   // loss (transient mismatches are smoothed away by the EWMA).
   double inst = 1.0 - static_cast<double>(newly_received) / static_cast<double>(sent_since_last);
   inst = std::clamp(inst, 0.0, 1.0);
-  loss_ewma_ = (1.0 - config_.ewma_alpha) * loss_ewma_ + config_.ewma_alpha * inst;
+  loss_ewma_ = (1.0 - kEwmaAlpha) * loss_ewma_ + kEwmaAlpha * inst;
 
   // "Of more than temporary duration": both the instantaneous and the
   // smoothed estimates must stay high for a run of ACKs. A single bad
   // ACK leaves an EWMA tail but its instantaneous successors are clean,
   // so the streak resets.
-  if (inst > config_.high_loss_threshold && loss_ewma_ > config_.high_loss_threshold) {
-    if (++high_streak_ >= config_.sustain_acks) {
+  if (inst > kHighLossThreshold && loss_ewma_ > kHighLossThreshold) {
+    if (++high_streak_ >= kSustainAcks) {
       gap_ = gap_ == Duration::zero()
-                 ? config_.seed_gap
-                 : std::min(config_.max_gap, gap_ * config_.backoff_factor);
+                 ? kSeedGap
+                 : std::min(kMaxGap, gap_ * kBackoffFactor);
       high_streak_ = 0;  // require sustained loss again before growing more
     }
   } else {
     high_streak_ = 0;
-    if (loss_ewma_ < config_.low_loss_threshold && gap_ > Duration::zero()) {
-      gap_ = gap_ * config_.recovery_factor;
+    if (loss_ewma_ < kLowLossThreshold && gap_ > Duration::zero()) {
+      gap_ = gap_ * kRecoveryFactor;
       if (gap_ < Duration::microseconds(1)) gap_ = Duration::zero();
     }
   }

@@ -23,6 +23,40 @@ namespace fobs::core {
 
 using fobs::util::Duration;
 
+/// Tuning of the controller and of the TCP fallback. Fixed: no caller
+/// ever varied them, so they are constants rather than settings.
+/// EWMA smoothing factor for the loss estimate.
+inline constexpr double kEwmaAlpha = 0.2;
+/// Loss estimate above this (for kSustainAcks ACKs) means back off.
+inline constexpr double kHighLossThreshold = 0.08;
+/// Loss estimate below this means speed back up.
+inline constexpr double kLowLossThreshold = 0.02;
+/// Consecutive high-loss ACKs required before the first backoff
+/// ("congestion of more than temporary duration").
+inline constexpr int kSustainAcks = 4;
+/// Gap growth/decay factors.
+inline constexpr double kBackoffFactor = 1.5;
+inline constexpr double kRecoveryFactor = 0.8;
+/// Gap bounds. The initial backoff jumps straight to kSeedGap.
+inline constexpr Duration kSeedGap = Duration::microseconds(20);
+inline constexpr Duration kMaxGap = Duration::milliseconds(2);
+/// Enter fallback when the pacing gap has grown to at least this. It
+/// takes a *second* sustained-congestion verdict (kSeedGap *
+/// kBackoffFactor), so the ordinary burstiness of a shared path does
+/// not flap the transfer onto TCP.
+inline constexpr Duration kFallbackWhenGapAtLeast = Duration::microseconds(30);
+/// While in fallback, inspect the TCP channel at this period...
+inline constexpr Duration kFallbackProbeInterval = Duration::milliseconds(250);
+/// ...and return to greedy UDP after this many consecutive probe
+/// intervals without TCP retransmissions.
+inline constexpr int kFallbackClearProbes = 4;
+/// Cap on un-acked bytes offered to the fallback TCP channel. Sized
+/// generously so TCP's own congestion window is the real limiter; this
+/// bound only stops the whole object being buffered at once.
+inline constexpr std::int64_t kFallbackWindowBytes = 4 * 1024 * 1024;
+
+/// The extension's two switches. Simulator only: the POSIX engine
+/// rejects a send that sets either (fobs/posix/engine.h).
 struct AdaptiveConfig {
   bool enabled = false;
   /// §7's *first* option: on sustained congestion, switch the transfer
@@ -30,35 +64,6 @@ struct AdaptiveConfig {
   /// switch back to greedy UDP once the congestion dissipates.
   /// Requires `enabled`; without it only the pacing-gap mechanism runs.
   bool tcp_fallback = false;
-  /// Enter fallback when the pacing gap has grown to at least this.
-  /// The default requires a *second* sustained-congestion verdict
-  /// (seed_gap * backoff_factor), so the ordinary burstiness of a
-  /// shared path does not flap the transfer onto TCP.
-  Duration fallback_when_gap_at_least = Duration::microseconds(30);
-  /// While in fallback, inspect the TCP channel at this period...
-  Duration fallback_probe_interval = Duration::milliseconds(250);
-  /// ...and return to greedy UDP after this many consecutive probe
-  /// intervals without TCP retransmissions.
-  int fallback_clear_probes = 4;
-  /// Cap on un-acked bytes offered to the fallback TCP channel. Sized
-  /// generously so TCP's own congestion window is the real limiter;
-  /// this bound only stops the whole object being buffered at once.
-  std::int64_t fallback_window_bytes = 4 * 1024 * 1024;
-  /// EWMA smoothing factor for the loss estimate.
-  double ewma_alpha = 0.2;
-  /// Loss estimate above this (for `sustain_acks` ACKs) means back off.
-  double high_loss_threshold = 0.08;
-  /// Loss estimate below this means speed back up.
-  double low_loss_threshold = 0.02;
-  /// Consecutive high-loss ACKs required before the first backoff
-  /// ("congestion of more than temporary duration").
-  int sustain_acks = 4;
-  /// Gap growth/decay factors.
-  double backoff_factor = 1.5;
-  double recovery_factor = 0.8;
-  /// Gap bounds. The initial backoff jumps straight to `seed_gap`.
-  Duration seed_gap = Duration::microseconds(20);
-  Duration max_gap = Duration::milliseconds(2);
 };
 
 /// Loss-estimating pacing controller. Sans-io: the sender core feeds it
@@ -79,7 +84,7 @@ class GreedinessController {
   /// True when pacing alone is not containing the loss — the trigger
   /// for the TCP-fallback mode.
   [[nodiscard]] bool congested() const {
-    return config_.tcp_fallback && gap_ >= config_.fallback_when_gap_at_least;
+    return config_.tcp_fallback && gap_ >= kFallbackWhenGapAtLeast;
   }
   /// Forgets all congestion state (used when returning from fallback:
   /// the network is being re-probed from a clean slate).
@@ -88,7 +93,6 @@ class GreedinessController {
     high_streak_ = 0;
     gap_ = Duration::zero();
   }
-  [[nodiscard]] const AdaptiveConfig& config() const { return config_; }
 
  private:
   AdaptiveConfig config_;

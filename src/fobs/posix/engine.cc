@@ -1,9 +1,6 @@
 #include "fobs/posix/engine.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -343,7 +340,7 @@ struct TransferEngine::Impl {
   // thread runs; the stop flag wakes the poll loop.
   std::atomic<bool> acceptor_stop{false};
   fobs::net::Fd acceptor_fd;
-  std::function<void(int, std::string)> acceptor_handler;
+  std::function<void(fobs::net::Fd, std::string)> acceptor_handler;
   std::thread acceptor_thread;
   // Handler tasks dispatched to the pool and not yet finished. They run
   // user code that calls back into the engine, so stop_acceptor() must
@@ -375,7 +372,15 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   transfer->send_options = options;
   transfer->spec = {static_cast<std::int64_t>(object.size()), options.endpoint.packet_bytes};
   auto& result = transfer->result;
-  transfer->send_flows = make_flows(options, object, "cannot send an empty object", result.error);
+  if (options.core.adaptive.enabled || options.core.adaptive.tcp_fallback) {
+    // The §7 extension paces batches and falls back to a TCP data
+    // channel; only the simulated sender implements either.
+    result.error = "invalid options: adaptive greediness and tcp_fallback run only in the "
+                   "simulator";
+  } else {
+    transfer->send_flows =
+        make_flows(options, object, "cannot send an empty object", result.error);
+  }
   if (!transfer->send_flows.empty()) {
     transfer->control_listeners = hold_control_ports(
         options.control_port, transfer->flows(), std::move(params.control_listeners), result);
@@ -523,8 +528,8 @@ void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
   // last handle, not here: on_exit observers may still read the spans.
 }
 
-bool TransferEngine::start_acceptor(std::uint16_t port,
-                                    std::function<void(int, std::string)> handler) {
+bool TransferEngine::start_acceptor(
+    std::uint16_t port, std::function<void(fobs::net::Fd, std::string)> handler) {
   if (impl_->acceptor_thread.joinable() || !handler) return false;
   fobs::net::Fd listener = fobs::net::listen_tcp(port, 16);
   if (!listener.valid()) return false;
@@ -540,13 +545,8 @@ void TransferEngine::acceptor_loop() {
     pollfd pfd{impl_->acceptor_fd.get(), POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
     if (ready <= 0) continue;
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    const int conn = ::accept(impl_->acceptor_fd.get(), reinterpret_cast<sockaddr*>(&peer),
-                              &peer_len);
-    if (conn < 0) continue;
-    char host[64] = {0};
-    ::inet_ntop(AF_INET, &peer.sin_addr, host, sizeof host);
+    auto conn = fobs::net::accept_peer(impl_->acceptor_fd);
+    if (!conn.fd.valid()) continue;
     telemetry::MetricsRegistry::global().counter("fobs.engine.connections_accepted").inc();
     // Each connection is handled on the pool, so a slow client never
     // blocks the accept loop — this is what makes the catalog
@@ -557,8 +557,8 @@ void TransferEngine::acceptor_loop() {
       ++impl_->inflight_handlers;
     }
     impl_->pool.submit(
-        [this, handler = impl_->acceptor_handler, conn, peer_host = std::string(host)]() mutable {
-          handler(conn, std::move(peer_host));
+        [this, handler = impl_->acceptor_handler, conn = std::move(conn)]() mutable {
+          handler(std::move(conn.fd), std::move(conn.peer_host));
           std::lock_guard lock(impl_->mu);
           if (--impl_->inflight_handlers == 0) impl_->handlers_cv.notify_all();
         });

@@ -133,8 +133,9 @@ class TransferEngine {
   /// use SessionParams::keepalive for engine-managed lifetime. Invalid
   /// options (zero ports, a stripe count the object cannot carry, a port
   /// block past 65535, a malformed fault plan from any source, a handed
-  /// listener count other than the flow count) launch no flow and bind
-  /// no port: the returned handle is already terminal with kBadOptions.
+  /// listener count other than the flow count, a send that enables the
+  /// simulator-only core.adaptive extension) launch no flow and bind no
+  /// port: the returned handle is already terminal with kBadOptions.
   /// A send whose control port cannot be bound launches none either and
   /// ends kSocketError naming the port.
   TransferHandle submit_send(const SenderOptions& options,
@@ -144,10 +145,11 @@ class TransferEngine {
 
   /// Binds a TCP listener on `port` and dispatches every accepted
   /// connection to the worker pool as `handler(fd, peer_host)`. The
-  /// handler owns `fd` and must close it. One acceptor per engine;
-  /// false when the bind/listen fails or one is already running.
+  /// handler owns the non-blocking `fd`, which closes when it is dropped.
+  /// One acceptor per engine; false when the bind/listen fails or one is
+  /// already running.
   bool start_acceptor(std::uint16_t port,
-                      std::function<void(int fd, std::string peer_host)> handler);
+                      std::function<void(fobs::net::Fd fd, std::string peer_host)> handler);
   /// Stops accepting and blocks until every already-dispatched handler
   /// task has returned, so callers can tear down state the handlers
   /// capture. Handlers queued behind busy workers still run first;

@@ -1,9 +1,6 @@
 #include "fobs/posix/fileserver.h"
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -23,44 +20,6 @@ namespace fobs::posix {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool send_line(int fd, const std::string& line) {
-  return ::send(fd, line.data(), line.size(), MSG_NOSIGNAL) ==
-         static_cast<ssize_t>(line.size());
-}
-
-/// Reads one '\n'-terminated line (newline stripped) from a stream
-/// socket, giving up at `deadline` or as soon as `abort` (optional) is
-/// set. The timeout is what keeps a connected-but-silent client from
-/// wedging a catalog worker forever; the abort flag lets a server
-/// shutdown reclaim such a worker without waiting out the timeout.
-/// Returns false on timeout/abort/EOF/error; `line` holds whatever
-/// arrived.
-bool recv_line(int fd, Clock::time_point deadline, std::string& line,
-               const std::atomic<bool>* abort = nullptr) {
-  line.clear();
-  char ch = 0;
-  while (line.size() < 512) {
-    if (abort != nullptr && abort->load(std::memory_order_relaxed)) return false;
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) return false;
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<std::int64_t>(
-                                          remaining.count(), 100)));
-    if (ready < 0 && errno != EINTR) return false;
-    if (ready <= 0) continue;
-    const ssize_t n = ::recv(fd, &ch, 1, 0);
-    if (n == 0) return false;  // EOF before the newline
-    if (n < 0) {
-      if (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR) continue;
-      return false;
-    }
-    if (ch == '\n') return true;
-    line.push_back(ch);
-  }
-  return false;  // over-long request line
-}
 
 bool name_is_safe(const std::string& name) {
   if (name.empty() || name.front() == '/') return false;
@@ -107,9 +66,10 @@ bool FileServer::start() {
   engine_options.workers = options_.workers;
   engine_options.session_tracers = !options_.trace_dir.empty();
   engine_ = std::make_unique<TransferEngine>(engine_options);
-  if (!engine_->start_acceptor(options_.catalog_port, [this](int fd, std::string peer) {
-        handle_catalog(fd, peer);
-      })) {
+  if (!engine_->start_acceptor(options_.catalog_port,
+                               [this](fobs::net::Fd fd, std::string peer) {
+                                 handle_catalog(std::move(fd), peer);
+                               })) {
     engine_.reset();
     return false;
   }
@@ -140,21 +100,19 @@ void FileServer::stop() {
 
 bool FileServer::running() const { return engine_ != nullptr && engine_->acceptor_running(); }
 
-void FileServer::handle_catalog(int fd, const std::string& peer_host) {
-  if (stopping_.load(std::memory_order_relaxed)) {
-    ::close(fd);
-    return;
-  }
+void FileServer::handle_catalog(fobs::net::Fd fd, const std::string& peer_host) {
+  if (stopping_.load(std::memory_order_relaxed)) return;
   requests_.fetch_add(1, std::memory_order_relaxed);
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(std::max(1, options_.catalog_recv_timeout_ms));
+  // The deadline keeps a connected-but-silent client from wedging a
+  // catalog worker; the stopping flag reclaims it at once on shutdown.
   std::string request;
-  if (!recv_line(fd, deadline, request, &stopping_)) {
+  if (!fobs::net::recv_line(fd.get(), deadline, request, &stopping_)) {
     if (!stopping_.load(std::memory_order_relaxed)) {
       catalog_timeouts_.fetch_add(1, std::memory_order_relaxed);
       telemetry::MetricsRegistry::global().counter("fobs.fileserver.catalog_timeouts").inc();
     }
-    ::close(fd);
     return;
   }
   const auto space = request.find(' ');
@@ -166,10 +124,14 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   }
   requested = std::max(requested, 1);  // a missing or non-positive token means 1
 
+  // Replies within the catalog's receive budget; dropping `fd` closes it.
+  const auto reply = [&](const std::string& line) {
+    fobs::net::send_all(fd.get(), reinterpret_cast<const std::uint8_t*>(line.data()),
+                        line.size(), deadline);
+  };
   auto refuse = [&] {
     refused_.fetch_add(1, std::memory_order_relaxed);
-    send_line(fd, "-1\n");
-    ::close(fd);
+    reply("-1\n");
   };
   if (stopping_.load(std::memory_order_relaxed)) {
     // Shed the request instead of starting a session the shutdown
@@ -201,9 +163,9 @@ void FileServer::handle_catalog(int fd, const std::string& peer_host) {
   }
   granted = static_cast<int>(listeners.size());
   auto object = std::make_shared<fobs::core::TransferObject>(std::move(*mapped));
-  send_line(fd, std::to_string(object->size()) + " " + std::to_string(spec.packet_bytes) + " " +
-                    std::to_string(control_port) + " " + std::to_string(granted) + "\n");
-  ::close(fd);  // catalog exchange done; the transfer takes over
+  reply(std::to_string(object->size()) + " " + std::to_string(spec.packet_bytes) + " " +
+        std::to_string(control_port) + " " + std::to_string(granted) + "\n");
+  fd.reset();  // catalog exchange done; the transfer takes over
 
   SenderOptions send_options;
   send_options.receiver_host = peer_host;
@@ -275,7 +237,7 @@ FetchResult fetch_file(const FetchOptions& options) {
   const bool got_reply =
       fobs::net::send_all(conn.get(), reinterpret_cast<const std::uint8_t*>(request.data()),
                           request.size(), deadline) &&
-      recv_line(conn.get(), deadline, reply);
+      fobs::net::recv_line(conn.get(), deadline, reply);
   long long size = -1;
   long long packet_bytes = 0;
   int control_port = 0;

@@ -89,7 +89,7 @@ class FileServer {
   [[nodiscard]] std::uint64_t transfers_failed() const { return failed_.load(); }
 
  private:
-  void handle_catalog(int fd, const std::string& peer_host);
+  void handle_catalog(fobs::net::Fd fd, const std::string& peer_host);
 
   FileServerOptions options_;
   std::unique_ptr<TransferEngine> engine_;

@@ -2,13 +2,9 @@
 
 #include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <thread>
 #include <vector>
 
 #include "common/log.h"
@@ -29,15 +25,6 @@ using fobs::net::Fd;
 
 bool cancel_requested(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-}
-
-/// Reads whatever a non-blocking stream holds. True when the peer
-/// closed it (EOF) or it failed; bytes read are returned in `out`.
-bool read_closed(const Fd& fd, std::vector<std::uint8_t>& out) {
-  std::uint8_t tmp[4096];
-  const ssize_t n = ::recv(fd.get(), tmp, sizeof tmp, MSG_DONTWAIT);
-  out.assign(tmp, tmp + std::max<ssize_t>(n, 0));
-  return n == 0 || (n < 0 && errno != EWOULDBLOCK && errno != EAGAIN && errno != EINTR);
 }
 
 }  // namespace
@@ -71,17 +58,14 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
     // Accept or read the control channel. A restarted receiver shows up
     // as EOF on the old connection followed by a fresh accept.
     if (!control.valid()) {
-      const int fd = ::accept(listener.get(), nullptr, nullptr);
-      if (fd >= 0) {
-        control = Fd(fd);
-        fobs::net::set_nonblocking(fd);
-        if (session.on_control_connected()) {
-          while (channel.recv_batch(ack_views, nullptr) > 0) {
-          }
+      control = fobs::net::accept_peer(listener).fd;
+      if (control.valid() && session.on_control_connected()) {
+        while (channel.recv_batch(ack_views, nullptr) > 0) {
         }
       }
     } else {
-      if (read_closed(control, control_bytes) || session.on_control_bytes(control_bytes)) {
+      if (fobs::net::read_closed(control.get(), control_bytes) ||
+          session.on_control_bytes(control_bytes)) {
         control.reset();
       }
       if (session.done()) break;
@@ -109,14 +93,18 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
       break;
     }
     session.on_batch_sent();
-    if (session.done()) break;
-    const auto gap = session.pacing_gap();
-    if (gap > std::chrono::nanoseconds::zero()) std::this_thread::sleep_for(gap);
   }
 
-  // Count ACK datagrams still queued at exit, so the corrupt/stale drop
-  // counters do not depend on how many a fast completion left unread.
   if (session.completed()) {
+    // Echo the completion: the receiver holds its flow open until it
+    // reads the echo, and resends a completion that got lost.
+    if (control.valid()) {
+      const auto echo = session.completion_echo();
+      fobs::net::send_all(control.get(), echo.data(), echo.size(),
+                          Clock::now() + kCompletionEchoWait);
+    }
+    // Count ACK datagrams still queued at exit, so the corrupt/stale drop
+    // counters do not depend on how many a fast completion left unread.
     for (int n = 0; (n = channel.recv_batch(ack_views, nullptr)) > 0;) {
       for (int i = 0; i < n; ++i) {
         session.on_ack_datagram(ack_views[static_cast<std::size_t>(i)].data);
@@ -151,30 +139,26 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
   ReceiverSession session(options, flow, checkpoint, epoch == 0 ? 1 : epoch, start);
 
   Fd control;
-  std::vector<std::uint8_t> ignored;
+  std::vector<std::uint8_t> control_bytes;
+  // Writes the state frame, first connecting when the control connection
+  // is down; false when the connect or the write fails by `deadline`.
   const auto send_state = [&](Clock::time_point deadline) {
+    if (!control.valid()) {
+      control = fobs::net::connect_with_backoff(options.sender_host, flow.control_port, deadline,
+                                                cancel);
+      if (!control.valid()) return false;
+      session.on_control_connected(Clock::now());
+    }
     const auto frame = session.state_frame();
     return fobs::net::send_all(control.get(), frame.data(), frame.size(), deadline);
-  };
-  // Replaces a lost control connection and writes the state frame on it.
-  const auto reconnect = [&] {
-    control = fobs::net::connect_with_backoff(options.sender_host, flow.control_port,
-                                              Clock::now() + std::chrono::seconds(1), cancel);
-    if (!control.valid()) return false;
-    session.on_control_connected(Clock::now());
-    return send_state(Clock::now() + std::chrono::seconds(1));
   };
 
   // Connect with capped exponential backoff: the sender may not be up
   // yet, or this is a restarted incarnation.
-  const auto deadline = start + std::chrono::milliseconds(options.endpoint.timeout_ms);
-  control = fobs::net::connect_with_backoff(options.sender_host, flow.control_port, deadline,
-                                            cancel);
-  if (!control.valid()) {
-    session.on_connect_failed(cancel_requested(cancel));
-  } else {
-    session.on_control_connected(Clock::now());
-    if (!send_state(deadline)) {
+  if (!send_state(start + std::chrono::milliseconds(options.endpoint.timeout_ms))) {
+    if (!control.valid()) {
+      session.on_connect_failed(cancel_requested(cancel));
+    } else {
       FOBS_WARN("fobs.receiver", "state frame send failed; sender keeps its previous epoch "
                                  "and re-sends everything");
     }
@@ -193,7 +177,10 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
       // connection (poll skips the entry while it is closed).
       pollfd pfds[2] = {{channel.fd(), POLLIN, 0}, {control.get(), POLLIN, 0}};
       ::poll(pfds, 2, 10);
-      if (pfds[1].revents != 0 && read_closed(control, ignored)) reconnect();
+      if (pfds[1].revents != 0 && fobs::net::read_closed(control.get(), control_bytes)) {
+        control.reset();
+        send_state(Clock::now() + std::chrono::seconds(1));
+      }
       continue;
     }
     for (int i = 0; i < n_rx && !session.done(); ++i) {
@@ -203,14 +190,19 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
     }
   }
 
-  if (session.completed()) {
-    // Deliver the completion signal (a state frame holding every
-    // packet). A connection the sender already closed would swallow it,
-    // so check once; if it is gone or the write fails, reconnect and
-    // retry a few times.
-    if (control.valid() && read_closed(control, ignored)) control.reset();
-    bool delivered = control.valid() && send_state(Clock::now() + std::chrono::seconds(2));
-    for (int attempt = 0; !delivered && attempt < 3; ++attempt) delivered = reconnect();
+  // The completion handshake: write the completion frame and wait for
+  // the sender's echo. EOF, an error or silence until the deadline drops
+  // the connection, and the next attempt reconnects and writes it again.
+  while (session.awaiting_echo()) {
+    const auto deadline = session.begin_completion_attempt(Clock::now());
+    bool open = send_state(deadline);
+    while (open && !session.echoed() && Clock::now() < deadline) {
+      pollfd pfd{control.get(), POLLIN, 0};
+      ::poll(&pfd, 1, 10);
+      open = !fobs::net::read_closed(control.get(), control_bytes);
+      session.on_control_bytes(control_bytes);
+    }
+    if (!session.echoed()) control.reset();
   }
   auto result = session.finish(Clock::now());
   result.io = channel.stats();

@@ -23,6 +23,15 @@ namespace fobs::posix::detail {
 
 using SessionTime = std::chrono::steady_clock::time_point;
 
+/// Completion handshake: attempts a receiver makes, and how long each
+/// waits for the sender's echo.
+inline constexpr int kCompletionAttempts = 3;
+inline constexpr std::chrono::milliseconds kCompletionEchoWait{1'000};
+/// The sender's echo: one byte. Each control connection belongs to one
+/// receiver incarnation, and the sender writes nothing else on it, so
+/// any byte that arrives proves the completion frame was read.
+inline constexpr std::array<std::uint8_t, 1> kCompletionEcho{0x01};
+
 /// The terminal status, stall budget and fault injector of one flow.
 class FlowSession {
  public:
@@ -79,6 +88,7 @@ class FlowSession {
 /// One sending flow. Per loop iteration the pump calls tick, accepts or
 /// reads the control connection, hands in every queued ACK, and then
 /// either waits (idle) or sends next_batch() and calls on_batch_sent.
+/// A completed flow writes completion_echo() before it ends.
 class SenderSession : public FlowSession {
  public:
   SenderSession(const SenderOptions& options, const SendFlow& flow, SessionTime start);
@@ -101,11 +111,13 @@ class SenderSession : public FlowSession {
   std::span<const fobs::net::DatagramView> next_batch();
   /// The batch was sent: traced; a crash due while selecting ends the flow.
   void on_batch_sent();
-  /// The adaptive extension's pause after a batch (zero when off).
-  [[nodiscard]] std::chrono::nanoseconds pacing_gap() const {
-    return std::chrono::nanoseconds(core_.pacing_gap().ns());
-  }
   [[nodiscard]] bool completed() const { return core_.completion_received(); }
+  /// What the pump writes back on the control connection before the
+  /// flow ends: the receiver waits for this echo (empty until completed).
+  [[nodiscard]] std::span<const std::uint8_t> completion_echo() const {
+    return completed() ? std::span<const std::uint8_t>(kCompletionEcho)
+                       : std::span<const std::uint8_t>();
+  }
   [[nodiscard]] bool done() const { return completed() || ended(); }
   /// The result, without the pump's I/O counters.
   SenderResult finish(SessionTime now);
@@ -127,8 +139,13 @@ class SenderSession : public FlowSession {
 };
 
 /// One receiving flow. The pump writes state_frame() on every control
-/// connection, hands in every datagram (sending the ACK views returned
-/// back to its source), and once completed() writes state_frame() again.
+/// connection and hands in every datagram (sending the ACK views returned
+/// back to its source). Once completed() it runs the completion
+/// handshake: while awaiting_echo(), each attempt writes state_frame(),
+/// now the completion frame, reconnecting first when the connection is
+/// down, and hands in control bytes until echoed(), EOF, an error or the
+/// attempt's deadline. A flow that holds every packet ends kCompleted
+/// whether or not the echo came.
 class ReceiverSession : public FlowSession {
  public:
   /// Restores the flow's range of `checkpoint` (nullable). `epoch` is
@@ -148,6 +165,21 @@ class ReceiverSession : public FlowSession {
   /// One data-socket datagram. Only a valid one is placed and may yield
   /// 0-2 ACK copies, valid until the next call.
   std::span<const fobs::net::DatagramView> on_datagram(std::span<const std::uint8_t> bytes);
+  /// Completed, not yet echoed, and an attempt is left.
+  [[nodiscard]] bool awaiting_echo() const {
+    return completed() && !echoed_ && echo_attempts_ < kCompletionAttempts;
+  }
+  /// Starts one handshake attempt; returns its deadline.
+  SessionTime begin_completion_attempt(SessionTime now) {
+    ++echo_attempts_;
+    return now + kCompletionEchoWait;
+  }
+  /// Control-stream bytes during the handshake: any byte is the
+  /// sender's echo and sets echoed().
+  void on_control_bytes(std::span<const std::uint8_t> bytes) {
+    echoed_ = echoed_ || !bytes.empty();
+  }
+  [[nodiscard]] bool echoed() const { return echoed_; }
   /// Every packet is in, and the flow did not end first (a restored
   /// flow whose control connect failed ends kPeerLost).
   [[nodiscard]] bool completed() const { return core_.complete() && !ended(); }
@@ -165,6 +197,8 @@ class ReceiverSession : public FlowSession {
   ReceiverResult result_;
   bool control_ever_connected_ = false;
   int acks_since_checkpoint_ = 0;
+  int echo_attempts_ = 0;
+  bool echoed_ = false;
   std::vector<std::uint8_t> ack_;
   std::array<fobs::net::DatagramView, 2> ack_views_;
 };

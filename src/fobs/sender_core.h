@@ -44,7 +44,7 @@ struct SenderConfig {
   SelectionKind selection = SelectionKind::kCircular;
   std::uint64_t seed = 1;  ///< for the random selection policy
   /// §7 extension: congestion-adaptive greediness (off by default —
-  /// plain FOBS has no congestion control).
+  /// plain FOBS has no congestion control). Simulator only.
   AdaptiveConfig adaptive;
 };
 

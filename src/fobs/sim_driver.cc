@@ -178,7 +178,7 @@ void SimSender::enter_fallback() {
   }
   probe_rtx_snapshot_ = tcp_data_->stats().retransmissions;
   pump_tcp();
-  sim.schedule_in(core_.config().adaptive.fallback_probe_interval, [this] { probe_tick(); });
+  sim.schedule_in(kFallbackProbeInterval, [this] { probe_tick(); });
 }
 
 void SimSender::exit_fallback() {
@@ -194,11 +194,10 @@ void SimSender::exit_fallback() {
 
 void SimSender::pump_tcp() {
   if (finished_ || mode_ != Mode::kTcpFallback) return;
-  const auto& adaptive = core_.config().adaptive;
   if (tcp_data_->established()) {
     while (true) {
       const std::int64_t outstanding = tcp_data_->offered_bytes() - tcp_data_->acked_bytes();
-      if (outstanding >= adaptive.fallback_window_bytes) break;
+      if (outstanding >= kFallbackWindowBytes) break;
       auto seq = core_.acked_view().first_clear(static_cast<std::size_t>(tcp_cursor_));
       if (!seq && outstanding == 0) {
         // One full pass done and nothing in flight: any remaining holes
@@ -240,7 +239,6 @@ void SimSender::take_ack(const AckPacketPayload& ack) {
 
 void SimSender::probe_tick() {
   if (finished_ || mode_ != Mode::kTcpFallback) return;
-  const auto& adaptive = core_.config().adaptive;
   const std::uint64_t rtx = tcp_data_->stats().retransmissions;
   if (rtx == probe_rtx_snapshot_) {
     ++probe_clear_streak_;
@@ -248,12 +246,11 @@ void SimSender::probe_tick() {
     probe_clear_streak_ = 0;
   }
   probe_rtx_snapshot_ = rtx;
-  if (probe_clear_streak_ >= adaptive.fallback_clear_probes) {
+  if (probe_clear_streak_ >= kFallbackClearProbes) {
     exit_fallback();
     return;
   }
-  host_.network().sim().schedule_in(adaptive.fallback_probe_interval,
-                                    [this] { probe_tick(); });
+  host_.network().sim().schedule_in(kFallbackProbeInterval, [this] { probe_tick(); });
 }
 
 // ---------------------------------------------------------------------------

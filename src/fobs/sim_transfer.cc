@@ -34,7 +34,7 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
   std::vector<std::uint8_t> object;
   std::vector<std::uint8_t> sink;
   if (config.carry_data) {
-    object = make_pattern(config.spec.object_bytes, config.data_seed);
+    object = make_pattern(config.spec.object_bytes, kDataSeed);
     sink.assign(static_cast<std::size_t>(config.spec.object_bytes), 0);
   }
 

@@ -25,7 +25,6 @@ struct SimTransferConfig {
   Duration timeout = Duration::seconds(600);
   /// Allocate and verify real payload bytes (off = faster, size-only).
   bool carry_data = true;
-  std::uint64_t data_seed = 0x5EED;
   /// Optional per-endpoint event tracers (must outlive the call; may be
   /// the same tracer for one merged timeline). Null = telemetry off.
   fobs::telemetry::EventTracer* sender_tracer = nullptr;
@@ -70,6 +69,9 @@ struct SimTransferResult {
 SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host& sender_host,
                                    fobs::host::Host& receiver_host,
                                    const SimTransferConfig& config);
+
+/// Seed of the make_pattern() object a carry_data transfer sends.
+inline constexpr std::uint64_t kDataSeed = 0x5EED;
 
 /// Deterministic test pattern for payload verification.
 std::vector<std::uint8_t> make_pattern(std::int64_t bytes, std::uint64_t seed);

@@ -59,8 +59,6 @@ struct CpuModel {
 struct HostConfig {
   std::string name = "host";
   CpuModel cpu;
-  /// Default receive socket buffer for endpoints created on this host.
-  std::int64_t default_rx_buffer_bytes = 256 * 1024;
 };
 
 /// Receives packets demultiplexed to a bound port.

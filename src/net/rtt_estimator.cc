@@ -4,9 +4,6 @@
 
 namespace fobs::net {
 
-RttEstimator::RttEstimator(Config config)
-    : config_(config), base_rto_(config.initial_rto) {}
-
 void RttEstimator::add_sample(Duration rtt) {
   if (rtt < Duration::zero()) rtt = Duration::zero();
   if (!has_sample_) {
@@ -15,11 +12,11 @@ void RttEstimator::add_sample(Duration rtt) {
     has_sample_ = true;
   } else {
     const Duration err = srtt_ > rtt ? srtt_ - rtt : rtt - srtt_;
-    rttvar_ = rttvar_ * (1.0 - config_.beta) + err * config_.beta;
-    srtt_ = srtt_ * (1.0 - config_.alpha) + rtt * config_.alpha;
+    rttvar_ = rttvar_ * (1.0 - kRttvarGain) + err * kRttvarGain;
+    srtt_ = srtt_ * (1.0 - kSrttGain) + rtt * kSrttGain;
   }
   base_rto_ = srtt_ + std::max(Duration::milliseconds(1), rttvar_ * 4.0);
-  base_rto_ = std::clamp(base_rto_, config_.min_rto, config_.max_rto);
+  base_rto_ = std::clamp(base_rto_, kMinRto, kMaxRto);
   backoff_count_ = 0;
 }
 
@@ -27,9 +24,9 @@ Duration RttEstimator::rto() const {
   Duration rto = base_rto_;
   for (int i = 0; i < backoff_count_; ++i) {
     rto = rto * 2;
-    if (rto >= config_.max_rto) return config_.max_rto;
+    if (rto >= kMaxRto) return kMaxRto;
   }
-  return std::min(rto, config_.max_rto);
+  return std::min(rto, kMaxRto);
 }
 
 void RttEstimator::backoff() {

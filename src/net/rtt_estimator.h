@@ -8,19 +8,14 @@ namespace fobs::net {
 
 using fobs::util::Duration;
 
+inline constexpr Duration kInitialRto = Duration::seconds(1);
+inline constexpr Duration kMinRto = Duration::milliseconds(200);
+inline constexpr Duration kMaxRto = Duration::seconds(60);
+inline constexpr double kSrttGain = 1.0 / 8.0;
+inline constexpr double kRttvarGain = 1.0 / 4.0;
+
 class RttEstimator {
  public:
-  struct Config {
-    Duration initial_rto = Duration::seconds(1);
-    Duration min_rto = Duration::milliseconds(200);
-    Duration max_rto = Duration::seconds(60);
-    double alpha = 1.0 / 8.0;  ///< SRTT gain
-    double beta = 1.0 / 4.0;   ///< RTTVAR gain
-  };
-
-  RttEstimator() : RttEstimator(Config{}) {}
-  explicit RttEstimator(Config config);
-
   /// Feeds one RTT sample from a segment that was *not* retransmitted
   /// (Karn's rule: callers must not sample retransmitted segments).
   void add_sample(Duration rtt);
@@ -38,11 +33,10 @@ class RttEstimator {
   [[nodiscard]] Duration rttvar() const { return rttvar_; }
 
  private:
-  Config config_;
   bool has_sample_ = false;
   Duration srtt_ = Duration::zero();
   Duration rttvar_ = Duration::zero();
-  Duration base_rto_;
+  Duration base_rto_ = kInitialRto;
   int backoff_count_ = 0;
 };
 

@@ -50,6 +50,39 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t len,
   return true;
 }
 
+bool read_closed(int fd, std::vector<std::uint8_t>& out) {
+  std::uint8_t tmp[4096];
+  const ssize_t n = ::recv(fd, tmp, sizeof tmp, MSG_DONTWAIT);
+  out.assign(tmp, tmp + std::max<ssize_t>(n, 0));
+  return n == 0 || (n < 0 && errno != EWOULDBLOCK && errno != EAGAIN && errno != EINTR);
+}
+
+bool recv_line(int fd, std::chrono::steady_clock::time_point deadline, std::string& line,
+               const std::atomic<bool>* abort) {
+  line.clear();
+  char ch = 0;
+  while (line.size() < 512) {
+    if (abort != nullptr && abort->load(std::memory_order_relaxed)) return false;
+    const auto remaining = deadline - std::chrono::steady_clock::now();
+    if (remaining <= std::chrono::steady_clock::duration::zero()) return false;
+    // Rounded up, so the last poll does not wake before the deadline.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(remaining).count();
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<std::int64_t>(wait, 100)));
+    if (ready < 0 && errno != EINTR) return false;
+    if (ready <= 0) continue;
+    const ssize_t n = ::recv(fd, &ch, 1, MSG_DONTWAIT);
+    if (n == 0) return false;  // EOF before the newline
+    if (n < 0) {
+      if (errno == EWOULDBLOCK || errno == EAGAIN || errno == EINTR) continue;
+      return false;
+    }
+    if (ch == '\n') return true;
+    line.push_back(ch);
+  }
+  return false;  // over-long line
+}
+
 Fd connect_with_backoff(const std::string& host, std::uint16_t port,
                         std::chrono::steady_clock::time_point deadline,
                         const std::atomic<bool>* cancel) {
@@ -84,6 +117,20 @@ Fd listen_tcp(std::uint16_t port, int backlog) {
     return {};
   }
   return fd;
+}
+
+Accepted accept_peer(const Fd& listener) {
+  sockaddr_in peer{};
+  socklen_t peer_len = sizeof peer;
+  Accepted accepted{Fd(::accept4(listener.get(), reinterpret_cast<sockaddr*>(&peer), &peer_len,
+                                 SOCK_NONBLOCK)),
+                    {}};
+  if (accepted.fd.valid()) {
+    char host[INET_ADDRSTRLEN] = {0};
+    ::inet_ntop(AF_INET, &peer.sin_addr, host, sizeof host);
+    accepted.peer_host = host;
+  }
+  return accepted;
 }
 
 std::vector<Fd> listen_tcp_block(std::uint16_t first, int count) {

@@ -20,8 +20,7 @@ constexpr Seq kMaxWindowNoScale = 65535;
 TcpConnection::TcpConnection(Host& host, TcpConfig config, PortId local_port)
     : host_(host),
       config_(config),
-      local_port_(local_port == 0 ? host.allocate_port() : local_port),
-      rtt_(config.rtt) {
+      local_port_(local_port == 0 ? host.allocate_port() : local_port) {
   host_.bind(local_port_, this);
 }
 
@@ -61,10 +60,10 @@ void TcpConnection::accept_syn(NodeId peer, PortId peer_port, const TcpSegment& 
 
 void TcpConnection::arm_syn_timer() {
   if (syn_timer_ != fobs::sim::kInvalidEventId) sim().cancel(syn_timer_);
-  syn_timer_ = sim().schedule_in(config_.syn_retry_timeout, [this] {
+  syn_timer_ = sim().schedule_in(kSynRetryTimeout, [this] {
     syn_timer_ = fobs::sim::kInvalidEventId;
     if (state_ != TcpState::kSynSent && state_ != TcpState::kSynReceived) return;
-    if (++syn_retries_ > config_.max_syn_retries) {
+    if (++syn_retries_ > kMaxSynRetries) {
       FOBS_WARN("tcp", "handshake gave up after retries");
       state_ = TcpState::kClosed;
       return;
@@ -196,7 +195,7 @@ void TcpConnection::send_ack_now() {
 
 void TcpConnection::schedule_delayed_ack() {
   if (delack_timer_ != fobs::sim::kInvalidEventId) return;
-  delack_timer_ = sim().schedule_in(config_.delayed_ack_timeout, [this] {
+  delack_timer_ = sim().schedule_in(kDelayedAckTimeout, [this] {
     delack_timer_ = fobs::sim::kInvalidEventId;
     send_ack_now();
   });
@@ -229,7 +228,7 @@ void TcpConnection::pump_send() {
       // (post-RTO go-back-N): only cwnd limits it — a zero advertised
       // window must not block repairing the hole that would reopen it.
       wnd_edge = std::min(
-          snd_max_, snd_una_ + std::max<Seq>(static_cast<Seq>(cwnd_), config_.mss));
+          snd_max_, snd_una_ + std::max<Seq>(static_cast<Seq>(cwnd_), kMss));
     } else {
       wnd_edge = snd_una_ + send_window();
     }
@@ -241,7 +240,7 @@ void TcpConnection::pump_send() {
       }
       break;
     }
-    const Seq len = std::min({config_.mss, app_limit_ - snd_nxt_, wnd_edge - snd_nxt_});
+    const Seq len = std::min({kMss, app_limit_ - snd_nxt_, wnd_edge - snd_nxt_});
     const std::int64_t wire = len + fobs::sim::kTcpIpOverheadBytes;
     if (!host_.can_send(wire)) {
       wait_writable();
@@ -320,8 +319,8 @@ void TcpConnection::on_rto() {
   sample_pending_ = false;
   const Seq flight = flight_size();
   ssthresh_ = std::max(static_cast<double>(flight) / 2.0,
-                       2.0 * static_cast<double>(config_.mss));
-  cwnd_ = static_cast<double>(config_.mss);
+                       2.0 * static_cast<double>(kMss));
+  cwnd_ = static_cast<double>(kMss);
   dup_acks_ = 0;
   in_recovery_ = false;
   recovery_credit_ = 0;
@@ -363,7 +362,7 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
         syn_timer_ = fobs::sim::kInvalidEventId;
       }
       state_ = TcpState::kEstablished;
-      cwnd_ = static_cast<double>(config_.initial_cwnd_segments * config_.mss);
+      cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
       ssthresh_ = 1e18;
       peer_wnd_ = seg.wnd;
       send_ack_now();
@@ -379,7 +378,7 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
         syn_timer_ = fobs::sim::kInvalidEventId;
       }
       state_ = TcpState::kEstablished;
-      cwnd_ = static_cast<double>(config_.initial_cwnd_segments * config_.mss);
+      cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
       ssthresh_ = 1e18;
       peer_wnd_ = seg.wnd;
       if (on_connected_) on_connected_();
@@ -446,7 +445,7 @@ void TcpConnection::on_data(const TcpSegment& seg) {
     }
     if (on_delivered_) on_delivered_(rcv_nxt_);
     ++segs_since_ack_;
-    if (segs_since_ack_ >= config_.delayed_ack_every || !ooo_.empty()) {
+    if (segs_since_ack_ >= kDelayedAckEvery || !ooo_.empty()) {
       send_ack_now();
     } else {
       schedule_delayed_ack();
@@ -503,11 +502,11 @@ void TcpConnection::on_ack(const TcpSegment& seg) {
         // deflate by the amount acked (NewReno).
         const auto seq = next_retransmit_seq();
         if (seq && *seq < snd_nxt_) {
-          const Seq len = std::min(config_.mss, snd_nxt_ - *seq);
+          const Seq len = std::min(kMss, snd_nxt_ - *seq);
           send_data_segment(*seq, len, /*is_retransmission=*/true);
         }
-        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + config_.mss,
-                         static_cast<double>(config_.mss));
+        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + kMss,
+                         static_cast<double>(kMss));
         arm_rtx_timer();
       } else {
         // Plain Reno: first new ack terminates recovery.
@@ -518,9 +517,9 @@ void TcpConnection::on_ack(const TcpSegment& seg) {
     } else {
       dup_acks_ = 0;
       if (cwnd_ < ssthresh_) {
-        cwnd_ += static_cast<double>(std::min(newly, config_.mss));  // slow start
+        cwnd_ += static_cast<double>(std::min(newly, kMss));  // slow start
       } else {
-        cwnd_ += static_cast<double>(config_.mss) * static_cast<double>(config_.mss) / cwnd_;
+        cwnd_ += static_cast<double>(kMss) * static_cast<double>(kMss) / cwnd_;
       }
     }
 
@@ -551,28 +550,28 @@ void TcpConnection::handle_dupack() {
     if (use_sack_) {
       // Each dup ack means one segment left the network: earn one MSS
       // of credit and keep repairing holes.
-      recovery_credit_ += config_.mss;
+      recovery_credit_ += kMss;
       pump_recovery();
     } else {
       // Reno/NewReno inflation: the window slides open for new data.
-      cwnd_ += static_cast<double>(config_.mss);
+      cwnd_ += static_cast<double>(kMss);
       pump_send();
     }
     return;
   }
-  if (dup_acks_ >= config_.dupack_threshold) enter_fast_recovery();
+  if (dup_acks_ >= kDupackThreshold) enter_fast_recovery();
 }
 
 void TcpConnection::enter_fast_recovery() {
   ++stats_.fast_retransmits;
   const Seq flight = flight_size();
   ssthresh_ = std::max(static_cast<double>(flight) / 2.0,
-                       2.0 * static_cast<double>(config_.mss));
+                       2.0 * static_cast<double>(kMss));
   if (!config_.fast_recovery) {
     // Tahoe: retransmit and restart from slow start; no recovery state.
-    const Seq len = std::min(config_.mss, snd_nxt_ - snd_una_);
+    const Seq len = std::min(kMss, snd_nxt_ - snd_una_);
     if (len > 0) send_data_segment(snd_una_, len, /*is_retransmission=*/true);
-    cwnd_ = static_cast<double>(config_.mss);
+    cwnd_ = static_cast<double>(kMss);
     dup_acks_ = 0;
     arm_rtx_timer();
     return;
@@ -581,12 +580,12 @@ void TcpConnection::enter_fast_recovery() {
   in_recovery_ = true;
   recovery_rtx_hint_ = snd_una_;
   if (use_sack_) {
-    recovery_credit_ = 3 * config_.mss;
+    recovery_credit_ = 3 * kMss;
     pump_recovery();
   } else {
-    const Seq len = std::min(config_.mss, snd_nxt_ - snd_una_);
+    const Seq len = std::min(kMss, snd_nxt_ - snd_una_);
     if (len > 0) send_data_segment(snd_una_, len, /*is_retransmission=*/true);
-    cwnd_ = ssthresh_ + 3.0 * static_cast<double>(config_.mss);
+    cwnd_ = ssthresh_ + 3.0 * static_cast<double>(kMss);
   }
   arm_rtx_timer();
 }
@@ -597,14 +596,14 @@ void TcpConnection::pump_recovery() {
   // new SACK information) grants credit; credit is spent on the first
   // unsacked hole above `recovery_rtx_hint_`, falling back to new data
   // when every hole has been retransmitted once this recovery.
-  while (in_recovery_ && recovery_credit_ >= config_.mss) {
+  while (in_recovery_ && recovery_credit_ >= kMss) {
     Seq seq = sacked_.first_missing(std::max(recovery_rtx_hint_, snd_una_), snd_nxt_);
     bool retransmission = true;
     // IsLost heuristic (RFC 3517): only treat the hole as lost when at
-    // least dupack_threshold segments above it have been SACKed;
+    // least kDupackThreshold segments above it have been SACKed;
     // otherwise the "hole" is just data still in flight.
     if (seq < snd_nxt_ &&
-        sacked_.max_end() < seq + (config_.dupack_threshold + 1) * config_.mss) {
+        sacked_.max_end() < seq + (kDupackThreshold + 1) * kMss) {
       seq = snd_nxt_;
     }
     if (seq >= snd_nxt_) {
@@ -615,7 +614,7 @@ void TcpConnection::pump_recovery() {
       retransmission = false;
     }
     const Seq limit = retransmission ? snd_nxt_ : app_limit_;
-    const Seq len = std::min(config_.mss, limit - seq);
+    const Seq len = std::min(kMss, limit - seq);
     if (len <= 0) break;
     const std::int64_t wire = len + fobs::sim::kTcpIpOverheadBytes;
     if (!host_.can_send(wire)) {

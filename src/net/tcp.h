@@ -71,8 +71,18 @@ struct TcpSegment {
 
 inline constexpr int kMaxSackBlocks = 3;
 
+/// Fixed stack parameters (classic values; no caller varies them).
+inline constexpr std::int64_t kMss = 1460;
+inline constexpr int kInitialCwndSegments = 2;
+inline constexpr int kDupackThreshold = 3;
+/// Delayed ACK: ack every kDelayedAckEvery full segments or after the
+/// timeout, whichever first.
+inline constexpr int kDelayedAckEvery = 2;
+inline constexpr Duration kDelayedAckTimeout = Duration::milliseconds(100);
+inline constexpr Duration kSynRetryTimeout = Duration::seconds(1);
+inline constexpr int kMaxSynRetries = 5;
+
 struct TcpConfig {
-  std::int64_t mss = 1460;
   std::int64_t recv_buffer_bytes = 1 << 20;
   /// Large Window Extensions: offer/accept window scaling. Without it the
   /// advertised window is capped at 65535 bytes.
@@ -83,15 +93,6 @@ struct TcpConfig {
   /// Fast recovery (Reno-family). When false the stack behaves like
   /// Tahoe: three dup acks retransmit and collapse cwnd to one segment.
   bool fast_recovery = true;
-  int initial_cwnd_segments = 2;
-  int dupack_threshold = 3;
-  /// Delayed-ACK: ack every `delayed_ack_every` full segments or after
-  /// the timeout, whichever first.
-  int delayed_ack_every = 2;
-  Duration delayed_ack_timeout = Duration::milliseconds(100);
-  Duration syn_retry_timeout = Duration::seconds(1);
-  int max_syn_retries = 5;
-  RttEstimator::Config rtt;
 };
 
 struct TcpStats {

@@ -8,8 +8,7 @@ namespace fobs::net {
 UdpEndpoint::UdpEndpoint(Host& host, PortId port, std::int64_t rx_buffer_bytes)
     : host_(host),
       port_(port == 0 ? host.allocate_port() : port),
-      rx_capacity_bytes_(rx_buffer_bytes > 0 ? rx_buffer_bytes
-                                             : host.config().default_rx_buffer_bytes) {
+      rx_capacity_bytes_(rx_buffer_bytes > 0 ? rx_buffer_bytes : kDefaultRxBufferBytes) {
   host_.bind(port_, this);
 }
 

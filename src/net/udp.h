@@ -36,10 +36,13 @@ struct UdpStats {
   std::int64_t bytes_received = 0;
 };
 
+/// Receive socket buffer of an endpoint created without one.
+inline constexpr std::int64_t kDefaultRxBufferBytes = 256 * 1024;
+
 class UdpEndpoint final : public fobs::host::PortHandler {
  public:
   /// Binds to `port` on `host` (0 picks an ephemeral port).
-  /// `rx_buffer_bytes` of 0 uses the host default.
+  /// `rx_buffer_bytes` of 0 uses kDefaultRxBufferBytes.
   UdpEndpoint(Host& host, PortId port = 0, std::int64_t rx_buffer_bytes = 0);
   ~UdpEndpoint() override;
 

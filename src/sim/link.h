@@ -31,9 +31,6 @@ struct LinkConfig {
   /// Queue capacity in bytes (the packet being transmitted does not
   /// count against it).
   std::int64_t queue_capacity_bytes = 256 * 1024;
-  /// MTU used for fragmentation-aware random loss; wire serialization
-  /// itself treats the datagram as one burst of bytes.
-  std::int64_t mtu_bytes = 1500;
   /// Uniform extra per-packet propagation in [0, jitter]: models
   /// parallel internal switch paths. Nonzero jitter reorders packets —
   /// harmless to FOBS (order-agnostic bitmap) but a dup-ack generator

@@ -40,13 +40,13 @@ TEST(Adaptive, SustainedLossTriggersBackoff) {
   GreedinessController controller{enabled_config()};
   for (int i = 0; i < 50; ++i) controller.on_ack(100, 70);  // 30% loss
   EXPECT_TRUE(controller.backing_off());
-  EXPECT_GE(controller.gap(), controller.config().seed_gap);
+  EXPECT_GE(controller.gap(), kSeedGap);
 }
 
 TEST(Adaptive, GapIsBoundedByMax) {
   GreedinessController controller{enabled_config()};
   for (int i = 0; i < 10000; ++i) controller.on_ack(100, 0);
-  EXPECT_LE(controller.gap(), controller.config().max_gap);
+  EXPECT_LE(controller.gap(), kMaxGap);
 }
 
 TEST(Adaptive, RecoversToFullGreedinessWhenLossClears) {

@@ -6,16 +6,20 @@
 // and four flows, rejected options, control ports leased by binding
 // them, flows resolved once at submit (one timeline on a shared tracer,
 // a malformed per-flow fault plan rejected before any flow or port),
-// and engine counters.
+// the connection acceptor, and engine counters.
 //
 // Port block: 30000-30099 (keep clear of 29xxx = test_fobs_posix /
 // test_telemetry and 31xxx = test_fault_posix).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +32,8 @@
 
 namespace fobs {
 namespace {
+
+using namespace std::chrono_literals;
 
 std::uint16_t port_base(int offset) { return static_cast<std::uint16_t>(30000 + offset); }
 
@@ -506,6 +512,49 @@ TEST(EngineFlows, MalformedPerFlowFaultPlanLaunchesNoFlowAndBindsNoPort) {
     EXPECT_TRUE(fobs::net::listen_tcp(port_base(88 + flow), 1).valid())
         << "control port of flow " << flow << " was bound";
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Acceptor: each connection's handler owns its socket
+// ---------------------------------------------------------------------------
+
+TEST(EngineAcceptor, HandlerOwnsANonBlockingSocketThatClosesWhenDropped) {
+  posix::TransferEngine engine({.workers = 2});
+  std::atomic<int> handled{0};
+  std::atomic<bool> nonblocking{false};
+  std::string peer;
+  ASSERT_TRUE(engine.start_acceptor(port_base(95), [&](fobs::net::Fd fd, std::string host) {
+    nonblocking = (::fcntl(fd.get(), F_GETFL, 0) & O_NONBLOCK) != 0;
+    peer = std::move(host);
+    const std::uint8_t line[] = {'h', 'i', '\n'};
+    fobs::net::send_all(fd.get(), line, sizeof line, std::chrono::steady_clock::now() + 5s);
+    ++handled;
+  }));  // returning drops `fd`, which closes the connection
+  EXPECT_TRUE(engine.acceptor_running());
+  EXPECT_FALSE(engine.start_acceptor(port_base(96), [](fobs::net::Fd, std::string) {}))
+      << "one acceptor per engine";
+
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  fobs::net::Fd client = fobs::net::connect_with_backoff("127.0.0.1", port_base(95), deadline);
+  ASSERT_TRUE(client.valid());
+  std::string line;
+  ASSERT_TRUE(fobs::net::recv_line(client.get(), deadline, line));
+  EXPECT_EQ(line, "hi");
+  // The handler returned: its dropped Fd closed the connection.
+  std::vector<std::uint8_t> rest;
+  bool closed = false;
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    closed = fobs::net::read_closed(client.get(), rest);
+    EXPECT_TRUE(rest.empty());
+    if (!closed) std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(closed) << "the connection outlived its handler";
+  engine.stop_acceptor();
+  EXPECT_FALSE(engine.acceptor_running());
+  EXPECT_EQ(handled.load(), 1);
+  EXPECT_TRUE(nonblocking.load()) << "the handler's socket must be non-blocking";
+  EXPECT_EQ(peer, "127.0.0.1");
 }
 
 }  // namespace

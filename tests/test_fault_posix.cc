@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -176,6 +175,27 @@ TEST(FaultPosixValidation, ControlFaultsAreRejectedAtSubmit) {
   EXPECT_NE(rx.result().error.find("control.* faults apply only in the simulator"),
             std::string::npos)
       << rx.result().error;
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+}
+
+TEST(FaultPosixValidation, AdaptiveExtensionIsRejectedAtSubmit) {
+  // Pacing gaps and the TCP fallback (the paper's §7 extension) exist
+  // only in the simulated sender; a POSIX send that asks for either is
+  // refused before any control port is bound.
+  const std::vector<std::uint8_t> object(1024, 0xAA);
+  posix::TransferEngine engine({.workers = 1});
+  for (const bool fallback : {false, true}) {
+    posix::SenderOptions options;
+    options.data_port = port_base(fallback ? 46 : 44);
+    options.control_port = port_base(fallback ? 47 : 45);
+    (fallback ? options.core.adaptive.tcp_fallback : options.core.adaptive.enabled) = true;
+    auto tx = engine.submit_send(options, object);
+    EXPECT_TRUE(tx.done()) << "rejected at submit, before any flow exists";
+    EXPECT_EQ(tx.status(), posix::TransferStatus::kBadOptions);
+    EXPECT_NE(tx.result().error.find("simulator"), std::string::npos) << tx.result().error;
+    EXPECT_TRUE(net::listen_tcp(options.control_port, 1).valid())
+        << "control port " << options.control_port << " is still held";
+  }
   EXPECT_EQ(engine.sessions_submitted(), 0u);
 }
 
@@ -369,94 +389,90 @@ TEST(FaultPosixControl, ForeignCompletionDoesNotEndASend) {
   EXPECT_EQ(sink, object);
 }
 
-/// A TCP relay in front of a sender's control port. It forwards the
-/// first connection's first receiver-state frame and then closes both
-/// ends of that connection, as a middlebox reset would; every later
-/// connection is relayed both ways until either end closes.
-class DroppingRelay {
+/// A TCP relay in front of a sender's control port that cuts one
+/// connection, as a middlebox reset would. Every connection is relayed
+/// both ways, the receiver's side frame by frame, until either end closes
+/// or the cut closes both: kAfterFirstFrame right after forwarding the
+/// first connection's first receiver-state frame, kFirstCompletion
+/// instead of forwarding the first completion frame, which is lost.
+class CuttingRelay {
  public:
-  DroppingRelay(std::uint16_t listen_port, std::uint16_t sender_port,
-                std::int64_t packet_count)
+  enum class Cut { kAfterFirstFrame, kFirstCompletion };
+
+  CuttingRelay(std::uint16_t listen_port, std::uint16_t sender_port,
+               std::int64_t packet_count, Cut cut)
       : listener_(net::listen_tcp(listen_port, 4)),
-        thread_([this, sender_port, packet_count] { run(sender_port, packet_count); }) {}
-  ~DroppingRelay() {
+        packet_count_(packet_count),
+        cut_(cut),
+        thread_([this, sender_port] { run(sender_port); }) {}
+  ~CuttingRelay() {
     stop_ = true;
     thread_.join();
   }
 
   [[nodiscard]] bool listening() const { return listener_.valid(); }
-  /// True once the first connection was forwarded its frame and closed.
-  [[nodiscard]] bool wait_first_dropped(std::chrono::milliseconds timeout) const {
+  /// True once the cut happened.
+  [[nodiscard]] bool wait_cut(std::chrono::milliseconds timeout) const {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (!first_dropped_ && std::chrono::steady_clock::now() < deadline) {
+    while (!cut_done_ && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    return first_dropped_;
+    return cut_done_;
   }
 
  private:
-  /// Waits for `fd` to become readable; false once the relay stops.
-  bool wait_readable(int fd) const {
-    while (!stop_) {
-      pollfd pfd{fd, POLLIN, 0};
-      if (::poll(&pfd, 1, 20) > 0) return true;
-    }
-    return false;
-  }
-
-  void run(std::uint16_t sender_port, std::int64_t packet_count) {
-    if (!listener_.valid()) return;
-    for (int accepted = 0; wait_readable(listener_.get());) {
-      net::Fd down(::accept(listener_.get(), nullptr, nullptr));
+  void run(std::uint16_t sender_port) {
+    while (listener_.valid() && !stop_) {
+      pollfd pfd{listener_.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const net::Fd down = net::accept_peer(listener_).fd;
       if (!down.valid()) continue;
       const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
       const net::Fd up = net::connect_with_backoff("127.0.0.1", sender_port, deadline);
       if (!up.valid()) return;
-      if (accepted++ == 0) {
-        forward_first_frame(down, up, packet_count, deadline);
-        first_dropped_ = true;
-      } else {
-        relay(down, up);
-      }
+      relay(down, up);  // both ends close when it returns
     }
   }
 
-  void forward_first_frame(const net::Fd& down, const net::Fd& up, std::int64_t packet_count,
-                           std::chrono::steady_clock::time_point deadline) const {
-    std::vector<std::uint8_t> buffer;
-    while (wait_readable(down.get())) {
-      std::uint8_t chunk[4096];
-      const ssize_t n = ::recv(down.get(), chunk, sizeof chunk, 0);
-      if (n <= 0) return;
-      buffer.insert(buffer.end(), chunk, chunk + n);
-      const auto frame = posix::next_control_frame(buffer.data(), buffer.size(), packet_count);
-      if (frame.kind == posix::ControlFrameKind::kNeedMore) continue;
-      net::send_all(up.get(), buffer.data(), frame.consumed, deadline);
-      return;
-    }
-  }
-
-  void relay(const net::Fd& down, const net::Fd& up) const {
-    const int fds[2] = {down.get(), up.get()};
+  void relay(const net::Fd& down, const net::Fd& up) {
+    std::vector<std::uint8_t> chunk;
+    std::vector<std::uint8_t> frames;  // the receiver's bytes not yet forwarded
+    const auto forward = [](const net::Fd& to, const std::uint8_t* data, std::size_t len) {
+      net::send_all(to.get(), data, len, std::chrono::steady_clock::now() + std::chrono::seconds(1));
+    };
     while (!stop_) {
-      pollfd pfds[2] = {{fds[0], POLLIN, 0}, {fds[1], POLLIN, 0}};
+      pollfd pfds[2] = {{down.get(), POLLIN, 0}, {up.get(), POLLIN, 0}};
       if (::poll(pfds, 2, 20) <= 0) continue;
-      for (int i = 0; i < 2; ++i) {
-        if (pfds[i].revents == 0) continue;
-        std::uint8_t chunk[4096];
-        const ssize_t n = ::recv(fds[i], chunk, sizeof chunk, MSG_DONTWAIT);
-        if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) return;
-        if (n > 0) {
-          net::send_all(fds[1 - i], chunk, static_cast<std::size_t>(n),
-                        std::chrono::steady_clock::now() + std::chrono::seconds(1));
+      if (pfds[1].revents != 0) {
+        if (net::read_closed(up.get(), chunk)) return;
+        forward(down, chunk.data(), chunk.size());
+      }
+      if (pfds[0].revents == 0) continue;
+      if (net::read_closed(down.get(), chunk)) return;
+      frames.insert(frames.end(), chunk.begin(), chunk.end());
+      while (true) {
+        const auto frame = posix::next_control_frame(frames.data(), frames.size(), packet_count_);
+        if (frame.kind != posix::ControlFrameKind::kState) break;
+        const bool completion = frame.state && frame.state->received_count == packet_count_;
+        if (!cut_done_ && cut_ == Cut::kFirstCompletion && completion) {
+          cut_done_ = true;
+          return;
+        }
+        forward(up, frames.data(), frame.consumed);
+        frames.erase(frames.begin(), frames.begin() + static_cast<std::ptrdiff_t>(frame.consumed));
+        if (!cut_done_ && cut_ == Cut::kAfterFirstFrame) {
+          cut_done_ = true;
+          return;
         }
       }
     }
   }
 
   net::Fd listener_;
+  const std::int64_t packet_count_;
+  const Cut cut_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> first_dropped_{false};
+  std::atomic<bool> cut_done_{false};
   std::thread thread_;
 };
 
@@ -481,20 +497,61 @@ TEST(FaultPosixControl, ReceiverReconnectsWhenTheSenderDropsItsControlConnection
   ASSERT_TRUE(listeners[0].valid());
   const core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
                                 send_opts.endpoint.packet_bytes};
-  DroppingRelay relay(recv_opts.control_port, send_opts.control_port, spec.packet_count());
+  CuttingRelay relay(recv_opts.control_port, send_opts.control_port, spec.packet_count(),
+                     CuttingRelay::Cut::kAfterFirstFrame);
   ASSERT_TRUE(relay.listening());
 
   posix::TransferEngine engine({.workers = 2});
   auto rx = engine.submit_receive(recv_opts, sink);
   // The first connection is gone before any data flows, so only a
   // receiver that watches its control connection can deliver completion.
-  ASSERT_TRUE(relay.wait_first_dropped(std::chrono::seconds(5)));
+  ASSERT_TRUE(relay.wait_cut(std::chrono::seconds(5)));
   posix::SessionParams params;
   params.control_listeners = std::move(listeners);
   auto tx = engine.submit_send(send_opts, object, std::move(params));
 
   EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
   EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
+  EXPECT_EQ(sink, object);
+  const auto& sender = tx.result().stripe_senders.at(0);
+  const auto& receiver = rx.result().stripe_receivers.at(0);
+  EXPECT_LT(sender.elapsed_seconds, kStallBudgetMs / 1e3 / 2);
+  EXPECT_GE(receiver.reconnects, 1);
+  EXPECT_GE(sender.reconnects, 1);
+}
+
+TEST(FaultPosixControl, LostCompletionIsResentUntilTheSenderEchoesIt) {
+  // The relay swallows the first completion frame and resets the
+  // connection. A receiver that took a written frame for a delivered one
+  // would leave the sender sending until its stall budget ran out; the
+  // receiver instead waits for the sender's echo, reconnects and resends.
+  const auto object = core::make_pattern(256 * 1024, 0xEC40);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  constexpr int kStallBudgetMs = 3'000;
+
+  posix::SenderOptions send_opts;
+  send_opts.data_port = port_base(56);
+  send_opts.control_port = port_base(57);
+  send_opts.endpoint.timeout_ms = kStallBudgetMs;
+  posix::ReceiverOptions recv_opts;
+  recv_opts.data_port = send_opts.data_port;
+  recv_opts.control_port = port_base(58);  // the relay
+  recv_opts.endpoint.timeout_ms = kStallBudgetMs;
+
+  const core::TransferSpec spec{static_cast<std::int64_t>(object.size()),
+                                send_opts.endpoint.packet_bytes};
+  CuttingRelay relay(recv_opts.control_port, send_opts.control_port, spec.packet_count(),
+                     CuttingRelay::Cut::kFirstCompletion);
+  ASSERT_TRUE(relay.listening());
+
+  posix::TransferEngine engine({.workers = 2});
+  auto tx = engine.submit_send(send_opts, object);
+  ASSERT_FALSE(tx.done()) << tx.result().error;
+  auto rx = engine.submit_receive(recv_opts, sink);
+
+  EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
+  EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
+  EXPECT_TRUE(relay.wait_cut(std::chrono::milliseconds(0))) << "no completion was swallowed";
   EXPECT_EQ(sink, object);
   const auto& sender = tx.result().stripe_senders.at(0);
   const auto& receiver = rx.result().stripe_receivers.at(0);

@@ -230,22 +230,17 @@ struct CatalogReply {
 /// Sends one raw catalog request line and parses the reply.
 CatalogReply raw_catalog(std::uint16_t port, const std::string& request) {
   CatalogReply reply;
-  const int fd = connect_tcp(port);
-  if (fd < 0) return reply;
+  const net::Fd conn(connect_tcp(port));
+  if (!conn.valid()) return reply;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   const std::string line = request + "\n";
-  if (::send(fd, line.data(), line.size(), MSG_NOSIGNAL) == static_cast<ssize_t>(line.size())) {
-    char buf[128] = {0};
-    std::size_t got = 0;
-    while (got + 1 < sizeof buf) {
-      const ssize_t n = ::recv(fd, buf + got, sizeof buf - 1 - got, 0);
-      if (n <= 0) break;
-      got += static_cast<std::size_t>(n);
-      if (buf[got - 1] == '\n') break;
-    }
-    std::sscanf(buf, "%lld %lld %d %d", &reply.size, &reply.packet_bytes, &reply.control_port,
-                &reply.granted);
+  std::string answer;
+  if (net::send_all(conn.get(), reinterpret_cast<const std::uint8_t*>(line.data()), line.size(),
+                    deadline) &&
+      net::recv_line(conn.get(), deadline, answer)) {
+    std::sscanf(answer.c_str(), "%lld %lld %d %d", &reply.size, &reply.packet_bytes,
+                &reply.control_port, &reply.granted);
   }
-  ::close(fd);
   return reply;
 }
 

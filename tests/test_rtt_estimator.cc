@@ -30,7 +30,7 @@ TEST(RttEstimator, ConvergesOnSteadyRtt) {
   EXPECT_NEAR(static_cast<double>(est.srtt().ms()), 80.0, 1.0);
   // Variance decays; RTO approaches the configured floor or srtt+small.
   EXPECT_LE(est.rto().ms(), 250);
-  EXPECT_GE(est.rto().ms(), 200);  // min_rto default
+  EXPECT_GE(est.rto().ms(), 200);  // kMinRto
 }
 
 TEST(RttEstimator, RespectsMinimumRto) {
@@ -40,9 +40,7 @@ TEST(RttEstimator, RespectsMinimumRto) {
 }
 
 TEST(RttEstimator, BackoffDoublesUntilCap) {
-  RttEstimator::Config config;
-  config.max_rto = Duration::seconds(8);
-  RttEstimator est(config);
+  RttEstimator est;
   est.add_sample(Duration::milliseconds(500));
   const auto base = est.rto();
   est.backoff();
@@ -50,7 +48,7 @@ TEST(RttEstimator, BackoffDoublesUntilCap) {
   est.backoff();
   EXPECT_EQ(est.rto().ns(), (base * 4).ns());
   for (int i = 0; i < 10; ++i) est.backoff();
-  EXPECT_EQ(est.rto(), Duration::seconds(8));  // capped
+  EXPECT_EQ(est.rto(), kMaxRto);  // capped
   EXPECT_GT(est.backoff_count(), 0);
 }
 

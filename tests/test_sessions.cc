@@ -9,7 +9,9 @@
 //  * data.* and ack.* drop, dup, corrupt and blackhole schedules for
 //    both ends of every flow, and sometimes one dead data link;
 //  * datagram reordering (each datagram has its own latency);
-//  * up to two control-connection drops (both ends see EOF);
+//  * up to two control-connection drops (both ends see EOF, and bytes
+//    not yet read are lost), during the transfer or while a receiver
+//    waits for the echo of its completion;
 //  * up to two receiver crashes, each at a random packet count of one
 //    flow. A crash kills every receiver flow at once, as a killed
 //    process would: the stripe bytes already written stay (a file-backed
@@ -80,11 +82,13 @@ class Wire {
   std::multimap<SessionTime, Bytes> in_flight_;
 };
 
-/// A control connection: the receiver writes, the sender reads.
+/// A control connection: the receiver writes state frames, the sender
+/// answers the completion frame with its one-byte echo.
 struct Connection {
-  Bytes unread;
+  Bytes unread;                  ///< toward the sender
+  Bytes echo;                    ///< toward the receiver
   bool receiver_closed = false;  ///< the sender reads EOF once `unread` is empty
-  bool sender_closed = false;    ///< the receiver's next check sees EOF
+  bool sender_closed = false;    ///< the receiver reads EOF once `echo` is empty
 };
 
 /// One flow's network: its two datagram wires, the connections waiting
@@ -201,6 +205,7 @@ class CaseRun {
   [[nodiscard]] int crashes() const { return crashes_; }
   [[nodiscard]] std::int64_t restored() const { return restored_; }
   [[nodiscard]] std::int64_t stale_acks() const { return stale_acks_; }
+  [[nodiscard]] int unechoed_attempts() const { return unechoed_attempts_; }
 
  private:
   int pick_flow() { return static_cast<int>(rng_.uniform_int(0, plan_.stripe_count() - 1)); }
@@ -244,8 +249,15 @@ class CaseRun {
     }
     if (!session.done()) return;
     if (session.completed()) {
+      if (link.sender_side) {
+        const auto echo = session.completion_echo();
+        link.sender_side->echo.insert(link.sender_side->echo.end(), echo.begin(), echo.end());
+      }
       for (const auto& ack : link.acks.arrived(now_, SIZE_MAX)) session.on_ack_datagram(ack);
     }
+    // The flow's sockets close with it.
+    if (link.sender_side) link.sender_side->sender_closed = true;
+    link.sender_side.reset();
     sender_results_[f] = session.finish(now_);
     stale_acks_ += sender_results_[f]->stale_acks_dropped;
     const auto& flow = send_flows_[f];
@@ -256,8 +268,8 @@ class CaseRun {
     }
   }
 
-  /// One iteration of run_receiver's loop for flow `f`, and its
-  /// completion delivery once the flow is done.
+  /// One iteration of run_receiver's loop for flow `f`, or of its
+  /// completion handshake once the flow is done.
   void receiver_step(std::size_t f) {
     if (!receivers_[f]) return;
     ReceiverSession& session = *receivers_[f];
@@ -276,17 +288,44 @@ class CaseRun {
       }
     }
     if (!session.done()) return;
-    if (session.completed()) {
-      auto& connection = link.receiver_side;
-      if (connection && connection->sender_closed) close_receiver_side(link);
-      bool delivered = connection != nullptr;
-      if (delivered) append_state(f);
-      for (int attempt = 0; !delivered && attempt < 3; ++attempt) delivered = connect(f);
+    const auto handshaking = [&] { return session.awaiting_echo() || echo_deadlines_[f]; };
+    if (handshaking()) {
+      completion_step(f);
+      if (handshaking()) return;
     }
     const auto result = session.finish(now_);
     receivers_[f].reset();
     restored_ += result.packets_restored;
     if (result.status == TransferStatus::kCrashed) crashed_ = true;
+  }
+
+  /// One step of an attempt of the completion handshake: the first
+  /// writes the completion frame (connecting first when the connection
+  /// is down, retried until the deadline as the backoff would), every
+  /// step reads the echo. EOF or the deadline ends the attempt.
+  void completion_step(std::size_t f) {
+    ReceiverSession& session = *receivers_[f];
+    Link& link = links_[f];
+    auto& deadline = echo_deadlines_[f];
+    if (!deadline) {
+      deadline = session.begin_completion_attempt(now_);
+      if (link.receiver_side) append_state(f);
+    }
+    if (!link.receiver_side) {
+      connect(f);
+    } else {
+      Bytes bytes;
+      bytes.swap(link.receiver_side->echo);
+      session.on_control_bytes(bytes);
+      if (bytes.empty() && link.receiver_side->sender_closed) deadline = now_;  // EOF
+    }
+    if (session.echoed()) {
+      deadline.reset();
+    } else if (now_ >= *deadline) {
+      ++unechoed_attempts_;
+      close_receiver_side(link);
+      deadline.reset();
+    }
   }
 
   /// The receiver pump's (re)connect: the old connection closes, and a
@@ -323,6 +362,7 @@ class CaseRun {
     const int crash_flow = crashes_left_ > 0 ? pick_flow() : -1;
     if (crash_flow >= 0) --crashes_left_;
     receivers_.clear();
+    echo_deadlines_.assign(receive_flows_.size(), std::nullopt);
     for (std::size_t f = 0; f < receive_flows_.size(); ++f) {
       auto& flow = receive_flows_[f];
       net::FaultPlan faults;
@@ -340,13 +380,18 @@ class CaseRun {
   }
 
   /// A middlebox resets one live control connection after a random
-  /// number of delivered packets: both ends see EOF.
+  /// number of delivered packets: both ends see EOF, and what neither
+  /// has read yet (a state frame, a completion, its echo) is lost.
   void maybe_drop_control() {
     if (drops_left_ == 0 || delivered_ < next_drop_at_) return;
     const auto f = static_cast<std::size_t>(pick_flow());
     Link& link = links_[f];
-    if (!link.sender_side || !receivers_[f] || receivers_[f]->done()) return;
-    link.sender_side->receiver_closed = link.sender_side->sender_closed = true;
+    if (!link.sender_side || !receivers_[f]) return;
+    if (receivers_[f]->done() && !receivers_[f]->awaiting_echo()) return;
+    Connection& connection = *link.sender_side;
+    connection.receiver_closed = connection.sender_closed = true;
+    connection.unread.clear();
+    connection.echo.clear();
     --drops_left_;
     next_drop_at_ = delivered_ + rng_.uniform_int(1, 64);
   }
@@ -405,6 +450,8 @@ class CaseRun {
   std::vector<std::optional<posix::SenderResult>> sender_results_;
   std::unique_ptr<posix::TransferCheckpoint> checkpoint_;
   std::vector<std::unique_ptr<ReceiverSession>> receivers_;
+  /// Per flow: the deadline of the open completion-handshake attempt.
+  std::vector<std::optional<SessionTime>> echo_deadlines_;
   std::uint32_t epoch_ = 0;
   SessionTime now_{};
   int crashes_left_ = 0;
@@ -415,6 +462,7 @@ class CaseRun {
   std::int64_t next_drop_at_ = 0;
   std::int64_t restored_ = 0;
   std::int64_t stale_acks_ = 0;
+  int unechoed_attempts_ = 0;
 };
 
 // The packet CRC seals the header too: a datagram whose seq was damaged
@@ -461,6 +509,7 @@ TEST(SessionProperty, SeededCrashResumeCasesEndByteIdenticalOrWithAnHonestCheckp
   int crashes = 0;
   std::int64_t restored = 0;
   std::int64_t stale_acks = 0;
+  int unechoed_attempts = 0;
   for (int i = 0; i < kCases && !::testing::Test::HasFailure(); ++i) {
     const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(i);
     SCOPED_TRACE("case seed " + std::to_string(seed));
@@ -470,13 +519,16 @@ TEST(SessionProperty, SeededCrashResumeCasesEndByteIdenticalOrWithAnHonestCheckp
     crashes += run.crashes();
     restored += run.restored();
     stale_acks += run.stale_acks();
+    unechoed_attempts += run.unechoed_attempts();
   }
   // The schedules reach the paths under test: crashes that restore
-  // from a checkpoint, and ACKs from a dead epoch that the sender drops.
+  // from a checkpoint, ACKs from a dead epoch that the sender drops, and
+  // completion frames that got no echo and were sent again.
   EXPECT_GT(completed, kCases / 2);
   EXPECT_GT(crashes, kCases / 4);
   EXPECT_GT(restored, 0);
   EXPECT_GT(stale_acks, 0);
+  EXPECT_GT(unechoed_attempts, 0);
 }
 
 }  // namespace

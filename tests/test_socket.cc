@@ -1,7 +1,8 @@
 // The shared POSIX socket helpers (net/socket.h) that every real-socket
 // driver builds on: Fd ownership, address construction, non-blocking
-// stream writes with deadlines, TCP connect-with-backoff, listen and
-// all-or-nothing block listen, and the goodput conversion.
+// stream writes and reads with deadlines, TCP connect-with-backoff,
+// listen, all-or-nothing block listen and accept, and the goodput
+// conversion.
 //
 // Port block: 30500-30519 (test_stripes owns 30300-30499).
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -107,11 +109,12 @@ TEST(Socket, SendAllDeliversEveryByteThroughAFullBuffer) {
 
   std::vector<std::uint8_t> received;
   std::thread drain([&, fd = reader.get()] {
-    std::uint8_t chunk[8192];
+    std::vector<std::uint8_t> chunk;
     while (received.size() < payload.size()) {
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n <= 0) break;
-      received.insert(received.end(), chunk, chunk + n);
+      pollfd pfd{fd, POLLIN, 0};
+      ::poll(&pfd, 1, 100);
+      if (fobs::net::read_closed(fd, chunk)) break;
+      received.insert(received.end(), chunk.begin(), chunk.end());
     }
   });
   const bool sent =
@@ -149,7 +152,7 @@ TEST(Socket, ListenTcpIsNonBlockingAndRefusesABusyPort) {
   ASSERT_TRUE(listener.valid());
   EXPECT_NE(::fcntl(listener.get(), F_GETFL, 0) & O_NONBLOCK, 0);
   // Nothing is queued yet: accept must not block.
-  EXPECT_LT(::accept(listener.get(), nullptr, nullptr), 0);
+  EXPECT_FALSE(fobs::net::accept_peer(listener).fd.valid());
   EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
 
   EXPECT_FALSE(fobs::net::listen_tcp(30501, 4).valid()) << "port already has a listener";
@@ -195,14 +198,54 @@ TEST(Socket, ConnectWithBackoffWaitsForALateListener) {
 
   pollfd pfd{listener.get(), POLLIN, 0};
   ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
-  Fd accepted(::accept(listener.get(), nullptr, nullptr));
-  ASSERT_TRUE(accepted.valid());
-  const std::uint8_t hello[] = {'h', 'i'};
+  const auto accepted = fobs::net::accept_peer(listener);
+  ASSERT_TRUE(accepted.fd.valid());
+  EXPECT_EQ(accepted.peer_host, "127.0.0.1");
+  EXPECT_NE(::fcntl(accepted.fd.get(), F_GETFL, 0) & O_NONBLOCK, 0)
+      << "the accepted socket is handed back non-blocking";
+  const std::uint8_t hello[] = {'h', 'i', '\n'};
   ASSERT_TRUE(fobs::net::send_all(client.get(), hello, sizeof hello, Clock::now() + 2s));
-  std::uint8_t got[2] = {};
-  EXPECT_EQ(::recv(accepted.get(), got, sizeof got, MSG_WAITALL), 2);
-  EXPECT_EQ(got[0], 'h');
-  EXPECT_EQ(got[1], 'i');
+  std::string line;
+  EXPECT_TRUE(fobs::net::recv_line(accepted.fd.get(), Clock::now() + 2s, line));
+  EXPECT_EQ(line, "hi");
+}
+
+TEST(Socket, ReadClosedHandsOverWhatArrivedThenReportsEof) {
+  auto [writer, reader] = stream_pair();
+  ASSERT_TRUE(writer.valid() && reader.valid());
+  fobs::net::set_nonblocking(reader.get());
+  std::vector<std::uint8_t> got = {9};
+  EXPECT_FALSE(fobs::net::read_closed(reader.get(), got)) << "nothing to read is not closed";
+  EXPECT_TRUE(got.empty());
+
+  const std::uint8_t bytes[] = {1, 2, 3};
+  ASSERT_TRUE(fobs::net::send_all(writer.get(), bytes, sizeof bytes, Clock::now() + 1s));
+  writer.reset();
+  EXPECT_FALSE(fobs::net::read_closed(reader.get(), got)) << "bytes come before the EOF";
+  EXPECT_EQ(got, std::vector<std::uint8_t>({1, 2, 3}));
+  EXPECT_TRUE(fobs::net::read_closed(reader.get(), got));
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(fobs::net::read_closed(-1, got)) << "a failed read counts as closed";
+}
+
+TEST(Socket, RecvLineGivesUpAtTheDeadlineOnAbortAndOnEof) {
+  auto [writer, reader] = stream_pair();
+  ASSERT_TRUE(writer.valid() && reader.valid());
+  const std::uint8_t partial[] = {'a', 'b'};
+  ASSERT_TRUE(fobs::net::send_all(writer.get(), partial, sizeof partial, Clock::now() + 1s));
+  std::string line;
+  const auto start = Clock::now();
+  EXPECT_FALSE(fobs::net::recv_line(reader.get(), start + 150ms, line));
+  EXPECT_GE(Clock::now() - start, 150ms) << "waits out the whole deadline";
+  EXPECT_EQ(line, "ab") << "what arrived before the deadline is kept";
+
+  const std::atomic<bool> abort{true};
+  EXPECT_FALSE(fobs::net::recv_line(reader.get(), Clock::now() + 30s, line, &abort));
+  EXPECT_LT(Clock::now() - start, 5s) << "a set abort flag returns at once";
+
+  writer.reset();
+  EXPECT_FALSE(fobs::net::recv_line(reader.get(), Clock::now() + 30s, line));
+  EXPECT_LT(Clock::now() - start, 5s) << "EOF before the newline returns at once";
 }
 
 TEST(Socket, ConnectWithBackoffGivesUpAtTheDeadline) {
