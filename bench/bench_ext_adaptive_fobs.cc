@@ -20,7 +20,6 @@
 
 #include "bench_util.h"
 #include "exp/runner.h"
-#include "fobs/sim_driver.h"
 #include "sim/cross_traffic.h"
 
 namespace {
@@ -76,27 +75,19 @@ CellResult run_cell(const exp::TestbedSpec& spec, const Variant& variant,
   config.spec.object_bytes = object_bytes;
   config.sender.adaptive.enabled = variant.adaptive;
   config.sender.adaptive.tcp_fallback = variant.tcp_fallback;
-
-  core::SimSender sender(bed.src(), config.spec, config.sender, nullptr, bed.dst().id());
-  core::SimReceiver receiver(bed.dst(), config.spec, config.receiver, nullptr,
-                             bed.src().id(), config.receiver_socket_buffer_bytes);
-  bool done = false;
-  sender.set_on_finished([&done] { done = true; });
-  receiver.start();
-  sender.start();
-  while (!done && sim.now().seconds() < 600 && sim.step()) {
-  }
+  config.carry_data = false;
+  const auto result = core::run_sim_transfer(net, bed.src(), bed.dst(), config);
 
   CellResult cell;
-  cell.completed = done;
-  if (receiver.complete()) {
-    const double seconds = receiver.completed_at().seconds();
+  cell.completed = result.completed;
+  if (result.receiver_complete) {
+    const double seconds = result.receiver_elapsed.seconds();
     cell.fraction = static_cast<double>(object_bytes) * 8.0 / seconds /
                     spec.max_bandwidth.bps();
   }
-  cell.waste = sender.core().waste();
-  cell.fallback_episodes = sender.fallback_episodes();
-  cell.via_tcp = sender.packets_sent_via_tcp();
+  cell.waste = result.waste;
+  cell.fallback_episodes = result.fallback_episodes;
+  cell.via_tcp = result.packets_via_tcp;
   std::uint64_t offered = 0;
   for (const auto& src : bed.cross_sources()) offered += src->stats().packets_sent;
   for (const auto& src : episode_sources) offered += src->stats().packets_sent;

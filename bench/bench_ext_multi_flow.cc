@@ -14,7 +14,6 @@
 
 #include "bench_util.h"
 #include "exp/runner.h"
-#include "fobs/sim_driver.h"
 #include "net/tcp.h"
 #include "sim/node.h"
 
@@ -116,48 +115,33 @@ struct FleetResult {
   std::vector<double> per_flow_mbps;
   double aggregate_fraction = 0.0;
   double mean_waste = 0.0;
-  bool all_done = false;
 };
 
 FleetResult run_fobs_fleet(int flows, bool adaptive, std::int64_t object_bytes) {
   MultiSiteWorld world(flows);
-  auto& sim = world.simulation;
 
-  core::TransferSpec spec{object_bytes, 1024};
-  core::SenderConfig sender_config;
-  sender_config.adaptive.enabled = adaptive;
-  core::ReceiverConfig receiver_config;
-
-  std::vector<std::unique_ptr<core::SimSender>> senders;
-  std::vector<std::unique_ptr<core::SimReceiver>> receivers;
-  int done = 0;
+  core::SimTransferConfig config;
+  config.spec = {object_bytes, 1024};
+  config.sender.adaptive.enabled = adaptive;
+  config.carry_data = false;
+  std::vector<core::SimTransfer> transfers;
   for (int i = 0; i < flows; ++i) {
-    senders.push_back(std::make_unique<core::SimSender>(
-        *world.senders[static_cast<std::size_t>(i)], spec, sender_config, nullptr,
-        world.receivers[static_cast<std::size_t>(i)]->id()));
-    receivers.push_back(std::make_unique<core::SimReceiver>(
-        *world.receivers[static_cast<std::size_t>(i)], spec, receiver_config, nullptr,
-        world.senders[static_cast<std::size_t>(i)]->id(), 64 * 1024));
-    senders.back()->set_on_finished([&done] { ++done; });
+    transfers.push_back({*world.senders[static_cast<std::size_t>(i)],
+                         *world.receivers[static_cast<std::size_t>(i)], config});
   }
-  for (auto& r : receivers) r->start();
-  for (auto& s : senders) s->start();
-  while (done < flows && sim.now().seconds() < 600 && sim.step()) {
-  }
+  const auto runs = core::run_sim_transfers(*world.network, transfers);
 
   FleetResult result;
-  result.all_done = done == flows;
   double aggregate_bits = 0.0;
   double last_finish = 0.0;
-  for (int i = 0; i < flows; ++i) {
-    const auto& r = *receivers[static_cast<std::size_t>(i)];
-    const double seconds = r.complete() ? r.completed_at().seconds() : 0.0;
+  for (const auto& run : runs) {
+    const double seconds = run.receiver_complete ? run.receiver_elapsed.seconds() : 0.0;
     const double mbps =
         seconds > 0 ? static_cast<double>(object_bytes) * 8.0 / seconds / 1e6 : 0.0;
     result.per_flow_mbps.push_back(mbps);
     aggregate_bits += static_cast<double>(object_bytes) * 8.0;
     last_finish = std::max(last_finish, seconds);
-    result.mean_waste += senders[static_cast<std::size_t>(i)]->core().waste();
+    result.mean_waste += run.waste;
   }
   result.mean_waste /= flows;
   if (last_finish > 0) {
@@ -202,7 +186,6 @@ FleetResult run_tcp_fleet(int flows, std::int64_t object_bytes) {
   }
 
   FleetResult result;
-  result.all_done = done == flows;
   double last_finish = 0.0;
   for (const auto& flow : flows_state) {
     const double mbps = flow.finished_at > 0

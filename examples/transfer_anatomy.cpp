@@ -1,7 +1,7 @@
 // Anatomy of a FOBS transfer: attach a packet tracer to the bottleneck
-// and a throughput probe to the receiver, run one lossy long-haul
-// transfer, and print a timeline — where the drops happened and how the
-// goodput evolved.
+// and event tracers to both endpoints, run one lossy long-haul transfer,
+// and print a timeline from the receiver's trace — where the drops
+// happened and how the goodput evolved.
 //
 //   ./transfer_anatomy [ack_frequency]
 //
@@ -13,8 +13,7 @@
 #include <iostream>
 
 #include "exp/runner.h"
-#include "fobs/sim_driver.h"
-#include "sim/flow_stats.h"
+#include "fobs/sim_transfer.h"
 #include "sim/packet_trace.h"
 #include "telemetry/trace.h"
 
@@ -28,44 +27,23 @@ int main(int argc, char** argv) {
   sim::PacketTrace backbone_trace;
   bed.backbone().set_observer(&backbone_trace);
 
-  core::TransferSpec transfer{16 * 1024 * 1024, 1024};
-  core::SenderConfig sender_config;
-  core::ReceiverConfig receiver_config;
-  receiver_config.ack_frequency = ack_frequency;
-
-  core::SimSender sender(bed.src(), transfer, sender_config, nullptr, bed.dst().id());
-  core::SimReceiver receiver(bed.dst(), transfer, receiver_config, nullptr, bed.src().id(),
-                             64 * 1024);
-
   telemetry::EventTracer sender_trace;
   telemetry::EventTracer receiver_trace;
-  sender.set_tracer(&sender_trace);
-  receiver.set_tracer(&receiver_trace);
-
-  // Goodput probe: unique packets at the receiver, sampled every 100 ms.
-  sim::TimeSeriesProbe goodput(bed.sim(), "received", util::Duration::milliseconds(100),
-                               [&receiver] {
-                                 return static_cast<double>(
-                                     receiver.core().stats().packets_received);
-                               });
-  // Socket-drop probe: the Figure 1 mechanism, live.
-  sim::TimeSeriesProbe drops(bed.sim(), "socket-drops", util::Duration::milliseconds(100),
-                             [&receiver] { return static_cast<double>(receiver.socket_drops()); });
-
-  bool done = false;
-  sender.set_on_finished([&done] { done = true; });
-  receiver.start();
-  sender.start();
-  while (!done && bed.sim().now().seconds() < 120 && bed.sim().step()) {
-  }
+  core::SimTransferConfig config;
+  config.spec = {16 * 1024 * 1024, 1024};
+  config.receiver.ack_frequency = ack_frequency;
+  config.timeout = util::Duration::seconds(120);
+  config.carry_data = false;
+  config.sender_tracer = &sender_trace;
+  config.receiver_tracer = &receiver_trace;
+  const auto result = core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
 
   std::printf("FOBS transfer anatomy (short haul, ack frequency %lld)\n",
               static_cast<long long>(ack_frequency));
   std::printf("finished: %s in %.2f s; sent %lld for %lld needed (waste %.1f%%)\n",
-              done ? "yes" : "NO", bed.sim().now().seconds(),
-              static_cast<long long>(sender.core().stats().packets_sent),
-              static_cast<long long>(transfer.packet_count()),
-              100.0 * sender.core().waste());
+              result.completed ? "yes" : "NO", bed.sim().now().seconds(),
+              static_cast<long long>(result.packets_sent),
+              static_cast<long long>(result.packets_needed), 100.0 * result.waste);
   std::printf("backbone: %llu delivered, %llu random drops, %llu overflow drops\n",
               static_cast<unsigned long long>(
                   backbone_trace.count(sim::TraceEvent::Kind::kDelivered)),
@@ -74,19 +52,34 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   backbone_trace.count(sim::TraceEvent::Kind::kDropOverflow)));
   std::printf("receiver socket-buffer drops: %llu\n\n",
-              static_cast<unsigned long long>(receiver.socket_drops()));
+              static_cast<unsigned long long>(result.receiver_socket_drops));
 
+  // The timeline comes from the receiver's trace: packet_placed carries
+  // the cumulative count of unique packets, drop_while_acking the socket
+  // drops since the last one (the Figure 1 mechanism).
   std::printf("timeline (100 ms buckets): received packets | new socket drops\n");
-  double prev_received = 0;
-  double prev_drops = 0;
-  for (std::size_t i = 0; i < goodput.samples().size(); ++i) {
-    const double received = goodput.samples()[i].value;
-    const double dropped = i < drops.samples().size() ? drops.samples()[i].value : prev_drops;
-    const auto bar = static_cast<int>((received - prev_received) / 40.0);
-    std::printf("t=%4.1fs %6.0f new ", goodput.samples()[i].when.seconds(),
-                received - prev_received);
-    for (int b = 0; b < bar && b < 60; ++b) std::printf("#");
-    if (dropped > prev_drops) std::printf("   (+%.0f drops)", dropped - prev_drops);
+  const auto events = receiver_trace.snapshot();
+  const std::int64_t bucket_ns = util::Duration::milliseconds(100).ns();
+  std::size_t next = 0;
+  std::int64_t received = 0;
+  std::int64_t dropped = 0;
+  std::int64_t prev_received = 0;
+  std::int64_t prev_drops = 0;
+  for (std::int64_t end = bucket_ns; end <= bed.sim().now().ns(); end += bucket_ns) {
+    for (; next < events.size() && events[next].t_ns <= end; ++next) {
+      if (events[next].type == telemetry::EventType::kPacketPlaced) {
+        received = events[next].value;
+      } else if (events[next].type == telemetry::EventType::kDropWhileAcking) {
+        dropped += events[next].value;
+      }
+    }
+    const std::int64_t bar = (received - prev_received) / 40;
+    std::printf("t=%4.1fs %6lld new ", static_cast<double>(end) / 1e9,
+                static_cast<long long>(received - prev_received));
+    for (std::int64_t b = 0; b < bar && b < 60; ++b) std::printf("#");
+    if (dropped > prev_drops) {
+      std::printf("   (+%lld drops)", static_cast<long long>(dropped - prev_drops));
+    }
     std::printf("\n");
     prev_received = received;
     prev_drops = dropped;
@@ -105,5 +98,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nTip: run with ack frequency 64 to see the drop column vanish and the\n"
               "bars reach the 100 Mb/s ceiling (the Figure 1 story, one bucket at a time).\n");
-  return done ? 0 : 1;
+  return result.completed ? 0 : 1;
 }

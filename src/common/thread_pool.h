@@ -24,7 +24,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
   /// Enqueues a callable; returns a future for its result.
   template <typename F>

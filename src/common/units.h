@@ -155,9 +155,6 @@ class DataRate {
   constexpr DataRate() = default;
 
   [[nodiscard]] static constexpr DataRate bits_per_second(double bps) { return DataRate{bps}; }
-  [[nodiscard]] static constexpr DataRate kilobits_per_second(double kbps) {
-    return DataRate{kbps * 1e3};
-  }
   [[nodiscard]] static constexpr DataRate megabits_per_second(double mbps) {
     return DataRate{mbps * 1e6};
   }

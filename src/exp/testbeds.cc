@@ -60,7 +60,9 @@ CpuModel fast_server_cpu() {
 
 TestbedSpec spec_for(PathId id) {
   TestbedSpec spec;
-  spec.name = to_string(id);
+  // Built as a std::string first: assigning the const char* directly
+  // trips a false -Wrestrict in GCC 12 at -O3.
+  spec.name = std::string(to_string(id));
   switch (id) {
     case PathId::kShortHaul:
       // RTT ~26 ms; bottleneck = 100 Mb/s NIC at ANL; clean path.

@@ -11,6 +11,16 @@ namespace fobs::core {
 
 using fobs::net::FaultDecision;
 
+namespace {
+
+// A transfer occupies four consecutive ports from its `port_base`.
+constexpr PortId kDataPortOffset = 0;        ///< receiver side, UDP
+constexpr PortId kAckPortOffset = 1;         ///< sender side, UDP
+constexpr PortId kCompletionPortOffset = 2;  ///< sender side, TCP
+constexpr PortId kTcpDataPortOffset = 3;     ///< receiver side, TCP (§7)
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // SimSender
 // ---------------------------------------------------------------------------
@@ -61,7 +71,6 @@ void SimSender::on_control_message(const std::any& message) {
     finished_at_ = host_.network().sim().now();
     FOBS_DEBUG("fobs.sender", "completion signal at " << finished_at_.seconds() << "s, sent="
                                                       << core_.stats().packets_sent);
-    if (on_finished_) on_finished_();
   }
 }
 

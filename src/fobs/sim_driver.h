@@ -1,5 +1,6 @@
 // Simulator drivers that run the FOBS sender/receiver cores over the
-// discrete-event network.
+// discrete-event network. Private to the runner (fobs/sim_transfer.h),
+// which wires one pair per transfer and owns the event loop.
 //
 // The drivers reproduce the paper's user-level process structure:
 //  * both sides are single-threaded poll loops that charge host CPU time
@@ -15,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,16 +35,6 @@ using fobs::sim::PortId;
 using fobs::util::Duration;
 using fobs::util::TimePoint;
 
-/// Default port block used by the sim drivers. A transfer occupies four
-/// consecutive ports starting at its `port_base` (data, ACK, completion,
-/// TCP-fallback data), so concurrent transfers between the same host
-/// pair just use different bases (e.g. 7001, 7101, ...).
-inline constexpr PortId kFobsPortBase = 7001;
-inline constexpr PortId kDataPortOffset = 0;        ///< receiver side, UDP
-inline constexpr PortId kAckPortOffset = 1;         ///< sender side, UDP
-inline constexpr PortId kCompletionPortOffset = 2;  ///< sender side, TCP
-inline constexpr PortId kTcpDataPortOffset = 3;     ///< receiver side, TCP (§7)
-
 /// Sender-side driver: greedy batch-send loop.
 class SimSender {
  public:
@@ -53,7 +43,7 @@ class SimSender {
   /// @param port_base first of the four consecutive ports this transfer
   ///        uses (must match the receiver's).
   SimSender(Host& host, TransferSpec spec, SenderConfig config, const std::uint8_t* data,
-            NodeId receiver_node, PortId port_base = kFobsPortBase);
+            NodeId receiver_node, PortId port_base);
 
   /// Starts the send loop (call after the receiver exists).
   void start();
@@ -77,15 +67,9 @@ class SimSender {
   [[nodiscard]] const SenderCore& core() const { return core_; }
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] TimePoint finished_at() const { return finished_at_; }
-  [[nodiscard]] const fobs::net::UdpStats& data_udp_stats() const {
-    return data_out_.stats();
-  }
   /// §7 TCP-fallback diagnostics.
   [[nodiscard]] int fallback_episodes() const { return fallback_episodes_; }
-  [[nodiscard]] bool in_fallback() const { return mode_ == Mode::kTcpFallback; }
   [[nodiscard]] std::int64_t packets_sent_via_tcp() const { return packets_via_tcp_; }
-
-  void set_on_finished(std::function<void()> cb) { on_finished_ = std::move(cb); }
 
  private:
   enum class Mode { kUdp, kTcpFallback };
@@ -113,7 +97,6 @@ class SimSender {
   bool finished_ = false;
   bool step_scheduled_ = false;
   TimePoint finished_at_;
-  std::function<void()> on_finished_;
   // --- §7 TCP-fallback state ---
   fobs::net::FaultInjector* faults_ = nullptr;
   std::int64_t corrupt_acks_dropped_ = 0;
@@ -134,8 +117,7 @@ class SimReceiver {
   /// @param socket_buffer_bytes UDP receive socket buffer — the overflow
   ///        point that models Figure 1's ACK-stall losses.
   SimReceiver(Host& host, TransferSpec spec, ReceiverConfig config, std::uint8_t* buffer,
-              NodeId sender_node, std::int64_t socket_buffer_bytes,
-              PortId port_base = kFobsPortBase);
+              NodeId sender_node, std::int64_t socket_buffer_bytes, PortId port_base);
 
   /// Opens the TCP control connection and starts polling.
   void start();
@@ -156,8 +138,6 @@ class SimReceiver {
 
   /// Data packets rejected because their (modelled) checksum failed.
   [[nodiscard]] std::int64_t corrupt_data_dropped() const { return corrupt_data_dropped_; }
-  /// True once the fault plan's crash point has fired.
-  [[nodiscard]] bool crashed() const { return crashed_; }
 
   [[nodiscard]] const ReceiverCore& core() const { return core_; }
   [[nodiscard]] bool complete() const { return core_.complete(); }

@@ -1,19 +1,27 @@
-// One-call FOBS object transfer between two simulated hosts.
+// FOBS object transfers between simulated hosts: the simulator's one
+// driver, for N >= 1 concurrent transfers.
 //
-// Owns the object buffers, wires SimSender/SimReceiver together, runs
-// the event loop to completion (or timeout), verifies data integrity,
-// and reports the metrics the paper's figures use.
+// Owns the object buffers, wires a sender and a receiver for each
+// transfer, runs one event loop until every transfer has finished,
+// stalled or passed its deadline, verifies data integrity, and reports
+// the metrics the paper's figures use.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "fobs/sim_driver.h"
+#include "common/units.h"
+#include "fobs/receiver_core.h"
+#include "fobs/sender_core.h"
 #include "host/host.h"
 #include "net/faults.h"
 #include "sim/node.h"
+#include "telemetry/trace.h"
 
 namespace fobs::core {
+
+using fobs::util::Duration;
+using fobs::util::TimePoint;
 
 struct SimTransferConfig {
   TransferSpec spec{.object_bytes = 40 * 1024 * 1024, .packet_bytes = 1024};
@@ -36,6 +44,9 @@ struct SimTransferConfig {
 
 struct SimTransferResult {
   bool completed = false;
+  /// The receiver holds the whole object (it may still be waiting for
+  /// the sender to learn so).
+  bool receiver_complete = false;
   /// Start -> receiver holds the whole object (goodput clock).
   Duration receiver_elapsed = Duration::zero();
   /// Start -> sender learns of completion (paper's "transfer done").
@@ -51,6 +62,9 @@ struct SimTransferResult {
   /// Checksum-failing packets rejected (data at receiver + ACKs at
   /// sender); non-zero only when a fault plan injects corruption.
   std::int64_t corrupt_drops = 0;
+  /// §7 TCP fallback: episodes entered and packets handed to TCP.
+  int fallback_episodes = 0;
+  std::int64_t packets_via_tcp = 0;
   /// True when the run was terminated by stall detection (no progress
   /// for kStallIntervals consecutive checks of timeout / kStallIntervals
   /// on both sides) rather than completing.
@@ -64,8 +78,24 @@ struct SimTransferResult {
   }
 };
 
-/// Runs one FOBS transfer from `sender_host` to `receiver_host` over
-/// whatever topology already connects them in `network`.
+/// One transfer of a run: the object goes from `sender` to `receiver`
+/// over whatever topology already connects them.
+struct SimTransfer {
+  fobs::host::Host& sender;
+  fobs::host::Host& receiver;
+  SimTransferConfig config;
+};
+
+/// Runs every transfer concurrently in `network`'s simulation and
+/// returns one result per transfer, in order. Transfer i uses its own
+/// block of ports, so any number may share one host pair. Each result
+/// is taken when its transfer ends (finished, stalled or past its
+/// deadline); the run ends when all have, so a stalled or timed-out
+/// transfer's endpoints keep running until then.
+std::vector<SimTransferResult> run_sim_transfers(fobs::sim::Network& network,
+                                                 const std::vector<SimTransfer>& transfers);
+
+/// The one-transfer form of run_sim_transfers.
 SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host& sender_host,
                                    fobs::host::Host& receiver_host,
                                    const SimTransferConfig& config);

@@ -89,7 +89,6 @@ class Host final : public fobs::sim::Node {
   /// transfers co-located on one host contend for the CPU instead of
   /// each pretending to own it. A lone driver sees now()+cost exactly.
   [[nodiscard]] fobs::util::TimePoint reserve_cpu(Duration cost);
-  [[nodiscard]] fobs::util::TimePoint cpu_free_at() const { return cpu_free_at_; }
 
   /// Sends a packet: stamps src/uid and offers it to the NIC link. The
   /// NIC queue models the socket send buffer; when it is full the packet

@@ -132,7 +132,6 @@ class TcpConnection final : public fobs::host::PortHandler {
   [[nodiscard]] TcpState state() const { return state_; }
   [[nodiscard]] bool established() const { return state_ == TcpState::kEstablished || state_ == TcpState::kFinSent || state_ == TcpState::kDone; }
   [[nodiscard]] PortId local_port() const { return local_port_; }
-  [[nodiscard]] NodeId peer_node() const { return peer_node_; }
   [[nodiscard]] Host& host() { return host_; }
 
   /// Appends `n` abstract bytes to the send stream.
@@ -146,8 +145,6 @@ class TcpConnection final : public fobs::host::PortHandler {
   [[nodiscard]] Seq offered_bytes() const { return app_limit_; }
   [[nodiscard]] Seq acked_bytes() const { return snd_una_; }
   [[nodiscard]] Seq delivered_bytes() const { return rcv_nxt_; }
-  [[nodiscard]] double cwnd_bytes() const { return cwnd_; }
-  [[nodiscard]] Seq peer_window_bytes() const { return peer_wnd_; }
   [[nodiscard]] bool send_complete() const {
     return app_limit_ > 0 && snd_una_ >= app_limit_;
   }
@@ -165,11 +162,7 @@ class TcpConnection final : public fobs::host::PortHandler {
 
   // Debug/diagnostic accessors (stable state inspection for tests).
   [[nodiscard]] Seq snd_nxt() const { return snd_nxt_; }
-  [[nodiscard]] bool in_recovery() const { return in_recovery_; }
-  [[nodiscard]] bool rtx_timer_armed() const { return rtx_timer_ != fobs::sim::kInvalidEventId; }
-  [[nodiscard]] bool waiting_writable() const { return waiting_writable_; }
   [[nodiscard]] Seq rcv_nxt() const { return rcv_nxt_; }
-  [[nodiscard]] std::size_t ooo_ranges() const { return ooo_.range_count(); }
 
   void handle_packet(Packet packet) override;
 

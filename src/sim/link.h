@@ -74,7 +74,6 @@ class Link final : public PacketSink {
     return queued_bytes_ + bytes <= config_.queue_capacity_bytes;
   }
   [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
-  [[nodiscard]] std::size_t queued_packets() const { return queue_.size(); }
   [[nodiscard]] bool busy() const { return transmitting_; }
 
   /// Invoked whenever queue occupancy decreases; used by endpoints that

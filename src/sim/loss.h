@@ -46,7 +46,6 @@ class GilbertElliottLoss final : public LossModel {
 
   bool should_drop(const Packet& packet, fobs::util::Rng& rng) override;
 
-  [[nodiscard]] bool in_bad_state() const { return bad_; }
 
  private:
   double p_gb_;

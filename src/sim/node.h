@@ -35,23 +35,20 @@ class Router final : public Node {
   Router(NodeId id, std::string name) : Node(id, std::move(name)) {}
 
   void add_route(NodeId dst, PacketSink* next_hop) { routes_[dst] = next_hop; }
-  void set_default_route(PacketSink* next_hop) { default_route_ = next_hop; }
 
   void deliver(Packet packet) override {
     auto it = routes_.find(packet.dst);
-    PacketSink* next = it != routes_.end() ? it->second : default_route_;
-    if (next == nullptr) {
+    if (it == routes_.end()) {
       ++no_route_drops_;
       return;
     }
-    next->deliver(std::move(packet));
+    it->second->deliver(std::move(packet));
   }
 
   [[nodiscard]] std::uint64_t no_route_drops() const { return no_route_drops_; }
 
  private:
   std::unordered_map<NodeId, PacketSink*> routes_;
-  PacketSink* default_route_ = nullptr;
   std::uint64_t no_route_drops_ = 0;
 };
 

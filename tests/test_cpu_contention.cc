@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/testbeds.h"
-#include "fobs/sim_driver.h"
+#include "fobs/sim_transfer.h"
 #include "host/host.h"
 #include "sim/node.h"
 
@@ -57,22 +57,18 @@ TEST(CpuContention, ColocatedLoadSlowsACpuBoundTransfer) {
   auto run_transfer = [](bool with_hog) {
     exp::Testbed bed(exp::PathId::kGigabitOc12);
     auto& sim = bed.sim();
-    core::TransferSpec spec{8 * 1024 * 1024, 1024};
-    core::SimSender sender(bed.src(), spec, core::SenderConfig{}, nullptr, bed.dst().id());
-    core::SimReceiver receiver(bed.dst(), spec, core::ReceiverConfig{}, nullptr,
-                               bed.src().id(), 256 * 1024);
-    bool finished = false;
-    sender.set_on_finished([&finished] { finished = true; });
+    core::SimTransferConfig config;
+    config.spec = {8 * 1024 * 1024, 1024};
+    config.receiver_socket_buffer_bytes = 256 * 1024;
+    config.timeout = Duration::seconds(120);
+    config.carry_data = false;
     std::function<void()> hog = [&]() {
       (void)bed.dst().reserve_cpu(Duration::microseconds(100));
       sim.schedule_in(Duration::microseconds(200), hog);
     };
     if (with_hog) hog();
-    receiver.start();
-    sender.start();
-    while (!finished && sim.now().seconds() < 120 && sim.step()) {
-    }
-    return receiver.complete() ? receiver.completed_at().seconds() : -1.0;
+    const auto result = core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
+    return result.receiver_complete ? result.receiver_elapsed.seconds() : -1.0;
   };
 
   const double alone = run_transfer(false);

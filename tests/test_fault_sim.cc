@@ -109,6 +109,53 @@ TEST(FaultSim, ReceiverCrashStallsTheSender) {
   EXPECT_EQ(sender_trace.count(EventType::kStall), core::kStallIntervals);
 }
 
+TEST(FaultSim, AStalledTransferLeavesItsNeighboursIntact) {
+  // Three concurrent transfers over one testbed; the middle one's
+  // receiver crashes. Stall detection must end that transfer alone:
+  // the other two, large enough to outlast its 400 ms budget, still
+  // complete with verified bytes.
+  Testbed bed(PathId::kShortHaul);
+  telemetry::EventTracer crashed_trace;
+  auto crashing = small_transfer(64);
+  crashing.fault_plan = plan_of("crash=16");
+  crashing.timeout = util::Duration::milliseconds(400);
+  crashing.sender_tracer = &crashed_trace;
+  const auto clean = small_transfer(4096);
+  const auto results = core::run_sim_transfers(bed.network(), {{bed.src(), bed.dst(), clean},
+                                                               {bed.src(), bed.dst(), crashing},
+                                                               {bed.src(), bed.dst(), clean}});
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i : {0u, 2u}) {
+    EXPECT_TRUE(results[i].completed) << "transfer " << i;
+    EXPECT_TRUE(results[i].data_verified) << "transfer " << i;
+    EXPECT_EQ(results[i].corrupt_drops, 0) << "transfer " << i;
+    EXPECT_FALSE(results[i].stalled) << "transfer " << i;
+    EXPECT_GT(results[i].sender_elapsed, crashing.timeout) << "transfer " << i;
+  }
+  EXPECT_TRUE(results[1].stalled);
+  EXPECT_FALSE(results[1].completed);
+  EXPECT_FALSE(results[1].data_verified);
+  EXPECT_EQ(crashed_trace.count(EventType::kStall), core::kStallIntervals);
+}
+
+TEST(FaultSim, AFaultPlanAppliesOnlyToItsOwnTransfer) {
+  // Two concurrent transfers, only the first with a corrupting plan:
+  // its injector must damage its packets alone.
+  Testbed bed(PathId::kShortHaul);
+  auto damaged = small_transfer(256);
+  damaged.fault_plan = plan_of("seed=7;data.corrupt=0.02");
+  const auto clean = small_transfer(256);
+  const auto results = core::run_sim_transfers(
+      bed.network(), {{bed.src(), bed.dst(), damaged}, {bed.src(), bed.dst(), clean}});
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& result : results) {
+    EXPECT_TRUE(result.completed);
+    EXPECT_TRUE(result.data_verified);
+  }
+  EXPECT_GT(results[0].corrupt_drops, 0);
+  EXPECT_EQ(results[1].corrupt_drops, 0);
+}
+
 TEST(FaultSim, EmptyPlanMatchesCleanRunExactly) {
   // A default-constructed plan must be a true no-op: same packet counts
   // as a run with no plan at all (the golden regressions depend on it).

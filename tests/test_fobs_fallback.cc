@@ -4,8 +4,7 @@
 #include <memory>
 
 #include "exp/testbeds.h"
-#include "fobs/sim_driver.h"
-#include "net/faults.h"
+#include "fobs/sim_transfer.h"
 #include "sim/cross_traffic.h"
 #include "telemetry/trace.h"
 
@@ -46,34 +45,28 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
     });
   }
 
-  core::TransferSpec transfer{16 * 1024 * 1024, 1024};
-  core::SenderConfig sender_config;
-  sender_config.adaptive.enabled = true;
-  sender_config.adaptive.tcp_fallback = tcp_fallback;
-  core::ReceiverConfig receiver_config;
-
-  core::SimSender sender(bed.src(), transfer, sender_config, nullptr, bed.dst().id());
-  core::SimReceiver receiver(bed.dst(), transfer, receiver_config, nullptr, bed.src().id(),
-                             64 * 1024);
+  core::SimTransferConfig config;
+  config.spec = {16 * 1024 * 1024, 1024};
+  config.sender.adaptive.enabled = true;
+  config.sender.adaptive.tcp_fallback = tcp_fallback;
+  config.timeout = util::Duration::seconds(300);
+  config.carry_data = false;
   // The plan's ack.* schedule runs at the receiver; the sender's tracer
   // sees the corrupt ACKs it drops on the UDP and the fallback path.
-  net::FaultInjector faults(*net::FaultPlan::parse(fault_plan));
+  config.fault_plan = *net::FaultPlan::parse(fault_plan);
   telemetry::EventTracer tracer;
-  if (!fault_plan.empty()) {
-    receiver.set_fault_injector(&faults);
-    sender.set_tracer(&tracer);
-  }
+  if (!fault_plan.empty()) config.sender_tracer = &tracer;
+  const auto result = core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
+
   FallbackRun run;
-  sender.set_on_finished([&run] { run.done = true; });
-  receiver.start();
-  sender.start();
-  while (!run.done && sim.now().seconds() < 300 && sim.step()) {
-  }
-  run.episodes = sender.fallback_episodes();
-  run.via_tcp = sender.packets_sent_via_tcp();
-  run.receiver_complete = receiver.complete();
-  run.waste = sender.core().waste();
-  run.corrupt_acks_dropped = sender.corrupt_acks_dropped();
+  run.done = result.completed;
+  run.episodes = result.fallback_episodes;
+  run.via_tcp = result.packets_via_tcp;
+  run.receiver_complete = result.receiver_complete;
+  run.waste = result.waste;
+  // The plans here corrupt only ACKs, so every corrupt drop is an ACK
+  // the sender rejected.
+  run.corrupt_acks_dropped = result.corrupt_drops;
   run.corrupt_drops_traced = tracer.count(telemetry::EventType::kCorruptDrop);
   return run;
 }

@@ -3,11 +3,11 @@
 // hosts' CPUs.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <vector>
 
 #include "exp/testbeds.h"
-#include "fobs/sim_driver.h"
+#include "fobs/sim_transfer.h"
 
 namespace fobs {
 namespace {
@@ -15,40 +15,26 @@ namespace {
 using exp::PathId;
 using exp::Testbed;
 
-struct Flow {
-  std::unique_ptr<core::SimSender> sender;
-  std::unique_ptr<core::SimReceiver> receiver;
-  bool done = false;
-};
+/// Runs `count` concurrent transfers of `object_bytes` each from the
+/// short-haul testbed's source to its destination.
+std::vector<core::SimTransferResult> run_concurrent(int count, std::int64_t object_bytes) {
+  Testbed bed(PathId::kShortHaul);
+  core::SimTransferConfig config;
+  config.spec = {object_bytes, 1024};
+  config.timeout = util::Duration::seconds(300);
+  config.carry_data = false;
+  const std::vector<core::SimTransfer> transfers(static_cast<std::size_t>(count),
+                                                 {bed.src(), bed.dst(), config});
+  return core::run_sim_transfers(bed.network(), transfers);
+}
 
 double run_flows(int count, double* sum_seconds = nullptr) {
-  Testbed bed(PathId::kShortHaul);
-  auto& sim = bed.sim();
-  core::TransferSpec spec{4 * 1024 * 1024, 1024};
-  std::vector<Flow> flows(static_cast<std::size_t>(count));
-  int done = 0;
-  for (int i = 0; i < count; ++i) {
-    const auto base = static_cast<sim::PortId>(core::kFobsPortBase + 100 * i);
-    auto& flow = flows[static_cast<std::size_t>(i)];
-    flow.sender = std::make_unique<core::SimSender>(bed.src(), spec, core::SenderConfig{},
-                                                    nullptr, bed.dst().id(), base);
-    flow.receiver = std::make_unique<core::SimReceiver>(
-        bed.dst(), spec, core::ReceiverConfig{}, nullptr, bed.src().id(), 64 * 1024, base);
-    flow.sender->set_on_finished([&flow, &done] {
-      flow.done = true;
-      ++done;
-    });
-    flow.receiver->start();
-    flow.sender->start();
-  }
-  while (done < count && sim.now().seconds() < 300 && sim.step()) {
-  }
   double last = 0.0;
   double sum = 0.0;
-  for (auto& flow : flows) {
-    if (!flow.done || !flow.receiver->complete()) return -1.0;
-    last = std::max(last, flow.receiver->completed_at().seconds());
-    sum += flow.receiver->completed_at().seconds();
+  for (const auto& run : run_concurrent(count, 4 * 1024 * 1024)) {
+    if (!run.completed || !run.receiver_complete) return -1.0;
+    last = std::max(last, run.receiver_elapsed.seconds());
+    sum += run.receiver_elapsed.seconds();
   }
   if (sum_seconds != nullptr) *sum_seconds = sum;
   return last;
@@ -71,34 +57,74 @@ TEST(MultiTransfer, ConcurrentFlowsShareTheNic) {
 }
 
 TEST(MultiTransfer, FourFlowsFairAndComplete) {
-  Testbed bed(PathId::kShortHaul);
-  auto& sim = bed.sim();
-  core::TransferSpec spec{2 * 1024 * 1024, 1024};
-  std::vector<Flow> flows(4);
+  const auto runs = run_concurrent(4, 2 * 1024 * 1024);
   int done = 0;
-  for (int i = 0; i < 4; ++i) {
-    const auto base = static_cast<sim::PortId>(core::kFobsPortBase + 100 * i);
-    auto& flow = flows[static_cast<std::size_t>(i)];
-    flow.sender = std::make_unique<core::SimSender>(bed.src(), spec, core::SenderConfig{},
-                                                    nullptr, bed.dst().id(), base);
-    flow.receiver = std::make_unique<core::SimReceiver>(
-        bed.dst(), spec, core::ReceiverConfig{}, nullptr, bed.src().id(), 64 * 1024, base);
-    flow.sender->set_on_finished([&done] { ++done; });
-    flow.receiver->start();
-    flow.sender->start();
-  }
-  while (done < 4 && sim.now().seconds() < 300 && sim.step()) {
-  }
+  for (const auto& run : runs) done += run.completed ? 1 : 0;
   ASSERT_EQ(done, 4);
   // Completion times should be clustered (greedy flows through one
   // queue still round-robin fairly thanks to the shared NIC pacing).
   double lo = 1e9, hi = 0;
-  for (auto& flow : flows) {
-    const double t = flow.receiver->completed_at().seconds();
+  for (const auto& run : runs) {
+    const double t = run.receiver_elapsed.seconds();
     lo = std::min(lo, t);
     hi = std::max(hi, t);
   }
   EXPECT_LT(hi / lo, 1.6);
+}
+
+TEST(MultiTransfer, NoTransfersReturnsNoResults) {
+  Testbed bed(PathId::kShortHaul);
+  const auto before = bed.sim().now();
+  EXPECT_TRUE(core::run_sim_transfers(bed.network(), {}).empty());
+  EXPECT_EQ(bed.sim().now(), before);
+}
+
+TEST(MultiTransfer, ResultsComeBackInInputOrder) {
+  // Three objects of different sizes, started together: result i must
+  // describe transfer i (its packet count, its bytes), whatever order
+  // they finish in.
+  Testbed bed(PathId::kShortHaul);
+  const std::int64_t kilobytes[] = {2048, 512, 1024};
+  std::vector<core::SimTransfer> transfers;
+  for (const std::int64_t kb : kilobytes) {
+    core::SimTransferConfig config;
+    config.spec = {kb * 1024, 1024};
+    config.timeout = util::Duration::seconds(300);
+    transfers.push_back({bed.src(), bed.dst(), config});
+  }
+  const auto results = core::run_sim_transfers(bed.network(), transfers);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].completed) << "transfer " << i;
+    EXPECT_TRUE(results[i].data_verified) << "transfer " << i;
+    EXPECT_EQ(results[i].packets_needed, kilobytes[i]) << "transfer " << i;
+  }
+  // The smallest object finishes before the largest, though it started
+  // after it.
+  EXPECT_LT(results[1].receiver_elapsed, results[0].receiver_elapsed);
+}
+
+TEST(MultiTransfer, EachTransferKeepsItsOwnDeadline) {
+  // Transfer 0 cannot move 4 MB in 100 ms; it must end at its own
+  // deadline (still progressing, so not stalled) while transfer 1,
+  // under the default budget, runs on to a verified finish.
+  Testbed bed(PathId::kShortHaul);
+  core::SimTransferConfig hurried;
+  hurried.spec = {4 * 1024 * 1024, 1024};
+  hurried.timeout = util::Duration::milliseconds(100);
+  core::SimTransferConfig patient;
+  patient.spec = {1024 * 1024, 1024};
+  patient.timeout = util::Duration::seconds(300);
+  const auto results = core::run_sim_transfers(
+      bed.network(), {{bed.src(), bed.dst(), hurried}, {bed.src(), bed.dst(), patient}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].completed);
+  EXPECT_FALSE(results[0].receiver_complete);
+  EXPECT_FALSE(results[0].stalled);
+  EXPECT_GT(results[0].packets_sent, 0);
+  EXPECT_TRUE(results[1].completed);
+  EXPECT_TRUE(results[1].data_verified);
+  EXPECT_GT(results[1].sender_elapsed, hurried.timeout);
 }
 
 }  // namespace

@@ -87,18 +87,11 @@ TEST(Reordering, FobsIsUnaffectedByHeavyReordering) {
   a.set_egress(&ab);
   b.set_egress(&ba);
 
-  core::SimSender sender(a, config.spec, core::SenderConfig{},
-                         nullptr, b.id());
-  core::SimReceiver receiver(b, config.spec, core::ReceiverConfig{}, nullptr, a.id(),
-                             64 * 1024);
-  bool done = false;
-  sender.set_on_finished([&done] { done = true; });
-  receiver.start();
-  sender.start();
-  while (!done && simulation.now().seconds() < 120 && simulation.step()) {
-  }
-  ASSERT_TRUE(done);
-  const double jittered_seconds = receiver.completed_at().seconds();
+  config.carry_data = false;
+  config.timeout = Duration::seconds(120);
+  const auto reordered = core::run_sim_transfer(net, a, b, config);
+  ASSERT_TRUE(reordered.completed);
+  const double jittered_seconds = reordered.receiver_elapsed.seconds();
   // Order does not matter to the bitmap protocol: throughput within a
   // few percent of the in-order path. Waste grows a little because the
   // jitter inflates the effective RTT (staler sender view near the
@@ -106,7 +99,7 @@ TEST(Reordering, FobsIsUnaffectedByHeavyReordering) {
   // reordering triggers spurious fast retransmits and cwnd collapses.
   EXPECT_NEAR(jittered_seconds, baseline.receiver_elapsed.seconds(),
               baseline.receiver_elapsed.seconds() * 0.1);
-  EXPECT_LT(sender.core().waste(), 0.2);
+  EXPECT_LT(reordered.waste, 0.2);
 }
 
 TEST(Reordering, TcpSurvivesReorderingWithSpuriousRetransmits) {
