@@ -73,8 +73,8 @@ CellResult run_cell(const exp::TestbedSpec& spec, const Variant& variant,
 
   core::SimTransferConfig config;
   config.spec.object_bytes = object_bytes;
-  config.sender.adaptive.enabled = variant.adaptive;
-  config.sender.adaptive.tcp_fallback = variant.tcp_fallback;
+  config.adaptive.enabled = variant.adaptive;
+  config.adaptive.tcp_fallback = variant.tcp_fallback;
   config.carry_data = false;
   const auto result = core::run_sim_transfer(net, bed.src(), bed.dst(), config);
 

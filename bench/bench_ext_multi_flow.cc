@@ -122,7 +122,7 @@ FleetResult run_fobs_fleet(int flows, bool adaptive, std::int64_t object_bytes) 
 
   core::SimTransferConfig config;
   config.spec = {object_bytes, 1024};
-  config.sender.adaptive.enabled = adaptive;
+  config.adaptive.enabled = adaptive;
   config.carry_data = false;
   std::vector<core::SimTransfer> transfers;
   for (int i = 0; i < flows; ++i) {

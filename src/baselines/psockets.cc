@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <vector>
 
 #include "fobs/stripe/plan.h"
 
@@ -94,18 +95,6 @@ fobs::net::TcpConfig psockets_stream_config(std::int64_t per_socket_buffer_bytes
   config.sack_enabled = true;
   config.recv_buffer_bytes = per_socket_buffer_bytes;
   return config;
-}
-
-PsocketsResult find_optimal_stream_count(
-    const std::vector<int>& candidates,
-    const std::function<PsocketsResult(int streams)>& make_run) {
-  PsocketsResult best;
-  for (int n : candidates) {
-    const PsocketsResult r = make_run(n);
-    if (!r.completed) continue;
-    if (!best.completed || r.goodput_mbps > best.goodput_mbps) best = r;
-  }
-  return best;
 }
 
 }  // namespace fobs::baselines

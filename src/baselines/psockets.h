@@ -4,13 +4,11 @@
 //
 // The data is striped round-robin-by-size: each stream carries
 // bytes / N (the last stream takes the remainder). PSockets' key idea is
-// that the *number* of sockets is determined experimentally; `find_
-// optimal_stream_count` reproduces that search.
+// that the *number* of sockets is determined experimentally; the Table 2
+// bench runs that search over seed-averaged transfers.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "host/host.h"
 #include "net/tcp.h"
@@ -44,14 +42,6 @@ PsocketsResult run_psockets_transfer(fobs::sim::Network& network, Host& src, Hos
                                      const fobs::net::TcpConfig& per_stream_config,
                                      Duration timeout = Duration::seconds(600),
                                      fobs::telemetry::EventTracer* tracer = nullptr);
-
-/// PSockets' experimental tuning: runs the candidate stream counts on
-/// fresh topologies produced by `make_run` and returns the best result.
-/// `make_run` receives a stream count and must perform one full
-/// transfer (typically on a freshly built Testbed).
-PsocketsResult find_optimal_stream_count(
-    const std::vector<int>& candidates,
-    const std::function<PsocketsResult(int streams)>& make_run);
 
 /// Per-stream TCP configuration matching PSockets' premise: stock
 /// sockets with a modest (unprivileged) buffer, so the *number* of

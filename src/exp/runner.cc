@@ -9,7 +9,7 @@ fobs::core::SimTransferConfig make_fobs_config(const FobsRunParams& params) {
   config.sender.batch_size = params.batch_size;
   config.sender.selection = params.selection;
   config.sender.batch_policy = params.batch_policy;
-  config.sender.adaptive = params.adaptive;
+  config.adaptive = params.adaptive;
   config.receiver.ack_frequency = params.ack_frequency;
   config.receiver_socket_buffer_bytes = params.receiver_socket_buffer_bytes;
   config.carry_data = params.carry_data;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "baselines/psockets.h"
@@ -19,17 +18,6 @@ namespace fobs::exp {
 /// The paper's canonical workload: a 40 MB object in 1024-byte packets.
 inline constexpr std::int64_t kPaperObjectBytes = 40ll * 1024 * 1024;
 inline constexpr std::int64_t kPaperPacketBytes = 1024;
-
-/// Common result row for cross-protocol comparisons.
-struct RunResult {
-  std::string protocol;
-  bool completed = false;
-  double fraction = 0.0;  ///< of the path's max available bandwidth
-  double goodput_mbps = 0.0;
-  double elapsed_s = 0.0;
-  double waste = -1.0;  ///< <0 when the metric does not apply (TCP)
-  std::string detail;   ///< protocol-specific extras for the table
-};
 
 struct FobsRunParams {
   std::int64_t object_bytes = kPaperObjectBytes;

@@ -55,8 +55,9 @@ inline constexpr int kFallbackClearProbes = 4;
 /// bound only stops the whole object being buffered at once.
 inline constexpr std::int64_t kFallbackWindowBytes = 4 * 1024 * 1024;
 
-/// The extension's two switches. Simulator only: the POSIX engine
-/// rejects a send that sets either (fobs/posix/engine.h).
+/// The extension's two switches, set per simulated transfer
+/// (SimTransferConfig::adaptive). Only the simulated sender runs the
+/// extension; no POSIX option names it.
 struct AdaptiveConfig {
   bool enabled = false;
   /// §7's *first* option: on sustained congestion, switch the transfer
@@ -66,8 +67,8 @@ struct AdaptiveConfig {
   bool tcp_fallback = false;
 };
 
-/// Loss-estimating pacing controller. Sans-io: the sender core feeds it
-/// ACK deltas; the driver adds `gap()` of idle time per batch.
+/// Loss-estimating pacing controller. Sans-io: the simulated sender
+/// feeds it ACK deltas and adds `gap()` of idle time per batch.
 class GreedinessController {
  public:
   explicit GreedinessController(AdaptiveConfig config) : config_(config) {}

@@ -372,15 +372,8 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
   transfer->send_options = options;
   transfer->spec = {static_cast<std::int64_t>(object.size()), options.endpoint.packet_bytes};
   auto& result = transfer->result;
-  if (options.core.adaptive.enabled || options.core.adaptive.tcp_fallback) {
-    // The §7 extension paces batches and falls back to a TCP data
-    // channel; only the simulated sender implements either.
-    result.error = "invalid options: adaptive greediness and tcp_fallback run only in the "
-                   "simulator";
-  } else {
-    transfer->send_flows =
-        make_flows(options, object, "cannot send an empty object", result.error);
-  }
+  transfer->send_flows =
+      make_flows(options, object, "cannot send an empty object", result.error);
   if (!transfer->send_flows.empty()) {
     transfer->control_listeners = hold_control_ports(
         options.control_port, transfer->flows(), std::move(params.control_listeners), result);

@@ -133,9 +133,8 @@ class TransferEngine {
   /// use SessionParams::keepalive for engine-managed lifetime. Invalid
   /// options (zero ports, a stripe count the object cannot carry, a port
   /// block past 65535, a malformed fault plan from any source, a handed
-  /// listener count other than the flow count, a send that enables the
-  /// simulator-only core.adaptive extension) launch no flow and bind no
-  /// port: the returned handle is already terminal with kBadOptions.
+  /// listener count other than the flow count) launch no flow and bind
+  /// no port: the returned handle is already terminal with kBadOptions.
   /// A send whose control port cannot be bound launches none either and
   /// ends kSocketError naming the port.
   TransferHandle submit_send(const SenderOptions& options,

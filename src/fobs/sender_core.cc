@@ -11,8 +11,7 @@ SenderCore::SenderCore(TransferSpec spec, SenderConfig config)
       acked_view_(static_cast<std::size_t>(spec.packet_count())),
       policy_(make_selection_policy(config.selection, fobs::util::Rng(config.seed))),
       send_counts_(static_cast<std::size_t>(spec.packet_count()), 0),
-      batch_size_(std::max(1, config.batch_size)),
-      adaptive_(config.adaptive) {
+      batch_size_(std::max(1, config.batch_size)) {
   assert(spec_.object_bytes >= 0);
   assert(spec_.packet_bytes > 0);
 }
@@ -27,13 +26,6 @@ std::optional<PacketSeq> SenderCore::select_next() {
   return seq;
 }
 
-void SenderCore::record_external_send(PacketSeq seq) {
-  auto& count = send_counts_[static_cast<std::size_t>(seq)];
-  if (count > 0) ++stats_.duplicate_sends;
-  ++count;
-  ++stats_.packets_sent;
-}
-
 std::int64_t SenderCore::on_ack(const AckMessage& ack) {
   ++stats_.acks_processed;
   const std::int64_t newly = apply_ack(ack, acked_view_);
@@ -43,15 +35,6 @@ std::int64_t SenderCore::on_ack(const AckMessage& ack) {
                     static_cast<std::int64_t>(ack.ack_no), newly);
   }
   if (config_.batch_policy == BatchPolicy::kAckAdaptive) update_adaptive_batch(ack);
-  if (config_.adaptive.enabled) {
-    // Feed the greediness controller with what happened since the last
-    // ACK: how much we launched vs. how much the receiver got.
-    const std::int64_t sent_since = stats_.packets_sent - sent_at_last_ack_;
-    const std::int64_t received_since = ack.total_received - received_at_last_ack_;
-    adaptive_.on_ack(sent_since, received_since);
-    sent_at_last_ack_ = stats_.packets_sent;
-    received_at_last_ack_ = ack.total_received;
-  }
   return newly;
 }
 
@@ -74,8 +57,6 @@ void SenderCore::on_peer_restart() {
   // totals for its own incarnation only.
   last_ack_no_ = 0;
   last_total_received_ = 0;
-  sent_at_last_ack_ = stats_.packets_sent;
-  received_at_last_ack_ = 0;
   // A reconnect is progress; restart the stall budget from a zero view.
   progress_at_last_interval_ = 0;
   empty_intervals_ = 0;

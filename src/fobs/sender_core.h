@@ -21,7 +21,6 @@
 #include "common/bitmap.h"
 #include "common/rng.h"
 #include "fobs/ack.h"
-#include "fobs/adaptive.h"
 #include "fobs/selection.h"
 #include "fobs/types.h"
 #include "telemetry/trace.h"
@@ -43,9 +42,6 @@ struct SenderConfig {
   BatchPolicy batch_policy = BatchPolicy::kFixed;
   SelectionKind selection = SelectionKind::kCircular;
   std::uint64_t seed = 1;  ///< for the random selection policy
-  /// §7 extension: congestion-adaptive greediness (off by default —
-  /// plain FOBS has no congestion control). Simulator only.
-  AdaptiveConfig adaptive;
 };
 
 struct SenderStats {
@@ -99,14 +95,6 @@ class SenderCore {
   /// current streak of consecutive empty intervals (0 after progress).
   int on_stall_interval();
 
-  /// Records a send performed outside the selection policy (the TCP
-  /// fallback channel): keeps the waste accounting truthful.
-  void record_external_send(PacketSeq seq);
-
-  /// Clears the adaptive controller (used when returning from TCP
-  /// fallback to re-probe the network from a clean slate).
-  void reset_adaptive() { adaptive_.reset(); }
-
   /// Attaches a per-transfer event tracer (nullptr = telemetry off, the
   /// default). The tracer must outlive the core; the core records
   /// protocol events (ACK processed, completion) and leaves transport
@@ -131,18 +119,8 @@ class SenderCore {
   [[nodiscard]] const fobs::util::Bitmap& acked_view() const { return acked_view_; }
   [[nodiscard]] const std::vector<std::uint32_t>& send_counts() const { return send_counts_; }
 
-  /// Extra per-batch idle time requested by the adaptive controller
-  /// (zero when the extension is disabled or the path looks clean).
-  [[nodiscard]] fobs::util::Duration pacing_gap() const { return adaptive_.gap(); }
-  [[nodiscard]] const GreedinessController& adaptive() const { return adaptive_; }
-
-  /// Wasted network resources per the paper's definition:
-  /// (total sent - needed) / needed.
-  [[nodiscard]] double waste() const {
-    const auto needed = static_cast<double>(spec_.packet_count());
-    if (needed == 0) return 0.0;
-    return (static_cast<double>(stats_.packets_sent) - needed) / needed;
-  }
+  /// The paper's wasted-resources metric over this core's sends.
+  [[nodiscard]] double waste() const { return spec_.waste(stats_.packets_sent); }
 
  private:
   void update_adaptive_batch(const AckMessage& ack);
@@ -157,10 +135,6 @@ class SenderCore {
   // Adaptive batch bookkeeping.
   std::uint64_t last_ack_no_ = 0;
   std::int64_t last_total_received_ = 0;
-  // Adaptive greediness bookkeeping.
-  GreedinessController adaptive_;
-  std::int64_t sent_at_last_ack_ = 0;
-  std::int64_t received_at_last_ack_ = 0;
   // Stall-detection bookkeeping.
   std::int64_t progress_at_last_interval_ = 0;
   int empty_intervals_ = 0;

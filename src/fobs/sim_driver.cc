@@ -26,7 +26,8 @@ constexpr PortId kTcpDataPortOffset = 3;     ///< receiver side, TCP (§7)
 // ---------------------------------------------------------------------------
 
 SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
-                     const std::uint8_t* data, NodeId receiver_node, PortId port_base)
+                     AdaptiveConfig adaptive, const std::uint8_t* data, NodeId receiver_node,
+                     PortId port_base)
     : host_(host),
       spec_(spec),
       core_(spec, config),
@@ -41,7 +42,8 @@ SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
                              control_conn_ = std::move(conn);
                              control_conn_->set_on_message(
                                  [this](const std::any& m) { on_control_message(m); });
-                           }) {}
+                           }),
+      adaptive_(adaptive) {}
 
 void SimSender::start() {
   if (started_) return;
@@ -69,13 +71,13 @@ void SimSender::on_control_message(const std::any& message) {
   if (!finished_) {
     finished_ = true;
     finished_at_ = host_.network().sim().now();
-    FOBS_DEBUG("fobs.sender", "completion signal at " << finished_at_.seconds() << "s, sent="
-                                                      << core_.stats().packets_sent);
+    FOBS_DEBUG("fobs.sender", "completion signal at " << finished_at_.seconds()
+                                                      << "s, sent=" << packets_sent());
   }
 }
 
 void SimSender::step() {
-  if (finished_ || mode_ != Mode::kUdp) return;
+  if (done() || mode_ != Mode::kUdp) return;
   auto& sim = host_.network().sim();
   Duration busy = Duration::zero();
 
@@ -89,7 +91,7 @@ void SimSender::step() {
   }
 
   // §7 first option: sustained congestion hands the transfer to TCP.
-  if (core_.adaptive().congested()) {
+  if (adaptive_.congested()) {
     enter_fallback();
     return;
   }
@@ -156,7 +158,7 @@ void SimSender::step() {
   // greediness controller requests (idle, not CPU). A tiny floor keeps
   // the loop from spinning in zero simulated time.
   const auto resume =
-      host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))) + core_.pacing_gap();
+      host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))) + adaptive_.gap();
   sim.schedule_at(resume, [this] { step(); });
 }
 
@@ -167,7 +169,7 @@ void SimSender::step() {
 // ---------------------------------------------------------------------------
 
 void SimSender::enter_fallback() {
-  if (mode_ == Mode::kTcpFallback || finished_) return;
+  if (mode_ == Mode::kTcpFallback || done()) return;
   mode_ = Mode::kTcpFallback;
   ++fallback_episodes_;
   // Note: tcp_cursor_ is intentionally NOT reset — packets offered to
@@ -175,7 +177,7 @@ void SimSender::enter_fallback() {
   // there, and re-offering them would be pure duplication.
   probe_clear_streak_ = 0;
   FOBS_INFO("fobs.sender", "entering TCP fallback (loss estimate "
-                               << core_.adaptive().loss_estimate() << ")");
+                               << adaptive_.loss_estimate() << ")");
   if (auto* tracer = core_.tracer()) {
     tracer->record(telemetry::EventType::kFallbackEnter, -1, fallback_episodes_);
   }
@@ -193,7 +195,7 @@ void SimSender::enter_fallback() {
 void SimSender::exit_fallback() {
   if (mode_ != Mode::kTcpFallback) return;
   mode_ = Mode::kUdp;
-  core_.reset_adaptive();
+  adaptive_.reset();
   FOBS_INFO("fobs.sender", "congestion dissipated; resuming greedy UDP");
   if (auto* tracer = core_.tracer()) {
     tracer->record(telemetry::EventType::kFallbackExit, -1, packets_via_tcp_);
@@ -202,7 +204,7 @@ void SimSender::exit_fallback() {
 }
 
 void SimSender::pump_tcp() {
-  if (finished_ || mode_ != Mode::kTcpFallback) return;
+  if (done() || mode_ != Mode::kTcpFallback) return;
   if (tcp_data_->established()) {
     while (true) {
       const std::int64_t outstanding = tcp_data_->offered_bytes() - tcp_data_->acked_bytes();
@@ -221,7 +223,6 @@ void SimSender::pump_tcp() {
       payload.seq = static_cast<PacketSeq>(*seq);
       payload.len = static_cast<std::int32_t>(len);
       payload.data = data_ != nullptr ? data_ + spec_.offset_of(payload.seq) : nullptr;
-      core_.record_external_send(payload.seq);
       ++packets_via_tcp_;
       tcp_data_->send_message(len + kDataHeaderBytes, payload);
     }
@@ -237,6 +238,13 @@ void SimSender::pump_tcp() {
 void SimSender::take_ack(const AckPacketPayload& ack) {
   if (!ack.corrupted) {
     core_.on_ack(*ack.ack);
+    // Feed the greediness controller with what happened since the last
+    // ACK: how much was launched (on either channel) vs. how much the
+    // receiver got.
+    const std::int64_t sent = packets_sent();
+    adaptive_.on_ack(sent - sent_at_last_ack_, ack.ack->total_received - received_at_last_ack_);
+    sent_at_last_ack_ = sent;
+    received_at_last_ack_ = ack.ack->total_received;
     return;
   }
   ++corrupt_acks_dropped_;
@@ -247,7 +255,7 @@ void SimSender::take_ack(const AckPacketPayload& ack) {
 }
 
 void SimSender::probe_tick() {
-  if (finished_ || mode_ != Mode::kTcpFallback) return;
+  if (done() || mode_ != Mode::kTcpFallback) return;
   const std::uint64_t rtx = tcp_data_->stats().retransmissions;
   if (rtx == probe_rtx_snapshot_) {
     ++probe_clear_streak_;
@@ -379,12 +387,12 @@ void SimReceiver::on_tcp_data(const std::any& message) {
   // same per-packet cost without the socket-buffer overflow model (TCP
   // is flow-controlled, so the receiver can never be overrun).
   const auto* payload = std::any_cast<DataPacketPayload>(&message);
-  if (payload == nullptr) return;
+  if (payload == nullptr || stopped_) return;
   process_packet(*payload);
 }
 
 void SimReceiver::step() {
-  if (crashed_) return;  // a crashed incarnation never polls again
+  if (crashed_ || stopped_) return;  // a crashed or stopped receiver never polls again
   auto& sim = host_.network().sim();
   auto pkt = data_in_.try_recv();
   if (!pkt) {

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "fobs/adaptive.h"
 #include "fobs/receiver_core.h"
 #include "fobs/sender_core.h"
 #include "fobs/wire.h"
@@ -35,15 +36,18 @@ using fobs::sim::PortId;
 using fobs::util::Duration;
 using fobs::util::TimePoint;
 
-/// Sender-side driver: greedy batch-send loop.
+/// Sender-side driver: greedy batch-send loop, plus the paper's §7
+/// extension (pacing gaps and the TCP fallback), which only this driver
+/// runs.
 class SimSender {
  public:
+  /// @param adaptive the §7 switches (both off = plain greedy FOBS).
   /// @param data pointer to `spec.object_bytes` bytes (may be null for a
   ///        size-only simulation); must outlive the driver.
   /// @param port_base first of the four consecutive ports this transfer
   ///        uses (must match the receiver's).
-  SimSender(Host& host, TransferSpec spec, SenderConfig config, const std::uint8_t* data,
-            NodeId receiver_node, PortId port_base);
+  SimSender(Host& host, TransferSpec spec, SenderConfig config, AdaptiveConfig adaptive,
+            const std::uint8_t* data, NodeId receiver_node, PortId port_base);
 
   /// Starts the send loop (call after the receiver exists).
   void start();
@@ -61,12 +65,21 @@ class SimSender {
   /// Progress check for stall detection; forwards to the core.
   int on_stall_interval() { return core_.on_stall_interval(); }
 
+  /// Ends the send loop for good: the run is over for this transfer.
+  /// Events already scheduled find the driver stopped and do nothing.
+  void stop() { stopped_ = true; }
+
   /// ACKs rejected because their (modelled) checksum failed.
   [[nodiscard]] std::int64_t corrupt_acks_dropped() const { return corrupt_acks_dropped_; }
 
   [[nodiscard]] const SenderCore& core() const { return core_; }
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] TimePoint finished_at() const { return finished_at_; }
+  /// Every data packet sent: the core's UDP sends plus the TCP-fallback
+  /// sends.
+  [[nodiscard]] std::int64_t packets_sent() const {
+    return core_.stats().packets_sent + packets_via_tcp_;
+  }
   /// §7 TCP-fallback diagnostics.
   [[nodiscard]] int fallback_episodes() const { return fallback_episodes_; }
   [[nodiscard]] std::int64_t packets_sent_via_tcp() const { return packets_via_tcp_; }
@@ -80,8 +93,11 @@ class SimSender {
   void exit_fallback();
   void pump_tcp();
   void probe_tick();
-  /// Folds one ACK into the core, or counts and traces a corrupt one.
+  /// Folds one ACK into the core and the §7 controller, or counts and
+  /// traces a corrupt one.
   void take_ack(const AckPacketPayload& ack);
+  /// True once the loop must do no more work: finished or stopped.
+  [[nodiscard]] bool done() const { return finished_ || stopped_; }
 
   Host& host_;
   TransferSpec spec_;
@@ -95,11 +111,16 @@ class SimSender {
   std::unique_ptr<fobs::net::TcpConnection> control_conn_;
   bool started_ = false;
   bool finished_ = false;
+  bool stopped_ = false;
   bool step_scheduled_ = false;
   TimePoint finished_at_;
-  // --- §7 TCP-fallback state ---
   fobs::net::FaultInjector* faults_ = nullptr;
   std::int64_t corrupt_acks_dropped_ = 0;
+  // --- §7 greediness controller, fed the deltas between ACKs ---
+  GreedinessController adaptive_;
+  std::int64_t sent_at_last_ack_ = 0;
+  std::int64_t received_at_last_ack_ = 0;
+  // --- §7 TCP-fallback state ---
   Mode mode_ = Mode::kUdp;
   std::unique_ptr<fobs::net::TcpConnection> tcp_data_;
   PacketSeq tcp_cursor_ = 0;
@@ -136,6 +157,10 @@ class SimReceiver {
   /// Progress check for stall detection; forwards to the core.
   int on_stall_interval() { return core_.on_stall_interval(); }
 
+  /// Ends the poll loop for good: the run is over for this transfer.
+  /// Later arrivals, on either data channel, are left unprocessed.
+  void stop() { stopped_ = true; }
+
   /// Data packets rejected because their (modelled) checksum failed.
   [[nodiscard]] std::int64_t corrupt_data_dropped() const { return corrupt_data_dropped_; }
 
@@ -168,6 +193,7 @@ class SimReceiver {
   fobs::net::FaultInjector* faults_ = nullptr;
   std::int64_t corrupt_data_dropped_ = 0;
   bool crashed_ = false;
+  bool stopped_ = false;
   bool started_ = false;
   TimePoint completed_at_;
   std::uint64_t acks_sent_ = 0;

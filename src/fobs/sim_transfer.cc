@@ -22,7 +22,7 @@ struct Flow {
         object(config.carry_data ? make_pattern(config.spec.object_bytes, kDataSeed)
                                  : std::vector<std::uint8_t>{}),
         sink(config.carry_data ? static_cast<std::size_t>(config.spec.object_bytes) : 0, 0),
-        sender(transfer.sender, config.spec, config.sender,
+        sender(transfer.sender, config.spec, config.sender, config.adaptive,
                config.carry_data ? object.data() : nullptr, transfer.receiver.id(), port_base),
         receiver(transfer.receiver, config.spec, config.receiver,
                  config.carry_data ? sink.data() : nullptr, transfer.sender.id(),
@@ -67,9 +67,12 @@ struct Flow {
     return now >= deadline;
   }
 
-  /// Ends the run for this transfer and reports it.
+  /// Ends the run for this transfer, stops both endpoints, and reports
+  /// it.
   SimTransferResult end() {
     ended = true;
+    sender.stop();
+    receiver.stop();
     if (!sender.finished()) {
       if (config.sender_tracer != nullptr) {
         config.sender_tracer->record(telemetry::EventType::kTimeout);
@@ -82,8 +85,8 @@ struct Flow {
     result.completed = sender.finished();
     result.receiver_complete = receiver.complete();
     result.packets_needed = config.spec.packet_count();
-    result.packets_sent = sender.core().stats().packets_sent;
-    result.waste = sender.core().waste();
+    result.packets_sent = sender.packets_sent();
+    result.waste = config.spec.waste(result.packets_sent);
     result.receiver_socket_drops = receiver.socket_drops();
     result.acks_sent = receiver.acks_sent();
     result.duplicates_at_receiver = receiver.core().stats().duplicates;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "fobs/adaptive.h"
 #include "fobs/receiver_core.h"
 #include "fobs/sender_core.h"
 #include "host/host.h"
@@ -27,6 +28,9 @@ struct SimTransferConfig {
   TransferSpec spec{.object_bytes = 40 * 1024 * 1024, .packet_bytes = 1024};
   SenderConfig sender;
   ReceiverConfig receiver;
+  /// The paper's §7 extension, run by the simulated sender only
+  /// (off by default: plain FOBS has no congestion control).
+  AdaptiveConfig adaptive;
   /// Receiver UDP socket buffer (overflow == loss during busy periods).
   std::int64_t receiver_socket_buffer_bytes = 64 * 1024;
   /// Give up after this much simulated time.
@@ -53,6 +57,7 @@ struct SimTransferResult {
   Duration sender_elapsed = Duration::zero();
   double goodput_mbps = 0.0;
   std::int64_t packets_needed = 0;
+  /// Data packets sent, TCP-fallback sends included.
   std::int64_t packets_sent = 0;
   /// (sent - needed) / needed, the paper's wasted-resources metric.
   double waste = 0.0;
@@ -90,8 +95,8 @@ struct SimTransfer {
 /// returns one result per transfer, in order. Transfer i uses its own
 /// block of ports, so any number may share one host pair. Each result
 /// is taken when its transfer ends (finished, stalled or past its
-/// deadline); the run ends when all have, so a stalled or timed-out
-/// transfer's endpoints keep running until then.
+/// deadline), and both its endpoints stop there, so a stalled transfer
+/// loads no shared link after its end; the run ends when all have.
 std::vector<SimTransferResult> run_sim_transfers(fobs::sim::Network& network,
                                                  const std::vector<SimTransfer>& transfers);
 

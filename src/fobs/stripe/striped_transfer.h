@@ -6,10 +6,10 @@
 // says how many flows carry the object, and one flow is the N = 1
 // case. The engine (fobs/posix/engine.h) runs N ordinary FOBS flow
 // sessions — each with its own UDP socket, DatagramChannel, ACK
-// stream, adaptive pacing state, TCP control connection and stall
-// budget — all addressing disjoint slices of ONE shared object buffer
-// through a contiguous StripePlan (fobs/stripe/plan.h), and folds
-// their results into one TransferResult. There is no merge step: every
+// stream, TCP control connection and stall budget — all addressing
+// disjoint slices of ONE shared object buffer through a contiguous
+// StripePlan (fobs/stripe/plan.h), and folds their results into one
+// TransferResult. There is no merge step: every
 // receiving flow writes straight into the whole-object buffer at
 // plan-computed offsets.
 //

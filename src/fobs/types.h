@@ -35,6 +35,14 @@ struct TransferSpec {
 
   /// Byte offset of packet `seq` within the object.
   [[nodiscard]] std::int64_t offset_of(PacketSeq seq) const { return seq * packet_bytes; }
+
+  /// The paper's wasted network resources after `packets_sent` sends:
+  /// (sent - needed) / needed.
+  [[nodiscard]] double waste(std::int64_t packets_sent) const {
+    const auto needed = static_cast<double>(packet_count());
+    if (needed == 0) return 0.0;
+    return (static_cast<double>(packets_sent) - needed) / needed;
+  }
 };
 
 /// FOBS per-data-packet header bytes on the wire (sequence number,

@@ -53,22 +53,11 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto& entry = entries_[name];
   if (entry.counter == nullptr) {
-    if (entry.gauge != nullptr || entry.histogram != nullptr) std::abort();
+    if (entry.histogram != nullptr) std::abort();
     entry.kind = MetricSample::Kind::kCounter;
     entry.counter = std::make_unique<Counter>();
   }
   return *entry.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[name];
-  if (entry.gauge == nullptr) {
-    if (entry.counter != nullptr || entry.histogram != nullptr) std::abort();
-    entry.kind = MetricSample::Kind::kGauge;
-    entry.gauge = std::make_unique<Gauge>();
-  }
-  return *entry.gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
@@ -76,7 +65,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   const std::lock_guard<std::mutex> lock(mu_);
   auto& entry = entries_[name];
   if (entry.histogram == nullptr) {
-    if (entry.counter != nullptr || entry.gauge != nullptr) std::abort();
+    if (entry.counter != nullptr) std::abort();
     entry.kind = MetricSample::Kind::kHistogram;
     entry.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
   }
@@ -94,9 +83,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
     switch (entry.kind) {
       case MetricSample::Kind::kCounter:
         sample.value = entry.counter->value();
-        break;
-      case MetricSample::Kind::kGauge:
-        sample.value = entry.gauge->value();
         break;
       case MetricSample::Kind::kHistogram: {
         sample.value = entry.histogram->count();
@@ -119,8 +105,6 @@ const char* kind_name(MetricSample::Kind kind) {
   switch (kind) {
     case MetricSample::Kind::kCounter:
       return "counter";
-    case MetricSample::Kind::kGauge:
-      return "gauge";
     case MetricSample::Kind::kHistogram:
       return "histogram";
   }
@@ -171,9 +155,6 @@ void MetricsRegistry::reset() {
     switch (entry.kind) {
       case MetricSample::Kind::kCounter:
         entry.counter->reset();
-        break;
-      case MetricSample::Kind::kGauge:
-        entry.gauge->reset();
         break;
       case MetricSample::Kind::kHistogram:
         entry.histogram->reset();

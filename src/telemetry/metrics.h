@@ -1,8 +1,7 @@
 // Lightweight, thread-safe metrics registry.
 //
-// Three instrument kinds, all lock-free on the update path:
+// Two instrument kinds, both lock-free on the update path:
 //   Counter    — monotonically increasing int64 (relaxed fetch_add)
-//   Gauge      — last-written int64 (relaxed store / fetch_add)
 //   Histogram  — fixed upper-bound buckets + sum + count, all atomics
 //
 // Registration (name -> instrument) takes a mutex; the returned
@@ -26,23 +25,6 @@ namespace fobs::telemetry {
 class Counter {
  public:
   void inc(std::int64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) noexcept {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -93,10 +75,10 @@ class Histogram {
 /// A consistent-enough view of one instrument for export; values are
 /// read with relaxed loads while writers may still be running.
 struct MetricSample {
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   std::string name;
   Kind kind = Kind::kCounter;
-  std::int64_t value = 0;  ///< counter/gauge value, histogram count
+  std::int64_t value = 0;  ///< counter value, histogram count
   std::int64_t sum = 0;    ///< histograms only
   std::vector<std::int64_t> bounds;
   std::vector<std::int64_t> buckets;
@@ -115,7 +97,6 @@ class MetricsRegistry {
   /// lifetime. A name maps to exactly one kind — looking it up as a
   /// different kind aborts (programming error).
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   /// `upper_bounds` is only used on first creation.
   Histogram& histogram(const std::string& name, std::vector<std::int64_t> upper_bounds);
 
@@ -132,7 +113,6 @@ class MetricsRegistry {
   struct Entry {
     MetricSample::Kind kind = MetricSample::Kind::kCounter;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

@@ -80,21 +80,6 @@ TEST(Psockets, StripingAggregatesLimitedWindows) {
   EXPECT_GT(eight.goodput_mbps, 2.0 * one.goodput_mbps);
 }
 
-TEST(Psockets, FindOptimalPicksTheFastest) {
-  int calls = 0;
-  const auto best = baselines::find_optimal_stream_count(
-      {1, 2, 4}, [&](int streams) {
-        ++calls;
-        baselines::PsocketsResult r;
-        r.completed = streams != 4;  // 4 "fails"
-        r.streams = streams;
-        r.goodput_mbps = streams * 10.0;
-        return r;
-      });
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(best.streams, 2);  // fastest *completed* candidate
-}
-
 TEST(Rudp, CleanPathFinishesInOnePass) {
   auto spec = exp::spec_for(PathId::kShortHaul);
   spec.fwd_loss = 0;

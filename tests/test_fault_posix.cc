@@ -178,27 +178,6 @@ TEST(FaultPosixValidation, ControlFaultsAreRejectedAtSubmit) {
   EXPECT_EQ(engine.sessions_submitted(), 0u);
 }
 
-TEST(FaultPosixValidation, AdaptiveExtensionIsRejectedAtSubmit) {
-  // Pacing gaps and the TCP fallback (the paper's §7 extension) exist
-  // only in the simulated sender; a POSIX send that asks for either is
-  // refused before any control port is bound.
-  const std::vector<std::uint8_t> object(1024, 0xAA);
-  posix::TransferEngine engine({.workers = 1});
-  for (const bool fallback : {false, true}) {
-    posix::SenderOptions options;
-    options.data_port = port_base(fallback ? 46 : 44);
-    options.control_port = port_base(fallback ? 47 : 45);
-    (fallback ? options.core.adaptive.tcp_fallback : options.core.adaptive.enabled) = true;
-    auto tx = engine.submit_send(options, object);
-    EXPECT_TRUE(tx.done()) << "rejected at submit, before any flow exists";
-    EXPECT_EQ(tx.status(), posix::TransferStatus::kBadOptions);
-    EXPECT_NE(tx.result().error.find("simulator"), std::string::npos) << tx.result().error;
-    EXPECT_TRUE(net::listen_tcp(options.control_port, 1).valid())
-        << "control port " << options.control_port << " is still held";
-  }
-  EXPECT_EQ(engine.sessions_submitted(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Stall-based give-up
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // timeout), not just a wall-clock deadline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exp/testbeds.h"
 #include "fobs/sim_transfer.h"
 #include "net/faults.h"
@@ -136,6 +138,36 @@ TEST(FaultSim, AStalledTransferLeavesItsNeighboursIntact) {
   EXPECT_FALSE(results[1].completed);
   EXPECT_FALSE(results[1].data_verified);
   EXPECT_EQ(crashed_trace.count(EventType::kStall), core::kStallIntervals);
+}
+
+TEST(FaultSim, AStalledTransferSendsNothingAfterItsEnd) {
+  // The same three transfers: once stall detection ends the middle one,
+  // its endpoints stop, so its sender stamps no batch after the timeout
+  // event that marks its end, though its neighbours run on past it.
+  Testbed bed(PathId::kShortHaul);
+  telemetry::EventTracer crashed_trace;
+  auto crashing = small_transfer(64);
+  crashing.fault_plan = plan_of("crash=16");
+  crashing.timeout = util::Duration::milliseconds(400);
+  crashing.sender_tracer = &crashed_trace;
+  const auto clean = small_transfer(4096);
+  const auto results = core::run_sim_transfers(bed.network(), {{bed.src(), bed.dst(), clean},
+                                                               {bed.src(), bed.dst(), crashing},
+                                                               {bed.src(), bed.dst(), clean}});
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[1].stalled);
+  ASSERT_GT(results[0].sender_elapsed, crashing.timeout);
+  ASSERT_EQ(crashed_trace.dropped(), 0u);
+  const auto events = crashed_trace.snapshot();
+  const auto end = std::find_if(events.begin(), events.end(), [](const telemetry::Event& e) {
+    return e.type == EventType::kTimeout;
+  });
+  ASSERT_NE(end, events.end());
+  EXPECT_GT(crashed_trace.count(EventType::kBatchSent), 0);
+  const auto late = std::count_if(events.begin(), events.end(), [&](const telemetry::Event& e) {
+    return e.type == EventType::kBatchSent && e.t_ns > end->t_ns;
+  });
+  EXPECT_EQ(late, 0) << "batches sent after the transfer ended at " << end->t_ns << " ns";
 }
 
 TEST(FaultSim, AFaultPlanAppliesOnlyToItsOwnTransfer) {

@@ -36,6 +36,14 @@ TEST(TransferSpec, ShortFinalPacket) {
   EXPECT_EQ(spec.payload_bytes(3), 100);
 }
 
+TEST(TransferSpec, WasteIsSendsBeyondTheNeededOverTheNeeded) {
+  TransferSpec spec{1000, 300};  // 4 packets
+  EXPECT_DOUBLE_EQ(spec.waste(4), 0.0);
+  EXPECT_DOUBLE_EQ(spec.waste(6), 0.5);
+  EXPECT_DOUBLE_EQ(spec.waste(2), -0.5);  // not done yet
+  EXPECT_DOUBLE_EQ((TransferSpec{0, 300}.waste(3)), 0.0);  // nothing needed
+}
+
 // ---------------------------------------------------------------------------
 // Selection policies
 // ---------------------------------------------------------------------------

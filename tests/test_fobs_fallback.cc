@@ -16,6 +16,10 @@ struct FallbackRun {
   int episodes = 0;
   std::int64_t via_tcp = 0;
   bool receiver_complete = false;
+  std::int64_t packets_needed = 0;
+  std::int64_t packets_sent = 0;
+  /// Data packets sent over UDP: the sum of the sender's batch sizes.
+  std::int64_t udp_sends = 0;
   double waste = 0.0;
   std::int64_t corrupt_acks_dropped = 0;
   std::int64_t corrupt_drops_traced = 0;
@@ -47,15 +51,15 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
 
   core::SimTransferConfig config;
   config.spec = {16 * 1024 * 1024, 1024};
-  config.sender.adaptive.enabled = true;
-  config.sender.adaptive.tcp_fallback = tcp_fallback;
+  config.adaptive.enabled = true;
+  config.adaptive.tcp_fallback = tcp_fallback;
   config.timeout = util::Duration::seconds(300);
   config.carry_data = false;
   // The plan's ack.* schedule runs at the receiver; the sender's tracer
   // sees the corrupt ACKs it drops on the UDP and the fallback path.
   config.fault_plan = *net::FaultPlan::parse(fault_plan);
   telemetry::EventTracer tracer;
-  if (!fault_plan.empty()) config.sender_tracer = &tracer;
+  config.sender_tracer = &tracer;
   const auto result = core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
 
   FallbackRun run;
@@ -63,6 +67,12 @@ FallbackRun run_with_overload(bool tcp_fallback, int extra_sources,
   run.episodes = result.fallback_episodes;
   run.via_tcp = result.packets_via_tcp;
   run.receiver_complete = result.receiver_complete;
+  run.packets_needed = result.packets_needed;
+  run.packets_sent = result.packets_sent;
+  for (const auto& event : tracer.snapshot()) {
+    if (event.type == telemetry::EventType::kBatchSent) run.udp_sends += event.value;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u) << "udp_sends needs every batch event";
   run.waste = result.waste;
   // The plans here corrupt only ACKs, so every corrupt drop is an ACK
   // the sender rejected.
@@ -92,6 +102,16 @@ TEST(FobsTcpFallback, TransientEpisodeStillCompletesExactly) {
   EXPECT_TRUE(run.done);
   EXPECT_TRUE(run.receiver_complete);
   EXPECT_GE(run.waste, 0.0);
+}
+
+TEST(FobsTcpFallback, PacketsSentAndWasteCountBothChannels) {
+  const auto run = run_with_overload(/*tcp_fallback=*/true, /*extra_sources=*/4);
+  ASSERT_TRUE(run.done);
+  ASSERT_GT(run.via_tcp, 0);
+  EXPECT_GT(run.udp_sends, 0);
+  EXPECT_EQ(run.packets_sent, run.udp_sends + run.via_tcp);
+  const auto needed = static_cast<double>(run.packets_needed);
+  EXPECT_DOUBLE_EQ(run.waste, (static_cast<double>(run.packets_sent) - needed) / needed);
 }
 
 TEST(FobsTcpFallback, CorruptAcksAreTracedOnTheUdpAndTheFallbackPath) {

@@ -109,7 +109,7 @@ TEST(FobsTransferSim, DeterministicForSameSeed) {
 TEST(FobsTransferSim, AdaptiveVariantCompletesAndVerifies) {
   Testbed bed(PathId::kGigabitContended);
   auto config = small_transfer(8);
-  config.sender.adaptive.enabled = true;
+  config.adaptive.enabled = true;
   const auto result = run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
   ASSERT_TRUE(result.completed);
   EXPECT_TRUE(result.data_verified);

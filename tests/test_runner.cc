@@ -35,7 +35,7 @@ TEST(Runner, MakeFobsConfigForwardsEveryField) {
   EXPECT_EQ(config.sender.batch_policy, core::BatchPolicy::kAckAdaptive);
   EXPECT_EQ(config.receiver_socket_buffer_bytes, 12345);
   EXPECT_TRUE(config.carry_data);
-  EXPECT_TRUE(config.sender.adaptive.enabled);
+  EXPECT_TRUE(config.adaptive.enabled);
 }
 
 TEST(Runner, FobsAveragedAggregatesAcrossSeeds) {

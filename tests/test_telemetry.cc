@@ -165,17 +165,12 @@ TEST(EventTracer, EveryEventTypeHasAUniqueWireName) {
 // ---------------------------------------------------------------------------
 // Metrics registry.
 
-TEST(Metrics, CounterGaugeHistogramBasics) {
+TEST(Metrics, CounterHistogramBasics) {
   MetricsRegistry registry;
   auto& transfers = registry.counter("transfers");
   transfers.inc();
   transfers.inc(4);
   EXPECT_EQ(transfers.value(), 5);
-
-  auto& inflight = registry.gauge("inflight");
-  inflight.set(10);
-  inflight.add(-3);
-  EXPECT_EQ(inflight.value(), 7);
 
   auto& latency = registry.histogram("latency_ms", {10, 100});
   latency.observe(5);
@@ -191,7 +186,7 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
 
   // Same name, same kind: the identical instrument comes back.
   EXPECT_EQ(&registry.counter("transfers"), &transfers);
-  EXPECT_EQ(registry.size(), 3u);
+  EXPECT_EQ(registry.size(), 2u);
 }
 
 TEST(Metrics, HistogramBoundariesAreInclusive) {
@@ -208,16 +203,14 @@ TEST(Metrics, HistogramBoundariesAreInclusive) {
 TEST(Metrics, SnapshotAndJsonlCoverEveryInstrument) {
   MetricsRegistry registry;
   registry.counter("a").inc(3);
-  registry.gauge("b").set(-2);
   registry.histogram("c", {5}).observe(4);
   const auto samples = registry.snapshot();
-  ASSERT_EQ(samples.size(), 3u);
+  ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].name, "a");
   EXPECT_EQ(samples[0].value, 3);
-  EXPECT_EQ(samples[1].value, -2);
-  EXPECT_EQ(samples[2].kind, MetricSample::Kind::kHistogram);
-  EXPECT_EQ(samples[2].value, 1);  // histogram count
-  EXPECT_EQ(samples[2].sum, 4);
+  EXPECT_EQ(samples[1].kind, MetricSample::Kind::kHistogram);
+  EXPECT_EQ(samples[1].value, 1);  // histogram count
+  EXPECT_EQ(samples[1].sum, 4);
 
   std::ostringstream os;
   registry.write_jsonl(os);
@@ -231,7 +224,7 @@ TEST(Metrics, SnapshotAndJsonlCoverEveryInstrument) {
     EXPECT_NE(line.find("\"kind\":"), std::string::npos) << line;
     ++lines;
   }
-  EXPECT_EQ(lines, 3u);
+  EXPECT_EQ(lines, 2u);
 }
 
 // The registry's core concurrency contract: writers never lose updates
@@ -265,7 +258,6 @@ TEST(Metrics, ConcurrentHammerLosesNothing) {
         shared.inc();
         own.inc();
         hist.observe(i % 1024);
-        registry.gauge("last").set(i);
       }
     });
   }
