@@ -20,7 +20,6 @@
 
 #include "fobs/object.h"
 #include "fobs/posix/engine.h"
-#include "fobs/sim_transfer.h"
 
 namespace {
 

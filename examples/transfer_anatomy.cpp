@@ -1,7 +1,7 @@
-// Anatomy of a FOBS transfer: attach a packet tracer to the bottleneck
-// and event tracers to both endpoints, run one lossy long-haul transfer,
-// and print a timeline from the receiver's trace — where the drops
-// happened and how the goodput evolved.
+// Anatomy of a FOBS transfer: attach event tracers to both endpoints,
+// run one short-haul transfer, and print the bottleneck link's delivery
+// and drop counts plus a timeline from the receiver's trace — where the
+// drops happened and how the goodput evolved.
 //
 //   ./transfer_anatomy [ack_frequency]
 //
@@ -14,7 +14,6 @@
 
 #include "exp/runner.h"
 #include "fobs/sim_transfer.h"
-#include "sim/packet_trace.h"
 #include "telemetry/trace.h"
 
 int main(int argc, char** argv) {
@@ -23,9 +22,6 @@ int main(int argc, char** argv) {
 
   auto spec = exp::spec_for(exp::PathId::kShortHaul);
   exp::Testbed bed(spec, 21);
-
-  sim::PacketTrace backbone_trace;
-  bed.backbone().set_observer(&backbone_trace);
 
   telemetry::EventTracer sender_trace;
   telemetry::EventTracer receiver_trace;
@@ -44,13 +40,11 @@ int main(int argc, char** argv) {
               result.completed ? "yes" : "NO", bed.sim().now().seconds(),
               static_cast<long long>(result.packets_sent),
               static_cast<long long>(result.packets_needed), 100.0 * result.waste);
+  const auto& backbone = bed.backbone().stats();
   std::printf("backbone: %llu delivered, %llu random drops, %llu overflow drops\n",
-              static_cast<unsigned long long>(
-                  backbone_trace.count(sim::TraceEvent::Kind::kDelivered)),
-              static_cast<unsigned long long>(
-                  backbone_trace.count(sim::TraceEvent::Kind::kDropRandom)),
-              static_cast<unsigned long long>(
-                  backbone_trace.count(sim::TraceEvent::Kind::kDropOverflow)));
+              static_cast<unsigned long long>(backbone.packets_delivered),
+              static_cast<unsigned long long>(backbone.drops_random),
+              static_cast<unsigned long long>(backbone.drops_overflow));
   std::printf("receiver socket-buffer drops: %llu\n\n",
               static_cast<unsigned long long>(result.receiver_socket_drops));
 

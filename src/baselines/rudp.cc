@@ -192,7 +192,7 @@ class RudpSender {
     const PacketSeq seq = missing_[index_];
     const std::int64_t len = config_.spec.payload_bytes(seq);
     if (!data_out_.writable(len + fobs::core::kDataHeaderBytes)) {
-      host_.notify_writable([this] { step(); });
+      host_.notify_writable(this, [this] { step(); });
       return;
     }
     DataPacketPayload payload{seq, static_cast<std::int32_t>(len), nullptr};
@@ -242,10 +242,7 @@ RudpResult run_rudp_transfer(fobs::sim::Network& network, Host& src, Host& dst,
   result.packets_needed = config.spec.packet_count();
   result.packets_sent = sender.packets_sent();
   result.receiver_socket_drops = receiver.socket_drops();
-  if (result.packets_needed > 0) {
-    result.waste = static_cast<double>(result.packets_sent - result.packets_needed) /
-                   static_cast<double>(result.packets_needed);
-  }
+  result.waste = config.spec.waste(result.packets_sent);
   if (receiver.complete()) {
     result.elapsed = receiver.completed_at() - start;
     if (result.elapsed > Duration::zero()) {

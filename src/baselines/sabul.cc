@@ -232,7 +232,7 @@ class SabulSender {
     if (!data_out_.writable(len + fobs::core::kDataHeaderBytes)) {
       // Socket buffer full: requeue (front) and wait for writability.
       if (queued_rtx_.insert(seq).second) rtx_queue_.push_front(seq);
-      host_.notify_writable([this] { step(); });
+      host_.notify_writable(this, [this] { step(); });
       return;
     }
     DataPacketPayload payload{seq, static_cast<std::int32_t>(len), nullptr};
@@ -283,10 +283,7 @@ SabulResult run_sabul_transfer(fobs::sim::Network& network, Host& src, Host& dst
   result.packets_sent = sender.packets_sent();
   result.final_rate_mbps = sender.current_rate_mbps();
   result.loss_reports = sender.lossy_reports();
-  if (result.packets_needed > 0) {
-    result.waste = static_cast<double>(result.packets_sent - result.packets_needed) /
-                   static_cast<double>(result.packets_needed);
-  }
+  result.waste = config.spec.waste(result.packets_sent);
   if (receiver.complete()) {
     result.elapsed = receiver.completed_at() - start;
     if (result.elapsed > Duration::zero()) {

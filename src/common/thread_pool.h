@@ -24,7 +24,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-
   /// Enqueues a callable; returns a future for its result.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
@@ -38,9 +37,6 @@ class ThreadPool {
     cv_.notify_one();
     return result;
   }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for all.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -104,7 +104,7 @@ class AbileneNetwork {
   std::vector<SiteSpec> site_specs_;
   std::vector<fobs::host::Host*> site_hosts_;
   std::vector<fobs::sim::BlackholeNode*> pop_sinks_;
-  std::vector<std::unique_ptr<fobs::sim::CrossTrafficSource>> background_;
+  std::vector<std::unique_ptr<fobs::sim::OnOffSource>> background_;
 };
 
 }  // namespace fobs::exp

@@ -1,20 +1,9 @@
 #include "exp/scenario.h"
 
-#include <cassert>
-
 namespace fobs::exp {
 
 using fobs::sim::OnOffSource;
 using fobs::util::Rng;
-
-bool ScheduledLoss::should_drop(const fobs::sim::Packet& packet, fobs::util::Rng& rng) {
-  if (p_ <= 0.0) return false;
-  const std::int64_t frags = fobs::sim::fragment_count(packet.size_bytes, mtu_);
-  for (std::int64_t i = 0; i < frags; ++i) {
-    if (rng.bernoulli(p_)) return true;
-  }
-  return false;
-}
 
 // ---------------------------------------------------------------------------
 // Prebuilt scenarios
@@ -108,28 +97,28 @@ std::vector<Scenario> all_scenarios() {
 // ---------------------------------------------------------------------------
 
 ScenarioRuntime::ScenarioRuntime(const Scenario& scenario, std::uint64_t seed)
-    : scenario_(scenario), testbed_(std::make_unique<Testbed>(scenario.base, seed)) {
+    : testbed_(std::make_unique<Testbed>(scenario.base, seed)) {
   auto& sim = testbed_->sim();
   auto& net = testbed_->network();
   Rng rng(seed ^ 0x5CE7A710);
 
-  // Install the scheduled loss model on the forward backbone and arm
-  // the loss phases.
-  if (!scenario_.loss.empty()) {
-    auto loss = std::make_unique<ScheduledLoss>();
-    loss_ = loss.get();
-    testbed_->backbone().set_loss_model(std::move(loss), rng.fork());
-    for (const auto& phase : scenario_.loss) {
+  // Install a loss model on the forward backbone, lossless until the
+  // first phase starts, and arm the loss phases.
+  if (!scenario.loss.empty()) {
+    auto owned = std::make_unique<fobs::sim::BernoulliLoss>(0.0);
+    auto* loss = owned.get();  // owned by the backbone link from here on
+    testbed_->backbone().set_loss_model(std::move(owned), rng.fork());
+    for (const auto& phase : scenario.loss) {
       const double p = phase.per_fragment_loss;
-      sim.schedule_in(phase.start, [this, p] { loss_->set_probability(p); });
+      sim.schedule_in(phase.start, [loss, p] { loss->set_probability(p); });
       if (phase.stop < Duration::max()) {
-        sim.schedule_in(phase.stop, [this] { loss_->set_probability(0.0); });
+        sim.schedule_in(phase.stop, [loss] { loss->set_probability(0.0); });
       }
     }
   }
 
   // Arm the traffic phases.
-  for (const auto& phase : scenario_.traffic) {
+  for (const auto& phase : scenario.traffic) {
     for (int i = 0; i < phase.sources; ++i) {
       auto source = std::make_unique<OnOffSource>(
           sim, testbed_->backbone(), net.next_node_id(), testbed_->cross_sink().id(),

@@ -55,39 +55,20 @@ struct Scenario {
 [[nodiscard]] Scenario scenario_lossy_wan();
 [[nodiscard]] std::vector<Scenario> all_scenarios();
 
-/// Loss model whose probability can be changed while the simulation
-/// runs (phases flip it); fragmentation-aware like BernoulliLoss.
-class ScheduledLoss final : public fobs::sim::LossModel {
- public:
-  explicit ScheduledLoss(std::int64_t mtu_bytes = 1500) : mtu_(mtu_bytes) {}
-
-  void set_probability(double p) { p_ = p; }
-  [[nodiscard]] double probability() const { return p_; }
-
-  bool should_drop(const fobs::sim::Packet& packet, fobs::util::Rng& rng) override;
-
- private:
-  double p_ = 0.0;
-  std::int64_t mtu_;
-};
-
 /// Instantiates a scenario on a fresh Testbed: builds the topology,
-/// installs the scheduled loss model, and arms every phase. Keep the
-/// runtime alive while the simulation runs.
+/// installs a BernoulliLoss whose probability the loss phases set, and
+/// arms every phase. Keep the runtime alive while the simulation runs.
 class ScenarioRuntime {
  public:
   ScenarioRuntime(const Scenario& scenario, std::uint64_t seed);
 
   [[nodiscard]] Testbed& testbed() { return *testbed_; }
-  [[nodiscard]] const Scenario& scenario() const { return scenario_; }
   /// Cross-traffic packets offered so far across all phases.
   [[nodiscard]] std::uint64_t cross_packets_offered() const;
 
  private:
-  Scenario scenario_;
   std::unique_ptr<Testbed> testbed_;
-  ScheduledLoss* loss_ = nullptr;  // owned by the backbone link
-  std::vector<std::unique_ptr<fobs::sim::CrossTrafficSource>> sources_;
+  std::vector<std::unique_ptr<fobs::sim::OnOffSource>> sources_;
 };
 
 }  // namespace fobs::exp

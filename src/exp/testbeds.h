@@ -98,7 +98,7 @@ class Testbed {
   [[nodiscard]] fobs::sim::Link& backbone() { return *backbone_fwd_; }
   /// Cross-traffic sink (counts competing traffic actually delivered).
   [[nodiscard]] fobs::sim::BlackholeNode& cross_sink() { return *cross_sink_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<fobs::sim::CrossTrafficSource>>&
+  [[nodiscard]] const std::vector<std::unique_ptr<fobs::sim::OnOffSource>>&
   cross_sources() const {
     return cross_;
   }
@@ -111,7 +111,7 @@ class Testbed {
   Host* dst_ = nullptr;
   fobs::sim::Link* backbone_fwd_ = nullptr;
   fobs::sim::BlackholeNode* cross_sink_ = nullptr;
-  std::vector<std::unique_ptr<fobs::sim::CrossTrafficSource>> cross_;
+  std::vector<std::unique_ptr<fobs::sim::OnOffSource>> cross_;
 };
 
 }  // namespace fobs::exp

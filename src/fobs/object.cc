@@ -14,6 +14,22 @@
 
 namespace fobs::core {
 
+std::vector<std::uint8_t> make_pattern(std::int64_t bytes, std::uint64_t seed) {
+  assert(bytes >= 0);
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(bytes));
+  fobs::util::Rng rng(seed);
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    const std::uint64_t v = rng.next();
+    std::memcpy(data.data() + i, &v, 8);
+  }
+  if (i < data.size()) {
+    const std::uint64_t v = rng.next();
+    std::memcpy(data.data() + i, &v, data.size() - i);
+  }
+  return data;
+}
+
 TransferObject::~TransferObject() { reset(); }
 
 void TransferObject::reset() {
@@ -56,19 +72,7 @@ TransferObject TransferObject::allocate(std::int64_t bytes) {
 }
 
 TransferObject TransferObject::pattern(std::int64_t bytes, std::uint64_t seed) {
-  TransferObject object = allocate(bytes);
-  fobs::util::Rng rng(seed);
-  auto span = object.mutable_view();
-  std::size_t i = 0;
-  for (; i + 8 <= span.size(); i += 8) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(span.data() + i, &v, 8);
-  }
-  if (i < span.size()) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(span.data() + i, &v, span.size() - i);
-  }
-  return object;
+  return from_vector(make_pattern(bytes, seed));
 }
 
 TransferObject TransferObject::from_vector(std::vector<std::uint8_t> data) {

@@ -17,6 +17,11 @@
 
 namespace fobs::core {
 
+/// Deterministic pseudo-random test pattern of `bytes` bytes, the same
+/// for the same seed: one 64-bit draw per 8 bytes, and one more for a
+/// shorter tail.
+std::vector<std::uint8_t> make_pattern(std::int64_t bytes, std::uint64_t seed);
+
 class TransferObject {
  public:
   TransferObject() = default;
@@ -29,7 +34,8 @@ class TransferObject {
 
   /// Zero-filled writable buffer (receive side).
   static TransferObject allocate(std::int64_t bytes);
-  /// Deterministic pseudo-random content (tests, benchmarks).
+  /// Deterministic pseudo-random content (tests, benchmarks): the bytes
+  /// of make_pattern(bytes, seed).
   static TransferObject pattern(std::int64_t bytes, std::uint64_t seed);
   /// Adopts an existing vector.
   static TransferObject from_vector(std::vector<std::uint8_t> data);

@@ -21,19 +21,30 @@ constexpr PortId kTcpDataPortOffset = 3;     ///< receiver side, TCP (§7)
 
 }  // namespace
 
+DriverEvents::~DriverEvents() {
+  for (const auto id : ids_) sim_.cancel(id);
+}
+
+void DriverEvents::keep(fobs::sim::EventId id) {
+  std::erase_if(ids_, [this](fobs::sim::EventId old) { return !sim_.pending(old); });
+  ids_.push_back(id);
+}
+
 // ---------------------------------------------------------------------------
 // SimSender
 // ---------------------------------------------------------------------------
 
 SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
                      AdaptiveConfig adaptive, const std::uint8_t* data, NodeId receiver_node,
-                     PortId port_base)
+                     PortId port_base, std::uint64_t transfer)
     : host_(host),
+      events_(host.network().sim()),
       spec_(spec),
       core_(spec, config),
       data_(data),
       receiver_node_(receiver_node),
       port_base_(port_base),
+      transfer_(transfer),
       data_out_(host),
       ack_in_(host, static_cast<PortId>(port_base + kAckPortOffset)),
       completion_listener_(host, static_cast<PortId>(port_base + kCompletionPortOffset),
@@ -44,6 +55,10 @@ SimSender::SimSender(Host& host, TransferSpec spec, SenderConfig config,
                                  [this](const std::any& m) { on_control_message(m); });
                            }),
       adaptive_(adaptive) {}
+
+// Withdrawing here rather than in stop() keeps the waiter count, and so
+// the host's wake rotation, unchanged for any transfer still running.
+SimSender::~SimSender() { host_.withdraw_writable(this); }
 
 void SimSender::start() {
   if (started_) return;
@@ -78,7 +93,6 @@ void SimSender::on_control_message(const std::any& message) {
 
 void SimSender::step() {
   if (done() || mode_ != Mode::kUdp) return;
-  auto& sim = host_.network().sim();
   Duration busy = Duration::zero();
 
   // Phase 2: look for (but do not block on) one acknowledgement.
@@ -105,10 +119,10 @@ void SimSender::step() {
     if (!data_out_.writable(max_payload)) {
       // Socket buffer full: wait for writability (the select() call),
       // then continue the loop. CPU consumed so far still elapses.
-      host_.notify_writable([this] {
+      host_.notify_writable(this, [this] {
         if (!step_scheduled_) {
           step_scheduled_ = true;
-          host_.network().sim().schedule_in(Duration::zero(), [this] {
+          events_.in(Duration::zero(), [this] {
             step_scheduled_ = false;
             step();
           });
@@ -126,6 +140,7 @@ void SimSender::step() {
     payload.seq = *seq;
     payload.len = static_cast<std::int32_t>(len);
     payload.data = data_ != nullptr ? data_ + spec_.offset_of(*seq) : nullptr;
+    payload.transfer = transfer_;
     // The injector models in-flight damage: a dropped packet is sent by
     // the core's accounting but never reaches the wire, a corrupted one
     // arrives with a failing checksum, a duplicated one arrives twice.
@@ -159,7 +174,7 @@ void SimSender::step() {
   // the loop from spinning in zero simulated time.
   const auto resume =
       host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))) + adaptive_.gap();
-  sim.schedule_at(resume, [this] { step(); });
+  events_.at(resume, [this] { step(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +196,6 @@ void SimSender::enter_fallback() {
   if (auto* tracer = core_.tracer()) {
     tracer->record(telemetry::EventType::kFallbackEnter, -1, fallback_episodes_);
   }
-  auto& sim = host_.network().sim();
   if (tcp_data_ == nullptr) {
     tcp_data_ = std::make_unique<fobs::net::TcpConnection>(host_, fobs::net::TcpConfig{});
     tcp_data_->connect(receiver_node_,
@@ -189,7 +203,7 @@ void SimSender::enter_fallback() {
   }
   probe_rtx_snapshot_ = tcp_data_->stats().retransmissions;
   pump_tcp();
-  sim.schedule_in(kFallbackProbeInterval, [this] { probe_tick(); });
+  events_.in(kFallbackProbeInterval, [this] { probe_tick(); });
 }
 
 void SimSender::exit_fallback() {
@@ -223,6 +237,7 @@ void SimSender::pump_tcp() {
       payload.seq = static_cast<PacketSeq>(*seq);
       payload.len = static_cast<std::int32_t>(len);
       payload.data = data_ != nullptr ? data_ + spec_.offset_of(payload.seq) : nullptr;
+      payload.transfer = transfer_;
       ++packets_via_tcp_;
       tcp_data_->send_message(len + kDataHeaderBytes, payload);
     }
@@ -232,10 +247,11 @@ void SimSender::pump_tcp() {
     const auto* ack = std::any_cast<AckPacketPayload>(&pkt->payload);
     if (ack != nullptr && ack->ack != nullptr) take_ack(*ack);
   }
-  host_.network().sim().schedule_in(Duration::milliseconds(2), [this] { pump_tcp(); });
+  events_.in(Duration::milliseconds(2), [this] { pump_tcp(); });
 }
 
 void SimSender::take_ack(const AckPacketPayload& ack) {
+  if (ack.transfer != transfer_) return;  // an earlier transfer's straggler
   if (!ack.corrupted) {
     core_.on_ack(*ack.ack);
     // Feed the greediness controller with what happened since the last
@@ -267,7 +283,7 @@ void SimSender::probe_tick() {
     exit_fallback();
     return;
   }
-  host_.network().sim().schedule_in(kFallbackProbeInterval, [this] { probe_tick(); });
+  events_.in(kFallbackProbeInterval, [this] { probe_tick(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -276,13 +292,16 @@ void SimSender::probe_tick() {
 
 SimReceiver::SimReceiver(Host& host, TransferSpec spec, ReceiverConfig config,
                          std::uint8_t* buffer, NodeId sender_node,
-                         std::int64_t socket_buffer_bytes, PortId port_base)
+                         std::int64_t socket_buffer_bytes, PortId port_base,
+                         std::uint64_t transfer)
     : host_(host),
+      events_(host.network().sim()),
       spec_(spec),
       core_(spec, config),
       buffer_(buffer),
       sender_node_(sender_node),
       port_base_(port_base),
+      transfer_(transfer),
       data_in_(host, static_cast<PortId>(port_base + kDataPortOffset), socket_buffer_bytes),
       ack_out_(host),
       control_conn_(host, fobs::net::TcpConfig{}),
@@ -340,6 +359,7 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
     auto ack = std::make_shared<const AckMessage>(core_.make_ack());
     const std::int64_t bytes = ack->wire_bytes();
     AckPacketPayload ack_payload{std::move(ack)};
+    ack_payload.transfer = transfer_;
     const auto fate =
         faults_ != nullptr ? faults_->decide(fobs::net::FaultChannel::kAck) : FaultDecision{};
     ack_payload.corrupted = fate.corrupt;
@@ -393,20 +413,21 @@ void SimReceiver::on_tcp_data(const std::any& message) {
 
 void SimReceiver::step() {
   if (crashed_ || stopped_) return;  // a crashed or stopped receiver never polls again
-  auto& sim = host_.network().sim();
   auto pkt = data_in_.try_recv();
   if (!pkt) {
     data_in_.set_rx_notify([this] { step(); });
     return;
   }
   const auto* payload = std::any_cast<DataPacketPayload>(&pkt->payload);
-  if (payload == nullptr) {
-    sim.schedule_in(Duration::nanoseconds(500), [this] { step(); });
+  if (payload == nullptr || payload->transfer != transfer_) {
+    // Not this transfer's data: a stray payload, or a straggler from an
+    // earlier run on the same port.
+    events_.in(Duration::nanoseconds(500), [this] { step(); });
     return;
   }
   const Duration busy = process_packet(*payload);
-  sim.schedule_at(host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))),
-                  [this] { step(); });
+  events_.at(host_.reserve_cpu(std::max(busy, Duration::nanoseconds(500))),
+             [this] { step(); });
 }
 
 }  // namespace fobs::core

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "net/faults.h"
 #include "net/tcp.h"
 #include "net/udp.h"
+#include "sim/simulation.h"
 
 namespace fobs::core {
 
@@ -35,6 +37,29 @@ using fobs::sim::NodeId;
 using fobs::sim::PortId;
 using fobs::util::Duration;
 using fobs::util::TimePoint;
+
+/// The simulation events one driver has scheduled. Destroying the set
+/// cancels those not yet fired, so a destroyed driver leaves nothing in
+/// the simulation that would call back into it.
+class DriverEvents {
+ public:
+  explicit DriverEvents(fobs::sim::Simulation& sim) : sim_(sim) {}
+  ~DriverEvents();
+
+  DriverEvents(const DriverEvents&) = delete;
+  DriverEvents& operator=(const DriverEvents&) = delete;
+
+  void at(TimePoint t, std::function<void()> fn) { keep(sim_.schedule_at(t, std::move(fn))); }
+  void in(Duration delay, std::function<void()> fn) {
+    keep(sim_.schedule_in(delay, std::move(fn)));
+  }
+
+ private:
+  void keep(fobs::sim::EventId id);
+
+  fobs::sim::Simulation& sim_;
+  std::vector<fobs::sim::EventId> ids_;
+};
 
 /// Sender-side driver: greedy batch-send loop, plus the paper's §7
 /// extension (pacing gaps and the TCP fallback), which only this driver
@@ -46,8 +71,17 @@ class SimSender {
   ///        size-only simulation); must outlive the driver.
   /// @param port_base first of the four consecutive ports this transfer
   ///        uses (must match the receiver's).
+  /// @param transfer id stamped on every datagram and required of every
+  ///        ACK; unique per transfer on the network (must match the
+  ///        receiver's).
   SimSender(Host& host, TransferSpec spec, SenderConfig config, AdaptiveConfig adaptive,
-            const std::uint8_t* data, NodeId receiver_node, PortId port_base);
+            const std::uint8_t* data, NodeId receiver_node, PortId port_base,
+            std::uint64_t transfer);
+  /// Withdraws the writability waiter; `events_` cancels the rest.
+  ~SimSender();
+
+  SimSender(const SimSender&) = delete;
+  SimSender& operator=(const SimSender&) = delete;
 
   /// Starts the send loop (call after the receiver exists).
   void start();
@@ -100,11 +134,13 @@ class SimSender {
   [[nodiscard]] bool done() const { return finished_ || stopped_; }
 
   Host& host_;
+  DriverEvents events_;
   TransferSpec spec_;
   SenderCore core_;
   const std::uint8_t* data_;
   NodeId receiver_node_;
   PortId port_base_;
+  std::uint64_t transfer_;
   fobs::net::UdpEndpoint data_out_;
   fobs::net::UdpEndpoint ack_in_;
   fobs::net::TcpListener completion_listener_;
@@ -137,8 +173,11 @@ class SimReceiver {
   ///        null for size-only runs); must outlive the driver.
   /// @param socket_buffer_bytes UDP receive socket buffer — the overflow
   ///        point that models Figure 1's ACK-stall losses.
+  /// @param transfer the sender's transfer id: data packets carrying
+  ///        another are ignored, and every ACK carries this one.
   SimReceiver(Host& host, TransferSpec spec, ReceiverConfig config, std::uint8_t* buffer,
-              NodeId sender_node, std::int64_t socket_buffer_bytes, PortId port_base);
+              NodeId sender_node, std::int64_t socket_buffer_bytes, PortId port_base,
+              std::uint64_t transfer);
 
   /// Opens the TCP control connection and starts polling.
   void start();
@@ -180,11 +219,13 @@ class SimReceiver {
   void on_tcp_data(const std::any& message);
 
   Host& host_;
+  DriverEvents events_;
   TransferSpec spec_;
   ReceiverCore core_;
   std::uint8_t* buffer_;
   NodeId sender_node_;
   PortId port_base_;
+  std::uint64_t transfer_;
   fobs::net::UdpEndpoint data_in_;
   fobs::net::UdpEndpoint ack_out_;
   fobs::net::TcpConnection control_conn_;

@@ -1,10 +1,10 @@
 #include "fobs/sim_transfer.h"
 
-#include <cstring>
+#include <atomic>
 #include <memory>
 #include <optional>
 
-#include "common/rng.h"
+#include "fobs/object.h"
 #include "fobs/sim_driver.h"
 
 namespace fobs::core {
@@ -15,6 +15,10 @@ namespace {
 constexpr PortId kFobsPortBase = 7001;
 constexpr PortId kPortBaseStride = 100;
 
+/// Transfer ids are unique in the process, so a later run on the same
+/// network and ports can tell an earlier run's stragglers from its own.
+std::atomic<std::uint64_t> next_transfer_id{1};
+
 /// One transfer's endpoints, buffers and end-of-run bookkeeping.
 struct Flow {
   Flow(const SimTransfer& transfer, PortId port_base, TimePoint run_start)
@@ -22,11 +26,13 @@ struct Flow {
         object(config.carry_data ? make_pattern(config.spec.object_bytes, kDataSeed)
                                  : std::vector<std::uint8_t>{}),
         sink(config.carry_data ? static_cast<std::size_t>(config.spec.object_bytes) : 0, 0),
+        id(next_transfer_id++),
         sender(transfer.sender, config.spec, config.sender, config.adaptive,
-               config.carry_data ? object.data() : nullptr, transfer.receiver.id(), port_base),
+               config.carry_data ? object.data() : nullptr, transfer.receiver.id(), port_base,
+               id),
         receiver(transfer.receiver, config.spec, config.receiver,
                  config.carry_data ? sink.data() : nullptr, transfer.sender.id(),
-                 config.receiver_socket_buffer_bytes, port_base),
+                 config.receiver_socket_buffer_bytes, port_base, id),
         start(run_start),
         deadline(run_start + config.timeout),
         stall_interval(config.timeout / kStallIntervals),
@@ -115,6 +121,7 @@ struct Flow {
   const SimTransferConfig& config;
   std::vector<std::uint8_t> object;
   std::vector<std::uint8_t> sink;
+  std::uint64_t id;
   SimSender sender;
   SimReceiver receiver;
   std::optional<fobs::net::FaultInjector> faults;
@@ -129,22 +136,6 @@ struct Flow {
 };
 
 }  // namespace
-
-std::vector<std::uint8_t> make_pattern(std::int64_t bytes, std::uint64_t seed) {
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(bytes));
-  fobs::util::Rng rng(seed);
-  // Fill 8 bytes at a time; the tail reuses one final draw.
-  std::size_t i = 0;
-  for (; i + 8 <= data.size(); i += 8) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(data.data() + i, &v, 8);
-  }
-  if (i < data.size()) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(data.data() + i, &v, data.size() - i);
-  }
-  return data;
-}
 
 std::vector<SimTransferResult> run_sim_transfers(fobs::sim::Network& network,
                                                  const std::vector<SimTransfer>& transfers) {

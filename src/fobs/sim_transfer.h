@@ -105,10 +105,8 @@ SimTransferResult run_sim_transfer(fobs::sim::Network& network, fobs::host::Host
                                    fobs::host::Host& receiver_host,
                                    const SimTransferConfig& config);
 
-/// Seed of the make_pattern() object a carry_data transfer sends.
+/// Seed of the make_pattern() object (fobs/object.h) a carry_data
+/// transfer sends.
 inline constexpr std::uint64_t kDataSeed = 0x5EED;
-
-/// Deterministic test pattern for payload verification.
-std::vector<std::uint8_t> make_pattern(std::int64_t bytes, std::uint64_t seed);
 
 }  // namespace fobs::core

@@ -23,8 +23,13 @@ void Host::set_egress(Link* link) {
   }
 }
 
-void Host::notify_writable(std::function<void()> cb) {
-  writable_waiters_.push_back(std::move(cb));
+void Host::notify_writable(const void* owner, std::function<void()> cb) {
+  writable_waiters_.push_back({owner, std::move(cb)});
+}
+
+void Host::withdraw_writable(const void* owner) {
+  std::erase_if(writable_waiters_,
+                [owner](const WritableWaiter& waiter) { return waiter.owner == owner; });
 }
 
 fobs::util::TimePoint Host::reserve_cpu(Duration cost) {
@@ -37,14 +42,14 @@ fobs::util::TimePoint Host::reserve_cpu(Duration cost) {
 
 void Host::fire_writable() {
   if (writable_waiters_.empty()) return;
-  std::vector<std::function<void()>> waiters;
+  std::vector<WritableWaiter> waiters;
   waiters.swap(writable_waiters_);
   // Rotate the wake order across events. Waking in a fixed order lets
   // the first waiter refill the queue and re-register first every time,
   // starving the others — real select() wakeups round-robin in effect.
   const std::size_t start = wake_rotation_++ % waiters.size();
   for (std::size_t i = 0; i < waiters.size(); ++i) {
-    waiters[(start + i) % waiters.size()]();
+    waiters[(start + i) % waiters.size()].cb();
   }
 }
 

@@ -80,8 +80,12 @@ class Host final : public fobs::sim::Node {
 
   /// One-shot callback fired the next time the NIC queue frees space.
   /// This is how endpoints model blocking in select() until the socket
-  /// becomes writable.
-  void notify_writable(std::function<void()> cb);
+  /// becomes writable. `owner` names the registrant for
+  /// `withdraw_writable`.
+  void notify_writable(const void* owner, std::function<void()> cb);
+  /// Drops every waiter `owner` registered that has not fired yet. An
+  /// endpoint calls this when it is destroyed, so no callback outlives it.
+  void withdraw_writable(const void* owner);
 
   /// Reserves `cost` of CPU time on this host's single core, starting
   /// no earlier than now, and returns the completion time. Protocol
@@ -120,7 +124,11 @@ class Host final : public fobs::sim::Node {
   HostConfig config_;
   Link* egress_ = nullptr;
   std::unordered_map<PortId, PortHandler*> ports_;
-  std::vector<std::function<void()>> writable_waiters_;
+  struct WritableWaiter {
+    const void* owner;
+    std::function<void()> cb;
+  };
+  std::vector<WritableWaiter> writable_waiters_;
   std::size_t wake_rotation_ = 0;
   fobs::util::TimePoint cpu_free_at_;
   PortId next_ephemeral_ = 49152;

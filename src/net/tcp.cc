@@ -28,6 +28,7 @@ TcpConnection::~TcpConnection() {
   cancel_rtx_timer();
   if (delack_timer_ != fobs::sim::kInvalidEventId) sim().cancel(delack_timer_);
   if (syn_timer_ != fobs::sim::kInvalidEventId) sim().cancel(syn_timer_);
+  host_.withdraw_writable(this);
   host_.unbind(local_port_);
 }
 
@@ -208,7 +209,7 @@ void TcpConnection::schedule_delayed_ack() {
 void TcpConnection::wait_writable() {
   if (waiting_writable_) return;
   waiting_writable_ = true;
-  host_.notify_writable([this] {
+  host_.notify_writable(this, [this] {
     waiting_writable_ = false;
     // Resume whichever machinery applies *now* — the connection may
     // have entered or left recovery while the wait was pending, and a

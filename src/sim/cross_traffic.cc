@@ -11,19 +11,38 @@ Duration gap_for(std::int64_t packet_bytes, DataRate rate) {
 }
 }  // namespace
 
-CrossTrafficSource::CrossTrafficSource(Simulation& sim, PacketSink& target, NodeId src,
-                                       NodeId dst, std::int64_t packet_bytes, Rng rng)
-    : sim_(sim), rng_(rng), target_(target), src_(src), dst_(dst), packet_bytes_(packet_bytes) {
+OnOffSource::OnOffSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
+                         std::int64_t packet_bytes, DataRate peak_rate, Duration mean_on,
+                         Duration mean_off, Rng rng)
+    : sim_(sim),
+      rng_(rng),
+      target_(target),
+      src_(src),
+      dst_(dst),
+      packet_bytes_(packet_bytes),
+      peak_gap_(gap_for(packet_bytes, peak_rate)),
+      mean_on_(mean_on),
+      mean_off_(mean_off) {
   assert(packet_bytes_ > 0);
 }
 
-void CrossTrafficSource::start() {
+void OnOffSource::start() {
   if (running_) return;
   running_ = true;
   sim_.schedule_in(next_gap(), [this] { emit_and_reschedule(); });
 }
 
-void CrossTrafficSource::emit_and_reschedule() {
+Duration OnOffSource::next_gap() {
+  if (in_burst_ && sim_.now() < burst_end_) return peak_gap_;
+  // Burst over (or first call): draw an off period, then a new burst.
+  const Duration off = rng_.exponential(mean_off_);
+  const Duration on = rng_.exponential(mean_on_);
+  burst_end_ = sim_.now() + off + on;
+  in_burst_ = true;
+  return off + peak_gap_;
+}
+
+void OnOffSource::emit_and_reschedule() {
   if (!running_) return;
   Packet pkt;
   pkt.uid = next_uid_++;
@@ -34,34 +53,6 @@ void CrossTrafficSource::emit_and_reschedule() {
   ++stats_.packets_sent;
   stats_.bytes_sent += packet_bytes_;
   sim_.schedule_in(next_gap(), [this] { emit_and_reschedule(); });
-}
-
-CbrSource::CbrSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
-                     std::int64_t packet_bytes, DataRate rate, Rng rng)
-    : CrossTrafficSource(sim, target, src, dst, packet_bytes, rng),
-      gap_(gap_for(packet_bytes, rate)) {}
-
-PoissonSource::PoissonSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
-                             std::int64_t packet_bytes, DataRate rate, Rng rng)
-    : CrossTrafficSource(sim, target, src, dst, packet_bytes, rng),
-      mean_gap_(gap_for(packet_bytes, rate)) {}
-
-OnOffSource::OnOffSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
-                         std::int64_t packet_bytes, DataRate peak_rate, Duration mean_on,
-                         Duration mean_off, Rng rng)
-    : CrossTrafficSource(sim, target, src, dst, packet_bytes, rng),
-      peak_gap_(gap_for(packet_bytes, peak_rate)),
-      mean_on_(mean_on),
-      mean_off_(mean_off) {}
-
-Duration OnOffSource::next_gap() {
-  if (in_burst_ && sim_.now() < burst_end_) return peak_gap_;
-  // Burst over (or first call): draw an off period, then a new burst.
-  const Duration off = rng_.exponential(mean_off_);
-  const Duration on = rng_.exponential(mean_on_);
-  burst_end_ = sim_.now() + off + on;
-  in_burst_ = true;
-  return off + peak_gap_;
 }
 
 }  // namespace fobs::sim

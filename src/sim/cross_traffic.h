@@ -1,14 +1,13 @@
-// Background (cross) traffic generators.
+// Background (cross) traffic.
 //
 // The paper's long-haul and NCSA-CACR paths were shared Abilene routes
-// whose contention is what collapses TCP and dents FOBS/PSockets. These
-// sources inject packets addressed to a blackhole node into a chosen
-// ingress (normally the bottleneck link), reproducing that contention
-// with controllable intensity.
+// whose contention is what collapses TCP and dents FOBS/PSockets. An
+// OnOffSource injects packets addressed to a blackhole node into a
+// chosen ingress (normally the bottleneck link), reproducing that
+// contention with controllable intensity.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -25,88 +24,46 @@ struct CrossTrafficStats {
   std::int64_t bytes_sent = 0;
 };
 
-/// Base: emits fixed-size packets into `target` addressed to `dst`.
-class CrossTrafficSource {
- public:
-  CrossTrafficSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
-                     std::int64_t packet_bytes, Rng rng);
-  virtual ~CrossTrafficSource() = default;
-
-  CrossTrafficSource(const CrossTrafficSource&) = delete;
-  CrossTrafficSource& operator=(const CrossTrafficSource&) = delete;
-
-  /// Begins emitting; idempotent.
-  void start();
-  /// Stops after any already-scheduled emission.
-  void stop() { running_ = false; }
-  [[nodiscard]] bool running() const { return running_; }
-
-  [[nodiscard]] const CrossTrafficStats& stats() const { return stats_; }
-
- protected:
-  /// Next inter-packet gap; subclasses define the process.
-  virtual Duration next_gap() = 0;
-
-  Simulation& sim_;
-  Rng rng_;
-
- private:
-  void emit_and_reschedule();
-
-  PacketSink& target_;
-  NodeId src_;
-  NodeId dst_;
-  std::int64_t packet_bytes_;
-  bool running_ = false;
-  CrossTrafficStats stats_;
-  std::uint64_t next_uid_ = 1;
-};
-
-/// Constant bit rate: deterministic gaps sized so the average offered
-/// load equals `rate`.
-class CbrSource final : public CrossTrafficSource {
- public:
-  CbrSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
-            std::int64_t packet_bytes, DataRate rate, Rng rng);
-
- protected:
-  Duration next_gap() override { return gap_; }
-
- private:
-  Duration gap_;
-};
-
-/// Poisson arrivals with mean offered load `rate`.
-class PoissonSource final : public CrossTrafficSource {
- public:
-  PoissonSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
-                std::int64_t packet_bytes, DataRate rate, Rng rng);
-
- protected:
-  Duration next_gap() override { return rng_.exponential(mean_gap_); }
-
- private:
-  Duration mean_gap_;
-};
-
-/// Exponential on/off source: bursts at `peak_rate` for ~mean_on, then
+/// Exponential on/off source: emits fixed-size packets into `target`,
+/// addressed to `dst`, in bursts at `peak_rate` for ~mean_on, then stays
 /// silent for ~mean_off. Aggregates of these look like real WAN
 /// cross-traffic (bursty, heavy queues during bursts).
-class OnOffSource final : public CrossTrafficSource {
+class OnOffSource {
  public:
   OnOffSource(Simulation& sim, PacketSink& target, NodeId src, NodeId dst,
               std::int64_t packet_bytes, DataRate peak_rate, Duration mean_on,
               Duration mean_off, Rng rng);
 
- protected:
-  Duration next_gap() override;
+  OnOffSource(const OnOffSource&) = delete;
+  OnOffSource& operator=(const OnOffSource&) = delete;
+
+  /// Begins emitting; idempotent.
+  void start();
+  /// Stops after any already-scheduled emission.
+  void stop() { running_ = false; }
+
+  [[nodiscard]] const CrossTrafficStats& stats() const { return stats_; }
 
  private:
+  /// Gap to the next packet: the peak-rate gap inside a burst, else an
+  /// off period that starts the next burst.
+  Duration next_gap();
+  void emit_and_reschedule();
+
+  Simulation& sim_;
+  Rng rng_;
+  PacketSink& target_;
+  NodeId src_;
+  NodeId dst_;
+  std::int64_t packet_bytes_;
   Duration peak_gap_;
   Duration mean_on_;
   Duration mean_off_;
   TimePoint burst_end_;
   bool in_burst_ = false;
+  bool running_ = false;
+  CrossTrafficStats stats_;
+  std::uint64_t next_uid_ = 1;
 };
 
 }  // namespace fobs::sim

@@ -18,34 +18,19 @@ void Link::set_loss_model(std::unique_ptr<LossModel> model, fobs::util::Rng rng)
   loss_rng_ = rng;
 }
 
-void Link::emit_event(TraceEvent::Kind kind, const Packet& packet) {
-  if (observer_ == nullptr) return;
-  TraceEvent event;
-  event.when = sim_.now();
-  event.kind = kind;
-  event.uid = packet.uid;
-  event.size_bytes = packet.size_bytes;
-  event.src = packet.src;
-  event.dst = packet.dst;
-  observer_->on_event(event);
-}
-
 void Link::deliver(Packet packet) {
   ++stats_.packets_offered;
   if (loss_ && loss_->should_drop(packet, loss_rng_)) {
     ++stats_.drops_random;
-    emit_event(TraceEvent::Kind::kDropRandom, packet);
     FOBS_TRACE("link", name() << ": random drop uid=" << packet.uid);
     return;
   }
   if (!has_room_for(packet.size_bytes)) {
     ++stats_.drops_overflow;
-    emit_event(TraceEvent::Kind::kDropOverflow, packet);
     FOBS_TRACE("link", name() << ": overflow drop uid=" << packet.uid
                               << " queued=" << queued_bytes_);
     return;
   }
-  emit_event(TraceEvent::Kind::kEnqueued, packet);
   queued_bytes_ += packet.size_bytes;
   queue_.push_back(std::move(packet));
   if (!transmitting_) start_transmission();
@@ -69,7 +54,6 @@ void Link::finish_transmission() {
   transmitting_ = false;
   ++stats_.packets_delivered;
   stats_.bytes_delivered += in_flight_.size_bytes;
-  emit_event(TraceEvent::Kind::kDelivered, in_flight_);
   if (sink_ != nullptr) {
     // Propagation: the packet arrives at the far end after the fixed
     // one-way delay (plus jitter, which can reorder); the link itself is

@@ -16,7 +16,6 @@
 #include "common/units.h"
 #include "sim/loss.h"
 #include "sim/packet.h"
-#include "sim/packet_trace.h"
 #include "sim/simulation.h"
 
 namespace fobs::sim {
@@ -74,14 +73,10 @@ class Link final : public PacketSink {
     return queued_bytes_ + bytes <= config_.queue_capacity_bytes;
   }
   [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
-  [[nodiscard]] bool busy() const { return transmitting_; }
 
   /// Invoked whenever queue occupancy decreases; used by endpoints that
   /// model select()-style blocking on a full socket/NIC buffer.
   void set_space_callback(std::function<void()> cb) { space_cb_ = std::move(cb); }
-
-  /// Optional per-packet event tracing (tcpdump on this port).
-  void set_observer(LinkObserver* observer) { observer_ = observer; }
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
@@ -90,7 +85,6 @@ class Link final : public PacketSink {
  private:
   void start_transmission();
   void finish_transmission();
-  void emit_event(TraceEvent::Kind kind, const Packet& packet);
 
   Simulation& sim_;
   LinkConfig config_;
@@ -102,7 +96,6 @@ class Link final : public PacketSink {
   std::unique_ptr<LossModel> loss_;
   fobs::util::Rng loss_rng_;
   std::function<void()> space_cb_;
-  LinkObserver* observer_ = nullptr;
   LinkStats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/loss.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace fobs::sim {
 
@@ -13,6 +12,10 @@ std::int64_t fragment_count(std::int64_t size_bytes, std::int64_t mtu_bytes) {
 BernoulliLoss::BernoulliLoss(double per_fragment_loss, std::int64_t mtu_bytes)
     : p_(std::clamp(per_fragment_loss, 0.0, 1.0)), mtu_(mtu_bytes) {}
 
+void BernoulliLoss::set_probability(double per_fragment_loss) {
+  p_ = std::clamp(per_fragment_loss, 0.0, 1.0);
+}
+
 bool BernoulliLoss::should_drop(const Packet& packet, fobs::util::Rng& rng) {
   if (p_ <= 0.0) return false;
   const std::int64_t frags = fragment_count(packet.size_bytes, mtu_);
@@ -20,30 +23,6 @@ bool BernoulliLoss::should_drop(const Packet& packet, fobs::util::Rng& rng) {
     if (rng.bernoulli(p_)) return true;
   }
   return false;
-}
-
-GilbertElliottLoss::GilbertElliottLoss(double p_good_to_bad, double p_bad_to_good,
-                                       double loss_good, double loss_bad,
-                                       std::int64_t mtu_bytes)
-    : p_gb_(std::clamp(p_good_to_bad, 0.0, 1.0)),
-      p_bg_(std::clamp(p_bad_to_good, 0.0, 1.0)),
-      loss_good_(std::clamp(loss_good, 0.0, 1.0)),
-      loss_bad_(std::clamp(loss_bad, 0.0, 1.0)),
-      mtu_(mtu_bytes) {}
-
-bool GilbertElliottLoss::should_drop(const Packet& packet, fobs::util::Rng& rng) {
-  const std::int64_t frags = fragment_count(packet.size_bytes, mtu_);
-  bool drop = false;
-  for (std::int64_t i = 0; i < frags; ++i) {
-    // State transition per fragment, then a loss draw in the new state.
-    if (bad_) {
-      if (rng.bernoulli(p_bg_)) bad_ = false;
-    } else {
-      if (rng.bernoulli(p_gb_)) bad_ = true;
-    }
-    if (rng.bernoulli(bad_ ? loss_bad_ : loss_good_)) drop = true;
-  }
-  return drop;
 }
 
 }  // namespace fobs::sim

@@ -1,14 +1,13 @@
-// Random-loss models attachable to links.
+// Random loss attachable to links.
 //
-// Queue overflow (drop-tail) is modelled by the link itself; these models
-// add *random* corruption/loss on top, e.g. for lossy WAN segments. For
-// datagrams larger than the link MTU the models account for IP
+// Queue overflow (drop-tail) is modelled by the link itself; a loss model
+// adds *random* corruption/loss on top, e.g. for lossy WAN segments. For
+// datagrams larger than the link MTU, BernoulliLoss accounts for IP
 // fragmentation: the datagram survives only if every fragment survives,
 // which is what makes very large UDP packets fragile (Figure 3).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/rng.h"
 #include "sim/packet.h"
@@ -22,7 +21,7 @@ class LossModel {
   virtual bool should_drop(const Packet& packet, fobs::util::Rng& rng) = 0;
 };
 
-/// Independent per-fragment loss with fixed probability.
+/// Independent per-fragment loss.
 class BernoulliLoss final : public LossModel {
  public:
   /// @param per_fragment_loss probability a single <=MTU fragment is lost
@@ -30,30 +29,15 @@ class BernoulliLoss final : public LossModel {
   ///        fragmentation accounting.
   explicit BernoulliLoss(double per_fragment_loss, std::int64_t mtu_bytes = 1500);
 
+  /// Changes the per-fragment loss probability while the simulation runs
+  /// (scenario loss phases flip it).
+  void set_probability(double per_fragment_loss);
+
   bool should_drop(const Packet& packet, fobs::util::Rng& rng) override;
 
  private:
   double p_;
   std::int64_t mtu_;
-};
-
-/// Two-state Gilbert-Elliott bursty loss: a good state with low loss and
-/// a bad state with high loss, with geometric dwell times.
-class GilbertElliottLoss final : public LossModel {
- public:
-  GilbertElliottLoss(double p_good_to_bad, double p_bad_to_good, double loss_good,
-                     double loss_bad, std::int64_t mtu_bytes = 1500);
-
-  bool should_drop(const Packet& packet, fobs::util::Rng& rng) override;
-
-
- private:
-  double p_gb_;
-  double p_bg_;
-  double loss_good_;
-  double loss_bad_;
-  std::int64_t mtu_;
-  bool bad_ = false;
 };
 
 /// Number of <=MTU fragments a datagram of `size_bytes` occupies.

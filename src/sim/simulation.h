@@ -40,6 +40,9 @@ class Simulation {
   /// Drops a pending event. Cancelling an already-fired or invalid id is
   /// a no-op. Returns true when an event was actually removed.
   bool cancel(EventId id);
+  /// True while `id` is scheduled and has neither fired nor been
+  /// cancelled.
+  [[nodiscard]] bool pending(EventId id) const { return bodies_.count(id) != 0; }
 
   /// Executes the next event, if any. Returns false when the queue is
   /// empty (after skipping cancelled entries).

@@ -50,13 +50,6 @@ TEST(ThreadPool, SubmitReturnsResults) {
   EXPECT_EQ(f2.get(), "ok");
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   ThreadPool pool(1);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });

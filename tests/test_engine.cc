@@ -24,8 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "fobs/object.h"
 #include "fobs/posix/engine.h"
-#include "fobs/sim_transfer.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"

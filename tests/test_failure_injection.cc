@@ -5,9 +5,9 @@
 
 #include <memory>
 
-#include "exp/scenario.h"
 #include "exp/testbeds.h"
 #include "fobs/sim_transfer.h"
+#include "sim/loss.h"
 
 namespace fobs {
 namespace {
@@ -15,7 +15,6 @@ namespace {
 using core::SimTransferConfig;
 using core::run_sim_transfer;
 using exp::PathId;
-using exp::ScheduledLoss;
 using exp::Testbed;
 
 SimTransferConfig small_config() {
@@ -65,7 +64,7 @@ TEST(FailureInjection, ForwardOutageMidTransferRecovers) {
   // the bitmap protocol refills the holes.
   auto spec = exp::spec_for(PathId::kShortHaul);
   Testbed bed(spec);
-  auto loss = std::make_unique<ScheduledLoss>();
+  auto loss = std::make_unique<sim::BernoulliLoss>(0.0);
   auto* raw = loss.get();
   bed.backbone().set_loss_model(std::move(loss), util::Rng(2));
   // The clean transfer takes ~170 ms; go dark from 50 ms to 250 ms.

@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/codec.h"
 #include "fobs/posix/engine.h"
 #include "fobs/posix/posix_transfer.h"
-#include "fobs/sim_transfer.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"

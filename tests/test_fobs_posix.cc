@@ -9,9 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "fobs/object.h"
 #include "fobs/posix/codec.h"
 #include "fobs/posix/posix_transfer.h"
-#include "fobs/sim_transfer.h"
 #include "telemetry/trace.h"
 
 namespace fobs {

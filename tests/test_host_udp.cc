@@ -176,9 +176,47 @@ TEST(Udp, WritabilityNotificationFires) {
   while (sender.send_to(world.b->id(), 5000, 1400, std::any{})) {
   }
   bool notified = false;
-  world.a->notify_writable([&] { notified = true; });
+  world.a->notify_writable(&notified, [&] { notified = true; });
   world.sim.run();
   EXPECT_TRUE(notified);
+}
+
+TEST(Host, WithdrawnWaiterDoesNotFire) {
+  TwoHosts world(DataRate::megabits_per_second(1), /*queue=*/4096);
+  UdpEndpoint sender(*world.a);
+  UdpEndpoint receiver(*world.b, 5000);
+  while (sender.send_to(world.b->id(), 5000, 1400, std::any{})) {
+  }
+  int gone_fired = 0;
+  bool kept_fired = false;
+  // One owner may register several waiters; withdrawing drops them all
+  // and leaves other owners' waiters in place.
+  world.a->notify_writable(&gone_fired, [&] { ++gone_fired; });
+  world.a->notify_writable(&kept_fired, [&] { kept_fired = true; });
+  world.a->notify_writable(&gone_fired, [&] { ++gone_fired; });
+  world.a->withdraw_writable(&gone_fired);
+  world.sim.run();
+  EXPECT_EQ(gone_fired, 0);
+  EXPECT_TRUE(kept_fired);
+}
+
+TEST(Host, WithdrawAfterFiringIsNoop) {
+  TwoHosts world(DataRate::megabits_per_second(1), /*queue=*/4096);
+  UdpEndpoint sender(*world.a);
+  UdpEndpoint receiver(*world.b, 5000);
+  while (sender.send_to(world.b->id(), 5000, 1400, std::any{})) {
+  }
+  int fired = 0;
+  world.a->notify_writable(&fired, [&] { ++fired; });
+  world.sim.run();
+  ASSERT_EQ(fired, 1);
+  world.a->withdraw_writable(&fired);
+  // The waiter was one-shot: filling and draining the queue again does
+  // not call it a second time.
+  while (sender.send_to(world.b->id(), 5000, 1400, std::any{})) {
+  }
+  world.sim.run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(Udp, RxBufferOverflowDropsWhenAppNotDraining) {

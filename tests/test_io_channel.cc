@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fobs/object.h"
 #include "fobs/posix/codec.h"
 #include "fobs/posix/posix_transfer.h"
-#include "fobs/sim_transfer.h"
 #include "net/datagram_channel.h"
 
 namespace fobs {

@@ -147,6 +147,71 @@ TEST(Link, RandomLossModelDropsAndCounts) {
   EXPECT_EQ(link.stats().drops_random + sink.arrivals.size(), static_cast<std::size_t>(n));
 }
 
+// LinkStats counts each packet at the same point the link decides its
+// fate: accepted, dropped for overflow, dropped at random, or delivered.
+
+TEST(Link, StatsCountEveryOfferAndDelivery) {
+  Simulation sim;
+  LinkConfig cfg;
+  cfg.rate = DataRate::megabits_per_second(8);  // 1000 B = 1 ms
+  cfg.queue_capacity_bytes = 4096;
+  Link link(sim, cfg);
+  RecordingSink sink(sim);
+  link.set_sink(&sink);
+
+  link.deliver(make_packet(1, 1000));
+  link.deliver(make_packet(2, 1000));
+  EXPECT_EQ(link.stats().packets_offered, 2u);
+  EXPECT_EQ(link.stats().packets_delivered, 0u);  // still serializing
+  sim.run();
+  EXPECT_EQ(link.stats().packets_delivered, 2u);
+  EXPECT_EQ(link.stats().bytes_delivered, 2000);
+  EXPECT_EQ(link.stats().drops_overflow, 0u);
+  EXPECT_EQ(link.stats().drops_random, 0u);
+  ASSERT_EQ(sink.arrivals.size(), 2u);
+  EXPECT_GT(sink.arrivals[1].when.ns(), sink.arrivals[0].when.ns());
+}
+
+TEST(Link, OverflowDropsAreCountedWhenOffered) {
+  Simulation sim;
+  LinkConfig cfg;
+  cfg.rate = DataRate::megabits_per_second(8);
+  cfg.queue_capacity_bytes = 2000;
+  Link link(sim, cfg);
+  RecordingSink sink(sim);
+  link.set_sink(&sink);
+
+  // 1 transmitting + 2 queued are accepted; the other 3 drop at once,
+  // before any simulated time passes.
+  for (std::uint64_t i = 0; i < 6; ++i) link.deliver(make_packet(i, 1000));
+  EXPECT_EQ(sim.now().ns(), 0);
+  EXPECT_EQ(link.stats().drops_overflow, 3u);
+  sim.run();
+  EXPECT_EQ(link.stats().drops_overflow, 3u);
+  EXPECT_EQ(link.stats().packets_delivered, 3u);
+  EXPECT_EQ(sink.arrivals.size(), 3u);
+}
+
+TEST(Link, RandomDropIsNeitherQueuedNorDelivered) {
+  Simulation sim;
+  LinkConfig cfg;
+  cfg.rate = DataRate::megabits_per_second(8);
+  cfg.queue_capacity_bytes = 10'000'000;
+  Link link(sim, cfg);
+  RecordingSink sink(sim);
+  link.set_sink(&sink);
+  link.set_loss_model(std::make_unique<BernoulliLoss>(1.0), fobs::util::Rng(1));
+
+  link.deliver(make_packet(1, 1000));
+  EXPECT_EQ(link.queued_bytes(), 0);
+  sim.run();
+  EXPECT_EQ(link.stats().drops_random, 1u);
+  EXPECT_EQ(link.stats().drops_overflow, 0u);
+  EXPECT_EQ(link.stats().packets_delivered, 0u);
+  EXPECT_EQ(link.stats().busy_time.ns(), 0);
+  EXPECT_TRUE(sink.arrivals.empty());
+}
+
 TEST(Link, UtilizationAccounting) {
   Simulation sim;
   LinkConfig cfg;

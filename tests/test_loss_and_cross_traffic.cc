@@ -1,5 +1,8 @@
-// Unit tests for loss models and cross-traffic generators.
+// Unit tests for the loss model and the cross-traffic source.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <memory>
 
 #include "sim/cross_traffic.h"
 #include "sim/link.h"
@@ -66,52 +69,44 @@ TEST(LossModels, FragmentationAmplifiesLoss) {
   EXPECT_GT(p_big, 5 * p_small);
 }
 
-TEST(LossModels, GilbertElliottBurstiness) {
-  // Bad state drops heavily; dwell times are geometric, so drops come
-  // in runs. Check aggregate rate is between the two states' rates.
-  Rng rng(4);
-  GilbertElliottLoss ge(/*p_good_to_bad=*/0.001, /*p_bad_to_good=*/0.05,
-                        /*loss_good=*/0.0, /*loss_bad=*/0.5);
-  int drops = 0;
-  const int n = 200000;
-  int run_max = 0, run = 0;
-  for (int i = 0; i < n; ++i) {
-    if (ge.should_drop(sized_packet(1000), rng)) {
-      ++drops;
-      run_max = std::max(run_max, ++run);
-    } else {
-      run = 0;
-    }
+TEST(LossModels, BernoulliProbabilityChangesTakeEffect) {
+  BernoulliLoss loss(0.0);
+  Rng rng(1);
+  const Packet pkt = sized_packet(1000);
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(loss.should_drop(pkt, rng));
+  loss.set_probability(1.0);
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(loss.should_drop(pkt, rng));
+  loss.set_probability(0.0);
+  EXPECT_FALSE(loss.should_drop(pkt, rng));
+}
+
+TEST(LossModels, SetProbabilityDrawsLikeAFreshModel) {
+  // A scenario phase flips one model's probability; that must decide
+  // every packet exactly as a model built with that probability would,
+  // consuming the same RNG draws.
+  BernoulliLoss flipped(0.0);
+  flipped.set_probability(0.2);
+  BernoulliLoss fresh(0.2);
+  Rng rng_flipped(11), rng_fresh(11);
+  for (int i = 0; i < 2000; ++i) {
+    const Packet pkt = sized_packet(i % 3 == 0 ? 4000 : 1000);
+    ASSERT_EQ(flipped.should_drop(pkt, rng_flipped), fresh.should_drop(pkt, rng_fresh)) << i;
   }
-  const double rate = static_cast<double>(drops) / n;
-  // Stationary bad-state fraction = 0.001/(0.001+0.05) ~ 1.96%; times
-  // 50% loss => ~1% aggregate.
-  EXPECT_NEAR(rate, 0.0098, 0.004);
-  EXPECT_GE(run_max, 3);  // losses cluster
+  EXPECT_EQ(rng_flipped.next(), rng_fresh.next());
 }
 
-TEST(CrossTraffic, CbrOfferedLoadMatchesRate) {
-  Simulation sim;
-  fobs::sim::Network net(sim);
-  auto& sink_node = net.add_blackhole("sink");
-  CbrSource cbr(sim, sink_node, 100, sink_node.id(), 1000,
-                DataRate::megabits_per_second(8), Rng(5));
-  cbr.start();
-  sim.run_until(fobs::util::TimePoint::from_ns(Duration::seconds(1).ns()));
-  // 8 Mb/s with 1000 B packets = 1000 packets/s.
-  EXPECT_NEAR(static_cast<double>(cbr.stats().packets_sent), 1000.0, 2.0);
-  EXPECT_EQ(sink_node.packets_received(), cbr.stats().packets_sent);
-}
-
-TEST(CrossTraffic, PoissonMeanRate) {
-  Simulation sim;
-  fobs::sim::Network net(sim);
-  auto& sink_node = net.add_blackhole("sink");
-  PoissonSource src(sim, sink_node, 100, sink_node.id(), 1000,
-                    DataRate::megabits_per_second(8), Rng(6));
-  src.start();
-  sim.run_until(fobs::util::TimePoint::from_ns(Duration::seconds(5).ns()));
-  EXPECT_NEAR(static_cast<double>(src.stats().packets_sent) / 5.0, 1000.0, 50.0);
+TEST(LossModels, SetProbabilityKeepsFragmentationAndClamps) {
+  Rng rng(4);
+  BernoulliLoss loss(0.0, 1500);
+  loss.set_probability(0.01);
+  int big_drops = 0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) big_drops += loss.should_drop(sized_packet(32768), rng) ? 1 : 0;
+  EXPECT_NEAR(static_cast<double>(big_drops) / n, 1.0 - std::pow(0.99, 22), 0.02);
+  loss.set_probability(1.5);
+  EXPECT_TRUE(loss.should_drop(sized_packet(1000), rng));
+  loss.set_probability(-0.5);
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(loss.should_drop(sized_packet(1000), rng));
 }
 
 TEST(CrossTraffic, OnOffAverageLoadIsDutyCycleFraction) {
@@ -127,32 +122,82 @@ TEST(CrossTraffic, OnOffAverageLoadIsDutyCycleFraction) {
   const double avg_mbps =
       static_cast<double>(src.stats().bytes_sent) * 8.0 / 20.0 / 1e6;
   EXPECT_NEAR(avg_mbps, 10.0, 3.0);
+  EXPECT_EQ(sink_node.packets_received(), src.stats().packets_sent);
+}
+
+/// A source that is in a burst from the start and stays in it: 8 Mb/s
+/// of 1000 B packets, one every millisecond.
+std::unique_ptr<OnOffSource> steady_source(Simulation& sim, BlackholeNode& sink,
+                                           std::uint64_t seed) {
+  return std::make_unique<OnOffSource>(sim, sink, 100, sink.id(), 1000,
+                                       DataRate::megabits_per_second(8), Duration::seconds(1000),
+                                       Duration::microseconds(1), Rng(seed));
 }
 
 TEST(CrossTraffic, StopHaltsEmission) {
   Simulation sim;
   fobs::sim::Network net(sim);
   auto& sink_node = net.add_blackhole("sink");
-  CbrSource cbr(sim, sink_node, 100, sink_node.id(), 1000,
-                DataRate::megabits_per_second(8), Rng(8));
-  cbr.start();
+  auto src = steady_source(sim, sink_node, 8);
+  src->start();
   sim.run_until(fobs::util::TimePoint::from_ns(Duration::milliseconds(100).ns()));
-  cbr.stop();
-  const auto sent = cbr.stats().packets_sent;
+  src->stop();
+  const auto sent = src->stats().packets_sent;
+  EXPECT_GT(sent, 90u);  // it was emitting when stopped
   sim.run_until(fobs::util::TimePoint::from_ns(Duration::seconds(1).ns()));
-  EXPECT_LE(cbr.stats().packets_sent, sent + 1);  // at most one in-flight event
+  EXPECT_LE(src->stats().packets_sent, sent + 1);  // at most one in-flight event
 }
 
 TEST(CrossTraffic, StartIsIdempotent) {
+  // A source started twice emits exactly what the same source started
+  // once does: the second start must not add a second emission chain.
   Simulation sim;
   fobs::sim::Network net(sim);
   auto& sink_node = net.add_blackhole("sink");
-  CbrSource cbr(sim, sink_node, 100, sink_node.id(), 1000,
-                DataRate::megabits_per_second(8), Rng(9));
-  cbr.start();
-  cbr.start();  // must not double the rate
+  auto once = steady_source(sim, sink_node, 9);
+  auto twice = steady_source(sim, sink_node, 9);
+  once->start();
+  twice->start();
+  twice->start();
   sim.run_until(fobs::util::TimePoint::from_ns(Duration::seconds(1).ns()));
-  EXPECT_NEAR(static_cast<double>(cbr.stats().packets_sent), 1000.0, 2.0);
+  EXPECT_GT(once->stats().packets_sent, 900u);
+  EXPECT_EQ(twice->stats().packets_sent, once->stats().packets_sent);
+  EXPECT_EQ(twice->stats().bytes_sent, once->stats().bytes_sent);
+}
+
+TEST(CrossTraffic, SameSeedGivesIdenticalEmission) {
+  // Testbeds rely on this: the same seed reproduces the same weather.
+  auto emitted = [](std::uint64_t seed) {
+    Simulation sim;
+    fobs::sim::Network net(sim);
+    auto& sink_node = net.add_blackhole("sink");
+    OnOffSource src(sim, sink_node, 100, sink_node.id(), 1000,
+                    DataRate::megabits_per_second(40), Duration::milliseconds(20),
+                    Duration::milliseconds(30), Rng(seed));
+    src.start();
+    sim.run_until(fobs::util::TimePoint::from_ns(Duration::seconds(2).ns()));
+    return src.stats().packets_sent;
+  };
+  const auto first = emitted(5);
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(emitted(5), first);
+  EXPECT_NE(emitted(6), first);
+}
+
+TEST(CrossTraffic, NeverExceedsPeakRate) {
+  Simulation sim;
+  fobs::sim::Network net(sim);
+  auto& sink_node = net.add_blackhole("sink");
+  // Long bursts, short pauses: the source is almost always at peak.
+  // 1000 B at 8 Mb/s is one packet per millisecond.
+  OnOffSource src(sim, sink_node, 100, sink_node.id(), 1000, DataRate::megabits_per_second(8),
+                  Duration::milliseconds(200), Duration::milliseconds(1), Rng(3));
+  src.start();
+  sim.run_until(fobs::util::TimePoint::from_ns(Duration::seconds(1).ns()));
+  EXPECT_LE(src.stats().packets_sent, 1000u);
+  EXPECT_GT(src.stats().packets_sent, 900u);
+  EXPECT_EQ(src.stats().bytes_sent,
+            static_cast<std::int64_t>(src.stats().packets_sent) * 1000);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exp/testbeds.h"
+#include "fobs/sim_driver.h"
 #include "fobs/sim_transfer.h"
 
 namespace fobs {
@@ -125,6 +126,37 @@ TEST(MultiTransfer, EachTransferKeepsItsOwnDeadline) {
   EXPECT_TRUE(results[1].completed);
   EXPECT_TRUE(results[1].data_verified);
   EXPECT_GT(results[1].sender_elapsed, hurried.timeout);
+}
+
+TEST(MultiTransfer, TwoRunsOnOneTestbedBothComplete) {
+  // The first run's endpoints are gone when the second starts on the
+  // same network: nothing they scheduled may fire into the second run.
+  Testbed bed(PathId::kShortHaul);
+  core::SimTransferConfig config;
+  config.spec = {2 * 1024 * 1024, 1024};
+  config.timeout = util::Duration::seconds(300);
+  for (int run = 0; run < 2; ++run) {
+    const auto result = core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
+    EXPECT_TRUE(result.completed) << "run " << run;
+    EXPECT_TRUE(result.data_verified) << "run " << run;
+  }
+}
+
+TEST(DriverEvents, DestroyingTheSetCancelsWhatHasNotFired) {
+  sim::Simulation sim;
+  int fired = 0;
+  {
+    core::DriverEvents events(sim);
+    events.in(util::Duration::microseconds(1), [&] { ++fired; });
+    events.in(util::Duration::microseconds(10), [&] { fired += 100; });
+    events.at(util::TimePoint::from_ns(util::Duration::microseconds(20).ns()),
+              [&] { fired += 1000; });
+    sim.run_until(util::TimePoint::from_ns(util::Duration::microseconds(5).ns()));
+    ASSERT_EQ(fired, 1);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Unit tests for TransferObject (memory, pattern, mmap backings).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "fobs/object.h"
 
 namespace fobs::core {
@@ -38,6 +41,25 @@ TEST(TransferObject, PatternTailBytesForOddSizes) {
   bool tail_nonzero = false;
   for (std::size_t i = 996; i < 1001; ++i) tail_nonzero |= object.view()[i] != 0;
   EXPECT_TRUE(tail_nonzero);
+}
+
+TEST(TransferObject, PatternMatchesMakePatternForOddSizes) {
+  for (const std::int64_t size : {0, 1, 7, 9, 13, 1001, 4099}) {
+    const auto seed = static_cast<std::uint64_t>(0x0DD + size);
+    const auto object = TransferObject::pattern(size, seed);
+    const auto bytes = make_pattern(size, seed);
+    ASSERT_EQ(object.size(), size);
+    ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), size);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), object.view().begin())) << size;
+  }
+  // The layout both names promise: one draw per 8 bytes, and the first
+  // bytes of one more draw for a shorter tail.
+  util::Rng rng(0x0DD + 13);
+  const std::uint64_t words[2] = {rng.next(), rng.next()};
+  std::uint8_t expected[16];
+  std::memcpy(expected, words, sizeof(words));
+  const auto bytes = make_pattern(13, 0x0DD + 13);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expected));
 }
 
 TEST(TransferObject, FromVectorAdoptsContent) {

@@ -7,18 +7,6 @@
 namespace fobs::exp {
 namespace {
 
-TEST(ScheduledLoss, ProbabilityChangesTakeEffect) {
-  ScheduledLoss loss;
-  util::Rng rng(1);
-  sim::Packet pkt;
-  pkt.size_bytes = 1000;
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(loss.should_drop(pkt, rng));
-  loss.set_probability(1.0);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(loss.should_drop(pkt, rng));
-  loss.set_probability(0.0);
-  EXPECT_FALSE(loss.should_drop(pkt, rng));
-}
-
 TEST(Scenario, AllPrebuiltScenariosConstruct) {
   for (const auto& scenario : all_scenarios()) {
     ScenarioRuntime runtime(scenario, 3);

@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/session.h"
-#include "fobs/sim_transfer.h"
 #include "fobs/stripe/plan.h"
 
 namespace fobs {

@@ -138,5 +138,20 @@ TEST(Simulation, PendingEventsTracksLiveEvents) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+TEST(Simulation, PendingUntilFiredOrCancelled) {
+  Simulation sim;
+  const EventId fires = sim.schedule_in(Duration::microseconds(1), [] {});
+  const EventId later = sim.schedule_in(Duration::microseconds(5), [] {});
+  const EventId dropped = sim.schedule_in(Duration::microseconds(2), [] {});
+  EXPECT_TRUE(sim.pending(fires));
+  EXPECT_TRUE(sim.pending(later));
+  sim.cancel(dropped);
+  EXPECT_FALSE(sim.pending(dropped));
+  sim.run_until(TimePoint::from_ns(Duration::microseconds(3).ns()));
+  EXPECT_FALSE(sim.pending(fires));
+  EXPECT_TRUE(sim.pending(later));
+  EXPECT_FALSE(sim.pending(kInvalidEventId));
+}
+
 }  // namespace
 }  // namespace fobs::sim

@@ -17,6 +17,7 @@
 #include "baselines/tcp_bulk.h"
 #include "exp/runner.h"
 #include "exp/testbeds.h"
+#include "fobs/object.h"
 #include "fobs/posix/posix_transfer.h"
 #include "fobs/sim_transfer.h"
 #include "telemetry/metrics.h"
