@@ -63,8 +63,9 @@ int main() {
                                  util::Duration::milliseconds(40),
                                  util::Duration::milliseconds(160));
       net.set_backbone_loss(path_case.dumbbell == exp::PathId::kLongHaul ? 1e-5 : 5e-6);
-      const auto routed = baselines::run_tcp_transfer(
-          net.network(), net.site_host(path_case.src), net.site_host(path_case.dst), bytes,
+      const auto routed = baselines::run_tcp_transfers(
+          net.network(),
+          {{net.site_host(path_case.src), net.site_host(path_case.dst), bytes}},
           baselines::tcp_with_lwe());
       const auto dumbbell = exp::run_tcp_averaged(exp::spec_for(path_case.dumbbell), bytes,
                                                   baselines::tcp_with_lwe(),

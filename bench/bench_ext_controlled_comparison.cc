@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/psockets.h"
 #include "baselines/rudp.h"
 #include "baselines/sabul.h"
 #include "baselines/tcp_bulk.h"
@@ -71,19 +70,19 @@ int main() {
     }
     {
       exp::ScenarioRuntime runtime(scenario, seed);
-      const auto r = baselines::run_psockets_transfer(
-          runtime.testbed().network(), runtime.testbed().src(), runtime.testbed().dst(),
-          bytes, 16, baselines::psockets_stream_config());
+      auto& bed = runtime.testbed();
+      const auto r = baselines::run_tcp_transfers(
+          bed.network(), baselines::psockets_transfers(bed.src(), bed.dst(), bytes, 16),
+          baselines::psockets_stream_config());
       row.push_back(r.completed
                         ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
                         : "stall");
     }
     {
       exp::ScenarioRuntime runtime(scenario, seed);
-      const auto r = baselines::run_tcp_transfer(runtime.testbed().network(),
-                                                 runtime.testbed().src(),
-                                                 runtime.testbed().dst(), bytes,
-                                                 baselines::tcp_with_lwe());
+      auto& bed = runtime.testbed();
+      const auto r = baselines::run_tcp_transfers(
+          bed.network(), {{bed.src(), bed.dst(), bytes}}, baselines::tcp_with_lwe());
       row.push_back(r.completed
                         ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
                         : "stall");

@@ -14,7 +14,6 @@
 
 #include "bench_util.h"
 #include "exp/runner.h"
-#include "net/tcp.h"
 #include "sim/node.h"
 
 namespace {
@@ -63,11 +62,13 @@ struct MultiSiteWorld {
     backbone = &fwd;
 
     for (int i = 0; i < flows; ++i) {
+      // Names built by append: `"d" + std::to_string(i)` trips a false
+      // -Wrestrict in GCC 12 at -O3.
       host::HostConfig s_cfg;
-      s_cfg.name = "s" + std::to_string(i);
+      s_cfg.name = std::string("s").append(std::to_string(i));
       s_cfg.cpu = cpu;
       host::HostConfig d_cfg;
-      d_cfg.name = "d" + std::to_string(i);
+      d_cfg.name = std::string("d").append(std::to_string(i));
       d_cfg.cpu = cpu;
       auto& s = host::Host::create(net, s_cfg);
       auto& d = host::Host::create(net, d_cfg);
@@ -152,47 +153,22 @@ FleetResult run_fobs_fleet(int flows, bool adaptive, std::int64_t object_bytes) 
 
 FleetResult run_tcp_fleet(int flows, std::int64_t object_bytes) {
   MultiSiteWorld world(flows);
-  auto& sim = world.simulation;
-  const auto config = baselines::tcp_with_lwe();
-
-  struct Flow {
-    std::unique_ptr<net::TcpListener> listener;
-    std::unique_ptr<net::TcpConnection> server;
-    std::unique_ptr<net::TcpConnection> client;
-    double finished_at = 0.0;
-  };
-  std::vector<Flow> flows_state(static_cast<std::size_t>(flows));
-  int done = 0;
+  std::vector<baselines::TcpTransfer> transfers;
   for (int i = 0; i < flows; ++i) {
-    auto& flow = flows_state[static_cast<std::size_t>(i)];
-    flow.listener = std::make_unique<net::TcpListener>(
-        *world.receivers[static_cast<std::size_t>(i)], 5001, config,
-        [&flow, &sim, &done, object_bytes](std::unique_ptr<net::TcpConnection> conn) {
-          flow.server = std::move(conn);
-          flow.server->set_on_delivered([&flow, &sim, &done, object_bytes](net::Seq d) {
-            if (flow.finished_at == 0.0 && d >= object_bytes) {
-              flow.finished_at = sim.now().seconds();
-              ++done;
-            }
-          });
-        });
-    flow.client = std::make_unique<net::TcpConnection>(
-        *world.senders[static_cast<std::size_t>(i)], config);
-    auto* raw = flow.client.get();
-    raw->set_on_connected([raw, object_bytes] { raw->offer_bytes(object_bytes); });
-    raw->connect(world.receivers[static_cast<std::size_t>(i)]->id(), 5001);
+    transfers.push_back({*world.senders[static_cast<std::size_t>(i)],
+                         *world.receivers[static_cast<std::size_t>(i)], object_bytes});
   }
-  while (done < flows && sim.now().seconds() < 600 && sim.step()) {
-  }
+  const auto run =
+      baselines::run_tcp_transfers(*world.network, transfers, baselines::tcp_with_lwe());
 
   FleetResult result;
   double last_finish = 0.0;
-  for (const auto& flow : flows_state) {
-    const double mbps = flow.finished_at > 0
-                            ? static_cast<double>(object_bytes) * 8.0 / flow.finished_at / 1e6
-                            : 0.0;
+  for (const auto elapsed : run.transfer_elapsed) {
+    const double seconds = elapsed.seconds();
+    const double mbps =
+        seconds > 0 ? static_cast<double>(object_bytes) * 8.0 / seconds / 1e6 : 0.0;
     result.per_flow_mbps.push_back(mbps);
-    last_finish = std::max(last_finish, flow.finished_at);
+    last_finish = std::max(last_finish, seconds);
   }
   if (last_finish > 0) {
     result.aggregate_fraction =

@@ -58,7 +58,8 @@ int main() {
                        " s",
                    std::to_string(tcp.retransmissions) + " rtx"});
 
-    const auto psockets = exp::run_psockets(spec, exp::kPaperObjectBytes, 16, seed);
+    const auto psockets = exp::run_tcp(spec, exp::kPaperObjectBytes,
+                                        baselines::psockets_stream_config(), 16, seed);
     table.add_row({name, "PSockets-16",
                    util::TextTable::pct(psockets.fraction_of(spec.max_bandwidth)),
                    util::TextTable::num(psockets.elapsed.seconds(), 2) + " s",

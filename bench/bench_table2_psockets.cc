@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/psockets.h"
+#include "baselines/tcp_bulk.h"
 #include "bench_util.h"
 #include "exp/runner.h"
 
@@ -32,7 +32,8 @@ int main() {
     double fraction = 0.0;
     int completed = 0;
     for (std::uint64_t seed : seeds) {
-      const auto r = exp::run_psockets(spec, exp::kPaperObjectBytes, n, seed);
+      const auto r = exp::run_tcp(spec, exp::kPaperObjectBytes,
+                                    baselines::psockets_stream_config(), n, seed);
       if (!r.completed) continue;
       fraction += r.fraction_of(spec.max_bandwidth);
       ++completed;

@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
                               : -1.0;
 
     exp::Testbed bed(spec);
-    const auto tcp = baselines::run_tcp_transfer(bed.network(), bed.src(), bed.dst(),
-                                                 entry.bytes, baselines::tcp_with_lwe());
+    const auto tcp = baselines::run_tcp_transfers(
+        bed.network(), {{bed.src(), bed.dst(), entry.bytes}}, baselines::tcp_with_lwe());
     const double tcp_s = tcp.completed ? tcp.elapsed.seconds() : -1.0;
 
     fobs_total_s += fobs_s;

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                  std::to_string(sabul.loss_reports) + " loss reports"});
 
   for (int streams : {1, 8, 16}) {
-    const auto ps = exp::run_psockets(spec, bytes, streams);
+    const auto ps = exp::run_tcp(spec, bytes, baselines::psockets_stream_config(), streams);
     table.add_row({"PSockets-" + std::to_string(streams),
                    util::TextTable::pct(ps.fraction_of(spec.max_bandwidth)),
                    util::TextTable::num(ps.goodput_mbps, 1) + " Mb/s",

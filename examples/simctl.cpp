@@ -131,9 +131,10 @@ int main(int argc, char** argv) {
     return result.completed_runs > 0 ? 0 : 1;
   }
   if (options.protocol == "psockets") {
-    const auto result = exp::run_psockets(spec, bytes, options.streams, options.seed);
+    const auto result = exp::run_tcp(spec, bytes, baselines::psockets_stream_config(),
+                                     options.streams, options.seed);
     std::printf("completed=%s  streams=%d  goodput=%.1f Mb/s (%.1f%% of max)  rtx=%llu\n",
-                result.completed ? "yes" : "NO", result.streams, result.goodput_mbps,
+                result.completed ? "yes" : "NO", options.streams, result.goodput_mbps,
                 100 * result.fraction_of(spec.max_bandwidth),
                 static_cast<unsigned long long>(result.retransmissions));
     return result.completed ? 0 : 1;

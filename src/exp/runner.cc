@@ -44,14 +44,21 @@ AveragedFobs run_fobs_averaged(const TestbedSpec& spec, const FobsRunParams& par
   return avg;
 }
 
+fobs::baselines::TcpRunResult run_tcp(const TestbedSpec& spec, std::int64_t bytes,
+                                      const fobs::net::TcpConfig& config, int streams,
+                                      std::uint64_t seed) {
+  Testbed bed(spec, seed);
+  return fobs::baselines::run_tcp_transfers(
+      bed.network(), fobs::baselines::psockets_transfers(bed.src(), bed.dst(), bytes, streams),
+      config);
+}
+
 AveragedTcp run_tcp_averaged(const TestbedSpec& spec, std::int64_t bytes,
                              const fobs::net::TcpConfig& config,
                              const std::vector<std::uint64_t>& seeds) {
   AveragedTcp avg;
   for (std::uint64_t seed : seeds) {
-    Testbed bed(spec, seed);
-    const auto result =
-        fobs::baselines::run_tcp_transfer(bed.network(), bed.src(), bed.dst(), bytes, config);
+    const auto result = run_tcp(spec, bytes, config, 1, seed);
     if (!result.completed) continue;
     avg.fraction += result.fraction_of(spec.max_bandwidth);
     avg.goodput_mbps += result.goodput_mbps;
@@ -64,14 +71,6 @@ AveragedTcp run_tcp_averaged(const TestbedSpec& spec, std::int64_t bytes,
     avg.goodput_mbps /= avg.completed_runs;
   }
   return avg;
-}
-
-fobs::baselines::PsocketsResult run_psockets(const TestbedSpec& spec, std::int64_t bytes,
-                                             int streams, std::uint64_t seed) {
-  Testbed bed(spec, seed);
-  return fobs::baselines::run_psockets_transfer(bed.network(), bed.src(), bed.dst(), bytes,
-                                                streams,
-                                                fobs::baselines::psockets_stream_config());
 }
 
 fobs::baselines::RudpResult run_rudp(const TestbedSpec& spec,

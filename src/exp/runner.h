@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/psockets.h"
 #include "baselines/rudp.h"
 #include "baselines/sabul.h"
 #include "baselines/tcp_bulk.h"
@@ -52,7 +51,14 @@ struct AveragedFobs {
 AveragedFobs run_fobs_averaged(const TestbedSpec& spec, const FobsRunParams& params,
                                const std::vector<std::uint64_t>& seeds);
 
-/// TCP transfer averaged across seeds.
+/// One TCP run on a fresh testbed: `bytes` striped over `streams`
+/// connections as PSockets does (baselines::psockets_transfers); one
+/// stream is the plain single-stream transfer of Table 1.
+fobs::baselines::TcpRunResult run_tcp(const TestbedSpec& spec, std::int64_t bytes,
+                                      const fobs::net::TcpConfig& config, int streams,
+                                      std::uint64_t seed = 42);
+
+/// Single-stream run_tcp averaged across seeds.
 struct AveragedTcp {
   double fraction = 0.0;
   double goodput_mbps = 0.0;
@@ -63,10 +69,6 @@ struct AveragedTcp {
 AveragedTcp run_tcp_averaged(const TestbedSpec& spec, std::int64_t bytes,
                              const fobs::net::TcpConfig& config,
                              const std::vector<std::uint64_t>& seeds);
-
-/// PSockets with a given stream count on a fresh testbed.
-fobs::baselines::PsocketsResult run_psockets(const TestbedSpec& spec, std::int64_t bytes,
-                                             int streams, std::uint64_t seed = 42);
 
 /// RUDP / SABUL on fresh testbeds.
 fobs::baselines::RudpResult run_rudp(const TestbedSpec& spec,

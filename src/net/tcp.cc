@@ -28,6 +28,7 @@ TcpConnection::~TcpConnection() {
   cancel_rtx_timer();
   if (delack_timer_ != fobs::sim::kInvalidEventId) sim().cancel(delack_timer_);
   if (syn_timer_ != fobs::sim::kInvalidEventId) sim().cancel(syn_timer_);
+  if (persist_timer_ != fobs::sim::kInvalidEventId) sim().cancel(persist_timer_);
   host_.withdraw_writable(this);
   host_.unbind(local_port_);
 }
@@ -235,9 +236,13 @@ void TcpConnection::pump_send() {
     }
     if (snd_nxt_ >= wnd_edge) {
       // Window closed. If nothing is in flight we must not deadlock:
-      // retry after the RTO (a crude persist timer).
-      if (flight_size() == 0 && send_window() == 0) {
-        sim().schedule_in(rtt_.rto(), [this] { pump_send(); });
+      // retry after the RTO (a crude persist timer), one retry at a time.
+      if (flight_size() == 0 && send_window() == 0 &&
+          persist_timer_ == fobs::sim::kInvalidEventId) {
+        persist_timer_ = sim().schedule_in(rtt_.rto(), [this] {
+          persist_timer_ = fobs::sim::kInvalidEventId;
+          pump_send();
+        });
       }
       break;
     }

@@ -132,7 +132,6 @@ class TcpConnection final : public fobs::host::PortHandler {
   [[nodiscard]] TcpState state() const { return state_; }
   [[nodiscard]] bool established() const { return state_ == TcpState::kEstablished || state_ == TcpState::kFinSent || state_ == TcpState::kDone; }
   [[nodiscard]] PortId local_port() const { return local_port_; }
-  [[nodiscard]] Host& host() { return host_; }
 
   /// Appends `n` abstract bytes to the send stream.
   void offer_bytes(Seq n);
@@ -159,10 +158,6 @@ class TcpConnection final : public fobs::host::PortHandler {
 
   [[nodiscard]] const TcpStats& stats() const { return stats_; }
   [[nodiscard]] const TcpConfig& config() const { return config_; }
-
-  // Debug/diagnostic accessors (stable state inspection for tests).
-  [[nodiscard]] Seq snd_nxt() const { return snd_nxt_; }
-  [[nodiscard]] Seq rcv_nxt() const { return rcv_nxt_; }
 
   void handle_packet(Packet packet) override;
 
@@ -237,6 +232,9 @@ class TcpConnection final : public fobs::host::PortHandler {
   SeqRangeSet sacked_;
   RttEstimator rtt_;
   EventId rtx_timer_ = fobs::sim::kInvalidEventId;
+  /// Retries pump_send while a zero window with nothing in flight
+  /// blocks it (a crude persist timer).
+  EventId persist_timer_ = fobs::sim::kInvalidEventId;
   // One outstanding RTT sample (Karn).
   bool sample_pending_ = false;
   Seq sample_seq_begin_ = 0;

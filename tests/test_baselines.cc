@@ -1,11 +1,17 @@
 // Tests for the baseline protocols: TCP bulk, PSockets, RUDP, SABUL.
 #include <gtest/gtest.h>
 
-#include "baselines/psockets.h"
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "baselines/rudp.h"
 #include "baselines/sabul.h"
 #include "baselines/tcp_bulk.h"
 #include "exp/testbeds.h"
+#include "sim/loss.h"
+#include "sim/node.h"
+#include "sim/simulation.h"
 
 namespace fobs {
 namespace {
@@ -17,11 +23,76 @@ using exp::Testbed;
 
 constexpr std::int64_t kSmallObject = 4 * 1024 * 1024;
 
+/// One transfer from the testbed's source to its sink.
+baselines::TcpRunResult run_one(Testbed& bed, std::int64_t bytes,
+                                const net::TcpConfig& config) {
+  return baselines::run_tcp_transfers(bed.network(), {{bed.src(), bed.dst(), bytes}}, config);
+}
+
+/// PSockets over the testbed's path.
+baselines::TcpRunResult run_striped(Testbed& bed, std::int64_t bytes, int streams) {
+  return baselines::run_tcp_transfers(
+      bed.network(), baselines::psockets_transfers(bed.src(), bed.dst(), bytes, streams),
+      baselines::psockets_stream_config());
+}
+
+/// `pairs` host pairs, each on its own clean 100 Mb/s, 5 ms duplex path.
+struct Pairs {
+  sim::Simulation simulation;
+  sim::Network network{simulation};
+  std::vector<host::Host*> senders;
+  std::vector<host::Host*> receivers;
+  std::vector<sim::Link*> forward;
+
+  explicit Pairs(int pairs) {
+    for (int i = 0; i < pairs; ++i) {
+      // Names built by append: `"s" + std::to_string(i)` trips a false
+      // -Wrestrict in GCC 12 at -O3.
+      host::HostConfig s_cfg;
+      s_cfg.name = std::string("s").append(std::to_string(i));
+      host::HostConfig d_cfg;
+      d_cfg.name = std::string("d").append(std::to_string(i));
+      auto& s = host::Host::create(network, s_cfg);
+      auto& d = host::Host::create(network, d_cfg);
+      sim::LinkConfig cfg;
+      cfg.rate = util::DataRate::megabits_per_second(100);
+      cfg.propagation_delay = util::Duration::milliseconds(5);
+      cfg.queue_capacity_bytes = 256 * 1024;
+      auto& fwd = network.add_link(cfg);
+      auto& rev = network.add_link(cfg);
+      fwd.set_sink(&d);
+      rev.set_sink(&s);
+      s.set_egress(&fwd);
+      d.set_egress(&rev);
+      senders.push_back(&s);
+      receivers.push_back(&d);
+      forward.push_back(&fwd);
+    }
+  }
+};
+
+/// Drops nothing; remembers when the first packet crossed its link.
+class FirstPacketClock final : public sim::LossModel {
+ public:
+  explicit FirstPacketClock(const sim::Simulation& simulation) : simulation_(simulation) {}
+  bool should_drop(const sim::Packet&, util::Rng&) override {
+    if (!seen_) first_ = simulation_.now();
+    seen_ = true;
+    return false;
+  }
+  [[nodiscard]] bool seen() const { return seen_; }
+  [[nodiscard]] util::TimePoint first() const { return first_; }
+
+ private:
+  const sim::Simulation& simulation_;
+  bool seen_ = false;
+  util::TimePoint first_;
+};
+
 TEST(TcpBulk, ShortHaulWithLweNearsLineRate) {
   // Big enough that slow start does not dominate the average.
   Testbed bed(PathId::kShortHaul);
-  const auto result = baselines::run_tcp_transfer(bed.network(), bed.src(), bed.dst(),
-                                                  16 * 1024 * 1024, baselines::tcp_with_lwe());
+  const auto result = run_one(bed, 16 * 1024 * 1024, baselines::tcp_with_lwe());
   ASSERT_TRUE(result.completed);
   EXPECT_GT(result.fraction_of(bed.spec().max_bandwidth), 0.6);
 }
@@ -31,8 +102,7 @@ TEST(TcpBulk, WithoutLweIsWindowLimitedOnLongHaul) {
   auto spec = exp::spec_for(PathId::kLongHaul);
   spec.fwd_loss = 0;  // pure window arithmetic
   Testbed bed(spec);
-  const auto result = baselines::run_tcp_transfer(bed.network(), bed.src(), bed.dst(),
-                                                  kSmallObject, baselines::tcp_without_lwe());
+  const auto result = run_one(bed, kSmallObject, baselines::tcp_without_lwe());
   ASSERT_TRUE(result.completed);
   const double fraction = result.fraction_of(spec.max_bandwidth);
   EXPECT_GT(fraction, 0.05);
@@ -43,23 +113,78 @@ TEST(TcpBulk, LweBeatsNoLweOnLongHaul) {
   auto spec = exp::spec_for(PathId::kLongHaul);
   spec.fwd_loss = 0;
   Testbed bed1(spec);
-  const auto with = baselines::run_tcp_transfer(bed1.network(), bed1.src(), bed1.dst(),
-                                                kSmallObject, baselines::tcp_with_lwe());
+  const auto with = run_one(bed1, kSmallObject, baselines::tcp_with_lwe());
   Testbed bed2(spec);
-  const auto without = baselines::run_tcp_transfer(bed2.network(), bed2.src(), bed2.dst(),
-                                                   kSmallObject, baselines::tcp_without_lwe());
+  const auto without = run_one(bed2, kSmallObject, baselines::tcp_without_lwe());
   ASSERT_TRUE(with.completed && without.completed);
   EXPECT_GT(with.goodput_mbps, 2.0 * without.goodput_mbps);
 }
 
-TEST(Psockets, SingleStreamMatchesPlainTcp) {
-  Testbed bed(PathId::kShortHaul);
-  const auto result = baselines::run_psockets_transfer(
-      bed.network(), bed.src(), bed.dst(), kSmallObject, 1,
-      baselines::psockets_stream_config());
+TEST(TcpTransfers, EachTransferReportsItsOwnElapsed) {
+  Pairs world(3);
+  const std::vector<std::int64_t> sizes = {1 << 20, 2 << 20, 4 << 20};
+  std::vector<baselines::TcpTransfer> transfers;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    transfers.push_back({*world.senders[i], *world.receivers[i], sizes[i]});
+  }
+  const auto result =
+      baselines::run_tcp_transfers(world.network, transfers, baselines::tcp_with_lwe());
   ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.streams, 1);
-  EXPECT_GT(result.goodput_mbps, 0.0);
+  ASSERT_EQ(result.transfer_elapsed.size(), 3u);
+  // Identical clean paths: the bigger object takes longer.
+  EXPECT_GT(result.transfer_elapsed[0], util::Duration::zero());
+  EXPECT_LT(result.transfer_elapsed[0], result.transfer_elapsed[1]);
+  EXPECT_LT(result.transfer_elapsed[1], result.transfer_elapsed[2]);
+  EXPECT_EQ(result.elapsed, result.transfer_elapsed[2]);
+  EXPECT_NEAR(result.goodput_mbps, (7 << 20) * 8.0 / result.elapsed.seconds() / 1e6, 1e-9);
+}
+
+TEST(TcpTransfers, CompletedNeedsEveryTransfer) {
+  Pairs world(3);
+  // The third pair's forward path loses everything, its SYN included.
+  world.forward[2]->set_loss_model(std::make_unique<sim::BernoulliLoss>(1.0), util::Rng(1));
+  std::vector<baselines::TcpTransfer> transfers;
+  for (std::size_t i = 0; i < 3; ++i) {
+    transfers.push_back({*world.senders[i], *world.receivers[i], 1 << 20});
+  }
+  const auto result =
+      baselines::run_tcp_transfers(world.network, transfers, baselines::tcp_with_lwe());
+  EXPECT_FALSE(result.completed);
+  EXPECT_GT(result.transfer_elapsed[0], util::Duration::zero());
+  EXPECT_GT(result.transfer_elapsed[1], util::Duration::zero());
+  EXPECT_EQ(result.transfer_elapsed[2], util::Duration::zero());
+  EXPECT_EQ(result.elapsed, util::Duration::zero());
+  EXPECT_EQ(result.goodput_mbps, 0.0);
+}
+
+TEST(TcpTransfers, StartDelaysTheFirstSegment) {
+  Pairs world(1);
+  auto clock = std::make_unique<FirstPacketClock>(world.simulation);
+  const auto* observed = clock.get();
+  world.forward[0]->set_loss_model(std::move(clock), util::Rng(1));
+  const auto start = util::Duration::milliseconds(50);
+  const auto result = baselines::run_tcp_transfers(
+      world.network, {{*world.senders[0], *world.receivers[0], 1 << 20, start}},
+      baselines::tcp_with_lwe());
+  ASSERT_TRUE(result.completed);
+  ASSERT_TRUE(observed->seen());
+  EXPECT_GE(observed->first() - util::TimePoint{}, start);
+  EXPECT_GT(result.elapsed, start);
+}
+
+TEST(TcpTransfers, StartsLeftUnfiredAreCancelledOnReturn) {
+  Pairs world(2);
+  // Both start past the 600 s limit: the first start ends the run, and
+  // the second is still pending when the call returns.
+  const auto result = baselines::run_tcp_transfers(
+      world.network,
+      {{*world.senders[0], *world.receivers[0], 1 << 20, util::Duration::seconds(601)},
+       {*world.senders[1], *world.receivers[1], 1 << 20, util::Duration::seconds(602)}},
+      baselines::tcp_with_lwe());
+  EXPECT_FALSE(result.completed);
+  world.simulation.run();  // nothing left may call into the run's connections
+  EXPECT_GT(world.forward[0]->stats().packets_offered, 0u);
+  EXPECT_EQ(world.forward[1]->stats().packets_offered, 0u);
 }
 
 TEST(Psockets, StripingAggregatesLimitedWindows) {
@@ -69,15 +194,25 @@ TEST(Psockets, StripingAggregatesLimitedWindows) {
   spec.fwd_loss = 0;
   const std::int64_t object = 16 * 1024 * 1024;  // long enough to leave slow start
   Testbed bed1(spec);
-  const auto one = baselines::run_psockets_transfer(bed1.network(), bed1.src(), bed1.dst(),
-                                                    object, 1,
-                                                    baselines::psockets_stream_config());
+  const auto one = run_striped(bed1, object, 1);
   Testbed bed2(spec);
-  const auto eight = baselines::run_psockets_transfer(bed2.network(), bed2.src(), bed2.dst(),
-                                                      object, 8,
-                                                      baselines::psockets_stream_config());
+  const auto eight = run_striped(bed2, object, 8);
   ASSERT_TRUE(one.completed && eight.completed);
   EXPECT_GT(eight.goodput_mbps, 2.0 * one.goodput_mbps);
+}
+
+TEST(Psockets, StreamsStartTwoMillisecondsApart) {
+  Testbed bed(PathId::kShortHaul);
+  const auto transfers = baselines::psockets_transfers(bed.src(), bed.dst(), 10, 4);
+  ASSERT_EQ(transfers.size(), 4u);
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    EXPECT_EQ(transfers[i].start, util::Duration::milliseconds(2) * i);
+    total += transfers[i].bytes;
+  }
+  EXPECT_EQ(total, 10);
+  EXPECT_EQ(transfers[0].bytes, 3);  // the remainder goes to the first streams
+  EXPECT_EQ(transfers[3].bytes, 2);
 }
 
 TEST(Rudp, CleanPathFinishesInOnePass) {

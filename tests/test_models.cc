@@ -25,9 +25,8 @@ TEST(Models, WindowLimitedMatchesSimulatedTcp) {
   spec.fwd_loss = 0;
   spec.rev_loss = 0;
   Testbed bed(spec);
-  const auto result = baselines::run_tcp_transfer(bed.network(), bed.src(), bed.dst(),
-                                                  16 * 1024 * 1024,
-                                                  baselines::tcp_without_lwe());
+  const auto result = baselines::run_tcp_transfers(
+      bed.network(), {{bed.src(), bed.dst(), 16 * 1024 * 1024}}, baselines::tcp_without_lwe());
   ASSERT_TRUE(result.completed);
   const auto predicted = models::tcp_window_limited(DataSize::bytes(65535), spec.rtt());
   // Slow start + delayed acks cost a little; within 15%.

@@ -207,5 +207,29 @@ TEST(TcpEdges, HandshakeGivesUpAfterMaxRetries) {
   EXPECT_EQ(client.state(), TcpState::kClosed);
 }
 
+TEST(TcpEdges, DestroyedConnectionLeavesNoPersistRetry) {
+  Pair world;
+  // No receive buffer: the window is zero from the SYN-ACK on, so the
+  // client's offer can only wait on its persist retry.
+  auto zero_window = config();
+  zero_window.recv_buffer_bytes = 0;
+  std::unique_ptr<TcpConnection> server;
+  TcpListener listener(*world.b, 5001, zero_window,
+                       [&](std::unique_ptr<TcpConnection> conn) { server = std::move(conn); });
+  auto client = std::make_unique<TcpConnection>(*world.a, config());
+  client->connect(world.b->id(), 5001);
+  world.run(0.1);
+  ASSERT_TRUE(client->established());
+  client->offer_bytes(10'000);
+  const auto pending = world.sim.pending_events();
+  client->offer_bytes(10'000);  // a second blocked pump starts no second retry
+  EXPECT_EQ(world.sim.pending_events(), pending);
+  EXPECT_EQ(client->stats().data_segments_sent, 0u);
+  client.reset();
+  world.run(10.1);  // the retry must not call into the destroyed client
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(server->delivered_bytes(), 0);
+}
+
 }  // namespace
 }  // namespace fobs::net

@@ -344,9 +344,9 @@ TEST(TraceSchema, TcpBaselineEmitsValidJsonl) {
   auto spec = exp::spec_for(exp::PathId::kShortHaul);
   exp::Testbed bed(spec, 3);
   EventTracer trace;
-  const auto result = fobs::baselines::run_tcp_transfer(
-      bed.network(), bed.src(), bed.dst(), 512 * 1024, fobs::baselines::tcp_with_lwe(),
-      fobs::util::Duration::seconds(600), &trace);
+  const auto result = fobs::baselines::run_tcp_transfers(
+      bed.network(), {{bed.src(), bed.dst(), 512 * 1024}}, fobs::baselines::tcp_with_lwe(),
+      &trace);
   ASSERT_TRUE(result.completed);
   const auto lines = validate_jsonl(trace);
   ASSERT_EQ(lines.size(), 2u);
