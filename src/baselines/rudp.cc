@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "fobs/sim_driver.h"
 #include "fobs/wire.h"
 #include "net/tcp.h"
 #include "net/udp.h"
@@ -43,6 +44,7 @@ class RudpReceiver {
  public:
   RudpReceiver(Host& host, const RudpConfig& config, fobs::sim::NodeId sender)
       : host_(host),
+        events_(host.network().sim()),
         config_(config),
         sender_(sender),
         received_(static_cast<std::size_t>(config.spec.packet_count())),
@@ -72,7 +74,7 @@ class RudpReceiver {
   /// After a pass-done signal, wait for the data queue to drain and go
   /// quiet before reporting (in-flight packets may still arrive).
   void arm_nak_check() {
-    sim().schedule_in(Duration::milliseconds(3), [this] {
+    events_.in(Duration::milliseconds(3), [this] {
       if (pending_pass_ < 0) return;
       if (data_in_.has_data() || sim().now() - last_data_ < Duration::milliseconds(3)) {
         arm_nak_check();
@@ -120,10 +122,12 @@ class RudpReceiver {
         pending_pass_ = -1;
       }
     }
-    sim().schedule_at(host_.reserve_cpu(busy), [this] { poll(); });
+    events_.at(host_.reserve_cpu(busy), [this] { poll(); });
   }
 
   Host& host_;
+  /// Every event this end scheduled: destroying it cancels those not fired.
+  fobs::core::DriverEvents events_;
   RudpConfig config_;
   fobs::sim::NodeId sender_;
   Bitmap received_;
@@ -139,6 +143,7 @@ class RudpSender {
  public:
   RudpSender(Host& host, const RudpConfig& config, fobs::sim::NodeId receiver)
       : host_(host),
+        events_(host.network().sim()),
         config_(config),
         receiver_(receiver),
         data_out_(host),
@@ -152,6 +157,9 @@ class RudpSender {
           config.send_rate);
     }
   }
+
+  /// A writability waiter left behind would call into a destroyed sender.
+  ~RudpSender() { host_.withdraw_writable(this); }
 
   void start() {
     control_.set_on_message([this](const std::any& m) { on_control(m); });
@@ -202,10 +210,12 @@ class RudpSender {
     // CPU cost occupies the core; the pacing gap is idle wire time.
     const auto cpu_done = host_.reserve_cpu(
         host_.cpu().send_cost(DataSize::bytes(len + fobs::core::kDataHeaderBytes)));
-    sim().schedule_at(std::max(cpu_done, sim().now() + rate_gap_), [this] { step(); });
+    events_.at(std::max(cpu_done, sim().now() + rate_gap_), [this] { step(); });
   }
 
   Host& host_;
+  /// Every event this end scheduled: destroying it cancels those not fired.
+  fobs::core::DriverEvents events_;
   RudpConfig config_;
   fobs::sim::NodeId receiver_;
   UdpEndpoint data_out_;
@@ -233,7 +243,10 @@ RudpResult run_rudp_transfer(fobs::sim::Network& network, Host& src, Host& dst,
   receiver.start();
   sender.start();
 
-  while (!sender.done() && sim.now() < deadline && sim.step()) {
+  // Only events due before the limit run: one at or past it would start
+  // work the run no longer counts.
+  while (!sender.done() && sim.next_event_time().value_or(deadline) < deadline) {
+    sim.step();
   }
 
   RudpResult result;

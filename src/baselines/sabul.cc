@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "fobs/sim_driver.h"
 #include "fobs/wire.h"
 #include "net/tcp.h"
 #include "net/udp.h"
@@ -48,6 +49,7 @@ class SabulReceiver {
  public:
   SabulReceiver(Host& host, const SabulConfig& config, fobs::sim::NodeId sender)
       : host_(host),
+        events_(host.network().sim()),
         config_(config),
         sender_(sender),
         received_(static_cast<std::size_t>(config.spec.packet_count())),
@@ -68,7 +70,7 @@ class SabulReceiver {
   fobs::sim::Simulation& sim() { return host_.network().sim(); }
 
   void arm_report_timer() {
-    sim().schedule_in(kReportInterval, [this] {
+    events_.in(kReportInterval, [this] {
       if (!sent_complete_) {
         send_report();
         arm_report_timer();
@@ -136,10 +138,12 @@ class SabulReceiver {
         send_report();  // immediate completion report
       }
     }
-    sim().schedule_at(host_.reserve_cpu(busy), [this] { poll(); });
+    events_.at(host_.reserve_cpu(busy), [this] { poll(); });
   }
 
   Host& host_;
+  /// Every event this end scheduled: destroying it cancels those not fired.
+  fobs::core::DriverEvents events_;
   SabulConfig config_;
   fobs::sim::NodeId sender_;
   Bitmap received_;
@@ -158,6 +162,7 @@ class SabulSender {
  public:
   SabulSender(Host& host, const SabulConfig& config, fobs::sim::NodeId receiver)
       : host_(host),
+        events_(host.network().sim()),
         config_(config),
         receiver_(receiver),
         data_out_(host),
@@ -168,6 +173,9 @@ class SabulSender {
     min_gap_ = fobs::util::transmission_time(DataSize::bytes(wire), ceiling);
     gap_ = fobs::util::transmission_time(DataSize::bytes(wire), config.initial_rate);
   }
+
+  /// A writability waiter left behind would call into a destroyed sender.
+  ~SabulSender() { host_.withdraw_writable(this); }
 
   void start() {
     control_.set_on_message([this](const std::any& m) { on_report(m); });
@@ -241,10 +249,12 @@ class SabulSender {
     // CPU cost occupies the core; the pacing gap is idle wire time.
     const auto cpu_done = host_.reserve_cpu(
         host_.cpu().send_cost(DataSize::bytes(len + fobs::core::kDataHeaderBytes)));
-    sim().schedule_at(std::max(cpu_done, sim().now() + gap_), [this] { step(); });
+    events_.at(std::max(cpu_done, sim().now() + gap_), [this] { step(); });
   }
 
   Host& host_;
+  /// Every event this end scheduled: destroying it cancels those not fired.
+  fobs::core::DriverEvents events_;
   SabulConfig config_;
   fobs::sim::NodeId receiver_;
   UdpEndpoint data_out_;
@@ -274,7 +284,10 @@ SabulResult run_sabul_transfer(fobs::sim::Network& network, Host& src, Host& dst
   receiver.start();
   sender.start();
 
-  while (!sender.done() && sim.now() < deadline && sim.step()) {
+  // Only events due before the limit run: one at or past it would start
+  // work the run no longer counts.
+  while (!sender.done() && sim.next_event_time().value_or(deadline) < deadline) {
+    sim.step();
   }
 
   SabulResult result;

@@ -110,7 +110,10 @@ TcpRunResult run_tcp_transfers(fobs::sim::Network& network,
     }));
   }
 
-  while (unfinished > 0 && sim.now() < deadline && sim.step()) {
+  // Only events due before the limit run: one at or past it would start
+  // work the run no longer counts.
+  while (unfinished > 0 && sim.next_event_time().value_or(deadline) < deadline) {
+    sim.step();
   }
   for (const auto id : starts) sim.cancel(id);
 

@@ -101,12 +101,40 @@ void Bitmap::set_all() {
   set_count_ = size_;
 }
 
+namespace {
+
+/// Up to 8 bytes of `p` as a little-endian word (missing bytes are 0).
+std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
+
+void store_le(std::uint64_t v, std::uint8_t* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// The low `bits` bits set (bits in 1..64).
+std::uint64_t low_mask(std::size_t bits) {
+  return bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> Bitmap::extract_range(std::size_t begin, std::size_t end) const {
   assert(begin <= end && end <= size_);
   const std::size_t nbits = end - begin;
   std::vector<std::uint8_t> out((nbits + 7) / 8, 0);
-  for (std::size_t i = 0; i < nbits; ++i) {
-    if (test(begin + i)) out[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
+  // One packed 64-bit chunk at a time: the source bits straddle at most
+  // two words.
+  for (std::size_t done = 0; done < nbits; done += 64) {
+    const std::size_t at = begin + done;
+    const std::size_t w = word_of(at);
+    const std::size_t shift = at & 63;
+    std::uint64_t v = words_[w] >> shift;
+    if (shift != 0 && w + 1 < words_.size()) v |= words_[w + 1] << (64 - shift);
+    v &= low_mask(nbits - done);
+    store_le(v, out.data() + done / 8, std::min<std::size_t>(8, out.size() - done / 8));
   }
   return out;
 }
@@ -115,13 +143,22 @@ std::size_t Bitmap::merge_range(std::size_t begin, std::size_t nbits,
                                 const std::uint8_t* packed, std::size_t packed_len) {
   assert(begin + nbits <= size_);
   assert(packed_len * 8 >= nbits);
-  (void)packed_len;
   std::size_t newly_set = 0;
-  for (std::size_t i = 0; i < nbits; ++i) {
-    if (packed[i >> 3] & (1u << (i & 7))) {
-      if (set(begin + i)) ++newly_set;
-    }
+  const auto or_into = [&](std::uint64_t& word, std::uint64_t bits) {
+    newly_set += static_cast<std::size_t>(std::popcount(bits & ~word));
+    word |= bits;
+  };
+  for (std::size_t done = 0; done < nbits; done += 64) {
+    const std::uint64_t v =
+        load_le(packed + done / 8, std::min<std::size_t>(8, packed_len - done / 8)) &
+        low_mask(nbits - done);
+    const std::size_t at = begin + done;
+    const std::size_t w = word_of(at);
+    const std::size_t shift = at & 63;
+    or_into(words_[w], v << shift);
+    if (shift != 0 && (v >> (64 - shift)) != 0) or_into(words_[w + 1], v >> (64 - shift));
   }
+  set_count_ += newly_set;
   return newly_set;
 }
 

@@ -13,6 +13,8 @@ namespace {
 
 using Table = std::array<std::uint32_t, 256>;
 
+constexpr std::uint32_t kPoly = 0x82F63B78u;  // reflected
+
 // kTables[0] is the classic byte table; kTables[k] advances a byte
 // through k further zero bytes, so eight lookups fold one 8-byte word.
 constexpr std::array<Table, 8> make_tables() {
@@ -20,7 +22,7 @@ constexpr std::array<Table, 8> make_tables() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+      c = (c & 1u) != 0 ? kPoly ^ (c >> 1) : c >> 1;
     }
     tables[0][i] = c;
   }
@@ -56,6 +58,44 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32_sse42(const std::uint8_t* 
 }
 #endif
 
+// Polynomials over GF(2) modulo the CRC polynomial, in the CRC's
+// reflected bit order: bit 31 holds x^0. The initial and final
+// inversions cancel in crc(A||B) = crc(A) * x^(8|B|) + crc(B), so
+// combining is one multiplication by a power of x.
+
+/// a * b modulo the CRC polynomial.
+constexpr std::uint32_t multiply_mod(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+/// kPowers[k] = x^(2^k) modulo the CRC polynomial, for every bit of a
+/// 64-bit byte count times 8.
+constexpr std::array<std::uint32_t, 67> make_powers() {
+  std::array<std::uint32_t, 67> powers{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (auto& power : powers) {
+    power = p;
+    p = multiply_mod(p, p);
+  }
+  return powers;
+}
+
+constexpr auto kPowers = make_powers();
+
+/// x^(8 * bytes) modulo the CRC polynomial: the shift over `bytes` zero bytes.
+std::uint32_t zero_bytes_shift(std::size_t bytes) {
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (std::size_t k = 3; bytes != 0; bytes >>= 1, ++k) {
+    if ((bytes & 1u) != 0) shift = multiply_mod(kPowers[k], shift);
+  }
+  return shift;
+}
+
 using CrcFn = std::uint32_t (*)(const std::uint8_t*, std::size_t, std::uint32_t);
 
 CrcFn pick_path() {
@@ -84,6 +124,23 @@ std::uint32_t crc32_portable(const std::uint8_t* data, std::size_t len, std::uin
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len, std::uint32_t seed) {
   static const CrcFn path = pick_path();
   return path(data, len, seed);
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b) {
+  return multiply_mod(zero_bytes_shift(len_b), crc_a) ^ crc_b;
+}
+
+Crc32Append::Crc32Append(std::size_t len_b) {
+  const std::uint32_t shift = zero_bytes_shift(len_b);
+  // The shift is linear in crc_a: each table is the XOR span of the
+  // shifted images of its byte's eight bits.
+  for (std::size_t k = 0; k < tables_.size(); ++k) {
+    auto& table = tables_[k];
+    for (std::uint32_t v = 1; v < 256; ++v) {
+      const std::uint32_t low = v & (0u - v);
+      table[v] = v == low ? multiply_mod(shift, v << (8 * k)) : table[v ^ low] ^ table[low];
+    }
+  }
 }
 
 }  // namespace fobs::util

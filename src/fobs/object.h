@@ -6,13 +6,19 @@
 // read-only memory-mapped files (so multi-gigabyte files can be sent
 // without loading them through the heap), and writable shared mappings
 // (so a receive buffer persists to disk as it fills — the basis for
-// crash-safe resumable fetches).
+// crash-safe resumable fetches). A WriteBehind starts the writeback of
+// such a mapping's finished pages while the rest is still arriving, so
+// the final msync finds little left to write.
 #pragma once
 
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace fobs::core {
@@ -42,11 +48,13 @@ class TransferObject {
   /// Memory-maps `path` read-only; nullopt on failure (missing file,
   /// empty file, mmap error).
   static std::optional<TransferObject> map_file(const std::string& path);
-  /// Creates (or opens) `path`, resizes it to exactly `bytes`, and maps
-  /// it read-write and *shared*: every byte written through
-  /// mutable_view() lands in the file's page cache immediately, so the
-  /// on-disk file tracks the buffer even if the process is killed.
-  /// Existing content within `bytes` is preserved. nullopt on failure.
+  /// Creates (or opens) `path`, resizes it to exactly `bytes`, reserves
+  /// its blocks (fallocate, where the filesystem has it), and maps it
+  /// read-write and *shared*: every byte written through mutable_view()
+  /// lands in the file's page cache immediately, so the on-disk file
+  /// tracks the buffer even if the process is killed. Existing content
+  /// within `bytes` is preserved. The file stays open for
+  /// start_writeback(). nullopt on failure (a full disk included).
   static std::optional<TransferObject> map_file_rw(const std::string& path,
                                                    std::int64_t bytes);
 
@@ -61,6 +69,13 @@ class TransferObject {
   /// Flushes a writable mapping to stable storage (msync). True for
   /// non-mapped objects (nothing to flush) and on success.
   bool sync();
+  /// Starts writeback of `bytes` (a range of view() that nothing will
+  /// write again) of a writable file mapping and returns without waiting
+  /// for it (sync_file_range's SYNC_FILE_RANGE_WRITE). The range's whole
+  /// pages leave this process's page tables (the page cache keeps them;
+  /// a read faults them back). Durability still needs sync(). True for
+  /// objects with no file behind them and on success.
+  bool start_writeback(std::span<const std::uint8_t> bytes) const;
 
   /// CRC-32C of the content (util::crc32), widened (integrity spot check).
   [[nodiscard]] std::uint64_t checksum() const;
@@ -75,7 +90,53 @@ class TransferObject {
   std::int64_t size_ = 0;
   bool mapped_ = false;               ///< via mmap
   bool writable_ = false;             ///< mapped MAP_SHARED read-write
+  int fd_ = -1;                       ///< the file of a writable mapping
   std::vector<std::uint8_t> owned_;   ///< backing store when not mapped
+};
+
+/// The page size receive flows align the ranges they hand over to.
+inline constexpr std::size_t kPageBytes = 4096;
+/// A receive flow hands its stripe's whole pages over in windows of this
+/// many bytes (a multiple of kPageBytes), each once its last packet is in.
+inline constexpr std::size_t kWriteBehindWindowBytes = std::size_t{4} << 20;
+
+/// Where receive flows report the pages of their buffer that they will
+/// never write again. Called from several flow threads at once; must not
+/// block on I/O.
+class WriteBehindSink {
+ public:
+  virtual ~WriteBehindSink() = default;
+  /// `bytes` (whole pages of the buffer) are final.
+  virtual void written(std::span<const std::uint8_t> bytes) = 0;
+};
+
+/// One helper thread that starts the writeback of each range a flow
+/// reports final (TransferObject::start_writeback), so the I/O overlaps
+/// the transfer instead of following it. written() only queues the range
+/// and wakes the helper.
+class WriteBehind final : public WriteBehindSink {
+ public:
+  /// `object` must outlive this (join() or destruction).
+  explicit WriteBehind(const TransferObject& object);
+  ~WriteBehind() override { join(); }
+
+  WriteBehind(const WriteBehind&) = delete;
+  WriteBehind& operator=(const WriteBehind&) = delete;
+
+  void written(std::span<const std::uint8_t> bytes) override;
+  /// Starts writeback of whatever is still queued, then joins the helper.
+  /// Ranges reported afterwards are dropped.
+  void join();
+
+ private:
+  void run();
+
+  const TransferObject& object_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::span<const std::uint8_t>> queue_;  ///< guarded by mu_
+  bool stopping_ = false;                             ///< guarded by mu_
+  std::thread helper_;
 };
 
 }  // namespace fobs::core

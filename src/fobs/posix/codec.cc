@@ -57,13 +57,12 @@ std::optional<DataHeader> decode_data_header(const std::uint8_t* data, std::size
   return header;
 }
 
-std::uint32_t packet_crc(const std::uint8_t* header, const std::uint8_t* payload,
-                         std::size_t len) {
-  return fobs::util::crc32(payload, len, fobs::util::crc32(header, kDataSealedHeaderBytes));
+std::uint32_t packet_crc(const std::uint8_t* header, std::uint32_t payload_crc) {
+  return fobs::util::crc32(header, kDataSealedHeaderBytes, payload_crc);
 }
 
 void seal_data_header(std::uint8_t* header, const std::uint8_t* payload, std::size_t len) {
-  put_u32(header + kDataSealedHeaderBytes, packet_crc(header, payload, len));
+  put_u32(header + kDataSealedHeaderBytes, packet_crc(header, fobs::util::crc32(payload, len)));
 }
 
 std::vector<std::uint8_t> encode_ack(const fobs::core::AckMessage& ack) {

@@ -1,9 +1,11 @@
 // Binary wire codec for real-socket FOBS (network byte order).
 //
 // Data packet:  20-byte header (magic, type, flags, seq, CRC-32C) +
-//               payload. The CRC seals header bytes [0, 16) and then
-//               the payload, so a damaged seq fails it like a damaged
-//               payload byte.
+//               payload. The CRC seals the payload and then header
+//               bytes [0, 16), so a damaged seq fails it like a damaged
+//               payload byte, and a receiver that checks it has the
+//               payload's own CRC on the way (the object's CRC is
+//               folded from those).
 // ACK packet:   fixed header (including the receiver's incarnation
 //               epoch) + packed bitmap fragment.
 // Control stream (TCP): one frame type, the receiver-state frame: the
@@ -46,8 +48,8 @@ inline constexpr std::size_t kDataSealedHeaderBytes = 16;
 
 struct DataHeader {
   fobs::core::PacketSeq seq = 0;
-  /// CRC-32C over header bytes [0, kDataSealedHeaderBytes) and then the
-  /// payload that follows the header (see packet_crc()).
+  /// CRC-32C over the payload that follows the header and then header
+  /// bytes [0, kDataSealedHeaderBytes) (see packet_crc()).
   std::uint32_t crc = 0;
 };
 
@@ -57,11 +59,13 @@ void encode_data_header(const DataHeader& header, std::uint8_t* out);
 /// caller checks `crc` against packet_crc() over the bytes it received.
 std::optional<DataHeader> decode_data_header(const std::uint8_t* data, std::size_t len);
 
-/// The packet seal: CRC-32C over the first kDataSealedHeaderBytes of the
-/// encoded `header`, then `len` payload bytes.
-[[nodiscard]] std::uint32_t packet_crc(const std::uint8_t* header, const std::uint8_t* payload,
-                                       std::size_t len);
-/// Stores packet_crc() in the CRC field of an encoded `header`.
+/// The packet seal: CRC-32C over the payload, then the first
+/// kDataSealedHeaderBytes of the encoded `header`, i.e.
+/// crc32(header, seed = crc32(payload)); `payload_crc` is
+/// util::crc32(payload, len).
+[[nodiscard]] std::uint32_t packet_crc(const std::uint8_t* header, std::uint32_t payload_crc);
+/// Stores the seal of `len` payload bytes in the CRC field of an encoded
+/// `header`.
 void seal_data_header(std::uint8_t* header, const std::uint8_t* payload, std::size_t len);
 
 /// Serializes an AckMessage into a datagram payload.

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/thread_pool.h"
 #include "fobs/stripe/plan.h"
 #include "net/socket.h"
@@ -38,8 +39,10 @@ int severity(TransferStatus status) {
 
 /// Derives every aggregate field of `result` from its per-flow vectors
 /// (exactly one of which is populated). A failed flow's error is
-/// prefixed with its index when the transfer has more than one.
-void finalize_aggregate(TransferResult& result, std::int64_t object_bytes) {
+/// prefixed with its index when the transfer has more than one. A
+/// completed receive's checksum folds the stripes' in plan order.
+void finalize_aggregate(TransferResult& result, std::int64_t object_bytes,
+                        const std::vector<detail::ReceiveFlow>& receive_flows) {
   double slowest = 0.0;
   TransferStatus worst = TransferStatus::kCompleted;
   std::string worst_error;
@@ -69,6 +72,11 @@ void finalize_aggregate(TransferResult& result, std::int64_t object_bytes) {
     result.status = TransferStatus::kCompleted;
     result.error.clear();
     result.goodput_mbps = fobs::net::mbps(object_bytes, slowest);
+    for (std::size_t i = 0; i < result.stripe_receivers.size(); ++i) {
+      result.checksum = fobs::util::crc32_combine(
+          result.checksum, result.stripe_receivers[i].checksum,
+          static_cast<std::size_t>(receive_flows[i].spec.object_bytes));
+    }
   } else {
     result.status = worst;
     result.error = worst_error;
@@ -241,6 +249,8 @@ struct Transfer {
   std::vector<ReceiveFlow> receive_flows;
   /// The receiver's checkpoint (null without a path, or when rejected).
   std::unique_ptr<TransferCheckpoint> checkpoint;
+  /// The receiver's write-behind sink (nullable, caller-owned).
+  fobs::core::WriteBehindSink* write_behind = nullptr;
   std::shared_ptr<void> keepalive;
   /// Sender only: flow i's bound control listener until flow i takes it.
   std::vector<fobs::net::Fd> control_listeners;
@@ -385,9 +395,11 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
 
 TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
                                               std::span<std::uint8_t> buffer,
-                                              SessionParams params) {
+                                              SessionParams params,
+                                              fobs::core::WriteBehindSink* write_behind) {
   auto transfer = std::make_shared<detail::Transfer>();
   transfer->recv_options = options;
+  transfer->write_behind = write_behind;
   transfer->spec = {static_cast<std::int64_t>(buffer.size()), options.endpoint.packet_bytes};
   auto& result = transfer->result;
   transfer->receive_flows =
@@ -480,7 +492,8 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
     transfer->result.stripe_senders[index] = std::move(result);
   } else {
     auto result = detail::run_receiver(transfer->recv_options, transfer->receive_flows[index],
-                                       transfer->checkpoint.get(), &transfer->cancel);
+                                       transfer->checkpoint.get(), transfer->write_behind,
+                                       &transfer->cancel);
     status = result.status;
     std::lock_guard lock(transfer->mu);
     transfer->result.stripe_receivers[index] = std::move(result);
@@ -499,7 +512,7 @@ void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
   {
     std::lock_guard lock(transfer->mu);
     auto& result = transfer->result;
-    finalize_aggregate(result, transfer->spec.object_bytes);
+    finalize_aggregate(result, transfer->spec.object_bytes, transfer->receive_flows);
     // Every flow has ended: the one place a checkpoint is removed.
     const auto& checkpoint = transfer->checkpoint;
     if (checkpoint && result.completed()) checkpoint->complete();
@@ -624,9 +637,10 @@ TransferResult send_object(const SenderOptions& options, std::span<const std::ui
   return handle.result();
 }
 
-TransferResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer) {
+TransferResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
+                              fobs::core::WriteBehindSink* write_behind) {
   TransferEngine engine(EngineOptions{.workers = flow_workers(options.stripes)});
-  auto handle = engine.submit_receive(options, buffer);
+  auto handle = engine.submit_receive(options, buffer, {}, write_behind);
   handle.wait();
   return handle.result();
 }

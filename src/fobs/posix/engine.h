@@ -136,11 +136,14 @@ class TransferEngine {
   /// listener count other than the flow count) launch no flow and bind
   /// no port: the returned handle is already terminal with kBadOptions.
   /// A send whose control port cannot be bound launches none either and
-  /// ends kSocketError naming the port.
+  /// ends kSocketError naming the port. A receive's `write_behind`
+  /// (nullable, outliving the transfer) is told which whole pages of
+  /// `buffer` each flow will not write again.
   TransferHandle submit_send(const SenderOptions& options,
                              std::span<const std::uint8_t> object, SessionParams params = {});
   TransferHandle submit_receive(const ReceiverOptions& options,
-                                std::span<std::uint8_t> buffer, SessionParams params = {});
+                                std::span<std::uint8_t> buffer, SessionParams params = {},
+                                fobs::core::WriteBehindSink* write_behind = nullptr);
 
   /// Binds a TCP listener on `port` and dispatches every accepted
   /// connection to the worker pool as `handler(fd, peer_host)`. The

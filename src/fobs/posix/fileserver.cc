@@ -292,8 +292,13 @@ FetchResult fetch_file(const FetchOptions& options) {
   recv_options.stripes = granted;
   recv_options.checkpoint_path = checkpoint_path;
   // One receive flow per granted stripe, all writing the mapping at
-  // plan offsets.
-  const TransferResult received = receive_object(recv_options, partial->mutable_view());
+  // plan offsets. The write-behind starts writing each flow's finished
+  // pages back while the rest arrive, so the msync below, the
+  // durability barrier before the rename, finds little left to write.
+  fobs::core::WriteBehind write_behind(*partial);
+  const TransferResult received =
+      receive_object(recv_options, partial->mutable_view(), &write_behind);
+  write_behind.join();
   result.status = received.status;
   result.error = received.error;
   result.packets_restored = received.packets_restored;
@@ -310,7 +315,8 @@ FetchResult fetch_file(const FetchOptions& options) {
     }
     return result;
   }
-  result.checksum = partial->checksum();
+  // Folded from the packet CRCs the flows checked: no pass over the file.
+  result.checksum = received.checksum;
   partial.reset();  // unmap before renaming into place
   if (std::rename(partial_path.c_str(), options.out_path.c_str()) != 0) {
     result.status = TransferStatus::kSocketError;

@@ -25,7 +25,10 @@
 // The fetch client is crash-resilient: it receives into a writable
 // mapping of `<out>.part` with one object-level `<out>.ckpt` bitmap
 // that every stripe shares, resumes from both when they match — at any
-// stripe count — and renames into place when complete.
+// stripe count — and renames into place when complete. While the flows
+// run, a WriteBehind starts the writeback of the pages below each flow's
+// frontier; after they end, msync makes the file durable before the
+// rename.
 #pragma once
 
 #include <atomic>
@@ -127,7 +130,9 @@ struct FetchResult {
   std::int64_t bytes = 0;
   std::int64_t packets_restored = 0;  ///< resumed from a checkpoint
   double goodput_mbps = 0.0;
-  std::uint64_t checksum = 0;  ///< CRC-32C of the fetched content
+  /// CRC-32C of the fetched content, folded from the packet CRCs the
+  /// receive flows checked (TransferResult::checksum), not re-read.
+  std::uint64_t checksum = 0;
   int stripes = 0;             ///< flows actually used (granted by the server)
   /// More than one stripe was requested but the server granted one.
   bool fallback_single_flow = false;

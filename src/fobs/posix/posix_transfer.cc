@@ -117,7 +117,9 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
 }
 
 ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
-                            TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel) {
+                            TransferCheckpoint* checkpoint,
+                            fobs::core::WriteBehindSink* write_behind,
+                            const std::atomic<bool>* cancel) {
   // Datagram channel bound at the data port. Receive slots are sized
   // for exactly one full data packet; anything larger is truncated by
   // the kernel and rejected as garbage by the session.
@@ -136,7 +138,8 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
   const auto start = Clock::now();
   const auto epoch = static_cast<std::uint32_t>(start.time_since_epoch().count() ^
                                                 (static_cast<std::uint64_t>(::getpid()) << 16));
-  ReceiverSession session(options, flow, checkpoint, epoch == 0 ? 1 : epoch, start);
+  ReceiverSession session(options, flow, checkpoint, write_behind, epoch == 0 ? 1 : epoch,
+                          start);
 
   Fd control;
   std::vector<std::uint8_t> control_bytes;

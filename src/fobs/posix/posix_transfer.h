@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/options.h"
 #include "fobs/receiver_core.h"
@@ -118,6 +119,9 @@ struct ReceiverResult {
   std::int64_t packets_restored = 0;
   /// Control-channel reconnects performed after losing the connection.
   int reconnects = 0;
+  /// Completed: CRC-32C of the flow's stripe, folded from the payload
+  /// CRCs the packet checks computed (restored packets: from their bytes).
+  std::uint32_t checksum = 0;
   /// Data-plane I/O counters for this transfer's datagram channel.
   fobs::net::IoStats io;
 
@@ -141,6 +145,9 @@ struct TransferResult {
   /// Whole-object goodput over the slowest flow's elapsed time.
   double goodput_mbps = 0.0;
   std::int64_t packets_restored = 0;  ///< summed over flows (receiver)
+  /// Completed receive: CRC-32C of the whole object, the stripes'
+  /// checksums folded in plan order (no pass over the buffer).
+  std::uint32_t checksum = 0;
   /// Per-flow results, indexed by flow; senders fill stripe_senders,
   /// receivers stripe_receivers.
   std::vector<SenderResult> stripe_senders;
@@ -156,7 +163,9 @@ struct TransferResult {
 /// flows. Blocks until every flow has its completion signal or gave up.
 TransferResult send_object(const SenderOptions& options, std::span<const std::uint8_t> object);
 /// Receives an object of exactly `buffer.size()` bytes into `buffer`.
-TransferResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer);
+/// `write_behind` (nullable) is told which pages of `buffer` are final.
+TransferResult receive_object(const ReceiverOptions& options, std::span<std::uint8_t> buffer,
+                              fobs::core::WriteBehindSink* write_behind = nullptr);
 
 namespace detail {
 
@@ -190,12 +199,15 @@ using ReceiveFlow = Flow<std::uint8_t>;
 /// polled once per loop iteration; setting it makes the loop exit with
 /// TransferStatus::kCancelled. `listener` is the flow's bound control
 /// listener (on flow.control_port), closed when the flow returns.
-/// `checkpoint` is the transfer's (null without one). The engine books
-/// the flow's terminal trace event and outcome counters.
+/// `checkpoint` and `write_behind` are the transfer's (null without
+/// one). The engine books the flow's terminal trace event and outcome
+/// counters.
 SenderResult run_sender(const SenderOptions& options, const SendFlow& flow,
                         fobs::net::Fd listener, const std::atomic<bool>* cancel);
 ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
-                            TransferCheckpoint* checkpoint, const std::atomic<bool>* cancel);
+                            TransferCheckpoint* checkpoint,
+                            fobs::core::WriteBehindSink* write_behind,
+                            const std::atomic<bool>* cancel);
 
 }  // namespace detail
 

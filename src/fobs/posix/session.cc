@@ -4,9 +4,17 @@
 #include <cstring>
 #include <utility>
 
+#include "common/crc32.h"
 #include "telemetry/metrics.h"
 
 namespace fobs::posix::detail {
+
+namespace {
+
+constexpr std::uintptr_t kPageMask = fobs::core::kPageBytes - 1;
+constexpr auto kWindowBytes = static_cast<std::int64_t>(fobs::core::kWriteBehindWindowBytes);
+
+}  // namespace
 
 using fobs::net::FaultChannel;
 using fobs::telemetry::EventType;
@@ -182,13 +190,16 @@ SenderResult SenderSession::finish(SessionTime now) {
 }
 
 ReceiverSession::ReceiverSession(const ReceiverOptions& options, const ReceiveFlow& flow,
-                                 TransferCheckpoint* checkpoint, std::uint32_t epoch,
+                                 TransferCheckpoint* checkpoint,
+                                 fobs::core::WriteBehindSink* write_behind, std::uint32_t epoch,
                                  SessionTime start)
     : FlowSession(options.endpoint.timeout_ms, flow.fault_plan, flow.tracer, start),
       core_(flow.spec, options.core),
       stripe_(flow.stripe),
       first_packet_(static_cast<std::size_t>(flow.first_packet)),
       checkpoint_(checkpoint),
+      write_behind_(write_behind),
+      packet_crcs_(static_cast<std::size_t>(flow.spec.packet_count())),
       epoch_(epoch),
       checkpoint_every_acks_(std::max(1, options.checkpoint_every_acks)) {
   core_.set_tracer(flow.tracer);
@@ -203,6 +214,28 @@ ReceiverSession::ReceiverSession(const ReceiverOptions& options, const ReceiveFl
     if (restored >= 0) {
       result_.packets_restored = restored;
       MetricsRegistry::global().counter("fobs.fault.resumes").inc();
+    }
+  }
+  if (write_behind_ != nullptr) {
+    const auto address = reinterpret_cast<std::uintptr_t>(stripe_.data());
+    pages_begin_ = static_cast<std::int64_t>(((address + kPageMask) & ~kPageMask) - address);
+    pages_end_ = static_cast<std::int64_t>(((address + stripe_.size()) & ~kPageMask) - address);
+    const auto packet_bytes = flow.spec.packet_bytes;
+    for (auto at = pages_begin_; at < pages_end_; at += kWindowBytes) {
+      const auto end = std::min(at + kWindowBytes, pages_end_);
+      window_missing_.push_back((end - 1) / packet_bytes - at / packet_bytes + 1);
+    }
+  }
+  // Restored packets did not pass the wire check: their CRCs come from
+  // the bytes the previous incarnation left in the stripe.
+  if (result_.packets_restored > 0) {
+    const auto& received = core_.received();
+    for (auto seq = received.first_set(0); seq; seq = received.first_set(*seq + 1)) {
+      const auto packet = static_cast<fobs::core::PacketSeq>(*seq);
+      packet_crcs_[*seq] =
+          fobs::util::crc32(stripe_.data() + flow.spec.offset_of(packet),
+                            static_cast<std::size_t>(flow.spec.payload_bytes(packet)));
+      count_placed(packet);
     }
   }
 }
@@ -250,7 +283,8 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
   // A CRC failure never touches the stripe; the sender resends it. The
   // CRC covers the seq too, so a damaged seq cannot misplace good bytes.
   // The receiver's data schedule models damage the CRC missed, per datagram.
-  const bool crc_ok = packet_crc(bytes.data(), payload, len) == header->crc;
+  const std::uint32_t payload_crc = fobs::util::crc32(payload, len);
+  const bool crc_ok = packet_crc(bytes.data(), payload_crc) == header->crc;
   const auto fate = crc_ok ? decide(FaultChannel::kData) : fobs::net::FaultDecision{};
   if (fate.copies == 0) return {};
   if (!crc_ok || fate.corrupt) {
@@ -262,6 +296,8 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
   const auto outcome = core_.on_data_packet(header->seq);
   if (outcome.newly_received) {
     std::memcpy(stripe_.data() + spec.offset_of(header->seq), payload, len);
+    packet_crcs_[static_cast<std::size_t>(header->seq)] = payload_crc;
+    count_placed(header->seq);
   }
   if (!outcome.ack_due) return {};
   auto msg = core_.make_ack();
@@ -283,9 +319,39 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
                                                   static_cast<std::size_t>(ack_fate.copies));
 }
 
+void ReceiverSession::count_placed(fobs::core::PacketSeq seq) {
+  if (window_missing_.empty()) return;
+  const fobs::core::TransferSpec& spec = core_.spec();
+  const auto begin = std::max(spec.offset_of(seq), pages_begin_);
+  const auto end = std::min(spec.offset_of(seq) + spec.payload_bytes(seq), pages_end_);
+  if (begin >= end) return;  // only in a page the stripe shares
+  // Count it in every window [begin, end) overlaps; a window whose
+  // count reaches zero holds only placed packets and is final.
+  for (auto at = begin - (begin - pages_begin_) % kWindowBytes; at < end; at += kWindowBytes) {
+    if (--window_missing_[static_cast<std::size_t>((at - pages_begin_) / kWindowBytes)] > 0) {
+      continue;
+    }
+    const auto size = std::min(kWindowBytes, pages_end_ - at);
+    write_behind_->written(std::span<const std::uint8_t>(stripe_).subspan(
+        static_cast<std::size_t>(at), static_cast<std::size_t>(size)));
+  }
+}
+
 ReceiverResult ReceiverSession::finish(SessionTime now) {
   // The engine removes the file once every flow has completed.
   if (completed() && checkpoint_ != nullptr) checkpoint_->fold(first_packet_, core_.received());
+  if (completed()) {
+    // The stripe's CRC-32C, packet CRCs folded in order; only the last
+    // packet may be short.
+    const fobs::core::TransferSpec& spec = core_.spec();
+    const fobs::util::Crc32Append append(static_cast<std::size_t>(spec.packet_bytes));
+    const auto last = static_cast<std::size_t>(spec.packet_count() - 1);
+    std::uint32_t crc = 0;
+    for (std::size_t seq = 0; seq < last; ++seq) crc = append(crc, packet_crcs_[seq]);
+    result_.checksum = fobs::util::crc32_combine(
+        crc, packet_crcs_[last],
+        static_cast<std::size_t>(spec.payload_bytes(static_cast<fobs::core::PacketSeq>(last))));
+  }
   close(result_, now, completed(), core_.spec().object_bytes);
   result_.packets_received = core_.stats().packets_received;
   result_.duplicates = core_.stats().duplicates;

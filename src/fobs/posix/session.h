@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "fobs/object.h"
 #include "fobs/posix/codec.h"
 #include "fobs/posix/posix_transfer.h"
 
@@ -138,20 +139,29 @@ class SenderSession : public FlowSession {
   bool crash_pending_ = false;
 };
 
-/// One receiving flow. The pump writes state_frame() on every control
-/// connection and hands in every datagram (sending the ACK views returned
-/// back to its source). Once completed() it runs the completion
-/// handshake: while awaiting_echo(), each attempt writes state_frame(),
-/// now the completion frame, reconnecting first when the connection is
-/// down, and hands in control bytes until echoed(), EOF, an error or the
-/// attempt's deadline. A flow that holds every packet ends kCompleted
-/// whether or not the echo came.
+/// One receiving flow. Every placed packet keeps its payload's CRC-32C,
+/// and a completed flow's result carries its stripe's CRC folded from
+/// them. With a write-behind sink, the stripe's whole pages are split
+/// into windows of kWriteBehindWindowBytes, each counting the packets
+/// that overlap it and are still missing; a window is handed over once,
+/// when its last packet is placed (or restored).
+///
+/// The pump writes state_frame() on every control connection and hands
+/// in every datagram (sending the ACK views returned back to its
+/// source). Once completed() it runs the completion handshake: while
+/// awaiting_echo(), each attempt writes state_frame(), now the completion
+/// frame, reconnecting first when the connection is down, and hands in
+/// control bytes until echoed(), EOF, an error or the attempt's deadline.
+/// A flow that holds every packet ends kCompleted whether or not the echo
+/// came.
 class ReceiverSession : public FlowSession {
  public:
   /// Restores the flow's range of `checkpoint` (nullable). `epoch` is
   /// this incarnation's nonzero epoch, stamped on every ACK and frame.
+  /// `write_behind` (nullable) is told which pages of the stripe are final.
   ReceiverSession(const ReceiverOptions& options, const ReceiveFlow& flow,
-                  TransferCheckpoint* checkpoint, std::uint32_t epoch, SessionTime start);
+                  TransferCheckpoint* checkpoint, fobs::core::WriteBehindSink* write_behind,
+                  std::uint32_t epoch, SessionTime start);
 
   /// The first control connect failed: ends the flow.
   void on_connect_failed(bool cancelled);
@@ -184,14 +194,30 @@ class ReceiverSession : public FlowSession {
   /// flow whose control connect failed ends kPeerLost).
   [[nodiscard]] bool completed() const { return core_.complete() && !ended(); }
   [[nodiscard]] bool done() const { return core_.complete() || ended(); }
-  /// The result, without I/O counters; a completed flow folds its range.
+  /// The result, without I/O counters; a completed flow folds its range
+  /// into the checkpoint and its packet CRCs into the result's checksum.
   ReceiverResult finish(SessionTime now);
 
  private:
+  /// Packet `seq` is in the stripe: counts it in the windows it
+  /// overlaps and hands each window it completes to write_behind_.
+  void count_placed(fobs::core::PacketSeq seq);
+
   fobs::core::ReceiverCore core_;
   std::span<std::uint8_t> stripe_;
   std::size_t first_packet_;
   TransferCheckpoint* const checkpoint_;
+  fobs::core::WriteBehindSink* const write_behind_;
+  /// The stripe's whole pages, as stripe offsets [pages_begin_,
+  /// pages_end_): the pages it starts and ends in may hold a neighbour's
+  /// bytes.
+  std::int64_t pages_begin_ = 0;
+  std::int64_t pages_end_ = 0;
+  /// Per write-behind window: packets overlapping it not yet placed
+  /// (empty without a sink).
+  std::vector<std::int64_t> window_missing_;
+  /// Per packet of the stripe: its payload's CRC-32C, once placed.
+  std::vector<std::uint32_t> packet_crcs_;
   const std::uint32_t epoch_;
   const int checkpoint_every_acks_;
   ReceiverResult result_;

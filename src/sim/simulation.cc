@@ -46,19 +46,16 @@ void Simulation::run() {
   }
 }
 
+std::optional<TimePoint> Simulation::next_event_time() {
+  while (!heap_.empty() && bodies_.count(heap_.top().id) == 0) heap_.pop();  // cancelled
+  if (heap_.empty()) return std::nullopt;
+  return heap_.top().time;
+}
+
 void Simulation::run_until(TimePoint t) {
   while (!stopped_) {
-    // Peek at the next live event.
-    bool found = false;
-    while (!heap_.empty()) {
-      if (bodies_.count(heap_.top().id) == 0) {
-        heap_.pop();
-        continue;
-      }
-      found = true;
-      break;
-    }
-    if (!found || heap_.top().time > t) break;
+    const auto next = next_event_time();
+    if (!next || *next > t) break;
     step();
   }
   if (!stopped_ && now_ < t) now_ = t;

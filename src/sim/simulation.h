@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +48,9 @@ class Simulation {
   /// Executes the next event, if any. Returns false when the queue is
   /// empty (after skipping cancelled entries).
   bool step();
+  /// When the event step() would execute next is due; nullopt when none
+  /// is pending. Lets a driver stop before an event past its deadline.
+  [[nodiscard]] std::optional<TimePoint> next_event_time();
   /// Runs until the queue is empty or `stop()` is called.
   void run();
   /// Runs events with time <= `t`; afterwards now() == t if the horizon

@@ -174,8 +174,8 @@ TEST(TcpTransfers, StartDelaysTheFirstSegment) {
 
 TEST(TcpTransfers, StartsLeftUnfiredAreCancelledOnReturn) {
   Pairs world(2);
-  // Both start past the 600 s limit: the first start ends the run, and
-  // the second is still pending when the call returns.
+  // Both start past the 600 s limit: the run stops before the first,
+  // so neither connects, and both are still pending when it returns.
   const auto result = baselines::run_tcp_transfers(
       world.network,
       {{*world.senders[0], *world.receivers[0], 1 << 20, util::Duration::seconds(601)},
@@ -183,7 +183,7 @@ TEST(TcpTransfers, StartsLeftUnfiredAreCancelledOnReturn) {
       baselines::tcp_with_lwe());
   EXPECT_FALSE(result.completed);
   world.simulation.run();  // nothing left may call into the run's connections
-  EXPECT_GT(world.forward[0]->stats().packets_offered, 0u);
+  EXPECT_EQ(world.forward[0]->stats().packets_offered, 0u);
   EXPECT_EQ(world.forward[1]->stats().packets_offered, 0u);
 }
 
@@ -254,6 +254,24 @@ TEST(Rudp, PacedBlastRespectsConfiguredRate) {
   EXPECT_GT(result.goodput_mbps, 15.0);
 }
 
+TEST(Rudp, RunCutAtTheLimitLeavesNothingForTheNextRun) {
+  // A 128 kb/s NIC cannot move 16 MiB within the 600 s limit, so the
+  // first run ends with its sender waiting for the NIC to drain. The NIC
+  // drains during the second run, which must not wake the first run's
+  // destroyed sender.
+  auto spec = exp::spec_for(PathId::kShortHaul);
+  spec.fwd_loss = 0;
+  spec.src_nic = util::DataRate::bits_per_second(128e3);
+  Testbed bed(spec);
+  RudpConfig config;
+  config.spec = {16 * 1024 * 1024, 1024};
+  const auto cut = baselines::run_rudp_transfer(bed.network(), bed.src(), bed.dst(), config);
+  EXPECT_FALSE(cut.completed);
+  EXPECT_GT(cut.packets_sent, 0);
+  const auto next = baselines::run_rudp_transfer(bed.network(), bed.src(), bed.dst(), config);
+  EXPECT_FALSE(next.completed);
+}
+
 TEST(Sabul, CleanPathHoldsItsConfiguredRate) {
   auto spec = exp::spec_for(PathId::kShortHaul);
   spec.fwd_loss = 0;
@@ -282,6 +300,23 @@ TEST(Sabul, LossMakesItSlowDown) {
   ASSERT_TRUE(result.completed);
   EXPECT_GT(result.loss_reports, 0u);
   EXPECT_LT(result.final_rate_mbps, 90.0);
+}
+
+TEST(Sabul, TwoRunsOnOneTestbedBothComplete) {
+  // The first run's ends are gone when the second starts on the same
+  // network: its report timers and polls must not fire into the second.
+  auto spec = exp::spec_for(PathId::kShortHaul);
+  spec.fwd_loss = 2e-3;
+  Testbed bed(spec);
+  SabulConfig config;
+  config.spec = {kSmallObject, 1024};
+  config.initial_rate = util::DataRate::megabits_per_second(90);
+  for (int run = 0; run < 2; ++run) {
+    const auto result =
+        baselines::run_sabul_transfer(bed.network(), bed.src(), bed.dst(), config);
+    EXPECT_TRUE(result.completed) << "run " << run;
+    EXPECT_GT(result.loss_reports, 0u) << "run " << run;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit + property tests for the packet bitmap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -95,6 +97,61 @@ TEST(Bitmap, ExtractMergeRoundTrip) {
   for (std::size_t i = 0; i < 37; ++i) EXPECT_FALSE(dst.test(i));
   // Merging again adds nothing.
   EXPECT_EQ(dst.merge_range(37, 251 - 37, packed.data(), packed.size()), 0u);
+}
+
+// The word-level extract_range/merge_range against one-bit-at-a-time
+// references, at random offsets and lengths: ranges that start and end
+// mid-word, that end in the unaligned tail word, and that end at the
+// bitmap's last bit.
+TEST(Bitmap, ExtractAndMergeMatchBitwiseReferenceAtRandomRanges) {
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, 700));
+    Bitmap src(size);
+    Bitmap dst(size);
+    const double density = rng.uniform(0.0, 1.0);
+    for (std::size_t i = 0; i < size; ++i) {
+      if (rng.bernoulli(density)) src.set(i);
+      if (rng.bernoulli(0.3)) dst.set(i);
+    }
+    const auto begin = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size)));
+    const auto end = trial % 4 == 0 ? size  // the last word, to the last bit
+                                    : static_cast<std::size_t>(rng.uniform_int(
+                                          static_cast<std::int64_t>(begin),
+                                          static_cast<std::int64_t>(size)));
+    SCOPED_TRACE("size " + std::to_string(size) + " [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ")");
+
+    std::vector<std::uint8_t> expected((end - begin + 7) / 8, 0);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t bit = i - begin;
+      if (src.test(i)) expected[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    const auto packed = src.extract_range(begin, end);
+    ASSERT_EQ(packed, expected);
+
+    // Merge at an unrelated offset, with garbage past the last bit of the
+    // packed bytes, which must be ignored.
+    auto garbage = packed;
+    const std::size_t tail_bits = (end - begin) % 8;
+    if (tail_bits != 0) garbage.back() |= static_cast<std::uint8_t>(0xFFu << tail_bits);
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size - (end - begin))));
+    std::vector<bool> model(size);
+    std::size_t expected_new = 0;
+    for (std::size_t i = 0; i < size; ++i) model[i] = dst.test(i);
+    for (std::size_t i = 0; i < end - begin; ++i) {
+      if ((packed[i / 8] & (1u << (i % 8))) != 0 && !model[at + i]) {
+        model[at + i] = true;
+        ++expected_new;
+      }
+    }
+    ASSERT_EQ(dst.merge_range(at, end - begin, garbage.data(), garbage.size()), expected_new);
+    for (std::size_t i = 0; i < size; ++i) ASSERT_EQ(dst.test(i), model[i]) << "bit " << i;
+    ASSERT_EQ(dst.count(),
+              static_cast<std::size_t>(std::count(model.begin(), model.end(), true)));
+  }
 }
 
 TEST(Bitmap, Equality) {

@@ -3,6 +3,7 @@
 // the checkpoint sidecar format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -89,6 +90,69 @@ TEST(Crc32, SeedChainsIncrementalComputation) {
   const auto whole = util::crc32(data, sizeof data);
   const auto first = util::crc32(data, 3);
   EXPECT_EQ(util::crc32(data + 3, 3, first), whole);
+}
+
+// The object CRC is folded from per-packet CRCs: combining the pieces'
+// CRCs must give the whole buffer's, on both paths, for random cuts
+// (zero-length pieces included) and for equal packets with a short last
+// one folded the way a receive flow folds them.
+TEST(Crc32, CombineMatchesWholeBufferOnRandomSplits) {
+  util::Rng rng(0xC0B1);
+  std::vector<std::uint8_t> buffer(70'000);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
+  EXPECT_EQ(util::crc32_combine(0, 0, 0), 0u);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t len = rng.next() % (buffer.size() + 1);
+    const std::uint8_t* data = buffer.data();
+    for (const auto crc : {util::crc32, util::crc32_portable}) {
+      const auto whole = crc(data, len, 0);
+      // Up to six pieces at random cuts; repeated cuts make empty pieces.
+      std::vector<std::size_t> cuts = {0, len};
+      for (int i = 0; i < 5; ++i) cuts.push_back(len == 0 ? 0 : rng.next() % (len + 1));
+      if (round % 5 == 0) cuts.push_back(cuts.back());
+      std::sort(cuts.begin(), cuts.end());
+      std::uint32_t folded = 0;
+      for (std::size_t i = 1; i < cuts.size(); ++i) {
+        const std::size_t piece = cuts[i] - cuts[i - 1];
+        folded = util::crc32_combine(folded, crc(data + cuts[i - 1], piece, 0), piece);
+      }
+      ASSERT_EQ(folded, whole) << "len " << len;
+
+      // Equal packets through Crc32Append, the short last one through
+      // crc32_combine.
+      const std::size_t packet = 1 + rng.next() % 9000;
+      const util::Crc32Append append(packet);
+      std::uint32_t packets = 0;
+      std::size_t at = 0;
+      for (; at + packet <= len; at += packet) {
+        packets = append(packets, crc(data + at, packet, 0));
+      }
+      packets = util::crc32_combine(packets, crc(data + at, len - at, 0), len - at);
+      ASSERT_EQ(packets, whole) << "len " << len << " packet " << packet;
+    }
+  }
+}
+
+// The data-packet seal is crc32(header, crc32(payload)): a receiver
+// that checks it has the payload's own CRC on the way, and a flipped
+// seq bit still breaks it.
+TEST(PacketSeal, SealsThePayloadThenTheHeaderIncludingTheSeq) {
+  util::Rng rng(0x5EA1);
+  std::vector<std::uint8_t> payload(1000);
+  for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next());
+  std::uint8_t header[posix::kDataHeaderSize];
+  posix::encode_data_header({123456}, header);
+  posix::seal_data_header(header, payload.data(), payload.size());
+  const auto sealed = posix::decode_data_header(header, sizeof header);
+  ASSERT_TRUE(sealed.has_value());
+  const auto payload_crc = util::crc32(payload.data(), payload.size());
+  EXPECT_EQ(sealed->crc, util::crc32(header, posix::kDataSealedHeaderBytes, payload_crc));
+  EXPECT_EQ(posix::packet_crc(header, payload_crc), sealed->crc);
+  for (std::size_t bit = 64; bit < 8 * posix::kDataSealedHeaderBytes; ++bit) {  // the seq
+    header[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_NE(posix::packet_crc(header, payload_crc), sealed->crc) << "seq bit " << bit - 64;
+    header[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
 }
 
 TEST(Crc32, DetectsSingleBitFlips) {

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -165,6 +167,69 @@ TEST(TransferObject, ChecksumDetectsCorruption) {
   const auto before = object.checksum();
   object.mutable_view()[512] ^= 0xFF;
   EXPECT_NE(object.checksum(), before);
+}
+
+TEST(TransferObject, StartWritebackNeedsNoFileAndFollowsAMove) {
+  auto owned = TransferObject::pattern(2 * kPageBytes, 1);
+  EXPECT_TRUE(owned.start_writeback(owned.view()));
+  const std::string path = temp_path("writeback");
+  std::remove(path.c_str());
+  auto mapping = TransferObject::map_file_rw(path, 2 * kPageBytes);
+  ASSERT_TRUE(mapping.has_value());
+  std::memset(mapping->mutable_view().data(), 0x5A, 2 * kPageBytes);
+  EXPECT_TRUE(mapping->start_writeback(mapping->view().first(kPageBytes)));
+  TransferObject moved = std::move(*mapping);  // the file goes with the mapping
+  EXPECT_TRUE(moved.start_writeback(moved.view().last(kPageBytes)));
+  // The pages left the page tables, not the file: they read back intact.
+  EXPECT_TRUE(std::all_of(moved.view().begin(), moved.view().end(),
+                          [](std::uint8_t byte) { return byte == 0x5A; }));
+  EXPECT_TRUE(moved.sync());
+  std::remove(path.c_str());
+}
+
+// Four writer threads fill a file mapping page by page, interleaved, and
+// hand each finished page to one WriteBehind, as a fetch's receive flows
+// do. After join() and sync() the file holds every byte; a range handed
+// after join() is dropped, and join() may run twice.
+TEST(WriteBehind, TakesRangesFromConcurrentWritersAndJoins) {
+  const std::string path = temp_path("write_behind");
+  std::remove(path.c_str());
+  const std::int64_t size = 64 * static_cast<std::int64_t>(kPageBytes) + 100;
+  const auto source = make_pattern(size, 3);
+  auto mapping = TransferObject::map_file_rw(path, size);
+  ASSERT_TRUE(mapping.has_value());
+  {
+    WriteBehind write_behind(*mapping);
+    const auto view = mapping->mutable_view();
+    constexpr std::size_t kWriters = 4;
+    std::vector<std::thread> writers;
+    for (std::size_t t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        for (std::size_t at = t * kPageBytes; at < view.size(); at += kWriters * kPageBytes) {
+          const auto page = view.subspan(at, std::min(kPageBytes, view.size() - at));
+          std::memcpy(page.data(), source.data() + at, page.size());
+          write_behind.written(page);
+        }
+      });
+    }
+    for (auto& writer : writers) writer.join();
+    write_behind.join();
+    write_behind.join();
+    write_behind.written(mapping->view().first(kPageBytes));
+  }  // the destructor joins again
+  EXPECT_TRUE(mapping->sync());
+  mapping.reset();
+  const auto reread = TransferObject::map_file(path);
+  ASSERT_TRUE(reread.has_value());
+  EXPECT_TRUE(std::equal(source.begin(), source.end(), reread->view().begin()));
+  std::remove(path.c_str());
+}
+
+TEST(WriteBehind, AcceptsRangesOfAnObjectWithoutAFile) {
+  auto object = TransferObject::allocate(3 * kPageBytes);
+  WriteBehind write_behind(object);
+  write_behind.written(object.view().subspan(kPageBytes, kPageBytes));
+  write_behind.join();
 }
 
 }  // namespace

@@ -33,12 +33,16 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
@@ -295,6 +299,11 @@ class CaseRun {
     }
     const auto result = session.finish(now_);
     receivers_[f].reset();
+    if (result.completed()) {
+      const auto& stripe = send_flows_[f].stripe;
+      EXPECT_EQ(result.checksum, util::crc32(stripe.data(), stripe.size()))
+          << "flow " << f << ": the stripe CRC folded from the packet CRCs";
+    }
     restored_ += result.packets_restored;
     if (result.status == TransferStatus::kCrashed) crashed_ = true;
   }
@@ -358,6 +367,7 @@ class CaseRun {
   void start_receivers() {
     checkpoint_ = std::make_unique<posix::TransferCheckpoint>(
         checkpoint_path_, plan_.spec().object_bytes, plan_.spec().packet_bytes);
+    write_behind_.reset();
     ++epoch_;
     const int crash_flow = crashes_left_ > 0 ? pick_flow() : -1;
     if (crash_flow >= 0) --crashes_left_;
@@ -373,8 +383,8 @@ class CaseRun {
         faults.crash_at_packet = rng_.uniform_int(0, 2 * flow.spec.packet_count());
       }
       flow.fault_plan = faults;
-      receivers_.push_back(std::make_unique<ReceiverSession>(recv_options_, flow,
-                                                             checkpoint_.get(), epoch_, now_));
+      receivers_.push_back(std::make_unique<ReceiverSession>(
+          recv_options_, flow, checkpoint_.get(), &write_behind_, epoch_, now_));
       if (!connect(f)) receivers_[f]->on_connect_failed(false);
     }
   }
@@ -449,6 +459,29 @@ class CaseRun {
   std::vector<std::unique_ptr<SenderSession>> senders_;
   std::vector<std::optional<posix::SenderResult>> sender_results_;
   std::unique_ptr<posix::TransferCheckpoint> checkpoint_;
+  /// The incarnation's write-behind: every page it is handed must already
+  /// hold the source's bytes.
+  class FinalBytesSink final : public core::WriteBehindSink {
+   public:
+    FinalBytesSink(const Bytes& source, const Bytes& sink) : source_(source), sink_(sink) {}
+    void reset() { pages_.clear(); }
+    void written(std::span<const std::uint8_t> bytes) override {
+      const auto offset = bytes.data() - sink_.data();
+      ASSERT_TRUE(offset >= 0 && offset + static_cast<std::ptrdiff_t>(bytes.size()) <=
+                                     static_cast<std::ptrdiff_t>(sink_.size()));
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), source_.begin() + offset))
+          << "a page was handed over before all its bytes were placed";
+      for (std::size_t page = 0; page < bytes.size(); page += core::kPageBytes) {
+        EXPECT_TRUE(pages_.insert(bytes.data() + page).second) << "a page was handed twice";
+      }
+    }
+
+   private:
+    const Bytes& source_;
+    const Bytes& sink_;
+    std::set<const std::uint8_t*> pages_;
+  };
+  FinalBytesSink write_behind_{source_, sink_};
   std::vector<std::unique_ptr<ReceiverSession>> receivers_;
   /// Per flow: the deadline of the open completion-handshake attempt.
   std::vector<std::optional<SessionTime>> echo_deadlines_;
@@ -482,7 +515,7 @@ TEST(SessionHeaderSeal, FlippedSeqBitIsDroppedAsCorruptAndLeavesTheStripeUntouch
   send_options.core.batch_size = 1;
   const SessionTime start{};
   SenderSession sender(send_options, send, start);
-  ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, 1, start);
+  ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, nullptr, 1, start);
 
   const auto batch = sender.next_batch();
   ASSERT_EQ(batch.size(), 1u);
@@ -500,6 +533,115 @@ TEST(SessionHeaderSeal, FlippedSeqBitIsDroppedAsCorruptAndLeavesTheStripeUntouch
   const auto result = receiver.finish(start);
   EXPECT_EQ(result.corrupt_packets_dropped, 1);
   EXPECT_EQ(result.packets_received, 0);
+}
+
+Bytes sealed_datagram(const core::TransferSpec& spec, std::span<const std::uint8_t> stripe,
+                      core::PacketSeq seq) {
+  Bytes datagram(posix::kDataHeaderSize);
+  const auto* payload = stripe.data() + spec.offset_of(seq);
+  const auto len = static_cast<std::size_t>(spec.payload_bytes(seq));
+  posix::encode_data_header({seq}, datagram.data());
+  posix::seal_data_header(datagram.data(), payload, len);
+  datagram.insert(datagram.end(), payload, payload + len);
+  return datagram;
+}
+
+// Two receive flows of one object, with 1000-byte packets (never
+// page-aligned) and the stripe boundary and the object's end inside a
+// page. Every packet arrives in random order, 30% only on a second pass,
+// and 10% twice. Each range a flow hands to the write-behind must be
+// whole pages of its own stripe in which every byte is placed (so the
+// range can reach past the contiguous frontier, but never a page the
+// flow may still write); no page is handed twice; and once the flow
+// completes, every whole page of its stripe has been handed, and its
+// checksum is its stripe's CRC.
+TEST(SessionWriteBehind, HandsEachPageOnceOnlyAfterAllItsBytesArePlaced) {
+  const core::TransferSpec object{3 * static_cast<std::int64_t>(core::kWriteBehindWindowBytes) +
+                                      12'345,
+                                  1000};
+  const Bytes source = core::make_pattern(object.object_bytes, 23);
+  Bytes sink(source.size(), 0);
+  stripe::StripePlan plan;
+  ASSERT_TRUE(stripe::StripePlan::make(object, 2, &plan));
+  const auto page_of = [](const std::uint8_t* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / core::kPageBytes;
+  };
+  std::set<std::uintptr_t> handed;  // pages, over both flows
+  util::Rng rng(29);
+
+  for (int i = 0; i < plan.stripe_count(); ++i) {
+    SCOPED_TRACE("flow " + std::to_string(i));
+    const core::TransferSpec spec = plan.stripe_spec(i);
+    const auto offset = static_cast<std::size_t>(object.offset_of(plan.first_packet(i)));
+    const auto size = static_cast<std::size_t>(spec.object_bytes);
+    const auto from = std::span<const std::uint8_t>(source).subspan(offset, size);
+    posix::detail::ReceiveFlow flow;
+    flow.spec = spec;
+    flow.stripe = std::span<std::uint8_t>(sink).subspan(offset, size);
+    std::vector<bool> placed(static_cast<std::size_t>(spec.packet_count()));
+
+    class Recorder final : public core::WriteBehindSink {
+     public:
+      std::function<void(std::span<const std::uint8_t>)> check;
+      void written(std::span<const std::uint8_t> bytes) override { check(bytes); }
+    } recorder;
+    std::set<std::uintptr_t> flow_pages;
+    recorder.check = [&](std::span<const std::uint8_t> bytes) {
+      ASSERT_FALSE(bytes.empty());
+      ASSERT_EQ(reinterpret_cast<std::uintptr_t>(bytes.data()) % core::kPageBytes, 0u);
+      ASSERT_EQ(bytes.size() % core::kPageBytes, 0u);
+      ASSERT_GE(bytes.data(), flow.stripe.data());
+      ASSERT_LE(bytes.data() + bytes.size(), flow.stripe.data() + flow.stripe.size());
+      const auto lo = bytes.data() - flow.stripe.data();
+      const auto hi = lo + static_cast<std::ptrdiff_t>(bytes.size());
+      for (auto seq = lo / spec.packet_bytes; seq <= (hi - 1) / spec.packet_bytes; ++seq) {
+        ASSERT_TRUE(placed[static_cast<std::size_t>(seq)])
+            << "packet " << seq << " is not placed yet";
+      }
+      for (const auto* page = bytes.data(); page < bytes.data() + bytes.size();
+           page += core::kPageBytes) {
+        EXPECT_TRUE(handed.insert(page_of(page)).second) << "a page was handed twice";
+        flow_pages.insert(page_of(page));
+      }
+    };
+    ReceiverSession receiver(posix::ReceiverOptions{}, flow, nullptr, &recorder, 1,
+                             SessionTime{});
+
+    // First pass in random order, with 30% lost; the second pass brings
+    // the rest; one packet in ten arrives a second time along the way.
+    std::vector<core::PacketSeq> order(static_cast<std::size_t>(spec.packet_count()));
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t k = order.size(); k > 1; --k) {
+      std::swap(order[k - 1], order[static_cast<std::size_t>(rng.next() % k)]);
+    }
+    std::vector<core::PacketSeq> lost;
+    const auto deliver = [&](core::PacketSeq seq) {
+      placed[static_cast<std::size_t>(seq)] = true;  // before the session can hand it over
+      (void)receiver.on_datagram(sealed_datagram(spec, from, seq));
+      if (rng.bernoulli(0.1)) (void)receiver.on_datagram(sealed_datagram(spec, from, seq));
+    };
+    for (const auto seq : order) {
+      if (rng.bernoulli(0.3)) {
+        lost.push_back(seq);
+      } else {
+        deliver(seq);
+      }
+    }
+    for (const auto seq : lost) deliver(seq);
+    ASSERT_TRUE(receiver.completed());
+    const auto result = receiver.finish(SessionTime{});
+    EXPECT_GT(result.duplicates, 0);
+    EXPECT_EQ(result.checksum, util::crc32(from.data(), from.size()));
+    EXPECT_TRUE(std::equal(from.begin(), from.end(), flow.stripe.begin()));
+
+    const auto first_page = page_of(flow.stripe.data() + core::kPageBytes - 1);
+    const auto end_page = page_of(flow.stripe.data() + flow.stripe.size());
+    EXPECT_EQ(flow_pages.size(), end_page - first_page) << "some whole page was never handed";
+    if (!flow_pages.empty()) {
+      EXPECT_EQ(*flow_pages.begin(), first_page);
+      EXPECT_EQ(*flow_pages.rbegin(), end_page - 1);
+    }
+  }
 }
 
 TEST(SessionProperty, SeededCrashResumeCasesEndByteIdenticalOrWithAnHonestCheckpoint) {
