@@ -59,7 +59,7 @@ int run_demo() {
     return 1;
   }
   const bool ok = sink == object;
-  const auto& flow = send_result.stripe_senders[0];
+  const auto& flow = send_result.flows[0];
   std::printf("  goodput %.0f Mb/s, %lld packets sent for %lld needed (waste %.2f%%)\n",
               send_result.goodput_mbps, static_cast<long long>(flow.packets_sent),
               static_cast<long long>(flow.packets_needed), 100.0 * flow.waste);
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       std::printf("could not write %s\n", argv[4]);
       return 1;
     }
-    const auto& flow = result.stripe_receivers[0];
+    const auto& flow = result.flows[0];
     std::printf("done: %.0f Mb/s, %lld packets (%lld duplicate)\n", result.goodput_mbps,
                 static_cast<long long>(flow.packets_received),
                 static_cast<long long>(flow.duplicates));
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("done: %.0f Mb/s, waste %.2f%%, %.1f datagrams/send-syscall\n",
-                result.goodput_mbps, 100.0 * result.stripe_senders[0].waste,
+                result.goodput_mbps, 100.0 * result.flows[0].waste,
                 result.io.send_syscalls > 0
                     ? static_cast<double>(result.io.datagrams_sent) /
                           static_cast<double>(result.io.send_syscalls)

@@ -68,7 +68,7 @@ int main() {
   std::printf("  sender:             %s, %.0f Mb/s\n", to_string(tx_status),
               tx.result().goodput_mbps);
   std::printf("  receiver:           %s, %lld packets\n", to_string(rx_status),
-              static_cast<long long>(rx.result().stripe_receivers[0].packets_received));
+              static_cast<long long>(rx.result().flows[0].packets_received));
   const bool ok = tx.result().completed() && rx.result().completed() && sink == object;
   std::printf("  bytes verified:     %s\n", ok ? "yes" : "NO");
   return ok ? 0 : 1;

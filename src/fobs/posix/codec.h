@@ -40,6 +40,9 @@ inline constexpr std::size_t kDataHeaderSize = 20;
 /// legitimately declare (a hostile value past this is rejected before
 /// any allocation happens).
 inline constexpr std::int64_t kMaxDatagramBytes = 64 * 1024;
+/// Largest data payload: the largest IPv4 UDP payload less the header.
+/// A packet size sizes the receive ring, so every entry point bounds it.
+inline constexpr std::int64_t kMaxPacketBytes = 65'507 - std::int64_t{kDataHeaderSize};
 inline constexpr std::int64_t kMaxAckFragmentBits = kMaxDatagramBytes * 8;
 
 /// Leading data-header bytes the packet CRC covers: magic, type, flags

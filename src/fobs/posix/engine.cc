@@ -9,11 +9,14 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/thread_pool.h"
+#include "fobs/posix/codec.h"
 #include "fobs/stripe/plan.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -37,46 +40,31 @@ int severity(TransferStatus status) {
   }
 }
 
-/// Derives every aggregate field of `result` from its per-flow vectors
-/// (exactly one of which is populated). A failed flow's error is
-/// prefixed with its index when the transfer has more than one. A
-/// completed receive's checksum folds the stripes' in plan order.
-void finalize_aggregate(TransferResult& result, std::int64_t object_bytes,
-                        const std::vector<detail::ReceiveFlow>& receive_flows) {
+/// Derives every aggregate field of `result` from its per-flow results.
+/// A failed flow's error is prefixed with its index when the transfer
+/// has more than one.
+void finalize_aggregate(TransferResult& result, std::int64_t object_bytes) {
   double slowest = 0.0;
   TransferStatus worst = TransferStatus::kCompleted;
   std::string worst_error;
-  auto fold = [&](int index, TransferStatus status, const std::string& error, double elapsed,
-                  const fobs::net::IoStats& io) {
-    if (status == TransferStatus::kCompleted) {
+  for (std::size_t i = 0; i < result.flows.size(); ++i) {
+    const auto& flow = result.flows[i];
+    if (flow.completed()) {
       ++result.stripes_completed;
-    } else if (severity(status) > severity(worst) || worst == TransferStatus::kCompleted) {
-      worst = status;
-      worst_error = error;
-      if (result.stripes > 1) worst_error = "stripe " + std::to_string(index) + ": " + error;
+    } else if (severity(flow.status) > severity(worst) || worst == TransferStatus::kCompleted) {
+      worst = flow.status;
+      worst_error = flow.error;
+      if (result.stripes > 1) worst_error = "stripe " + std::to_string(i) + ": " + flow.error;
     }
-    slowest = std::max(slowest, elapsed);
-    result.io += io;
-  };
-  for (std::size_t i = 0; i < result.stripe_senders.size(); ++i) {
-    const auto& r = result.stripe_senders[i];
-    fold(static_cast<int>(i), r.status, r.error, r.elapsed_seconds, r.io);
-  }
-  for (std::size_t i = 0; i < result.stripe_receivers.size(); ++i) {
-    const auto& r = result.stripe_receivers[i];
-    fold(static_cast<int>(i), r.status, r.error, r.elapsed_seconds, r.io);
-    result.packets_restored += r.packets_restored;
+    slowest = std::max(slowest, flow.elapsed_seconds);
+    result.io += flow.io;
+    result.packets_restored += flow.packets_restored;
   }
   result.elapsed_seconds = slowest;
   if (result.stripes_completed == result.stripes && result.stripes > 0) {
     result.status = TransferStatus::kCompleted;
     result.error.clear();
     result.goodput_mbps = fobs::net::mbps(object_bytes, slowest);
-    for (std::size_t i = 0; i < result.stripe_receivers.size(); ++i) {
-      result.checksum = fobs::util::crc32_combine(
-          result.checksum, result.stripe_receivers[i].checksum,
-          static_cast<std::size_t>(receive_flows[i].spec.object_bytes));
-    }
   } else {
     result.status = worst;
     result.error = worst_error;
@@ -124,18 +112,19 @@ std::vector<fobs::net::Fd> hold_control_ports(std::uint16_t first, int flows,
 /// rejected.
 template <typename Options, typename Byte>
 std::vector<detail::Flow<Byte>> make_flows(const Options& options, std::span<Byte> bytes,
-                                           const char* empty_span_error, std::string& error) {
+                                           std::string& error) {
   error = "invalid options: ";
   if (options.data_port == 0 || options.control_port == 0) {
     error += "data_port and control_port must be non-zero";
     return {};
   }
-  if (options.endpoint.packet_bytes <= 0) {
-    error += "packet_bytes must be positive";
+  if (options.endpoint.packet_bytes <= 0 || options.endpoint.packet_bytes > kMaxPacketBytes) {
+    error += "packet_bytes must be in [1, " + std::to_string(kMaxPacketBytes) + "]";
     return {};
   }
   if (bytes.empty()) {
-    error += empty_span_error;
+    error += std::is_const_v<Byte> ? "cannot send an empty object"
+                                   : "cannot receive into an empty buffer";
     return {};
   }
   if (options.data_port + options.stripes - 1 > 0xFFFF ||
@@ -229,31 +218,63 @@ void book_outcome(const char* side, fobs::telemetry::EventTracer* tracer,
 
 namespace detail {
 
+/// A send transfer's role: its flows and, until flow i takes it, flow
+/// i's bound control listener.
+struct SendJob {
+  static constexpr const char* kSide = "sender";
+  SenderOptions options;
+  std::vector<SendFlow> flows;
+  std::vector<fobs::net::Fd> control_listeners;
+
+  /// Flow `i` owns its listener: the control port closes when it ends.
+  FlowResult run(std::size_t i, const std::atomic<bool>* cancel) {
+    return run_sender(options, flows[i], std::move(control_listeners[i]), cancel);
+  }
+  void conclude(TransferResult& /*result*/) {}
+};
+
+/// A receive transfer's role: its flows, its checkpoint (null without a
+/// path) and the caller's write-behind sink (nullable).
+struct ReceiveJob {
+  static constexpr const char* kSide = "receiver";
+  ReceiverOptions options;
+  std::vector<ReceiveFlow> flows;
+  std::unique_ptr<TransferCheckpoint> checkpoint;
+  fobs::core::WriteBehindSink* write_behind = nullptr;
+
+  FlowResult run(std::size_t i, const std::atomic<bool>* cancel) {
+    return run_receiver(options, flows[i], checkpoint.get(), write_behind, cancel);
+  }
+  /// Every flow has ended: a completed receive folds the stripes'
+  /// checksums in plan order and removes the checkpoint, the one place
+  /// it is removed.
+  void conclude(TransferResult& result) {
+    if (result.completed()) {
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        result.checksum = fobs::util::crc32_combine(
+            result.checksum, result.flows[i].checksum,
+            static_cast<std::size_t>(flows[i].spec.object_bytes));
+      }
+      if (checkpoint) checkpoint->complete();
+    }
+    result.resumable = checkpoint && checkpoint->on_disk();
+  }
+};
+
 /// One engine transfer: submission inputs, lifecycle state, and the
 /// aggregate result its flows fold into. Shared between the engine,
 /// the workers running its flows, and every TransferHandle pointing at
 /// it.
 struct Transfer {
   std::uint64_t id = 0;
-  bool is_sender = false;
-  /// The transfer's options, read by every flow; each flow's own ports,
-  /// stripe, fault plan and tracer are in its Flow.
-  SenderOptions send_options;
-  ReceiverOptions recv_options;
+  /// The transfer's one role. Its options are read by every flow; each
+  /// flow's own ports, stripe, fault plan and tracer are in its Flow,
+  /// resolved at submit. No flows when the transfer was rejected (no
+  /// flow ever ran).
+  std::variant<SendJob, ReceiveJob> job;
   /// Geometry of the whole object.
   fobs::core::TransferSpec spec;
-  /// Every flow, resolved at submit: send_flows for a sender,
-  /// receive_flows for a receiver. Empty when the transfer was rejected
-  /// (no flow ever ran).
-  std::vector<SendFlow> send_flows;
-  std::vector<ReceiveFlow> receive_flows;
-  /// The receiver's checkpoint (null without a path, or when rejected).
-  std::unique_ptr<TransferCheckpoint> checkpoint;
-  /// The receiver's write-behind sink (nullable, caller-owned).
-  fobs::core::WriteBehindSink* write_behind = nullptr;
   std::shared_ptr<void> keepalive;
-  /// Sender only: flow i's bound control listener until flow i takes it.
-  std::vector<fobs::net::Fd> control_listeners;
   std::function<void(const TransferHandle&)> on_exit;
   /// Engine-owned per-flow tracers (EngineOptions::session_tracers)
   /// when the submitted options carried none.
@@ -262,26 +283,14 @@ struct Transfer {
   /// Polled by every flow's driver loop once per iteration.
   std::atomic<bool> cancel{false};
 
-  mutable std::mutex mu;
-  mutable std::condition_variable cv;
+  std::mutex mu;
+  std::condition_variable cv;
   TransferStatus status = TransferStatus::kPending;  ///< guarded by mu
   int flows_running = 0;                             ///< guarded by mu
   TransferResult result;                             ///< guarded by mu until terminal
 
   [[nodiscard]] int flows() const {
-    return static_cast<int>(is_sender ? send_flows.size() : receive_flows.size());
-  }
-  [[nodiscard]] const EndpointOptions& endpoint() const {
-    return is_sender ? send_options.endpoint : recv_options.endpoint;
-  }
-  [[nodiscard]] fobs::telemetry::EventTracer* flow_tracer(int flow) const {
-    const auto index = static_cast<std::size_t>(flow);
-    return is_sender ? send_flows[index].tracer : receive_flows[index].tracer;
-  }
-
-  [[nodiscard]] TransferStatus current_status() const {
-    std::lock_guard lock(mu);
-    return status;
+    return std::visit([](const auto& j) { return static_cast<int>(j.flows.size()); }, job);
   }
 };
 
@@ -294,7 +303,9 @@ struct Transfer {
 std::uint64_t TransferHandle::id() const { return transfer_ ? transfer_->id : 0; }
 
 TransferStatus TransferHandle::status() const {
-  return transfer_ ? transfer_->current_status() : TransferStatus::kPending;
+  if (!transfer_) return TransferStatus::kPending;
+  std::lock_guard lock(transfer_->mu);
+  return transfer_->status;
 }
 
 TransferStatus TransferHandle::wait() const {
@@ -323,7 +334,8 @@ const TransferResult& TransferHandle::result() const {
 
 fobs::telemetry::EventTracer* TransferHandle::tracer(int flow) const {
   if (!transfer_ || flow < 0 || flow >= transfer_->flows()) return nullptr;
-  return transfer_->flow_tracer(flow);
+  const auto index = static_cast<std::size_t>(flow);
+  return std::visit([index](const auto& j) { return j.flows[index].tracer; }, transfer_->job);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,18 +390,16 @@ TransferHandle TransferEngine::submit_send(const SenderOptions& options,
                                            std::span<const std::uint8_t> object,
                                            SessionParams params) {
   auto transfer = std::make_shared<detail::Transfer>();
-  transfer->is_sender = true;
-  transfer->send_options = options;
+  auto& job = transfer->job.emplace<detail::SendJob>();
+  job.options = options;
   transfer->spec = {static_cast<std::int64_t>(object.size()), options.endpoint.packet_bytes};
   auto& result = transfer->result;
-  transfer->send_flows =
-      make_flows(options, object, "cannot send an empty object", result.error);
-  if (!transfer->send_flows.empty()) {
-    transfer->control_listeners = hold_control_ports(
+  job.flows = make_flows(options, object, result.error);
+  if (!job.flows.empty()) {
+    job.control_listeners = hold_control_ports(
         options.control_port, transfer->flows(), std::move(params.control_listeners), result);
-    if (transfer->control_listeners.empty()) transfer->send_flows.clear();
+    if (job.control_listeners.empty()) job.flows.clear();
   }
-  result.stripe_senders.resize(static_cast<std::size_t>(transfer->flows()));
   return submit(std::move(transfer), std::move(params));
 }
 
@@ -398,17 +408,15 @@ TransferHandle TransferEngine::submit_receive(const ReceiverOptions& options,
                                               SessionParams params,
                                               fobs::core::WriteBehindSink* write_behind) {
   auto transfer = std::make_shared<detail::Transfer>();
-  transfer->recv_options = options;
-  transfer->write_behind = write_behind;
+  auto& job = transfer->job.emplace<detail::ReceiveJob>();
+  job.options = options;
+  job.write_behind = write_behind;
   transfer->spec = {static_cast<std::int64_t>(buffer.size()), options.endpoint.packet_bytes};
-  auto& result = transfer->result;
-  transfer->receive_flows =
-      make_flows(options, buffer, "cannot receive into an empty buffer", result.error);
-  if (!transfer->receive_flows.empty() && !options.checkpoint_path.empty()) {
-    transfer->checkpoint = std::make_unique<TransferCheckpoint>(
+  job.flows = make_flows(options, buffer, transfer->result.error);
+  if (!job.flows.empty() && !options.checkpoint_path.empty()) {
+    job.checkpoint = std::make_unique<TransferCheckpoint>(
         options.checkpoint_path, transfer->spec.object_bytes, transfer->spec.packet_bytes);
   }
-  result.stripe_receivers.resize(static_cast<std::size_t>(transfer->flows()));
   return submit(std::move(transfer), std::move(params));
 }
 
@@ -418,9 +426,10 @@ TransferHandle TransferEngine::submit(std::shared_ptr<detail::Transfer> transfer
   metrics.counter("fobs.stripe.transfers").inc();
   transfer->keepalive = std::move(params.keepalive);
   transfer->on_exit = std::move(params.on_exit);
-  transfer->result.is_sender = transfer->is_sender;
+  transfer->result.is_sender = std::holds_alternative<detail::SendJob>(transfer->job);
   const int flows = transfer->flows();
   transfer->result.stripes = flows;
+  transfer->result.flows.resize(static_cast<std::size_t>(flows));
   {
     std::lock_guard lock(impl_->mu);
     transfer->id = impl_->next_id++;
@@ -441,23 +450,20 @@ TransferHandle TransferEngine::submit(std::shared_ptr<detail::Transfer> transfer
   // One clock and one transfer_start per distinct tracer: flows that
   // share the caller's tracer write one timeline for the transfer.
   const auto start = std::chrono::steady_clock::now();
-  if (auto* shared = transfer->endpoint().tracer) {
-    begin_trace(*shared, start, transfer->spec.packet_count());
-  } else if (impl_->options.session_tracers) {
-    auto own_tracers = [&](auto& flow_list) {
-      for (auto& flow : flow_list) {
-        flow.tracer = transfer->owned_tracers
-                          .emplace_back(std::make_unique<fobs::telemetry::EventTracer>())
-                          .get();
-        begin_trace(*flow.tracer, start, flow.spec.packet_count());
-      }
-    };
-    if (transfer->is_sender) {
-      own_tracers(transfer->send_flows);
-    } else {
-      own_tracers(transfer->receive_flows);
-    }
-  }
+  std::visit(
+      [&](auto& job) {
+        if (auto* shared = job.options.endpoint.tracer) {
+          begin_trace(*shared, start, transfer->spec.packet_count());
+        } else if (impl_->options.session_tracers) {
+          for (auto& flow : job.flows) {
+            flow.tracer = transfer->owned_tracers
+                              .emplace_back(std::make_unique<fobs::telemetry::EventTracer>())
+                              .get();
+            begin_trace(*flow.tracer, start, flow.spec.packet_count());
+          }
+        }
+      },
+      transfer->job);
   transfer->flows_running = flows;
   for (int i = 0; i < flows; ++i) {
     impl_->submitted.fetch_add(1, std::memory_order_relaxed);
@@ -477,28 +483,21 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
   transfer->cv.notify_all();
   // The one place every flow's result passes: its terminal trace event
   // and its fobs.posix.<side>.* counters are booked here.
-  auto& metrics = telemetry::MetricsRegistry::global();
-  const char* side = transfer->is_sender ? "sender" : "receiver";
-  metrics.counter(std::string("fobs.posix.") + side + ".transfers").inc();
   const auto index = static_cast<std::size_t>(flow);
-  TransferStatus status = TransferStatus::kPending;
-  if (transfer->is_sender) {
-    // The flow owns its listener: the control port closes when it ends.
-    auto result = detail::run_sender(transfer->send_options, transfer->send_flows[index],
-                                     std::move(transfer->control_listeners[index]),
-                                     &transfer->cancel);
-    status = result.status;
-    std::lock_guard lock(transfer->mu);
-    transfer->result.stripe_senders[index] = std::move(result);
-  } else {
-    auto result = detail::run_receiver(transfer->recv_options, transfer->receive_flows[index],
-                                       transfer->checkpoint.get(), transfer->write_behind,
-                                       &transfer->cancel);
-    status = result.status;
-    std::lock_guard lock(transfer->mu);
-    transfer->result.stripe_receivers[index] = std::move(result);
-  }
-  book_outcome(side, transfer->flow_tracer(flow), status);
+  std::visit(
+      [&](auto& job) {
+        telemetry::MetricsRegistry::global()
+            .counter(std::string("fobs.posix.") + job.kSide + ".transfers")
+            .inc();
+        auto result = job.run(index, &transfer->cancel);
+        const TransferStatus status = result.status;
+        {
+          std::lock_guard lock(transfer->mu);
+          transfer->result.flows[index] = std::move(result);
+        }
+        book_outcome(job.kSide, job.flows[index].tracer, status);
+      },
+      transfer->job);
   bool last = false;
   {
     std::lock_guard lock(transfer->mu);
@@ -512,11 +511,8 @@ void TransferEngine::finish(const std::shared_ptr<detail::Transfer>& transfer) {
   {
     std::lock_guard lock(transfer->mu);
     auto& result = transfer->result;
-    finalize_aggregate(result, transfer->spec.object_bytes, transfer->receive_flows);
-    // Every flow has ended: the one place a checkpoint is removed.
-    const auto& checkpoint = transfer->checkpoint;
-    if (checkpoint && result.completed()) checkpoint->complete();
-    result.resumable = checkpoint && checkpoint->on_disk();
+    finalize_aggregate(result, transfer->spec.object_bytes);
+    std::visit([&](auto& job) { job.conclude(result); }, transfer->job);
     transfer->status = result.status;
     completed = result.completed();
   }

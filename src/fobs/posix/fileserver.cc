@@ -11,6 +11,7 @@
 #include "common/log.h"
 #include "fobs/object.h"
 #include "fobs/posix/checkpoint.h"
+#include "fobs/posix/codec.h"
 #include "fobs/stripe/plan.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -59,7 +60,8 @@ FileServer::~FileServer() { stop(); }
 bool FileServer::start() {
   if (engine_) return false;  // already started
   if (options_.dir.empty() || options_.catalog_port == 0 ||
-      options_.control_port_base == 0 || options_.control_port_count == 0) {
+      options_.control_port_base == 0 || options_.control_port_count == 0 ||
+      options_.endpoint.packet_bytes <= 0 || options_.endpoint.packet_bytes > kMaxPacketBytes) {
     return false;
   }
   EngineOptions engine_options;
@@ -250,8 +252,9 @@ FetchResult fetch_file(const FetchOptions& options) {
     result.error = "server refused '" + options.name + "'";
     return result;
   }
-  if (size == 0 || packet_bytes <= 0 || control_port <= 0 || control_port > 65535 ||
-      granted < 1 || granted > requested) {
+  // The packet size sizes the receive ring: bound it before any mapping.
+  if (size == 0 || packet_bytes <= 0 || packet_bytes > kMaxPacketBytes || control_port <= 0 ||
+      control_port > 65535 || granted < 1 || granted > requested) {
     result.status = TransferStatus::kPeerLost;
     result.error = "malformed catalog reply '" + reply + "'";
     return result;

@@ -26,9 +26,9 @@
 // mapping of `<out>.part` with one object-level `<out>.ckpt` bitmap
 // that every stripe shares, resumes from both when they match — at any
 // stripe count — and renames into place when complete. While the flows
-// run, a WriteBehind starts the writeback of the pages below each flow's
-// frontier; after they end, msync makes the file durable before the
-// rename.
+// run, a WriteBehind starts the writeback of each 4 MiB window of a
+// flow's stripe once every packet in it has arrived; after they end,
+// msync makes the file durable before the rename.
 #pragma once
 
 #include <atomic>
@@ -75,7 +75,8 @@ class FileServer {
   FileServer& operator=(const FileServer&) = delete;
 
   /// Binds the catalog listener and starts accepting. False when the
-  /// options are invalid or the port cannot be bound.
+  /// options are invalid (a packet size outside [1, kMaxPacketBytes]
+  /// included) or the port cannot be bound.
   bool start();
   /// Stops accepting, cancels live sessions, waits for them to finish.
   void stop();

@@ -31,8 +31,8 @@ bool cancel_requested(const std::atomic<bool>* cancel) {
 
 namespace detail {
 
-SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd listener,
-                        const std::atomic<bool>* cancel) {
+FlowResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd listener,
+                      const std::atomic<bool>* cancel) {
   // Datagram channel for data out / ACKs in. Left unbound — the kernel
   // assigns the source port on first send and the receiver replies to
   // it. Receive slots are sized for the largest ACK datagram.
@@ -40,11 +40,9 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
   auto channel = fobs::net::DatagramChannel::open(
       {}, static_cast<std::size_t>(kMaxDatagramBytes), std::nullopt, &io_error);
   if (!channel.valid()) {
-    SenderResult result;
-    result.packets_needed = flow.spec.packet_count();
-    result.status = TransferStatus::kSocketError;
-    result.error = io_error;
-    return result;
+    return {.status = TransferStatus::kSocketError,
+            .error = io_error,
+            .packets_needed = flow.spec.packet_count()};
   }
   const sockaddr_in peer = fobs::net::make_addr(options.receiver_host, flow.data_port);
   std::vector<fobs::net::RecvView> ack_views(fobs::net::IoOptions::recv_batch);
@@ -116,10 +114,10 @@ SenderResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd l
   return result;
 }
 
-ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
-                            TransferCheckpoint* checkpoint,
-                            fobs::core::WriteBehindSink* write_behind,
-                            const std::atomic<bool>* cancel) {
+FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
+                        TransferCheckpoint* checkpoint,
+                        fobs::core::WriteBehindSink* write_behind,
+                        const std::atomic<bool>* cancel) {
   // Datagram channel bound at the data port. Receive slots are sized
   // for exactly one full data packet; anything larger is truncated by
   // the kernel and rejected as garbage by the session.
@@ -127,12 +125,7 @@ ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& f
   auto channel = fobs::net::DatagramChannel::open(
       {}, kDataHeaderSize + static_cast<std::size_t>(flow.spec.packet_bytes), flow.data_port,
       &io_error);
-  if (!channel.valid()) {
-    ReceiverResult result;
-    result.status = TransferStatus::kSocketError;
-    result.error = io_error;
-    return result;
-  }
+  if (!channel.valid()) return {.status = TransferStatus::kSocketError, .error = io_error};
   // This incarnation's epoch: monotonic time xor'd with the pid makes a
   // collision across incarnations vanishingly unlikely; 0 means "none".
   const auto start = Clock::now();

@@ -55,29 +55,6 @@ struct SenderOptions {
   std::vector<std::string> stripe_fault_plans;
 };
 
-struct SenderResult {
-  TransferStatus status = TransferStatus::kPending;
-  std::string error;  ///< human-readable detail; empty on success
-  double elapsed_seconds = 0.0;
-  std::int64_t packets_sent = 0;
-  std::int64_t packets_needed = 0;
-  double waste = 0.0;
-  double goodput_mbps = 0.0;
-  /// ACK datagrams that arrived but failed to decode (corrupt/garbage).
-  std::int64_t corrupt_acks_dropped = 0;
-  /// Valid ACKs discarded because their epoch did not match the current
-  /// receiver incarnation (late datagrams from before a reconnect).
-  std::int64_t stale_acks_dropped = 0;
-  /// Control-channel connections accepted after the first one (a
-  /// restarted receiver reconnecting).
-  int reconnects = 0;
-  /// Data-plane I/O counters for this transfer's datagram channel
-  /// (send/receive syscalls and datagrams).
-  fobs::net::IoStats io;
-
-  [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
-};
-
 struct ReceiverOptions {
   std::string sender_host = "127.0.0.1";
   std::uint16_t data_port = 0;     ///< local UDP port to bind (required)
@@ -106,24 +83,36 @@ struct ReceiverOptions {
   std::vector<std::string> stripe_fault_plans;
 };
 
-struct ReceiverResult {
+/// One flow's result, read the same way for both ends. Counters the
+/// other end keeps stay 0.
+struct FlowResult {
   TransferStatus status = TransferStatus::kPending;
   std::string error;  ///< human-readable detail; empty on success
   double elapsed_seconds = 0.0;
+  double goodput_mbps = 0.0;
+  /// Datagrams rejected as corrupt: ACKs that failed to decode (send)
+  /// or data packets whose packet CRC-32C failed (receive).
+  std::int64_t corrupt_dropped = 0;
+  /// Control connections after the first: a restarted or reconnecting peer.
+  int reconnects = 0;
+  fobs::net::IoStats io{};  ///< this flow's datagram channel's syscalls and datagrams
+
+  // Send only.
+  std::int64_t packets_sent = 0;
+  std::int64_t packets_needed = 0;
+  double waste = 0.0;
+  /// Valid ACKs discarded because their epoch did not match the current
+  /// receiver incarnation (late datagrams from before a reconnect).
+  std::int64_t stale_acks_dropped = 0;
+
+  // Receive only.
   std::int64_t packets_received = 0;
   std::int64_t duplicates = 0;
-  double goodput_mbps = 0.0;
-  /// Data packets rejected because their packet CRC-32C failed.
-  std::int64_t corrupt_packets_dropped = 0;
   /// Packets pre-seeded from a checkpoint instead of the network.
   std::int64_t packets_restored = 0;
-  /// Control-channel reconnects performed after losing the connection.
-  int reconnects = 0;
   /// Completed: CRC-32C of the flow's stripe, folded from the payload
   /// CRCs the packet checks computed (restored packets: from their bytes).
   std::uint32_t checksum = 0;
-  /// Data-plane I/O counters for this transfer's datagram channel.
-  fobs::net::IoStats io;
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
 };
@@ -148,10 +137,8 @@ struct TransferResult {
   /// Completed receive: CRC-32C of the whole object, the stripes'
   /// checksums folded in plan order (no pass over the buffer).
   std::uint32_t checksum = 0;
-  /// Per-flow results, indexed by flow; senders fill stripe_senders,
-  /// receivers stripe_receivers.
-  std::vector<SenderResult> stripe_senders;
-  std::vector<ReceiverResult> stripe_receivers;
+  /// Per-flow results, indexed by flow.
+  std::vector<FlowResult> flows;
   fobs::net::IoStats io;  ///< summed over flows
 
   [[nodiscard]] bool completed() const { return status == TransferStatus::kCompleted; }
@@ -202,12 +189,12 @@ using ReceiveFlow = Flow<std::uint8_t>;
 /// `checkpoint` and `write_behind` are the transfer's (null without
 /// one). The engine books the flow's terminal trace event and outcome
 /// counters.
-SenderResult run_sender(const SenderOptions& options, const SendFlow& flow,
-                        fobs::net::Fd listener, const std::atomic<bool>* cancel);
-ReceiverResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
-                            TransferCheckpoint* checkpoint,
-                            fobs::core::WriteBehindSink* write_behind,
-                            const std::atomic<bool>* cancel);
+FlowResult run_sender(const SenderOptions& options, const SendFlow& flow,
+                      fobs::net::Fd listener, const std::atomic<bool>* cancel);
+FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
+                        TransferCheckpoint* checkpoint,
+                        fobs::core::WriteBehindSink* write_behind,
+                        const std::atomic<bool>* cancel);
 
 }  // namespace detail
 

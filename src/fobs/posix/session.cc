@@ -27,6 +27,7 @@ FlowSession::FlowSession(int timeout_ms, const std::optional<fobs::net::FaultPla
       interval_(
           std::chrono::milliseconds(std::max(1, timeout_ms / fobs::core::kStallIntervals))),
       next_check_(start + interval_) {
+  result_.status = TransferStatus::kRunning;
   if (plan) faults_.emplace(*plan);
 }
 
@@ -58,13 +59,19 @@ void FlowSession::count_fault(Count& count, const char* metric, EventType event,
   if (tracer_ != nullptr) tracer_->record(event, seq, count);
 }
 
-template <typename Result>
-void FlowSession::close(Result& result, SessionTime now, bool completed,
-                        std::int64_t object_bytes) const {
-  result.status = completed ? TransferStatus::kCompleted : status_;
-  result.error = completed ? std::string() : error_;
-  result.elapsed_seconds = std::chrono::duration<double>(now - start_).count();
-  if (completed) result.goodput_mbps = fobs::net::mbps(object_bytes, result.elapsed_seconds);
+bool FlowSession::reconnected() {
+  if (!std::exchange(control_ever_connected_, true)) return false;
+  count_fault(result_.reconnects, "fobs.fault.reconnects", EventType::kReconnect);
+  return true;
+}
+
+void FlowSession::close(SessionTime now, bool completed, std::int64_t object_bytes) {
+  result_.elapsed_seconds = std::chrono::duration<double>(now - start_).count();
+  if (completed) {
+    result_.status = TransferStatus::kCompleted;
+    result_.error.clear();
+    result_.goodput_mbps = fobs::net::mbps(object_bytes, result_.elapsed_seconds);
+  }
   if (!faults_) return;
   MetricsRegistry::global().counter("fobs.fault.injected").inc(faults_->total_injected());
 }
@@ -85,8 +92,7 @@ bool SenderSession::tick(SessionTime now, bool cancelled) {
 
 bool SenderSession::on_control_connected() {
   control_buf_.clear();
-  if (!std::exchange(control_ever_connected_, true)) return false;
-  count_fault(result_.reconnects, "fobs.fault.reconnects", EventType::kReconnect);
+  if (!reconnected()) return false;
   // The peer may have restarted from scratch: resend everything unless
   // the next state frame restores the view, and reject every ACK (the
   // dead incarnation's are poison) until that frame names the epoch.
@@ -123,8 +129,7 @@ bool SenderSession::on_control_bytes(std::span<const std::uint8_t> bytes) {
 void SenderSession::on_ack_datagram(std::span<const std::uint8_t> bytes) {
   const auto ack = decode_ack(bytes.data(), bytes.size());
   if (!ack) {
-    count_fault(result_.corrupt_acks_dropped, "fobs.fault.corrupt_drops",
-                EventType::kCorruptDrop);
+    count_fault(result_.corrupt_dropped, "fobs.fault.corrupt_drops", EventType::kCorruptDrop);
   } else if (epoch_ && ack->epoch != *epoch_) {
     ++result_.stale_acks_dropped;
     MetricsRegistry::global().counter("fobs.fault.stale_acks").inc();
@@ -175,8 +180,8 @@ void SenderSession::on_batch_sent() {
   if (crash_pending_) end(TransferStatus::kCrashed, "injected crash");
 }
 
-SenderResult SenderSession::finish(SessionTime now) {
-  close(result_, now, completed(), core_.spec().object_bytes);
+FlowResult SenderSession::finish(SessionTime now) {
+  close(now, completed(), core_.spec().object_bytes);
   result_.packets_sent = core_.stats().packets_sent;
   result_.waste = core_.waste();
   auto& metrics = MetricsRegistry::global();
@@ -246,13 +251,9 @@ void ReceiverSession::on_connect_failed(bool cancelled) {
 }
 
 void ReceiverSession::on_control_connected(SessionTime now) {
-  if (std::exchange(control_ever_connected_, true)) {
-    count_fault(result_.reconnects, "fobs.fault.reconnects", EventType::kReconnect);
-  } else {
-    // The stall budget measures the data phase only: a slow control
-    // connect must not count as empty intervals once data flows.
-    restart_budget(now);
-  }
+  // The stall budget measures the data phase only: a slow control
+  // connect must not count as empty intervals once data flows.
+  if (!reconnected()) restart_budget(now);
 }
 
 std::vector<std::uint8_t> ReceiverSession::state_frame() const {
@@ -288,7 +289,7 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
   const auto fate = crc_ok ? decide(FaultChannel::kData) : fobs::net::FaultDecision{};
   if (fate.copies == 0) return {};
   if (!crc_ok || fate.corrupt) {
-    count_fault(result_.corrupt_packets_dropped, "fobs.fault.corrupt_drops",
+    count_fault(result_.corrupt_dropped, "fobs.fault.corrupt_drops",
                 EventType::kCorruptDrop, header->seq);
     return {};
   }
@@ -337,7 +338,7 @@ void ReceiverSession::count_placed(fobs::core::PacketSeq seq) {
   }
 }
 
-ReceiverResult ReceiverSession::finish(SessionTime now) {
+FlowResult ReceiverSession::finish(SessionTime now) {
   // The engine removes the file once every flow has completed.
   if (completed() && checkpoint_ != nullptr) checkpoint_->fold(first_packet_, core_.received());
   if (completed()) {
@@ -352,7 +353,7 @@ ReceiverResult ReceiverSession::finish(SessionTime now) {
         crc, packet_crcs_[last],
         static_cast<std::size_t>(spec.payload_bytes(static_cast<fobs::core::PacketSeq>(last))));
   }
-  close(result_, now, completed(), core_.spec().object_bytes);
+  close(now, completed(), core_.spec().object_bytes);
   result_.packets_received = core_.stats().packets_received;
   result_.duplicates = core_.stats().duplicates;
   auto& metrics = MetricsRegistry::global();

@@ -33,7 +33,8 @@ inline constexpr std::chrono::milliseconds kCompletionEchoWait{1'000};
 /// any byte that arrives proves the completion frame was read.
 inline constexpr std::array<std::uint8_t, 1> kCompletionEcho{0x01};
 
-/// The terminal status, stall budget and fault injector of one flow.
+/// The terminal status, stall budget, fault injector and result of one
+/// flow.
 class FlowSession {
  public:
   /// The pump's socket failed: the flow ends with kSocketError.
@@ -56,13 +57,14 @@ class FlowSession {
   void count_fault(Count& count, const char* metric, fobs::telemetry::EventType event,
                    std::int64_t seq = -1);
   void end(TransferStatus status, std::string error) {
-    status_ = status;
-    error_ = std::move(error);
+    result_.status = status;
+    result_.error = std::move(error);
   }
-  /// Fills `result`'s status, timing and goodput; books injected faults.
-  template <typename Result>
-  void close(Result& result, SessionTime now, bool completed, std::int64_t object_bytes) const;
-  [[nodiscard]] bool ended() const { return status_ != TransferStatus::kRunning; }
+  /// Fills the result's status, timing and goodput; books injected faults.
+  void close(SessionTime now, bool completed, std::int64_t object_bytes);
+  [[nodiscard]] bool ended() const { return result_.status != TransferStatus::kRunning; }
+  /// A control connection is up. True, and counted, when one was before.
+  bool reconnected();
   [[nodiscard]] bool crash_due() const { return faults_ && faults_->crash_due(); }
   /// Ends the flow as kCrashed once the crash schedule is due.
   bool crash_now() {
@@ -75,14 +77,15 @@ class FlowSession {
   }
 
   fobs::telemetry::EventTracer* const tracer_;
+  /// kRunning until the flow ends.
+  FlowResult result_;
+  bool control_ever_connected_ = false;
 
  private:
   const SessionTime start_;
   const std::chrono::steady_clock::duration interval_;
   SessionTime next_check_;
   int streak_ = 0;
-  TransferStatus status_ = TransferStatus::kRunning;
-  std::string error_;
   std::optional<fobs::net::FaultInjector> faults_;
 };
 
@@ -121,13 +124,11 @@ class SenderSession : public FlowSession {
   }
   [[nodiscard]] bool done() const { return completed() || ended(); }
   /// The result, without the pump's I/O counters.
-  SenderResult finish(SessionTime now);
+  FlowResult finish(SessionTime now);
 
  private:
   fobs::core::SenderCore core_;
   std::span<const std::uint8_t> stripe_;
-  SenderResult result_;
-  bool control_ever_connected_ = false;
   std::vector<std::uint8_t> control_buf_;
   /// Empty until a state frame names the receiver's epoch; then only its
   /// ACKs apply. A reconnect sets 0 (no receiver's) until the next frame.
@@ -196,7 +197,7 @@ class ReceiverSession : public FlowSession {
   [[nodiscard]] bool done() const { return core_.complete() || ended(); }
   /// The result, without I/O counters; a completed flow folds its range
   /// into the checkpoint and its packet CRCs into the result's checksum.
-  ReceiverResult finish(SessionTime now);
+  FlowResult finish(SessionTime now);
 
  private:
   /// Packet `seq` is in the stripe: counts it in the windows it
@@ -220,8 +221,6 @@ class ReceiverSession : public FlowSession {
   std::vector<std::uint32_t> packet_crcs_;
   const std::uint32_t epoch_;
   const int checkpoint_every_acks_;
-  ReceiverResult result_;
-  bool control_ever_connected_ = false;
   int acks_since_checkpoint_ = 0;
   int echo_attempts_ = 0;
   bool echoed_ = false;

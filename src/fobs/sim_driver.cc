@@ -19,6 +19,14 @@ constexpr PortId kAckPortOffset = 1;         ///< sender side, UDP
 constexpr PortId kCompletionPortOffset = 2;  ///< sender side, TCP
 constexpr PortId kTcpDataPortOffset = 3;     ///< receiver side, TCP (§7)
 
+/// Counts one checksum-failing datagram in `count`, the
+/// fobs.fault.corrupt_drops counter and a corrupt_drop event.
+void count_corrupt_drop(std::int64_t& count, telemetry::EventTracer* tracer, std::int64_t seq) {
+  ++count;
+  telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
+  if (tracer != nullptr) tracer->record(telemetry::EventType::kCorruptDrop, seq, count);
+}
+
 }  // namespace
 
 DriverEvents::~DriverEvents() {
@@ -263,11 +271,7 @@ void SimSender::take_ack(const AckPacketPayload& ack) {
     received_at_last_ack_ = ack.ack->total_received;
     return;
   }
-  ++corrupt_acks_dropped_;
-  telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-  if (auto* tracer = core_.tracer()) {
-    tracer->record(telemetry::EventType::kCorruptDrop, -1, corrupt_acks_dropped_);
-  }
+  count_corrupt_drop(corrupt_dropped_, core_.tracer(), -1);
 }
 
 void SimSender::probe_tick() {
@@ -340,11 +344,7 @@ Duration SimReceiver::process_packet(const DataPacketPayload& payload) {
   if (payload.corrupted) {
     // Checksum-failing packet: reject before it can touch the object
     // buffer, count it, and rely on retransmission for the real bytes.
-    ++corrupt_data_dropped_;
-    telemetry::MetricsRegistry::global().counter("fobs.fault.corrupt_drops").inc();
-    if (auto* tracer = core_.tracer()) {
-      tracer->record(telemetry::EventType::kCorruptDrop, payload.seq, corrupt_data_dropped_);
-    }
+    count_corrupt_drop(corrupt_dropped_, core_.tracer(), payload.seq);
     return busy;
   }
   const auto result = core_.on_data_packet(payload.seq);

@@ -100,11 +100,16 @@ class SimSender {
   int on_stall_interval() { return core_.on_stall_interval(); }
 
   /// Ends the send loop for good: the run is over for this transfer.
-  /// Events already scheduled find the driver stopped and do nothing.
-  void stop() { stopped_ = true; }
+  /// Events already scheduled find the driver stopped and do nothing,
+  /// and the fallback TCP connection, if one was opened, is aborted:
+  /// what it holds would otherwise be sent and resent after the end.
+  void stop() {
+    stopped_ = true;
+    if (tcp_data_ != nullptr) tcp_data_->abort();
+  }
 
   /// ACKs rejected because their (modelled) checksum failed.
-  [[nodiscard]] std::int64_t corrupt_acks_dropped() const { return corrupt_acks_dropped_; }
+  [[nodiscard]] std::int64_t corrupt_dropped() const { return corrupt_dropped_; }
 
   [[nodiscard]] const SenderCore& core() const { return core_; }
   [[nodiscard]] bool finished() const { return finished_; }
@@ -151,7 +156,7 @@ class SimSender {
   bool step_scheduled_ = false;
   TimePoint finished_at_;
   fobs::net::FaultInjector* faults_ = nullptr;
-  std::int64_t corrupt_acks_dropped_ = 0;
+  std::int64_t corrupt_dropped_ = 0;
   // --- §7 greediness controller, fed the deltas between ACKs ---
   GreedinessController adaptive_;
   std::int64_t sent_at_last_ack_ = 0;
@@ -197,11 +202,15 @@ class SimReceiver {
   int on_stall_interval() { return core_.on_stall_interval(); }
 
   /// Ends the poll loop for good: the run is over for this transfer.
-  /// Later arrivals, on either data channel, are left unprocessed.
-  void stop() { stopped_ = true; }
+  /// Later arrivals, on either data channel, are left unprocessed, and
+  /// the fallback TCP connection, if the sender opened one, is aborted.
+  void stop() {
+    stopped_ = true;
+    if (fallback_conn_ != nullptr) fallback_conn_->abort();
+  }
 
   /// Data packets rejected because their (modelled) checksum failed.
-  [[nodiscard]] std::int64_t corrupt_data_dropped() const { return corrupt_data_dropped_; }
+  [[nodiscard]] std::int64_t corrupt_dropped() const { return corrupt_dropped_; }
 
   [[nodiscard]] const ReceiverCore& core() const { return core_; }
   [[nodiscard]] bool complete() const { return core_.complete(); }
@@ -232,7 +241,7 @@ class SimReceiver {
   fobs::net::TcpListener fallback_listener_;
   std::unique_ptr<fobs::net::TcpConnection> fallback_conn_;
   fobs::net::FaultInjector* faults_ = nullptr;
-  std::int64_t corrupt_data_dropped_ = 0;
+  std::int64_t corrupt_dropped_ = 0;
   bool crashed_ = false;
   bool stopped_ = false;
   bool started_ = false;

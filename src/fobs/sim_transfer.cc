@@ -96,7 +96,7 @@ struct Flow {
     result.receiver_socket_drops = receiver.socket_drops();
     result.acks_sent = receiver.acks_sent();
     result.duplicates_at_receiver = receiver.core().stats().duplicates;
-    result.corrupt_drops = sender.corrupt_acks_dropped() + receiver.corrupt_data_dropped();
+    result.corrupt_drops = sender.corrupt_dropped() + receiver.corrupt_dropped();
     result.fallback_episodes = sender.fallback_episodes();
     result.packets_via_tcp = sender.packets_sent_via_tcp();
     result.stalled = stalled;
@@ -154,17 +154,20 @@ std::vector<SimTransferResult> run_sim_transfers(fobs::sim::Network& network,
   std::vector<SimTransferResult> results(flows.size());
   std::size_t running = flows.size();
   while (running > 0) {
+    // No event at or past a transfer's deadline runs for it: once none
+    // is due before it, the transfer is judged at its deadline (stall
+    // checks due by then first) and ends. Ending one cancels its TCP
+    // timers, so the queue is peeked again before the next step.
+    const auto next = sim.next_event_time();
+    const std::size_t was_running = running;
     for (std::size_t i = 0; i < flows.size(); ++i) {
       Flow& flow = *flows[i];
-      if (flow.ended || !flow.over(sim.now())) continue;
+      const TimePoint at = next && *next < flow.deadline ? sim.now() : flow.deadline;
+      if (flow.ended || !flow.over(at)) continue;
       results[i] = flow.end();
       --running;
     }
-    if (running == 0 || !sim.step()) break;
-  }
-  // The event queue ran dry: whatever is left ends here.
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (!flows[i]->ended) results[i] = flows[i]->end();
+    if (running == was_running) sim.step();
   }
   return results;
 }

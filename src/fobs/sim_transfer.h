@@ -94,9 +94,10 @@ struct SimTransfer {
 /// Runs every transfer concurrently in `network`'s simulation and
 /// returns one result per transfer, in order. Transfer i uses its own
 /// block of ports, so any number may share one host pair. Each result
-/// is taken when its transfer ends (finished, stalled or past its
-/// deadline), and both its endpoints stop there, so a stalled transfer
-/// loads no shared link after its end; the run ends when all have.
+/// is taken when its transfer ends (finished, stalled or at its
+/// deadline, before any event due there runs), and both its endpoints
+/// stop there, so a stalled transfer loads no shared link after its
+/// end; the run ends when all have.
 std::vector<SimTransferResult> run_sim_transfers(fobs::sim::Network& network,
                                                  const std::vector<SimTransfer>& transfers);
 

@@ -25,12 +25,19 @@ TcpConnection::TcpConnection(Host& host, TcpConfig config, PortId local_port)
 }
 
 TcpConnection::~TcpConnection() {
-  cancel_rtx_timer();
-  if (delack_timer_ != fobs::sim::kInvalidEventId) sim().cancel(delack_timer_);
-  if (syn_timer_ != fobs::sim::kInvalidEventId) sim().cancel(syn_timer_);
-  if (persist_timer_ != fobs::sim::kInvalidEventId) sim().cancel(persist_timer_);
+  abort();
   host_.withdraw_writable(this);
   host_.unbind(local_port_);
+}
+
+void TcpConnection::abort() {
+  for (EventId* timer : {&rtx_timer_, &delack_timer_, &syn_timer_, &persist_timer_}) {
+    cancel_timer(*timer);
+  }
+  app_limit_ = std::min(app_limit_, snd_max_);
+  outgoing_messages_.clear();
+  in_recovery_ = false;
+  state_ = TcpState::kClosed;
 }
 
 fobs::sim::Simulation& TcpConnection::sim() { return host_.network().sim(); }
@@ -61,7 +68,7 @@ void TcpConnection::accept_syn(NodeId peer, PortId peer_port, const TcpSegment& 
 }
 
 void TcpConnection::arm_syn_timer() {
-  if (syn_timer_ != fobs::sim::kInvalidEventId) sim().cancel(syn_timer_);
+  cancel_timer(syn_timer_);
   syn_timer_ = sim().schedule_in(kSynRetryTimeout, [this] {
     syn_timer_ = fobs::sim::kInvalidEventId;
     if (state_ != TcpState::kSynSent && state_ != TcpState::kSynReceived) return;
@@ -160,10 +167,7 @@ void TcpConnection::send_control(std::uint32_t flags) {
 }
 
 void TcpConnection::send_ack_now() {
-  if (delack_timer_ != fobs::sim::kInvalidEventId) {
-    sim().cancel(delack_timer_);
-    delack_timer_ = fobs::sim::kInvalidEventId;
-  }
+  cancel_timer(delack_timer_);
   segs_since_ack_ = 0;
   TcpSegment seg;
   seg.flags = TcpSegment::kAck;
@@ -304,18 +308,16 @@ std::optional<Seq> TcpConnection::next_retransmit_seq() const {
 // ---------------------------------------------------------------------------
 
 void TcpConnection::arm_rtx_timer() {
-  cancel_rtx_timer();
+  cancel_timer(rtx_timer_);
   rtx_timer_ = sim().schedule_in(rtt_.rto(), [this] {
     rtx_timer_ = fobs::sim::kInvalidEventId;
     on_rto();
   });
 }
 
-void TcpConnection::cancel_rtx_timer() {
-  if (rtx_timer_ != fobs::sim::kInvalidEventId) {
-    sim().cancel(rtx_timer_);
-    rtx_timer_ = fobs::sim::kInvalidEventId;
-  }
+void TcpConnection::cancel_timer(EventId& timer) {
+  if (timer != fobs::sim::kInvalidEventId) sim().cancel(timer);
+  timer = fobs::sim::kInvalidEventId;
 }
 
 void TcpConnection::on_rto() {
@@ -358,19 +360,20 @@ void TcpConnection::handle_packet(Packet packet) {
   on_segment(*seg);
 }
 
+void TcpConnection::establish(const TcpSegment& seg) {
+  cancel_timer(syn_timer_);
+  state_ = TcpState::kEstablished;
+  cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
+  ssthresh_ = 1e18;
+  peer_wnd_ = seg.wnd;
+}
+
 void TcpConnection::on_segment(const TcpSegment& seg) {
   if (state_ == TcpState::kSynSent) {
     if ((seg.flags & TcpSegment::kSyn) && (seg.flags & TcpSegment::kAck)) {
       use_window_scaling_ = config_.window_scaling && seg.wscale_offer >= 0;
       use_sack_ = config_.sack_enabled && seg.sack_permitted;
-      if (syn_timer_ != fobs::sim::kInvalidEventId) {
-        sim().cancel(syn_timer_);
-        syn_timer_ = fobs::sim::kInvalidEventId;
-      }
-      state_ = TcpState::kEstablished;
-      cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
-      ssthresh_ = 1e18;
-      peer_wnd_ = seg.wnd;
+      establish(seg);
       send_ack_now();
       if (on_connected_) on_connected_();
       pump_send();
@@ -379,14 +382,7 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
   }
   if (state_ == TcpState::kSynReceived) {
     if ((seg.flags & TcpSegment::kAck) && !(seg.flags & TcpSegment::kSyn)) {
-      if (syn_timer_ != fobs::sim::kInvalidEventId) {
-        sim().cancel(syn_timer_);
-        syn_timer_ = fobs::sim::kInvalidEventId;
-      }
-      state_ = TcpState::kEstablished;
-      cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
-      ssthresh_ = 1e18;
-      peer_wnd_ = seg.wnd;
+      establish(seg);
       if (on_connected_) on_connected_();
       // fall through: the establishing segment may carry data/ack info
     } else {
@@ -399,7 +395,7 @@ void TcpConnection::on_segment(const TcpSegment& seg) {
     if (fin_sent_ && !fin_acked_) {
       fin_acked_ = true;
       state_ = TcpState::kDone;
-      cancel_rtx_timer();
+      cancel_timer(rtx_timer_);
     }
     return;
   }
@@ -532,7 +528,7 @@ void TcpConnection::on_ack(const TcpSegment& seg) {
     if (flight_size() > 0 || (fin_sent_ && !fin_acked_)) {
       arm_rtx_timer();
     } else {
-      cancel_rtx_timer();
+      cancel_timer(rtx_timer_);
     }
 
     if (snd_una_ >= app_limit_ && app_limit_ > 0 && !send_complete_notified_) {

@@ -140,6 +140,10 @@ class TcpConnection final : public fobs::host::PortHandler {
   void send_message(Seq bytes, std::any payload);
   /// Sends FIN once all offered bytes are acked (deferred automatically).
   void close();
+  /// Ends the connection at once: every timer is cancelled, bytes never
+  /// sent are dropped, and as kClosed it sends nothing more and ignores
+  /// what still arrives.
+  void abort();
 
   [[nodiscard]] Seq offered_bytes() const { return app_limit_; }
   [[nodiscard]] Seq acked_bytes() const { return snd_una_; }
@@ -167,6 +171,8 @@ class TcpConnection final : public fobs::host::PortHandler {
   /// Server-side: adopt a SYN received by a listener.
   void accept_syn(NodeId peer, PortId peer_port, const TcpSegment& syn);
 
+  /// The handshake completed with `seg`: open with the initial windows.
+  void establish(const TcpSegment& seg);
   void on_segment(const TcpSegment& seg);
   void on_ack(const TcpSegment& seg);
   void on_data(const TcpSegment& seg);
@@ -198,7 +204,8 @@ class TcpConnection final : public fobs::host::PortHandler {
   [[nodiscard]] Seq flight_size() const { return snd_nxt_ - snd_una_; }
 
   void arm_rtx_timer();
-  void cancel_rtx_timer();
+  /// Cancels `timer` if it is armed and marks it unarmed.
+  void cancel_timer(EventId& timer);
   void arm_syn_timer();
 
   [[nodiscard]] fobs::sim::Simulation& sim();

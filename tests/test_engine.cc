@@ -3,7 +3,8 @@
 // transfers of different sizes (one under fault injection), all
 // byte-identical, with per-transfer traces and results that never bleed
 // into each other. Plus handle lifecycle (wait/status/cancel) for one
-// and four flows, rejected options, control ports leased by binding
+// and four flows, rejected options (a packet size no datagram can carry
+// included), control ports leased by binding
 // them, flows resolved once at submit (one timeline on a shared tracer,
 // a malformed per-flow fault plan rejected before any flow or port),
 // the connection acceptor, and engine counters.
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "fobs/object.h"
+#include "fobs/posix/codec.h"
 #include "fobs/posix/engine.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -85,13 +87,13 @@ TEST(EngineConcurrency, ThreeSimultaneousTransfersAreByteIdenticalAndIsolated) {
   EXPECT_EQ(engine.sessions_failed(), 0u);
 
   // Result isolation: only the faulted pair saw corruption.
-  EXPECT_GT(rx[1].result().stripe_receivers[0].corrupt_packets_dropped, 0);
-  EXPECT_EQ(rx[0].result().stripe_receivers[0].corrupt_packets_dropped, 0);
-  EXPECT_EQ(rx[2].result().stripe_receivers[0].corrupt_packets_dropped, 0);
+  EXPECT_GT(rx[1].result().flows[0].corrupt_dropped, 0);
+  EXPECT_EQ(rx[0].result().flows[0].corrupt_dropped, 0);
+  EXPECT_EQ(rx[2].result().flows[0].corrupt_dropped, 0);
   // Per-pair packet counts reflect each pair's own object, not a shared
   // tally.
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(rx[i].result().stripe_receivers[0].packets_received, (sizes[i] + 1023) / 1024)
+    EXPECT_EQ(rx[i].result().flows[0].packets_received, (sizes[i] + 1023) / 1024)
         << "pair " << i;
   }
 
@@ -186,6 +188,41 @@ TEST(EngineHandle, BadOptionsSessionTurnsTerminalWithBadOptions) {
   EXPECT_EQ(engine.sessions_completed(), 0u);
 }
 
+TEST(EngineHandle, PacketSizeNoDatagramCanCarryIsBadOptions) {
+  std::vector<std::uint8_t> object(64 * 1024, 0x5A);
+  posix::TransferEngine engine({.workers = 1});
+  for (const std::int64_t packet_bytes : {std::int64_t{0}, posix::kMaxPacketBytes + 1}) {
+    posix::ReceiverOptions ropt;
+    ropt.data_port = port_base(32);
+    ropt.control_port = port_base(33);
+    ropt.endpoint.packet_bytes = packet_bytes;
+    auto rx = engine.submit_receive(ropt, std::span<std::uint8_t>(object));
+    EXPECT_EQ(rx.wait(), posix::TransferStatus::kBadOptions) << packet_bytes;
+    EXPECT_NE(rx.result().error.find("packet_bytes"), std::string::npos) << rx.result().error;
+    EXPECT_EQ(rx.result().stripes, 0);
+
+    posix::SenderOptions sopt;
+    sopt.data_port = port_base(32);
+    sopt.control_port = port_base(33);
+    sopt.endpoint.packet_bytes = packet_bytes;
+    auto tx = engine.submit_send(sopt, std::span<const std::uint8_t>(object));
+    EXPECT_EQ(tx.wait(), posix::TransferStatus::kBadOptions) << packet_bytes;
+    EXPECT_NE(tx.result().error.find("packet_bytes"), std::string::npos) << tx.result().error;
+  }
+  EXPECT_EQ(engine.sessions_submitted(), 0u);
+
+  // The largest payload one datagram carries is accepted: the flow runs
+  // until cancelled.
+  posix::ReceiverOptions largest;
+  largest.data_port = port_base(32);
+  largest.control_port = port_base(33);
+  largest.endpoint.packet_bytes = posix::kMaxPacketBytes;
+  auto rx = engine.submit_receive(largest, std::span<std::uint8_t>(object));
+  rx.cancel();
+  EXPECT_EQ(rx.wait(), posix::TransferStatus::kCancelled);
+  EXPECT_EQ(engine.sessions_submitted(), 1u);
+}
+
 TEST(EngineHandle, InvalidHandleAccessorsAreSafe) {
   // A default-constructed handle has no session; every accessor must
   // degrade gracefully instead of dereferencing null.
@@ -265,17 +302,21 @@ TEST(EngineHandle, OneHandleWaitsOnAndReportsAFourFlowTransfer) {
   EXPECT_FALSE(received.is_sender);
   EXPECT_EQ(received.stripes, 4);
   EXPECT_EQ(received.stripes_completed, 4);
-  ASSERT_EQ(received.stripe_receivers.size(), 4u);
-  EXPECT_TRUE(received.stripe_senders.empty());
+  ASSERT_EQ(received.flows.size(), 4u);
   std::int64_t packets = 0;
-  for (const auto& flow : received.stripe_receivers) {
+  for (const auto& flow : received.flows) {
     EXPECT_TRUE(flow.completed());
+    // A receive's flows keep no send-side counters.
+    EXPECT_EQ(flow.packets_needed, 0);
+    EXPECT_EQ(flow.packets_sent, 0);
     packets += flow.packets_received;
   }
   const auto object_bytes = static_cast<std::int64_t>(object.size());
   EXPECT_EQ(packets, (object_bytes + kPacketBytes - 1) / kPacketBytes);
   EXPECT_GT(received.goodput_mbps, 0.0);
-  EXPECT_EQ(tx.result().stripe_senders.size(), 4u);
+  EXPECT_TRUE(tx.result().is_sender);
+  ASSERT_EQ(tx.result().flows.size(), 4u);
+  for (const auto& flow : tx.result().flows) EXPECT_EQ(flow.packets_received, 0);
   for (int flow = 0; flow < 4; ++flow) {
     ASSERT_NE(rx.tracer(flow), nullptr) << flow;
     EXPECT_EQ(rx.tracer(flow)->count(telemetry::EventType::kTransferStart), 1) << flow;
@@ -310,8 +351,8 @@ TEST(EngineHandle, CancelEndsEveryFlowOfAFourFlowReceive) {
                            .count();
   EXPECT_LT(elapsed, 10'000) << "cancel should not wait out the 30 s timeout";
   const auto& result = handle.result();
-  ASSERT_EQ(result.stripe_receivers.size(), 4u);
-  for (const auto& flow : result.stripe_receivers) {
+  ASSERT_EQ(result.flows.size(), 4u);
+  for (const auto& flow : result.flows) {
     EXPECT_EQ(flow.status, posix::TransferStatus::kCancelled);
   }
   EXPECT_EQ(result.stripes_completed, 0);
@@ -339,7 +380,7 @@ TEST(EngineHandle, FourFlowSubmitWithZeroPortsLaunchesNoFlow) {
   const auto& error = handle.result().error;
   EXPECT_NE(error.find("data_port"), std::string::npos) << error;
   EXPECT_EQ(handle.result().stripes, 0);
-  EXPECT_TRUE(handle.result().stripe_receivers.empty());
+  EXPECT_TRUE(handle.result().flows.empty());
   EXPECT_EQ(handle.tracer(0), nullptr);
   EXPECT_EQ(exits, 1);
   EXPECT_EQ(engine.sessions_submitted(), 0u);

@@ -215,8 +215,8 @@ TEST(FaultPosixStall, SenderGivesUpAfterEmptyIntervalsWithStallTrace) {
 // ---------------------------------------------------------------------------
 
 struct TransferPair {
-  posix::SenderResult sender;
-  posix::ReceiverResult receiver;
+  posix::FlowResult sender;
+  posix::FlowResult receiver;
 };
 
 /// Runs one sender/receiver pair to completion on loopback.
@@ -225,8 +225,8 @@ TransferPair run_pair(const posix::SenderOptions& send_opts,
                       std::span<const std::uint8_t> object, std::span<std::uint8_t> sink) {
   TransferPair out;
   std::thread receiver_thread(
-      [&] { out.receiver = posix::receive_object(recv_opts, sink).stripe_receivers.at(0); });
-  out.sender = posix::send_object(send_opts, object).stripe_senders.at(0);
+      [&] { out.receiver = posix::receive_object(recv_opts, sink).flows.at(0); });
+  out.sender = posix::send_object(send_opts, object).flows.at(0);
   receiver_thread.join();
   return out;
 }
@@ -295,7 +295,7 @@ TEST(FaultPosixGarbage, TransferSurvivesGarbageDatagramsAndCorruptAcks) {
   ASSERT_TRUE(pair.sender.completed()) << pair.sender.error;
   EXPECT_EQ(sink, object);  // garbage never landed in the object
   // The corrupted ACKs were seen and rejected, not silently accepted.
-  EXPECT_GT(pair.sender.corrupt_acks_dropped, 0);
+  EXPECT_GT(pair.sender.corrupt_dropped, 0);
 }
 
 TEST(FaultPosixGarbage, CorruptedDataPacketsAreRejectedAndResent) {
@@ -319,7 +319,7 @@ TEST(FaultPosixGarbage, CorruptedDataPacketsAreRejectedAndResent) {
   ASSERT_TRUE(pair.receiver.completed()) << pair.receiver.error;
   ASSERT_TRUE(pair.sender.completed()) << pair.sender.error;
   EXPECT_EQ(sink, object);
-  EXPECT_GT(pair.receiver.corrupt_packets_dropped, 0);
+  EXPECT_GT(pair.receiver.corrupt_dropped, 0);
   EXPECT_GT(pair.sender.packets_sent, pair.sender.packets_needed);
 }
 
@@ -492,8 +492,8 @@ TEST(FaultPosixControl, ReceiverReconnectsWhenTheSenderDropsItsControlConnection
   EXPECT_EQ(tx.wait(), posix::TransferStatus::kCompleted) << tx.result().error;
   EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
   EXPECT_EQ(sink, object);
-  const auto& sender = tx.result().stripe_senders.at(0);
-  const auto& receiver = rx.result().stripe_receivers.at(0);
+  const auto& sender = tx.result().flows.at(0);
+  const auto& receiver = rx.result().flows.at(0);
   EXPECT_LT(sender.elapsed_seconds, kStallBudgetMs / 1e3 / 2);
   EXPECT_GE(receiver.reconnects, 1);
   EXPECT_GE(sender.reconnects, 1);
@@ -532,8 +532,8 @@ TEST(FaultPosixControl, LostCompletionIsResentUntilTheSenderEchoesIt) {
   EXPECT_EQ(rx.wait(), posix::TransferStatus::kCompleted) << rx.result().error;
   EXPECT_TRUE(relay.wait_cut(std::chrono::milliseconds(0))) << "no completion was swallowed";
   EXPECT_EQ(sink, object);
-  const auto& sender = tx.result().stripe_senders.at(0);
-  const auto& receiver = rx.result().stripe_receivers.at(0);
+  const auto& sender = tx.result().flows.at(0);
+  const auto& receiver = rx.result().flows.at(0);
   EXPECT_LT(sender.elapsed_seconds, kStallBudgetMs / 1e3 / 2);
   EXPECT_GE(receiver.reconnects, 1);
   EXPECT_GE(sender.reconnects, 1);
@@ -552,7 +552,7 @@ TEST(FaultPosixControl, LostCompletionIsResentUntilTheSenderEchoesIt) {
 TransferPair run_crash_restart(int port_offset, bool resume,
                                std::span<const std::uint8_t> object,
                                std::span<std::uint8_t> sink,
-                               posix::ReceiverResult* first_incarnation = nullptr) {
+                               posix::FlowResult* first_incarnation = nullptr) {
   const std::string checkpoint_path =
       ::testing::TempDir() + "fobs_resume_" + std::to_string(port_offset) + ".ckpt";
   posix::remove_checkpoint(checkpoint_path);
@@ -578,12 +578,12 @@ TransferPair run_crash_restart(int port_offset, bool resume,
     auto crash_opts = recv_opts;
     crash_opts.endpoint.fault_plan = "crash=3500";
     const auto crashed = posix::receive_object(crash_opts, sink);
-    if (first_incarnation != nullptr) *first_incarnation = crashed.stripe_receivers.at(0);
+    if (first_incarnation != nullptr) *first_incarnation = crashed.flows.at(0);
     if (!resume) posix::remove_checkpoint(checkpoint_path);
     // Incarnation 2: restart into the same buffer.
-    out.receiver = posix::receive_object(recv_opts, sink).stripe_receivers.at(0);
+    out.receiver = posix::receive_object(recv_opts, sink).flows.at(0);
   });
-  out.sender = posix::send_object(send_opts, object).stripe_senders.at(0);
+  out.sender = posix::send_object(send_opts, object).flows.at(0);
   receiver_thread.join();
   posix::remove_checkpoint(checkpoint_path);
   return out;
@@ -594,7 +594,7 @@ TEST(FaultPosixResume, RestartedReceiverResumesFromCheckpoint) {
   std::vector<std::uint8_t> resumed_sink(object.size(), 0);
   std::vector<std::uint8_t> scratch_sink(object.size(), 0);
 
-  posix::ReceiverResult crashed;
+  posix::FlowResult crashed;
   auto& resumes = telemetry::MetricsRegistry::global().counter("fobs.fault.resumes");
   const auto resumes_before = resumes.value();
   const auto resumed =

@@ -6,7 +6,8 @@
 // server's packet size wins), control ports leased by binding them
 // (held ports skipped, exhaustion refused, ports freed with the
 // transfer, concurrent grants disjoint, the range clipped at 65535), a
-// client that starts before its server, and the refusal paths.
+// client that starts before its server, the refusal paths, and packet
+// sizes no datagram can carry (refused at start, malformed in a reply).
 //
 // Port block: 30100-30299 (test_engine owns 30000-30099), plus the
 // control ports 65534-65535 of the port-max test.
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "fobs/object.h"
+#include "fobs/posix/codec.h"
 #include "fobs/posix/fileserver.h"
 #include "net/socket.h"
 #include "telemetry/metrics.h"
@@ -631,6 +633,47 @@ TEST(FetchFile, UnmappablePartFailsNamingThePartFile) {
   server.stop();
 }
 
+TEST(FetchFile, CatalogReplyWithAPacketSizeNoDatagramCarriesIsMalformed) {
+  // A packet size sizes the receiver's datagram ring (32 slots of header
+  // plus packet), so 2^40 would ask for 32 TiB. A fake catalog sends it,
+  // then one byte past the largest datagram payload: each fetch fails
+  // as a malformed reply before anything is mapped, and this process
+  // lives to check it.
+  const std::string dir = ::testing::TempDir() + "fobs_fileserver_bogus_reply";
+  ::mkdir(dir.c_str(), 0755);
+  const net::Fd listener = net::listen_tcp(30292, 4);
+  ASSERT_TRUE(listener.valid());
+  for (const std::int64_t packet_bytes : {std::int64_t{1} << 40, posix::kMaxPacketBytes + 1}) {
+    std::string request;
+    std::thread catalog([&] {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      net::Accepted conn;
+      while (!conn.fd.valid() && std::chrono::steady_clock::now() < deadline) {
+        conn = net::accept_peer(listener);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (!conn.fd.valid() || !net::recv_line(conn.fd.get(), deadline, request)) return;
+      const std::string reply = "10 " + std::to_string(packet_bytes) + " 30293 1\n";
+      net::send_all(conn.fd.get(), reinterpret_cast<const std::uint8_t*>(reply.data()),
+                    reply.size(), deadline);
+    });
+    posix::FetchOptions fetch;
+    fetch.catalog_port = 30292;
+    fetch.name = "dataset0.bin";
+    fetch.out_path = dir + "/fetched.bin";
+    fetch.data_port = 30294;
+    fetch.quiet = true;
+    fetch.endpoint.timeout_ms = 10'000;
+    const auto result = posix::fetch_file(fetch);
+    catalog.join();
+    EXPECT_EQ(request, "dataset0.bin 30294 1");
+    EXPECT_EQ(result.status, posix::TransferStatus::kPeerLost) << packet_bytes;
+    EXPECT_NE(result.error.find("malformed catalog reply"), std::string::npos) << result.error;
+    struct stat part{};
+    EXPECT_NE(::stat((fetch.out_path + ".part").c_str(), &part), 0) << "the .part was mapped";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Refusal paths
 // ---------------------------------------------------------------------------
@@ -676,6 +719,18 @@ TEST(FileServer, StartRejectsInvalidOptions) {
   no_port_options.dir = "/tmp";
   posix::FileServer no_port(no_port_options);
   EXPECT_FALSE(no_port.start());
+
+  // Every reply carries the packet size: one no datagram can carry, or
+  // none, is refused at start, before the catalog port is bound.
+  for (const std::int64_t packet_bytes : {std::int64_t{0}, posix::kMaxPacketBytes + 1}) {
+    posix::FileServerOptions oversized_options;
+    oversized_options.dir = "/tmp";
+    oversized_options.catalog_port = 30291;
+    oversized_options.quiet = true;
+    oversized_options.endpoint.packet_bytes = packet_bytes;
+    posix::FileServer oversized(oversized_options);
+    EXPECT_FALSE(oversized.start()) << packet_bytes;
+  }
 }
 
 }  // namespace

@@ -95,9 +95,9 @@ void run_loopback_transfer(std::int64_t object_bytes, std::int64_t packet_bytes,
   ASSERT_TRUE(send_result.completed()) << send_result.error;
   ASSERT_TRUE(recv_result.completed()) << recv_result.error;
   EXPECT_EQ(sink, object);
-  const auto packets_received = recv_result.stripe_receivers.at(0).packets_received;
+  const auto packets_received = recv_result.flows.at(0).packets_received;
   EXPECT_EQ(packets_received, (object_bytes + packet_bytes - 1) / packet_bytes);
-  EXPECT_GE(send_result.stripe_senders.at(0).packets_sent, packets_received);
+  EXPECT_GE(send_result.flows.at(0).packets_sent, packets_received);
 }
 
 TEST(FobsPosixTransfer, SmallObjectLoopback) { run_loopback_transfer(256 * 1024, 1024, 16, 0); }

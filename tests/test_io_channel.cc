@@ -322,8 +322,8 @@ TEST(IoChannel, GarbageAndShortDatagramsSurviveMidBatch) {
 // ---------------------------------------------------------------------------
 
 struct TransferPair {
-  posix::SenderResult sender;
-  posix::ReceiverResult receiver;
+  posix::FlowResult sender;
+  posix::FlowResult receiver;
 };
 
 TransferPair run_pair(const posix::SenderOptions& send_opts,
@@ -331,8 +331,8 @@ TransferPair run_pair(const posix::SenderOptions& send_opts,
                       std::span<const std::uint8_t> object, std::span<std::uint8_t> sink) {
   TransferPair out;
   std::thread receiver_thread(
-      [&] { out.receiver = posix::receive_object(recv_opts, sink).stripe_receivers.at(0); });
-  out.sender = posix::send_object(send_opts, object).stripe_senders.at(0);
+      [&] { out.receiver = posix::receive_object(recv_opts, sink).flows.at(0); });
+  out.sender = posix::send_object(send_opts, object).flows.at(0);
   receiver_thread.join();
   return out;
 }
@@ -424,7 +424,7 @@ TEST(IoFaults, CorruptFaultHitsSingleDatagramsInsideBatches) {
   EXPECT_EQ(sink, object);
   // Some datagrams of each gathered batch were corrupted and rejected
   // by the receiver's CRC, while their batch-mates landed fine.
-  EXPECT_GT(pair.receiver.corrupt_packets_dropped, 0);
+  EXPECT_GT(pair.receiver.corrupt_dropped, 0);
   EXPECT_GT(pair.sender.packets_sent, pair.sender.packets_needed);
 }
 

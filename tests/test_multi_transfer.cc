@@ -1,6 +1,6 @@
 // Concurrent FOBS transfers between the same host pair (distinct port
 // bases): they must all complete, share the NIC, and contend for the
-// hosts' CPUs.
+// hosts' CPUs; each ends at its own deadline, before any event due there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include "exp/testbeds.h"
 #include "fobs/sim_driver.h"
 #include "fobs/sim_transfer.h"
+#include "telemetry/trace.h"
 
 namespace fobs {
 namespace {
@@ -126,6 +127,32 @@ TEST(MultiTransfer, EachTransferKeepsItsOwnDeadline) {
   EXPECT_TRUE(results[1].completed);
   EXPECT_TRUE(results[1].data_verified);
   EXPECT_GT(results[1].sender_elapsed, hurried.timeout);
+}
+
+TEST(MultiTransfer, NoEventAtOrPastADeadlineRunsForItsTransfer) {
+  // 4 MB cannot move in 100 ms, so the run is cut at the deadline while
+  // events are still due. The first of them at or past the deadline
+  // must not run: the clock stops short of it, no batch is stamped
+  // there, and the packets counted are the batches traced before it.
+  Testbed bed(PathId::kShortHaul);
+  telemetry::EventTracer trace;
+  core::SimTransferConfig hurried;
+  hurried.spec = {4 * 1024 * 1024, 1024};
+  hurried.timeout = util::Duration::milliseconds(100);
+  hurried.sender_tracer = &trace;
+  const auto deadline = bed.sim().now() + hurried.timeout;
+  const auto result = core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), hurried);
+  ASSERT_FALSE(result.completed);
+  EXPECT_FALSE(result.stalled);
+  EXPECT_LT(bed.sim().now(), deadline);
+  ASSERT_EQ(trace.dropped(), 0u);
+  std::int64_t batched = 0;
+  for (const auto& event : trace.snapshot()) {
+    if (event.type != telemetry::EventType::kBatchSent) continue;
+    EXPECT_LT(event.t_ns, deadline.ns());
+    batched += event.value;
+  }
+  EXPECT_EQ(result.packets_sent, batched);
 }
 
 TEST(MultiTransfer, TwoRunsOnOneTestbedBothComplete) {

@@ -457,7 +457,7 @@ class CaseRun {
   std::vector<posix::detail::ReceiveFlow> receive_flows_;
   std::vector<Link> links_;
   std::vector<std::unique_ptr<SenderSession>> senders_;
-  std::vector<std::optional<posix::SenderResult>> sender_results_;
+  std::vector<std::optional<posix::FlowResult>> sender_results_;
   std::unique_ptr<posix::TransferCheckpoint> checkpoint_;
   /// The incarnation's write-behind: every page it is handed must already
   /// hold the source's bytes.
@@ -531,7 +531,7 @@ TEST(SessionHeaderSeal, FlippedSeqBitIsDroppedAsCorruptAndLeavesTheStripeUntouch
   EXPECT_TRUE(receiver.on_datagram(datagram).empty());
   EXPECT_EQ(sink, Bytes(source.size(), 0));
   const auto result = receiver.finish(start);
-  EXPECT_EQ(result.corrupt_packets_dropped, 1);
+  EXPECT_EQ(result.corrupt_dropped, 1);
   EXPECT_EQ(result.packets_received, 0);
 }
 

@@ -472,7 +472,7 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
         << " of " << run.receiver.stripes << ": " << run.receiver.error;
     EXPECT_EQ(run.receiver.stripes_completed, 3);
     EXPECT_TRUE(run.receiver.resumable);
-    EXPECT_NE(run.receiver.stripe_receivers[1].status, posix::TransferStatus::kCompleted);
+    EXPECT_NE(run.receiver.flows[1].status, posix::TransferStatus::kCompleted);
     // The object-level checkpoint holds the three delivered stripes, so
     // a retry at any stripe count can resume this transfer.
     StripePlan plan;

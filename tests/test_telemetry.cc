@@ -395,7 +395,7 @@ TEST(TraceSchema, PosixTransferEmitsValidJsonl) {
   EXPECT_EQ(receiver_trace.count(EventType::kCompletion), 1);
   EXPECT_EQ(sender_trace.count(EventType::kTimeout), 0);
   EXPECT_EQ(receiver_trace.count(EventType::kPacketPlaced),
-            recv_result.stripe_receivers.at(0).packets_received);
+            recv_result.flows.at(0).packets_received);
 }
 
 }  // namespace
