@@ -35,6 +35,9 @@ struct AckMessage {
   std::vector<std::uint8_t> fragment;  ///< packed, bit i = packet fragment_start+i
   /// Set when the receiver has every packet (also signalled via TCP).
   bool complete = false;
+  /// The receiver socket's cumulative queue drops, mod 2^16 (see
+  /// RateCap). 0 from a receiver with no socket queue: the simulator's.
+  std::uint16_t queue_drops = 0;
 
   /// Wire size of this message in bytes.
   [[nodiscard]] std::int64_t wire_bytes() const {

@@ -70,7 +70,8 @@ std::vector<std::uint8_t> encode_ack(const fobs::core::AckMessage& ack) {
   put_u32(out.data(), kMagic);
   out[4] = kTypeAck;
   out[5] = ack.complete ? 1 : 0;
-  out[6] = out[7] = 0;
+  out[6] = static_cast<std::uint8_t>(ack.queue_drops >> 8);
+  out[7] = static_cast<std::uint8_t>(ack.queue_drops);
   put_u64(out.data() + 8, ack.ack_no);
   put_u64(out.data() + 16, static_cast<std::uint64_t>(ack.total_received));
   put_u64(out.data() + 24, static_cast<std::uint64_t>(ack.frontier));
@@ -88,6 +89,7 @@ std::optional<fobs::core::AckMessage> decode_ack(const std::uint8_t* data, std::
   if (get_u32(data) != kMagic || data[4] != kTypeAck) return std::nullopt;
   fobs::core::AckMessage ack;
   ack.complete = data[5] != 0;
+  ack.queue_drops = static_cast<std::uint16_t>((data[6] << 8) | data[7]);
   ack.ack_no = get_u64(data + 8);
   ack.total_received = static_cast<std::int64_t>(get_u64(data + 16));
   ack.frontier = static_cast<fobs::core::PacketSeq>(get_u64(data + 24));

@@ -7,7 +7,8 @@
 //               payload's own CRC on the way (the object's CRC is
 //               folded from those).
 // ACK packet:   fixed header (including the receiver's incarnation
-//               epoch) + packed bitmap fragment.
+//               epoch, and in bytes 6-7 its socket's queue-drop count
+//               mod 2^16) + packed bitmap fragment.
 // Control stream (TCP): one frame type, the receiver-state frame: the
 //               receiver's epoch, the flow's packet count, how many
 //               packets it holds and, when it holds some but not all,

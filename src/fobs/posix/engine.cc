@@ -7,6 +7,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -489,7 +490,14 @@ void TransferEngine::run_flow(const std::shared_ptr<detail::Transfer>& transfer,
         telemetry::MetricsRegistry::global()
             .counter(std::string("fobs.posix.") + job.kSide + ".transfers")
             .inc();
-        auto result = job.run(index, &transfer->cancel);
+        FlowResult result;
+        try {
+          result = job.run(index, &transfer->cancel);
+        } catch (const std::exception& e) {
+          // A failed allocation or a throwing sink ends this flow (and
+          // so its transfer), not the worker and the process.
+          result = {.status = TransferStatus::kSocketError, .error = e.what()};
+        }
         const TransferStatus status = result.status;
         {
           std::lock_guard lock(transfer->mu);

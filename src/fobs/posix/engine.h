@@ -10,7 +10,7 @@
 // each flow's terminal trace event and outcome counters when it ends.
 // A flow session is a blocking socket pump around a sans-io flow
 // session (fobs/posix/session.h, which holds the fault and checkpoint
-// machinery), with its own sendmmsg/recvmmsg DatagramChannel, control
+// machinery), with its own segmented DatagramChannel, control
 // connection on control_port + i and EventTracer (when requested). The
 // caller holds one TransferHandle for the whole transfer and can
 // wait(), poll status(), cancel() every flow at once, and read the

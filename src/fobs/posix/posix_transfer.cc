@@ -4,7 +4,9 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <vector>
 
 #include "common/log.h"
@@ -71,8 +73,9 @@ FlowResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd lis
 
     // One non-blocking batched drain of the ACK socket.
     const int n_acks = channel.recv_batch(ack_views, nullptr);
+    const auto acked_at = Clock::now();
     for (int i = 0; i < n_acks; ++i) {
-      session.on_ack_datagram(ack_views[static_cast<std::size_t>(i)].data);
+      session.on_ack_datagram(ack_views[static_cast<std::size_t>(i)].data, acked_at);
     }
 
     if (session.idle()) {
@@ -85,12 +88,23 @@ FlowResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd lis
       continue;
     }
 
+    // The rate cap holds the train: wait on the ACK socket, so a fresh
+    // ACK (the receiver's drain rate and drops) is read as it lands.
+    if (const auto wait = session.send_wait(Clock::now()); wait > Clock::duration::zero()) {
+      const auto nap = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::min<Clock::duration>(wait, std::chrono::milliseconds(1)));
+      const timespec timeout{0, static_cast<long>(nap.count())};
+      pollfd pfd{channel.fd(), POLLIN, 0};
+      ::ppoll(&pfd, 1, &timeout, nullptr);
+      continue;
+    }
+
     const auto batch = session.next_batch();
     if (!batch.empty() && !channel.send_batch(batch, peer, &io_error)) {
       session.on_socket_error(io_error);
       break;
     }
-    session.on_batch_sent();
+    session.on_batch_sent(Clock::now());
   }
 
   if (session.completed()) {
@@ -105,7 +119,7 @@ FlowResult run_sender(const SenderOptions& options, const SendFlow& flow, Fd lis
     // counters do not depend on how many a fast completion left unread.
     for (int n = 0; (n = channel.recv_batch(ack_views, nullptr)) > 0;) {
       for (int i = 0; i < n; ++i) {
-        session.on_ack_datagram(ack_views[static_cast<std::size_t>(i)].data);
+        session.on_ack_datagram(ack_views[static_cast<std::size_t>(i)].data, Clock::now());
       }
     }
   }
@@ -118,9 +132,9 @@ FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
                         TransferCheckpoint* checkpoint,
                         fobs::core::WriteBehindSink* write_behind,
                         const std::atomic<bool>* cancel) {
-  // Datagram channel bound at the data port. Receive slots are sized
-  // for exactly one full data packet; anything larger is truncated by
-  // the kernel and rejected as garbage by the session.
+  // Datagram channel bound at the data port. Its slots hold whole
+  // trains, split back into datagrams; the session drops any datagram
+  // whose length is not its packet's.
   std::string io_error;
   auto channel = fobs::net::DatagramChannel::open(
       {}, kDataHeaderSize + static_cast<std::size_t>(flow.spec.packet_bytes), flow.data_port,
@@ -168,6 +182,7 @@ FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
       session.on_socket_error(io_error);
       break;
     }
+    session.on_queue_drops(channel.queue_drops());
     if (n_rx == 0) {
       // Idle: wait for data, and notice the sender dropping the control
       // connection (poll skips the entry while it is closed).

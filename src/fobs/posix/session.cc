@@ -80,6 +80,9 @@ SenderSession::SenderSession(const SenderOptions& options, const SendFlow& flow,
                              SessionTime start)
     : FlowSession(options.endpoint.timeout_ms, flow.fault_plan, flow.tracer, start),
       core_(flow.spec, options.core),
+      train_segments_(fobs::net::segments_per_send(kDataHeaderSize +
+                                                   static_cast<std::size_t>(flow.spec.packet_bytes))),
+      cap_(start, train_segments_),
       stripe_(flow.stripe) {
   result_.packets_needed = flow.spec.packet_count();
   core_.set_tracer(flow.tracer);
@@ -126,7 +129,7 @@ bool SenderSession::on_control_bytes(std::span<const std::uint8_t> bytes) {
   return false;
 }
 
-void SenderSession::on_ack_datagram(std::span<const std::uint8_t> bytes) {
+void SenderSession::on_ack_datagram(std::span<const std::uint8_t> bytes, SessionTime now) {
   const auto ack = decode_ack(bytes.data(), bytes.size());
   if (!ack) {
     count_fault(result_.corrupt_dropped, "fobs.fault.corrupt_drops", EventType::kCorruptDrop);
@@ -135,17 +138,22 @@ void SenderSession::on_ack_datagram(std::span<const std::uint8_t> bytes) {
     MetricsRegistry::global().counter("fobs.fault.stale_acks").inc();
   } else if (!completed()) {
     core_.on_ack(*ack);
+    cap_.on_ack(now, ack->total_received, ack->queue_drops);
   }
 }
 
 std::span<const fobs::net::DatagramView> SenderSession::next_batch() {
   const fobs::core::TransferSpec& spec = core_.spec();
-  const int batch = core_.current_batch_size();
-  headers_.resize(static_cast<std::size_t>(std::max(batch, 1)));
+  const int batch = std::max(core_.current_batch_size(), 1);
+  // Whole batches, but no packet twice: no ACK is read mid-train.
+  const auto unacked = spec.packet_count() - core_.stats().packets_acked;
+  const int packets = static_cast<int>(std::min<std::int64_t>(
+      std::max(1, train_segments_ / batch) * batch, std::max<std::int64_t>(unacked, 1)));
+  headers_.resize(static_cast<std::size_t>(packets));
   views_.clear();
   corrupt_payloads_.clear();
   selected_ = 0;
-  for (int i = 0; i < batch && !core_.all_acked(); ++i) {
+  for (int i = 0; i < packets && !core_.all_acked(); ++i) {
     if (crash_due()) {
       crash_pending_ = true;  // what is already gathered still goes out
       break;
@@ -173,10 +181,11 @@ std::span<const fobs::net::DatagramView> SenderSession::next_batch() {
   return views_;
 }
 
-void SenderSession::on_batch_sent() {
+void SenderSession::on_batch_sent(SessionTime now) {
   if (tracer_ != nullptr && selected_ > 0) {
     tracer_->record(EventType::kBatchSent, -1, selected_);
   }
+  cap_.on_sent(now, static_cast<std::int64_t>(views_.size()));
   if (crash_pending_) end(TransferStatus::kCrashed, "injected crash");
 }
 
@@ -279,7 +288,7 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
   const auto header = decode_data_header(bytes.data(), bytes.size());
   if (!header || header->seq < 0 || header->seq >= spec.packet_count()) return {};
   const auto len = static_cast<std::size_t>(spec.payload_bytes(header->seq));
-  if (bytes.size() < kDataHeaderSize + len) return {};  // truncated
+  if (bytes.size() != kDataHeaderSize + len) return {};  // truncated or padded
   const std::uint8_t* payload = bytes.data() + kDataHeaderSize;
   // A CRC failure never touches the stripe; the sender resends it. The
   // CRC covers the seq too, so a damaged seq cannot misplace good bytes.
@@ -303,6 +312,7 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
   if (!outcome.ack_due) return {};
   auto msg = core_.make_ack();
   msg.epoch = epoch_;
+  msg.queue_drops = static_cast<std::uint16_t>(queue_drops_);
   ack_ = encode_ack(msg);
   const auto ack_fate = decide(FaultChannel::kAck);
   if (ack_fate.corrupt) ack_[0] ^= 0xFF;  // smash the magic: the sender counts and rejects it
@@ -314,7 +324,7 @@ std::span<const fobs::net::DatagramView> ReceiverSession::on_datagram(
     acks_since_checkpoint_ = 0;
     checkpoint_->fold(first_packet_, core_.received());
   }
-  // A duplicated ACK is one two-view batch: one sendmmsg call.
+  // A duplicated ACK is one two-view batch: one segmented send.
   ack_views_.fill({std::span<const std::uint8_t>(ack_)});
   return std::span<const fobs::net::DatagramView>(ack_views_.data(),
                                                   static_cast<std::size_t>(ack_fate.copies));

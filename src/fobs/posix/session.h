@@ -19,6 +19,7 @@
 #include "fobs/object.h"
 #include "fobs/posix/codec.h"
 #include "fobs/posix/posix_transfer.h"
+#include "fobs/rate_cap.h"
 
 namespace fobs::posix::detail {
 
@@ -91,8 +92,9 @@ class FlowSession {
 
 /// One sending flow. Per loop iteration the pump calls tick, accepts or
 /// reads the control connection, hands in every queued ACK, and then
-/// either waits (idle) or sends next_batch() and calls on_batch_sent.
-/// A completed flow writes completion_echo() before it ends.
+/// either waits (idle, or send_wait() is not zero) or sends next_batch()
+/// and calls on_batch_sent. A completed flow writes completion_echo()
+/// before it ends.
 class SenderSession : public FlowSession {
  public:
   SenderSession(const SenderOptions& options, const SendFlow& flow, SessionTime start);
@@ -106,15 +108,21 @@ class SenderSession : public FlowSession {
   /// Control-stream bytes. True when the stream desynced: the pump drops
   /// the connection and the receiver re-establishes it.
   [[nodiscard]] bool on_control_bytes(std::span<const std::uint8_t> bytes);
-  /// One data-socket datagram; after completion it is only counted.
-  void on_ack_datagram(std::span<const std::uint8_t> bytes);
+  /// One data-socket datagram, read at `now`; after completion it is
+  /// only counted.
+  void on_ack_datagram(std::span<const std::uint8_t> bytes, SessionTime now);
   /// Every packet is acked in the local view: nothing to send.
   [[nodiscard]] bool idle() const { return core_.all_acked(); }
-  /// One FOBS batch as header + payload views, fault schedule applied.
-  /// Valid until the next call.
+  /// How long the rate cap holds the next train; zero when it may go.
+  [[nodiscard]] SessionTime::duration send_wait(SessionTime now) const { return cap_.wait(now); }
+  /// One train: as many whole FOBS batches as one segmented send of
+  /// this packet size carries (at least one), but no more packets than
+  /// the local view has unacked, as header + payload views, the fault
+  /// schedule applied per datagram. Valid until the next call.
   std::span<const fobs::net::DatagramView> next_batch();
-  /// The batch was sent: traced; a crash due while selecting ends the flow.
-  void on_batch_sent();
+  /// The train was sent at `now`: traced and charged to the rate cap; a
+  /// crash due while selecting ends the flow.
+  void on_batch_sent(SessionTime now);
   [[nodiscard]] bool completed() const { return core_.completion_received(); }
   /// What the pump writes back on the control connection before the
   /// flow ends: the receiver waits for this echo (empty until completed).
@@ -128,6 +136,9 @@ class SenderSession : public FlowSession {
 
  private:
   fobs::core::SenderCore core_;
+  /// Datagrams one segmented send carries at this packet size.
+  const int train_segments_;
+  fobs::core::RateCap cap_;
   std::span<const std::uint8_t> stripe_;
   std::vector<std::uint8_t> control_buf_;
   /// Empty until a state frame names the receiver's epoch; then only its
@@ -173,9 +184,13 @@ class ReceiverSession : public FlowSession {
   [[nodiscard]] std::vector<std::uint8_t> state_frame() const;
   /// Cancel, stall and crash checks. True when the flow must end.
   bool tick(SessionTime now, bool cancelled);
-  /// One data-socket datagram. Only a valid one is placed and may yield
-  /// 0-2 ACK copies, valid until the next call.
+  /// One data-socket datagram. Only a valid one, of exactly its
+  /// packet's length, is placed and may yield 0-2 ACK copies, valid
+  /// until the next call.
   std::span<const fobs::net::DatagramView> on_datagram(std::span<const std::uint8_t> bytes);
+  /// The data socket's cumulative queue-drop count, stamped on every
+  /// later ACK (mod 2^16) for the sender's rate cap.
+  void on_queue_drops(std::uint32_t drops) { queue_drops_ = drops; }
   /// Completed, not yet echoed, and an attempt is left.
   [[nodiscard]] bool awaiting_echo() const {
     return completed() && !echoed_ && echo_attempts_ < kCompletionAttempts;
@@ -224,6 +239,7 @@ class ReceiverSession : public FlowSession {
   int acks_since_checkpoint_ = 0;
   int echo_attempts_ = 0;
   bool echoed_ = false;
+  std::uint32_t queue_drops_ = 0;
   std::vector<std::uint8_t> ack_;
   std::array<fobs::net::DatagramView, 2> ack_views_;
 };

@@ -7,7 +7,8 @@
 // included), control ports leased by binding
 // them, flows resolved once at submit (one timeline on a shared tracer,
 // a malformed per-flow fault plan rejected before any flow or port),
-// the connection acceptor, and engine counters.
+// the connection acceptor, engine counters, and a flow that throws
+// ending its transfer, not the process.
 //
 // Port block: 30000-30099 (keep clear of 29xxx = test_fobs_posix /
 // test_telemetry and 31xxx = test_fault_posix).
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -174,6 +176,46 @@ TEST(EngineHandle, CancelStopsAWaitingSession) {
   EXPECT_EQ(status, posix::TransferStatus::kCancelled);
   EXPECT_FALSE(handle.result().completed());
   EXPECT_LT(elapsed, 10'000) << "cancel should not wait out the 30 s timeout";
+}
+
+TEST(EngineHandle, AFlowThatThrowsEndsItsTransferNotTheProcess) {
+  // A write-behind sink that throws on the first finished window: the
+  // receive ends kSocketError with the exception's message, and a
+  // transfer running beside it on the same engine completes.
+  struct ThrowingSink final : core::WriteBehindSink {
+    void written(std::span<const std::uint8_t> /*bytes*/) override {
+      throw std::runtime_error("sink failed");
+    }
+  } sink;
+  const auto object = core::make_pattern(512 * 1024, 0xE7);
+  std::vector<std::uint8_t> doomed(object.size(), 0);
+  std::vector<std::uint8_t> healthy(object.size(), 0);
+
+  posix::TransferEngine engine({.workers = 4});
+  std::vector<posix::TransferHandle> rx;
+  std::vector<posix::TransferHandle> tx;
+  for (int i = 0; i < 2; ++i) {
+    posix::ReceiverOptions ropt;
+    ropt.data_port = port_base(50 + 2 * i);
+    ropt.control_port = port_base(51 + 2 * i);
+    ropt.endpoint.timeout_ms = 30'000;
+    posix::SenderOptions sopt;
+    sopt.data_port = ropt.data_port;
+    sopt.control_port = ropt.control_port;
+    sopt.endpoint.timeout_ms = 30'000;
+    auto& buffer = i == 0 ? doomed : healthy;
+    rx.push_back(engine.submit_receive(ropt, std::span<std::uint8_t>(buffer), {},
+                                       i == 0 ? &sink : nullptr));
+    tx.push_back(engine.submit_send(sopt, std::span<const std::uint8_t>(object)));
+  }
+  EXPECT_EQ(rx[0].wait(), posix::TransferStatus::kSocketError);
+  EXPECT_EQ(rx[0].result().error, "sink failed");
+  tx[0].cancel();  // its receiver is gone for good
+  EXPECT_EQ(rx[1].wait(), posix::TransferStatus::kCompleted) << rx[1].result().error;
+  EXPECT_EQ(tx[1].wait(), posix::TransferStatus::kCompleted) << tx[1].result().error;
+  EXPECT_EQ(healthy, object);
+  engine.wait_idle();
+  EXPECT_EQ(engine.active_sessions(), 0u);
 }
 
 TEST(EngineHandle, BadOptionsSessionTurnsTerminalWithBadOptions) {

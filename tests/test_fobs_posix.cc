@@ -56,6 +56,20 @@ TEST(FobsPosixCodec, AckRoundTrip) {
   EXPECT_EQ(decoded->complete, ack.complete);
 }
 
+TEST(FobsPosixCodec, AckCarriesTheQueueDropCountInBytesSixAndSeven) {
+  core::AckMessage ack;
+  ack.total_received = 5;
+  ack.queue_drops = 0xBEEF;
+  const auto wire = posix::encode_ack(ack);
+  EXPECT_EQ(wire.size(), static_cast<std::size_t>(48));  // the fixed part, as before
+  EXPECT_EQ(wire[6], 0xBE);
+  EXPECT_EQ(wire[7], 0xEF);
+  const auto decoded = posix::decode_ack(wire.data(), wire.size());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->queue_drops, 0xBEEF);
+  EXPECT_EQ(decoded->total_received, 5);
+}
+
 TEST(FobsPosixCodec, AckRejectsTruncatedFragment) {
   core::AckMessage ack;
   ack.fragment_bits = 64;

@@ -1,9 +1,10 @@
-// Batched datagram I/O layer tests: DatagramChannel mechanics (open
-// and not-open errors, the batch-size constants, moves, batched
-// round-trips, garbage and short datagrams landing mid-recvmmsg-batch),
-// byte-identical transfers, per-datagram fault injection inside
-// gathered batches, and the syscalls-per-packet win the batched path
-// exists for.
+// Segmented datagram I/O layer tests: DatagramChannel mechanics (open
+// and not-open errors, the batch-size constants, moves, segmented
+// round-trips and their split back into datagrams, runs of mixed sizes,
+// garbage and short datagrams landing mid-recvmmsg-batch, queue-drop
+// counts), byte-identical transfers in trains, per-datagram fault
+// injection inside trains, and the syscalls-per-packet win the
+// segmented path exists for.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -52,6 +53,11 @@ sockaddr_in loopback(std::uint16_t port) {
 TEST(IoChannel, OpenRejectsZeroMaxDatagramBytes) {
   std::string error;
   auto channel = net::DatagramChannel::open({}, 0, std::nullopt, &error);
+  EXPECT_FALSE(channel.valid());
+  EXPECT_NE(error.find("max_datagram_bytes"), std::string::npos) << error;
+  error.clear();
+  channel = net::DatagramChannel::open({}, net::IoOptions::recv_slot_bytes + 1, std::nullopt,
+                                       &error);
   EXPECT_FALSE(channel.valid());
   EXPECT_NE(error.find("max_datagram_bytes"), std::string::npos) << error;
 }
@@ -114,8 +120,8 @@ TEST(IoChannel, MovedChannelKeepsItsSocket) {
 }
 
 TEST(IoChannel, SendBatchSplitsAtTheSendBatchConstant) {
-  // 70 one-piece datagrams leave in ceil(70 / send_batch) sendmmsg
-  // calls: 32 + 32 + 6.
+  // 70 equal one-piece datagrams leave in ceil(70 / S) segmented sends,
+  // S = segments_per_send(16) = send_batch: 64 + 6.
   std::string error;
   auto rx = net::DatagramChannel::open({}, 64, 0, &error);
   ASSERT_TRUE(rx.valid()) << error;
@@ -128,7 +134,8 @@ TEST(IoChannel, SendBatchSplitsAtTheSendBatchConstant) {
   ASSERT_TRUE(tx.send_batch(batch, loopback(rx.local_port()), &error)) << error;
   EXPECT_EQ(tx.stats().datagrams_sent, static_cast<std::uint64_t>(kCount));
   EXPECT_EQ(tx.stats().bytes_sent, static_cast<std::int64_t>(kCount * header.size()));
-  constexpr int kBatch = net::IoOptions::send_batch;
+  constexpr int kBatch = net::segments_per_send(header.size());
+  static_assert(kBatch == net::IoOptions::send_batch);
   EXPECT_EQ(tx.stats().send_syscalls,
             static_cast<std::uint64_t>((kCount + kBatch - 1) / kBatch));
 }
@@ -139,28 +146,158 @@ TEST(IoChannel, RecvBatchDrainsAtMostRecvBatchPerCall) {
   ASSERT_TRUE(rx.valid()) << error;
   auto tx = net::DatagramChannel::open({}, 64, std::nullopt, &error);
   ASSERT_TRUE(tx.valid()) << error;
-  constexpr int kCount = 40;
-  const std::array<std::uint8_t, 8> header{};
-  const std::vector<net::DatagramView> batch(
-      kCount, net::DatagramView{std::span<const std::uint8_t>(header)});
+  // 100 distinct datagrams: one train of 64 and one of 36, which the
+  // receiver may take as two coalesced buffers in one recvmmsg.
+  constexpr int kCount = 100;
+  std::vector<std::array<std::uint8_t, 8>> headers(kCount);
+  std::vector<net::DatagramView> batch;
+  for (int i = 0; i < kCount; ++i) {
+    headers[i].fill(static_cast<std::uint8_t>(i));
+    batch.push_back({std::span<const std::uint8_t>(headers[i])});
+  }
   ASSERT_TRUE(tx.send_batch(batch, loopback(rx.local_port()), &error)) << error;
 
-  // Offer more views than the ring holds: no call may fill more than
-  // IoOptions::recv_batch of them.
+  // Offer more views than one call may fill, then fewer: no call may
+  // fill more than min(offered, IoOptions::recv_batch) of them, and
+  // every datagram arrives once, in order.
   std::vector<net::RecvView> views(2 * net::IoOptions::recv_batch);
   int received = 0;
+  int calls = 0;
+  std::uint64_t delivering_calls = 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (received < kCount && std::chrono::steady_clock::now() < deadline) {
-    const int got = rx.recv_batch(views, &error);
+    const std::size_t offered = calls++ % 2 == 0 ? views.size() : 5;
+    const int got = rx.recv_batch(std::span(views).first(offered), &error);
     ASSERT_GE(got, 0) << error;
-    ASSERT_LE(got, net::IoOptions::recv_batch);
+    ASSERT_LE(got, std::min<int>(static_cast<int>(offered), net::IoOptions::recv_batch));
     if (got == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    received += got;
+    if (got > 0) ++delivering_calls;
+    for (int i = 0; i < got; ++i, ++received) {
+      ASSERT_EQ(views[i].data.size(), headers[0].size());
+      EXPECT_EQ(views[i].data[0], static_cast<std::uint8_t>(received));
+    }
   }
   ASSERT_EQ(received, kCount);
-  EXPECT_GE(rx.stats().recv_syscalls, 2u);
   EXPECT_EQ(rx.stats().datagrams_received, static_cast<std::uint64_t>(kCount));
-  EXPECT_EQ(rx.stats().bytes_received, static_cast<std::int64_t>(kCount * header.size()));
+  EXPECT_EQ(rx.stats().bytes_received, static_cast<std::int64_t>(kCount * headers[0].size()));
+  // Views left over from one recvmmsg are handed out without a syscall.
+  EXPECT_LT(rx.stats().recv_syscalls, delivering_calls);
+}
+
+/// Drains `rx` until `count` datagrams arrived or 5 s passed.
+std::vector<std::vector<std::uint8_t>> drain(net::DatagramChannel& rx, std::size_t count) {
+  std::vector<std::vector<std::uint8_t>> out;
+  std::vector<net::RecvView> views(net::IoOptions::recv_batch);
+  std::string error;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (out.size() < count && std::chrono::steady_clock::now() < deadline) {
+    const int got = rx.recv_batch(views, &error);
+    EXPECT_GE(got, 0) << error;
+    if (got <= 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    for (int i = 0; i < got; ++i) out.emplace_back(views[i].data.begin(), views[i].data.end());
+  }
+  return out;
+}
+
+// One transfer's datagrams at 1 KiB and 8 KiB payloads: full-size ones
+// and a short last one go out in ceil(n / S) segmented sends and come
+// back as the same datagrams, byte for byte, in order.
+TEST(IoChannel, SegmentedRoundTripSplitsBackIntoTheSameDatagrams) {
+  for (const std::size_t payload_bytes : {std::size_t{1024}, std::size_t{8192}}) {
+    SCOPED_TRACE(payload_bytes);
+    const std::size_t datagram = posix::kDataHeaderSize + payload_bytes;
+    std::string error;
+    auto rx = net::DatagramChannel::open({}, datagram, 0, &error);
+    ASSERT_TRUE(rx.valid()) << error;
+    auto tx = net::DatagramChannel::open({}, datagram, std::nullopt, &error);
+    ASSERT_TRUE(tx.valid()) << error;
+    const int segments = net::segments_per_send(datagram);
+    EXPECT_EQ(segments, payload_bytes == 1024 ? 62 : 7);
+
+    const int count = 2 * segments + 3;  // the last one short
+    std::vector<std::array<std::uint8_t, posix::kDataHeaderSize>> headers(count);
+    std::vector<std::uint8_t> payload(count * payload_bytes);
+    util::Rng rng(payload_bytes);
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next());
+    std::vector<net::DatagramView> batch;
+    for (int i = 0; i < count; ++i) {
+      headers[i].fill(static_cast<std::uint8_t>(i));
+      const std::size_t len = i + 1 == count ? payload_bytes / 3 : payload_bytes;
+      batch.push_back({std::span<const std::uint8_t>(headers[i]),
+                       std::span<const std::uint8_t>(payload).subspan(i * payload_bytes, len)});
+    }
+    ASSERT_TRUE(tx.send_batch(batch, loopback(rx.local_port()), &error)) << error;
+    EXPECT_EQ(tx.stats().send_syscalls, static_cast<std::uint64_t>(3));
+    EXPECT_EQ(tx.stats().datagrams_sent, static_cast<std::uint64_t>(count));
+
+    const auto got = drain(rx, static_cast<std::size_t>(count));
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      ASSERT_EQ(got[i].size(), batch[i].size()) << i;
+      EXPECT_EQ(got[i][0], static_cast<std::uint8_t>(i));
+      EXPECT_EQ(std::memcmp(got[i].data() + posix::kDataHeaderSize, batch[i].payload.data(),
+                            batch[i].payload.size()),
+                0)
+          << i;
+    }
+    EXPECT_EQ(rx.stats().datagrams_received, static_cast<std::uint64_t>(count));
+    EXPECT_LT(rx.stats().recv_syscalls, rx.stats().datagrams_received);
+  }
+}
+
+// A send of mixed sizes splits into runs: each run is datagrams of its
+// first one's size, ended by a shorter one, and a longer one starts the
+// next run.
+TEST(IoChannel, MixedSizesSplitIntoRuns) {
+  std::string error;
+  auto rx = net::DatagramChannel::open({}, 512, 0, &error);
+  ASSERT_TRUE(rx.valid()) << error;
+  auto tx = net::DatagramChannel::open({}, 512, std::nullopt, &error);
+  ASSERT_TRUE(tx.valid()) << error;
+  // Runs: [100 100 100 50] [100 100] [200 200 30] [30 30] [512].
+  const std::vector<std::size_t> sizes = {100, 100, 100, 50, 100, 100, 200,
+                                          200, 30,  30,  30, 512};
+  std::vector<std::vector<std::uint8_t>> wire;
+  std::vector<net::DatagramView> batch;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    wire.emplace_back(sizes[i], static_cast<std::uint8_t>(i + 1));
+  }
+  for (const auto& datagram : wire) batch.push_back({std::span<const std::uint8_t>(datagram)});
+  ASSERT_TRUE(tx.send_batch(batch, loopback(rx.local_port()), &error)) << error;
+  EXPECT_EQ(tx.stats().send_syscalls, 5u);
+  EXPECT_EQ(tx.stats().datagrams_sent, sizes.size());
+  EXPECT_EQ(drain(rx, wire.size()), wire);
+}
+
+// The socket's queue drops reach the channel on the datagrams queued
+// after them (SO_RXQ_OVFL).
+TEST(IoChannel, QueueDropsAreCountedOnLaterDatagrams) {
+  std::string error;
+  auto rx = net::DatagramChannel::open({}, 1024, 0, &error);
+  ASSERT_TRUE(rx.valid()) << error;
+  auto tx = net::DatagramChannel::open({}, 1024, std::nullopt, &error);
+  ASSERT_TRUE(tx.valid()) << error;
+  int rcvbuf = 0;
+  socklen_t length = sizeof rcvbuf;
+  ASSERT_EQ(::getsockopt(rx.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, &length), 0);
+  // Twice the receive buffer, unread: the queue overflows.
+  const std::vector<std::uint8_t> datagram(1024, 0xAB);
+  const std::vector<net::DatagramView> batch(
+      62, net::DatagramView{std::span<const std::uint8_t>(datagram)});
+  const auto dest = loopback(rx.local_port());
+  for (int sent = 0; sent < 2 * rcvbuf; sent += 62 * 1024) {
+    ASSERT_TRUE(tx.send_batch(batch, dest, &error)) << error;
+  }
+  EXPECT_EQ(rx.queue_drops(), 0u);
+  std::vector<net::RecvView> views(net::IoOptions::recv_batch);
+  while (rx.recv_batch(views, &error) > 0) {
+  }
+  ASSERT_TRUE(tx.send_batch(std::span(batch).first(1), dest, &error)) << error;
+  ASSERT_EQ(drain(rx, 1).size(), 1u);
+  EXPECT_GT(rx.queue_drops(), 0u);
 }
 
 int sysctl_int(const char* path) {
@@ -339,21 +476,23 @@ TransferPair run_pair(const posix::SenderOptions& send_opts,
 
 TransferPair run_loopback_pair(int port_offset, std::span<const std::uint8_t> object,
                                std::span<std::uint8_t> sink,
-                               const std::string& fault_plan = {}) {
+                               const std::string& fault_plan = {}, int batch_size = 32,
+                               std::int64_t packet_bytes = 1024) {
   posix::ReceiverOptions recv_opts;
   recv_opts.data_port = port_base(port_offset);
   recv_opts.control_port = port_base(port_offset + 1);
   recv_opts.endpoint.timeout_ms = 30'000;
+  recv_opts.endpoint.packet_bytes = packet_bytes;
 
   posix::SenderOptions send_opts;
   send_opts.data_port = recv_opts.data_port;
   send_opts.control_port = recv_opts.control_port;
   send_opts.endpoint.timeout_ms = 30'000;
   send_opts.endpoint.fault_plan = fault_plan;
-  // A protocol batch large enough that the gather path has something to
-  // gather (the paper's default of 2 packets per batch caps sendmmsg at
-  // 2 datagrams per syscall).
-  send_opts.core.batch_size = 32;
+  send_opts.endpoint.packet_bytes = packet_bytes;
+  // By default a protocol batch of 32 packets: at 1 KiB one batch per
+  // train, since two do not fit in one segmented send.
+  send_opts.core.batch_size = batch_size;
   return run_pair(send_opts, recv_opts, object, sink);
 }
 
@@ -371,9 +510,36 @@ TEST(IoTransfer, TransferIsByteIdenticalWithFourDatagramsPerSendSyscall) {
   EXPECT_LE(pair.sender.io.send_syscalls * 4, pair.sender.io.datagrams_sent);
 }
 
+// The paper's B = 2: the sender gathers whole batches into trains of
+// 62 datagrams at 1 KiB and 6 at 8 KiB (three batches; a fourth would
+// pass the 7 one send carries).
+TEST(IoTransfer, DefaultBatchTransfersGoOutInTrains) {
+  const struct {
+    std::int64_t packet_bytes;
+    int port_offset;
+    std::uint64_t min_per_send;
+  } cases[] = {{1024, 22, 16}, {8192, 24, 4}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.packet_bytes);
+    const auto object = core::make_pattern(2 * 1024 * 1024 + 333, 0x7A1);
+    std::vector<std::uint8_t> sink(object.size(), 0);
+    const auto pair = run_loopback_pair(c.port_offset, object, sink, {}, 2, c.packet_bytes);
+    ASSERT_TRUE(pair.receiver.completed()) << pair.receiver.error;
+    ASSERT_TRUE(pair.sender.completed()) << pair.sender.error;
+    EXPECT_EQ(sink, object);
+    ASSERT_GT(pair.sender.io.send_syscalls, 0u);
+    EXPECT_GE(pair.sender.io.datagrams_sent, c.min_per_send * pair.sender.io.send_syscalls);
+    EXPECT_EQ(pair.sender.io.datagrams_sent,
+              static_cast<std::uint64_t>(pair.sender.packets_sent));
+    // Coalesced receives: fewer receive calls than datagrams.
+    EXPECT_LT(pair.receiver.io.recv_syscalls, pair.receiver.io.datagrams_received);
+  }
+}
+
 TEST(IoTransfer, TransferSurvivesGarbageSprayedIntoBatches) {
-  // Junk datagrams interleave with real data inside the receiver's
-  // recvmmsg batches; the transfer must complete byte-identical.
+  // Junk datagrams of every length, among them longer than a data
+  // packet, interleave with real data inside the receiver's recvmmsg
+  // batches; the transfer must complete byte-identical.
   const auto object = core::make_pattern(256 * 1024, 0xF00D);
   std::vector<std::uint8_t> sink(object.size(), 0);
 
@@ -392,7 +558,7 @@ TEST(IoTransfer, TransferSurvivesGarbageSprayedIntoBatches) {
     ASSERT_GE(fd, 0);
     const sockaddr_in to = loopback(recv_opts.data_port);
     util::Rng rng(0xBAD2);
-    std::vector<std::uint8_t> junk(256);
+    std::vector<std::uint8_t> junk(2048);
     while (!stop.load(std::memory_order_relaxed)) {
       for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng.next());
       const std::size_t len = 1 + static_cast<std::size_t>(rng.next() % junk.size());
@@ -412,7 +578,7 @@ TEST(IoTransfer, TransferSurvivesGarbageSprayedIntoBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection must act per-datagram inside gathered batches
+// Fault injection must act per-datagram inside trains
 // ---------------------------------------------------------------------------
 
 TEST(IoFaults, CorruptFaultHitsSingleDatagramsInsideBatches) {
@@ -426,6 +592,21 @@ TEST(IoFaults, CorruptFaultHitsSingleDatagramsInsideBatches) {
   // by the receiver's CRC, while their batch-mates landed fine.
   EXPECT_GT(pair.receiver.corrupt_dropped, 0);
   EXPECT_GT(pair.sender.packets_sent, pair.sender.packets_needed);
+}
+
+TEST(IoFaults, DropDuplicateAndCorruptFaultsActPerDatagramInsideDefaultTrains) {
+  // The paper's B = 2, so each train is 31 batches of 62 datagrams.
+  const auto object = core::make_pattern(512 * 1024, 0xD1D1);
+  std::vector<std::uint8_t> sink(object.size(), 0);
+  const auto pair = run_loopback_pair(26, object, sink,
+                                      "seed=5;data.drop=0.03;data.dup=0.03;data.corrupt=0.03", 2);
+  ASSERT_TRUE(pair.receiver.completed()) << pair.receiver.error;
+  ASSERT_TRUE(pair.sender.completed()) << pair.sender.error;
+  EXPECT_EQ(sink, object);
+  EXPECT_GT(pair.receiver.duplicates, 0);
+  EXPECT_GT(pair.receiver.corrupt_dropped, 0);
+  EXPECT_GT(pair.sender.packets_sent, pair.sender.packets_needed);
+  EXPECT_LE(pair.sender.io.send_syscalls * 16, pair.sender.io.datagrams_sent);
 }
 
 TEST(IoFaults, DropAndDuplicateFaultsActPerDatagramInsideBatches) {

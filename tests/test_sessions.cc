@@ -242,12 +242,14 @@ class CaseRun {
         }
       }
       if (!session.done()) {
-        for (const auto& ack : link.acks.arrived(now_)) session.on_ack_datagram(ack);
+        for (const auto& ack : link.acks.arrived(now_)) session.on_ack_datagram(ack, now_);
+        // The receivers stamp no queue drops, so the rate cap never holds a train.
+        EXPECT_EQ(session.send_wait(now_), SessionTime::duration::zero());
         if (!session.idle()) {
           for (const auto& view : session.next_batch()) {
             link.data.send(arrival(), datagram_bytes(view));
           }
-          session.on_batch_sent();
+          session.on_batch_sent(now_);
         }
       }
     }
@@ -257,7 +259,9 @@ class CaseRun {
         const auto echo = session.completion_echo();
         link.sender_side->echo.insert(link.sender_side->echo.end(), echo.begin(), echo.end());
       }
-      for (const auto& ack : link.acks.arrived(now_, SIZE_MAX)) session.on_ack_datagram(ack);
+      for (const auto& ack : link.acks.arrived(now_, SIZE_MAX)) {
+        session.on_ack_datagram(ack, now_);
+      }
     }
     // The flow's sockets close with it.
     if (link.sender_side) link.sender_side->sender_closed = true;
@@ -517,9 +521,10 @@ TEST(SessionHeaderSeal, FlippedSeqBitIsDroppedAsCorruptAndLeavesTheStripeUntouch
   SenderSession sender(send_options, send, start);
   ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, nullptr, 1, start);
 
-  const auto batch = sender.next_batch();
-  ASSERT_EQ(batch.size(), 1u);
-  Bytes datagram = datagram_bytes(batch[0]);
+  // The train holds every packet; damage its first datagram.
+  const auto train = sender.next_batch();
+  ASSERT_EQ(train.size(), static_cast<std::size_t>(spec.packet_count()));
+  Bytes datagram = datagram_bytes(train[0]);
   const auto sent = posix::decode_data_header(datagram.data(), datagram.size());
   ASSERT_TRUE(sent.has_value());
   datagram[posix::kDataSealedHeaderBytes - 1] ^= 0x01;  // the seq's lowest bit
@@ -533,6 +538,133 @@ TEST(SessionHeaderSeal, FlippedSeqBitIsDroppedAsCorruptAndLeavesTheStripeUntouch
   const auto result = receiver.finish(start);
   EXPECT_EQ(result.corrupt_dropped, 1);
   EXPECT_EQ(result.packets_received, 0);
+}
+
+// With 64 KiB receive slots nothing truncates an oversized datagram: a
+// data datagram is placed only at exactly its packet's length, so a
+// validly sealed packet with bytes appended (or cut off) is dropped.
+TEST(SessionHeaderSeal, DatagramOfAnyOtherLengthThanItsPacketsIsNotPlaced) {
+  const core::TransferSpec spec{3 * 64 + 10, 64};
+  const Bytes source = core::make_pattern(spec.object_bytes, 9);
+  Bytes sink(source.size(), 0);
+  posix::detail::SendFlow send;
+  send.spec = spec;
+  send.stripe = source;
+  posix::detail::ReceiveFlow receive;
+  receive.spec = spec;
+  receive.stripe = sink;
+  const SessionTime start{};
+  SenderSession sender(posix::SenderOptions{}, send, start);
+  ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, nullptr, 1, start);
+
+  const auto train = sender.next_batch();
+  ASSERT_EQ(train.size(), static_cast<std::size_t>(spec.packet_count()));
+  for (const auto& view : train) {
+    Bytes padded = datagram_bytes(view);
+    padded.push_back(0x00);
+    EXPECT_TRUE(receiver.on_datagram(padded).empty());
+    Bytes cut = datagram_bytes(view);
+    cut.pop_back();
+    EXPECT_TRUE(receiver.on_datagram(cut).empty());
+  }
+  EXPECT_EQ(sink, Bytes(source.size(), 0));
+  // The same datagrams at their own length are placed.
+  for (const auto& view : train) receiver.on_datagram(datagram_bytes(view));
+  EXPECT_EQ(sink, source);
+  const auto result = receiver.finish(start);
+  EXPECT_EQ(result.packets_received, spec.packet_count());
+}
+
+// Trains keep the per-datagram fault schedule: over the same packets a
+// FaultInjector with the same plan decides, the views of the trains
+// hold exactly its drops, duplicates and corruptions.
+TEST(SessionTrains, FaultPlanActsPerDatagramAndKeepsTheInjectorsCounters) {
+  const core::TransferSpec spec{4000 * 1024, 1024};
+  const Bytes source = core::make_pattern(spec.object_bytes, 11);
+  net::FaultPlan plan;
+  plan.seed = 77;
+  plan.data.drop = 0.05;
+  plan.data.duplicate = 0.05;
+  plan.data.corrupt = 0.05;
+  posix::detail::SendFlow send;
+  send.spec = spec;
+  send.stripe = source;
+  send.fault_plan = plan;
+  const SessionTime start{};
+  SenderSession sender(posix::SenderOptions{}, send, start);
+  net::FaultInjector reference(plan);
+
+  std::int64_t views = 0;
+  std::int64_t damaged = 0;
+  for (int train = 0; train < 40; ++train) {
+    const auto batch = sender.next_batch();
+    // The paper's B = 2, 31 batches of it per 1 KiB train; at most two
+    // copies of each packet.
+    ASSERT_LE(batch.size(), 2u * 62u);
+    for (const auto& view : batch) {
+      const auto header = posix::decode_data_header(view.header.data(), view.header.size());
+      ASSERT_TRUE(header.has_value());
+      ++views;
+      const auto* original = source.data() + spec.offset_of(header->seq);
+      if (!std::equal(view.payload.begin(), view.payload.end(), original)) ++damaged;
+    }
+    sender.on_batch_sent(start);
+  }
+  const auto result = sender.finish(start);
+  ASSERT_EQ(result.packets_sent, 40 * 62);
+  for (std::int64_t i = 0; i < result.packets_sent; ++i) reference.next(net::FaultChannel::kData);
+  const auto& counts = reference.stats(net::FaultChannel::kData);
+  ASSERT_GT(counts.dropped, 0);
+  ASSERT_GT(counts.duplicated, 0);
+  ASSERT_GT(counts.corrupted, 0);
+  EXPECT_EQ(views, result.packets_sent - counts.dropped + counts.duplicated);
+  EXPECT_EQ(damaged, counts.corrupted);
+}
+
+// The receiver stamps its socket's queue drops on its ACKs, and the
+// sender's rate cap engages on the first ACK that shows new ones.
+TEST(SessionTrains, QueueDropsOnAnAckEngageTheSendersRateCap) {
+  const core::TransferSpec spec{2000 * 1024, 1024};
+  const Bytes source = core::make_pattern(spec.object_bytes, 13);
+  Bytes sink(source.size(), 0);
+  posix::detail::SendFlow send;
+  send.spec = spec;
+  send.stripe = source;
+  posix::detail::ReceiveFlow receive;
+  receive.spec = spec;
+  receive.stripe = sink;
+  SessionTime now{};
+  SenderSession sender(posix::SenderOptions{}, send, now);
+  ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, nullptr, 1, now);
+
+  const auto deliver = [&](std::uint32_t drops) {
+    receiver.on_queue_drops(drops);
+    int acks = 0;
+    for (const auto& view : sender.next_batch()) {
+      for (const auto& ack : receiver.on_datagram(datagram_bytes(view))) {
+        const Bytes bytes = datagram_bytes(ack);
+        EXPECT_EQ(posix::decode_ack(bytes.data(), bytes.size())->queue_drops,
+                  static_cast<std::uint16_t>(drops));
+        sender.on_ack_datagram(bytes, now);
+        ++acks;
+      }
+    }
+    sender.on_batch_sent(now);
+    now += std::chrono::milliseconds(2);
+    return acks;
+  };
+  int acks = 0;
+  for (int i = 0; i < 4; ++i) acks += deliver(0);
+  ASSERT_GT(acks, 0);
+  EXPECT_EQ(sender.send_wait(now), SessionTime::duration::zero());
+  while (deliver(0x10005) == 0) {  // stamped mod 2^16
+  }
+  // The cap lets one train through on its slack; the next one waits.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_FALSE(sender.next_batch().empty());
+    sender.on_batch_sent(now);
+  }
+  EXPECT_GT(sender.send_wait(now), SessionTime::duration::zero());
 }
 
 Bytes sealed_datagram(const core::TransferSpec& spec, std::span<const std::uint8_t> stripe,

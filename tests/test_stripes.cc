@@ -447,7 +447,7 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
   const std::string checkpoint_path = ::testing::TempDir() + "fobs_stripes_kill.ckpt";
   posix::remove_checkpoint(checkpoint_path);
 
-  // Attempt 1: stripe 1's data flow is blackholed from the first packet
+  // Attempt 1: stripe 1's data flow drops every datagram
   // — that stripe can never progress, the other three complete.
   {
     posix::SenderOptions send;
@@ -463,7 +463,7 @@ TEST(StripedTransfer, KilledStripeDegradesThenResumesByteIdentical) {
     recv.endpoint.packet_bytes = kPacketBytes;
     recv.endpoint.timeout_ms = 4'000;
     recv.stripes = 4;
-    recv.stripe_fault_plans = {"", "seed=7;data.blackhole=0+1000000", "", ""};
+    recv.stripe_fault_plans = {"", "seed=7;data.drop=1", "", ""};
 
     const auto run = run_loopback(send, recv, object.view(), buffer);
     EXPECT_FALSE(run.receiver.completed());
@@ -652,7 +652,7 @@ TEST(StripedResume, FourStripeAttemptResumesAtOneStripe) {
   ASSERT_TRUE(object.write_to_file(dir + "/dataset.bin"));
 
   const auto attempt = interrupted_fetch(
-      object, out, {"", "seed=7;data.blackhole=0+1000000", "", ""}, 30334, 30338);
+      object, out, {"", "seed=7;data.drop=1", "", ""}, 30334, 30338);
   EXPECT_FALSE(attempt.completed());
   EXPECT_EQ(attempt.stripes_completed, 3);
   ASSERT_TRUE(file_exists(out + ".part"));
