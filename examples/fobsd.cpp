@@ -26,6 +26,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -101,11 +102,9 @@ int run_fetch(const std::string& host, std::uint16_t port, const std::string& na
   return 0;
 }
 
-int run_demo(int stripes) {
-  // Stage three files, serve them, and fetch all three *concurrently*
-  // from distinct clients — the one-transfer-at-a-time fobsd is gone.
-  const std::string dir = "/tmp/fobsd_demo";
-  (void)::system(("mkdir -p " + dir).c_str());
+// Stages three files in `dir`, serves them, and fetches all three
+// concurrently from distinct clients.
+int serve_and_fetch(const std::string& dir, int stripes) {
   const std::vector<std::int64_t> sizes = {8 * 1024 * 1024, 3 * 1024 * 1024, 5 * 1024 * 1024};
   std::vector<std::uint64_t> checksums;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -122,7 +121,6 @@ int run_demo(int stripes) {
   if (!server.start()) return 1;
 
   std::vector<std::thread> clients;
-  std::vector<int> rcs(sizes.size(), 1);
   std::vector<fobs::posix::FetchResult> fetches(sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     clients.emplace_back([&, i] {
@@ -134,7 +132,6 @@ int run_demo(int stripes) {
       options.data_port = static_cast<std::uint16_t>(39200 + i * 16);
       options.stripes = stripes;
       fetches[i] = fobs::posix::fetch_file(options);
-      rcs[i] = fetches[i].completed() ? 0 : 1;
     });
   }
   for (auto& c : clients) c.join();
@@ -142,7 +139,7 @@ int run_demo(int stripes) {
 
   bool ok = true;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const bool verified = rcs[i] == 0 && fetches[i].checksum == checksums[i];
+    const bool verified = fetches[i].completed() && fetches[i].checksum == checksums[i];
     std::printf("fobsd demo: dataset%zu %s (%lld bytes, %.0f Mb/s)\n", i,
                 verified ? "verified" : "MISMATCH",
                 static_cast<long long>(fetches[i].bytes), fetches[i].goodput_mbps);
@@ -156,6 +153,20 @@ int run_demo(int stripes) {
     fobs::telemetry::MetricsRegistry::global().to_table().print(std::cout);
   }
   return ok ? 0 : 1;
+}
+
+int run_demo(int stripes) {
+  // A private temp dir, removed whether the demo passed or failed.
+  std::error_code error;
+  std::string dir =
+      (std::filesystem::temp_directory_path(error) / "fobsd_demo.XXXXXX").string();
+  if (error || ::mkdtemp(dir.data()) == nullptr) {
+    std::printf("fobsd demo: cannot create a temp dir %s\n", dir.c_str());
+    return 1;
+  }
+  const int rc = serve_and_fetch(dir, stripes);
+  std::filesystem::remove_all(dir, error);
+  return rc;
 }
 
 }  // namespace

@@ -3,11 +3,12 @@
 // and drop counts plus a timeline from the receiver's trace — where the
 // drops happened and how the goodput evolved.
 //
-//   ./transfer_anatomy [ack_frequency]
+//   ./transfer_anatomy [ack_frequency]   (a positive integer, default 1)
 //
 // Also demonstrates the telemetry subsystem: both endpoints carry an
 // EventTracer, and the protocol-event summaries print after the
 // timeline. Set FOBS_TRACE_DIR=<dir> to dump the full JSONL traces.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -18,7 +19,13 @@
 
 int main(int argc, char** argv) {
   using namespace fobs;
-  const std::int64_t ack_frequency = argc > 1 ? std::atoll(argv[1]) : 1;
+  char* end = nullptr;
+  const std::int64_t ack_frequency = argc > 1 ? std::strtoll(argv[1], &end, 10) : 1;
+  if (argc > 2 || (argc > 1 && (end == argv[1] || *end != '\0')) || ack_frequency < 1 ||
+      ack_frequency > INT32_MAX) {
+    std::fprintf(stderr, "usage: %s [ack_frequency >= 1]\n", argv[0]);
+    return 2;
+  }
 
   auto spec = exp::spec_for(exp::PathId::kShortHaul);
   exp::Testbed bed(spec, 21);

@@ -1,11 +1,13 @@
 #include "fobs/posix/fileserver.h"
 
 #include <sys/stat.h>
+#include <sys/statvfs.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include "common/log.h"
@@ -278,6 +280,22 @@ FetchResult fetch_file(const FetchOptions& options) {
     remove_checkpoint(checkpoint_path);
   } else if (!options.quiet) {
     std::printf("fobsd: found partial fetch %s, attempting resume\n", partial_path.c_str());
+  }
+  // The reply's size is the peer's word: refuse one the output
+  // directory cannot hold before the mapping creates and reserves it.
+  // A matching .part already holds its own blocks.
+  const std::string out_dir = std::filesystem::path(options.out_path).parent_path().string();
+  struct statvfs fs{};
+  if (::statvfs(out_dir.empty() ? "." : out_dir.c_str(), &fs) == 0) {
+    const unsigned long long free_bytes =
+        fs.f_bavail * fs.f_frsize + (resuming ? part_stat.st_blocks * 512ull : 0);
+    if (static_cast<unsigned long long>(size) > free_bytes) {
+      result.status = TransferStatus::kPeerLost;
+      result.error = "catalog reply size " + std::to_string(size) +
+                     " bytes does not fit in the " + std::to_string(free_bytes) +
+                     " bytes free for " + options.out_path;
+      return result;
+    }
   }
   auto partial = fobs::core::TransferObject::map_file_rw(partial_path,
                                                          static_cast<std::int64_t>(size));

@@ -638,12 +638,24 @@ TEST(FetchFile, CatalogReplyWithAPacketSizeNoDatagramCarriesIsMalformed) {
   // plus packet), so 2^40 would ask for 32 TiB. A fake catalog sends it,
   // then one byte past the largest datagram payload: each fetch fails
   // as a malformed reply before anything is mapped, and this process
-  // lives to check it.
+  // lives to check it. A 1 PiB object no disk here holds is refused the
+  // same way, before its .part is created.
   const std::string dir = ::testing::TempDir() + "fobs_fileserver_bogus_reply";
   ::mkdir(dir.c_str(), 0755);
+  std::remove((dir + "/fetched.bin.part").c_str());  // left by an earlier run
   const net::Fd listener = net::listen_tcp(30292, 4);
   ASSERT_TRUE(listener.valid());
-  for (const std::int64_t packet_bytes : {std::int64_t{1} << 40, posix::kMaxPacketBytes + 1}) {
+  struct BogusReply {
+    std::string line;
+    const char* error;
+  };
+  const BogusReply replies[] = {
+      {"10 " + std::to_string(std::int64_t{1} << 40) + " 30293 1", "malformed catalog reply"},
+      {"10 " + std::to_string(posix::kMaxPacketBytes + 1) + " 30293 1",
+       "malformed catalog reply"},
+      {"1125899906842624 1024 30293 1", "size 1125899906842624 bytes does not fit"},
+  };
+  for (const BogusReply& reply : replies) {
     std::string request;
     std::thread catalog([&] {
       const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -653,9 +665,9 @@ TEST(FetchFile, CatalogReplyWithAPacketSizeNoDatagramCarriesIsMalformed) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       if (!conn.fd.valid() || !net::recv_line(conn.fd.get(), deadline, request)) return;
-      const std::string reply = "10 " + std::to_string(packet_bytes) + " 30293 1\n";
-      net::send_all(conn.fd.get(), reinterpret_cast<const std::uint8_t*>(reply.data()),
-                    reply.size(), deadline);
+      const std::string line = reply.line + "\n";
+      net::send_all(conn.fd.get(), reinterpret_cast<const std::uint8_t*>(line.data()),
+                    line.size(), deadline);
     });
     posix::FetchOptions fetch;
     fetch.catalog_port = 30292;
@@ -667,8 +679,8 @@ TEST(FetchFile, CatalogReplyWithAPacketSizeNoDatagramCarriesIsMalformed) {
     const auto result = posix::fetch_file(fetch);
     catalog.join();
     EXPECT_EQ(request, "dataset0.bin 30294 1");
-    EXPECT_EQ(result.status, posix::TransferStatus::kPeerLost) << packet_bytes;
-    EXPECT_NE(result.error.find("malformed catalog reply"), std::string::npos) << result.error;
+    EXPECT_EQ(result.status, posix::TransferStatus::kPeerLost) << reply.line;
+    EXPECT_NE(result.error.find(reply.error), std::string::npos) << result.error;
     struct stat part{};
     EXPECT_NE(::stat((fetch.out_path + ".part").c_str(), &part), 0) << "the .part was mapped";
   }
