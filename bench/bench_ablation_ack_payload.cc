@@ -30,29 +30,17 @@ int main() {
               seeds.size());
 
   for (std::int64_t payload : payloads) {
-    double fraction = 0.0;
-    double waste = 0.0;
-    int runs = 0;
-    for (std::uint64_t seed : seeds) {
+    const auto avg = exp::average_over_seeds(spec, seeds, [&](std::uint64_t seed) {
       exp::Testbed bed(spec, seed);
       core::SimTransferConfig config;
       config.spec.object_bytes = exp::kPaperObjectBytes;
       config.receiver.ack_frequency = 64;
       config.receiver.ack_payload_bytes = payload;
-      const auto result =
-          core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
-      if (!result.completed) continue;
-      fraction += result.fraction_of(spec.max_bandwidth);
-      waste += result.waste;
-      ++runs;
-    }
-    if (runs > 0) {
-      fraction /= runs;
-      waste /= runs;
-    }
+      return core::run_sim_transfer(bed.network(), bed.src(), bed.dst(), config);
+    });
     const std::int64_t coverage = (payload - core::kAckHeaderBytes) * 8;
     table.add_row({std::to_string(payload) + " B", std::to_string(std::max<std::int64_t>(coverage, 0)),
-                   util::TextTable::pct(fraction), util::TextTable::pct(waste)});
+                   util::TextTable::pct(avg.fraction), util::TextTable::pct(avg.waste)});
     std::printf(".");
     std::fflush(stdout);
   }

@@ -24,8 +24,12 @@ int main() {
   const auto long_spec = exp::spec_for(exp::PathId::kLongHaul);
 
   auto run_row = [&](const exp::FobsRunParams& params, const std::string& label) {
-    const auto s = exp::run_fobs_averaged(short_spec, params, seeds);
-    const auto l = exp::run_fobs_averaged(long_spec, params, seeds);
+    const auto average = [&](const exp::TestbedSpec& spec) {
+      return exp::average_over_seeds(
+          spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, params, seed); });
+    };
+    const auto s = average(short_spec);
+    const auto l = average(long_spec);
     table.add_row({label, util::TextTable::pct(s.fraction), util::TextTable::pct(l.fraction),
                    util::TextTable::pct(s.waste), util::TextTable::pct(l.waste)});
     std::printf(".");

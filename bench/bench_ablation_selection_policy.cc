@@ -30,11 +30,15 @@ int main() {
   const std::vector<core::SelectionKind> kinds = {core::SelectionKind::kCircular,
                                                   core::SelectionKind::kLowestFirst,
                                                   core::SelectionKind::kRandomUnacked};
+  const auto average = [&](const exp::TestbedSpec& spec, const exp::FobsRunParams& params) {
+    return exp::average_over_seeds(
+        spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, params, seed); });
+  };
   for (auto kind : kinds) {
     exp::FobsRunParams params;
     params.selection = kind;
-    const auto s = exp::run_fobs_averaged(short_spec, params, seeds);
-    const auto l = exp::run_fobs_averaged(lossy_spec, params, seeds);
+    const auto s = average(short_spec, params);
+    const auto l = average(lossy_spec, params);
     table.add_row({core::to_string(kind), util::TextTable::pct(s.fraction),
                    util::TextTable::pct(l.fraction), util::TextTable::pct(l.waste)});
     std::printf(".");

@@ -67,9 +67,11 @@ int main() {
           net.network(),
           {{net.site_host(path_case.src), net.site_host(path_case.dst), bytes}},
           baselines::tcp_with_lwe());
-      const auto dumbbell = exp::run_tcp_averaged(exp::spec_for(path_case.dumbbell), bytes,
-                                                  baselines::tcp_with_lwe(),
-                                                  exp::default_seeds(3));
+      const auto spec = exp::spec_for(path_case.dumbbell);
+      const auto dumbbell =
+          exp::average_over_seeds(spec, exp::default_seeds(3), [&](std::uint64_t seed) {
+            return exp::run_tcp(spec, bytes, baselines::tcp_with_lwe(), 1, seed);
+          });
       table.add_row({path_case.label, "TCP+LWE",
                      util::TextTable::pct(routed.goodput_mbps / path_case.max_mbps),
                      util::TextTable::pct(dumbbell.goodput_mbps / path_case.max_mbps),

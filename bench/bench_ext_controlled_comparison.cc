@@ -5,89 +5,32 @@
 // every protocol, removing the run-to-run network variance the authors
 // complained about. One 40 MB transfer per cell.
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "baselines/rudp.h"
-#include "baselines/sabul.h"
-#include "baselines/tcp_bulk.h"
 #include "bench_util.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
 
-namespace {
-
-using namespace fobs;
-
-double pct_of_max(double goodput_mbps, const exp::TestbedSpec& spec) {
-  return goodput_mbps * 1e6 / spec.max_bandwidth.bps();
-}
-
-}  // namespace
-
 int main() {
+  using namespace fobs;
   const std::uint64_t seed = 42;
-  const std::int64_t bytes = exp::kPaperObjectBytes;
+  // simctl's defaults: PSockets runs 16 streams, TCP the Large Window
+  // Extensions.
+  const exp::Protocol protocols[] = {exp::Protocol::kFobs, exp::Protocol::kRudp,
+                                     exp::Protocol::kSabul, exp::Protocol::kPsockets,
+                                     exp::Protocol::kTcp};
 
   util::TextTable table({"scenario", "FOBS", "RUDP", "SABUL", "PSockets-16", "TCP+LWE"});
   std::printf("Controlled comparison: identical scripted load/loss per scenario, 40 MB\n");
 
   for (const auto& scenario : exp::all_scenarios()) {
     std::vector<std::string> row{scenario.name};
-
-    {
+    for (const exp::Protocol protocol : protocols) {
       exp::ScenarioRuntime runtime(scenario, seed);
-      core::SimTransferConfig config;
-      config.spec.object_bytes = bytes;
-      const auto r = core::run_sim_transfer(runtime.testbed().network(),
-                                            runtime.testbed().src(), runtime.testbed().dst(),
-                                            config);
-      row.push_back(r.completed
-                        ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
-                        : "stall");
+      const auto r = exp::run_protocol(runtime.testbed(), protocol);
+      row.push_back(r.completed ? util::TextTable::pct(r.fraction) : "stall");
     }
-    {
-      exp::ScenarioRuntime runtime(scenario, seed);
-      baselines::RudpConfig config;
-      config.spec = {bytes, exp::kPaperPacketBytes};
-      const auto r = baselines::run_rudp_transfer(runtime.testbed().network(),
-                                                  runtime.testbed().src(),
-                                                  runtime.testbed().dst(), config);
-      row.push_back(r.completed
-                        ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
-                        : "stall");
-    }
-    {
-      exp::ScenarioRuntime runtime(scenario, seed);
-      baselines::SabulConfig config;
-      config.spec = {bytes, exp::kPaperPacketBytes};
-      config.initial_rate = scenario.base.max_bandwidth * 0.95;
-      const auto r = baselines::run_sabul_transfer(runtime.testbed().network(),
-                                                   runtime.testbed().src(),
-                                                   runtime.testbed().dst(), config);
-      row.push_back(r.completed
-                        ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
-                        : "stall");
-    }
-    {
-      exp::ScenarioRuntime runtime(scenario, seed);
-      auto& bed = runtime.testbed();
-      const auto r = baselines::run_tcp_transfers(
-          bed.network(), baselines::psockets_transfers(bed.src(), bed.dst(), bytes, 16),
-          baselines::psockets_stream_config());
-      row.push_back(r.completed
-                        ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
-                        : "stall");
-    }
-    {
-      exp::ScenarioRuntime runtime(scenario, seed);
-      auto& bed = runtime.testbed();
-      const auto r = baselines::run_tcp_transfers(
-          bed.network(), {{bed.src(), bed.dst(), bytes}}, baselines::tcp_with_lwe());
-      row.push_back(r.completed
-                        ? util::TextTable::pct(pct_of_max(r.goodput_mbps, scenario.base))
-                        : "stall");
-    }
-
     table.add_row(std::move(row));
     std::printf(".");
     std::fflush(stdout);

@@ -47,8 +47,9 @@ int main() {
 
   util::TextTable table({"variant", "% max bw", "goodput", "retransmissions", "timeouts"});
   for (const auto& variant : variants) {
-    const auto avg =
-        exp::run_tcp_averaged(spec, exp::kPaperObjectBytes, variant.config, seeds);
+    const auto avg = exp::average_over_seeds(spec, seeds, [&](std::uint64_t seed) {
+      return exp::run_tcp(spec, exp::kPaperObjectBytes, variant.config, 1, seed);
+    });
     table.add_row({variant.name, util::TextTable::pct(avg.fraction),
                    util::TextTable::num(avg.goodput_mbps, 1) + " Mb/s",
                    std::to_string(avg.retransmissions / seeds.size()),
@@ -57,8 +58,8 @@ int main() {
     std::fflush(stdout);
   }
   // FOBS context row.
-  exp::FobsRunParams params;
-  const auto fobs_avg = exp::run_fobs_averaged(spec, params, seeds);
+  const auto fobs_avg = exp::average_over_seeds(
+      spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, {}, seed); });
   table.add_row({"(context) FOBS", util::TextTable::pct(fobs_avg.fraction),
                  util::TextTable::num(fobs_avg.goodput_mbps, 1) + " Mb/s", "-", "-"});
   std::printf("\n");

@@ -53,8 +53,12 @@ int main() {
   for (const std::int64_t f : frequencies) {
     exp::FobsRunParams params;
     params.ack_frequency = f;
-    const auto short_avg = exp::run_fobs_averaged(short_spec, params, seeds);
-    const auto long_avg = exp::run_fobs_averaged(long_spec, params, seeds);
+    const auto average = [&](const exp::TestbedSpec& spec) {
+      return exp::average_over_seeds(
+          spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, params, seed); });
+    };
+    const auto short_avg = average(short_spec);
+    const auto long_avg = average(long_spec);
     bandwidth.add_row({std::to_string(f), util::TextTable::pct(short_avg.fraction),
                        util::TextTable::pct(long_avg.fraction)});
     waste.add_row({std::to_string(f), util::TextTable::pct(short_avg.waste),

@@ -40,7 +40,8 @@ int main() {
     params.packet_bytes = packet_sizes[i];
     params.ack_frequency = 64;
     params.receiver_socket_buffer_bytes = 256 * 1024;
-    const auto avg = exp::run_fobs_averaged(spec, params, seeds);
+    const auto avg = exp::average_over_seeds(
+        spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, params, seed); });
     table.add_row({std::to_string(packet_sizes[i] / 1024) + "K",
                    util::TextTable::pct(paper_values[i]),
                    util::TextTable::pct(avg.fraction)});

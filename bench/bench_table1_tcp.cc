@@ -26,16 +26,20 @@ int main() {
   const auto short_spec = exp::spec_for(exp::PathId::kShortHaul);
   const auto long_spec = exp::spec_for(exp::PathId::kLongHaul);
 
-  const auto short_lwe = exp::run_tcp_averaged(short_spec, exp::kPaperObjectBytes,
-                                               baselines::tcp_with_lwe(), seeds);
-  const auto long_lwe =
-      exp::run_tcp_averaged(long_spec, exp::kPaperObjectBytes, baselines::tcp_with_lwe(), seeds);
-  const auto long_nolwe = exp::run_tcp_averaged(long_spec, exp::kPaperObjectBytes,
-                                                baselines::tcp_without_lwe(), seeds);
-
-  exp::FobsRunParams fobs_params;
-  const auto fobs_short = exp::run_fobs_averaged(short_spec, fobs_params, seeds);
-  const auto fobs_long = exp::run_fobs_averaged(long_spec, fobs_params, seeds);
+  const auto tcp_average = [&](const exp::TestbedSpec& spec, const net::TcpConfig& config) {
+    return exp::average_over_seeds(spec, seeds, [&](std::uint64_t seed) {
+      return exp::run_tcp(spec, exp::kPaperObjectBytes, config, 1, seed);
+    });
+  };
+  const auto fobs_average = [&](const exp::TestbedSpec& spec) {
+    return exp::average_over_seeds(
+        spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, {}, seed); });
+  };
+  const auto short_lwe = tcp_average(short_spec, baselines::tcp_with_lwe());
+  const auto long_lwe = tcp_average(long_spec, baselines::tcp_with_lwe());
+  const auto long_nolwe = tcp_average(long_spec, baselines::tcp_without_lwe());
+  const auto fobs_short = fobs_average(short_spec);
+  const auto fobs_long = fobs_average(long_spec);
 
   util::TextTable table({"network connection", "paper", "measured"});
   table.add_row({"Short haul with LWE", "86%", util::TextTable::pct(short_lwe.fraction)});

@@ -29,19 +29,13 @@ int main() {
   int best_n = 0;
   for (int n : candidates) {
     // Average the search point over the seeds, like repeated tuning runs.
-    double fraction = 0.0;
-    int completed = 0;
-    for (std::uint64_t seed : seeds) {
-      const auto r = exp::run_tcp(spec, exp::kPaperObjectBytes,
-                                    baselines::psockets_stream_config(), n, seed);
-      if (!r.completed) continue;
-      fraction += r.fraction_of(spec.max_bandwidth);
-      ++completed;
-    }
-    if (completed > 0) fraction /= completed;
-    search.add_row({std::to_string(n), util::TextTable::pct(fraction)});
-    if (completed > 0 && fraction > best_fraction) {
-      best_fraction = fraction;
+    const auto avg = exp::average_over_seeds(spec, seeds, [&](std::uint64_t seed) {
+      return exp::run_tcp(spec, exp::kPaperObjectBytes, baselines::psockets_stream_config(), n,
+                          seed);
+    });
+    search.add_row({std::to_string(n), util::TextTable::pct(avg.fraction)});
+    if (avg.completed_runs > 0 && avg.fraction > best_fraction) {
+      best_fraction = avg.fraction;
       best_n = n;
     }
     std::printf(".");
@@ -50,8 +44,8 @@ int main() {
   std::printf("\n");
   benchutil::emit(search, "PSockets stream-count search");
 
-  exp::FobsRunParams fobs_params;
-  const auto fobs = exp::run_fobs_averaged(spec, fobs_params, seeds);
+  const auto fobs = exp::average_over_seeds(
+      spec, seeds, [&](std::uint64_t seed) { return exp::run_fobs(spec, {}, seed); });
 
   util::TextTable table({"metric", "PSockets paper", "PSockets measured", "FOBS paper",
                          "FOBS measured"});

@@ -22,7 +22,6 @@
 // silent catalog client times out instead of wedging the server. With
 // FOBS_TRACE_DIR set, every server-side flow writes
 // fobsd_serve_<transfer>_<flow>.jsonl.
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +32,10 @@
 #include <thread>
 #include <vector>
 
+#include "args.h"
 #include "fobs/object.h"
 #include "fobs/posix/fileserver.h"
+#include "fobs/stripe/plan.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -172,32 +173,45 @@ int run_demo(int stripes) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto usage = [&] {
+    std::printf(
+        "usage:\n  %s demo [--stripes N]\n  %s serve <dir> <port> [--stripes N]\n"
+        "  %s fetch <host> <port> <name> <out> [--stripes N]\n"
+        "<port> is 1..65535, N is 1..%d\n",
+        argv[0], argv[0], argv[0], fobs::stripe::kMaxStripes);
+    return 2;
+  };
   // Split "--stripes N" out of the positional arguments.
   std::optional<int> stripes_flag;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--stripes" && i + 1 < argc) {
-      stripes_flag = std::max(1, std::atoi(argv[++i]));
+    if (std::string(argv[i]) != "--stripes") {
+      args.emplace_back(argv[i]);
       continue;
     }
-    args.emplace_back(argv[i]);
+    std::int64_t n = 0;
+    if (!fobs::examples::read_int(i + 1 < argc ? argv[++i] : nullptr, 1,
+                                  fobs::stripe::kMaxStripes, n)) {
+      return usage();
+    }
+    stripes_flag = static_cast<int>(n);
   }
+  std::int64_t port = 0;
+  const auto read_port = [&] {
+    return fobs::examples::read_int(args[2].c_str(), 1, 65535, port);
+  };
   const int stripes = stripes_flag.value_or(1);
   const std::string mode = args.empty() ? "demo" : args[0];
   if (mode == "demo") return run_demo(stripes);
-  if (mode == "serve" && args.size() == 3) {
+  if (mode == "serve" && args.size() == 3 && read_port()) {
     // For serve, --stripes caps the grant (the library default when the
     // flag is absent).
-    return run_server(args[1], static_cast<std::uint16_t>(std::atoi(args[2].c_str())),
+    return run_server(args[1], static_cast<std::uint16_t>(port),
                       stripes_flag.value_or(fobs::posix::FileServerOptions{}.max_stripes));
   }
-  if (mode == "fetch" && args.size() == 5) {
-    return run_fetch(args[1], static_cast<std::uint16_t>(std::atoi(args[2].c_str())), args[3],
-                     args[4], /*data_port=*/39200, stripes);
+  if (mode == "fetch" && args.size() == 5 && read_port()) {
+    return run_fetch(args[1], static_cast<std::uint16_t>(port), args[3], args[4],
+                     /*data_port=*/39200, stripes);
   }
-  std::printf(
-      "usage:\n  %s demo [--stripes N]\n  %s serve <dir> <port> [--stripes N]\n"
-      "  %s fetch <host> <port> <name> <out> [--stripes N]\n",
-      argv[0], argv[0], argv[0]);
-  return 2;
+  return usage();
 }

@@ -20,109 +20,41 @@
 //   --seed N         simulation seed, >= 0 (default 42)
 //
 // A protocol prints one table row (done, % of max bandwidth, goodput,
-// elapsed, notes). `--protocol all` runs the same per-protocol code for
-// eight rows: FOBS, RUDP, SABUL, PSockets-1/8/16, TCP+LWE and TCP with
-// a 64 KiB window (it sets --streams and --no-lwe itself). Exit code:
-// 0 when every row completed, 1 when one did not, 2 for a bad flag.
+// elapsed, notes) from exp::run_protocol on a fresh testbed. `--protocol
+// all` runs it for eight rows: FOBS, RUDP, SABUL, PSockets-1/8/16,
+// TCP+LWE and TCP with a 64 KiB window (it sets --streams and --no-lwe
+// itself). Exit code: 0 when every row completed, 1 when one did not,
+// 2 for a bad flag.
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "args.h"
 #include "common/table.h"
 #include "exp/runner.h"
 #include "fobs/posix/codec.h"
 
 namespace {
 
+using fobs::exp::Protocol;
+using fobs::exp::ProtocolKnobs;
 using fobs::util::TextTable;
 
 struct Options {
   std::string path = "long";
   std::string protocol = "fobs";
-  std::int64_t mb = 40;
-  std::int64_t packet = 1024;
-  std::int64_t ack_freq = 64;
-  std::int64_t batch = 2;
-  std::int64_t streams = 16;
-  bool adaptive = false;
-  bool tcp_fallback = false;
-  bool no_lwe = false;
   std::int64_t seed = 42;
+  ProtocolKnobs knobs;
 };
 
-struct Row {
-  std::string protocol;
-  bool completed;
-  double fraction, goodput_mbps, elapsed_s;
-  std::string notes;
-};
-
-std::int64_t object_bytes(const Options& o) { return o.mb * 1024 * 1024; }
-std::uint64_t seed_of(const Options& o) { return static_cast<std::uint64_t>(o.seed); }
-
-Row fobs_row(const fobs::exp::TestbedSpec& spec, const Options& o) {
-  fobs::exp::FobsRunParams params;
-  params.object_bytes = object_bytes(o);
-  params.packet_bytes = o.packet;
-  params.ack_frequency = o.ack_freq;
-  params.batch_size = static_cast<int>(o.batch);
-  params.adaptive.enabled = o.adaptive;
-  params.adaptive.tcp_fallback = o.tcp_fallback;
-  const auto r = fobs::exp::run_fobs(spec, params, seed_of(o));
-  return {"FOBS", r.completed, r.fraction_of(spec.max_bandwidth), r.goodput_mbps,
-          r.receiver_elapsed.seconds(), "waste " + TextTable::pct(r.waste, 2)};
-}
-
-Row rudp_row(const fobs::exp::TestbedSpec& spec, const Options& o) {
-  fobs::baselines::RudpConfig config;
-  config.spec = {object_bytes(o), o.packet};
-  const auto r = fobs::exp::run_rudp(spec, config, seed_of(o));
-  return {"RUDP", r.completed, r.fraction_of(spec.max_bandwidth), r.goodput_mbps,
-          r.elapsed.seconds(),
-          std::to_string(r.passes) + " blast passes, waste " + TextTable::pct(r.waste, 2)};
-}
-
-Row sabul_row(const fobs::exp::TestbedSpec& spec, const Options& o) {
-  fobs::baselines::SabulConfig config;
-  config.spec = {object_bytes(o), o.packet};
-  config.initial_rate = spec.max_bandwidth * 0.95;
-  const auto r = fobs::exp::run_sabul(spec, config, seed_of(o));
-  return {"SABUL", r.completed, r.fraction_of(spec.max_bandwidth), r.goodput_mbps,
-          r.elapsed.seconds(),
-          std::to_string(r.loss_reports) + " loss reports, final rate " +
-              TextTable::num(r.final_rate_mbps, 0) + " Mb/s"};
-}
-
-Row tcp_run_row(const fobs::exp::TestbedSpec& spec, const Options& o, std::string name,
-                const fobs::net::TcpConfig& config, int streams) {
-  const auto r = fobs::exp::run_tcp(spec, object_bytes(o), config, streams, seed_of(o));
-  return {std::move(name), r.completed, r.fraction_of(spec.max_bandwidth), r.goodput_mbps,
-          r.elapsed.seconds(),
-          std::to_string(r.retransmissions) + " rtx, " + std::to_string(r.timeouts) + " RTOs"};
-}
-
-Row psockets_row(const fobs::exp::TestbedSpec& spec, const Options& o) {
-  return tcp_run_row(spec, o, "PSockets-" + std::to_string(o.streams),
-                     fobs::baselines::psockets_stream_config(), static_cast<int>(o.streams));
-}
-
-Row tcp_row(const fobs::exp::TestbedSpec& spec, const Options& o) {
-  return o.no_lwe ? tcp_run_row(spec, o, "TCP (64K wnd)", fobs::baselines::tcp_without_lwe(), 1)
-                  : tcp_run_row(spec, o, "TCP+LWE", fobs::baselines::tcp_with_lwe(), 1);
-}
-
-using RowFn = Row (*)(const fobs::exp::TestbedSpec&, const Options&);
-const std::map<std::string, RowFn> kProtocols = {
-    {"fobs", fobs_row}, {"rudp", rudp_row},         {"sabul", sabul_row},
-    {"tcp", tcp_row},   {"psockets", psockets_row},
-};
+const std::map<std::string, Protocol> kProtocols = {
+    {"fobs", Protocol::kFobs}, {"rudp", Protocol::kRudp},         {"sabul", Protocol::kSabul},
+    {"tcp", Protocol::kTcp},   {"psockets", Protocol::kPsockets}};
 
 using fobs::exp::PathId;
 const std::map<std::string, PathId> kPaths = {
@@ -130,31 +62,18 @@ const std::map<std::string, PathId> kPaths = {
     {"gigabit", PathId::kGigabitOc12}, {"contended", PathId::kGigabitContended}};
 
 /// The runs `--protocol` names: one, or the eight rows of `all`.
-std::vector<Options> runs_for(const Options& options) {
-  if (options.protocol != "all") return {options};
-  auto with = [&](const char* protocol, std::int64_t streams = 1, bool no_lwe = false) {
-    Options run = options;
-    run.protocol = protocol;
-    run.streams = streams;
-    run.no_lwe = no_lwe;
-    return run;
+std::vector<std::pair<Protocol, ProtocolKnobs>> runs_for(const Options& options) {
+  if (options.protocol != "all") return {{kProtocols.at(options.protocol), options.knobs}};
+  auto with = [&](Protocol protocol, std::int64_t streams = 1, bool no_lwe = false) {
+    ProtocolKnobs knobs = options.knobs;
+    knobs.streams = streams;
+    knobs.no_lwe = no_lwe;
+    return std::pair{protocol, knobs};
   };
-  return {with("fobs"),        with("rudp"),        with("sabul"),
-          with("psockets", 1), with("psockets", 8), with("psockets", 16),
-          with("tcp"),         with("tcp", 1, true)};
-}
-
-/// A whole decimal integer in [min, max]; false for a missing,
-/// non-numeric or out-of-range value.
-bool read_int(const char* text, std::int64_t min, std::int64_t max, std::int64_t& out) {
-  char* end = nullptr;  // stays equal to a missing (null) text
-  errno = 0;
-  const long long value = text == nullptr ? 0 : std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < min || value > max) {
-    return false;
-  }
-  out = value;
-  return true;
+  return {with(Protocol::kFobs),        with(Protocol::kRudp),
+          with(Protocol::kSabul),       with(Protocol::kPsockets, 1),
+          with(Protocol::kPsockets, 8), with(Protocol::kPsockets, 16),
+          with(Protocol::kTcp),         with(Protocol::kTcp, 1, true)};
 }
 
 bool parse(int argc, char** argv, Options& options) {
@@ -165,11 +84,11 @@ bool parse(int argc, char** argv, Options& options) {
     std::int64_t* value;
   };
   const NumericFlag numeric[] = {
-      {"--mb", 1, 1 << 20, &options.mb},
-      {"--packet", 1, fobs::posix::kMaxPacketBytes, &options.packet},
-      {"--ack-freq", 1, INT32_MAX, &options.ack_freq},
-      {"--batch", 1, INT32_MAX, &options.batch},
-      {"--streams", 1, 1024, &options.streams},
+      {"--mb", 1, 1 << 20, &options.knobs.object_mib},
+      {"--packet", 1, fobs::posix::kMaxPacketBytes, &options.knobs.packet_bytes},
+      {"--ack-freq", 1, INT32_MAX, &options.knobs.ack_frequency},
+      {"--batch", 1, INT32_MAX, &options.knobs.batch_size},
+      {"--streams", 1, 1024, &options.knobs.streams},
       {"--seed", 0, INT64_MAX, &options.seed},
   };
   for (int i = 1; i < argc; ++i) {
@@ -178,7 +97,7 @@ bool parse(int argc, char** argv, Options& options) {
     const auto flag = std::find_if(std::begin(numeric), std::end(numeric),
                                    [&](const NumericFlag& f) { return arg == f.name; });
     if (flag != std::end(numeric)) {
-      if (!read_int(value, flag->min, flag->max, *flag->value)) {
+      if (!fobs::examples::read_int(value, flag->min, flag->max, *flag->value)) {
         std::fprintf(stderr, "%s needs an integer in [%lld, %lld]\n", flag->name,
                      static_cast<long long>(flag->min), static_cast<long long>(flag->max));
         return false;
@@ -189,12 +108,12 @@ bool parse(int argc, char** argv, Options& options) {
       (arg == "--path" ? options.path : options.protocol) = value;
       ++i;
     } else if (arg == "--adaptive") {
-      options.adaptive = true;
+      options.knobs.adaptive = true;
     } else if (arg == "--tcp-fallback") {
-      options.adaptive = true;
-      options.tcp_fallback = true;
+      options.knobs.adaptive = true;
+      options.knobs.tcp_fallback = true;
     } else if (arg == "--no-lwe") {
-      options.no_lwe = true;
+      options.knobs.no_lwe = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -222,12 +141,13 @@ int main(int argc, char** argv) {
   const auto spec = exp::spec_for(kPaths.at(options.path));
   std::printf("%s over %s (max %.0f Mb/s, RTT %.0f ms): %lld MiB, seed %lld\n",
               options.protocol.c_str(), spec.name.c_str(), spec.max_bandwidth.mbps(),
-              spec.rtt().seconds() * 1e3, static_cast<long long>(options.mb),
+              spec.rtt().seconds() * 1e3, static_cast<long long>(options.knobs.object_mib),
               static_cast<long long>(options.seed));
   TextTable table({"protocol", "done", "% max bw", "goodput", "elapsed", "notes"});
   bool all_completed = true;
-  for (const Options& run : runs_for(options)) {
-    const Row row = kProtocols.at(run.protocol)(spec, run);
+  for (const auto& [protocol, knobs] : runs_for(options)) {
+    exp::Testbed bed(spec, static_cast<std::uint64_t>(options.seed));
+    const exp::ProtocolRow row = exp::run_protocol(bed, protocol, knobs);
     table.add_row({row.protocol, row.completed ? "yes" : "NO", TextTable::pct(row.fraction),
                    TextTable::num(row.goodput_mbps, 1) + " Mb/s",
                    TextTable::num(row.elapsed_s, 2) + " s", row.notes});

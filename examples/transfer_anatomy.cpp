@@ -13,16 +13,15 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "args.h"
 #include "exp/runner.h"
 #include "fobs/sim_transfer.h"
 #include "telemetry/trace.h"
 
 int main(int argc, char** argv) {
   using namespace fobs;
-  char* end = nullptr;
-  const std::int64_t ack_frequency = argc > 1 ? std::strtoll(argv[1], &end, 10) : 1;
-  if (argc > 2 || (argc > 1 && (end == argv[1] || *end != '\0')) || ack_frequency < 1 ||
-      ack_frequency > INT32_MAX) {
+  std::int64_t ack_frequency = 1;
+  if (argc > 2 || (argc == 2 && !examples::read_int(argv[1], 1, INT32_MAX, ack_frequency))) {
     std::fprintf(stderr, "usage: %s [ack_frequency >= 1]\n", argv[0]);
     return 2;
   }

@@ -1,6 +1,26 @@
 #include "exp/runner.h"
 
+#include <utility>
+
+#include "baselines/rudp.h"
+#include "baselines/sabul.h"
+#include "common/table.h"
+
 namespace fobs::exp {
+
+namespace {
+
+ProtocolRow tcp_row(Testbed& bed, std::string name, std::int64_t bytes,
+                    const fobs::net::TcpConfig& config, int streams) {
+  const auto r = fobs::baselines::run_tcp_transfers(
+      bed.network(), fobs::baselines::psockets_transfers(bed.src(), bed.dst(), bytes, streams),
+      config);
+  return {std::move(name), r.completed, r.fraction_of(bed.spec().max_bandwidth),
+          r.goodput_mbps, r.elapsed.seconds(),
+          std::to_string(r.retransmissions) + " rtx, " + std::to_string(r.timeouts) + " RTOs"};
+}
+
+}  // namespace
 
 fobs::core::SimTransferConfig make_fobs_config(const FobsRunParams& params) {
   fobs::core::SimTransferConfig config;
@@ -25,25 +45,6 @@ fobs::core::SimTransferResult run_fobs(const TestbedSpec& spec, const FobsRunPar
                                       make_fobs_config(params));
 }
 
-AveragedFobs run_fobs_averaged(const TestbedSpec& spec, const FobsRunParams& params,
-                               const std::vector<std::uint64_t>& seeds) {
-  AveragedFobs avg;
-  for (std::uint64_t seed : seeds) {
-    const auto result = run_fobs(spec, params, seed);
-    if (!result.completed) continue;
-    avg.fraction += result.fraction_of(spec.max_bandwidth);
-    avg.waste += result.waste;
-    avg.goodput_mbps += result.goodput_mbps;
-    ++avg.completed_runs;
-  }
-  if (avg.completed_runs > 0) {
-    avg.fraction /= avg.completed_runs;
-    avg.waste /= avg.completed_runs;
-    avg.goodput_mbps /= avg.completed_runs;
-  }
-  return avg;
-}
-
 fobs::baselines::TcpRunResult run_tcp(const TestbedSpec& spec, std::int64_t bytes,
                                       const fobs::net::TcpConfig& config, int streams,
                                       std::uint64_t seed) {
@@ -53,38 +54,52 @@ fobs::baselines::TcpRunResult run_tcp(const TestbedSpec& spec, std::int64_t byte
       config);
 }
 
-AveragedTcp run_tcp_averaged(const TestbedSpec& spec, std::int64_t bytes,
-                             const fobs::net::TcpConfig& config,
-                             const std::vector<std::uint64_t>& seeds) {
-  AveragedTcp avg;
-  for (std::uint64_t seed : seeds) {
-    const auto result = run_tcp(spec, bytes, config, 1, seed);
-    if (!result.completed) continue;
-    avg.fraction += result.fraction_of(spec.max_bandwidth);
-    avg.goodput_mbps += result.goodput_mbps;
-    avg.retransmissions += result.retransmissions;
-    avg.timeouts += result.timeouts;
-    ++avg.completed_runs;
+ProtocolRow run_protocol(Testbed& bed, Protocol protocol, const ProtocolKnobs& knobs) {
+  using fobs::util::TextTable;
+  const std::int64_t bytes = knobs.object_mib * 1024 * 1024;
+  const fobs::util::DataRate max = bed.spec().max_bandwidth;
+  switch (protocol) {
+    case Protocol::kFobs: {
+      FobsRunParams params;
+      params.object_bytes = bytes;
+      params.packet_bytes = knobs.packet_bytes;
+      params.ack_frequency = knobs.ack_frequency;
+      params.batch_size = static_cast<int>(knobs.batch_size);
+      params.adaptive.enabled = knobs.adaptive;
+      params.adaptive.tcp_fallback = knobs.tcp_fallback;
+      const auto r = fobs::core::run_sim_transfer(bed.network(), bed.src(), bed.dst(),
+                                                  make_fobs_config(params));
+      return {"FOBS", r.completed, r.fraction_of(max), r.goodput_mbps,
+              r.receiver_elapsed.seconds(), "waste " + TextTable::pct(r.waste, 2)};
+    }
+    case Protocol::kRudp: {
+      fobs::baselines::RudpConfig config;
+      config.spec = {bytes, knobs.packet_bytes};
+      const auto r =
+          fobs::baselines::run_rudp_transfer(bed.network(), bed.src(), bed.dst(), config);
+      return {"RUDP", r.completed, r.fraction_of(max), r.goodput_mbps, r.elapsed.seconds(),
+              std::to_string(r.passes) + " blast passes, waste " + TextTable::pct(r.waste, 2)};
+    }
+    case Protocol::kSabul: {
+      fobs::baselines::SabulConfig config;
+      config.spec = {bytes, knobs.packet_bytes};
+      config.initial_rate = max * 0.95;
+      const auto r =
+          fobs::baselines::run_sabul_transfer(bed.network(), bed.src(), bed.dst(), config);
+      return {"SABUL", r.completed, r.fraction_of(max), r.goodput_mbps, r.elapsed.seconds(),
+              std::to_string(r.loss_reports) + " loss reports, final rate " +
+                  TextTable::num(r.final_rate_mbps, 0) + " Mb/s"};
+    }
+    case Protocol::kPsockets:
+      return tcp_row(bed, "PSockets-" + std::to_string(knobs.streams), bytes,
+                     fobs::baselines::psockets_stream_config(),
+                     static_cast<int>(knobs.streams));
+    case Protocol::kTcp:
+      return knobs.no_lwe
+                 ? tcp_row(bed, "TCP (64K wnd)", bytes, fobs::baselines::tcp_without_lwe(), 1)
+                 : tcp_row(bed, "TCP+LWE", bytes, fobs::baselines::tcp_with_lwe(), 1);
   }
-  if (avg.completed_runs > 0) {
-    avg.fraction /= avg.completed_runs;
-    avg.goodput_mbps /= avg.completed_runs;
-  }
-  return avg;
-}
-
-fobs::baselines::RudpResult run_rudp(const TestbedSpec& spec,
-                                     const fobs::baselines::RudpConfig& config,
-                                     std::uint64_t seed) {
-  Testbed bed(spec, seed);
-  return fobs::baselines::run_rudp_transfer(bed.network(), bed.src(), bed.dst(), config);
-}
-
-fobs::baselines::SabulResult run_sabul(const TestbedSpec& spec,
-                                       const fobs::baselines::SabulConfig& config,
-                                       std::uint64_t seed) {
-  Testbed bed(spec, seed);
-  return fobs::baselines::run_sabul_transfer(bed.network(), bed.src(), bed.dst(), config);
+  return {};
 }
 
 std::vector<std::uint64_t> default_seeds(int count) {

@@ -4,10 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "baselines/rudp.h"
-#include "baselines/sabul.h"
 #include "baselines/tcp_bulk.h"
 #include "exp/testbeds.h"
 #include "fobs/sim_transfer.h"
@@ -40,17 +39,6 @@ struct FobsRunParams {
 fobs::core::SimTransferResult run_fobs(const TestbedSpec& spec, const FobsRunParams& params,
                                        std::uint64_t seed = 42);
 
-/// Averages `fraction`/`waste` over several seeds (network conditions in
-/// the paper varied run to run; so do ours).
-struct AveragedFobs {
-  double fraction = 0.0;
-  double waste = 0.0;
-  double goodput_mbps = 0.0;
-  int completed_runs = 0;
-};
-AveragedFobs run_fobs_averaged(const TestbedSpec& spec, const FobsRunParams& params,
-                               const std::vector<std::uint64_t>& seeds);
-
 /// One TCP run on a fresh testbed: `bytes` striped over `streams`
 /// connections as PSockets does (baselines::psockets_transfers); one
 /// stream is the plain single-stream transfer of Table 1.
@@ -58,25 +46,74 @@ fobs::baselines::TcpRunResult run_tcp(const TestbedSpec& spec, std::int64_t byte
                                       const fobs::net::TcpConfig& config, int streams,
                                       std::uint64_t seed = 42);
 
-/// Single-stream run_tcp averaged across seeds.
-struct AveragedTcp {
-  double fraction = 0.0;
+/// The five protocols of the paper's §2 comparison.
+enum class Protocol { kFobs, kRudp, kSabul, kPsockets, kTcp };
+
+/// What `simctl`'s flags set for a protocol run, with its defaults.
+/// Each protocol reads the values its comment names.
+struct ProtocolKnobs {
+  std::int64_t object_mib = kPaperObjectBytes / (1024 * 1024);  ///< all
+  std::int64_t packet_bytes = kPaperPacketBytes;                 ///< FOBS, RUDP, SABUL
+  std::int64_t ack_frequency = 64;                               ///< FOBS
+  std::int64_t batch_size = 2;                                   ///< FOBS
+  bool adaptive = false;      ///< FOBS: the §7 greediness controller
+  bool tcp_fallback = false;  ///< FOBS: the §7 TCP fallback (needs adaptive)
+  std::int64_t streams = 16;  ///< PSockets
+  bool no_lwe = false;        ///< TCP: a 64 KiB window instead of window scaling
+};
+
+/// One protocol's table row.
+struct ProtocolRow {
+  std::string protocol;  ///< "FOBS", "PSockets-16", "TCP (64K wnd)", ...
+  bool completed = false;
+  double fraction = 0.0;  ///< of the testbed's max bandwidth
   double goodput_mbps = 0.0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t timeouts = 0;
+  double elapsed_s = 0.0;
+  std::string notes;  ///< the protocol's own cost: waste, passes, rtx...
+};
+
+/// Runs `protocol` once on `bed`, a fresh Testbed or a
+/// ScenarioRuntime's. A testbed carries one run: its clock and cross
+/// traffic are not reset.
+ProtocolRow run_protocol(Testbed& bed, Protocol protocol, const ProtocolKnobs& knobs = {});
+
+/// Means over the completed runs of a seed sweep (network conditions in
+/// the paper varied run to run; so do ours).
+struct SeedAverage {
+  double fraction = 0.0;  ///< of the spec's max bandwidth
+  double goodput_mbps = 0.0;
+  double waste = 0.0;                 ///< FOBS runs; 0 for TCP
+  std::uint64_t retransmissions = 0;  ///< TCP runs: the total, not the mean
+  std::uint64_t timeouts = 0;         ///< TCP runs: the total, not the mean
   int completed_runs = 0;
 };
-AveragedTcp run_tcp_averaged(const TestbedSpec& spec, std::int64_t bytes,
-                             const fobs::net::TcpConfig& config,
-                             const std::vector<std::uint64_t>& seeds);
 
-/// RUDP / SABUL on fresh testbeds.
-fobs::baselines::RudpResult run_rudp(const TestbedSpec& spec,
-                                     const fobs::baselines::RudpConfig& config,
-                                     std::uint64_t seed = 42);
-fobs::baselines::SabulResult run_sabul(const TestbedSpec& spec,
-                                       const fobs::baselines::SabulConfig& config,
-                                       std::uint64_t seed = 42);
+/// Calls `run(seed)` for every seed; it returns a
+/// core::SimTransferResult or a baselines::TcpRunResult. The completed
+/// runs are summed in seed order and divided once.
+template <class Run>
+SeedAverage average_over_seeds(const TestbedSpec& spec, const std::vector<std::uint64_t>& seeds,
+                               Run&& run) {
+  SeedAverage avg;
+  for (std::uint64_t seed : seeds) {
+    const auto result = run(seed);
+    if (!result.completed) continue;
+    avg.fraction += result.fraction_of(spec.max_bandwidth);
+    avg.goodput_mbps += result.goodput_mbps;
+    if constexpr (requires { result.waste; }) avg.waste += result.waste;
+    if constexpr (requires { result.retransmissions; }) {
+      avg.retransmissions += result.retransmissions;
+      avg.timeouts += result.timeouts;
+    }
+    ++avg.completed_runs;
+  }
+  if (avg.completed_runs > 0) {
+    avg.fraction /= avg.completed_runs;
+    avg.goodput_mbps /= avg.completed_runs;
+    avg.waste /= avg.completed_runs;
+  }
+  return avg;
+}
 
 /// Default seed set used by the benches.
 [[nodiscard]] std::vector<std::uint64_t> default_seeds(int count = 5);

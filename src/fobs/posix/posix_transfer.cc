@@ -182,7 +182,6 @@ FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
       session.on_socket_error(io_error);
       break;
     }
-    session.on_queue_drops(channel.queue_drops());
     if (n_rx == 0) {
       // Idle: wait for data, and notice the sender dropping the control
       // connection (poll skips the entry while it is closed).
@@ -194,6 +193,7 @@ FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
       }
       continue;
     }
+    session.on_queue_drops(channel.queue_drops());
     for (int i = 0; i < n_rx && !session.done(); ++i) {
       const auto& view = rx_views[static_cast<std::size_t>(i)];
       const auto acks = session.on_datagram(view.data);
@@ -215,6 +215,7 @@ FlowResult run_receiver(const ReceiverOptions& options, const ReceiveFlow& flow,
     }
     if (!session.echoed()) control.reset();
   }
+  session.on_queue_drops(channel.queue_drops());
   auto result = session.finish(Clock::now());
   result.io = channel.stats();
   return result;

@@ -110,6 +110,9 @@ struct FlowResult {
   std::int64_t duplicates = 0;
   /// Packets pre-seeded from a checkpoint instead of the network.
   std::int64_t packets_restored = 0;
+  /// Datagrams the data socket dropped at its full receive queue
+  /// (DatagramChannel::queue_drops when the flow ended).
+  std::int64_t queue_drops = 0;
   /// Completed: CRC-32C of the flow's stripe, folded from the payload
   /// CRCs the packet checks computed (restored packets: from their bytes).
   std::uint32_t checksum = 0;

@@ -366,9 +366,11 @@ FlowResult ReceiverSession::finish(SessionTime now) {
   close(now, completed(), core_.spec().object_bytes);
   result_.packets_received = core_.stats().packets_received;
   result_.duplicates = core_.stats().duplicates;
+  result_.queue_drops = queue_drops_;
   auto& metrics = MetricsRegistry::global();
   metrics.counter("fobs.posix.receiver.packets_received").inc(result_.packets_received);
   metrics.counter("fobs.posix.receiver.duplicates").inc(result_.duplicates);
+  metrics.counter("fobs.posix.receiver.queue_drops").inc(result_.queue_drops);
   return result_;
 }
 

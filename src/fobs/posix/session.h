@@ -189,7 +189,8 @@ class ReceiverSession : public FlowSession {
   /// until the next call.
   std::span<const fobs::net::DatagramView> on_datagram(std::span<const std::uint8_t> bytes);
   /// The data socket's cumulative queue-drop count, stamped on every
-  /// later ACK (mod 2^16) for the sender's rate cap.
+  /// later ACK (mod 2^16) for the sender's rate cap; the last one is the
+  /// result's queue_drops.
   void on_queue_drops(std::uint32_t drops) { queue_drops_ = drops; }
   /// Completed, not yet echoed, and an attempt is left.
   [[nodiscard]] bool awaiting_echo() const {

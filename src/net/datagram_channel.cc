@@ -1,6 +1,7 @@
 #include "net/datagram_channel.h"
 
 #include <arpa/inet.h>
+#include <linux/sock_diag.h>
 #include <netinet/udp.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -19,14 +20,17 @@
 #ifndef UDP_GRO
 #define UDP_GRO 104
 #endif
+#ifndef SO_MEMINFO
+#define SO_MEMINFO 55
+#endif
 
 namespace fobs::net {
 
 namespace {
 
-// Room for a received datagram's control messages: the UDP_GRO segment
-// size (an int) and the SO_RXQ_OVFL count.
-constexpr std::size_t kCmsgBytes = CMSG_SPACE(sizeof(int)) + CMSG_SPACE(sizeof(std::uint32_t));
+// Room for a received datagram's control message: the UDP_GRO segment
+// size (an int).
+constexpr std::size_t kCmsgBytes = CMSG_SPACE(sizeof(int));
 
 bool retryable_errno(int err) {
   return err == EWOULDBLOCK || err == EAGAIN || err == ENOBUFS || err == EINTR;
@@ -69,11 +73,9 @@ DatagramChannel DatagramChannel::open(const IoOptions&, std::size_t max_datagram
                sizeof IoOptions::send_buffer_bytes);
   ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &IoOptions::recv_buffer_bytes,
                sizeof IoOptions::recv_buffer_bytes);
-  // Coalesced trains arrive whole (split in recv_batch); every received
-  // datagram carries the socket's queue-drop count.
+  // Coalesced trains arrive whole (split in recv_batch).
   const int on = 1;
   ::setsockopt(fd.get(), SOL_UDP, UDP_GRO, &on, sizeof on);
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_RXQ_OVFL, &on, sizeof on);
   if (bind_port) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -103,6 +105,16 @@ std::uint16_t DatagramChannel::local_port() const {
   socklen_t len = sizeof addr;
   if (::getsockname(fd_.get(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
   return ntohs(addr.sin_port);
+}
+
+std::uint32_t DatagramChannel::queue_drops() const {
+  std::uint32_t meminfo[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof meminfo;
+  if (!fd_.valid() || ::getsockopt(fd_.get(), SOL_SOCKET, SO_MEMINFO, meminfo, &len) != 0 ||
+      len <= SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
+    return 0;
+  }
+  return meminfo[SK_MEMINFO_DROPS];
 }
 
 void DatagramChannel::note_syscall(bool send, int datagrams) {
@@ -249,8 +261,6 @@ int DatagramChannel::recv_batch(std::span<RecvView> out, std::string* error) {
           int size = 0;
           std::memcpy(&size, CMSG_DATA(cmsg), sizeof size);
           if (size > 0) segment = static_cast<std::size_t>(size);
-        } else if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SO_RXQ_OVFL) {
-          std::memcpy(&queue_drops_, CMSG_DATA(cmsg), sizeof queue_drops_);
         }
       }
       std::uint8_t* slot = static_cast<std::uint8_t*>(iovs[i].iov_base);

@@ -15,8 +15,10 @@
 //    train, which the channel splits back into one view per datagram.
 // This is the channel's only path: a one-datagram run carries no cmsg.
 // Batch sizes and socket buffers are the compile-time constants in
-// IoOptions. Every socket also reports its receive-queue drops
-// (SO_RXQ_OVFL), which the receiver hands back to the sender on ACKs.
+// IoOptions. queue_drops() reads the socket's receive-queue drop count
+// with one getsockopt(SO_MEMINFO) (its SK_MEMINFO_DROPS entry, which the
+// kernel bumps the moment a datagram finds the queue full); the receiver
+// hands it back to the sender on ACKs.
 //
 // Telemetry (global metrics registry):
 //   fobs.io.syscalls              data-plane syscalls that moved >=1 datagram
@@ -105,7 +107,7 @@ struct RecvView {
 
 class DatagramChannel {
  public:
-  /// Opens a non-blocking UDP socket with UDP_GRO and SO_RXQ_OVFL set,
+  /// Opens a non-blocking UDP socket with UDP_GRO set,
   /// for datagrams of up to `max_datagram_bytes` (at most
   /// IoOptions::recv_slot_bytes; every slot holds a whole train). `bind_port` of nullopt leaves the
   /// socket unbound (a sender; the kernel binds it on first send); 0
@@ -142,10 +144,11 @@ class DatagramChannel {
   int recv_batch(std::span<RecvView> out, std::string* error);
 
   [[nodiscard]] const IoStats& stats() const { return stats_; }
-  /// Datagrams (or coalesced trains) the kernel dropped at this
-  /// socket's full receive queue, as of the last one received
-  /// (SO_RXQ_OVFL; cumulative, wraps at 2^32).
-  [[nodiscard]] std::uint32_t queue_drops() const { return queue_drops_; }
+  /// Datagrams (or coalesced trains) the kernel has dropped at this
+  /// socket's full receive queue so far, read now with one
+  /// getsockopt(SO_MEMINFO) whether or not anything was read since
+  /// (cumulative, wraps at 2^32); 0 when the kernel does not report it.
+  [[nodiscard]] std::uint32_t queue_drops() const;
 
  private:
   void note_syscall(bool send, int datagrams);
@@ -161,7 +164,6 @@ class DatagramChannel {
   std::size_t pending_at_ = 0;
   /// Segments per send: send_batch, or 1 once the route refused one.
   int max_segments_ = IoOptions::send_batch;
-  std::uint32_t queue_drops_ = 0;
   IoStats stats_;
   // Cached global-registry instruments (stable references; looked up
   // once at open so the hot path is a relaxed atomic add).

@@ -24,8 +24,8 @@ constexpr std::int64_t kTrain = 62;
 /// A receiver socket of `queue_packets` that drains `drain_per_s`
 /// datagrams per second and acknowledges every 64 of them. A
 /// train that does not fit is dropped whole, as the kernel drops a
-/// coalesced train; each queued train carries the drop count at its
-/// enqueue, as SO_RXQ_OVFL does.
+/// coalesced train; an ACK carries the socket's drop count as of its
+/// sending, as the receiver reads it with SO_MEMINFO.
 class Receiver {
  public:
   Receiver(double drain_per_s, std::int64_t queue_packets)
@@ -37,7 +37,7 @@ class Receiver {
       return;
     }
     queued_ += packets;
-    trains_.push_back({packets, static_cast<std::uint32_t>(drops_)});
+    trains_.push_back(packets);
   }
 
   /// Drains for `dt`; hands each ACK due to `cap`.
@@ -47,9 +47,8 @@ class Receiver {
       credit_ -= 1.0;
       --queued_;
       ++received_;
-      const std::uint32_t stamp = trains_.front().drops_at_enqueue;
-      if (--trains_.front().packets == 0) trains_.pop_front();
-      if (received_ % 64 == 0) cap.on_ack(now, received_, static_cast<std::uint16_t>(stamp));
+      if (--trains_.front() == 0) trains_.pop_front();
+      if (received_ % 64 == 0) cap.on_ack(now, received_, static_cast<std::uint16_t>(drops_));
     }
     if (trains_.empty()) credit_ = std::min(credit_, 1.0);
   }
@@ -57,13 +56,10 @@ class Receiver {
   [[nodiscard]] std::int64_t drops() const { return drops_; }
 
  private:
-  struct Train {
-    std::int64_t packets;
-    std::uint32_t drops_at_enqueue;
-  };
   const double drain_per_s_;
   const std::int64_t queue_packets_;
-  std::deque<Train> trains_;
+  /// Queued trains' packets still to drain, oldest first.
+  std::deque<std::int64_t> trains_;
   std::int64_t queued_ = 0;
   std::int64_t received_ = 0;
   std::int64_t drops_ = 0;

@@ -42,7 +42,8 @@ TEST(Runner, FobsAveragedAggregatesAcrossSeeds) {
   auto spec = spec_for(PathId::kShortHaul);
   FobsRunParams params;
   params.object_bytes = 2 * 1024 * 1024;
-  const auto avg = run_fobs_averaged(spec, params, {1, 2, 3});
+  const auto avg = average_over_seeds(
+      spec, {1, 2, 3}, [&](std::uint64_t seed) { return run_fobs(spec, params, seed); });
   EXPECT_EQ(avg.completed_runs, 3);
   EXPECT_GT(avg.fraction, 0.5);
   EXPECT_GE(avg.waste, 0.0);
@@ -61,9 +62,73 @@ TEST(Runner, FobsRunIsDeterministicPerSeed) {
 
 TEST(Runner, TcpAveragedCountsOnlyCompletedRuns) {
   auto spec = spec_for(PathId::kShortHaul);
-  const auto avg = run_tcp_averaged(spec, 2 * 1024 * 1024, baselines::tcp_with_lwe(), {1, 2});
+  const auto avg = average_over_seeds(spec, {1, 2}, [&](std::uint64_t seed) {
+    return run_tcp(spec, 2 * 1024 * 1024, baselines::tcp_with_lwe(), 1, seed);
+  });
   EXPECT_EQ(avg.completed_runs, 2);
   EXPECT_GT(avg.goodput_mbps, 0.0);
+  EXPECT_EQ(avg.waste, 0.0);
+}
+
+TEST(Runner, SeedAverageSumsInSeedOrderAndSkipsIncompleteRuns) {
+  const auto spec = spec_for(PathId::kShortHaul);
+  // Seed i returns run i; the middle run did not complete.
+  baselines::TcpRunResult results[3];
+  for (int i = 0; i < 3; ++i) {
+    results[i].completed = i != 1;
+    results[i].goodput_mbps = 10.0 * (i + 1);
+    results[i].retransmissions = 3 + static_cast<std::uint64_t>(i);
+    results[i].timeouts = 1 + static_cast<std::uint64_t>(i);
+  }
+  const auto avg = average_over_seeds(spec, {0, 1, 2},
+                                      [&](std::uint64_t seed) { return results[seed]; });
+  EXPECT_EQ(avg.completed_runs, 2);
+  EXPECT_EQ(avg.goodput_mbps, 20.0);
+  EXPECT_EQ(avg.fraction, (results[0].fraction_of(spec.max_bandwidth) +
+                           results[2].fraction_of(spec.max_bandwidth)) /
+                              2);
+  // Counts are totals over the completed runs.
+  EXPECT_EQ(avg.retransmissions, 8u);
+  EXPECT_EQ(avg.timeouts, 4u);
+}
+
+TEST(Runner, RunProtocolFobsRowIsRunFobsOnTheSameTestbed) {
+  const auto spec = spec_for(PathId::kLongHaul);
+  ProtocolKnobs knobs;
+  knobs.object_mib = 2;
+  Testbed bed(spec, 4);
+  const auto row = run_protocol(bed, Protocol::kFobs, knobs);
+  FobsRunParams params;
+  params.object_bytes = 2 * 1024 * 1024;
+  const auto direct = run_fobs(spec, params, 4);
+  EXPECT_EQ(row.protocol, "FOBS");
+  EXPECT_EQ(row.completed, direct.completed);
+  EXPECT_EQ(row.goodput_mbps, direct.goodput_mbps);
+  EXPECT_EQ(row.fraction, direct.fraction_of(spec.max_bandwidth));
+  EXPECT_EQ(row.elapsed_s, direct.receiver_elapsed.seconds());
+}
+
+TEST(Runner, RunProtocolRunsAllFiveAndNamesTheirRows) {
+  ProtocolKnobs knobs;
+  knobs.object_mib = 1;
+  knobs.streams = 4;
+  const std::pair<Protocol, const char*> cases[] = {
+      {Protocol::kFobs, "FOBS"},           {Protocol::kRudp, "RUDP"},
+      {Protocol::kSabul, "SABUL"},         {Protocol::kPsockets, "PSockets-4"},
+      {Protocol::kTcp, "TCP+LWE"},
+  };
+  for (const auto& [protocol, name] : cases) {
+    Testbed bed(PathId::kShortHaul, 1);
+    const auto row = run_protocol(bed, protocol, knobs);
+    EXPECT_EQ(row.protocol, name);
+    EXPECT_TRUE(row.completed) << name;
+    EXPECT_GT(row.fraction, 0.0) << name;
+    EXPECT_GT(row.elapsed_s, 0.0) << name;
+    EXPECT_FALSE(row.notes.empty()) << name;
+  }
+  knobs.no_lwe = true;
+  Testbed bed(PathId::kShortHaul, 1);
+  EXPECT_EQ(run_protocol(bed, Protocol::kTcp, knobs).protocol, "TCP (64K wnd)");
 }
 
 TEST(Runner, PaperConstantsMatchThePaper) {

@@ -48,6 +48,7 @@
 #include "fobs/posix/checkpoint.h"
 #include "fobs/posix/session.h"
 #include "fobs/stripe/plan.h"
+#include "telemetry/metrics.h"
 
 namespace fobs {
 namespace {
@@ -665,6 +666,26 @@ TEST(SessionTrains, QueueDropsOnAnAckEngageTheSendersRateCap) {
     sender.on_batch_sent(now);
   }
   EXPECT_GT(sender.send_wait(now), SessionTime::duration::zero());
+}
+
+// A receiving flow's result carries its socket's queue-drop count as of
+// the last one handed in, and the receiver's queue_drops counter adds it.
+TEST(SessionTrains, ReceiverResultCarriesTheLastQueueDropCount) {
+  const core::TransferSpec spec{64 * 1024, 1024};
+  Bytes sink(static_cast<std::size_t>(spec.object_bytes), 0);
+  posix::detail::ReceiveFlow receive;
+  receive.spec = spec;
+  receive.stripe = sink;
+  ReceiverSession receiver(posix::ReceiverOptions{}, receive, nullptr, nullptr, 1,
+                           SessionTime{});
+  auto& counter =
+      telemetry::MetricsRegistry::global().counter("fobs.posix.receiver.queue_drops");
+  const std::int64_t before = counter.value();
+  receiver.on_queue_drops(3);
+  receiver.on_queue_drops(17);
+  const auto result = receiver.finish(SessionTime{});
+  EXPECT_EQ(result.queue_drops, 17);
+  EXPECT_EQ(counter.value() - before, 17);
 }
 
 Bytes sealed_datagram(const core::TransferSpec& spec, std::span<const std::uint8_t> stripe,
